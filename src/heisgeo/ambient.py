@@ -40,7 +40,7 @@ from .errors import (
     SingularMetric,
     UnsupportedKappa,
 )
-from .numeric import Vec3, as_vec3, lincomb3, sub3
+from .numeric import Vec3, as_vec3, bilinear3, central_diff, lincomb3, sub3
 
 # conformal denominator treated as singular below this magnitude
 _CONFORMAL_TOL = 1e-12
@@ -127,14 +127,7 @@ def metric_matrix(space: SpaceParams, p) -> tuple[Vec3, Vec3, Vec3]:
 
 def metric_eval(space: SpaceParams, p, v, w) -> float:
     """Metric value g_p(v, w) for coordinate vectors v, w at point p."""
-    g = metric_matrix(space, p)
-    v = as_vec3(v)
-    w = as_vec3(w)
-    return (
-        v[0] * (g[0][0] * w[0] + g[0][1] * w[1] + g[0][2] * w[2])
-        + v[1] * (g[1][0] * w[0] + g[1][1] * w[1] + g[1][2] * w[2])
-        + v[2] * (g[2][0] * w[0] + g[2][1] * w[1] + g[2][2] * w[2])
-    )
+    return bilinear3(metric_matrix(space, p), as_vec3(v), as_vec3(w))
 
 
 # ---- orthonormal frame (kappa = 0) ----
@@ -249,20 +242,22 @@ def curvature_frame(space: SpaceParams, a, b, c) -> Vec3:
     Sign convention: R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
     - nabla_[X,Y] Z.
     """
-    tau = space.tau
     delta = float(space.delta)
-    t2 = tau * tau
     e3: Vec3 = (0.0, 0.0, 1.0)
     g_bc = frame_metric(space, b, c)
     g_ac = frame_metric(space, a, c)
     g_b3 = delta * b[2]
     g_a3 = delta * a[2]
     g_c3 = delta * c[2]
-    return lincomb3([
-        (3.0 * t2 * g_bc - 4.0 * delta * t2 * g_b3 * g_c3, a),
-        (-3.0 * t2 * g_ac + 4.0 * delta * t2 * g_a3 * g_c3, b),
-        (-4.0 * delta * t2 * (g_a3 * g_bc - g_b3 * g_ac), e3),
+    # tau^2 multiplies once at the end: summing 3 tau^2 and -4 tau^2 terms
+    # inside one component would round differently from the tau^2 table entry
+    r = lincomb3([
+        (3.0 * g_bc - 4.0 * delta * g_b3 * g_c3, a),
+        (-3.0 * g_ac + 4.0 * delta * g_a3 * g_c3, b),
+        (-4.0 * delta * (g_a3 * g_bc - g_b3 * g_ac), e3),
     ])
+    t2 = space.tau * space.tau
+    return (t2 * r[0], t2 * r[1], t2 * r[2])
 
 
 def curvature(space: SpaceParams, p, v, w, z) -> Vec3:
@@ -274,6 +269,11 @@ def curvature(space: SpaceParams, p, v, w, z) -> Vec3:
 
 
 # ---- finite-difference coordinate path (any kappa) ----
+
+
+def _shifted(p: Vec3, i: int, t: float) -> Vec3:
+    """p with coordinate i moved by t."""
+    return tuple(c + t if k == i else c for k, c in enumerate(p))  # type: ignore[return-value]
 
 
 def _fd_steps(p, scale: float) -> Vec3:
@@ -294,15 +294,9 @@ def christoffel_coords(space: SpaceParams, p) -> np.ndarray:
         raise SingularMetric(f"metric matrix singular at {p} (det = {det})")
     ginv = np.linalg.inv(g0)
     steps = _fd_steps(p, _FD1_SCALE)
-    dg = np.empty((3, 3, 3))
-    for i in range(3):
-        h = steps[i]
-        pp = list(p)
-        pp[i] += h
-        gp = np.array(metric_matrix(space, tuple(pp)))
-        pp[i] -= 2.0 * h
-        gm = np.array(metric_matrix(space, tuple(pp)))
-        dg[i] = (gp - gm) / (2.0 * h)
+    dg = np.array([central_diff(
+        lambda t, i=i: np.array(metric_matrix(space, _shifted(p, i, t))),
+        steps[i]) for i in range(3)])
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij);
     # dg[i, j, l] = d_i g_jl, so the three terms are the transposes below.
     gamma = 0.5 * np.einsum(
@@ -318,32 +312,16 @@ def riemann_coords(space: SpaceParams, p) -> np.ndarray:
     p = as_vec3(p)
     gamma = christoffel_coords(space, p)
     steps = _fd_steps(p, _FD2_SCALE)
-    dgamma = np.empty((3, 3, 3, 3))
-    for i in range(3):
-        h = steps[i]
-
-        def at(offset: float) -> np.ndarray:
-            pp = list(p)
-            pp[i] += offset
-            return christoffel_coords(space, tuple(pp))
-
-        # fourth-order stencil: the second-order truncation error grows with
-        # the metric's third derivatives for large tau at nonzero kappa
-        dgamma[i] = (-at(2.0 * h) + 8.0 * at(h)
-                     - 8.0 * at(-h) + at(-2.0 * h)) / (12.0 * h)
+    # fourth-order stencil: the second-order truncation error grows with
+    # the metric's third derivatives for large tau at nonzero kappa
+    dgamma = np.array([central_diff(
+        lambda t, i=i: christoffel_coords(space, _shifted(p, i, t)),
+        steps[i], order=4) for i in range(3)])
     # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik
     #           + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
-    riem = np.empty((3, 3, 3, 3))
-    for l in range(3):
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    val = dgamma[i, l, j, k] - dgamma[j, l, i, k]
-                    for m in range(3):
-                        val += (gamma[l, i, m] * gamma[m, j, k]
-                                - gamma[l, j, m] * gamma[m, i, k])
-                    riem[l, i, j, k] = val
-    return riem
+    return (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
+            + np.einsum("lim,mjk->lijk", gamma, gamma)
+            - np.einsum("ljm,mik->lijk", gamma, gamma))
 
 
 def curvature_fd(space: SpaceParams, p, v, w, z) -> Vec3:
@@ -389,23 +367,21 @@ def sectional_curvature(space: SpaceParams, p, v, w,
 # ---- generic finite-difference commutator of vector fields ----
 
 
+def directional_fd(field: Callable[[Vec3], Vec3], p, direction,
+                   step: float = 1e-6) -> Vec3:
+    """Coordinate derivative of a vector field at p along `direction`, by
+    central differences."""
+    p = as_vec3(p)
+    return central_diff(lambda t: as_vec3(field(
+        (p[0] + t * direction[0], p[1] + t * direction[1],
+         p[2] + t * direction[2]))), step)
+
+
 def commutator_fd(field_v: Callable[[Vec3], Vec3],
                   field_w: Callable[[Vec3], Vec3],
                   p, step: float = 1e-6) -> Vec3:
     """Lie bracket [V, W] at p by central differences of the fields."""
     p = as_vec3(p)
-    v0 = as_vec3(field_v(p))
-    w0 = as_vec3(field_w(p))
-
-    def directional(field, direction) -> Vec3:
-        pp = tuple(p[i] + step * direction[i] for i in range(3))
-        pm = tuple(p[i] - step * direction[i] for i in range(3))
-        fp = as_vec3(field(pp))
-        fm = as_vec3(field(pm))
-        return ((fp[0] - fm[0]) / (2.0 * step),
-                (fp[1] - fm[1]) / (2.0 * step),
-                (fp[2] - fm[2]) / (2.0 * step))
-
-    dv_w = directional(field_w, v0)  # D_V W
-    dw_v = directional(field_v, w0)  # D_W V
+    dv_w = directional_fd(field_w, p, as_vec3(field_v(p)), step)  # D_V W
+    dw_v = directional_fd(field_v, p, as_vec3(field_w(p)), step)  # D_W V
     return sub3(dv_w, dw_v)

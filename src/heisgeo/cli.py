@@ -97,7 +97,9 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
             f"grid must be at least {_MIN_GRID}x{_MIN_GRID}, got "
             f"{grid[0]}x{grid[1]}")
 
-    suites = list(raw.get("suites", []))
+    suites = raw.get("suites", [])
+    if not isinstance(suites, list):
+        raise ConfigError(f"suites must be a list of suite names, got {suites!r}")
     if getattr(args, "suite", None):
         suites = list(args.suite)
     expanded: list[str] = []

@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameterDomain,
     UnknownFamily,
 )
-from .numeric import CumulativeIntegral, Vec3
+from .numeric import CumulativeIntegral, Vec3, central_diff
 from .surface import SurfacePatch
 
 Domain = tuple[tuple[float, float], tuple[float, float]]
@@ -281,31 +281,27 @@ def build_profile(profile: HelixProfile,
     m = profile.slope_scale
     eta = profile.eta
 
-    closed = (not force_quadrature) and (
-        eta.kind == "constant"
-        or (eta.kind == "linear" and eta.coefficients[1] == 0.0)
-        or eta.kind == "linear")
+    closed = not force_quadrature and eta.kind in ("constant", "linear")
     if closed and eta.kind == "linear" and eta.coefficients[1] != 0.0:
-        # linear eta with nonzero slope: s(v) = c1*v + s0
+        # linear eta with nonzero slope: s(v) = c1*v + s0, and f1, f2 are
+        # k1 g1(s), k g2(s) up to constants, with (g1, g2, k1) per branch
         c1 = eta.coefficients[1]
         s0 = eta.coefficients[0] + (profile.c if profile.causal == "spacelike"
                                     else -profile.c)
+        k = m / c1
+        if profile.causal == "spacelike":
+            g1, g2, k1 = math.sinh, math.cosh, k
+        else:
+            g1, g2, k1 = math.cosh, math.sinh, -k
 
         def s(v: float) -> float:
             return c1 * v + s0
 
-        if profile.causal == "spacelike":
-            def f1(v: float) -> float:
-                return (m / c1) * (math.sinh(s(v)) - math.sinh(s(anchor)))
+        def f1(v: float) -> float:
+            return k1 * (g1(s(v)) - g1(s(anchor)))
 
-            def f2(v: float) -> float:
-                return (m / c1) * (math.cosh(s(v)) - math.cosh(s(anchor)))
-        else:
-            def f1(v: float) -> float:
-                return -(m / c1) * (math.cosh(s(v)) - math.cosh(s(anchor)))
-
-            def f2(v: float) -> float:
-                return (m / c1) * (math.sinh(s(v)) - math.sinh(s(anchor)))
+        def f2(v: float) -> float:
+            return k * (g2(s(v)) - g2(s(anchor)))
 
         def f3(v: float) -> float:
             # integral of tau*(f1 f2' - f2 f1') = tau*(m^2/c1)*(cosh(c1(v-a))-1)
@@ -361,8 +357,7 @@ def profile_residuals(pf: ProfileFunctions, n_samples: int = 41,
     target = pf.profile.constraint_target
 
     def d5(fn: Callable[[float], float], v: float) -> float:
-        return (-fn(v + 2 * fd_step) + 8 * fn(v + fd_step)
-                - 8 * fn(v - fd_step) + fn(v - 2 * fd_step)) / (12 * fd_step)
+        return central_diff(lambda t: fn(v + t), fd_step, order=4)
 
     res_anti = 0.0
     res_constraint = 0.0
@@ -528,64 +523,48 @@ def _helix_patch_from_profile(profile: HelixProfile, pf: ProfileFunctions,
     d2f1, d2f2 = pf.d2f1, pf.d2f2
     df3, d2f3 = pf.df3, pf.d2f3
 
+    # (X, Y) = (cosh u, sinh u) on the spacelike branch and (-sinh u,
+    # -cosh u) on the timelike one; both satisfy X' = Y, Y' = X, and b_c
+    # carries the branch sign of the u-term in z
     if profile.causal == "spacelike":
-        sh, ch = math.sinh(profile.theta), math.cosh(profile.theta)
-        a_c = (ch / sh) / (2.0 * tau)
-        b_c = ch * ch / (4.0 * tau * sh * sh)
-        c_c = (ch / sh) / 2.0
+        num, den = math.cosh(profile.theta), math.sinh(profile.theta)
+        sign = -1.0
 
-        def position(u: float, v: float) -> Vec3:
-            cu, su = math.cosh(u), math.sinh(u)
-            p1, p2 = f1(v), f2(v)
-            return (a_c * cu + p1, a_c * su + p2,
-                    -b_c * u - c_c * (p2 * cu - p1 * su) + f3(v))
-
-        def first_jet(u: float, v: float):
-            cu, su = math.cosh(u), math.sinh(u)
-            p1, p2 = f1(v), f2(v)
-            q1, q2 = df1(v), df2(v)
-            fu = (a_c * su, a_c * cu, -b_c - c_c * (p2 * su - p1 * cu))
-            fv = (q1, q2, -c_c * (q2 * cu - q1 * su) + df3(v))
-            return (fu, fv)
-
-        def second_jet(u: float, v: float):
-            cu, su = math.cosh(u), math.sinh(u)
-            p1, p2 = f1(v), f2(v)
-            q1, q2 = df1(v), df2(v)
-            r1, r2 = d2f1(v), d2f2(v)
-            fuu = (a_c * cu, a_c * su, -c_c * (p2 * cu - p1 * su))
-            fuv = (0.0, 0.0, -c_c * (q2 * su - q1 * cu))
-            fvv = (r1, r2, -c_c * (r2 * cu - r1 * su) + d2f3(v))
-            return (fuu, fuv, fvv)
+        def xy(u: float) -> tuple[float, float]:
+            return math.cosh(u), math.sinh(u)
     else:
-        st, ct = math.sin(profile.theta), math.cos(profile.theta)
-        a_c = (ct / st) / (2.0 * tau)
-        b_c = ct * ct / (4.0 * tau * st * st)
-        c_c = (ct / st) / 2.0
+        num, den = math.cos(profile.theta), math.sin(profile.theta)
+        sign = 1.0
 
-        def position(u: float, v: float) -> Vec3:
-            cu, su = math.cosh(u), math.sinh(u)
-            p1, p2 = f1(v), f2(v)
-            return (-a_c * su + p1, -a_c * cu + p2,
-                    b_c * u - c_c * (p1 * cu - p2 * su) + f3(v))
+        def xy(u: float) -> tuple[float, float]:
+            return -math.sinh(u), -math.cosh(u)
+    a_c = (num / den) / (2.0 * tau)
+    b_c = sign * (num * num / (4.0 * tau * den * den))
+    c_c = (num / den) / 2.0
 
-        def first_jet(u: float, v: float):
-            cu, su = math.cosh(u), math.sinh(u)
-            p1, p2 = f1(v), f2(v)
-            q1, q2 = df1(v), df2(v)
-            fu = (-a_c * cu, -a_c * su, b_c - c_c * (p1 * su - p2 * cu))
-            fv = (q1, q2, -c_c * (q1 * cu - q2 * su) + df3(v))
-            return (fu, fv)
+    def position(u: float, v: float) -> Vec3:
+        x, y = xy(u)
+        p1, p2 = f1(v), f2(v)
+        return (a_c * x + p1, a_c * y + p2,
+                b_c * u - c_c * (p2 * x - p1 * y) + f3(v))
 
-        def second_jet(u: float, v: float):
-            cu, su = math.cosh(u), math.sinh(u)
-            p1, p2 = f1(v), f2(v)
-            q1, q2 = df1(v), df2(v)
-            r1, r2 = d2f1(v), d2f2(v)
-            fuu = (-a_c * su, -a_c * cu, -c_c * (p1 * cu - p2 * su))
-            fuv = (0.0, 0.0, -c_c * (q1 * su - q2 * cu))
-            fvv = (r1, r2, -c_c * (r1 * cu - r2 * su) + d2f3(v))
-            return (fuu, fuv, fvv)
+    def first_jet(u: float, v: float):
+        x, y = xy(u)
+        p1, p2 = f1(v), f2(v)
+        q1, q2 = df1(v), df2(v)
+        fu = (a_c * y, a_c * x, b_c - c_c * (p2 * y - p1 * x))
+        fv = (q1, q2, -c_c * (q2 * x - q1 * y) + df3(v))
+        return (fu, fv)
+
+    def second_jet(u: float, v: float):
+        x, y = xy(u)
+        p1, p2 = f1(v), f2(v)
+        q1, q2 = df1(v), df2(v)
+        r1, r2 = d2f1(v), d2f2(v)
+        fuu = (a_c * x, a_c * y, -c_c * (p2 * x - p1 * y))
+        fuv = (0.0, 0.0, -c_c * (q2 * y - q1 * x))
+        fvv = (r1, r2, -c_c * (r2 * x - r1 * y) + d2f3(v))
+        return (fuu, fuv, fvv)
 
     family = {"family": "helix", "delta": 1, **profile.as_dict(),
               "domain": [list(domain[0]), list(domain[1])]}

@@ -1,6 +1,6 @@
-"""Shared numerical helpers: small-vector algebra, finite differences,
-adaptive Simpson quadrature with dense output, and deterministic float
-formatting.
+"""Shared numerical helpers: small-vector algebra, the central
+finite-difference stencils, adaptive Simpson quadrature with dense output,
+and deterministic float formatting.
 
 Three-vectors are plain tuples of floats throughout the hot paths; numpy is
 reserved for places where matrix algebra reads better than spelled-out
@@ -76,10 +76,6 @@ def json_dumps(obj, indent: int = 2) -> str:
 # ---- small-vector algebra on 3-tuples ----
 
 
-def add3(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
 def sub3(a: Vec3, b: Vec3) -> Vec3:
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
@@ -97,14 +93,19 @@ def lincomb3(terms: Sequence[tuple[float, Vec3]]) -> Vec3:
     return (x, y, z)
 
 
-def maxabs3(a: Vec3) -> float:
-    return max(abs(a[0]), abs(a[1]), abs(a[2]))
-
-
 def as_vec3(v) -> Vec3:
     """Coerce any length-3 sequence (list, tuple, ndarray) to a float tuple."""
     x, y, z = v
     return (float(x), float(y), float(z))
+
+
+def bilinear3(g, v: Vec3, w: Vec3) -> float:
+    """v^T g w for a 3x3 matrix g given as rows (a metric at one point)."""
+    return (
+        v[0] * (g[0][0] * w[0] + g[0][1] * w[1] + g[0][2] * w[2])
+        + v[1] * (g[1][0] * w[0] + g[1][1] * w[1] + g[1][2] * w[2])
+        + v[2] * (g[2][0] * w[0] + g[2][1] * w[1] + g[2][2] * w[2])
+    )
 
 
 def solve2(a11: float, a12: float, a21: float, a22: float,
@@ -117,35 +118,47 @@ def solve2(a11: float, a12: float, a21: float, a22: float,
 
 
 # ---- finite differences ----
+#
+# Every finite-difference stencil in the package is one of the two helpers
+# below.  The differenced values may be floats, ndarrays, or tuples/lists
+# (differenced componentwise, returned as a tuple).
 
 
-def central_d1(f: Callable[[float], float], x: float, h: float) -> float:
-    """Second-order central first derivative."""
-    return (f(x + h) - f(x - h)) / (2.0 * h)
+def _lift(formula: Callable, *values):
+    if isinstance(values[0], (tuple, list)):
+        return tuple(map(formula, *values))
+    return formula(*values)
 
 
-def central_d1_vec(f: Callable[[float], Vec3], x: float, h: float) -> Vec3:
-    fp, fm = f(x + h), f(x - h)
-    return ((fp[0] - fm[0]) / (2.0 * h),
-            (fp[1] - fm[1]) / (2.0 * h),
-            (fp[2] - fm[2]) / (2.0 * h))
+def central_diff(f: Callable[[float], object], h: float, order: int = 2):
+    """f'(0) by the central stencil of order 2 (f at +-h) or 4 (f at +-h,
+    +-2h); f is called with the signed offset."""
+    if order == 2:
+        return _lift(lambda p, m: (p - m) / (2.0 * h), f(h), f(-h))
+    if order == 4:
+        return _lift(lambda p2, p1, m1, m2:
+                     (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h),
+                     f(2.0 * h), f(h), f(-h), f(-2.0 * h))
+    raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
 
 
-def central_d1_5pt(f: Callable[[float], float], x: float, h: float) -> float:
-    """Fourth-order central first derivative (5-point stencil)."""
-    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12.0 * h)
+def central_partials(f: Callable[[float, float], object], h: float):
+    """(f, f_u, f_v, f_uu, f_uv, f_vv) at (0, 0) from the second-order
+    nine-point stencil; f is called with the offsets (du, dv)."""
+    h2 = h * h
+    f0 = f(0.0, 0.0)
+    up, um, vp, vm = f(h, 0.0), f(-h, 0.0), f(0.0, h), f(0.0, -h)
+    pp, pm, mp, mm = f(h, h), f(h, -h), f(-h, h), f(-h, -h)
 
+    def d2(p, c, m):
+        return (p - 2.0 * c + m) / h2
 
-def central_d2(f: Callable[[float], float], x: float, h: float) -> float:
-    """Second-order central second derivative."""
-    return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-
-
-def central_mixed(f: Callable[[float, float], float], x: float, y: float,
-                  h: float) -> float:
-    """Second-order central mixed derivative d^2 f / dx dy."""
-    return (f(x + h, y + h) - f(x + h, y - h)
-            - f(x - h, y + h) + f(x - h, y - h)) / (4.0 * h * h)
+    # the first partials reuse the axis values through central_diff
+    return (f0, central_diff({h: up, -h: um}.__getitem__, h),
+            central_diff({h: vp, -h: vm}.__getitem__, h),
+            _lift(d2, up, f0, um),
+            _lift(lambda a, b, c, d: (a - b - c + d) / (4.0 * h2), pp, pm, mp, mm),
+            _lift(d2, vp, f0, vm))
 
 
 # ---- adaptive Simpson with cumulative dense output ----

@@ -39,6 +39,9 @@ from .errors import (
 from .numeric import (
     Vec3,
     as_vec3,
+    bilinear3,
+    central_diff,
+    central_partials,
     fmt_float,
     json_dumps,
     lincomb3,
@@ -129,32 +132,14 @@ class SurfacePatch:
         """Position with first and second partials at (u, v)."""
         self._check_domain(u, v)
         pos = self.position
-        p = as_vec3(pos(u, v))
         if self.jet_source == "analytic":
+            p = as_vec3(pos(u, v))
             fu, fv = self.first_jet(u, v)
             fuu, fuv, fvv = self.second_jet(u, v)
             return PatchJet(p, as_vec3(fu), as_vec3(fv),
                             as_vec3(fuu), as_vec3(fuv), as_vec3(fvv))
-        h = self.fd_step
-        pu_p, pu_m = as_vec3(pos(u + h, v)), as_vec3(pos(u - h, v))
-        pv_p, pv_m = as_vec3(pos(u, v + h)), as_vec3(pos(u, v - h))
-        fu = scale3(0.5 / h, sub3(pu_p, pu_m))
-        fv = scale3(0.5 / h, sub3(pv_p, pv_m))
-        h2 = h * h
-        fuu = tuple((pu_p[i] - 2.0 * p[i] + pu_m[i]) / h2 for i in range(3))
-        fvv = tuple((pv_p[i] - 2.0 * p[i] + pv_m[i]) / h2 for i in range(3))
-        ppp = as_vec3(pos(u + h, v + h))
-        ppm = as_vec3(pos(u + h, v - h))
-        pmp = as_vec3(pos(u - h, v + h))
-        pmm = as_vec3(pos(u - h, v - h))
-        fuv = tuple((ppp[i] - ppm[i] - pmp[i] + pmm[i]) / (4.0 * h2)
-                    for i in range(3))
-        return PatchJet(p, fu, fv, fuu, fuv, fvv)  # type: ignore[arg-type]
-
-
-def jet(patch: SurfacePatch, u: float, v: float) -> PatchJet:
-    """Module-level alias for `patch.jet(u, v)`."""
-    return patch.jet(u, v)
+        return PatchJet(*central_partials(
+            lambda du, dv: as_vec3(pos(u + du, v + dv)), self.fd_step))
 
 
 # ---- first fundamental form ----
@@ -171,6 +156,12 @@ class FirstFundamentalForm:
     @property
     def det(self) -> float:
         return self.e * self.g - self.f * self.f
+
+    def pair(self, a, b) -> float:
+        """Induced inner product of tangent vectors given as (d/du, d/dv)
+        coefficient pairs."""
+        return (self.e * a[0] * b[0] + self.f * (a[0] * b[1] + a[1] * b[0])
+                + self.g * a[1] * b[1])
 
     @property
     def epsilon(self) -> int:
@@ -192,13 +183,9 @@ def induced_metric(patch: SurfacePatch, u: float, v: float) -> FirstFundamentalF
 
 def _induced_from_jet(space: SpaceParams, j: PatchJet) -> FirstFundamentalForm:
     gm = ambient.metric_matrix(space, j.p)
-
-    def dot(a: Vec3, b: Vec3) -> float:
-        return (a[0] * (gm[0][0] * b[0] + gm[0][1] * b[1] + gm[0][2] * b[2])
-                + a[1] * (gm[1][0] * b[0] + gm[1][1] * b[1] + gm[1][2] * b[2])
-                + a[2] * (gm[2][0] * b[0] + gm[2][1] * b[1] + gm[2][2] * b[2]))
-
-    form = FirstFundamentalForm(dot(j.fu, j.fu), dot(j.fu, j.fv), dot(j.fv, j.fv))
+    form = FirstFundamentalForm(bilinear3(gm, j.fu, j.fu),
+                                bilinear3(gm, j.fu, j.fv),
+                                bilinear3(gm, j.fv, j.fv))
     if abs(form.det) < _DEGENERATE_DET_TOL:
         raise DegenerateInducedMetric(
             f"induced metric determinant {form.det} below threshold at "
@@ -225,6 +212,11 @@ class _Sample:
     n: Vec3  # frame components of the gauged unit normal
     eps: int
     nu: float
+
+    @property
+    def t_frame(self) -> Vec3:
+        """Frame components of T = E3 - nu N, the tangent part of E3."""
+        return sub3((0.0, 0.0, 1.0), scale3(self.nu, self.n))
 
 
 def _raw_normal(space: SpaceParams, j: PatchJet,
@@ -294,8 +286,7 @@ def angle_function(patch: SurfacePatch, u: float, v: float) -> float:
 def tangent_part_T(patch: SurfacePatch, u: float, v: float) -> Vec3:
     """Tangential projection T of E3 (E3 = T + nu N), coordinate comps."""
     s = _sample(patch, u, v)
-    t_frame = sub3((0.0, 0.0, 1.0), scale3(s.nu, s.n))
-    return ambient.from_frame_components(patch.space, s.jet.p, t_frame)
+    return ambient.from_frame_components(patch.space, s.jet.p, s.t_frame)
 
 
 def tangent_rotation_J(patch: SurfacePatch, u: float, v: float, x) -> Vec3:
@@ -355,16 +346,8 @@ def _weingarten_columns(patch: SurfacePatch, u: float, v: float,
     """S(Fu), S(Fv) in frame components via finite differences of the
     normal field plus ambient connection corrections."""
     space = patch.space
-    h = _WEINGARTEN_STEP
-
-    def normal_at(uu: float, vv: float) -> Vec3:
-        ss = _sample(patch, uu, vv)
-        return ss.n
-
-    np_u, nm_u = normal_at(u + h, v), normal_at(u - h, v)
-    np_v, nm_v = normal_at(u, v + h), normal_at(u, v - h)
-    dn_u = scale3(0.5 / h, sub3(np_u, nm_u))
-    dn_v = scale3(0.5 / h, sub3(np_v, nm_v))
+    dn_u = central_diff(lambda t: _sample(patch, u + t, v).n, _WEINGARTEN_STEP)
+    dn_v = central_diff(lambda t: _sample(patch, u, v + t).n, _WEINGARTEN_STEP)
     cov_u = lincomb3([(1.0, dn_u),
                       (1.0, ambient.frame_connection_correction(space, s.a, s.n))])
     cov_v = lincomb3([(1.0, dn_v),
@@ -381,8 +364,11 @@ def second_fundamental_form(patch: SurfacePatch, u: float, v: float
     Fully analytic on analytic-jet patches (no finite differences); serves
     as the independent cross-check route to the shape operator.
     """
-    space = patch.space
-    s = _sample(patch, u, v)
+    return _second_form(patch.space, _sample(patch, u, v))
+
+
+def _second_form(space: SpaceParams, s: _Sample
+                 ) -> tuple[tuple[float, float], tuple[float, float]]:
     j = s.jet
     tau = space.tau
     x, y = j.p[0], j.p[1]
@@ -408,18 +394,50 @@ def second_fundamental_form(patch: SurfacePatch, u: float, v: float
     return ((h11, h12), (h12, h22))
 
 
-def _adapted_basis_change(space: SpaceParams, s: _Sample
-                  ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Columns (T, JT) expressed in the coordinate tangent basis."""
-    t_frame = sub3((0.0, 0.0, 1.0), scale3(s.nu, s.n))
+def _coordinate_shape(patch: SurfacePatch, u: float, v: float, s: _Sample,
+                      route: str = "weingarten"
+                      ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Shape-operator matrix in the coordinate basis (d/du, d/dv)."""
+    space = patch.space
+    if route == "weingarten":
+        su, sv = _weingarten_columns(patch, u, v, s)
+        c1 = _tangent_coefficients(space, s, su)
+        c2 = _tangent_coefficients(space, s, sv)
+    elif route == "second-form":
+        hm = _second_form(space, s)
+        e = float(s.eps)
+        form = s.form
+        # columns solve I * col_j = eps * h[:, j]
+        c1 = solve2(form.e, form.f, form.f, form.g,
+                    e * hm[0][0], e * hm[0][1])
+        c2 = solve2(form.e, form.f, form.f, form.g,
+                    e * hm[0][1], e * hm[1][1])
+    else:
+        raise ValueError(f"unknown shape-operator route {route!r}")
+    return ((c1[0], c2[0]), (c1[1], c2[1]))
+
+
+def _adapted_entries(space: SpaceParams, s: _Sample, m
+                     ) -> tuple[float, float, float, float]:
+    """Entries (a11, a12, a21, a22) of B^{-1} M B, where the columns of B
+    are the adapted vectors (T, JT) in the coordinate tangent basis."""
+    t_frame = s.t_frame
     g_tt = ambient.frame_metric(space, t_frame, t_frame)
     if abs(g_tt) < _ADAPTED_TOL:
         raise DegenerateAdaptedFrame(
-    f"|g(T,T)| = {abs(g_tt)} too small for the adapted basis")
-    jt_frame = ambient.wedge_frame(space, s.n, t_frame)
-    t_c = _tangent_coefficients(space, s, t_frame)
-    jt_c = _tangent_coefficients(space, s, jt_frame)
-    return (t_c, jt_c)
+            f"|g(T,T)| = {abs(g_tt)} too small for the adapted basis")
+    t1, t2 = _tangent_coefficients(space, s, t_frame)
+    j1, j2 = _tangent_coefficients(
+        space, s, ambient.wedge_frame(space, s.n, t_frame))
+    det_b = t1 * j2 - j1 * t2
+    if det_b == 0.0:
+        raise DegenerateAdaptedFrame("adapted basis change is singular")
+    mt1 = m[0][0] * t1 + m[0][1] * t2
+    mt2 = m[1][0] * t1 + m[1][1] * t2
+    mj1 = m[0][0] * j1 + m[0][1] * j2
+    mj2 = m[1][0] * j1 + m[1][1] * j2
+    return ((j2 * mt1 - j1 * mt2) / det_b, (j2 * mj1 - j1 * mj2) / det_b,
+            (t1 * mt2 - t2 * mt1) / det_b, (t1 * mj2 - t2 * mj1) / det_b)
 
 
 def shape_operator(patch: SurfacePatch, u: float, v: float,
@@ -431,43 +449,13 @@ def shape_operator(patch: SurfacePatch, u: float, v: float,
     route = "second-form" solves S = eps * I^{-1} h from the analytic
     second fundamental form (independent cross-check).
     """
-    space = patch.space
     s = _sample(patch, u, v)
-    if route == "weingarten":
-        su, sv = _weingarten_columns(patch, u, v, s)
-        c1 = _tangent_coefficients(space, s, su)
-        c2 = _tangent_coefficients(space, s, sv)
-        m = ((c1[0], c2[0]), (c1[1], c2[1]))
-    elif route == "second-form":
-        hm = second_fundamental_form(patch, u, v)
-        e = float(s.eps)
-        form = s.form
-        # columns solve I * col_j = eps * h[:, j]
-        col1 = solve2(form.e, form.f, form.f, form.g,
-                      e * hm[0][0], e * hm[0][1])
-        col2 = solve2(form.e, form.f, form.f, form.g,
-                      e * hm[0][1], e * hm[1][1])
-        m = ((col1[0], col2[0]), (col1[1], col2[1]))
-    else:
-        raise ValueError(f"unknown shape-operator route {route!r}")
-
+    m = _coordinate_shape(patch, u, v, s, route)
     if basis == "coordinate":
         return ShapeOperator2x2(m[0][0], m[0][1], m[1][0], m[1][1], "coordinate")
     if basis == "adapted-TJT":
-        (t1, t2), (j1, j2) = _adapted_basis_change(space, s)
-        # B^{-1} M B with B columns the adapted vectors
-        det_b = t1 * j2 - j1 * t2
-        if det_b == 0.0:
-            raise DegenerateAdaptedFrame("adapted basis change is singular")
-        mt1 = m[0][0] * t1 + m[0][1] * t2
-        mt2 = m[1][0] * t1 + m[1][1] * t2
-        mj1 = m[0][0] * j1 + m[0][1] * j2
-        mj2 = m[1][0] * j1 + m[1][1] * j2
-        a11 = (j2 * mt1 - j1 * mt2) / det_b
-        a21 = (t1 * mt2 - t2 * mt1) / det_b
-        a12 = (j2 * mj1 - j1 * mj2) / det_b
-        a22 = (t1 * mj2 - t2 * mj1) / det_b
-        return ShapeOperator2x2(a11, a12, a21, a22, "adapted-TJT")
+        return ShapeOperator2x2(*_adapted_entries(patch.space, s, m),
+                                "adapted-TJT")
     raise ValueError(f"unknown shape-operator basis {basis!r}")
 
 
@@ -479,7 +467,9 @@ def mean_curvature(patch: SurfacePatch, u: float, v: float) -> float:
 # ---- Gaussian curvature ----
 
 
-def _extrinsic_k(space: SpaceParams, s: _Sample, det_s: float) -> float:
+def _extrinsic_k(space: SpaceParams, s: _Sample, m) -> float:
+    """K = -tau^2 + eps*(det S + 4*delta*nu^2*tau^2), S the coordinate matrix."""
+    det_s = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     tau2 = space.tau * space.tau
     return -tau2 + s.eps * (det_s + 4.0 * space.delta * s.nu * s.nu * tau2)
 
@@ -521,41 +511,21 @@ def gaussian_curvature(patch: SurfacePatch, u: float, v: float,
             raise UnsupportedKappa(
                 "extrinsic curvature formula requires kappa = 0")
         s = _sample(patch, u, v)
-        sop = shape_operator(patch, u, v)
-        return _extrinsic_k(space, s, sop.det)
+        return _extrinsic_k(space, s, _coordinate_shape(patch, u, v, s))
     if method == "intrinsic":
         return _intrinsic_k(patch, u, v)
     raise ValueError(f"unknown gaussian-curvature method {method!r}")
 
 
 def _intrinsic_k(patch: SurfacePatch, u: float, v: float) -> float:
-    h = _INTRINSIC_STEP
-
-    def coeffs(uu: float, vv: float) -> tuple[float, float, float]:
-        form = induced_metric(patch, uu, vv)
+    def coeffs(du: float, dv: float) -> tuple[float, float, float]:
+        form = induced_metric(patch, u + du, v + dv)
         return form.e, form.f, form.g
 
-    e0, f0, g0 = coeffs(u, v)
-    ep, fp, gp = coeffs(u + h, v)
-    em, fm, gm = coeffs(u - h, v)
-    e_p, f_p, g_p = coeffs(u, v + h)
-    e_m, f_m, g_m = coeffs(u, v - h)
-    _, fpp, _ = coeffs(u + h, v + h)
-    _, fpm, _ = coeffs(u + h, v - h)
-    _, fmp, _ = coeffs(u - h, v + h)
-    _, fmm, _ = coeffs(u - h, v - h)
-    two_h = 2.0 * h
-    h2 = h * h
-    eu = (ep - em) / two_h
-    ev = (e_p - e_m) / two_h
-    fu = (fp - fm) / two_h
-    fv = (f_p - f_m) / two_h
-    gu = (gp - gm) / two_h
-    gv = (g_p - g_m) / two_h
-    evv = (e_p - 2.0 * e0 + e_m) / h2
-    guu = (gp - 2.0 * g0 + gm) / h2
-    fuv = (fpp - fpm - fmp + fmm) / (4.0 * h2)
-    return _brioschi(e0, f0, g0, eu, ev, fu, fv, gu, gv, evv, fuv, guu)
+    # components (e, f, g) of each partial
+    c0, cu, cv, cuu, cuv, cvv = central_partials(coeffs, _INTRINSIC_STEP)
+    return _brioschi(*c0, cu[0], cv[0], cu[1], cv[1], cu[2], cv[2],
+                     cvv[0], cuv[1], cuu[2])
 
 
 # ---- grid report ----
@@ -657,7 +627,6 @@ def geometry_report(patch: SurfacePatch, n_u: int, n_v: int,
         basis = "coordinate"
     report = GeometryReport(patch.name, patch.family, basis, (n_u, n_v),
                             metadata=dict(metadata or {}))
-    space = patch.space
     for u in us:
         for v in vs:
             try:
@@ -673,31 +642,15 @@ def _collect_sample(report: GeometryReport, patch: SurfacePatch,
                     u: float, v: float, basis: str) -> None:
     space = patch.space
     s = _sample(patch, u, v)
-    su, sv = _weingarten_columns(patch, u, v, s)
-    c1 = _tangent_coefficients(space, s, su)
-    c2 = _tangent_coefficients(space, s, sv)
-    m = ((c1[0], c2[0]), (c1[1], c2[1]))
-    det_s = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    trace_s = m[0][0] + m[1][1]
+    m = _coordinate_shape(patch, u, v, s)
     if basis == "adapted-TJT":
-        (t1, t2), (j1, j2) = _adapted_basis_change(space, s)
-        det_b = t1 * j2 - j1 * t2
-        mt1 = m[0][0] * t1 + m[0][1] * t2
-        mt2 = m[1][0] * t1 + m[1][1] * t2
-        mj1 = m[0][0] * j1 + m[0][1] * j2
-        mj2 = m[1][0] * j1 + m[1][1] * j2
-        entries = ((j2 * mt1 - j1 * mt2) / det_b,
-                   (j2 * mj1 - j1 * mj2) / det_b,
-                   (t1 * mt2 - t2 * mt1) / det_b,
-                   (t1 * mj2 - t2 * mj1) / det_b)
+        entries = _adapted_entries(space, s, m)
     else:
         entries = (m[0][0], m[0][1], m[1][0], m[1][1])
-    k_ext = _extrinsic_k(space, s, det_s)
-    k_int = _intrinsic_k(patch, u, v)
-    t_frame = sub3((0.0, 0.0, 1.0), scale3(s.nu, s.n))
-    t_coords = ambient.from_frame_components(space, s.jet.p, t_frame)
+    t_coords = ambient.from_frame_components(space, s.jet.p, s.t_frame)
     report.records.append(SampleRecord(
-        u=u, v=v, nu=s.nu, h_mean=0.5 * trace_s,
-        k_ext=k_ext, k_int=k_int, eps=s.eps,
+        u=u, v=v, nu=s.nu, h_mean=0.5 * (m[0][0] + m[1][1]),
+        k_ext=_extrinsic_k(space, s, m), k_int=_intrinsic_k(patch, u, v),
+        eps=s.eps,
         s11=entries[0], s12=entries[1], s21=entries[2], s22=entries[3],
         t_comps=t_coords))

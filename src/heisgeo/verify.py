@@ -33,7 +33,7 @@ from typing import Callable, Optional, Sequence
 from . import ambient
 from .ambient import SpaceParams
 from .errors import DegenerateFrame, NotAHelixPatch, StencilTooCoarse
-from .numeric import Vec3, solve2, sub3
+from .numeric import Vec3, central_diff, solve2
 from .surface import (
     SurfacePatch,
     _sample,
@@ -183,17 +183,9 @@ def _induced_christoffels(patch: SurfacePatch, u: float, v: float,
         f = induced_metric(patch, uu, vv)
         return (f.e, f.f, f.g)
 
-    def d5(along_u: bool) -> list[float]:
-        if along_u:
-            rows = [comps(u + s * h, v) for s in (2, 1, -1, -2)]
-        else:
-            rows = [comps(u, v + s * h) for s in (2, 1, -1, -2)]
-        return [(-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
-                for p2, p1, m1, m2 in zip(*rows)]
-
     c0 = comps(u, v)
-    du = d5(True)
-    dv = d5(False)
+    du = central_diff(lambda t: comps(u + t, v), h, order=4)
+    dv = central_diff(lambda t: comps(u, v + t), h, order=4)
     # metric component matrix g[i][j] and derivative dg[l][i][j]
     g = ((c0[0], c0[1]), (c0[1], c0[2]))
     dg = (((du[0], du[1]), (du[1], du[2])),
@@ -227,24 +219,16 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     space = patch.space
     tau = space.tau
 
-    def s_matrix(uu: float, vv: float):
-        return shape_operator(patch, uu, vv).entries()
-
-    def d5_col(u: float, v: float, along_u: bool, col: int):
-        if along_u:
-            ms = [s_matrix(u + s * fd_step, v) for s in (2, 1, -1, -2)]
-        else:
-            ms = [s_matrix(u, v + s * fd_step) for s in (2, 1, -1, -2)]
-        return tuple((-ms[0][i][col] + 8 * ms[1][i][col]
-                      - 8 * ms[2][i][col] + ms[3][i][col]) / (12 * fd_step)
-                     for i in range(2))
+    def s_column(uu: float, vv: float, col: int) -> tuple[float, float]:
+        m = shape_operator(patch, uu, vv).entries()
+        return (m[0][col], m[1][col])
 
     worst = 0.0
     for (u, v) in interior_grid(patch, grid):
-        m0 = s_matrix(u, v)
+        m0 = shape_operator(patch, u, v).entries()
         # d/du of S(d/dv) and d/dv of S(d/du), coefficient 2-vectors
-        du_sv = d5_col(u, v, True, 1)
-        dv_su = d5_col(u, v, False, 0)
+        du_sv = central_diff(lambda t: s_column(u + t, v, 1), fd_step, order=4)
+        dv_su = central_diff(lambda t: s_column(u, v + t, 0), fd_step, order=4)
         gamma = _induced_christoffels(patch, u, v, fd_step)
         s_col_v = (m0[0][1], m0[1][1])
         s_col_u = (m0[0][0], m0[1][0])
@@ -254,8 +238,7 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
             cv = dv_su[k] + sum(gamma[k][1][j] * s_col_u[j] for j in range(2))
             lhs[k] = cu - cv
         s = _sample(patch, u, v)
-        t_frame = sub3((0.0, 0.0, 1.0), (s.nu * s.n[0], s.nu * s.n[1],
-                                         s.nu * s.n[2]))
+        t_frame = s.t_frame
         g_ut = ambient.frame_metric(space, s.a, t_frame)
         g_vt = ambient.frame_metric(space, s.b, t_frame)
         factor = -4.0 * space.delta * s.eps * s.nu * tau * tau
@@ -288,11 +271,9 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     worst = 0.0
     for (u, v), nu in zip(pts, nus):
         s = _sample(patch, u, v)
-        t_frame = sub3((0.0, 0.0, 1.0), (nu * s.n[0], nu * s.n[1], nu * s.n[2]))
-        t1, t2 = _tangent_coefficients(space, s, t_frame)
+        t1, t2 = _tangent_coefficients(space, s, s.t_frame)
         h = _directional_step(fd_step, (t1, t2))
-        vals = [mu(u + s_ * h * t1, v + s_ * h * t2) for s_ in (2, 1, -1, -2)]
-        t_mu = (-vals[0] + 8 * vals[1] - 8 * vals[2] + vals[3]) / (12 * h)
+        t_mu = central_diff(lambda t: mu(u + t * t1, v + t * t2), h, order=4)
         mu0 = mu(u, v)
         worst = max(worst, abs(t_mu + mu0 * mu0 * nu
                                - 4.0 * space.delta * tau * tau * nu ** 3))
@@ -337,12 +318,9 @@ def parallel_equations_residuals(inp: ParallelCheckInput,
         s11, s12, s22 = inp.entries(u, v)
         for k in (0, 1):
             d = dirs[k]
-            h = _directional_step(fd_step, d)
-            ep = inp.entries(u + h * d[0], v + h * d[1])
-            em = inp.entries(u - h * d[0], v - h * d[1])
-            x_s11 = (ep[0] - em[0]) / (2 * h)
-            x_s12 = (ep[1] - em[1]) / (2 * h)
-            x_s22 = (ep[2] - em[2]) / (2 * h)
+            x_s11, x_s12, x_s22 = central_diff(
+                lambda t: inp.entries(u + t * d[0], v + t * d[1]),
+                _directional_step(fd_step, d))
             w = inp.omega(u, v, k)
             worst = max(worst,
                         abs(x_s11 + 2.0 * eps * s12 * w),
@@ -390,12 +368,7 @@ def _parallel_input(patch: SurfacePatch,
     eps = causal_character(patch, uc, vc)
 
     def frame_dirs(u: float, v: float):
-        f = induced_metric(patch, u, v)
-
-        def pair(a, b) -> float:
-            return (f.e * a[0] * b[0] + f.f * (a[0] * b[1] + a[1] * b[0])
-                    + f.g * a[1] * b[1])
-
+        pair = induced_metric(patch, u, v).pair
         q1 = pair(d1, d1)
         if q1 <= 1e-12:
             raise DegenerateFrame("seed direction lost its spacelike norm")
@@ -415,11 +388,7 @@ def _parallel_input(patch: SurfacePatch,
     def entries(u: float, v: float):
         m = shape_operator(patch, u, v).entries()
         e1, e2 = frame_dirs(u, v)
-        f = induced_metric(patch, u, v)
-
-        def pair(a, b) -> float:
-            return (f.e * a[0] * b[0] + f.f * (a[0] * b[1] + a[1] * b[0])
-                    + f.g * a[1] * b[1])
+        pair = induced_metric(patch, u, v).pair
 
         def image(w):
             return (m[0][0] * w[0] + m[0][1] * w[1],
@@ -442,10 +411,9 @@ def _parallel_input(patch: SurfacePatch,
         w1, w2 = frame_ambient(u, v)
         dirs = frame_dirs(u, v)
         d = dirs[k]
-        h = _directional_step(_SURFACE_STEP, d)
-        wp = frame_ambient(u + h * d[0], v + h * d[1])[0]
-        wm = frame_ambient(u - h * d[0], v - h * d[1])[0]
-        dw = tuple((wp[i] - wm[i]) / (2 * h) for i in range(3))
+        dw = central_diff(
+            lambda t: frame_ambient(u + t * d[0], v + t * d[1])[0],
+            _directional_step(_SURFACE_STEP, d))
         x_amb = (w1, w2)[k]
         corr = ambient.frame_connection_correction(patch.space, x_amb, w1)
         nab = tuple(dw[i] + corr[i] for i in range(3))
@@ -568,14 +536,6 @@ def _rand_vec(rng: random.Random) -> Vec3:
             rng.uniform(-1.0, 1.0))
 
 
-def _fd_frame_derivative(space: SpaceParams, field, p: Vec3,
-                         direction: Vec3, step: float = 1e-6) -> Vec3:
-    pp = tuple(p[i] + step * direction[i] for i in range(3))
-    pm = tuple(p[i] - step * direction[i] for i in range(3))
-    fp, fm = field(pp), field(pm)
-    return tuple((fp[i] - fm[i]) / (2 * step) for i in range(3))
-
-
 def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
                   n_points: int = 40,
                   tolerances: Optional[dict] = None) -> ResidualSuite:
@@ -635,7 +595,7 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
         frame_vecs = {1: fr.e1, 2: fr.e2, 3: fr.e3}
         for (i, j), want in table.items():
             x = frame_vecs[i]
-            dw = _fd_frame_derivative(space, fields[j - 1], p, x)
+            dw = ambient.directional_fd(fields[j - 1], p, x)
             w = frame_vecs[j]
             cov = [dw[k] + sum(gam[k][l][m] * x[l] * w[m]
                                for l in range(3) for m in range(3))

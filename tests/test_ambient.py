@@ -17,6 +17,7 @@ from heisgeo.ambient import (
     SingularConformalFactor,
     SpaceParams,
     UnsupportedKappa,
+    christoffel_coords,
     commutator_fd,
     conformal_factor,
     connection_table,
@@ -283,6 +284,36 @@ def test_curvature_fd_matches_closed_form(delta):
         closed = curvature(sp, p, v, w, z)
         fd = curvature_fd(sp, p, v, w, z)
         assert norm3(sub(closed, fd)) < 1e-6
+
+
+def test_riemann_assembly_matches_loop_reference():
+    """riemann_coords assembles R from Gamma and its derivatives with
+    einsum; the explicit index loop is the reference (the summation order
+    differs, so agreement is to rounding, not bit for bit)."""
+    sp = SpaceParams(delta=-1, tau=0.8, kappa=-0.5)
+    p = (0.2, -0.3, 0.4)
+    gamma = christoffel_coords(sp, p)
+    steps = [max(3e-4, 3e-4 * abs(c)) for c in p]
+
+    def gamma_at(i, t):
+        q = list(p)
+        q[i] += t
+        return christoffel_coords(sp, tuple(q))
+
+    dgamma = [(-gamma_at(i, 2 * h) + 8 * gamma_at(i, h) - 8 * gamma_at(i, -h)
+               + gamma_at(i, -2 * h)) / (12 * h) for i, h in enumerate(steps)]
+    want = np.empty((3, 3, 3, 3))
+    for l in range(3):
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    val = dgamma[i][l, j, k] - dgamma[j][l, i, k]
+                    for m in range(3):
+                        val += (gamma[l, i, m] * gamma[m, j, k]
+                                - gamma[l, j, m] * gamma[m, i, k])
+                    want[l, i, j, k] = val
+    got = riemann_coords(sp, p)
+    assert float(np.max(np.abs(got - want))) < 1e-13 * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_flat_when_tau_zero():

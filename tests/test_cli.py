@@ -216,6 +216,14 @@ def test_exit_codes_config_errors(workdir, capsys):
     capsys.readouterr()
 
 
+def test_suites_must_be_a_list(workdir, capsys):
+    cfg = cfg_path(workdir, dict(PLANE, suites="ambient"))
+    assert main(["verify", "--config", cfg]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "suites must be a list" in err
+    assert "unknown suite" not in err
+
+
 def test_exit_code_missing_required_flag(workdir, capsys):
     assert main(["analyze"]) == 2  # argparse usage error
     capsys.readouterr()

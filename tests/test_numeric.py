@@ -1,0 +1,115 @@
+"""Unit tests for the finite-difference stencils in heisgeo.numeric.
+
+Each stencil is run at h and h/2 on smooth functions whose leading
+truncation term does not vanish at the sample point; the error ratio then
+shows the stencil's order: about 4 for second order, about 16 for fourth.
+"""
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from heisgeo.numeric import central_diff, central_partials
+
+X0 = 0.3
+
+
+def scalar(x):
+    return math.exp(math.sin(x))
+
+
+def scalar_d1(x):
+    return math.cos(x) * math.exp(math.sin(x))
+
+
+def as_tuple(x):
+    return (math.sin(x), math.cos(x), math.exp(x))
+
+
+def as_tuple_d1(x):
+    return (math.cos(x), -math.sin(x), math.exp(x))
+
+
+def as_array(x):
+    return np.array(as_tuple(x))
+
+
+def as_array_d1(x):
+    return np.array(as_tuple_d1(x))
+
+
+CALLABLES = [(scalar, scalar_d1), (as_tuple, as_tuple_d1),
+             (as_array, as_array_d1)]
+
+
+def errors(got, want):
+    return np.abs(np.asarray(got, dtype=float) - np.asarray(want, dtype=float))
+
+
+@pytest.mark.parametrize("order, h, ratio", [(2, 0.02, 4.0), (4, 0.1, 16.0)])
+@pytest.mark.parametrize("fn, d1", CALLABLES)
+def test_central_diff_observed_order(fn, d1, order, h, ratio):
+    want = d1(X0)
+    coarse = errors(central_diff(lambda t: fn(X0 + t), h, order), want)
+    fine = errors(central_diff(lambda t: fn(X0 + t), h / 2, order), want)
+    assert np.all(coarse > 0.0)
+    observed = coarse / fine
+    assert np.all(np.abs(observed / ratio - 1.0) < 0.03), observed
+
+
+def test_central_diff_value_types():
+    assert isinstance(central_diff(lambda t: X0 + t, 0.1), float)
+    assert isinstance(central_diff(lambda t: [t, 2.0 * t], 0.1), tuple)
+    assert isinstance(central_diff(lambda t: as_array(t), 0.1, 4), np.ndarray)
+    # linear functions are differentiated exactly up to rounding
+    got = central_diff(lambda t: [t, 2.0 * t], 0.25, order=4)
+    assert got == pytest.approx((1.0, 2.0), abs=1e-15)
+
+
+def test_central_diff_rejects_other_orders():
+    with pytest.raises(ValueError):
+        central_diff(math.sin, 0.1, order=3)
+
+
+# g(u, v) = exp(a u) sin(b v + c) at (U0, V0); every partial's leading
+# truncation term is nonzero there (a != b)
+A, B, C = 0.7, 1.3, 0.4
+U0, V0 = 0.2, 0.1
+
+
+def partials_exact(u, v):
+    e, s, co = math.exp(A * u), math.sin(B * v + C), math.cos(B * v + C)
+    return (e * s, A * e * s, B * e * co, A * A * e * s, A * B * e * co,
+            -B * B * e * s)
+
+
+def g_scalar(du, dv):
+    return partials_exact(U0 + du, V0 + dv)[0]
+
+
+def g_tuple(du, dv):
+    val = g_scalar(du, dv)
+    return (val, 2.0 * val, -val)
+
+
+def g_array(du, dv):
+    return np.array(g_tuple(du, dv))
+
+
+@pytest.mark.parametrize("fn, scale", [(g_scalar, (1.0,)),
+                                       (g_tuple, (1.0, 2.0, -1.0)),
+                                       (g_array, (1.0, 2.0, -1.0))])
+def test_central_partials_observed_order(fn, scale):
+    exact = partials_exact(U0, V0)
+    h = 0.02
+    coarse = central_partials(fn, h)
+    fine = central_partials(fn, h / 2)
+    assert errors(coarse[0], fn(0.0, 0.0)).max() == 0.0
+    for k in range(1, 6):
+        want = [exact[k] * s for s in scale]
+        e_coarse = errors(coarse[k], want)
+        e_fine = errors(fine[k], want)
+        observed = e_coarse / e_fine
+        assert np.all(np.abs(observed / 4.0 - 1.0) < 0.03), (k, observed)

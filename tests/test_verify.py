@@ -217,6 +217,22 @@ def test_curvature_table_matches_closed_formula_random():
             assert max(abs(t[i] - f[i]) for i in range(3)) < 1e-10
 
 
+@pytest.mark.parametrize("tau", (0.3, 0.7, 2.5))
+@pytest.mark.parametrize("delta", (1, -1))
+def test_curvature_table_exact_away_from_tau_one(delta, tau):
+    """The closed formula reproduces the literal table bit for bit (the
+    ambient.curvature_table check has tolerance 0) at any tau."""
+    sp = SpaceParams(delta=delta, tau=tau)
+    basis = {1: (1.0, 0.0, 0.0), 2: (0.0, 1.0, 0.0), 3: (0.0, 0.0, 1.0)}
+    for (i, j, k), want in curvature_table(sp).items():
+        assert curvature_frame(sp, basis[i], basis[j], basis[k]) == want
+    suite = check_ambient(sp, n_points=8)
+    table_check = next(c for c in suite.checks
+                       if c.check_id == "ambient.curvature_table")
+    assert table_check.tol == 0.0
+    assert table_check.max_residual == 0.0
+
+
 def test_curvature_table_is_literal():
     sp = SpaceParams(delta=-1, tau=2.0)
     table = curvature_table(sp)
