@@ -52,8 +52,9 @@ _ALL_SUITES = ("ambient", "gauss", "codazzi", "helix_ode", "claims")
 
 _CONFIG_ERRORS = (ConfigError, UnknownFamily, InvalidCombination,
                   InvalidParameterDomain)
+# OverflowError: math.cosh and friends overflow on far-out samples
 _GEOMETRY_ERRORS = (SurfaceError, AmbientError, VerifyError,
-                    QuadratureFailure, FamilyError)
+                    QuadratureFailure, FamilyError, OverflowError)
 
 
 @dataclass
@@ -147,10 +148,6 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
                      out=out, tolerances=tolerances)
 
 
-def _build_patch(cfg: RunConfig) -> SurfacePatch:
-    return family_from_config(cfg.family)
-
-
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -168,7 +165,7 @@ class _IOFailure(Exception):
 
 def cmd_analyze(cfg: RunConfig) -> int:
     """Per-sample CSV table plus a JSON summary of the patch geometry."""
-    patch = _build_patch(cfg)
+    patch = family_from_config(cfg.family)
     report = geometry_report(patch, cfg.grid[0], cfg.grid[1])
     base = cfg.out if cfg.out else "heisgeo-analyze"
     if base.endswith(".csv") or base.endswith(".json"):
@@ -182,7 +179,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 def cmd_verify(cfg: RunConfig) -> int:
     """Run the requested suites and emit one JSON report object."""
     names = cfg.suites if cfg.suites else list(_ALL_SUITES)
-    patch = _build_patch(cfg)
+    patch = family_from_config(cfg.family)
     suites = [run_suite(name, patch=patch, grid=cfg.grid, seed=cfg.seed,
                         tolerances=cfg.tolerances or None)
               for name in names]
@@ -231,7 +228,7 @@ def _obj_text(patch: SurfacePatch, n_u: int, n_v: int) -> str:
 
 def cmd_mesh(cfg: RunConfig) -> int:
     """Triangulated OBJ mesh of the patch over its grid."""
-    patch = _build_patch(cfg)
+    patch = family_from_config(cfg.family)
     text = _obj_text(patch, cfg.grid[0], cfg.grid[1])
     path = cfg.out if cfg.out else "heisgeo-mesh.obj"
     _write_text(path, text)

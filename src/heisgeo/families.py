@@ -656,5 +656,5 @@ def family_from_config(cfg: dict) -> SurfacePatch:
                                c=float(cfg.get("c", 0.0)),
                                eta=_eta_from_any(cfg.get("eta")))
         return make_helix_surface(profile, domain=domain)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad family descriptor: {exc}") from exc

@@ -10,9 +10,10 @@ derivatives.  On top of the patch this module computes, per sample:
 - the angle function  nu = epsilon * g(N, E3),
 - the tangent projection T of E3 (E3 = T + nu*N) and the tangent rotation
   J X = N ^ X,
-- the shape operator S X = -(ambient covariant derivative of N along X)
-  by two independent routes: finite differences of the normal field
-  (default), and the analytic second-fundamental-form route (cross-check),
+- the shape operator S X = -(ambient covariant derivative of N along X):
+  :func:`shape_operator` takes the Weingarten route (finite differences of
+  the normal field); the analytic :func:`second_fundamental_form` is the
+  independent cross-check, and there is no option to switch routes,
 - mean curvature H = trace(S)/2 and Gaussian curvature K by an extrinsic
   formula and, independently, from the induced metric alone (intrinsic).
 
@@ -186,10 +187,10 @@ def _induced_from_jet(space: SpaceParams, j: PatchJet) -> FirstFundamentalForm:
     form = FirstFundamentalForm(bilinear3(gm, j.fu, j.fu),
                                 bilinear3(gm, j.fu, j.fv),
                                 bilinear3(gm, j.fv, j.fv))
-    if abs(form.det) < _DEGENERATE_DET_TOL:
+    if not math.isfinite(form.det) or abs(form.det) < _DEGENERATE_DET_TOL:
         raise DegenerateInducedMetric(
-            f"induced metric determinant {form.det} below threshold at "
-            f"p = {j.p}")
+            f"induced metric determinant {form.det} is non-finite or below "
+            f"threshold at p = {j.p}")
     return form
 
 
@@ -364,11 +365,8 @@ def second_fundamental_form(patch: SurfacePatch, u: float, v: float
     Fully analytic on analytic-jet patches (no finite differences); serves
     as the independent cross-check route to the shape operator.
     """
-    return _second_form(patch.space, _sample(patch, u, v))
-
-
-def _second_form(space: SpaceParams, s: _Sample
-                 ) -> tuple[tuple[float, float], tuple[float, float]]:
+    space = patch.space
+    s = _sample(patch, u, v)
     j = s.jet
     tau = space.tau
     x, y = j.p[0], j.p[1]
@@ -394,26 +392,13 @@ def _second_form(space: SpaceParams, s: _Sample
     return ((h11, h12), (h12, h22))
 
 
-def _coordinate_shape(patch: SurfacePatch, u: float, v: float, s: _Sample,
-                      route: str = "weingarten"
+def _coordinate_shape(patch: SurfacePatch, u: float, v: float, s: _Sample
                       ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Shape-operator matrix in the coordinate basis (d/du, d/dv)."""
-    space = patch.space
-    if route == "weingarten":
-        su, sv = _weingarten_columns(patch, u, v, s)
-        c1 = _tangent_coefficients(space, s, su)
-        c2 = _tangent_coefficients(space, s, sv)
-    elif route == "second-form":
-        hm = _second_form(space, s)
-        e = float(s.eps)
-        form = s.form
-        # columns solve I * col_j = eps * h[:, j]
-        c1 = solve2(form.e, form.f, form.f, form.g,
-                    e * hm[0][0], e * hm[0][1])
-        c2 = solve2(form.e, form.f, form.f, form.g,
-                    e * hm[0][1], e * hm[1][1])
-    else:
-        raise ValueError(f"unknown shape-operator route {route!r}")
+    """Shape-operator matrix in the coordinate basis (d/du, d/dv), by the
+    Weingarten route."""
+    su, sv = _weingarten_columns(patch, u, v, s)
+    c1 = _tangent_coefficients(patch.space, s, su)
+    c2 = _tangent_coefficients(patch.space, s, sv)
     return ((c1[0], c2[0]), (c1[1], c2[1]))
 
 
@@ -441,16 +426,11 @@ def _adapted_entries(space: SpaceParams, s: _Sample, m
 
 
 def shape_operator(patch: SurfacePatch, u: float, v: float,
-                   basis: str = "coordinate",
-                   route: str = "weingarten") -> ShapeOperator2x2:
-    """Shape operator matrix at (u, v) in the requested basis.
-
-    route = "weingarten" differentiates the normal field (default);
-    route = "second-form" solves S = eps * I^{-1} h from the analytic
-    second fundamental form (independent cross-check).
-    """
+                   basis: str = "coordinate") -> ShapeOperator2x2:
+    """Shape operator matrix at (u, v) in the requested basis, by the
+    Weingarten route (finite differences of the normal field)."""
     s = _sample(patch, u, v)
-    m = _coordinate_shape(patch, u, v, s, route)
+    m = _coordinate_shape(patch, u, v, s)
     if basis == "coordinate":
         return ShapeOperator2x2(m[0][0], m[0][1], m[1][0], m[1][1], "coordinate")
     if basis == "adapted-TJT":

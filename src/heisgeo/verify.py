@@ -25,6 +25,7 @@ Every suite is deterministic given (inputs, grid, seed).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -35,13 +36,16 @@ from .ambient import SpaceParams
 from .errors import DegenerateFrame, NotAHelixPatch, StencilTooCoarse
 from .numeric import Vec3, central_diff, solve2
 from .surface import (
+    FirstFundamentalForm,
     SurfacePatch,
+    _adapted_entries,
+    _coordinate_shape,
+    _extrinsic_k,
     _sample,
     _tangent_coefficients,
     causal_character,
     gaussian_curvature,
     induced_metric,
-    mean_curvature,
     shape_operator,
 )
 
@@ -138,12 +142,12 @@ def _check(check_id: str, residual: float,
 # ---- grid sampling ----
 
 
-def interior_grid(patch: SurfacePatch, grid: tuple[int, int],
-                  inset: float = _GRID_INSET) -> list[tuple[float, float]]:
+def interior_grid(patch: SurfacePatch,
+                  grid: tuple[int, int]) -> list[tuple[float, float]]:
     """Uniform sample points inset from the patch boundary (stencil headroom)."""
     (u0, u1), (v0, v1) = patch.domain
-    su = min(inset, 0.2 * (u1 - u0))
-    sv = min(inset, 0.2 * (v1 - v0))
+    su = min(_GRID_INSET, 0.2 * (u1 - u0))
+    sv = min(_GRID_INSET, 0.2 * (v1 - v0))
     nu, nv = int(grid[0]), int(grid[1])
     if nu < 2 or nv < 2:
         raise ValueError("check grids need at least 2x2 samples")
@@ -175,19 +179,12 @@ def check_gauss(patch: SurfacePatch, grid: tuple[int, int] = (15, 15),
 # ---- codazzi ----
 
 
-def _induced_christoffels(patch: SurfacePatch, u: float, v: float,
-                          h: float) -> list[list[list[float]]]:
-    """Christoffel symbols of the induced metric, gamma[k][i][j],
-    index order (u, v), by central differences of the metric fields."""
-    def comps(uu: float, vv: float) -> tuple[float, float, float]:
-        f = induced_metric(patch, uu, vv)
-        return (f.e, f.f, f.g)
-
-    c0 = comps(u, v)
-    du = central_diff(lambda t: comps(u + t, v), h, order=4)
-    dv = central_diff(lambda t: comps(u, v + t), h, order=4)
+def _induced_christoffels(form: FirstFundamentalForm, du, dv
+                          ) -> list[list[list[float]]]:
+    """Christoffel symbols of the induced metric, gamma[k][i][j], index
+    order (u, v), from the form and the partials du, dv of (e, f, g)."""
     # metric component matrix g[i][j] and derivative dg[l][i][j]
-    g = ((c0[0], c0[1]), (c0[1], c0[2]))
+    g = ((form.e, form.f), (form.f, form.g))
     dg = (((du[0], du[1]), (du[1], du[2])),
           ((dv[0], dv[1]), (dv[1], dv[2])))
     det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
@@ -204,7 +201,6 @@ def _induced_christoffels(patch: SurfacePatch, u: float, v: float,
 
 
 def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
-                  fd_step: float = _SURFACE_STEP,
                   tolerances: Optional[dict] = None) -> CheckResult:
     """Codazzi residual with X = d/du, Y = d/dv over an interior grid.
 
@@ -213,23 +209,30 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     comparison vector is measured in ambient frame components.
     """
     (u0, u1), (v0, v1) = patch.domain
-    if 2.0 * fd_step > 0.25 * min(u1 - u0, v1 - v0):
+    if 2.0 * _SURFACE_STEP > 0.25 * min(u1 - u0, v1 - v0):
         raise StencilTooCoarse(
-            f"fd_step {fd_step} too large for domain {patch.domain}")
+            f"stencil step {_SURFACE_STEP} too large for domain {patch.domain}")
     space = patch.space
     tau = space.tau
 
-    def s_column(uu: float, vv: float, col: int) -> tuple[float, float]:
-        m = shape_operator(patch, uu, vv).entries()
-        return (m[0][col], m[1][col])
+    def fields(uu: float, vv: float):
+        # (S11, S12, S21, S22, e, f, g): S in the coordinate basis and the
+        # induced metric, from one sample
+        s = _sample(patch, uu, vv)
+        m = _coordinate_shape(patch, uu, vv, s)
+        form = s.form
+        return (*m[0], *m[1], form.e, form.f, form.g)
 
     worst = 0.0
     for (u, v) in interior_grid(patch, grid):
-        m0 = shape_operator(patch, u, v).entries()
+        s = _sample(patch, u, v)
+        m0 = _coordinate_shape(patch, u, v, s)
+        du = central_diff(lambda t: fields(u + t, v), _SURFACE_STEP, order=4)
+        dv = central_diff(lambda t: fields(u, v + t), _SURFACE_STEP, order=4)
         # d/du of S(d/dv) and d/dv of S(d/du), coefficient 2-vectors
-        du_sv = central_diff(lambda t: s_column(u + t, v, 1), fd_step, order=4)
-        dv_su = central_diff(lambda t: s_column(u, v + t, 0), fd_step, order=4)
-        gamma = _induced_christoffels(patch, u, v, fd_step)
+        du_sv = (du[1], du[3])
+        dv_su = (dv[0], dv[2])
+        gamma = _induced_christoffels(s.form, du[4:], dv[4:])
         s_col_v = (m0[0][1], m0[1][1])
         s_col_u = (m0[0][0], m0[1][0])
         lhs = [0.0, 0.0]
@@ -237,7 +240,6 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
             cu = du_sv[k] + sum(gamma[k][0][j] * s_col_v[j] for j in range(2))
             cv = dv_su[k] + sum(gamma[k][1][j] * s_col_u[j] for j in range(2))
             lhs[k] = cu - cv
-        s = _sample(patch, u, v)
         t_frame = s.t_frame
         g_ut = ambient.frame_metric(space, s.a, t_frame)
         g_vt = ambient.frame_metric(space, s.b, t_frame)
@@ -253,7 +255,6 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
 
 
 def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
-                    fd_step: float = _SURFACE_STEP,
                     tolerances: Optional[dict] = None) -> CheckResult:
     """Residual of T(mu) + mu^2 nu - 4 delta tau^2 nu^3 on a constant-angle
     patch, with mu the varying adapted-basis shape entry."""
@@ -272,9 +273,9 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     for (u, v), nu in zip(pts, nus):
         s = _sample(patch, u, v)
         t1, t2 = _tangent_coefficients(space, s, s.t_frame)
-        h = _directional_step(fd_step, (t1, t2))
+        h = _directional_step(_SURFACE_STEP, (t1, t2))
         t_mu = central_diff(lambda t: mu(u + t * t1, v + t * t2), h, order=4)
-        mu0 = mu(u, v)
+        mu0 = _adapted_entries(space, s, _coordinate_shape(patch, u, v, s))[3]
         worst = max(worst, abs(t_mu + mu0 * mu0 * nu
                                - 4.0 * space.delta * tau * tau * nu ** 3))
     return _check("helix_ode.residual", worst, tolerances)
@@ -367,8 +368,15 @@ def _parallel_input(patch: SurfacePatch,
     uc, vc = patch.center()
     eps = causal_character(patch, uc, vc)
 
-    def frame_dirs(u: float, v: float):
-        pair = induced_metric(patch, u, v).pair
+    # the entries and the ambient frame are differenced at the same displaced
+    # points; a bounded cache holds the centre and its stencil neighbours
+    @functools.lru_cache(maxsize=8)
+    def point(u: float, v: float):
+        """Frame directions (e1, e2), entries (S11, S12, S22) and the
+        frame's ambient components (w1, w2) at one sample."""
+        s = _sample(patch, u, v)
+        m = _coordinate_shape(patch, u, v, s)
+        pair = s.form.pair
         q1 = pair(d1, d1)
         if q1 <= 1e-12:
             raise DegenerateFrame("seed direction lost its spacelike norm")
@@ -383,12 +391,6 @@ def _parallel_input(patch: SurfacePatch,
             raise DegenerateFrame("tangent signature inconsistent with eps")
         r2 = math.sqrt(abs(q2))
         e2 = (b[0] / r2, b[1] / r2)
-        return (e1, e2)
-
-    def entries(u: float, v: float):
-        m = shape_operator(patch, u, v).entries()
-        e1, e2 = frame_dirs(u, v)
-        pair = induced_metric(patch, u, v).pair
 
         def image(w):
             return (m[0][0] * w[0] + m[0][1] * w[1],
@@ -398,38 +400,32 @@ def _parallel_input(patch: SurfacePatch,
         s_e1, s_e2 = image(e1), image(e2)
         a11, _ = solve2(g11, g12, g12, g22, pair(s_e1, e1), pair(s_e1, e2))
         a12, a22 = solve2(g11, g12, g12, g22, pair(s_e2, e1), pair(s_e2, e2))
-        return (a11, a12, a22)
-
-    def frame_ambient(u: float, v: float):
-        s = _sample(patch, u, v)
-        e1, e2 = frame_dirs(u, v)
         w1 = tuple(e1[0] * s.a[i] + e1[1] * s.b[i] for i in range(3))
         w2 = tuple(e2[0] * s.a[i] + e2[1] * s.b[i] for i in range(3))
-        return w1, w2
+        return (e1, e2), (a11, a12, a22), (w1, w2)
 
     def omega(u: float, v: float, k: int) -> float:
-        w1, w2 = frame_ambient(u, v)
-        dirs = frame_dirs(u, v)
+        dirs, _, (w1, w2) = point(u, v)
         d = dirs[k]
         dw = central_diff(
-            lambda t: frame_ambient(u + t * d[0], v + t * d[1])[0],
+            lambda t: point(u + t * d[0], v + t * d[1])[2][0],
             _directional_step(_SURFACE_STEP, d))
         x_amb = (w1, w2)[k]
-        corr = ambient.frame_connection_correction(patch.space, x_amb, w1)
+        corr = ambient.frame_connection_correction(space, x_amb, w1)
         nab = tuple(dw[i] + corr[i] for i in range(3))
-        return ambient.frame_metric(patch.space, nab, w2)
+        return ambient.frame_metric(space, nab, w2)
 
-    return ParallelCheckInput(eps, points, frame_dirs, entries, omega)
+    return ParallelCheckInput(eps, points, lambda u, v: point(u, v)[0],
+                              lambda u, v: point(u, v)[1], omega)
 
 
 def check_parallel(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
-                   fd_step: float = _SURFACE_STEP,
                    tolerances: Optional[dict] = None) -> CheckResult:
     """Parallel-surface equations over an interior grid; verdict 'pass'
     means the patch is parallel to tolerance."""
     pts = interior_grid(patch, grid)
     inp = _parallel_input(patch, pts)
-    worst = parallel_equations_residuals(inp, fd_step)
+    worst = parallel_equations_residuals(inp)
     return _check("parallel.equations", worst, tolerances)
 
 
@@ -454,12 +450,14 @@ def check_claims(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     hs, nus, kexts, s12s, s22s = [], [], [], [], []
     eps0 = causal_character(patch, *patch.center())
     for (u, v) in pts:
-        adapted = shape_operator(patch, u, v, basis="adapted-TJT")
-        hs.append(0.5 * adapted.trace)
-        nus.append(_sample(patch, u, v).nu)
-        kexts.append(gaussian_curvature(patch, u, v, method="extrinsic"))
-        s12s.append(adapted.s12)
-        s22s.append(adapted.s22)
+        s = _sample(patch, u, v)
+        m = _coordinate_shape(patch, u, v, s)
+        a11, a12, _, a22 = _adapted_entries(space, s, m)
+        hs.append(0.5 * (a11 + a22))
+        nus.append(s.nu)
+        kexts.append(_extrinsic_k(space, s, m))
+        s12s.append(a12)
+        s22s.append(a22)
     h_range = max(hs) - min(hs)
     nu_mean = sum(nus) / len(nus)
     parallel = check_parallel(patch, grid, tolerances=tolerances)

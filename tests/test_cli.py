@@ -241,6 +241,24 @@ def test_exit_code_geometry_error(workdir, capsys):
     assert "geometry error" in err
 
 
+# inputs that once ended in a raw traceback (exit 1, read as "checks failed")
+OVERFLOW_PLANE = dict(PLANE, delta=1, phi0=1e300)  # sinh(phi0) overflows
+FAR_CYLINDER = dict(CYLINDER, delta=1, domain=[[-1, 1], [800, 801]])
+TINY_TAU_HELIX = dict(HELIX, tau=1e-300)  # NaN induced determinant
+
+
+@pytest.mark.parametrize("command", ("analyze", "mesh", "verify"))
+@pytest.mark.parametrize("payload, code", (
+    (OVERFLOW_PLANE, EXIT_CONFIG_ERROR),
+    (FAR_CYLINDER, EXIT_GEOMETRY_ERROR),
+    (TINY_TAU_HELIX, EXIT_GEOMETRY_ERROR),
+), ids=("overflow_plane", "far_cylinder", "tiny_tau_helix"))
+def test_crash_inputs_land_on_documented_codes(workdir, capsys, command,
+                                                payload, code):
+    assert main([command, "--config", cfg_path(workdir, payload)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_exit_code_io_error(workdir, capsys):
     cfg = cfg_path(workdir, PLANE)
     missing_dir = str(workdir / "no" / "such" / "dir" / "x.obj")

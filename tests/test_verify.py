@@ -125,6 +125,27 @@ def test_helix_ode_rejects_varying_angle():
         check_helix_ode(patch, (5, 5))
 
 
+#: SurfacePatch.jet calls per patch suite on a new spacelike helix at (8, 8),
+#: one of them for the normal gauge; each check evaluates a point once and
+#: shares it, so a suite that starts resampling points it already has fails here
+JET_BUDGET = {"gauss": 897, "codazzi": 2881, "helix_ode": 1665,
+              "parallel": 1603, "claims": 1924}
+
+
+@pytest.mark.parametrize("suite", sorted(JET_BUDGET))
+def test_suite_jet_counts_within_budget(monkeypatch, suite):
+    calls = [0]
+    jet = SurfacePatch.jet
+
+    def counting_jet(self, u, v):
+        calls[0] += 1
+        return jet(self, u, v)
+
+    monkeypatch.setattr(SurfacePatch, "jet", counting_jet)
+    run_suite(suite, patch=spacelike_helix(), grid=(8, 8))
+    assert calls[0] <= JET_BUDGET[suite]
+
+
 # ------------------------------------------------------------ parallel
 
 
