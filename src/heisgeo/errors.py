@@ -25,7 +25,9 @@ class UnsupportedKappa(AmbientError):
 
     Frame, wedge, connection-table and closed-form curvature operations are
     only available on the kappa = 0 member of the metric family; the
-    finite-difference coordinate path works for every kappa.
+    finite-difference coordinate path works for every finite kappa; a
+    kappa that overflows (the -4 tau^2 companion space at huge tau) is
+    unsupported everywhere.
     """
 
 

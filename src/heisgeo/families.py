@@ -12,7 +12,9 @@ Three constructors cover the classification on the kappa = 0 ambient space:
   with dense output.
 
 Every constructor returns an analytic-jet :class:`~heisgeo.surface.SurfacePatch`
-carrying a serializable family descriptor.
+carrying a serializable family descriptor.  Each family writes its immersion
+once, as a jet callable returning (p, Fu, Fv, Fuu, Fuv, Fvv); the patch's
+position is the first entry of that jet.
 """
 
 from __future__ import annotations
@@ -201,6 +203,9 @@ class ProfileFunctions:
       spacelike: f1'^2 - f2'^2 = cosh(theta)^2
       timelike:  f1'^2 - f2'^2 = -cos(theta)^2
       both:      f3' = tau * (f1*f2' - f2*f1')
+
+    `jet(v)` returns all nine values at v from one evaluation of each table
+    and slope function; `df3` and `d2f3` read it.
     """
 
     profile: HelixProfile
@@ -215,14 +220,21 @@ class ProfileFunctions:
     d2f1: Callable[[float], float]
     d2f2: Callable[[float], float]
 
+    def jet(self, v: float) -> tuple[float, ...]:
+        """(f1, f2, f3, f1', f2', f3', f1'', f2'', f3'') at v."""
+        p1, p2, p3 = self.f1(v), self.f2(v), self.f3(v)
+        q1, q2 = self.df1(v), self.df2(v)
+        r1, r2 = self.d2f1(v), self.d2f2(v)
+        tau = self.profile.tau
+        # f3'' = d/dv of tau*(f1 f2' - f2 f1'); the f1'f2' cross terms cancel
+        return (p1, p2, p3, q1, q2, tau * (p1 * q2 - p2 * q1),
+                r1, r2, tau * (p1 * r2 - p2 * r1))
+
     def df3(self, v: float) -> float:
-        return self.profile.tau * (self.f1(v) * self.df2(v)
-                                   - self.f2(v) * self.df1(v))
+        return self.jet(v)[5]
 
     def d2f3(self, v: float) -> float:
-        # d/dv of tau*(f1 f2' - f2 f1'); the f1'f2' cross terms cancel
-        return self.profile.tau * (self.f1(v) * self.d2f2(v)
-                                   - self.f2(v) * self.d2f1(v))
+        return self.jet(v)[8]
 
 
 def _slope_functions(profile: HelixProfile):
@@ -373,6 +385,13 @@ def profile_residuals(pf: ProfileFunctions, n_samples: int = 41,
             "f3_ode": res_f3}
 
 
+def _analytic_patch(space: SpaceParams, jet, domain: Domain,
+                    **kwargs) -> SurfacePatch:
+    """A patch whose position is the point of its analytic jet."""
+    return SurfacePatch(space, lambda u, v: jet(u, v)[0], domain, jet=jet,
+                        **kwargs)
+
+
 # ---- angle-function-zero families ----
 
 
@@ -412,24 +431,19 @@ def make_minimal_plane(delta: int, causal: str, phi0: float,
     else:
         cx, cy = math.cosh(phi0), math.sinh(phi0)
 
-    def position(u: float, v: float) -> Vec3:
-        return (cx * v, cy * v, u)
-
-    def first_jet(u: float, v: float):
-        return ((0.0, 0.0, 1.0), (cx, cy, 0.0))
-
+    fu: Vec3 = (0.0, 0.0, 1.0)
+    fv: Vec3 = (cx, cy, 0.0)
     zero: Vec3 = (0.0, 0.0, 0.0)
 
-    def second_jet(u: float, v: float):
-        return (zero, zero, zero)
+    def jet(u: float, v: float):
+        return ((cx * v, cy * v, u), fu, fv, zero, zero, zero)
 
     family = {"family": "minimal_plane", "delta": delta, "causal": causal,
               "tau": tau, "phi0": float(phi0),
               "domain": [list(domain[0]), list(domain[1])]}
-    return SurfacePatch(space, position, domain, first_jet=first_jet,
-                        second_jet=second_jet,
-                        name=f"minimal_plane[delta={delta},{causal}]",
-                        family=family)
+    return _analytic_patch(space, jet, domain,
+                           name=f"minimal_plane[delta={delta},{causal}]",
+                           family=family)
 
 
 def make_cmc_cylinder(delta: int, causal: str, tau: float,
@@ -446,45 +460,33 @@ def make_cmc_cylinder(delta: int, causal: str, tau: float,
         raise InvalidParameterDomain("cylinder family needs tau != 0")
     space = SpaceParams(delta=delta, tau=tau)
     domain = _normalize_domain(domain)
+    fu: Vec3 = (0.0, 0.0, 1.0)
     zero: Vec3 = (0.0, 0.0, 0.0)
     if delta == -1:
         if causal != "timelike":
             raise InvalidCombination(
                 "delta = -1 admits only the timelike cylinder")
 
-        def position(u: float, v: float) -> Vec3:
-            return (-math.cos(v), -math.sin(v), u - tau * v)
-
-        def first_jet(u: float, v: float):
-            return ((0.0, 0.0, 1.0), (math.sin(v), -math.cos(v), -tau))
-
-        def second_jet(u: float, v: float):
-            return (zero, zero, (math.cos(v), math.sin(v), 0.0))
+        def jet(u: float, v: float):
+            c, s = math.cos(v), math.sin(v)
+            return ((-c, -s, u - tau * v), fu, (s, -c, -tau),
+                    zero, zero, (c, s, 0.0))
     elif causal == "timelike":
-        def position(u: float, v: float) -> Vec3:
-            return (math.cosh(v), math.sinh(v), u - tau * v)
-
-        def first_jet(u: float, v: float):
-            return ((0.0, 0.0, 1.0), (math.sinh(v), math.cosh(v), -tau))
-
-        def second_jet(u: float, v: float):
-            return (zero, zero, (math.cosh(v), math.sinh(v), 0.0))
+        def jet(u: float, v: float):
+            ch, sh = math.cosh(v), math.sinh(v)
+            return ((ch, sh, u - tau * v), fu, (sh, ch, -tau),
+                    zero, zero, (ch, sh, 0.0))
     else:
-        def position(u: float, v: float) -> Vec3:
-            return (math.sinh(v), math.cosh(v), u + tau * v)
-
-        def first_jet(u: float, v: float):
-            return ((0.0, 0.0, 1.0), (math.cosh(v), math.sinh(v), tau))
-
-        def second_jet(u: float, v: float):
-            return (zero, zero, (math.sinh(v), math.cosh(v), 0.0))
+        def jet(u: float, v: float):
+            ch, sh = math.cosh(v), math.sinh(v)
+            return ((sh, ch, u + tau * v), fu, (ch, sh, tau),
+                    zero, zero, (sh, ch, 0.0))
 
     family = {"family": "cmc_cylinder", "delta": delta, "causal": causal,
               "tau": tau, "domain": [list(domain[0]), list(domain[1])]}
-    return SurfacePatch(space, position, domain, first_jet=first_jet,
-                        second_jet=second_jet,
-                        name=f"cmc_cylinder[delta={delta},{causal}]",
-                        family=family)
+    return _analytic_patch(space, jet, domain,
+                           name=f"cmc_cylinder[delta={delta},{causal}]",
+                           family=family)
 
 
 # ---- helix (nonzero angle function) families ----
@@ -518,10 +520,7 @@ def _helix_patch_from_profile(profile: HelixProfile, pf: ProfileFunctions,
                               domain: Domain) -> SurfacePatch:
     tau = profile.tau
     space = SpaceParams(delta=1, tau=tau)
-    f1, f2, f3 = pf.f1, pf.f2, pf.f3
-    df1, df2 = pf.df1, pf.df2
-    d2f1, d2f2 = pf.d2f1, pf.d2f2
-    df3, d2f3 = pf.df3, pf.d2f3
+    profile_jet = pf.jet
 
     # (X, Y) = (cosh u, sinh u) on the spacelike branch and (-sinh u,
     # -cosh u) on the timelike one; both satisfy X' = Y, Y' = X, and b_c
@@ -542,35 +541,21 @@ def _helix_patch_from_profile(profile: HelixProfile, pf: ProfileFunctions,
     b_c = sign * (num * num / (4.0 * tau * den * den))
     c_c = (num / den) / 2.0
 
-    def position(u: float, v: float) -> Vec3:
+    def jet(u: float, v: float):
         x, y = xy(u)
-        p1, p2 = f1(v), f2(v)
-        return (a_c * x + p1, a_c * y + p2,
-                b_c * u - c_c * (p2 * x - p1 * y) + f3(v))
-
-    def first_jet(u: float, v: float):
-        x, y = xy(u)
-        p1, p2 = f1(v), f2(v)
-        q1, q2 = df1(v), df2(v)
-        fu = (a_c * y, a_c * x, b_c - c_c * (p2 * y - p1 * x))
-        fv = (q1, q2, -c_c * (q2 * x - q1 * y) + df3(v))
-        return (fu, fv)
-
-    def second_jet(u: float, v: float):
-        x, y = xy(u)
-        p1, p2 = f1(v), f2(v)
-        q1, q2 = df1(v), df2(v)
-        r1, r2 = d2f1(v), d2f2(v)
-        fuu = (a_c * x, a_c * y, -c_c * (p2 * x - p1 * y))
-        fuv = (0.0, 0.0, -c_c * (q2 * y - q1 * x))
-        fvv = (r1, r2, -c_c * (r2 * x - r1 * y) + d2f3(v))
-        return (fuu, fuv, fvv)
+        p1, p2, p3, q1, q2, q3, r1, r2, r3 = profile_jet(v)
+        return ((a_c * x + p1, a_c * y + p2,
+                 b_c * u - c_c * (p2 * x - p1 * y) + p3),
+                (a_c * y, a_c * x, b_c - c_c * (p2 * y - p1 * x)),
+                (q1, q2, -c_c * (q2 * x - q1 * y) + q3),
+                (a_c * x, a_c * y, -c_c * (p2 * x - p1 * y)),
+                (0.0, 0.0, -c_c * (q2 * y - q1 * x)),
+                (r1, r2, -c_c * (r2 * x - r1 * y) + r3))
 
     family = {"family": "helix", "delta": 1, **profile.as_dict(),
               "domain": [list(domain[0]), list(domain[1])]}
-    patch = SurfacePatch(space, position, domain, first_jet=first_jet,
-                         second_jet=second_jet,
-                         name=f"helix[{profile.causal}]", family=family)
+    patch = _analytic_patch(space, jet, domain,
+                            name=f"helix[{profile.causal}]", family=family)
     patch.helix_profile = profile  # type: ignore[attr-defined]
     patch.profile_functions = pf  # type: ignore[attr-defined]
     return patch

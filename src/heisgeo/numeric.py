@@ -38,39 +38,42 @@ def json_dumps(obj, indent: int = 2) -> str:
     supported: dict (string keys), list/tuple, str, bool, int, float, None.
     Output is deterministic: dict keys keep insertion order.
     """
+    return _json_emit(obj, 0, indent) + "\n"
 
-    def emit(o, depth: int) -> str:
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
-        if o is None:
-            return "null"
-        if isinstance(o, bool):
-            return "true" if o else "false"
-        if isinstance(o, int):
-            return str(o)
-        if isinstance(o, float):
-            if math.isnan(o) or math.isinf(o):
-                raise ValueError("cannot serialize non-finite float")
-            return fmt_float(o)
-        if isinstance(o, str):
-            # minimal escaping; report strings are plain ASCII identifiers
-            out = o.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-            return f'"{out}"'
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            items = ",\n".join(pad_in + emit(v, depth + 1) for v in o)
-            return "[\n" + items + "\n" + pad + "]"
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            items = ",\n".join(
-                f'{pad_in}"{k}": ' + emit(v, depth + 1) for k, v in o.items()
-            )
-            return "{\n" + items + "\n" + pad + "}"
-        raise TypeError(f"unsupported type for json_dumps: {type(o)!r}")
 
-    return emit(obj, 0) + "\n"
+# module level rather than a closure: a self-referencing closure leaves a
+# function <-> cell reference cycle behind every call
+def _json_emit(o, depth: int, indent: int) -> str:
+    pad = " " * (indent * depth)
+    pad_in = " " * (indent * (depth + 1))
+    if o is None:
+        return "null"
+    if isinstance(o, bool):
+        return "true" if o else "false"
+    if isinstance(o, int):
+        return str(o)
+    if isinstance(o, float):
+        if math.isnan(o) or math.isinf(o):
+            raise ValueError("cannot serialize non-finite float")
+        return fmt_float(o)
+    if isinstance(o, str):
+        # minimal escaping; report strings are plain ASCII identifiers
+        out = o.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        return f'"{out}"'
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = ",\n".join(pad_in + _json_emit(v, depth + 1, indent) for v in o)
+        return "[\n" + items + "\n" + pad + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = ",\n".join(
+            f'{pad_in}"{k}": ' + _json_emit(v, depth + 1, indent)
+            for k, v in o.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    raise TypeError(f"unsupported type for json_dumps: {type(o)!r}")
 
 
 # ---- small-vector algebra on 3-tuples ----
@@ -171,29 +174,33 @@ def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
                      tol: float = 1e-10, max_depth: int = 40) -> float:
     """Integrate f over [a, b] with adaptive Simpson to absolute tolerance."""
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol_here, depth):
-        xm_l = 0.5 * (x0 + 0.5 * (x0 + x2))
-        xm_r = 0.5 * (0.5 * (x0 + x2) + x2)
-        fl, fr = f(xm_l), f(xm_r)
-        x1 = 0.5 * (x0 + x2)
-        left = _simpson(f0, fl, f1, x1 - x0)
-        right = _simpson(f1, fr, f2, x2 - x1)
-        if depth >= max_depth:
-            raise QuadratureFailure(
-                f"adaptive Simpson hit max depth {max_depth} on [{x0}, {x2}]")
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol_here:
-            return left + right + err / 15.0
-        return (recurse(x0, x1, f0, fl, f1, left, tol_here / 2.0, depth + 1)
-                + recurse(x1, x2, f1, fr, f2, right, tol_here / 2.0, depth + 1))
-
     if a == b:
         return 0.0
     fa, fb = f(a), f(b)
     fm = f(0.5 * (a + b))
     whole = _simpson(fa, fm, fb, b - a)
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, 0, max_depth)
+
+
+# module level for the same reason as _json_emit: no reference cycle per call
+def _simpson_recurse(f, x0, x2, f0, f1, f2, whole, tol_here, depth,
+                     max_depth):
+    xm_l = 0.5 * (x0 + 0.5 * (x0 + x2))
+    xm_r = 0.5 * (0.5 * (x0 + x2) + x2)
+    fl, fr = f(xm_l), f(xm_r)
+    x1 = 0.5 * (x0 + x2)
+    left = _simpson(f0, fl, f1, x1 - x0)
+    right = _simpson(f1, fr, f2, x2 - x1)
+    if depth >= max_depth:
+        raise QuadratureFailure(
+            f"adaptive Simpson hit max depth {max_depth} on [{x0}, {x2}]")
+    err = left + right - whole
+    if abs(err) <= 15.0 * tol_here:
+        return left + right + err / 15.0
+    return (_simpson_recurse(f, x0, x1, f0, fl, f1, left, tol_here / 2.0,
+                             depth + 1, max_depth)
+            + _simpson_recurse(f, x1, x2, f1, fr, f2, right, tol_here / 2.0,
+                               depth + 1, max_depth))
 
 
 class CumulativeIntegral:

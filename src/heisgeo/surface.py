@@ -1,8 +1,9 @@
 """Extrinsic and intrinsic geometry of immersed surface patches.
 
 A :class:`SurfacePatch` wraps an immersion F(u, v) into the kappa = 0 ambient
-space together with (optionally) analytic first and second partial
-derivatives.  On top of the patch this module computes, per sample:
+space together with (optionally) one analytic jet callable that returns the
+point and its first and second partials (p, Fu, Fv, Fuu, Fuv, Fvv) in one
+call.  On top of the patch this module computes, per sample:
 
 - the first fundamental form and the causal character epsilon
   (+1: timelike surface / spacelike unit normal; -1: spacelike surface),
@@ -64,10 +65,6 @@ _WEINGARTEN_STEP = 1e-5
 # step for second derivatives of the induced-metric fields (intrinsic K)
 _INTRINSIC_STEP = 5e-4
 
-Jet1Fn = Callable[[float, float], tuple[Vec3, Vec3]]
-Jet2Fn = Callable[[float, float], tuple[Vec3, Vec3, Vec3]]
-
-
 @dataclass(frozen=True)
 class PatchJet:
     """Position and partial derivatives of the immersion at one sample."""
@@ -83,17 +80,17 @@ class PatchJet:
 class SurfacePatch:
     """An immersed parametrized surface patch.
 
-    position(u, v) must return the immersion point; when `first_jet` /
-    `second_jet` are omitted the derivatives fall back to central
-    differences of `position` (jet_source == "finite-difference"), and
-    evaluation is then restricted to the domain interior minus a 2h stencil
-    margin (no one-sided stencils).
+    position(u, v) must return the immersion point.  `jet(u, v)`, when
+    given, returns the six vectors (p, Fu, Fv, Fuu, Fuv, Fvv) in one call
+    (jet_source == "analytic").  Without it the derivatives fall back to
+    central differences of `position` (jet_source == "finite-difference"),
+    and evaluation is then restricted to the domain interior minus a 2h
+    stencil margin (no one-sided stencils).
     """
 
     def __init__(self, space: SpaceParams, position: Callable[[float, float], Vec3],
                  domain: tuple[tuple[float, float], tuple[float, float]],
-                 *, first_jet: Optional[Jet1Fn] = None,
-                 second_jet: Optional[Jet2Fn] = None,
+                 *, jet: Optional[Callable[[float, float], tuple]] = None,
                  name: str = "patch", family: Optional[dict] = None,
                  fd_step: float = 1e-5):
         (u0, u1), (v0, v1) = domain
@@ -102,8 +99,7 @@ class SurfacePatch:
         self.space = space
         self.position = position
         self.domain = ((float(u0), float(u1)), (float(v0), float(v1)))
-        self.first_jet = first_jet
-        self.second_jet = second_jet
+        self._analytic_jet = jet
         self.name = name
         self.family = dict(family) if family else None
         self.fd_step = float(fd_step)
@@ -111,8 +107,8 @@ class SurfacePatch:
 
     @property
     def jet_source(self) -> str:
-        analytic = self.first_jet is not None and self.second_jet is not None
-        return "analytic" if analytic else "finite-difference"
+        return ("finite-difference" if self._analytic_jet is None
+                else "analytic")
 
     def center(self) -> tuple[float, float]:
         (u0, u1), (v0, v1) = self.domain
@@ -132,13 +128,9 @@ class SurfacePatch:
     def jet(self, u: float, v: float) -> PatchJet:
         """Position with first and second partials at (u, v)."""
         self._check_domain(u, v)
+        if self._analytic_jet is not None:
+            return PatchJet(*map(as_vec3, self._analytic_jet(u, v)))
         pos = self.position
-        if self.jet_source == "analytic":
-            p = as_vec3(pos(u, v))
-            fu, fv = self.first_jet(u, v)
-            fuu, fuv, fvv = self.second_jet(u, v)
-            return PatchJet(p, as_vec3(fu), as_vec3(fv),
-                            as_vec3(fuu), as_vec3(fuv), as_vec3(fvv))
         return PatchJet(*central_partials(
             lambda du, dv: as_vec3(pos(u + du, v + dv)), self.fd_step))
 

@@ -33,7 +33,8 @@ from typing import Callable, Optional, Sequence
 
 from . import ambient
 from .ambient import SpaceParams
-from .errors import DegenerateFrame, NotAHelixPatch, StencilTooCoarse
+from .errors import (DegenerateFrame, NotAHelixPatch, StencilTooCoarse,
+                     UnsupportedKappa)
 from .numeric import Vec3, central_diff, solve2
 from .surface import (
     FirstFundamentalForm,
@@ -547,6 +548,10 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     """
     rng = random.Random(seed)
     delta, tau = space.delta, space.tau
+    kappa = -4.0 * tau * tau  # of the companion space
+    if not math.isfinite(kappa):
+        raise UnsupportedKappa(
+            f"companion space kappa = -4 tau^2 overflows at tau = {tau!r}")
     expected_diag = (1.0, -float(delta), float(delta))
     checks: list[CheckResult] = []
 
@@ -644,7 +649,7 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     checks.append(_check("ambient.grad_e3_wedge", worst, tolerances))
 
     # sectional curvature constant on the kappa = -4 tau^2 companion space
-    sibling = SpaceParams(delta=delta, tau=tau, kappa=-4.0 * tau * tau)
+    sibling = SpaceParams(delta=delta, tau=tau, kappa=kappa)
     values = []
     attempts = 0
     while len(values) < 20 and attempts < 400:

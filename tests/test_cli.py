@@ -245,6 +245,8 @@ def test_exit_code_geometry_error(workdir, capsys):
 OVERFLOW_PLANE = dict(PLANE, delta=1, phi0=1e300)  # sinh(phi0) overflows
 FAR_CYLINDER = dict(CYLINDER, delta=1, domain=[[-1, 1], [800, 801]])
 TINY_TAU_HELIX = dict(HELIX, tau=1e-300)  # NaN induced determinant
+# -4 tau^2 overflows; verify's ambient suite builds that companion space
+HUGE_TAU_CYLINDER = dict(CYLINDER, delta=1, tau=1e200)
 
 
 @pytest.mark.parametrize("command", ("analyze", "mesh", "verify"))
@@ -252,7 +254,8 @@ TINY_TAU_HELIX = dict(HELIX, tau=1e-300)  # NaN induced determinant
     (OVERFLOW_PLANE, EXIT_CONFIG_ERROR),
     (FAR_CYLINDER, EXIT_GEOMETRY_ERROR),
     (TINY_TAU_HELIX, EXIT_GEOMETRY_ERROR),
-), ids=("overflow_plane", "far_cylinder", "tiny_tau_helix"))
+    (HUGE_TAU_CYLINDER, EXIT_GEOMETRY_ERROR),
+), ids=("overflow_plane", "far_cylinder", "tiny_tau_helix", "huge_tau_cylinder"))
 def test_crash_inputs_land_on_documented_codes(workdir, capsys, command,
                                                 payload, code):
     assert main([command, "--config", cfg_path(workdir, payload)]) == code

@@ -30,7 +30,9 @@ from heisgeo.families import (
     profile_residuals,
     profile_u_from_patch_u,
 )
+from heisgeo.numeric import CumulativeIntegral
 from heisgeo.surface import shape_operator
+from heisgeo.verify import default_family_matrix
 
 ASINH1 = math.asinh(1.0)
 SQRT2 = math.sqrt(2.0)
@@ -163,6 +165,56 @@ def test_profile_residuals_within_tolerance(eta, expect_source, tol):
         assert res["antiderivative"] <= tol
         assert res["derivative_constraint"] <= tol
         assert res["f3_ode"] <= tol
+
+
+@pytest.mark.parametrize("eta", [
+    EtaSpec("constant", (0.4,)),
+    EtaSpec("linear", (0.0, 1.0)),
+    EtaSpec("sinusoidal", (0.3, 1.0, 0.0)),
+])
+def test_profile_derivative_reads_agree_with_jet(eta):
+    for causal, theta in (("spacelike", ASINH1), ("timelike", math.pi / 4.0)):
+        pf = build_profile(HelixProfile(causal, 1.0, theta, c=0.1, eta=eta),
+                           (-1.26, 1.26))
+        for i in range(11):
+            v = -1.2 + 0.24 * i
+            values = pf.jet(v)
+            assert values[:3] == (pf.f1(v), pf.f2(v), pf.f3(v))
+            assert pf.df3(v) == values[5]
+            assert pf.d2f3(v) == values[8]
+
+
+def _sinusoidal_helix():
+    return make_helix_surface(HelixProfile(
+        "timelike", 1.0, math.pi / 4.0, c=0.1,
+        eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0))))
+
+
+def test_quadrature_helix_jet_looks_up_each_table_once(monkeypatch):
+    patch = _sinusoidal_helix()
+    lookups = [0]
+    lookup = CumulativeIntegral.__call__
+
+    def counting_lookup(self, x):
+        lookups[0] += 1
+        return lookup(self, x)
+
+    monkeypatch.setattr(CumulativeIntegral, "__call__", counting_lookup)
+    grid = [(-1.2 + 0.3 * i, -1.2 + 0.3 * j)
+            for i in range(9) for j in range(9)]
+    for u, v in grid:
+        patch.jet(u, v)
+    # one lookup in each of the f1, f2 and f3 tables per jet
+    assert lookups[0] <= 3 * len(grid)
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_position_is_the_jet_point(index):
+    patch = (default_family_matrix() + [_sinusoidal_helix()])[index]
+    for i in range(7):
+        for j in range(7):
+            u, v = -1.2 + 0.4 * i, -1.2 + 0.4 * j
+            assert patch.position(u, v) == patch.jet(u, v).p
 
 
 # ------------------------------------------------------------- planes

@@ -3,15 +3,18 @@
 Each stencil is run at h and h/2 on smooth functions whose leading
 truncation term does not vanish at the sample point; the error ratio then
 shows the stencil's order: about 4 for second order, about 16 for fourth.
+The recursive helpers are also checked to leave no reference cycle behind.
 """
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from heisgeo.numeric import central_diff, central_partials
+from heisgeo.numeric import (adaptive_simpson, central_diff, central_partials,
+                             json_dumps)
 
 X0 = 0.3
 
@@ -113,3 +116,18 @@ def test_central_partials_observed_order(fn, scale):
         e_fine = errors(fine[k], want)
         observed = e_coarse / e_fine
         assert np.all(np.abs(observed / 4.0 - 1.0) < 0.03), (k, observed)
+
+
+def test_recursive_helpers_leave_no_reference_cycles():
+    """Only the cyclic collector frees a cycle, so one per quadrature step
+    makes memory climb with the call count."""
+    gc.collect()
+    gc.disable()
+    try:
+        assert adaptive_simpson(math.sin, 0.0, 3.0) == pytest.approx(
+            1.0 - math.cos(3.0), abs=1e-9)
+        json_dumps({"a": [1.0, {"b": None}], "c": "x", "d": (True, 2)})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert gc.garbage == []

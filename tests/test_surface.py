@@ -345,8 +345,8 @@ def test_geometry_report_names_failing_sample():
     patch = SurfacePatch(
         space, lambda u, v: (u, v, 0.0),
         ((0.85, 1.25), (-0.05, 0.05)),
-        first_jet=lambda u, v: ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
-        second_jet=lambda u, v: (zero, zero, zero))
+        jet=lambda u, v: ((u, v, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                          zero, zero, zero))
     with pytest.raises(DegenerateInducedMetric) as err:
         geometry_report(patch, 9, 3)
     assert "at sample" in str(err.value)
