@@ -28,7 +28,8 @@ from .errors import (
 )
 from .families import family_from_config
 from .numeric import fmt_float, json_dumps
-from .surface import SurfacePatch, _sample, geometry_report, grid_points
+from .surface import (SurfacePatch, _sample, gaussian_curvature,
+                      geometry_report, grid_points)
 from .verify import (
     DEFAULT_SEED,
     DEFAULT_TOLERANCES,
@@ -194,8 +195,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _obj_text(patch: SurfacePatch, n_u: int, n_v: int) -> str:
-    from .surface import gaussian_curvature
-
     uc, vc = patch.center()
     s = _sample(patch, uc, vc)
     k_center = gaussian_curvature(patch, uc, vc, method="extrinsic")

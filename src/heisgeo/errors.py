@@ -105,7 +105,10 @@ class NotAHelixPatch(VerifyError):
 
 
 class DegenerateFrame(VerifyError):
-    """The pseudo-orthonormal tangent frame could not be constructed."""
+    """The pseudo-orthonormal tangent frame could not be constructed.
+
+    heisgeo itself does not raise it: the parallel check's frame is the
+    adapted one, which reports degeneracy as DegenerateAdaptedFrame."""
 
 
 # ---- configuration ----

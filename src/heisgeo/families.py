@@ -238,37 +238,27 @@ class ProfileFunctions:
 
 
 def _slope_functions(profile: HelixProfile):
-    """Closed-form f1', f2' and their derivatives for any eta."""
+    """Closed-form f1', f2' and their derivatives for any eta: f1' = k1 g1(s)
+    and f2' = m g2(s) with s = eta + shift, and (g1, g2, k1, shift) per
+    branch."""
     eta = profile.eta
     m = profile.slope_scale
     if profile.causal == "spacelike":
-        shift = profile.c
-
-        def df1(v: float) -> float:
-            return m * math.cosh(eta(v) + shift)
-
-        def df2(v: float) -> float:
-            return m * math.sinh(eta(v) + shift)
-
-        def d2f1(v: float) -> float:
-            return m * math.sinh(eta(v) + shift) * eta.derivative(v)
-
-        def d2f2(v: float) -> float:
-            return m * math.cosh(eta(v) + shift) * eta.derivative(v)
+        g1, g2, k1, shift = math.cosh, math.sinh, m, profile.c
     else:
-        shift = -profile.c
+        g1, g2, k1, shift = math.sinh, math.cosh, -m, -profile.c
 
-        def df1(v: float) -> float:
-            return -m * math.sinh(eta(v) + shift)
+    def df1(v: float) -> float:
+        return k1 * g1(eta(v) + shift)
 
-        def df2(v: float) -> float:
-            return m * math.cosh(eta(v) + shift)
+    def df2(v: float) -> float:
+        return m * g2(eta(v) + shift)
 
-        def d2f1(v: float) -> float:
-            return -m * math.cosh(eta(v) + shift) * eta.derivative(v)
+    def d2f1(v: float) -> float:
+        return k1 * g2(eta(v) + shift) * eta.derivative(v)
 
-        def d2f2(v: float) -> float:
-            return m * math.sinh(eta(v) + shift) * eta.derivative(v)
+    def d2f2(v: float) -> float:
+        return m * g1(eta(v) + shift) * eta.derivative(v)
 
     return df1, df2, d2f1, d2f2
 

@@ -394,18 +394,25 @@ def _coordinate_shape(patch: SurfacePatch, u: float, v: float, s: _Sample
     return ((c1[0], c2[0]), (c1[1], c2[1]))
 
 
-def _adapted_entries(space: SpaceParams, s: _Sample, m
-                     ) -> tuple[float, float, float, float]:
-    """Entries (a11, a12, a21, a22) of B^{-1} M B, where the columns of B
-    are the adapted vectors (T, JT) in the coordinate tangent basis."""
+def _adapted_frame(space: SpaceParams, s: _Sample
+                   ) -> tuple[tuple[float, float], tuple[float, float], float]:
+    """Coordinate coefficients of the adapted vectors T and JT, and g(T,T)."""
     t_frame = s.t_frame
     g_tt = ambient.frame_metric(space, t_frame, t_frame)
     if abs(g_tt) < _ADAPTED_TOL:
         raise DegenerateAdaptedFrame(
             f"|g(T,T)| = {abs(g_tt)} too small for the adapted basis")
-    t1, t2 = _tangent_coefficients(space, s, t_frame)
-    j1, j2 = _tangent_coefficients(
-        space, s, ambient.wedge_frame(space, s.n, t_frame))
+    return (_tangent_coefficients(space, s, t_frame),
+            _tangent_coefficients(
+                space, s, ambient.wedge_frame(space, s.n, t_frame)),
+            g_tt)
+
+
+def _adapted_entries(frame, m) -> tuple[float, float, float, float]:
+    """Entries (a11, a12, a21, a22) of B^{-1} M B, where the columns of B
+    are the adapted vectors (T, JT) of `frame` (from :func:`_adapted_frame`)
+    in the coordinate tangent basis."""
+    (t1, t2), (j1, j2), _ = frame
     det_b = t1 * j2 - j1 * t2
     if det_b == 0.0:
         raise DegenerateAdaptedFrame("adapted basis change is singular")
@@ -426,8 +433,8 @@ def shape_operator(patch: SurfacePatch, u: float, v: float,
     if basis == "coordinate":
         return ShapeOperator2x2(m[0][0], m[0][1], m[1][0], m[1][1], "coordinate")
     if basis == "adapted-TJT":
-        return ShapeOperator2x2(*_adapted_entries(patch.space, s, m),
-                                "adapted-TJT")
+        return ShapeOperator2x2(
+            *_adapted_entries(_adapted_frame(patch.space, s), m), "adapted-TJT")
     raise ValueError(f"unknown shape-operator basis {basis!r}")
 
 
@@ -616,7 +623,7 @@ def _collect_sample(report: GeometryReport, patch: SurfacePatch,
     s = _sample(patch, u, v)
     m = _coordinate_shape(patch, u, v, s)
     if basis == "adapted-TJT":
-        entries = _adapted_entries(space, s, m)
+        entries = _adapted_entries(_adapted_frame(space, s), m)
     else:
         entries = (m[0][0], m[0][1], m[1][0], m[1][1])
     t_coords = ambient.from_frame_components(space, s.jet.p, s.t_frame)

@@ -9,9 +9,9 @@ Each check turns one proved identity into a machine-checkable residual:
   the S-field plus induced-connection corrections.
 - ``check_helix_ode``: the ODE satisfied by the non-constant shape entry of
   a constant-angle patch, with a directional derivative along T.
-- ``check_parallel``: the three parallel-surface equations in a
-  pseudo-orthonormal tangent frame; also usable on synthetic inputs through
-  :func:`parallel_equations_residuals`.
+- ``check_parallel``: the three parallel-surface equations in the unit
+  adapted frame (T, JT) / sqrt|g(T,T)|, the spacelike vector first; also
+  usable on synthetic inputs through :func:`parallel_equations_residuals`.
 - ``check_claims``: composite implications (parallel => constant mean
   curvature, constant-angle CMC <=> parallel, the constant-curvature value,
   trace bookkeeping, non-umbilicity).
@@ -33,20 +33,18 @@ from typing import Callable, Optional, Sequence
 
 from . import ambient
 from .ambient import SpaceParams
-from .errors import (DegenerateFrame, NotAHelixPatch, StencilTooCoarse,
-                     UnsupportedKappa)
-from .numeric import Vec3, central_diff, solve2
+from .errors import NotAHelixPatch, StencilTooCoarse, UnsupportedKappa
+from .numeric import Vec3, central_diff
 from .surface import (
     FirstFundamentalForm,
     SurfacePatch,
     _adapted_entries,
+    _adapted_frame,
     _coordinate_shape,
     _extrinsic_k,
     _sample,
-    _tangent_coefficients,
     causal_character,
     gaussian_curvature,
-    induced_metric,
     shape_operator,
 )
 
@@ -273,10 +271,11 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     worst = 0.0
     for (u, v), nu in zip(pts, nus):
         s = _sample(patch, u, v)
-        t1, t2 = _tangent_coefficients(space, s, s.t_frame)
+        frame = _adapted_frame(space, s)
+        t1, t2 = frame[0]
         h = _directional_step(_SURFACE_STEP, (t1, t2))
         t_mu = central_diff(lambda t: mu(u + t * t1, v + t * t2), h, order=4)
-        mu0 = _adapted_entries(space, s, _coordinate_shape(patch, u, v, s))[3]
+        mu0 = _adapted_entries(frame, _coordinate_shape(patch, u, v, s))[3]
         worst = max(worst, abs(t_mu + mu0 * mu0 * nu
                                - 4.0 * space.delta * tau * tau * nu ** 3))
     return _check("helix_ode.residual", worst, tolerances)
@@ -289,6 +288,8 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
 class ParallelCheckInput:
     """Inputs for the parallel-surface equations in a pseudo-orthonormal
     tangent frame {F1, F2} with g(F1,F1) = 1 and g(F2,F2) = -eps.
+    :func:`check_parallel` uses the unit adapted frame (T, JT) / sqrt|g(T,T)|,
+    the spacelike vector first.
 
     frame_directions(u, v) -> coordinate coefficients of (F1, F2);
     entries(u, v) -> operator entries (S11, S12, S22) in that frame
@@ -331,79 +332,33 @@ def parallel_equations_residuals(inp: ParallelCheckInput,
     return worst
 
 
-def _eigen_seeds(patch: SurfacePatch) -> tuple[tuple[float, float],
-                                               tuple[float, float]]:
-    """Eigen-directions of the center induced metric, spacelike first."""
-    uc, vc = patch.center()
-    f = induced_metric(patch, uc, vc)
-    e, fm, g = f.e, f.f, f.g
-    if abs(fm) < 1e-14:
-        pairs = [(e, (1.0, 0.0)), (g, (0.0, 1.0))]
-    else:
-        half = 0.5 * (e + g)
-        disc = math.sqrt(0.25 * (e - g) ** 2 + fm * fm)
-        lam1, lam2 = half + disc, half - disc
-        v1 = (fm, lam1 - e)
-        v2 = (fm, lam2 - e)
-
-        def unit(w):
-            n = math.hypot(w[0], w[1])
-            return (w[0] / n, w[1] / n)
-
-        pairs = [(lam1, unit(v1)), (lam2, unit(v2))]
-    pairs.sort(key=lambda t: t[0], reverse=True)
-    if pairs[0][0] <= 1e-12:
-        raise DegenerateFrame("no spacelike tangent direction at patch center")
-
-    def sign_fix(w):
-        lead = w[0] if abs(w[0]) >= abs(w[1]) else w[1]
-        return (-w[0], -w[1]) if lead < 0.0 else w
-
-    return sign_fix(pairs[0][1]), sign_fix(pairs[1][1])
-
-
 def _parallel_input(patch: SurfacePatch,
                     points: Sequence[tuple[float, float]]) -> ParallelCheckInput:
     space = patch.space
-    d1, d2 = _eigen_seeds(patch)
-    uc, vc = patch.center()
-    eps = causal_character(patch, uc, vc)
+    eps = causal_character(patch, *patch.center())
 
     # the entries and the ambient frame are differenced at the same displaced
     # points; a bounded cache holds the centre and its stencil neighbours
     @functools.lru_cache(maxsize=8)
     def point(u: float, v: float):
-        """Frame directions (e1, e2), entries (S11, S12, S22) and the
-        frame's ambient components (w1, w2) at one sample."""
+        """Frame directions (F1, F2), entries (S11, S12, S22) and the
+        frame's ambient components (w1, w2) at one sample.  The frame is
+        (T, JT) / r with r = sqrt|g(T,T)|, swapped where T is timelike so
+        that F1 is the spacelike vector."""
         s = _sample(patch, u, v)
-        m = _coordinate_shape(patch, u, v, s)
-        pair = s.form.pair
-        q1 = pair(d1, d1)
-        if q1 <= 1e-12:
-            raise DegenerateFrame("seed direction lost its spacelike norm")
-        r1 = math.sqrt(q1)
-        e1 = (d1[0] / r1, d1[1] / r1)
-        inner = pair(d2, e1)
-        b = (d2[0] - inner * e1[0], d2[1] - inner * e1[1])
-        q2 = pair(b, b)
-        if abs(q2) < 1e-12:
-            raise DegenerateFrame("orthogonal complement is degenerate")
-        if (q2 > 0) != (-eps > 0):
-            raise DegenerateFrame("tangent signature inconsistent with eps")
-        r2 = math.sqrt(abs(q2))
-        e2 = (b[0] / r2, b[1] / r2)
-
-        def image(w):
-            return (m[0][0] * w[0] + m[0][1] * w[1],
-                    m[1][0] * w[0] + m[1][1] * w[1])
-
-        g11, g12, g22 = pair(e1, e1), pair(e1, e2), pair(e2, e2)
-        s_e1, s_e2 = image(e1), image(e2)
-        a11, _ = solve2(g11, g12, g12, g22, pair(s_e1, e1), pair(s_e1, e2))
-        a12, a22 = solve2(g11, g12, g12, g22, pair(s_e2, e1), pair(s_e2, e2))
-        w1 = tuple(e1[0] * s.a[i] + e1[1] * s.b[i] for i in range(3))
-        w2 = tuple(e2[0] * s.a[i] + e2[1] * s.b[i] for i in range(3))
-        return (e1, e2), (a11, a12, a22), (w1, w2)
+        frame = _adapted_frame(space, s)
+        a11, a12, a21, a22 = _adapted_entries(
+            frame, _coordinate_shape(patch, u, v, s))
+        (t1, t2), (j1, j2), g_tt = frame
+        r = math.sqrt(abs(g_tt))
+        t_frame = s.t_frame
+        jt_frame = ambient.wedge_frame(space, s.n, t_frame)
+        dirs = ((t1 / r, t2 / r), (j1 / r, j2 / r))
+        amb = (tuple(c / r for c in t_frame), tuple(c / r for c in jt_frame))
+        if g_tt > 0.0:
+            return dirs, (a11, a12, a22), amb
+        # g(T,T) = -1 - nu^2 on delta = -1 patches: JT is the spacelike one
+        return dirs[::-1], (a22, a21, a11), amb[::-1]
 
     def omega(u: float, v: float, k: int) -> float:
         dirs, _, (w1, w2) = point(u, v)
@@ -453,7 +408,7 @@ def check_claims(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     for (u, v) in pts:
         s = _sample(patch, u, v)
         m = _coordinate_shape(patch, u, v, s)
-        a11, a12, _, a22 = _adapted_entries(space, s, m)
+        a11, a12, _, a22 = _adapted_entries(_adapted_frame(space, s), m)
         hs.append(0.5 * (a11 + a22))
         nus.append(s.nu)
         kexts.append(_extrinsic_k(space, s, m))

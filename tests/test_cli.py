@@ -262,6 +262,32 @@ def test_crash_inputs_land_on_documented_codes(workdir, capsys, command,
     assert "Traceback" not in capsys.readouterr().err
 
 
+# valid timelike helices on which a tangent frame seeded at the patch centre
+# loses its spacelike norm away from it; verify must still pass every check
+POLYNOMIAL_TIMELIKE_HELIX = {
+    "family": "helix", "causal": "timelike", "tau": 1.0,
+    "theta": 0.7931084582591982, "c": 0.08966804746507802,
+    "eta": {"kind": "polynomial",
+            "coefficients": [-0.11070441415719419, 1.0509732889622359,
+                             0.2686253654742034]},
+    "grid": {"nu": 9, "nv": 9}}
+SHIFTED_TIMELIKE_HELIX = dict(HELIX, causal="timelike", theta=math.pi / 4.0,
+                              domain=[[-1.2, 1.2], [-1.26, 1.14]])
+
+
+@pytest.mark.parametrize("payload", (POLYNOMIAL_TIMELIKE_HELIX,
+                                     SHIFTED_TIMELIKE_HELIX),
+                         ids=("polynomial_eta", "shifted_v_domain"))
+def test_valid_timelike_helices_pass_every_check(workdir, capsys, payload):
+    cfg = cfg_path(workdir, payload)
+    assert main(["verify", "--config", cfg, "--suite", "all",
+                 "--out", "rep.json"]) == EXIT_PASS
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((workdir / "rep.json").read_text())
+    assert report["checks"]
+    assert all(c["verdict"] == "pass" for c in report["checks"])
+
+
 def test_exit_code_io_error(workdir, capsys):
     cfg = cfg_path(workdir, PLANE)
     missing_dir = str(workdir / "no" / "such" / "dir" / "x.obj")

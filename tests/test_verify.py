@@ -15,11 +15,18 @@ from heisgeo.families import (
     make_helix_surface,
     make_minimal_plane,
 )
-from heisgeo.surface import SurfacePatch
+from heisgeo.surface import (
+    SurfacePatch,
+    _adapted_entries,
+    _adapted_frame,
+    _coordinate_shape,
+    _sample,
+)
 from heisgeo.verify import (
     DEFAULT_SEED,
     DEFAULT_TOLERANCES,
     ParallelCheckInput,
+    _parallel_input,
     ResidualSuite,
     SUITE_NAMES,
     check_ambient,
@@ -129,7 +136,7 @@ def test_helix_ode_rejects_varying_angle():
 #: one of them for the normal gauge; each check evaluates a point once and
 #: shares it, so a suite that starts resampling points it already has fails here
 JET_BUDGET = {"gauss": 897, "codazzi": 2881, "helix_ode": 1665,
-              "parallel": 1603, "claims": 1924}
+              "parallel": 1602, "claims": 1923}
 
 
 @pytest.mark.parametrize("suite", sorted(JET_BUDGET))
@@ -147,6 +154,33 @@ def test_suite_jet_counts_within_budget(monkeypatch, suite):
 
 
 # ------------------------------------------------------------ parallel
+
+
+def frame_patches() -> list[SurfacePatch]:
+    return default_family_matrix() + [make_helix_surface(HelixProfile(
+        "timelike", 1.0, math.pi / 4.0, c=0.1,
+        eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0))))]
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_parallel_frame_is_the_unit_adapted_frame(index):
+    """check_parallel runs in (T, JT)/|T|, spacelike vector first: the frame
+    is pseudo-orthonormal and its entries are the adapted ones, swapped to
+    (a22, a21, a11) where T is timelike (delta = -1)."""
+    patch = frame_patches()[index]
+    pts = interior_grid(patch, (4, 4))
+    inp = _parallel_input(patch, pts)
+    for (u, v) in pts:
+        s = _sample(patch, u, v)
+        pair = s.form.pair
+        f1, f2 = inp.frame_directions(u, v)
+        assert pair(f1, f1) == pytest.approx(1.0, abs=1e-12)
+        assert pair(f2, f2) == pytest.approx(-inp.eps, abs=1e-12)
+        assert abs(pair(f1, f2)) <= 1e-12
+        a11, a12, a21, a22 = _adapted_entries(
+            _adapted_frame(patch.space, s), _coordinate_shape(patch, u, v, s))
+        want = (a11, a12, a22) if patch.space.delta == 1 else (a22, a21, a11)
+        assert inp.entries(u, v) == want
 
 
 def test_parallel_synthetic_multiple_of_identity():
