@@ -123,7 +123,11 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
     if not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
 
-    tolerances = dict(raw.get("tol", {}))
+    tol_raw = raw.get("tol", {})
+    if not isinstance(tol_raw, dict):
+        raise ConfigError(
+            f"tol must be an object {{\"check or suite\": number}}, got {tol_raw!r}")
+    tolerances = dict(tol_raw)
     for item in (getattr(args, "tol", None) or []):
         if "=" not in item:
             raise ConfigError(f"--tol expects NAME=VALUE, got {item!r}")

@@ -12,9 +12,12 @@ call.  On top of the patch this module computes, per sample:
 - the tangent projection T of E3 (E3 = T + nu*N) and the tangent rotation
   J X = N ^ X,
 - the shape operator S X = -(ambient covariant derivative of N along X):
-  :func:`shape_operator` takes the Weingarten route (finite differences of
-  the normal field); the analytic :func:`second_fundamental_form` is the
-  independent cross-check, and there is no option to switch routes,
+  on analytic-jet patches S = eps I^{-1} h from the analytic
+  :func:`second_fundamental_form` (no finite differences); on
+  finite-difference-jet patches the Weingarten route (finite differences of
+  the normal field).  The route follows the patch's ``jet_source``, there is
+  no option to switch it, and the Weingarten route is the independent
+  cross-check of the analytic one,
 - mean curvature H = trace(S)/2 and Gaussian curvature K by an extrinsic
   formula and, independently, from the induced metric alone (intrinsic).
 
@@ -334,10 +337,12 @@ def _project_tangent(space: SpaceParams, s: _Sample, wf: Vec3) -> Vec3:
     return sub3(wf, scale3(coeff, s.n))
 
 
-def _weingarten_columns(patch: SurfacePatch, u: float, v: float,
-                        s: _Sample) -> tuple[Vec3, Vec3]:
-    """S(Fu), S(Fv) in frame components via finite differences of the
-    normal field plus ambient connection corrections."""
+def _weingarten_shape(patch: SurfacePatch, u: float, v: float, s: _Sample
+                      ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Shape-operator matrix in the coordinate basis by the Weingarten route:
+    S(Fu), S(Fv) from central differences of the normal field plus ambient
+    connection corrections.  It serves finite-difference-jet patches and is
+    the independent cross-check of the analytic route."""
     space = patch.space
     dn_u = central_diff(lambda t: _sample(patch, u + t, v).n, _WEINGARTEN_STEP)
     dn_v = central_diff(lambda t: _sample(patch, u, v + t).n, _WEINGARTEN_STEP)
@@ -345,53 +350,72 @@ def _weingarten_columns(patch: SurfacePatch, u: float, v: float,
                       (1.0, ambient.frame_connection_correction(space, s.a, s.n))])
     cov_v = lincomb3([(1.0, dn_v),
                       (1.0, ambient.frame_connection_correction(space, s.b, s.n))])
-    su = _project_tangent(space, s, scale3(-1.0, cov_u))
-    sv = _project_tangent(space, s, scale3(-1.0, cov_v))
-    return su, sv
+    c1 = _tangent_coefficients(
+        space, s, _project_tangent(space, s, scale3(-1.0, cov_u)))
+    c2 = _tangent_coefficients(
+        space, s, _project_tangent(space, s, scale3(-1.0, cov_v)))
+    return ((c1[0], c2[0]), (c1[1], c2[1]))
+
+
+def _second_form(space: SpaceParams, s: _Sample
+                 ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """h(X, Y) = eps * g(ambient second derivative, N) on (d/du, d/dv), from
+    the sample's jet alone (no finite differences)."""
+    j = s.jet
+    tau = space.tau
+    x, y = j.p[0], j.p[1]
+
+    def cov_second(dp: Vec3, dpf: Vec3, w: Vec3, wf: Vec3, dw: Vec3) -> Vec3:
+        # frame components of the ambient covariant derivative of the
+        # surface field with coordinate components w(t) (frame components
+        # wf), derivative dw(t), along a curve with velocity dp (frame
+        # components dpf)
+        wf_t = (dw[0], dw[1],
+        dw[2] + tau * (dp[1] * w[0] + y * dw[0] - dp[0] * w[1] - x * dw[1]))
+        return lincomb3([(1.0, wf_t),
+                 (1.0, ambient.frame_connection_correction(space, dpf, wf))])
+
+    fu, fv, a, b = j.fu, j.fv, s.a, s.b
+    e = float(s.eps)
+    h11 = e * ambient.frame_metric(space, cov_second(fu, a, fu, a, j.fuu), s.n)
+    h12 = e * ambient.frame_metric(space, cov_second(fu, a, fv, b, j.fuv), s.n)
+    h22 = e * ambient.frame_metric(space, cov_second(fv, b, fv, b, j.fvv), s.n)
+    return ((h11, h12), (h12, h22))
 
 
 def second_fundamental_form(patch: SurfacePatch, u: float, v: float
                             ) -> tuple[tuple[float, float], tuple[float, float]]:
     """h(X, Y) = eps * g(ambient-second-derivative, N) on (d/du, d/dv).
 
-    Fully analytic on analytic-jet patches (no finite differences); serves
-    as the independent cross-check route to the shape operator.
+    Computed from the jet with no finite differences.  On analytic-jet
+    patches the shape operator is S = eps I^{-1} h from this form; the
+    Weingarten route is its cross-check.
     """
-    space = patch.space
-    s = _sample(patch, u, v)
-    j = s.jet
-    tau = space.tau
-    x, y = j.p[0], j.p[1]
+    return _second_form(patch.space, _sample(patch, u, v))
 
-    def cov_second(dp: Vec3, w: Vec3, dw: Vec3) -> Vec3:
-        # frame components of the ambient covariant derivative of the
-        # surface field with coordinate components w(t), derivative dw(t),
-        # along a curve with velocity dp
-        wf_t = (dw[0], dw[1],
-        dw[2] + tau * (dp[1] * w[0] + y * dw[0] - dp[0] * w[1] - x * dw[1]))
-        dirf = ambient.to_frame_components(space, j.p, dp)
-        wf = ambient.to_frame_components(space, j.p, w)
-        return lincomb3([(1.0, wf_t),
-                 (1.0, ambient.frame_connection_correction(space, dirf, wf))])
 
-    dd_uu = cov_second(j.fu, j.fu, j.fuu)
-    dd_uv = cov_second(j.fu, j.fv, j.fuv)
-    dd_vv = cov_second(j.fv, j.fv, j.fvv)
-    e = float(s.eps)
-    h11 = e * ambient.frame_metric(space, dd_uu, s.n)
-    h12 = e * ambient.frame_metric(space, dd_uv, s.n)
-    h22 = e * ambient.frame_metric(space, dd_vv, s.n)
-    return ((h11, h12), (h12, h22))
+def _second_form_shape(space: SpaceParams, s: _Sample
+                       ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Shape-operator matrix S = eps I^{-1} h in the coordinate basis: from
+    g(S X, Y) = g(ambient second derivative, N), column j solves
+    I S(d_j) = eps h(., d_j)."""
+    (h11, h12), (_, h22) = _second_form(space, s)
+    form, e = s.form, s.eps
+    c1 = solve2(form.e, form.f, form.f, form.g, e * h11, e * h12)
+    c2 = solve2(form.e, form.f, form.f, form.g, e * h12, e * h22)
+    return ((c1[0], c2[0]), (c1[1], c2[1]))
 
 
 def _coordinate_shape(patch: SurfacePatch, u: float, v: float, s: _Sample
                       ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Shape-operator matrix in the coordinate basis (d/du, d/dv), by the
-    Weingarten route."""
-    su, sv = _weingarten_columns(patch, u, v, s)
-    c1 = _tangent_coefficients(patch.space, s, su)
-    c2 = _tangent_coefficients(patch.space, s, sv)
-    return ((c1[0], c2[0]), (c1[1], c2[1]))
+    """Shape-operator matrix in the coordinate basis (d/du, d/dv): m[i][j]
+    is coefficient i of S(d_j).  Analytic-jet patches take the second form
+    (no finite differences); finite-difference-jet patches take the
+    Weingarten route, which is more accurate on their differenced second
+    partials."""
+    if patch.jet_source == "analytic":
+        return _second_form_shape(patch.space, s)
+    return _weingarten_shape(patch, u, v, s)
 
 
 def _adapted_frame(space: SpaceParams, s: _Sample
@@ -426,8 +450,10 @@ def _adapted_entries(frame, m) -> tuple[float, float, float, float]:
 
 def shape_operator(patch: SurfacePatch, u: float, v: float,
                    basis: str = "coordinate") -> ShapeOperator2x2:
-    """Shape operator matrix at (u, v) in the requested basis, by the
-    Weingarten route (finite differences of the normal field)."""
+    """Shape operator matrix at (u, v) in the requested basis: S = eps I^{-1} h
+    from the second fundamental form on analytic-jet patches, the Weingarten
+    route (finite differences of the normal field) on
+    finite-difference-jet patches."""
     s = _sample(patch, u, v)
     m = _coordinate_shape(patch, u, v, s)
     if basis == "coordinate":

@@ -3,7 +3,9 @@
 Each check turns one proved identity into a machine-checkable residual:
 
 - ``check_gauss``: intrinsic Gaussian curvature against the extrinsic
-  curvature relation.
+  curvature relation; on analytic-jet patches the gauss suite also runs
+  ``check_shape_operator_routes``, the analytic shape operator
+  S = eps I^{-1} h against the Weingarten route on a sparse subgrid.
 - ``check_codazzi``: the Codazzi equation for the shape-operator field with
   coordinate fields X = d/du, Y = d/dv, realized with finite differences of
   the S-field plus induced-connection corrections.
@@ -43,6 +45,8 @@ from .surface import (
     _coordinate_shape,
     _extrinsic_k,
     _sample,
+    _second_form_shape,
+    _weingarten_shape,
     causal_character,
     gaussian_curvature,
     shape_operator,
@@ -66,6 +70,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "ambient.grad_e3_wedge": 1e-7,
     "ambient.sectional_constancy": 1e-6,
     "gauss.extrinsic_vs_intrinsic": 1e-5,
+    "gauss.shape_operator_routes": 1e-6,
     "codazzi.coordinate_fields": 1e-4,
     "helix_ode.residual": 1e-5,
     "parallel.equations": 1e-5,
@@ -79,6 +84,8 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 _SURFACE_STEP = 1e-3
 _GRID_INSET = 0.03
 _CONSTANT_ANGLE_RANGE = 1e-6
+# sparse subgrid of the shape-operator route check (5 jets per point)
+_ROUTE_GRID = (4, 4)
 
 
 def resolve_tolerance(check_id: str, overrides: Optional[dict] = None) -> float:
@@ -173,6 +180,29 @@ def check_gauss(patch: SurfacePatch, grid: tuple[int, int] = (15, 15),
         k_int = gaussian_curvature(patch, u, v, method="intrinsic")
         worst = max(worst, abs(k_int - k_ext))
     return _check("gauss.extrinsic_vs_intrinsic", worst, tolerances)
+
+
+def check_shape_operator_routes(patch: SurfacePatch,
+                                tolerances: Optional[dict] = None) -> CheckResult:
+    """max |S_second - S_Weingarten| / max(1, max |S_second|) over a sparse
+    interior grid: the analytic shape operator S = eps I^{-1} h against the
+    finite difference of the normal field, both in the coordinate basis.
+
+    The gauss suite runs it on analytic-jet patches, whose S it guards.  On
+    finite-difference-jet patches both routes carry the differenced jet's
+    error (a few 1e-6 relative on curved patches), so it is not run there.
+    """
+    space = patch.space
+    worst = 0.0
+    for (u, v) in interior_grid(patch, _ROUTE_GRID):
+        s = _sample(patch, u, v)
+        analytic = _second_form_shape(space, s)
+        weingarten = _weingarten_shape(patch, u, v, s)
+        scale = max(1.0, *(abs(x) for row in analytic for x in row))
+        gap = max(abs(analytic[i][j] - weingarten[i][j])
+                  for i in range(2) for j in range(2))
+        worst = max(worst, gap / scale)
+    return _check("gauss.shape_operator_routes", worst, tolerances)
 
 
 # ---- codazzi ----
@@ -333,7 +363,11 @@ def parallel_equations_residuals(inp: ParallelCheckInput,
 
 
 def _parallel_input(patch: SurfacePatch,
-                    points: Sequence[tuple[float, float]]) -> ParallelCheckInput:
+                    points: Sequence[tuple[float, float]],
+                    keep: Optional[Callable] = None) -> ParallelCheckInput:
+    """Parallel-check input on the patch; `keep(u, v, s, m, adapted)`, when
+    given, sees the sample, coordinate S and adapted entries (a11, a12, a21,
+    a22) of every point the check evaluates."""
     space = patch.space
     eps = causal_character(patch, *patch.center())
 
@@ -346,9 +380,12 @@ def _parallel_input(patch: SurfacePatch,
         (T, JT) / r with r = sqrt|g(T,T)|, swapped where T is timelike so
         that F1 is the spacelike vector."""
         s = _sample(patch, u, v)
+        m = _coordinate_shape(patch, u, v, s)
         frame = _adapted_frame(space, s)
-        a11, a12, a21, a22 = _adapted_entries(
-            frame, _coordinate_shape(patch, u, v, s))
+        adapted = _adapted_entries(frame, m)
+        if keep is not None:
+            keep(u, v, s, m, adapted)
+        a11, a12, a21, a22 = adapted
         (t1, t2), (j1, j2), g_tt = frame
         r = math.sqrt(abs(g_tt))
         t_frame = s.t_frame
@@ -376,11 +413,15 @@ def _parallel_input(patch: SurfacePatch,
 
 
 def check_parallel(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
-                   tolerances: Optional[dict] = None) -> CheckResult:
+                   tolerances: Optional[dict] = None, *,
+                   inp: Optional[ParallelCheckInput] = None) -> CheckResult:
     """Parallel-surface equations over an interior grid; verdict 'pass'
-    means the patch is parallel to tolerance."""
-    pts = interior_grid(patch, grid)
-    inp = _parallel_input(patch, pts)
+    means the patch is parallel to tolerance.  `inp` is the input that
+    :func:`_parallel_input` builds for this patch and grid when not given;
+    :func:`check_claims` passes its own so both read one evaluation per
+    point."""
+    if inp is None:
+        inp = _parallel_input(patch, interior_grid(patch, grid))
     worst = parallel_equations_residuals(inp)
     return _check("parallel.equations", worst, tolerances)
 
@@ -403,20 +444,23 @@ def check_claims(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     space = patch.space
     tau = space.tau
     pts = interior_grid(patch, grid)
-    hs, nus, kexts, s12s, s22s = [], [], [], [], []
-    eps0 = causal_character(patch, *patch.center())
-    for (u, v) in pts:
-        s = _sample(patch, u, v)
-        m = _coordinate_shape(patch, u, v, s)
-        a11, a12, _, a22 = _adapted_entries(_adapted_frame(space, s), m)
-        hs.append(0.5 * (a11 + a22))
-        nus.append(s.nu)
-        kexts.append(_extrinsic_k(space, s, m))
-        s12s.append(a12)
-        s22s.append(a22)
+    grid_pts = set(pts)
+    rows = {}
+
+    def keep(u, v, s, m, adapted):
+        # the parallel check evaluates every grid point; read H, nu, K_ext
+        # and the adapted entries from that same evaluation
+        if (u, v) in grid_pts:
+            a11, a12, _, a22 = adapted
+            rows[(u, v)] = (0.5 * (a11 + a22), s.nu, _extrinsic_k(space, s, m),
+                            a12, a22)
+
+    inp = _parallel_input(patch, pts, keep)
+    parallel = check_parallel(patch, grid, tolerances=tolerances, inp=inp)
+    hs, nus, kexts, s12s, s22s = zip(*(rows[pt] for pt in pts))
+    eps0 = inp.eps
     h_range = max(hs) - min(hs)
     nu_mean = sum(nus) / len(nus)
-    parallel = check_parallel(patch, grid, tolerances=tolerances)
 
     checks = []
     cmc_tol = resolve_tolerance("claims.parallel_implies_cmc", tolerances)
@@ -673,6 +717,8 @@ def run_suite(name: str, *, patch: Optional[SurfacePatch] = None,
         return suite
     if name == "gauss":
         checks = [check_gauss(patch, grid, tolerances=tolerances)]
+        if patch.jet_source == "analytic":
+            checks.append(check_shape_operator_routes(patch, tolerances=tolerances))
     elif name == "codazzi":
         checks = [check_codazzi(patch, grid, tolerances=tolerances)]
     elif name == "helix_ode":

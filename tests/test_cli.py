@@ -97,7 +97,7 @@ def test_verify_all_suites_on_helix(workdir, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["suite"] == "ambient+gauss+codazzi+helix_ode+claims"
     assert report["verdict"] == "pass"
-    assert len(report["checks"]) == 9 + 1 + 1 + 1 + 5
+    assert len(report["checks"]) == 9 + 2 + 1 + 1 + 5
 
 
 def test_verify_parallel_fails_on_helix(workdir, capsys):
@@ -247,6 +247,8 @@ FAR_CYLINDER = dict(CYLINDER, delta=1, domain=[[-1, 1], [800, 801]])
 TINY_TAU_HELIX = dict(HELIX, tau=1e-300)  # NaN induced determinant
 # -4 tau^2 overflows; verify's ambient suite builds that companion space
 HUGE_TAU_CYLINDER = dict(CYLINDER, delta=1, tau=1e200)
+STRING_TOL = dict(PLANE, tol="x")  # tol must be an object
+PAIRS_TOL = dict(PLANE, tol=[["gauss", 1e-3]])  # a list of pairs is not one
 
 
 @pytest.mark.parametrize("command", ("analyze", "mesh", "verify"))
@@ -255,7 +257,10 @@ HUGE_TAU_CYLINDER = dict(CYLINDER, delta=1, tau=1e200)
     (FAR_CYLINDER, EXIT_GEOMETRY_ERROR),
     (TINY_TAU_HELIX, EXIT_GEOMETRY_ERROR),
     (HUGE_TAU_CYLINDER, EXIT_GEOMETRY_ERROR),
-), ids=("overflow_plane", "far_cylinder", "tiny_tau_helix", "huge_tau_cylinder"))
+    (STRING_TOL, EXIT_CONFIG_ERROR),
+    (PAIRS_TOL, EXIT_CONFIG_ERROR),
+), ids=("overflow_plane", "far_cylinder", "tiny_tau_helix", "huge_tau_cylinder",
+        "string_tol", "pairs_tol"))
 def test_crash_inputs_land_on_documented_codes(workdir, capsys, command,
                                                 payload, code):
     assert main([command, "--config", cfg_path(workdir, payload)]) == code

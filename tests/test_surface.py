@@ -1,5 +1,5 @@
 """Unit tests for surface geometry: fundamental forms, normal gauge, shape
-operator (two independent routes), curvatures, adapted frame, grid reports.
+operator (analytic route checked against the Weingarten route), curvatures, adapted frame, grid reports.
 
 Family-specific numbers frozen here were derived by hand from the adopted
 conventions and confirmed through the package's finite-difference route
@@ -23,6 +23,7 @@ from heisgeo.families import (
     make_helix_surface,
     make_minimal_plane,
 )
+import heisgeo.surface as surface_module
 from heisgeo.surface import (
     GeometryReport,
     SurfacePatch,
@@ -38,7 +39,10 @@ from heisgeo.surface import (
     tangent_part_T,
     tangent_rotation_J,
     unit_normal,
+    _sample,
+    _weingarten_shape,
 )
+from heisgeo.verify import check_shape_operator_routes
 
 ASINH1 = math.asinh(1.0)
 
@@ -204,40 +208,79 @@ def test_tangent_rotation_properties():
 # ------------------------------------------------------ shape operator
 
 
-def coordinate_shape_from_second_form(patch, u, v):
-    """Independent route: S = eps * I^{-1} h in the coordinate basis.
-
-    With h(X, Y) = eps * g(second-derivative, N) and g(S X, Y) =
-    g(second-derivative, N), the matrix relation is I S = eps h.
-    """
-    form = induced_metric(patch, u, v)
-    hm = second_fundamental_form(patch, u, v)
-    det = form.det
-    eps = float(form.epsilon)
-    inv = ((form.g / det, -form.f / det), (-form.f / det, form.e / det))
-    return tuple(
-        tuple(eps * sum(inv[i][k] * hm[k][j] for k in range(2))
-              for j in range(2))
-        for i in range(2))
-
-
-@pytest.mark.parametrize("builder", [
+ROUTE_PATCHES = [
     lambda: make_cmc_cylinder(-1, "timelike", 1.0),
     lambda: make_cmc_cylinder(1, "spacelike", 0.5),
     lambda: make_minimal_plane(1, "timelike", 0.7),
     spacelike_helix,
     timelike_helix,
-])
-def test_shape_operator_two_routes_agree(builder):
-    patch = builder()
+]
+
+
+def weingarten_route_gap(patch) -> float:
+    """max |S - S_Weingarten| / max(1, max |S|) over three points, with S the
+    shape operator heisgeo reports (S = eps I^{-1} h on analytic patches)
+    and S_Weingarten the finite difference of the normal field."""
+    worst = 0.0
     for (u, v) in ((0.0, 0.0), (0.45, -0.35), (-0.6, 0.8)):
-        sc = shape_operator(patch, u, v, basis="coordinate")
-        alt = coordinate_shape_from_second_form(patch, u, v)
-        scale = max(1.0, max(abs(x) for row in alt for x in row))
-        got = sc.entries()
+        got = shape_operator(patch, u, v, basis="coordinate").entries()
+        alt = _weingarten_shape(patch, u, v, _sample(patch, u, v))
+        scale = max(1.0, max(abs(x) for row in got for x in row))
+        worst = max(worst, max(abs(got[i][j] - alt[i][j])
+                               for i in range(2) for j in range(2)) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("builder", ROUTE_PATCHES)
+def test_shape_operator_two_routes_agree(builder):
+    assert weingarten_route_gap(builder()) < 1e-8
+
+
+@pytest.mark.parametrize("builder", ROUTE_PATCHES)
+def test_analytic_shape_operator_is_the_second_form(builder):
+    """On analytic-jet patches S solves I S = eps h exactly (up to
+    rounding), with h from second_fundamental_form."""
+    patch = builder()
+    assert patch.jet_source == "analytic"
+    for (u, v) in ((0.0, 0.0), (0.45, -0.35)):
+        form = induced_metric(patch, u, v)
+        hm = second_fundamental_form(patch, u, v)
+        m = shape_operator(patch, u, v).entries()
+        ii = ((form.e, form.f), (form.f, form.g))
+        scale = max(1.0, max(abs(x) for row in hm for x in row))
         for i in range(2):
             for j in range(2):
-                assert abs(got[i][j] - alt[i][j]) < 1e-8 * scale
+                lhs = ii[i][0] * m[0][j] + ii[i][1] * m[1][j]
+                assert abs(lhs - form.epsilon * hm[i][j]) < 1e-12 * scale
+
+
+def test_fd_jet_patches_keep_the_weingarten_route():
+    """A patch without jet= differences its second partials, so its shape
+    operator is the Weingarten route; it stays near the analytic twin."""
+    analytic = spacelike_helix()
+    fd = SurfacePatch(analytic.space, analytic.position, analytic.domain)
+    u, v = 0.3, -0.2
+    want = _weingarten_shape(fd, u, v, _sample(fd, u, v))
+    assert shape_operator(fd, u, v).entries() == want
+    twin = shape_operator(analytic, u, v).entries()
+    assert max(abs(want[i][j] - twin[i][j])
+               for i in range(2) for j in range(2)) < 1e-6
+
+
+def test_route_gap_detects_a_second_form_sign_error(monkeypatch):
+    """Mutation: flip the sign of the mixed term h12 of the second form.  The
+    route comparison above and the gauss suite's route check must fail."""
+    patch = spacelike_helix()
+    assert check_shape_operator_routes(patch).passed
+    second_form = surface_module._second_form
+
+    def flipped(space, s):
+        (h11, h12), (_, h22) = second_form(space, s)
+        return ((h11, -h12), (-h12, h22))
+
+    monkeypatch.setattr(surface_module, "_second_form", flipped)
+    assert weingarten_route_gap(patch) > 1e-2
+    assert not check_shape_operator_routes(patch).passed
 
 
 def test_shape_operator_rejects_unknown_basis():

@@ -15,6 +15,8 @@ from heisgeo.families import (
     make_helix_surface,
     make_minimal_plane,
 )
+import heisgeo.surface as surface_module
+import heisgeo.verify as verify_module
 from heisgeo.surface import (
     SurfacePatch,
     _adapted_entries,
@@ -35,6 +37,7 @@ from heisgeo.verify import (
     check_gauss,
     check_helix_ode,
     check_parallel,
+    check_shape_operator_routes,
     curvature_from_table,
     curvature_table,
     default_family_matrix,
@@ -135,8 +138,8 @@ def test_helix_ode_rejects_varying_angle():
 #: SurfacePatch.jet calls per patch suite on a new spacelike helix at (8, 8),
 #: one of them for the normal gauge; each check evaluates a point once and
 #: shares it, so a suite that starts resampling points it already has fails here
-JET_BUDGET = {"gauss": 897, "codazzi": 2881, "helix_ode": 1665,
-              "parallel": 1602, "claims": 1923}
+JET_BUDGET = {"gauss": 721, "codazzi": 577, "helix_ode": 385,
+              "parallel": 322, "claims": 322}
 
 
 @pytest.mark.parametrize("suite", sorted(JET_BUDGET))
@@ -151,6 +154,38 @@ def test_suite_jet_counts_within_budget(monkeypatch, suite):
     monkeypatch.setattr(SurfacePatch, "jet", counting_jet)
     run_suite(suite, patch=spacelike_helix(), grid=(8, 8))
     assert calls[0] <= JET_BUDGET[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(JET_BUDGET))
+def test_weingarten_route_only_in_the_route_check(monkeypatch, suite):
+    """On an analytic patch every shape operator is S = eps I^{-1} h; the
+    Weingarten route runs only in gauss.shape_operator_routes, once per
+    point of its 4x4 subgrid."""
+    calls = [0]
+    weingarten = surface_module._weingarten_shape
+
+    def counting(*args):
+        calls[0] += 1
+        return weingarten(*args)
+
+    monkeypatch.setattr(surface_module, "_weingarten_shape", counting)
+    monkeypatch.setattr(verify_module, "_weingarten_shape", counting)
+    run_suite(suite, patch=spacelike_helix(), grid=(6, 6))
+    assert calls[0] == (16 if suite == "gauss" else 0)
+
+
+def test_route_check_guards_analytic_patches_only():
+    """Patches without jet= take the Weingarten route for S and difference
+    their second partials, so both routes carry the jet's error there: they
+    agree to its size, not to the check's tolerance, and the gauss suite
+    leaves the route check out."""
+    for patch in default_family_matrix():
+        ids = [c.check_id for c in run_suite("gauss", patch=patch, grid=(4, 4)).checks]
+        assert ids == ["gauss.extrinsic_vs_intrinsic", "gauss.shape_operator_routes"]
+        fd = SurfacePatch(patch.space, patch.position, patch.domain)
+        ids = [c.check_id for c in run_suite("gauss", patch=fd, grid=(4, 4)).checks]
+        assert ids == ["gauss.extrinsic_vs_intrinsic"]
+        assert check_shape_operator_routes(fd).max_residual < 2e-5
 
 
 # ------------------------------------------------------------ parallel
@@ -325,7 +360,8 @@ def test_merge_suites_concatenates():
     assert merged.name == "gauss+codazzi"
     assert merged.seed == 11
     assert [c.check_id for c in merged.checks] == [
-        "gauss.extrinsic_vs_intrinsic", "codazzi.coordinate_fields"]
+        "gauss.extrinsic_vs_intrinsic", "gauss.shape_operator_routes",
+        "codazzi.coordinate_fields"]
     assert merged.passed
     d = merged.as_dict()
     assert d["suite"] == "gauss+codazzi" and d["verdict"] == "pass"
