@@ -8,8 +8,10 @@ Three constructors cover the classification on the kappa = 0 ambient space:
   (angle function identically zero, H constant and nonzero),
 - ``make_helix_surface``: the two constant-angle families with nonzero angle
   function (delta = +1 only), built from profile functions (f1, f2, f3) that
-  are either closed forms (constant/linear eta) or adaptive-quadrature tables
-  with dense output.
+  are either closed forms (constant/linear eta) or Gauss-Legendre quadrature
+  tables with dense output (`numeric.CumulativeIntegral`).  The slope
+  formulas (eta, eta', f1', f2', f1'', f2'') take a float, as jets do, or an
+  ndarray, as the table build does.
 
 Every constructor returns an analytic-jet :class:`~heisgeo.surface.SurfacePatch`
 carrying a serializable family descriptor.  Each family writes its immersion
@@ -23,11 +25,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .ambient import SpaceParams
 from .errors import (
     ConfigError,
     InvalidCombination,
     InvalidParameterDomain,
+    QuadratureFailure,
     UnknownFamily,
 )
 from .numeric import CumulativeIntegral, Vec3, central_diff
@@ -48,6 +53,16 @@ _TIMELIKE_ANGLE_TOL = 1e-8
 
 _ETA_KINDS = ("constant", "linear", "polynomial", "sinusoidal")
 _MAX_POLY_DEGREE = 6
+
+
+# The profile formulas take a float (jets: math, bit for bit as ever) or an
+# ndarray (the quadrature tables: numpy, elementwise), chosen by type.
+def _lib(v):
+    return np if isinstance(v, np.ndarray) else math
+
+
+def _const(value: float, v):
+    return np.full_like(v, value) if isinstance(v, np.ndarray) else value
 
 
 # ---- eta presets ----
@@ -87,10 +102,11 @@ class EtaSpec:
             raise InvalidParameterDomain(
                 "sinusoidal eta takes exactly [amp, freq, phase]")
 
-    def __call__(self, v: float) -> float:
+    def __call__(self, v):
+        """eta at a float v, or elementwise at an ndarray v."""
         c = self.coefficients
         if self.kind == "constant":
-            return c[0]
+            return _const(c[0], v)
         if self.kind == "linear":
             return c[0] + c[1] * v
         if self.kind == "polynomial":
@@ -98,20 +114,21 @@ class EtaSpec:
             for coeff in reversed(c):
                 acc = acc * v + coeff
             return acc
-        return c[0] * math.sin(c[1] * v + c[2])
+        return c[0] * _lib(v).sin(c[1] * v + c[2])
 
-    def derivative(self, v: float) -> float:
+    def derivative(self, v):
+        """eta' at a float v, or elementwise at an ndarray v."""
         c = self.coefficients
         if self.kind == "constant":
-            return 0.0
+            return _const(0.0, v)
         if self.kind == "linear":
-            return c[1]
+            return _const(c[1], v)
         if self.kind == "polynomial":
-            acc = 0.0
+            acc = _const(0.0, v)
             for i in range(len(c) - 1, 0, -1):
                 acc = acc * v + i * c[i]
             return acc
-        return c[0] * c[1] * math.cos(c[1] * v + c[2])
+        return c[0] * c[1] * _lib(v).cos(c[1] * v + c[2])
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "coefficients": list(self.coefficients)}
@@ -204,8 +221,9 @@ class ProfileFunctions:
       timelike:  f1'^2 - f2'^2 = -cos(theta)^2
       both:      f3' = tau * (f1*f2' - f2*f1')
 
-    `jet(v)` returns all nine values at v from one evaluation of each table
-    and slope function; `df3` and `d2f3` read it.
+    `slopes(v)` returns (f1', f2', f1'', f2'') from one eta, one eta', one
+    g1 and one g2.  `jet(v)` returns all nine values at v from one lookup
+    per table and one `slopes` call; `df3` and `d2f3` read it.
     """
 
     profile: HelixProfile
@@ -215,20 +233,22 @@ class ProfileFunctions:
     f1: Callable[[float], float]
     f2: Callable[[float], float]
     f3: Callable[[float], float]
-    df1: Callable[[float], float]
-    df2: Callable[[float], float]
-    d2f1: Callable[[float], float]
-    d2f2: Callable[[float], float]
+    slopes: Callable[[float], tuple[float, float, float, float]]
 
     def jet(self, v: float) -> tuple[float, ...]:
         """(f1, f2, f3, f1', f2', f3', f1'', f2'', f3'') at v."""
         p1, p2, p3 = self.f1(v), self.f2(v), self.f3(v)
-        q1, q2 = self.df1(v), self.df2(v)
-        r1, r2 = self.d2f1(v), self.d2f2(v)
+        q1, q2, r1, r2 = self.slopes(v)
         tau = self.profile.tau
         # f3'' = d/dv of tau*(f1 f2' - f2 f1'); the f1'f2' cross terms cancel
         return (p1, p2, p3, q1, q2, tau * (p1 * q2 - p2 * q1),
                 r1, r2, tau * (p1 * r2 - p2 * r1))
+
+    def df1(self, v: float) -> float:
+        return self.slopes(v)[0]
+
+    def df2(self, v: float) -> float:
+        return self.slopes(v)[1]
 
     def df3(self, v: float) -> float:
         return self.jet(v)[5]
@@ -237,30 +257,42 @@ class ProfileFunctions:
         return self.jet(v)[8]
 
 
-def _slope_functions(profile: HelixProfile):
-    """Closed-form f1', f2' and their derivatives for any eta: f1' = k1 g1(s)
-    and f2' = m g2(s) with s = eta + shift, and (g1, g2, k1, shift) per
-    branch."""
-    eta = profile.eta
+def _slope_branch(profile: HelixProfile) -> tuple[str, str, float, float]:
+    """(g1, g2, k1, shift) with f1' = k1 g1(s) and f2' = m g2(s) at
+    s = eta + shift; g1 and g2 name the hyperbolic functions."""
     m = profile.slope_scale
     if profile.causal == "spacelike":
-        g1, g2, k1, shift = math.cosh, math.sinh, m, profile.c
-    else:
-        g1, g2, k1, shift = math.sinh, math.cosh, -m, -profile.c
+        return "cosh", "sinh", m, profile.c
+    return "sinh", "cosh", -m, -profile.c
 
-    def df1(v: float) -> float:
-        return k1 * g1(eta(v) + shift)
 
-    def df2(v: float) -> float:
-        return m * g2(eta(v) + shift)
+def _slope_function(profile: HelixProfile):
+    """slopes(v) = (f1', f2', f1'', f2'') in closed form for any eta, at a
+    float or elementwise at an ndarray."""
+    eta = profile.eta
+    m = profile.slope_scale
+    name1, name2, k1, shift = _slope_branch(profile)
+    pairs = {lib: (getattr(lib, name1), getattr(lib, name2))
+             for lib in (math, np)}
 
-    def d2f1(v: float) -> float:
-        return k1 * g2(eta(v) + shift) * eta.derivative(v)
+    def slopes(v):
+        g1, g2 = pairs[_lib(v)]
+        s = eta(v) + shift
+        a, b = g1(s), g2(s)
+        e = eta.derivative(v)
+        return k1 * a, m * b, k1 * b * e, m * a * e
 
-    def d2f2(v: float) -> float:
-        return m * g1(eta(v) + shift) * eta.derivative(v)
+    return slopes
 
-    return df1, df2, d2f1, d2f2
+
+def _sinhc_minus_one(x: float) -> float:
+    """sinh(x)/x - 1 without cancellation at small x."""
+    if abs(x) < 0.1:
+        # the series to x^8; the next term is below 2e-15 of the first
+        x2 = x * x
+        return x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0
+                                              * (1.0 + x2 / 72.0)))
+    return math.sinh(x) / x - 1.0
 
 
 def build_profile(profile: HelixProfile,
@@ -269,53 +301,53 @@ def build_profile(profile: HelixProfile,
     """Construct (f1, f2, f3) on v_range with f_i(anchor) = 0.
 
     Constant and linear eta take the closed-form path; polynomial and
-    sinusoidal eta integrate f1', f2' with adaptive Simpson into dense-output
-    tables, then integrate f3' from the tabulated f1, f2.  The anchor is 0
-    when the range contains it, else the lower endpoint (the free initial
-    conditions correspond to ambient translations).
+    sinusoidal eta integrate f1', f2' into Gauss-Legendre dense-output
+    tables (`numeric.CumulativeIntegral`), then integrate f3' from the
+    tabulated f1, f2 on the same nodes.  The anchor is 0 when the range
+    contains it, else the lower endpoint (the free initial conditions
+    correspond to ambient translations).
     """
     lo, hi = float(v_range[0]), float(v_range[1])
     if not lo < hi:
         raise InvalidParameterDomain("profile v_range must be nondegenerate")
     anchor = 0.0 if lo <= 0.0 <= hi else lo
-    df1, df2, d2f1, d2f2 = _slope_functions(profile)
+    slopes = _slope_function(profile)
     tau = profile.tau
     m = profile.slope_scale
     eta = profile.eta
 
     closed = not force_quadrature and eta.kind in ("constant", "linear")
     if closed and eta.kind == "linear" and eta.coefficients[1] != 0.0:
-        # linear eta with nonzero slope: s(v) = c1*v + s0, and f1, f2 are
-        # k1 g1(s), k g2(s) up to constants, with (g1, g2, k1) per branch
+        # linear eta with nonzero slope: with s(v) = c1 v + s0, f1 and f2 are
+        # k1 g1(s), m g2(s) integrated, i.e. differences of g2 and g1 over
+        # [s(a), s(v)], written as products so that no digits cancel as
+        # c1 -> 0: g(A) - g(B) = 2 g'((A+B)/2) sinh((A-B)/2) for g = sinh,
+        # cosh.  So f_i(v) = f_i'((v+a)/2) * 2 sinh(c1 (v-a)/2) / c1.
         c1 = eta.coefficients[1]
-        s0 = eta.coefficients[0] + (profile.c if profile.causal == "spacelike"
-                                    else -profile.c)
-        k = m / c1
-        if profile.causal == "spacelike":
-            g1, g2, k1 = math.sinh, math.cosh, k
-        else:
-            g1, g2, k1 = math.cosh, math.sinh, -k
+        name1, name2, k1, shift = _slope_branch(profile)
+        g1, g2 = getattr(math, name1), getattr(math, name2)
+        s0 = eta.coefficients[0] + shift
 
-        def s(v: float) -> float:
-            return c1 * v + s0
+        def chord(v: float) -> float:
+            return 2.0 * math.sinh(0.5 * c1 * (v - anchor)) / c1
 
         def f1(v: float) -> float:
-            return k1 * (g1(s(v)) - g1(s(anchor)))
+            return k1 * g1(c1 * (0.5 * (v + anchor)) + s0) * chord(v)
 
         def f2(v: float) -> float:
-            return k * (g2(s(v)) - g2(s(anchor)))
+            return m * g2(c1 * (0.5 * (v + anchor)) + s0) * chord(v)
 
         def f3(v: float) -> float:
             # integral of tau*(f1 f2' - f2 f1') = tau*(m^2/c1)*(cosh(c1(v-a))-1)
             w = v - anchor
-            return tau * (m * m / c1) * (math.sinh(c1 * w) / c1 - w)
+            return tau * (m * m) * w * _sinhc_minus_one(c1 * w) / c1
 
         return ProfileFunctions(profile, (lo, hi), anchor, "closed-form",
-                                f1, f2, f3, df1, df2, d2f1, d2f2)
+                                f1, f2, f3, slopes)
 
     if closed:
         # constant eta (or linear with zero slope): constant integrands
-        k1, k2 = df1(anchor), df2(anchor)
+        k1, k2 = slopes(anchor)[:2]
 
         def f1(v: float) -> float:
             return k1 * (v - anchor)
@@ -328,20 +360,31 @@ def build_profile(profile: HelixProfile,
             return 0.0
 
         return ProfileFunctions(profile, (lo, hi), anchor, "closed-form",
-                                f1, f2, f3, df1, df2, d2f1, d2f2)
+                                f1, f2, f3, slopes)
 
-    f1_tab = CumulativeIntegral(df1, anchor, lo, hi,
-                                spacing=_TABLE_SPACING, tol=_QUADRATURE_TOL)
-    f2_tab = CumulativeIntegral(df2, anchor, lo, hi,
-                                spacing=_TABLE_SPACING, tol=_QUADRATURE_TOL)
+    def table(name: str, f) -> CumulativeIntegral:
+        try:
+            return CumulativeIntegral(f, anchor, lo, hi, spacing=_TABLE_SPACING,
+                                      tol=_QUADRATURE_TOL)
+        except QuadratureFailure as exc:
+            raise QuadratureFailure(
+                f"profile table {name} on v in [{lo}, {hi}]: {exc}") from exc
 
-    def g3(v: float) -> float:
-        return tau * (f1_tab(v) * df2(v) - f2_tab(v) * df1(v))
+    f1_tab = table("f1", lambda v: slopes(v)[0])
+    f2_tab = table("f2", lambda v: slopes(v)[1])
 
-    f3_tab = CumulativeIntegral(g3, anchor, lo, hi,
-                                spacing=_TABLE_SPACING, tol=_QUADRATURE_TOL)
+    def g3(v):
+        q1, q2 = slopes(v)[:2]
+        if isinstance(v, np.ndarray):
+            # the table build's rows: the f3 table shares the f1, f2 nodes
+            p1, p2 = f1_tab.rows(v), f2_tab.rows(v)
+        else:
+            p1, p2 = f1_tab(v), f2_tab(v)
+        return tau * (p1 * q2 - p2 * q1)
+
+    f3_tab = table("f3", g3)
     return ProfileFunctions(profile, (lo, hi), anchor, "quadrature",
-                            f1_tab, f2_tab, f3_tab, df1, df2, d2f1, d2f2)
+                            f1_tab, f2_tab, f3_tab, slopes)
 
 
 def profile_residuals(pf: ProfileFunctions, n_samples: int = 41,

@@ -1,10 +1,13 @@
 """Shared numerical helpers: small-vector algebra, the central
-finite-difference stencils, adaptive Simpson quadrature with dense output,
-and deterministic float formatting.
+finite-difference stencils, adaptive Simpson quadrature, cumulative
+Gauss-Legendre tables with dense output, and deterministic float formatting.
 
 Three-vectors are plain tuples of floats throughout the hot paths; numpy is
 reserved for places where matrix algebra reads better than spelled-out
-formulas.
+formulas, and for the table build, which evaluates its integrand on whole
+blocks of table segments at once.  Adaptive Simpson refines the table
+segments whose embedded error estimate is too large and spot-checks a fixed
+sample of the others.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import QuadratureFailure
 
@@ -164,7 +169,7 @@ def central_partials(f: Callable[[float, float], object], h: float):
             _lift(d2, vp, f0, vm))
 
 
-# ---- adaptive Simpson with cumulative dense output ----
+# ---- adaptive Simpson ----
 
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
@@ -203,42 +208,127 @@ def _simpson_recurse(f, x0, x2, f0, f1, f2, whole, tol_here, depth,
                                depth + 1, max_depth))
 
 
+# ---- Gauss-Legendre tables with cumulative dense output ----
+
+# Plain floats, not arrays: numpy arithmetic at import would page in more
+# of numpy's code before any table is built.
+#: the 5-node Gauss-Legendre rule on [-1, 1]
+_GL_NODES = (-0.906179845938664, -0.5384693101056831, 0.0,
+             0.5384693101056831, 0.906179845938664)
+_GL_WEIGHTS = (0.23692688505618908, 0.47862867049936647, 0.5688888888888889,
+               0.47862867049936647, 0.23692688505618908)
+#: the 5-node weights minus those of the embedded 3-node rule on the nodes
+#: (-x, 0, x), x = 0.906..., which is exact to degree 3 with weights
+#: 1/(3 x^2), 2 - 2/(3 x^2), 1/(3 x^2).  On the same five values it gives
+#: the 3-node rule's error: a cautious bound on the 5-node rule's.
+_GL_NULL = tuple(w - w3 for w, w3 in zip(_GL_WEIGHTS, (
+    0.4059288770959664, 0.0, 1.1881422458080673, 0.0, 0.4059288770959664)))
+#: where in [0, 1] one table segment evaluates its integrand: its left
+#: node, then the five Gauss nodes
+_SEGMENT_POINTS = (0.0, *(0.5 * (1.0 + x) for x in _GL_NODES))
+#: table segments per vectorised integrand evaluation (bounds the
+#: temporaries); the first segment of each block is a spot-check sample
+_BLOCK = 256
+#: integrand evaluations one table may spend in adaptive Simpson
+#: (flagged-segment refinement plus the spot check)
+_TABLE_EVAL_BUDGET = 400_000
+
+
+def _hermite(t, y0, y1, m0, m1):
+    """Cubic Hermite interpolant at t in [0, 1] from the end values y0, y1
+    and end slopes m0, m1 (scaled by the segment width); floats or arrays."""
+    t2, t3 = t * t, t * t * t
+    return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * m0
+            + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * m1)
+
+
+def _budgeted(f: Callable[[float], float]) -> Callable[[float], float]:
+    """f, raising QuadratureFailure once called more than
+    `_TABLE_EVAL_BUDGET` times."""
+    left = [_TABLE_EVAL_BUDGET]
+
+    def counted(x: float) -> float:
+        left[0] -= 1
+        if left[0] < 0:
+            raise QuadratureFailure(
+                f"adaptive Simpson needs more than {_TABLE_EVAL_BUDGET} "
+                f"integrand evaluations (reached x = {x})")
+        return f(x)
+
+    return counted
+
+
 class CumulativeIntegral:
     """Antiderivative F(x) = F0 + int_{x0}^{x} f(t) dt with dense output.
 
-    Node values are accumulated with per-segment adaptive Simpson (absolute
-    tolerance scaled so the total error over the tabulated range stays below
-    `tol`); between nodes, evaluation uses cubic Hermite interpolation fed by
-    the exact integrand values F'(x) = f(x), so interpolation error is
-    O(spacing^4 * f''') — negligible at the default spacing.
+    f must accept a float and, elementwise, an ndarray.  The table build
+    evaluates it once per segment of the node grid, vectorised in blocks of
+    `_BLOCK` segments: at the segment's left node and at five Gauss-Legendre
+    nodes.  Each segment may err by its share tol * width / (hi - lo), so the
+    total error over the tabulated range stays below `tol`.  A segment whose
+    embedded 3-node estimate exceeds its share is integrated again with
+    `adaptive_simpson`, and the first segment of every block is recomputed
+    with it as a spot check that raises `QuadratureFailure` when the two
+    values differ by more than the share.  Adaptive Simpson may spend at
+    most `_TABLE_EVAL_BUDGET` integrand evaluations per table.  Node values
+    accumulate outward from x0; between nodes, evaluation uses cubic Hermite
+    interpolation fed by the exact integrand values F'(x) = f(x), so
+    interpolation error is O(spacing^4 * f''') — negligible at the default
+    spacing.
     """
 
-    def __init__(self, f: Callable[[float], float], x0: float,
-                 lo: float, hi: float, *, f0: float = 0.0,
-                 spacing: float = 1e-3, tol: float = 1e-10):
+    def __init__(self, f: Callable, x0: float, lo: float, hi: float, *,
+                 f0: float = 0.0, spacing: float = 1e-3, tol: float = 1e-10):
         if not (lo <= x0 <= hi):
             raise ValueError("x0 must lie inside [lo, hi]")
-        self.f = f
         n_lo = max(1, math.ceil((x0 - lo) / spacing)) if x0 > lo else 0
         n_hi = max(1, math.ceil((hi - x0) / spacing)) if hi > x0 else 0
         total = (hi - lo) if hi > lo else 1.0
         xs = [x0 - (x0 - lo) * i / n_lo for i in range(n_lo, 0, -1)] if n_lo else []
         xs += [x0]
         xs += [x0 + (hi - x0) * i / n_hi for i in range(1, n_hi + 1)] if n_hi else []
-        vals = [0.0] * len(xs)
+        nodes = np.array(xs)
+        left, widths = nodes[:-1], np.diff(nodes)
+        n_seg = len(widths)
+        integrals = np.empty(n_seg)
+        estimates = np.empty(n_seg)
+        slopes = np.empty(n_seg + 1)
+        # overflow and NaN are not errors here: they fail the checks below
+        with np.errstate(all="ignore"):
+            for start in range(0, n_seg, _BLOCK):
+                seg = slice(start, min(start + _BLOCK, n_seg))
+                fx = f(left[seg, None] + widths[seg, None] * _SEGMENT_POINTS)
+                slopes[seg] = fx[:, 0]
+                half = 0.5 * widths[seg]
+                # elementwise sums, not `@`: BLAS would cost RSS for 5 terms
+                integrals[seg] = (fx[:, 1:] * _GL_WEIGHTS).sum(axis=1) * half
+                estimates[seg] = (fx[:, 1:] * _GL_NULL).sum(axis=1) * half
+            slopes[-1] = f(nodes[-1:, None])[0, 0]
+        # the checks below run on lists: numpy's comparison and reduction
+        # loops would page in more of its code than the build itself needs
+        self.slopes = slopes.tolist()
+        if not all(map(math.isfinite, self.slopes)):
+            raise QuadratureFailure(
+                f"integrand not finite at a table node in [{lo}, {hi}]")
+        share = (tol * widths / total).tolist()
+        simpson = _budgeted(f)
+        for i, estimate in enumerate(estimates.tolist()):
+            if not abs(estimate) <= share[i]:  # also when it is NaN
+                integrals[i] = adaptive_simpson(simpson, xs[i], xs[i + 1],
+                                                tol=share[i])
+        for i in range(0, n_seg, _BLOCK):
+            check = adaptive_simpson(simpson, xs[i], xs[i + 1], tol=share[i])
+            if not abs(check - integrals[i]) <= share[i]:
+                raise QuadratureFailure(
+                    f"spot check on [{xs[i]}, {xs[i + 1]}]: tabulated "
+                    f"{float(integrals[i])!r}, adaptive Simpson {check!r}")
+        # node values outward from x0; cumsum adds in order, one segment a step
         i0 = xs.index(x0)
-        vals[i0] = f0
-        for i in range(i0 + 1, len(xs)):
-            seg = xs[i] - xs[i - 1]
-            vals[i] = vals[i - 1] + adaptive_simpson(
-                f, xs[i - 1], xs[i], tol=tol * seg / total)
-        for i in range(i0 - 1, -1, -1):
-            seg = xs[i + 1] - xs[i]
-            vals[i] = vals[i + 1] - adaptive_simpson(
-                f, xs[i], xs[i + 1], tol=tol * seg / total)
+        vals = np.empty(n_seg + 1)
+        vals[i0:] = np.cumsum(np.concatenate(([f0], integrals[i0:])))
+        vals[i0::-1] = np.cumsum(np.concatenate(([f0], -integrals[:i0][::-1])))
         self.xs = xs
-        self.vals = vals
-        self.slopes = [f(x) for x in xs]
+        self.vals = vals.tolist()
 
     def __call__(self, x: float) -> float:
         xs = self.xs
@@ -249,8 +339,17 @@ class CumulativeIntegral:
         i = bisect_right(xs, x) - 1
         h = xs[i + 1] - xs[i]
         t = (x - xs[i]) / h
-        y0, y1 = self.vals[i], self.vals[i + 1]
-        m0, m1 = self.slopes[i] * h, self.slopes[i + 1] * h
-        t2, t3 = t * t, t * t * t
-        return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * m0
-                + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * m1)
+        return _hermite(t, self.vals[i], self.vals[i + 1],
+                        self.slopes[i] * h, self.slopes[i + 1] * h)
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """F on a 2-D array whose row r lies in node segment s + r, with s
+        the segment holding x[0, 0] (the last segment for the right end):
+        the same Hermite formula as a call, with one search per array."""
+        s = min(bisect_right(self.xs, x[0, 0]) - 1, len(self.xs) - 2)
+        e = s + x.shape[0] + 1
+        nodes, vals, slopes = (np.array(a[s:e])[:, None]
+                               for a in (self.xs, self.vals, self.slopes))
+        h = nodes[1:] - nodes[:-1]
+        t = (x - nodes[:-1]) / h
+        return _hermite(t, vals[:-1], vals[1:], slopes[:-1] * h, slopes[1:] * h)

@@ -288,7 +288,8 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     """Residual of T(mu) + mu^2 nu - 4 delta tau^2 nu^3 on a constant-angle
     patch, with mu the varying adapted-basis shape entry."""
     pts = interior_grid(patch, grid)
-    nus = [_sample(patch, u, v).nu for (u, v) in pts]
+    samples = [_sample(patch, u, v) for (u, v) in pts]
+    nus = [s.nu for s in samples]
     if max(nus) - min(nus) > _CONSTANT_ANGLE_RANGE:
         raise NotAHelixPatch(
             f"angle function varies by {max(nus) - min(nus):.3e} over the grid")
@@ -299,8 +300,7 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
         return shape_operator(patch, uu, vv, basis="adapted-TJT").s22
 
     worst = 0.0
-    for (u, v), nu in zip(pts, nus):
-        s = _sample(patch, u, v)
+    for (u, v), s, nu in zip(pts, samples, nus):
         frame = _adapted_frame(space, s)
         t1, t2 = frame[0]
         h = _directional_step(_SURFACE_STEP, (t1, t2))

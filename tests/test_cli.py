@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import pytest
 
@@ -239,6 +240,33 @@ def test_exit_code_geometry_error(workdir, capsys):
                  cfg_path(workdir, hard)]) == EXIT_GEOMETRY_ERROR
     err = capsys.readouterr().err
     assert "geometry error" in err
+
+
+def _sinusoidal_helix(freq):
+    return dict(HELIX, causal="timelike", theta=math.pi / 4.0,
+                eta={"kind": "sinusoidal", "coefficients": [0.3, freq, 0.0]},
+                grid={"nu": 8, "nv": 8})
+
+
+def test_runaway_quadrature_stops_on_its_budget(workdir, capsys):
+    """eta = 0.3 sin(1e6 v) puts ~160 periods into every table segment;
+    adaptive Simpson ran for minutes on it before the per-table budget."""
+    start = time.perf_counter()
+    code = main(["analyze", "--config", cfg_path(workdir, _sinusoidal_helix(1e6))])
+    assert time.perf_counter() - start < 10.0
+    assert code == EXIT_GEOMETRY_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "profile table f1 on v in [-1.26, 1.26]" in err
+    assert "integrand evaluations" in err
+
+
+def test_moderately_oscillating_eta_still_passes(workdir, capsys):
+    # frequency 50 fails the embedded estimate on most segments, which
+    # adaptive Simpson then refines within the budget
+    assert main(["analyze", "--config",
+                 cfg_path(workdir, _sinusoidal_helix(50.0))]) == EXIT_PASS
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # inputs that once ended in a raw traceback (exit 1, read as "checks failed")

@@ -150,6 +150,42 @@ def test_linear_eta_closed_form_vs_quadrature(causal, theta):
         assert closed.f3(v) == pytest.approx(quad.f3(v), abs=1e-9)
 
 
+@pytest.mark.parametrize("c1", [1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("causal,theta", [
+    ("spacelike", ASINH1), ("timelike", math.pi / 4.0)])
+def test_linear_eta_closed_form_keeps_its_digits_at_small_slope(causal, theta,
+                                                                 c1):
+    """The closed form divides by the slope c1; written as differences of
+    cosh and sinh it lost up to 4e-8 at c1 = 1e-8."""
+    prof = HelixProfile(causal, 1.0, theta, c=0.1,
+                        eta=EtaSpec("linear", (0.2, c1)))
+    closed = build_profile(prof, (-1.0, 1.0))
+    quad = build_profile(prof, (-1.0, 1.0), force_quadrature=True)
+    assert closed.source == "closed-form"
+    for v in [-0.95 + 0.1 * i for i in range(20)]:
+        for name in ("f1", "f2", "f3"):
+            assert abs(getattr(closed, name)(v) - getattr(quad, name)(v)) <= 1e-11
+
+
+def test_profile_build_spot_checks_ten_segments_per_table(monkeypatch):
+    """The README profile needs no refinement: adaptive Simpson runs only
+    as the spot check, on the first of every 256 of 2,520 segments."""
+    from heisgeo import numeric
+
+    calls = [0]
+    simpson = numeric.adaptive_simpson
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return simpson(*args, **kwargs)
+
+    monkeypatch.setattr(numeric, "adaptive_simpson", counting)
+    build_profile(HelixProfile("timelike", 1.0, math.pi / 4.0, c=0.1,
+                               eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0))),
+                  (-1.26, 1.26))
+    assert calls[0] == 30
+
+
 @pytest.mark.parametrize("eta,expect_source,tol", [
     (EtaSpec("constant", (0.4,)), "closed-form", 1e-10),
     (EtaSpec("linear", (0.0, 1.0)), "closed-form", 1e-10),

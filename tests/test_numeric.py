@@ -1,9 +1,13 @@
-"""Unit tests for the finite-difference stencils in heisgeo.numeric.
+"""Unit tests for the finite-difference stencils and the quadrature tables
+in heisgeo.numeric.
 
 Each stencil is run at h and h/2 on smooth functions whose leading
 truncation term does not vanish at the sample point; the error ratio then
 shows the stencil's order: about 4 for second order, about 16 for fourth.
-The recursive helpers are also checked to leave no reference cycle behind.
+The Gauss-Legendre tables are checked against exact antiderivatives, their
+hard-coded rule against numpy's, and their spot check against a perturbed
+weight.  The recursive helpers are also checked to leave no reference cycle
+behind.
 """
 from __future__ import annotations
 
@@ -13,8 +17,10 @@ import math
 import numpy as np
 import pytest
 
-from heisgeo.numeric import (adaptive_simpson, central_diff, central_partials,
-                             json_dumps)
+from heisgeo import numeric
+from heisgeo.errors import QuadratureFailure
+from heisgeo.numeric import (CumulativeIntegral, adaptive_simpson, central_diff,
+                             central_partials, json_dumps)
 
 X0 = 0.3
 
@@ -131,3 +137,97 @@ def test_recursive_helpers_leave_no_reference_cycles():
     finally:
         gc.enable()
     assert gc.garbage == []
+
+
+# ---- Gauss-Legendre tables ----
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(5)
+    assert np.abs(np.array(numeric._GL_NODES) - nodes).max() <= 1e-15
+    assert np.abs(np.array(numeric._GL_WEIGHTS) - weights).max() <= 1e-15
+    # the embedded-rule difference vanishes on every cubic and not on x^4
+    x, null = np.array(numeric._GL_NODES), np.array(numeric._GL_NULL)
+    for k in range(4):
+        assert abs(null @ x ** k) <= 1e-15
+    assert abs(null @ x ** 4) > 1e-2
+
+
+def _exp(x):
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+
+
+def _cos50(x):
+    return np.cos(50.0 * x) if isinstance(x, np.ndarray) else math.cos(50.0 * x)
+
+
+@pytest.mark.parametrize("x0, lo, hi", [(0.0, -1.26, 1.26), (0.5, 0.5, 3.0),
+                                        (0.3, -1.0, 0.3)])
+def test_table_matches_exact_antiderivative(x0, lo, hi):
+    table = CumulativeIntegral(_exp, x0, lo, hi, f0=2.0)
+    assert table(x0) == 2.0
+    for x in [lo + (hi - lo) * i / 100 for i in range(100)] + [hi]:
+        assert table(x) == pytest.approx(2.0 + math.exp(x) - math.exp(x0),
+                                         abs=1e-10)
+
+
+def test_flagged_segments_are_refined(monkeypatch):
+    """cos(50 x) fails the embedded estimate on most segments; adaptive
+    Simpson integrates those again and the table stays accurate."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return adaptive_simpson(*args, **kwargs)
+
+    monkeypatch.setattr(numeric, "adaptive_simpson", counting)
+    table = CumulativeIntegral(_cos50, 0.0, -1.26, 1.26)
+    assert calls[0] > 1000  # 10 spot checks plus the refined segments
+    # at the nodes: between them the Hermite error (about h^4 f'''/384)
+    # is itself about 3e-10 for this integrand
+    for x in table.xs[::50]:
+        assert table(x) == pytest.approx(math.sin(50.0 * x) / 50.0, abs=1e-10)
+
+
+def test_smooth_table_needs_only_the_spot_check(monkeypatch):
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return adaptive_simpson(*args, **kwargs)
+
+    monkeypatch.setattr(numeric, "adaptive_simpson", counting)
+    CumulativeIntegral(_exp, 0.0, -1.26, 1.26)
+    assert calls[0] == 10  # the first of 2,520 segments in each block of 256
+
+
+def test_spot_check_catches_a_perturbed_weight(monkeypatch):
+    """A weight off by 1e-9 relative moves every segment by more than its
+    share of the tolerance without moving the embedded estimate; only the
+    spot check can see it."""
+    weights = list(numeric._GL_WEIGHTS)
+    weights[2] *= 1.0 + 1e-9
+    monkeypatch.setattr(numeric, "_GL_WEIGHTS", tuple(weights))
+    with pytest.raises(QuadratureFailure, match="spot check"):
+        CumulativeIntegral(_exp, 0.0, -1.26, 1.26)
+
+
+def test_rows_is_the_lookup_formula():
+    table = CumulativeIntegral(_exp, 0.0, -1.26, 1.26)
+    xs = table.xs
+    rows = np.array([[xs[i] + (xs[i + 1] - xs[i]) * t for t in (0.0, 0.1, 0.5, 0.9)]
+                     for i in range(700, 710)])
+    got = table.rows(rows)
+    for r in range(rows.shape[0]):
+        for c in range(rows.shape[1]):
+            assert got[r, c] == table(float(rows[r, c]))
+    assert table.rows(np.array([[xs[-1]]]))[0, 0] == table(xs[-1])
+
+
+def test_refinement_budget_stops_a_runaway_integrand():
+    with pytest.raises(QuadratureFailure, match="integrand evaluations"):
+        CumulativeIntegral(lambda x: np.sin(1e6 * x)
+                           if isinstance(x, np.ndarray) else math.sin(1e6 * x),
+                           0.0, -1.26, 1.26)

@@ -138,7 +138,7 @@ def test_helix_ode_rejects_varying_angle():
 #: SurfacePatch.jet calls per patch suite on a new spacelike helix at (8, 8),
 #: one of them for the normal gauge; each check evaluates a point once and
 #: shares it, so a suite that starts resampling points it already has fails here
-JET_BUDGET = {"gauss": 721, "codazzi": 577, "helix_ode": 385,
+JET_BUDGET = {"gauss": 721, "codazzi": 577, "helix_ode": 321,
               "parallel": 322, "claims": 322}
 
 
