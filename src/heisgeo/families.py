@@ -55,8 +55,8 @@ _ETA_KINDS = ("constant", "linear", "polynomial", "sinusoidal")
 _MAX_POLY_DEGREE = 6
 
 
-# The profile formulas take a float (jets: math, bit for bit as ever) or an
-# ndarray (the quadrature tables: numpy, elementwise), chosen by type.
+# The profile formulas take a float (jets; math) or an ndarray (the
+# quadrature tables; numpy, elementwise), chosen by the argument's type.
 def _lib(v):
     return np if isinstance(v, np.ndarray) else math
 
