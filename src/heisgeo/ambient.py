@@ -40,7 +40,8 @@ from .errors import (
     SingularMetric,
     UnsupportedKappa,
 )
-from .numeric import Vec3, as_vec3, bilinear3, central_diff, lincomb3, sub3
+from .numeric import (Vec3, as_vec3, bilinear3, central_diff, lincomb3,
+                      require, sub3)
 
 # conformal denominator treated as singular below this magnitude
 _CONFORMAL_TOL = 1e-12
@@ -101,17 +102,21 @@ def _require_kappa_zero(space: SpaceParams, what: str) -> None:
 
 
 def conformal_factor(space: SpaceParams, p) -> float:
-    """Denominator D = 1 + (kappa/4)(x^2 - delta*y^2) of the base metric."""
+    """Denominator D = 1 + (kappa/4)(x^2 - delta*y^2) of the base metric
+    (exactly 1 at kappa = 0, even where x^2 overflows)."""
+    if space.kappa == 0.0:
+        return 1.0
     x, y, _ = p
     d = 1.0 + 0.25 * space.kappa * (x * x - space.delta * y * y)
-    if abs(d) < _CONFORMAL_TOL:
-        raise SingularConformalFactor(
-            f"conformal denominator vanishes at (x, y) = ({x}, {y})")
+    require(abs(d) >= _CONFORMAL_TOL, SingularConformalFactor,
+            lambda x, y: f"conformal denominator vanishes at (x, y) = ({x}, {y})",
+            x, y)
     return d
 
 
 def metric_matrix(space: SpaceParams, p) -> tuple[Vec3, Vec3, Vec3]:
-    """Coordinate matrix of the metric at p, as three rows."""
+    """Coordinate matrix of the metric at p, as three rows (entries are
+    arrays when p is a batch of points)."""
     x, y, _ = p
     delta, tau = float(space.delta), space.tau
     d = conformal_factor(space, p)
@@ -139,8 +144,8 @@ def frame_at(space: SpaceParams, p) -> Frame:
     x, y, _ = p
     tau = space.tau
     return Frame(
-        e1=(1.0, 0.0, -tau * float(y)),
-        e2=(0.0, 1.0, tau * float(x)),
+        e1=(1.0, 0.0, -tau * y),
+        e2=(0.0, 1.0, tau * x),
         e3=(0.0, 0.0, 1.0),
         signature=(1, -space.delta, space.delta),
     )
@@ -159,7 +164,7 @@ def to_frame_components(space: SpaceParams, p, v) -> Vec3:
     x, y, _ = p
     v = as_vec3(v)
     tau = space.tau
-    return (v[0], v[1], v[2] + tau * (float(y) * v[0] - float(x) * v[1]))
+    return (v[0], v[1], v[2] + tau * (y * v[0] - x * v[1]))
 
 
 def from_frame_components(space: SpaceParams, p, a) -> Vec3:
@@ -168,7 +173,7 @@ def from_frame_components(space: SpaceParams, p, a) -> Vec3:
     x, y, _ = p
     a = as_vec3(a)
     tau = space.tau
-    return (a[0], a[1], a[2] - tau * (float(y) * a[0] - float(x) * a[1]))
+    return (a[0], a[1], a[2] - tau * (y * a[0] - x * a[1]))
 
 
 def frame_metric(space: SpaceParams, a, b) -> float:

@@ -2,7 +2,8 @@
 suites, emit deterministic reports and meshes.
 
 Exit codes: 0 all checks pass, 1 suite failure, 2 config error,
-3 geometry error, 4 IO error.
+3 geometry error, 4 IO error, 5 internal error (an exception heisgeo does
+not expect; a bug, never a check verdict).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .errors import (
     VerifyError,
 )
 from .families import family_from_config
-from .numeric import fmt_float, json_dumps
+from .numeric import fmt_float, json_dumps, quiet
 from .surface import (SurfacePatch, _sample, gaussian_curvature,
-                      geometry_report, grid_points)
+                      geometry_report, grid_batch, grid_points)
 from .verify import (
     DEFAULT_SEED,
     DEFAULT_TOLERANCES,
@@ -43,6 +44,7 @@ EXIT_SUITE_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_GEOMETRY_ERROR = 3
 EXIT_IO_ERROR = 4
+EXIT_INTERNAL_ERROR = 5
 
 _MIN_GRID = 8
 
@@ -212,11 +214,10 @@ def _obj_text(patch: SurfacePatch, n_u: int, n_v: int) -> str:
         "# note: vertex coordinates are raw chart values; the ambient "
         "metric is not Euclidean",
     ]
-    us, vs = grid_points(patch.domain, n_u, n_v)
-    for u in us:
-        for v in vs:
-            x, y, z = patch.position(u, v)
-            lines.append(f"v {fmt_float(x)} {fmt_float(y)} {fmt_float(z)}")
+    # every vertex from one jet batch, which guards domain and finiteness
+    xs, ys, zs = patch.jet(*grid_batch(*grid_points(patch.domain, n_u, n_v))).p
+    lines += [f"v {fmt_float(x)} {fmt_float(y)} {fmt_float(z)}"
+              for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist())]
     # vertex ids are 1-based, u-major: id(i, j) = i * n_v + j + 1
     for i in range(n_u - 1):
         for j in range(n_v - 1):
@@ -270,6 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@quiet
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -296,6 +298,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except HeisgeoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY_ERROR
+    except Exception as exc:  # a bug: never reported as a check verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -4,6 +4,11 @@ Every error raised by the library derives from :class:`HeisgeoError`, split
 into three branches matching where the failure originates: the ambient space,
 an immersed surface patch, or a surface-family generator.  The CLI maps these
 branches onto its documented exit codes.
+
+Errors raised by a per-sample guard (:func:`heisgeo.numeric.require`) that
+knows the sample's (u, v) carry it as the attribute ``sample`` and name it in
+the message; on a batch of samples that is the first failing one in batch
+order (u-major on grids).
 """
 
 from __future__ import annotations
@@ -66,6 +71,17 @@ class OutOfDomain(SurfaceError):
     """Evaluation was requested outside the patch's declared domain."""
 
 
+class NonFiniteJet(SurfaceError):
+    """The patch's jet is not finite (it overflowed) at a sample.
+
+    `sample` is that (u, v) and `family` the patch's family descriptor
+    (None for patches built without one)."""
+
+    def __init__(self, message: str, family=None):
+        super().__init__(message)
+        self.family = family
+
+
 # ---- family-generator errors ----
 
 
@@ -102,6 +118,10 @@ class StencilTooCoarse(VerifyError):
 
 class NotAHelixPatch(VerifyError):
     """A constant-angle-only check was invoked on a non-constant-angle patch."""
+
+
+class NonFiniteResidual(VerifyError):
+    """A check's residual is NaN or infinite: no verdict can be given."""
 
 
 class DegenerateFrame(VerifyError):

@@ -9,9 +9,10 @@ Three constructors cover the classification on the kappa = 0 ambient space:
 - ``make_helix_surface``: the two constant-angle families with nonzero angle
   function (delta = +1 only), built from profile functions (f1, f2, f3) that
   are either closed forms (constant/linear eta) or Gauss-Legendre quadrature
-  tables with dense output (`numeric.CumulativeIntegral`).  The slope
-  formulas (eta, eta', f1', f2', f1'', f2'') take a float, as jets do, or an
-  ndarray, as the table build does.
+  tables with dense output (`numeric.CumulativeIntegral`).  The profile
+  and slope formulas (f1, f2, f3, eta, eta', f1', f2', f1'', f2'') and the
+  patch jets take a float (one sample) or an ndarray (a batch of samples,
+  or the table build's blocks).
 
 Every constructor returns an analytic-jet :class:`~heisgeo.surface.SurfacePatch`
 carrying a serializable family descriptor.  Each family writes its immersion
@@ -55,8 +56,9 @@ _ETA_KINDS = ("constant", "linear", "polynomial", "sinusoidal")
 _MAX_POLY_DEGREE = 6
 
 
-# The profile formulas take a float (jets; math) or an ndarray (the
-# quadrature tables; numpy, elementwise), chosen by the argument's type.
+# The profile formulas and jets take a float (math) or an ndarray (numpy,
+# elementwise: batches of samples and the quadrature tables), chosen by the
+# argument's type.
 def _lib(v):
     return np if isinstance(v, np.ndarray) else math
 
@@ -235,8 +237,9 @@ class ProfileFunctions:
     f3: Callable[[float], float]
     slopes: Callable[[float], tuple[float, float, float, float]]
 
-    def jet(self, v: float) -> tuple[float, ...]:
-        """(f1, f2, f3, f1', f2', f3', f1'', f2'', f3'') at v."""
+    def jet(self, v) -> tuple[float, ...]:
+        """(f1, f2, f3, f1', f2', f3', f1'', f2'', f3'') at v (a float or
+        an ndarray)."""
         p1, p2, p3 = self.f1(v), self.f2(v), self.f3(v)
         q1, q2, r1, r2 = self.slopes(v)
         tau = self.profile.tau
@@ -285,14 +288,17 @@ def _slope_function(profile: HelixProfile):
     return slopes
 
 
-def _sinhc_minus_one(x: float) -> float:
-    """sinh(x)/x - 1 without cancellation at small x."""
-    if abs(x) < 0.1:
-        # the series to x^8; the next term is below 2e-15 of the first
-        x2 = x * x
-        return x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0
-                                              * (1.0 + x2 / 72.0)))
-    return math.sinh(x) / x - 1.0
+def _sinhc_minus_one(x):
+    """sinh(x)/x - 1 without cancellation at small x (float or array)."""
+    # the series to x^8; the next term is below 2e-15 of the first
+    x2 = x * x
+    series = x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0
+                                            * (1.0 + x2 / 72.0)))
+    if not isinstance(x, np.ndarray):
+        return series if abs(x) < 0.1 else math.sinh(x) / x - 1.0
+    big = abs(x) >= 0.1
+    series[big] = np.sinh(x[big]) / x[big] - 1.0
+    return series
 
 
 def build_profile(profile: HelixProfile,
@@ -325,19 +331,20 @@ def build_profile(profile: HelixProfile,
         # cosh.  So f_i(v) = f_i'((v+a)/2) * 2 sinh(c1 (v-a)/2) / c1.
         c1 = eta.coefficients[1]
         name1, name2, k1, shift = _slope_branch(profile)
-        g1, g2 = getattr(math, name1), getattr(math, name2)
         s0 = eta.coefficients[0] + shift
 
-        def chord(v: float) -> float:
-            return 2.0 * math.sinh(0.5 * c1 * (v - anchor)) / c1
+        def chord(v):
+            return 2.0 * _lib(v).sinh(0.5 * c1 * (v - anchor)) / c1
 
-        def f1(v: float) -> float:
+        def f1(v):
+            g1 = getattr(_lib(v), name1)
             return k1 * g1(c1 * (0.5 * (v + anchor)) + s0) * chord(v)
 
-        def f2(v: float) -> float:
+        def f2(v):
+            g2 = getattr(_lib(v), name2)
             return m * g2(c1 * (0.5 * (v + anchor)) + s0) * chord(v)
 
-        def f3(v: float) -> float:
+        def f3(v):
             # integral of tau*(f1 f2' - f2 f1') = tau*(m^2/c1)*(cosh(c1(v-a))-1)
             w = v - anchor
             return tau * (m * m) * w * _sinhc_minus_one(c1 * w) / c1
@@ -349,15 +356,15 @@ def build_profile(profile: HelixProfile,
         # constant eta (or linear with zero slope): constant integrands
         k1, k2 = slopes(anchor)[:2]
 
-        def f1(v: float) -> float:
+        def f1(v):
             return k1 * (v - anchor)
 
-        def f2(v: float) -> float:
+        def f2(v):
             return k2 * (v - anchor)
 
-        def f3(v: float) -> float:
+        def f3(v):
             # f1 f2' - f2 f1' = (v-a)(k1 k2 - k2 k1) = 0
-            return 0.0
+            return _const(0.0, v)
 
         return ProfileFunctions(profile, (lo, hi), anchor, "closed-form",
                                 f1, f2, f3, slopes)
@@ -468,7 +475,7 @@ def make_minimal_plane(delta: int, causal: str, phi0: float,
     fv: Vec3 = (cx, cy, 0.0)
     zero: Vec3 = (0.0, 0.0, 0.0)
 
-    def jet(u: float, v: float):
+    def jet(u, v):
         return ((cx * v, cy * v, u), fu, fv, zero, zero, zero)
 
     family = {"family": "minimal_plane", "delta": delta, "causal": causal,
@@ -500,18 +507,18 @@ def make_cmc_cylinder(delta: int, causal: str, tau: float,
             raise InvalidCombination(
                 "delta = -1 admits only the timelike cylinder")
 
-        def jet(u: float, v: float):
-            c, s = math.cos(v), math.sin(v)
+        def jet(u, v):
+            c, s = _lib(v).cos(v), _lib(v).sin(v)
             return ((-c, -s, u - tau * v), fu, (s, -c, -tau),
                     zero, zero, (c, s, 0.0))
     elif causal == "timelike":
-        def jet(u: float, v: float):
-            ch, sh = math.cosh(v), math.sinh(v)
+        def jet(u, v):
+            ch, sh = _lib(v).cosh(v), _lib(v).sinh(v)
             return ((ch, sh, u - tau * v), fu, (sh, ch, -tau),
                     zero, zero, (ch, sh, 0.0))
     else:
-        def jet(u: float, v: float):
-            ch, sh = math.cosh(v), math.sinh(v)
+        def jet(u, v):
+            ch, sh = _lib(v).cosh(v), _lib(v).sinh(v)
             return ((sh, ch, u + tau * v), fu, (ch, sh, tau),
                     zero, zero, (sh, ch, 0.0))
 
@@ -562,19 +569,19 @@ def _helix_patch_from_profile(profile: HelixProfile, pf: ProfileFunctions,
         num, den = math.cosh(profile.theta), math.sinh(profile.theta)
         sign = -1.0
 
-        def xy(u: float) -> tuple[float, float]:
-            return math.cosh(u), math.sinh(u)
+        def xy(u):
+            return _lib(u).cosh(u), _lib(u).sinh(u)
     else:
         num, den = math.cos(profile.theta), math.sin(profile.theta)
         sign = 1.0
 
-        def xy(u: float) -> tuple[float, float]:
-            return -math.sinh(u), -math.cosh(u)
+        def xy(u):
+            return -_lib(u).sinh(u), -_lib(u).cosh(u)
     a_c = (num / den) / (2.0 * tau)
     b_c = sign * (num * num / (4.0 * tau * den * den))
     c_c = (num / den) / 2.0
 
-    def jet(u: float, v: float):
+    def jet(u, v):
         x, y = xy(u)
         p1, p2, p3, q1, q2, q3, r1, r2, r3 = profile_jet(v)
         return ((a_c * x + p1, a_c * y + p2,

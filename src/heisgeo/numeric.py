@@ -2,25 +2,29 @@
 finite-difference stencils, adaptive Simpson quadrature, cumulative
 Gauss-Legendre tables with dense output, and deterministic float formatting.
 
-Three-vectors are plain tuples of floats throughout the hot paths; numpy is
-reserved for places where matrix algebra reads better than spelled-out
-formulas, and for the table build, which evaluates its integrand on whole
-blocks of table segments at once.  Adaptive Simpson refines the table
-segments whose embedded error estimate is too large and spot-checks a fixed
-sample of the others.
+Three-vectors are plain tuples of three components.  A component is a float
+for one point, or a 1-D ndarray for a batch of points: every geometry
+function takes (u, v) as floats or as equal-length 1-D arrays and returns the
+same kind, so a grid is evaluated in one call.  The batch helpers below
+(`select`, `finite`, `require`, `quiet`) are where the two kinds differ.
+The table build evaluates its integrand on whole blocks of table segments at
+once.  Adaptive Simpson refines the table segments whose embedded error
+estimate is too large and spot-checks a fixed sample of the others.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import QuadratureFailure
 
-Vec3 = tuple[float, float, float]
+#: three components, each a float or (for a batch of points) a 1-D ndarray
+Vec3 = tuple
 
 # ---- deterministic float formatting ----
 
@@ -81,6 +85,75 @@ def _json_emit(o, depth: int, indent: int) -> str:
     raise TypeError(f"unsupported type for json_dumps: {type(o)!r}")
 
 
+# ---- batches of points ----
+
+
+def select(cond, a, b):
+    """`a` where cond holds, else `b`: a plain conditional for one point,
+    `np.where` for a batch."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
+
+
+def finite(*values):
+    """Whether every value is finite: a bool, or a bool array for a batch."""
+    if not any(isinstance(x, np.ndarray) for x in values):
+        return all(map(math.isfinite, values))
+    ok = np.isfinite(values[0])
+    for x in values[1:]:
+        ok = ok & np.isfinite(x)
+    return ok
+
+
+def _item(x, i: int):
+    """Entry i of a batch value as a Python number (a scalar is every
+    entry)."""
+    if isinstance(x, np.ndarray):
+        return x.flat[i if x.size > 1 else 0].item()
+    if isinstance(x, np.generic):
+        return x.item()
+    return x
+
+
+def require(ok, error: Callable[[str], Exception], describe: Callable[..., str],
+            *values, at: Optional[tuple] = None) -> None:
+    """The one guard: raise `error(describe(*values))` at the first point,
+    in batch order (u-major on grids), where `ok` is False.
+
+    `ok` is a bool or a bool array; `values` are read at that point.  NaN
+    compares False, so a guard written as the condition that must hold
+    fails on NaN.  `at`, the points' (u, v), appends "at sample (u=..,
+    v=..)" to the message and is kept as the error's `sample` attribute.
+    """
+    if isinstance(ok, np.ndarray):
+        if ok.all():
+            return
+        i = int(np.argmin(ok))  # the first False
+    elif ok:
+        return
+    else:
+        i = 0
+    text = describe(*(_item(x, i) for x in values))
+    sample = None
+    if at is not None:
+        sample = (_item(at[0], i), _item(at[1], i))
+        text += f" at sample (u={fmt_float(sample[0])}, v={fmt_float(sample[1])})"
+    exc = error(text)
+    exc.sample = sample
+    raise exc
+
+
+def quiet(fn: Callable) -> Callable:
+    """fn with numpy's floating-point warnings off: overflow and NaN in batch
+    arithmetic end in the guards and checks as typed errors instead."""
+    @functools.wraps(fn)
+    def quiet_fn(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            return fn(*args, **kwargs)
+    return quiet_fn
+
+
 # ---- small-vector algebra on 3-tuples ----
 
 
@@ -102,9 +175,14 @@ def lincomb3(terms: Sequence[tuple[float, Vec3]]) -> Vec3:
 
 
 def as_vec3(v) -> Vec3:
-    """Coerce any length-3 sequence (list, tuple, ndarray) to a float tuple."""
+    """The three components of a length-3 sequence (list, tuple, ndarray):
+    numbers become floats, array components (a batch) stay arrays."""
     x, y, z = v
-    return (float(x), float(y), float(z))
+    return (_component(x), _component(y), _component(z))
+
+
+def _component(c):
+    return c if isinstance(c, np.ndarray) else float(c)
 
 
 def bilinear3(g, v: Vec3, w: Vec3) -> float:
@@ -120,8 +198,7 @@ def solve2(a11: float, a12: float, a21: float, a22: float,
            b1: float, b2: float) -> tuple[float, float]:
     """Solve a 2x2 linear system by Cramer's rule."""
     det = a11 * a22 - a12 * a21
-    if det == 0.0:
-        raise ZeroDivisionError("singular 2x2 system")
+    require(det != 0.0, ZeroDivisionError, lambda: "singular 2x2 system")
     return ((b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det)
 
 
@@ -271,10 +348,16 @@ class CumulativeIntegral:
     with it as a spot check that raises `QuadratureFailure` when the two
     values differ by more than the share.  Adaptive Simpson may spend at
     most `_TABLE_EVAL_BUDGET` integrand evaluations per table.  Node values
-    accumulate outward from x0; between nodes, evaluation uses cubic Hermite
-    interpolation fed by the exact integrand values F'(x) = f(x), so
-    interpolation error is O(spacing^4 * f''') — negligible at the default
-    spacing.
+    accumulate outward from x0.  Between nodes, evaluation uses cubic Hermite
+    interpolation fed by the exact integrand values F'(x) = f(x); it adds at
+    most h^4 max|f'''| / 384 (h the node spacing) to the node error, which
+    `tol` does not cover.  At the default spacing 1e-3 that is
+    2.6e-15 max|f'''|: below a 1e-10 tolerance while max|f'''| < 3.8e4.  For
+    eta = 0.3 sin(k v) on the README helix the f1 table errs at quarter
+    points by 5e-16 at k = 1, 6.5e-11 at k = 50 and 4.2e-9 at k = 200.
+
+    A call takes a float x, or an ndarray x (any shape, elementwise) with
+    one `np.searchsorted` for all of it.
     """
 
     def __init__(self, f: Callable, x0: float, lo: float, hi: float, *,
@@ -329,18 +412,24 @@ class CumulativeIntegral:
         vals[i0::-1] = np.cumsum(np.concatenate(([f0], -integrals[:i0][::-1])))
         self.xs = xs
         self.vals = vals.tolist()
+        self._table = (nodes, vals, slopes)
 
-    def __call__(self, x: float) -> float:
-        xs = self.xs
-        if x < xs[0] or x > xs[-1]:
-            raise ValueError(f"x={x} outside tabulated range [{xs[0]}, {xs[-1]}]")
-        if x == xs[-1]:
-            return self.vals[-1]
-        i = bisect_right(xs, x) - 1
-        h = xs[i + 1] - xs[i]
-        t = (x - xs[i]) / h
-        return _hermite(t, self.vals[i], self.vals[i + 1],
-                        self.slopes[i] * h, self.slopes[i + 1] * h)
+    def __call__(self, x):
+        """F at a float x, or elementwise at an ndarray x."""
+        # the right end evaluates in the last segment, at t = 1
+        if isinstance(x, np.ndarray):
+            nodes, vals, slopes = self._table
+            i = np.minimum(np.searchsorted(nodes, x, side="right") - 1,
+                           len(nodes) - 2)
+        else:  # a float: the list search is several times faster
+            nodes, vals, slopes = self.xs, self.vals, self.slopes
+            i = min(bisect_right(nodes, x) - 1, len(nodes) - 2)
+        lo, hi = nodes[0], nodes[-1]
+        require((lo <= x) & (x <= hi), ValueError,
+                lambda at: f"x={at} outside tabulated range [{lo}, {hi}]", x)
+        h = nodes[i + 1] - nodes[i]
+        return _hermite((x - nodes[i]) / h, vals[i], vals[i + 1],
+                        slopes[i] * h, slopes[i + 1] * h)
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """F on a 2-D array whose row r lies in node segment s + r, with s

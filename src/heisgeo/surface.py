@@ -21,15 +21,22 @@ call.  On top of the patch this module computes, per sample:
 - mean curvature H = trace(S)/2 and Gaussian curvature K by an extrinsic
   formula and, independently, from the induced metric alone (intrinsic).
 
-Grid sweeps are collected into a :class:`GeometryReport` that serializes to
-CSV (one row per sample) and a JSON summary.
+Every function takes (u, v) as floats (one sample) or as equal-length 1-D
+ndarrays (a batch of samples) and returns the same kind: on a batch each
+scalar is an array and each vector a tuple of arrays.  Grids are evaluated as
+one batch in u-major order, so a guard that fails names the first failing
+(u, v) in that order.  Grid sweeps are collected into a
+:class:`GeometryReport` that serializes to CSV (one row per sample) and a
+JSON summary.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from . import ambient
 from .ambient import SpaceParams
@@ -37,8 +44,8 @@ from .errors import (
     DegenerateAdaptedFrame,
     DegenerateInducedMetric,
     DegenerateNormal,
+    NonFiniteJet,
     OutOfDomain,
-    SurfaceError,
     UnsupportedKappa,
 )
 from .numeric import (
@@ -47,10 +54,14 @@ from .numeric import (
     bilinear3,
     central_diff,
     central_partials,
+    finite,
     fmt_float,
     json_dumps,
     lincomb3,
+    quiet,
+    require,
     scale3,
+    select,
     solve2,
     sub3,
 )
@@ -70,7 +81,8 @@ _INTRINSIC_STEP = 5e-4
 
 @dataclass(frozen=True)
 class PatchJet:
-    """Position and partial derivatives of the immersion at one sample."""
+    """Position and partial derivatives of the immersion at one sample, or
+    at each sample of a batch (then every component is an array)."""
 
     p: Vec3
     fu: Vec3
@@ -85,10 +97,12 @@ class SurfacePatch:
 
     position(u, v) must return the immersion point.  `jet(u, v)`, when
     given, returns the six vectors (p, Fu, Fv, Fuu, Fuv, Fvv) in one call
-    (jet_source == "analytic").  Without it the derivatives fall back to
-    central differences of `position` (jet_source == "finite-difference"),
-    and evaluation is then restricted to the domain interior minus a 2h
-    stencil margin (no one-sided stencils).
+    (jet_source == "analytic"); it must accept 1-D arrays (u, v) as well as
+    floats, and may return constant components as numbers.  Without it the
+    derivatives fall back to central differences of `position`
+    (jet_source == "finite-difference"), which is called one point at a
+    time, and evaluation is then restricted to the domain interior minus a
+    2h stencil margin (no one-sided stencils).
     """
 
     def __init__(self, space: SpaceParams, position: Callable[[float, float], Vec3],
@@ -117,25 +131,53 @@ class SurfacePatch:
         (u0, u1), (v0, v1) = self.domain
         return (0.5 * (u0 + u1), 0.5 * (v0 + v1))
 
-    def _check_domain(self, u: float, v: float) -> None:
+    def _check_domain(self, u, v) -> None:
         (u0, u1), (v0, v1) = self.domain
         if self.jet_source == "analytic":
             m = -_ANALYTIC_MARGIN
         else:
             m = 2.0 * self.fd_step  # shrink: FD stencils stay inside
-        if not (u0 + m <= u <= u1 - m and v0 + m <= v <= v1 - m):
-            raise OutOfDomain(
-                f"(u, v) = ({u}, {v}) outside evaluable part of domain "
-                f"{self.domain} for {self.jet_source} jets")
+        require((u0 + m <= u) & (u <= u1 - m) & (v0 + m <= v) & (v <= v1 - m),
+                OutOfDomain,
+                lambda u, v: f"(u, v) = ({u}, {v}) outside evaluable part of "
+                f"domain {self.domain} for {self.jet_source} jets", u, v)
 
-    def jet(self, u: float, v: float) -> PatchJet:
-        """Position with first and second partials at (u, v)."""
+    def jet(self, u, v) -> PatchJet:
+        """Position with first and second partials at (u, v): floats, or
+        1-D arrays for a batch.  Raises NonFiniteJet where it overflows."""
+        batch = isinstance(u, np.ndarray) or isinstance(v, np.ndarray)
+        if batch:
+            u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
+                                       np.asarray(v, dtype=float))
         self._check_domain(u, v)
-        if self._analytic_jet is not None:
-            return PatchJet(*map(as_vec3, self._analytic_jet(u, v)))
+        overflow = functools.partial(NonFiniteJet, family=self.family)
+        describe = (lambda: f"jet of {self.name} (family {self.family}) "
+                    "is not finite")
+        try:
+            with np.errstate(all="ignore"):
+                if self._analytic_jet is not None:
+                    raw = self._analytic_jet(u, v)
+                elif batch:  # position may take floats only
+                    rows = np.array([self._fd_jet(a, b) for a, b
+                                     in zip(u.tolist(), v.tolist())])
+                    raw = rows.transpose(1, 2, 0)
+                else:
+                    raw = self._fd_jet(u, v)
+        except OverflowError:
+            require(False, overflow, describe, at=(u, v))
+        if batch:
+            vecs = [tuple(np.broadcast_to(np.asarray(c, dtype=float), u.shape)
+                          for c in vec) for vec in raw]
+        else:
+            vecs = [as_vec3(vec) for vec in raw]
+        require(finite(*(c for vec in vecs for c in vec)), overflow, describe,
+                at=(u, v))
+        return PatchJet(*vecs)
+
+    def _fd_jet(self, u: float, v: float) -> tuple:
         pos = self.position
-        return PatchJet(*central_partials(
-            lambda du, dv: as_vec3(pos(u + du, v + dv)), self.fd_step))
+        return central_partials(lambda du, dv: as_vec3(pos(u + du, v + dv)),
+                                self.fd_step)
 
 
 # ---- first fundamental form ----
@@ -145,7 +187,7 @@ class SurfacePatch:
 class FirstFundamentalForm:
     """Induced metric in the (d/du, d/dv) basis plus causal classification."""
 
-    e: float  # g(Fu, Fu)
+    e: float  # g(Fu, Fu); an array on a batch, as are f and g
     f: float  # g(Fu, Fv)
     g: float  # g(Fv, Fv)
 
@@ -165,31 +207,37 @@ class FirstFundamentalForm:
         (timelike surface, induced signature (1,1)), -1 timelike normal
         (spacelike surface, positive-definite induced metric)."""
         d = self.det
-        if abs(d) < _DEGENERATE_DET_TOL:
-            raise DegenerateInducedMetric(
-                f"induced metric determinant {d} below threshold")
-        return 1 if d < 0.0 else -1
+        require(abs(d) >= _DEGENERATE_DET_TOL, DegenerateInducedMetric,
+                lambda d: f"induced metric determinant {d} below threshold", d)
+        return _sign(-d)
 
 
-def induced_metric(patch: SurfacePatch, u: float, v: float) -> FirstFundamentalForm:
+def _sign(x):
+    """+1 where x > 0, else -1 (ints; an int array on a batch)."""
+    return select(x > 0.0, 1, -1)
+
+
+def induced_metric(patch: SurfacePatch, u, v) -> FirstFundamentalForm:
     """First fundamental form of the patch at (u, v)."""
     j = patch.jet(u, v)
-    return _induced_from_jet(patch.space, j)
+    return _induced_from_jet(patch.space, j, (u, v))
 
 
-def _induced_from_jet(space: SpaceParams, j: PatchJet) -> FirstFundamentalForm:
+def _induced_from_jet(space: SpaceParams, j: PatchJet,
+                      at: tuple) -> FirstFundamentalForm:
     gm = ambient.metric_matrix(space, j.p)
     form = FirstFundamentalForm(bilinear3(gm, j.fu, j.fu),
                                 bilinear3(gm, j.fu, j.fv),
                                 bilinear3(gm, j.fv, j.fv))
-    if not math.isfinite(form.det) or abs(form.det) < _DEGENERATE_DET_TOL:
-        raise DegenerateInducedMetric(
-            f"induced metric determinant {form.det} is non-finite or below "
-            f"threshold at p = {j.p}")
+    size = abs(form.det)
+    require((size >= _DEGENERATE_DET_TOL) & (size < float("inf")),
+            DegenerateInducedMetric,
+            lambda d: f"induced metric determinant {d} is non-finite or "
+            "below threshold", form.det, at=at)
     return form
 
 
-def causal_character(patch: SurfacePatch, u: float, v: float) -> int:
+def causal_character(patch: SurfacePatch, u, v) -> int:
     """epsilon of the patch at (u, v)."""
     return induced_metric(patch, u, v).epsilon
 
@@ -199,7 +247,8 @@ def causal_character(patch: SurfacePatch, u: float, v: float) -> int:
 
 @dataclass
 class _Sample:
-    """Internal per-sample scratch: jet, form, frame components, normal."""
+    """Internal per-sample scratch: jet, form, frame components, normal;
+    for one sample or a batch."""
 
     jet: PatchJet
     form: FirstFundamentalForm
@@ -208,6 +257,7 @@ class _Sample:
     n: Vec3  # frame components of the gauged unit normal
     eps: int
     nu: float
+    at: tuple  # the (u, v) it was taken at, which guards name
 
     @property
     def t_frame(self) -> Vec3:
@@ -215,21 +265,20 @@ class _Sample:
         return sub3((0.0, 0.0, 1.0), scale3(self.nu, self.n))
 
 
-def _raw_normal(space: SpaceParams, j: PatchJet,
-                form: FirstFundamentalForm) -> tuple[Vec3, Vec3, Vec3, int]:
+def _raw_normal(space: SpaceParams, j: PatchJet, form: FirstFundamentalForm,
+                at: tuple) -> tuple[Vec3, Vec3, Vec3, int]:
     """Ungauged unit normal in frame components, plus tangent frame comps."""
     a = ambient.to_frame_components(space, j.p, j.fu)
     b = ambient.to_frame_components(space, j.p, j.fv)
     w = ambient.wedge_frame(space, a, b)
     n2 = ambient.frame_metric(space, w, w)  # equals -det(I)
-    if abs(n2) < _DEGENERATE_DET_TOL:
-        raise DegenerateNormal(f"normal direction is null at p = {j.p}")
-    n = scale3(1.0 / math.sqrt(abs(n2)), w)
-    eps = 1 if n2 > 0.0 else -1
-    if eps != form.epsilon:
-        # both are sign(-det I); disagreement means numerical degeneracy
-        raise DegenerateNormal(
-            f"normal causal character inconsistent at p = {j.p}")
+    require(abs(n2) >= _DEGENERATE_DET_TOL, DegenerateNormal,
+            lambda: "normal direction is null", at=at)
+    n = scale3(1.0 / np.sqrt(abs(n2)), w)
+    eps = _sign(n2)
+    # both are sign(-det I); disagreement means numerical degeneracy
+    require(eps == form.epsilon, DegenerateNormal,
+            lambda: "normal causal character inconsistent", at=at)
     return a, b, n, eps
 
 
@@ -244,8 +293,8 @@ def _gauge_sign(patch: SurfacePatch) -> float:
         return patch._gauge_sign
     u, v = patch.center()
     j = patch.jet(u, v)
-    form = _induced_from_jet(patch.space, j)
-    _, _, n, eps = _raw_normal(patch.space, j, form)
+    form = _induced_from_jet(patch.space, j, (u, v))
+    _, _, n, eps = _raw_normal(patch.space, j, form, (u, v))
     nu_raw = eps * ambient.frame_metric(patch.space, n, (0.0, 0.0, 1.0))
     if abs(nu_raw) > _GAUGE_NU_TOL:
         sign = 1.0 if nu_raw > 0.0 else -1.0
@@ -259,33 +308,34 @@ def _gauge_sign(patch: SurfacePatch) -> float:
     return sign
 
 
-def _sample(patch: SurfacePatch, u: float, v: float) -> _Sample:
+def _sample(patch: SurfacePatch, u, v) -> _Sample:
     j = patch.jet(u, v)
-    form = _induced_from_jet(patch.space, j)
-    a, b, n_raw, eps = _raw_normal(patch.space, j, form)
+    at = (u, v)
+    form = _induced_from_jet(patch.space, j, at)
+    a, b, n_raw, eps = _raw_normal(patch.space, j, form, at)
     n = scale3(_gauge_sign(patch), n_raw)
     nu = eps * ambient.frame_metric(patch.space, n, (0.0, 0.0, 1.0))
-    return _Sample(j, form, a, b, n, eps, nu)
+    return _Sample(j, form, a, b, n, eps, nu, at)
 
 
-def unit_normal(patch: SurfacePatch, u: float, v: float) -> Vec3:
+def unit_normal(patch: SurfacePatch, u, v) -> Vec3:
     """Gauged unit normal at (u, v) in coordinate components."""
     s = _sample(patch, u, v)
     return ambient.from_frame_components(patch.space, s.jet.p, s.n)
 
 
-def angle_function(patch: SurfacePatch, u: float, v: float) -> float:
+def angle_function(patch: SurfacePatch, u, v) -> float:
     """nu = epsilon * g(N, E3) at (u, v)."""
     return _sample(patch, u, v).nu
 
 
-def tangent_part_T(patch: SurfacePatch, u: float, v: float) -> Vec3:
+def tangent_part_T(patch: SurfacePatch, u, v) -> Vec3:
     """Tangential projection T of E3 (E3 = T + nu N), coordinate comps."""
     s = _sample(patch, u, v)
     return ambient.from_frame_components(patch.space, s.jet.p, s.t_frame)
 
 
-def tangent_rotation_J(patch: SurfacePatch, u: float, v: float, x) -> Vec3:
+def tangent_rotation_J(patch: SurfacePatch, u, v, x) -> Vec3:
     """J X = N ^ X: rotation of the tangent plane, coordinate comps."""
     s = _sample(patch, u, v)
     xf = ambient.to_frame_components(patch.space, s.jet.p, as_vec3(x))
@@ -301,7 +351,8 @@ class ShapeOperator2x2:
     """Shape operator matrix in a declared tangent basis.
 
     Columns are images: S(basis_j) = sum_i entries[i][j] * basis_i.
-    basis is "coordinate" (d/du, d/dv) or "adapted-TJT" (T, JT).
+    basis is "coordinate" (d/du, d/dv) or "adapted-TJT" (T, JT).  On a batch
+    of samples each entry (and trace, det) is an array over the batch.
     """
 
     s11: float
@@ -337,7 +388,7 @@ def _project_tangent(space: SpaceParams, s: _Sample, wf: Vec3) -> Vec3:
     return sub3(wf, scale3(coeff, s.n))
 
 
-def _weingarten_shape(patch: SurfacePatch, u: float, v: float, s: _Sample
+def _weingarten_shape(patch: SurfacePatch, u, v, s: _Sample
                       ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Shape-operator matrix in the coordinate basis by the Weingarten route:
     S(Fu), S(Fv) from central differences of the normal field plus ambient
@@ -376,14 +427,14 @@ def _second_form(space: SpaceParams, s: _Sample
                  (1.0, ambient.frame_connection_correction(space, dpf, wf))])
 
     fu, fv, a, b = j.fu, j.fv, s.a, s.b
-    e = float(s.eps)
+    e = s.eps
     h11 = e * ambient.frame_metric(space, cov_second(fu, a, fu, a, j.fuu), s.n)
     h12 = e * ambient.frame_metric(space, cov_second(fu, a, fv, b, j.fuv), s.n)
     h22 = e * ambient.frame_metric(space, cov_second(fv, b, fv, b, j.fvv), s.n)
     return ((h11, h12), (h12, h22))
 
 
-def second_fundamental_form(patch: SurfacePatch, u: float, v: float
+def second_fundamental_form(patch: SurfacePatch, u, v
                             ) -> tuple[tuple[float, float], tuple[float, float]]:
     """h(X, Y) = eps * g(ambient-second-derivative, N) on (d/du, d/dv).
 
@@ -406,7 +457,7 @@ def _second_form_shape(space: SpaceParams, s: _Sample
     return ((c1[0], c2[0]), (c1[1], c2[1]))
 
 
-def _coordinate_shape(patch: SurfacePatch, u: float, v: float, s: _Sample
+def _coordinate_shape(patch: SurfacePatch, u, v, s: _Sample
                       ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Shape-operator matrix in the coordinate basis (d/du, d/dv): m[i][j]
     is coefficient i of S(d_j).  Analytic-jet patches take the second form
@@ -423,23 +474,24 @@ def _adapted_frame(space: SpaceParams, s: _Sample
     """Coordinate coefficients of the adapted vectors T and JT, and g(T,T)."""
     t_frame = s.t_frame
     g_tt = ambient.frame_metric(space, t_frame, t_frame)
-    if abs(g_tt) < _ADAPTED_TOL:
-        raise DegenerateAdaptedFrame(
-            f"|g(T,T)| = {abs(g_tt)} too small for the adapted basis")
+    require(abs(g_tt) >= _ADAPTED_TOL, DegenerateAdaptedFrame,
+            lambda g: f"|g(T,T)| = {abs(g)} too small for the adapted basis",
+            g_tt, at=s.at)
     return (_tangent_coefficients(space, s, t_frame),
             _tangent_coefficients(
                 space, s, ambient.wedge_frame(space, s.n, t_frame)),
             g_tt)
 
 
-def _adapted_entries(frame, m) -> tuple[float, float, float, float]:
+def _adapted_entries(frame, m, at: Optional[tuple] = None
+                     ) -> tuple[float, float, float, float]:
     """Entries (a11, a12, a21, a22) of B^{-1} M B, where the columns of B
     are the adapted vectors (T, JT) of `frame` (from :func:`_adapted_frame`)
-    in the coordinate tangent basis."""
+    in the coordinate tangent basis; `at` is the samples' (u, v)."""
     (t1, t2), (j1, j2), _ = frame
     det_b = t1 * j2 - j1 * t2
-    if det_b == 0.0:
-        raise DegenerateAdaptedFrame("adapted basis change is singular")
+    require(det_b != 0.0, DegenerateAdaptedFrame,
+            lambda: "adapted basis change is singular", at=at)
     mt1 = m[0][0] * t1 + m[0][1] * t2
     mt2 = m[1][0] * t1 + m[1][1] * t2
     mj1 = m[0][0] * j1 + m[0][1] * j2
@@ -448,7 +500,7 @@ def _adapted_entries(frame, m) -> tuple[float, float, float, float]:
             (t1 * mt2 - t2 * mt1) / det_b, (t1 * mj2 - t2 * mj1) / det_b)
 
 
-def shape_operator(patch: SurfacePatch, u: float, v: float,
+def shape_operator(patch: SurfacePatch, u, v,
                    basis: str = "coordinate") -> ShapeOperator2x2:
     """Shape operator matrix at (u, v) in the requested basis: S = eps I^{-1} h
     from the second fundamental form on analytic-jet patches, the Weingarten
@@ -460,11 +512,12 @@ def shape_operator(patch: SurfacePatch, u: float, v: float,
         return ShapeOperator2x2(m[0][0], m[0][1], m[1][0], m[1][1], "coordinate")
     if basis == "adapted-TJT":
         return ShapeOperator2x2(
-            *_adapted_entries(_adapted_frame(patch.space, s), m), "adapted-TJT")
+            *_adapted_entries(_adapted_frame(patch.space, s), m, s.at),
+            "adapted-TJT")
     raise ValueError(f"unknown shape-operator basis {basis!r}")
 
 
-def mean_curvature(patch: SurfacePatch, u: float, v: float) -> float:
+def mean_curvature(patch: SurfacePatch, u, v) -> float:
     """H = trace(S) / 2 (basis independent)."""
     return 0.5 * shape_operator(patch, u, v).trace
 
@@ -500,7 +553,7 @@ def _brioschi(e: float, f: float, g: float,
     return (det3(m1) - det3(m2)) / (det * det)
 
 
-def gaussian_curvature(patch: SurfacePatch, u: float, v: float,
+def gaussian_curvature(patch: SurfacePatch, u, v,
                        method: str = "extrinsic") -> float:
     """Gaussian curvature at (u, v).
 
@@ -522,8 +575,9 @@ def gaussian_curvature(patch: SurfacePatch, u: float, v: float,
     raise ValueError(f"unknown gaussian-curvature method {method!r}")
 
 
-def _intrinsic_k(patch: SurfacePatch, u: float, v: float) -> float:
+def _intrinsic_k(patch: SurfacePatch, u, v) -> float:
     def coeffs(du: float, dv: float) -> tuple[float, float, float]:
+        # one metric-only batch per stencil offset
         form = induced_metric(patch, u + du, v + dv)
         return form.e, form.f, form.g
 
@@ -615,47 +669,42 @@ def grid_points(domain: tuple[tuple[float, float], tuple[float, float]],
     return us, vs
 
 
+def grid_batch(us: list[float], vs: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Every (u, v) of the grid us x vs as one batch, u-major."""
+    return np.repeat(us, len(vs)), np.tile(vs, len(us))
+
+
+@quiet
 def geometry_report(patch: SurfacePatch, n_u: int, n_v: int,
                     *, metadata: Optional[dict] = None) -> GeometryReport:
-    """Sweep an n_u x n_v grid and collect the per-sample geometry.
+    """Sweep an n_u x n_v grid, as one batch, and collect the per-sample
+    geometry.
 
     The shape operator is reported in the adapted (T, JT) basis when it is
     constructible at the domain center, otherwise in the coordinate basis;
-    the choice is recorded in the report's basis tag.
+    the choice is recorded in the report's basis tag.  A failing guard names
+    the first failing sample in u-major order.
     """
-    us, vs = grid_points(patch.domain, n_u, n_v)
+    u, v = grid_batch(*grid_points(patch.domain, n_u, n_v))
     cu, cv = patch.center()
     try:
         shape_operator(patch, cu, cv, basis="adapted-TJT")
         basis = "adapted-TJT"
     except DegenerateAdaptedFrame:
         basis = "coordinate"
-    report = GeometryReport(patch.name, patch.family, basis, (n_u, n_v),
-                            metadata=dict(metadata or {}))
-    for u in us:
-        for v in vs:
-            try:
-                _collect_sample(report, patch, u, v, basis)
-            except SurfaceError as exc:
-                raise type(exc)(
-                    f"at sample (u={fmt_float(u)}, v={fmt_float(v)}): {exc}"
-                ) from exc
-    return report
-
-
-def _collect_sample(report: GeometryReport, patch: SurfacePatch,
-                    u: float, v: float, basis: str) -> None:
     space = patch.space
     s = _sample(patch, u, v)
     m = _coordinate_shape(patch, u, v, s)
     if basis == "adapted-TJT":
-        entries = _adapted_entries(_adapted_frame(space, s), m)
+        entries = _adapted_entries(_adapted_frame(space, s), m, s.at)
     else:
         entries = (m[0][0], m[0][1], m[1][0], m[1][1])
     t_coords = ambient.from_frame_components(space, s.jet.p, s.t_frame)
-    report.records.append(SampleRecord(
-        u=u, v=v, nu=s.nu, h_mean=0.5 * (m[0][0] + m[1][1]),
-        k_ext=_extrinsic_k(space, s, m), k_int=_intrinsic_k(patch, u, v),
-        eps=s.eps,
-        s11=entries[0], s12=entries[1], s21=entries[2], s22=entries[3],
-        t_comps=t_coords))
+    columns = (u, v, s.nu, 0.5 * (m[0][0] + m[1][1]), _extrinsic_k(space, s, m),
+               _intrinsic_k(patch, u, v), s.eps, *entries)
+    rows = zip(*(np.broadcast_to(c, u.shape).tolist() for c in columns))
+    t_rows = zip(*(np.broadcast_to(c, u.shape).tolist() for c in t_coords))
+    return GeometryReport(patch.name, patch.family, basis, (n_u, n_v),
+                          records=[SampleRecord(*row, t_comps=t)
+                                   for row, t in zip(rows, t_rows)],
+                          metadata=dict(metadata or {}))

@@ -22,21 +22,27 @@ Each check turns one proved identity into a machine-checkable residual:
   each other, and sectional-curvature constancy on the matching
   constant-curvature parameter choice.
 
-Every suite is deterministic given (inputs, grid, seed).
+Every patch check evaluates its grid as one batch of samples (and each
+stencil offset as one more batch), and reports the maximum residual; a NaN
+or infinite residual raises :class:`~heisgeo.errors.NonFiniteResidual`
+instead of passing or failing.  Every suite is deterministic given (inputs,
+grid, seed).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from . import ambient
 from .ambient import SpaceParams
-from .errors import NotAHelixPatch, StencilTooCoarse, UnsupportedKappa
-from .numeric import Vec3, central_diff
+from .errors import (NonFiniteResidual, NotAHelixPatch, StencilTooCoarse,
+                     UnsupportedKappa)
+from .numeric import Vec3, central_diff, quiet, require, select
 from .surface import (
     FirstFundamentalForm,
     SurfacePatch,
@@ -49,6 +55,7 @@ from .surface import (
     _weingarten_shape,
     causal_character,
     gaussian_curvature,
+    grid_batch,
     shape_operator,
 )
 
@@ -140,48 +147,63 @@ class ResidualSuite:
                 "verdict": self.verdict}
 
 
-def _check(check_id: str, residual: float,
-           tolerances: Optional[dict]) -> CheckResult:
-    return CheckResult(check_id, residual, resolve_tolerance(check_id, tolerances))
+def _check(check_id: str, residuals, tolerances: Optional[dict],
+           at: Optional[tuple] = None) -> CheckResult:
+    """The check's result: the maximum of `residuals` (one value, a list, or
+    an array over the samples `at`).  A NaN or infinite residual cannot
+    pass or fail: it raises NonFiniteResidual naming the check (and the
+    sample, when `at` is given)."""
+    r = np.asarray(residuals, dtype=float)
+    require(np.isfinite(r), NonFiniteResidual,
+            lambda x: f"check {check_id}: residual {x} is not finite", r, at=at)
+    return CheckResult(check_id, float(r.max()),
+                       resolve_tolerance(check_id, tolerances))
 
 
 # ---- grid sampling ----
 
 
-def interior_grid(patch: SurfacePatch,
-                  grid: tuple[int, int]) -> list[tuple[float, float]]:
-    """Uniform sample points inset from the patch boundary (stencil headroom)."""
+def _interior_batch(patch: SurfacePatch,
+                    grid: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     (u0, u1), (v0, v1) = patch.domain
     su = min(_GRID_INSET, 0.2 * (u1 - u0))
     sv = min(_GRID_INSET, 0.2 * (v1 - v0))
     nu, nv = int(grid[0]), int(grid[1])
     if nu < 2 or nv < 2:
         raise ValueError("check grids need at least 2x2 samples")
-    us = [u0 + su + (u1 - u0 - 2 * su) * i / (nu - 1) for i in range(nu)]
-    vs = [v0 + sv + (v1 - v0 - 2 * sv) * j / (nv - 1) for j in range(nv)]
-    return [(u, v) for u in us for v in vs]
+    return grid_batch([u0 + su + (u1 - u0 - 2 * su) * i / (nu - 1) for i in range(nu)],
+                      [v0 + sv + (v1 - v0 - 2 * sv) * j / (nv - 1) for j in range(nv)])
 
 
-def _directional_step(fd_step: float, direction: tuple[float, float]) -> float:
+def interior_grid(patch: SurfacePatch,
+                  grid: tuple[int, int]) -> list[tuple[float, float]]:
+    """Uniform sample points inset from the patch boundary (stencil
+    headroom), u-major."""
+    u, v = _interior_batch(patch, grid)
+    return list(zip(u.tolist(), v.tolist()))
+
+
+def _directional_step(fd_step: float, direction):
     """Shrink the step so displaced stencil points stay near the sample."""
-    m = max(abs(direction[0]), abs(direction[1]), 1.0)
-    return fd_step / m
+    return fd_step / np.maximum(np.maximum(abs(direction[0]), abs(direction[1])),
+                                1.0)
 
 
 # ---- gauss ----
 
 
+@quiet
 def check_gauss(patch: SurfacePatch, grid: tuple[int, int] = (15, 15),
                 tolerances: Optional[dict] = None) -> CheckResult:
     """max |K_intrinsic - K_extrinsic| over an interior grid."""
-    worst = 0.0
-    for (u, v) in interior_grid(patch, grid):
-        k_ext = gaussian_curvature(patch, u, v, method="extrinsic")
-        k_int = gaussian_curvature(patch, u, v, method="intrinsic")
-        worst = max(worst, abs(k_int - k_ext))
-    return _check("gauss.extrinsic_vs_intrinsic", worst, tolerances)
+    u, v = _interior_batch(patch, grid)
+    k_ext = gaussian_curvature(patch, u, v, method="extrinsic")
+    k_int = gaussian_curvature(patch, u, v, method="intrinsic")
+    return _check("gauss.extrinsic_vs_intrinsic", abs(k_int - k_ext),
+                  tolerances, (u, v))
 
 
+@quiet
 def check_shape_operator_routes(patch: SurfacePatch,
                                 tolerances: Optional[dict] = None) -> CheckResult:
     """max |S_second - S_Weingarten| / max(1, max |S_second|) over a sparse
@@ -192,17 +214,16 @@ def check_shape_operator_routes(patch: SurfacePatch,
     finite-difference-jet patches both routes carry the differenced jet's
     error (a few 1e-6 relative on curved patches), so it is not run there.
     """
-    space = patch.space
-    worst = 0.0
-    for (u, v) in interior_grid(patch, _ROUTE_GRID):
-        s = _sample(patch, u, v)
-        analytic = _second_form_shape(space, s)
-        weingarten = _weingarten_shape(patch, u, v, s)
-        scale = max(1.0, *(abs(x) for row in analytic for x in row))
-        gap = max(abs(analytic[i][j] - weingarten[i][j])
-                  for i in range(2) for j in range(2))
-        worst = max(worst, gap / scale)
-    return _check("gauss.shape_operator_routes", worst, tolerances)
+    u, v = _interior_batch(patch, _ROUTE_GRID)
+    s = _sample(patch, u, v)
+    analytic = _second_form_shape(patch.space, s)
+    weingarten = _weingarten_shape(patch, u, v, s)
+    scale, gap = 1.0, 0.0
+    for i in range(2):
+        for j in range(2):
+            scale = np.maximum(scale, abs(analytic[i][j]))
+            gap = np.maximum(gap, abs(analytic[i][j] - weingarten[i][j]))
+    return _check("gauss.shape_operator_routes", gap / scale, tolerances, (u, v))
 
 
 # ---- codazzi ----
@@ -229,13 +250,15 @@ def _induced_christoffels(form: FirstFundamentalForm, du, dv
     return gamma
 
 
+@quiet
 def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
                   tolerances: Optional[dict] = None) -> CheckResult:
     """Codazzi residual with X = d/du, Y = d/dv over an interior grid.
 
     The covariant derivative of the S-field uses central differences of the
     coordinate-basis S matrix plus induced-connection corrections; the
-    comparison vector is measured in ambient frame components.
+    comparison vector is measured in ambient frame components.  The grid is
+    one batch, and so is each of the 8 stencil offsets.
     """
     (u0, u1), (v0, v1) = patch.domain
     if 2.0 * _SURFACE_STEP > 0.25 * min(u1 - u0, v1 - v0):
@@ -244,7 +267,7 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     space = patch.space
     tau = space.tau
 
-    def fields(uu: float, vv: float):
+    def fields(uu, vv):
         # (S11, S12, S21, S22, e, f, g): S in the coordinate basis and the
         # induced metric, from one sample
         s = _sample(patch, uu, vv)
@@ -252,63 +275,60 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
         form = s.form
         return (*m[0], *m[1], form.e, form.f, form.g)
 
-    worst = 0.0
-    for (u, v) in interior_grid(patch, grid):
-        s = _sample(patch, u, v)
-        m0 = _coordinate_shape(patch, u, v, s)
-        du = central_diff(lambda t: fields(u + t, v), _SURFACE_STEP, order=4)
-        dv = central_diff(lambda t: fields(u, v + t), _SURFACE_STEP, order=4)
-        # d/du of S(d/dv) and d/dv of S(d/du), coefficient 2-vectors
-        du_sv = (du[1], du[3])
-        dv_su = (dv[0], dv[2])
-        gamma = _induced_christoffels(s.form, du[4:], dv[4:])
-        s_col_v = (m0[0][1], m0[1][1])
-        s_col_u = (m0[0][0], m0[1][0])
-        lhs = [0.0, 0.0]
-        for k in range(2):
-            cu = du_sv[k] + sum(gamma[k][0][j] * s_col_v[j] for j in range(2))
-            cv = dv_su[k] + sum(gamma[k][1][j] * s_col_u[j] for j in range(2))
-            lhs[k] = cu - cv
-        t_frame = s.t_frame
-        g_ut = ambient.frame_metric(space, s.a, t_frame)
-        g_vt = ambient.frame_metric(space, s.b, t_frame)
-        factor = -4.0 * space.delta * s.eps * s.nu * tau * tau
-        rhs = (-factor * g_vt, factor * g_ut)
-        cu, cv = lhs[0] - rhs[0], lhs[1] - rhs[1]
-        w = tuple(cu * s.a[i] + cv * s.b[i] for i in range(3))
-        worst = max(worst, math.sqrt(w[0] ** 2 + w[1] ** 2 + w[2] ** 2))
-    return _check("codazzi.coordinate_fields", worst, tolerances)
+    u, v = _interior_batch(patch, grid)
+    s = _sample(patch, u, v)
+    m0 = _coordinate_shape(patch, u, v, s)
+    du = central_diff(lambda t: fields(u + t, v), _SURFACE_STEP, order=4)
+    dv = central_diff(lambda t: fields(u, v + t), _SURFACE_STEP, order=4)
+    # d/du of S(d/dv) and d/dv of S(d/du), coefficient 2-vectors
+    du_sv = (du[1], du[3])
+    dv_su = (dv[0], dv[2])
+    gamma = _induced_christoffels(s.form, du[4:], dv[4:])
+    s_col_v = (m0[0][1], m0[1][1])
+    s_col_u = (m0[0][0], m0[1][0])
+    lhs = [0.0, 0.0]
+    for k in range(2):
+        cu = du_sv[k] + sum(gamma[k][0][j] * s_col_v[j] for j in range(2))
+        cv = dv_su[k] + sum(gamma[k][1][j] * s_col_u[j] for j in range(2))
+        lhs[k] = cu - cv
+    t_frame = s.t_frame
+    g_ut = ambient.frame_metric(space, s.a, t_frame)
+    g_vt = ambient.frame_metric(space, s.b, t_frame)
+    factor = -4.0 * space.delta * s.eps * s.nu * tau * tau
+    rhs = (-factor * g_vt, factor * g_ut)
+    cu, cv = lhs[0] - rhs[0], lhs[1] - rhs[1]
+    w = tuple(cu * s.a[i] + cv * s.b[i] for i in range(3))
+    return _check("codazzi.coordinate_fields",
+                  np.sqrt(w[0] ** 2 + w[1] ** 2 + w[2] ** 2), tolerances, (u, v))
 
 
 # ---- helix ODE ----
 
 
+@quiet
 def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
                     tolerances: Optional[dict] = None) -> CheckResult:
     """Residual of T(mu) + mu^2 nu - 4 delta tau^2 nu^3 on a constant-angle
-    patch, with mu the varying adapted-basis shape entry."""
-    pts = interior_grid(patch, grid)
-    samples = [_sample(patch, u, v) for (u, v) in pts]
-    nus = [s.nu for s in samples]
-    if max(nus) - min(nus) > _CONSTANT_ANGLE_RANGE:
-        raise NotAHelixPatch(
-            f"angle function varies by {max(nus) - min(nus):.3e} over the grid")
+    patch, with mu the varying adapted-basis shape entry, differenced along
+    each sample's own T (one batch per stencil offset)."""
+    u, v = _interior_batch(patch, grid)
+    s = _sample(patch, u, v)
+    nu = s.nu
+    spread = nu.max() - nu.min()
+    if not spread <= _CONSTANT_ANGLE_RANGE:
+        raise NotAHelixPatch(f"angle function varies by {spread:.3e} over the grid")
     space = patch.space
     tau = space.tau
-
-    def mu(uu: float, vv: float) -> float:
-        return shape_operator(patch, uu, vv, basis="adapted-TJT").s22
-
-    worst = 0.0
-    for (u, v), s, nu in zip(pts, samples, nus):
-        frame = _adapted_frame(space, s)
-        t1, t2 = frame[0]
-        h = _directional_step(_SURFACE_STEP, (t1, t2))
-        t_mu = central_diff(lambda t: mu(u + t * t1, v + t * t2), h, order=4)
-        mu0 = _adapted_entries(frame, _coordinate_shape(patch, u, v, s))[3]
-        worst = max(worst, abs(t_mu + mu0 * mu0 * nu
-                               - 4.0 * space.delta * tau * tau * nu ** 3))
-    return _check("helix_ode.residual", worst, tolerances)
+    frame = _adapted_frame(space, s)
+    t1, t2 = frame[0]
+    t_mu = central_diff(
+        lambda t: shape_operator(patch, u + t * t1, v + t * t2,
+                                 basis="adapted-TJT").s22,
+        _directional_step(_SURFACE_STEP, (t1, t2)), order=4)
+    mu0 = _adapted_entries(frame, _coordinate_shape(patch, u, v, s), s.at)[3]
+    return _check("helix_ode.residual",
+                  abs(t_mu + mu0 * mu0 * nu - 4.0 * space.delta * tau * tau * nu ** 3),
+                  tolerances, (u, v))
 
 
 # ---- parallel ----
@@ -320,6 +340,11 @@ class ParallelCheckInput:
     tangent frame {F1, F2} with g(F1,F1) = 1 and g(F2,F2) = -eps.
     :func:`check_parallel` uses the unit adapted frame (T, JT) / sqrt|g(T,T)|,
     the spacelike vector first.
+
+    The callables take (u, v) as floats or as 1-D arrays (a batch of
+    points) and return floats or arrays over the batch; a returned number
+    counts for every point.  The check calls them with all `points` at once,
+    then once per stencil offset:
 
     frame_directions(u, v) -> coordinate coefficients of (F1, F2);
     entries(u, v) -> operator entries (S11, S12, S22) in that frame
@@ -335,6 +360,27 @@ class ParallelCheckInput:
     omega: Callable[[float, float, int], float]
 
 
+def _parallel_residuals(inp: ParallelCheckInput, fd_step: float):
+    """Per-point max residual of the parallel equations, and the points."""
+    pts = np.asarray(inp.points, dtype=float).reshape(-1, 2)
+    u, v = pts[:, 0].copy(), pts[:, 1].copy()
+    eps = inp.eps
+    dirs = inp.frame_directions(u, v)
+    s11, s12, s22 = inp.entries(u, v)
+    worst = np.zeros_like(u)
+    for k in (0, 1):
+        d = dirs[k]
+        x_s11, x_s12, x_s22 = central_diff(
+            lambda t: inp.entries(u + t * d[0], v + t * d[1]),
+            _directional_step(fd_step, d))
+        w = inp.omega(u, v, k)
+        for r in (abs(x_s11 + 2.0 * eps * s12 * w),
+                  abs(x_s12 - (s22 - s11) * w),
+                  abs(x_s22 - 2.0 * eps * s12 * w)):
+            worst = np.maximum(worst, r)  # NaN propagates
+    return worst, (u, v)
+
+
 def parallel_equations_residuals(inp: ParallelCheckInput,
                                  fd_step: float = _SURFACE_STEP) -> float:
     """Max residual of the three parallel-surface equations
@@ -343,61 +389,66 @@ def parallel_equations_residuals(inp: ParallelCheckInput,
         X(S12) = (S22 - S11) w(X)
         X(S22) =  2 eps S12 w(X)
 
-    over the given points with X ranging over the frame."""
-    eps = inp.eps
-    worst = 0.0
-    for (u, v) in inp.points:
-        dirs = inp.frame_directions(u, v)
-        s11, s12, s22 = inp.entries(u, v)
-        for k in (0, 1):
-            d = dirs[k]
-            x_s11, x_s12, x_s22 = central_diff(
-                lambda t: inp.entries(u + t * d[0], v + t * d[1]),
-                _directional_step(fd_step, d))
-            w = inp.omega(u, v, k)
-            worst = max(worst,
-                        abs(x_s11 + 2.0 * eps * s12 * w),
-                        abs(x_s12 - (s22 - s11) * w),
-                        abs(x_s22 - 2.0 * eps * s12 * w))
-    return worst
+    over the given points with X ranging over the frame (NaN if any
+    residual is NaN)."""
+    return float(_parallel_residuals(inp, fd_step)[0].max())
 
 
 def _parallel_input(patch: SurfacePatch,
                     points: Sequence[tuple[float, float]],
                     keep: Optional[Callable] = None) -> ParallelCheckInput:
-    """Parallel-check input on the patch; `keep(u, v, s, m, adapted)`, when
-    given, sees the sample, coordinate S and adapted entries (a11, a12, a21,
-    a22) of every point the check evaluates."""
+    """Parallel-check input on the patch; `keep(s, m, adapted)`, when given,
+    sees the sample batch, coordinate S and adapted entries (a11, a12, a21,
+    a22) at `points`, which this evaluates once, up front."""
     space = patch.space
     eps = causal_character(patch, *patch.center())
 
-    # the entries and the ambient frame are differenced at the same displaced
-    # points; a bounded cache holds the centre and its stencil neighbours
-    @functools.lru_cache(maxsize=8)
-    def point(u: float, v: float):
+    def evaluate(u, v, keep=None):
         """Frame directions (F1, F2), entries (S11, S12, S22) and the
-        frame's ambient components (w1, w2) at one sample.  The frame is
+        frame's ambient components (w1, w2) at (u, v).  The frame is
         (T, JT) / r with r = sqrt|g(T,T)|, swapped where T is timelike so
         that F1 is the spacelike vector."""
         s = _sample(patch, u, v)
         m = _coordinate_shape(patch, u, v, s)
         frame = _adapted_frame(space, s)
-        adapted = _adapted_entries(frame, m)
+        adapted = _adapted_entries(frame, m, s.at)
         if keep is not None:
-            keep(u, v, s, m, adapted)
+            keep(s, m, adapted)
         a11, a12, a21, a22 = adapted
         (t1, t2), (j1, j2), g_tt = frame
-        r = math.sqrt(abs(g_tt))
+        r = np.sqrt(abs(g_tt))
         t_frame = s.t_frame
         jt_frame = ambient.wedge_frame(space, s.n, t_frame)
-        dirs = ((t1 / r, t2 / r), (j1 / r, j2 / r))
-        amb = (tuple(c / r for c in t_frame), tuple(c / r for c in jt_frame))
-        if g_tt > 0.0:
-            return dirs, (a11, a12, a22), amb
         # g(T,T) = -1 - nu^2 on delta = -1 patches: JT is the spacelike one
-        return dirs[::-1], (a22, a21, a11), amb[::-1]
+        t_first = g_tt > 0.0
+        dirs = (select(t_first, (t1 / r, t2 / r), (j1 / r, j2 / r)),
+                select(t_first, (j1 / r, j2 / r), (t1 / r, t2 / r)))
+        w_t = tuple(c / r for c in t_frame)
+        w_jt = tuple(c / r for c in jt_frame)
+        amb = (select(t_first, w_t, w_jt), select(t_first, w_jt, w_t))
+        return dirs, select(t_first, (a11, a12, a22), (a22, a21, a11)), amb
 
-    def omega(u: float, v: float, k: int) -> float:
+    # the entries and the ambient frame are differenced at the same displaced
+    # points: a small cache, keyed by the points' bytes, holds the centre
+    # batch and its stencil offsets (their results only: it bounds memory)
+    cache: dict = {}
+
+    def key(u, v):
+        return np.shape(u), np.asarray(u).tobytes(), np.asarray(v).tobytes()
+
+    def point(u, v):
+        k = key(u, v)
+        if k not in cache:
+            if len(cache) >= 8:
+                del cache[next(iter(cache))]
+            cache[k] = evaluate(u, v)
+        return cache[k]
+
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    u, v = pts[:, 0].copy(), pts[:, 1].copy()
+    cache[key(u, v)] = evaluate(u, v, keep)
+
+    def omega(u, v, k: int):
         dirs, _, (w1, w2) = point(u, v)
         d = dirs[k]
         dw = central_diff(
@@ -412,6 +463,7 @@ def _parallel_input(patch: SurfacePatch,
                               lambda u, v: point(u, v)[1], omega)
 
 
+@quiet
 def check_parallel(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
                    tolerances: Optional[dict] = None, *,
                    inp: Optional[ParallelCheckInput] = None) -> CheckResult:
@@ -422,13 +474,14 @@ def check_parallel(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     point."""
     if inp is None:
         inp = _parallel_input(patch, interior_grid(patch, grid))
-    worst = parallel_equations_residuals(inp)
-    return _check("parallel.equations", worst, tolerances)
+    worst, at = _parallel_residuals(inp, _SURFACE_STEP)
+    return _check("parallel.equations", worst, tolerances, at)
 
 
 # ---- claims ----
 
 
+@quiet
 def check_claims(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
                  seed: int = DEFAULT_SEED,
                  tolerances: Optional[dict] = None) -> ResidualSuite:
@@ -443,24 +496,17 @@ def check_claims(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     """
     space = patch.space
     tau = space.tau
-    pts = interior_grid(patch, grid)
-    grid_pts = set(pts)
-    rows = {}
-
-    def keep(u, v, s, m, adapted):
-        # the parallel check evaluates every grid point; read H, nu, K_ext
-        # and the adapted entries from that same evaluation
-        if (u, v) in grid_pts:
-            a11, a12, _, a22 = adapted
-            rows[(u, v)] = (0.5 * (a11 + a22), s.nu, _extrinsic_k(space, s, m),
-                            a12, a22)
-
-    inp = _parallel_input(patch, pts, keep)
+    centre = []
+    # the parallel check evaluates the grid as one batch; H, nu, K_ext and
+    # the adapted entries are read from that same evaluation
+    inp = _parallel_input(patch, interior_grid(patch, grid),
+                          lambda *batch: centre.extend(batch))
     parallel = check_parallel(patch, grid, tolerances=tolerances, inp=inp)
-    hs, nus, kexts, s12s, s22s = zip(*(rows[pt] for pt in pts))
-    eps0 = inp.eps
-    h_range = max(hs) - min(hs)
-    nu_mean = sum(nus) / len(nus)
+    s, m, (a11, a12, _, a22) = centre
+    at = s.at
+    hs = 0.5 * (a11 + a22)
+    h_range = hs.max() - hs.min()
+    nu_mean = s.nu.mean()
 
     checks = []
     cmc_tol = resolve_tolerance("claims.parallel_implies_cmc", tolerances)
@@ -469,14 +515,13 @@ def check_claims(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     is_cmc = h_range <= cmc_tol
     checks.append(_check("claims.cmc_iff_parallel",
                          0.0 if is_cmc == parallel.passed else 1.0, tolerances))
-    target = 4.0 * space.delta * eps0 * tau * tau * nu_mean * nu_mean
+    target = 4.0 * space.delta * inp.eps * tau * tau * nu_mean * nu_mean
     checks.append(_check("claims.constant_angle_gauss",
-                         max(abs(k - target) for k in kexts), tolerances))
-    checks.append(_check("claims.mean_from_adapted_s22",
-                         max(abs(h - 0.5 * s22) for h, s22 in zip(hs, s22s)),
-                         tolerances))
-    checks.append(_check("claims.non_umbilic",
-                         abs(tau) - min(abs(x) for x in s12s), tolerances))
+                         abs(_extrinsic_k(space, s, m) - target), tolerances, at))
+    checks.append(_check("claims.mean_from_adapted_s22", abs(hs - 0.5 * a22),
+                         tolerances, at))
+    checks.append(_check("claims.non_umbilic", abs(tau) - abs(a12), tolerances,
+                         at))
     return ResidualSuite("claims", seed, checks, grid=grid,
                          patch_descriptor=dict(patch.family) if patch.family else None)
 
@@ -555,7 +600,7 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     checks: list[CheckResult] = []
 
     # frame orthonormality against the coordinate metric
-    worst = 0.0
+    gaps = []
     frame_pts = [_rand_point(rng) for _ in range(n_points)]
     for p in frame_pts:
         fr = ambient.frame_at(space, p)
@@ -564,33 +609,33 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
             for j in range(3):
                 got = ambient.metric_eval(space, p, vecs[i], vecs[j])
                 want = expected_diag[i] if i == j else 0.0
-                worst = max(worst, abs(got - want))
-    checks.append(_check("ambient.frame_orthonormality", worst, tolerances))
+                gaps.append(abs(got - want))
+    checks.append(_check("ambient.frame_orthonormality", gaps, tolerances))
 
     # bracket relations by finite differences of the frame fields
     fields = [ambient.frame_field(space, i) for i in (1, 2, 3)]
     e3 = (0.0, 0.0, 1.0)
-    worst = 0.0
+    gaps = []
     for p in frame_pts[:10]:
         b12 = ambient.commutator_fd(fields[0], fields[1], p)
         want12 = (0.0, 0.0, 2.0 * tau)
         b13 = ambient.commutator_fd(fields[0], fields[2], p)
         b23 = ambient.commutator_fd(fields[1], fields[2], p)
         for got, want in ((b12, want12), (b13, (0.0,) * 3), (b23, (0.0,) * 3)):
-            worst = max(worst, max(abs(got[i] - want[i]) for i in range(3)))
-    checks.append(_check("ambient.bracket", worst, tolerances))
+            gaps += [abs(got[i] - want[i]) for i in range(3)]
+    checks.append(_check("ambient.bracket", gaps, tolerances))
 
     # connection table vs the algebraic covariant-derivative correction
     table = ambient.connection_table(space)
     basis = {1: (1.0, 0.0, 0.0), 2: (0.0, 1.0, 0.0), 3: (0.0, 0.0, 1.0)}
-    worst = 0.0
+    gaps = []
     for (i, j), want in table.items():
         got = ambient.frame_connection_correction(space, basis[i], basis[j])
-        worst = max(worst, max(abs(got[k] - want[k]) for k in range(3)))
-    checks.append(_check("ambient.connection_table", worst, tolerances))
+        gaps += [abs(got[k] - want[k]) for k in range(3)]
+    checks.append(_check("ambient.connection_table", gaps, tolerances))
 
     # connection table vs finite-difference Christoffel symbols
-    worst = 0.0
+    gaps = []
     for p in frame_pts[:15]:
         gam = ambient.christoffel_coords(space, p)
         fr = ambient.frame_at(space, p)
@@ -603,37 +648,37 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
                                for l in range(3) for m in range(3))
                    for k in range(3)]
             got = ambient.to_frame_components(space, p, tuple(cov))
-            worst = max(worst, max(abs(got[k] - want[k]) for k in range(3)))
-    checks.append(_check("ambient.connection_fd", worst, tolerances))
+            gaps += [abs(got[k] - want[k]) for k in range(3)]
+    checks.append(_check("ambient.connection_fd", gaps, tolerances))
 
     # curvature closed formula vs the literal table on all frame triples
-    worst = 0.0
+    gaps = []
     for (i, j, k), want in curvature_table(space).items():
         got = ambient.curvature_frame(space, basis[i], basis[j], basis[k])
-        worst = max(worst, max(abs(got[m] - want[m]) for m in range(3)))
-    checks.append(_check("ambient.curvature_table", worst, tolerances))
+        gaps += [abs(got[m] - want[m]) for m in range(3)]
+    checks.append(_check("ambient.curvature_table", gaps, tolerances))
 
     # closed formula vs trilinear table expansion on random triples
-    worst = 0.0
+    gaps = []
     for _ in range(200):
         a, b, c = _rand_vec(rng), _rand_vec(rng), _rand_vec(rng)
         got = ambient.curvature_frame(space, a, b, c)
         want = curvature_from_table(space, a, b, c)
-        worst = max(worst, max(abs(got[m] - want[m]) for m in range(3)))
-    checks.append(_check("ambient.curvature_formula_agreement", worst,
+        gaps += [abs(got[m] - want[m]) for m in range(3)]
+    checks.append(_check("ambient.curvature_formula_agreement", gaps,
                          tolerances))
 
     # closed formula vs the nested finite-difference coordinate path
-    worst = 0.0
+    gaps = []
     for p in frame_pts[:8]:
         v, w, z = _rand_vec(rng), _rand_vec(rng), _rand_vec(rng)
         got = ambient.curvature_fd(space, p, v, w, z)
         want = ambient.curvature(space, p, v, w, z)
-        worst = max(worst, max(abs(got[m] - want[m]) for m in range(3)))
-    checks.append(_check("ambient.curvature_fd", worst, tolerances))
+        gaps += [abs(got[m] - want[m]) for m in range(3)]
+    checks.append(_check("ambient.curvature_fd", gaps, tolerances))
 
     # nabla_X E3 = delta tau (X wedge E3), FD route vs wedge
-    worst = 0.0
+    gaps = []
     for _ in range(50):
         p = _rand_point(rng)
         x = _rand_vec(rng)
@@ -644,8 +689,8 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
         xf = ambient.to_frame_components(space, p, x)
         wf = ambient.wedge_frame(space, xf, e3)
         want = tuple(delta * tau * wf[m] for m in range(3))
-        worst = max(worst, max(abs(got[m] - want[m]) for m in range(3)))
-    checks.append(_check("ambient.grad_e3_wedge", worst, tolerances))
+        gaps += [abs(got[m] - want[m]) for m in range(3)]
+    checks.append(_check("ambient.grad_e3_wedge", gaps, tolerances))
 
     # sectional curvature constant on the kappa = -4 tau^2 companion space
     sibling = SpaceParams(delta=delta, tau=tau, kappa=kappa)
@@ -666,7 +711,7 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
             continue
         values.append(ambient.sectional_curvature(sibling, p, v, w,
                                                   method="fd"))
-    spread = (max(values) - min(values)) if values else float("inf")
+    spread = (np.max(values) - np.min(values)) if values else float("inf")
     checks.append(_check("ambient.sectional_constancy", spread, tolerances))
 
     return ResidualSuite("ambient", seed, checks)

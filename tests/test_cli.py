@@ -8,9 +8,14 @@ import time
 
 import pytest
 
+import numpy as np
+
+import heisgeo.surface as surface_module
+import heisgeo.verify as verify_module
 from heisgeo.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_GEOMETRY_ERROR,
+    EXIT_INTERNAL_ERROR,
     EXIT_IO_ERROR,
     EXIT_PASS,
     EXIT_SUITE_FAILURE,
@@ -279,6 +284,8 @@ STRING_TOL = dict(PLANE, tol="x")  # tol must be an object
 PAIRS_TOL = dict(PLANE, tol=[["gauss", 1e-3]])  # a list of pairs is not one
 
 
+# numpy overflow in batch arithmetic must end in a guard, not in a warning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ("analyze", "mesh", "verify"))
 @pytest.mark.parametrize("payload, code", (
     (OVERFLOW_PLANE, EXIT_CONFIG_ERROR),
@@ -319,6 +326,40 @@ def test_valid_timelike_helices_pass_every_check(workdir, capsys, payload):
     report = json.loads((workdir / "rep.json").read_text())
     assert report["checks"]
     assert all(c["verdict"] == "pass" for c in report["checks"])
+
+
+def test_unexpected_exception_is_an_internal_error(workdir, capsys,
+                                                   monkeypatch):
+    """An exception heisgeo does not expect is a bug: exit 5 with one line
+    on stderr, never a traceback that reads as exit 1 ("a check failed")."""
+    def broken(*args, **kwargs):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(verify_module, "check_codazzi", broken)
+    code = main(["verify", "--config", cfg_path(workdir, CYLINDER),
+                 "--suite", "codazzi"])
+    assert code == EXIT_INTERNAL_ERROR == 5
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: IndexError: list index out of range"]
+
+
+def test_nan_residual_is_a_geometry_error(workdir, capsys, monkeypatch):
+    """A NaN shape operator at one sample ends as exit 3 naming the check,
+    not as a passing verify."""
+    second_form_shape = surface_module._second_form_shape
+
+    def nan_at_one_point(space, s):
+        (s11, s12), (s21, s22) = second_form_shape(space, s)
+        s11 = np.where(np.arange(np.size(s11)) == 9, np.nan, s11)
+        return (s11, s12), (s21, s22)
+
+    monkeypatch.setattr(surface_module, "_second_form_shape", nan_at_one_point)
+    code = main(["verify", "--config", cfg_path(workdir, HELIX),
+                 "--suite", "codazzi"])
+    assert code == EXIT_GEOMETRY_ERROR
+    err = capsys.readouterr().err
+    assert "check codazzi.coordinate_fields: residual nan is not finite" in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_io_error(workdir, capsys):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from heisgeo.errors import (
@@ -30,7 +31,7 @@ from heisgeo.families import (
     profile_residuals,
     profile_u_from_patch_u,
 )
-from heisgeo.numeric import CumulativeIntegral
+from heisgeo.numeric import CumulativeIntegral, adaptive_simpson
 from heisgeo.surface import shape_operator
 from heisgeo.verify import default_family_matrix
 
@@ -240,8 +241,36 @@ def test_quadrature_helix_jet_looks_up_each_table_once(monkeypatch):
             for i in range(9) for j in range(9)]
     for u, v in grid:
         patch.jet(u, v)
-    # one lookup in each of the f1, f2 and f3 tables per jet
-    assert lookups[0] <= 3 * len(grid)
+    # one lookup in each of the f1, f2 and f3 tables per jet call
+    assert lookups[0] == 3 * len(grid)
+    # and a batch of the whole grid is one call: three lookups in all
+    lookups[0] = 0
+    u, v = (np.array(c) for c in zip(*grid))
+    patch.jet(u, v)
+    assert lookups[0] == 3
+
+
+def test_tables_between_nodes_match_adaptive_simpson():
+    """Quarter points of the README helix's f1, f2 and f3 tables agree with
+    the node value plus adaptive Simpson to 1e-16 from that node: the cubic
+    Hermite interpolation between nodes errs by about h^4/384 times the
+    integrand's third derivative, far below 1e-13 for this slow eta."""
+    pf = _sinusoidal_helix().profile_functions
+    tau = pf.profile.tau
+    integrands = {
+        "f1": lambda x: pf.slopes(x)[0],
+        "f2": lambda x: pf.slopes(x)[1],
+        "f3": lambda x: tau * (pf.f1(x) * pf.slopes(x)[1]
+                               - pf.f2(x) * pf.slopes(x)[0]),
+    }
+    for name, f in integrands.items():
+        table = getattr(pf, name)
+        xs, vals = table.xs, table.vals
+        for i in range(3, len(xs) - 1, 97):
+            for q in (0.25, 0.75):
+                x = xs[i] + q * (xs[i + 1] - xs[i])
+                want = vals[i] + adaptive_simpson(f, xs[i], x, tol=1e-16)
+                assert abs(table(x) - want) <= 1e-13, (name, x)
 
 
 @pytest.mark.parametrize("index", range(9))

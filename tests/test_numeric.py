@@ -226,6 +226,20 @@ def test_rows_is_the_lookup_formula():
     assert table.rows(np.array([[xs[-1]]]))[0, 0] == table(xs[-1])
 
 
+def test_array_lookup_is_the_float_lookup():
+    """A lookup on an array (a batch of samples) gives bit for bit the
+    lookups of its entries; out-of-range entries raise."""
+    table = CumulativeIntegral(_exp, 0.0, -1.26, 1.26)
+    xs = table.xs
+    x = np.array([xs[0], xs[700] + 0.3 * (xs[701] - xs[700]), 0.0, xs[-1]])
+    got = table(x)
+    for i in range(len(x)):
+        assert got[i] == table(float(x[i]))
+    assert got[-1] == table.vals[-1]
+    with pytest.raises(ValueError, match="outside tabulated range"):
+        table(np.array([0.0, 1.3]))
+
+
 def test_refinement_budget_stops_a_runaway_integrand():
     with pytest.raises(QuadratureFailure, match="integrand evaluations"):
         CumulativeIntegral(lambda x: np.sin(1e6 * x)

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from heisgeo.ambient import SpaceParams, metric_eval
 from heisgeo.errors import (
     DegenerateInducedMetric,
+    NonFiniteJet,
     OutOfDomain,
 )
 from heisgeo.families import (
@@ -42,7 +44,7 @@ from heisgeo.surface import (
     _sample,
     _weingarten_shape,
 )
-from heisgeo.verify import check_shape_operator_routes
+from heisgeo.verify import check_shape_operator_routes, default_family_matrix
 
 ASINH1 = math.asinh(1.0)
 
@@ -393,3 +395,63 @@ def test_geometry_report_names_failing_sample():
     with pytest.raises(DegenerateInducedMetric) as err:
         geometry_report(patch, 9, 3)
     assert "at sample" in str(err.value)
+
+
+# ------------------------------------------------------ batches
+
+
+def batch_patches() -> list[SurfacePatch]:
+    return default_family_matrix() + [
+        make_helix_surface(HelixProfile(
+            "timelike", 1.0, math.pi / 4.0, c=0.1,
+            eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0)))),
+        SurfacePatch(SpaceParams(delta=1, tau=1.0),
+                     lambda u, v: (math.cosh(v), math.sinh(v), u - v),
+                     ((-1.2, 1.2), (-1.2, 1.2)))]
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_batch_matches_one_point_calls(index):
+    """Every geometry function takes a batch of points as 1-D arrays and
+    returns arrays whose entries are its one-point values: the same code
+    runs both, up to libm rounding (numpy's and math's cosh can differ in
+    the last bit) amplified by the stencils of the finite differences."""
+    patch = batch_patches()[index]
+    u = np.array([-0.9, -0.3, 0.2, 0.7])
+    v = np.array([0.5, -0.8, 0.1, 0.9])
+    fns = {
+        "nu": (lambda a, b: angle_function(patch, a, b), 1e-12),
+        "H": (lambda a, b: mean_curvature(patch, a, b), 1e-12),
+        "K_ext": (lambda a, b: gaussian_curvature(patch, a, b), 1e-11),
+        "K_int": (lambda a, b: gaussian_curvature(patch, a, b, "intrinsic"), 1e-6),
+        "S": (lambda a, b: shape_operator(patch, a, b, "adapted-TJT").entries(),
+              1e-11),
+        "N": (lambda a, b: unit_normal(patch, a, b), 1e-12),
+        "T": (lambda a, b: tangent_part_T(patch, a, b), 1e-12),
+    }
+    for name, (fn, tol) in fns.items():
+        batch = np.asarray(fn(u, v), dtype=float)
+        assert batch.shape[-1] == 4, name
+        for i in range(4):
+            one = fn(float(u[i]), float(v[i]))
+            assert np.all(np.abs(batch[..., i] - np.asarray(one)) <= tol), name
+    assert isinstance(angle_function(patch, 0.1, 0.2), float)
+    assert isinstance(shape_operator(patch, 0.1, 0.2).s11, float)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_jet_names_the_sample_and_family():
+    """cosh(v) overflows past v = 710.48: the jet raises NonFiniteJet at the
+    first such sample of a batch, and at a single sample too (where
+    math.cosh raises OverflowError instead of returning inf)."""
+    patch = make_cmc_cylinder(1, "timelike", 1.0,
+                              domain=((-1.0, 1.0), (700.0, 712.0)))
+    with pytest.raises(NonFiniteJet) as err:
+        patch.jet(np.array([0.0, 0.5, -0.5]), np.array([705.0, 711.0, 711.5]))
+    assert err.value.sample == (0.5, 711.0)
+    assert err.value.family["family"] == "cmc_cylinder"
+    assert "at sample (u=0.5, v=711)" in str(err.value)
+    with pytest.raises(NonFiniteJet) as err:
+        patch.jet(-0.5, 711.5)
+    assert err.value.sample == (-0.5, 711.5)
+    patch.jet(0.0, 705.0)

@@ -4,10 +4,11 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from heisgeo.ambient import SpaceParams, curvature_frame
-from heisgeo.errors import NotAHelixPatch, StencilTooCoarse
+from heisgeo.errors import NonFiniteResidual, NotAHelixPatch, StencilTooCoarse
 from heisgeo.families import (
     EtaSpec,
     HelixProfile,
@@ -136,10 +137,14 @@ def test_helix_ode_rejects_varying_angle():
 
 
 #: SurfacePatch.jet calls per patch suite on a new spacelike helix at (8, 8),
-#: one of them for the normal gauge; each check evaluates a point once and
-#: shares it, so a suite that starts resampling points it already has fails here
-JET_BUDGET = {"gauss": 721, "codazzi": 577, "helix_ode": 321,
-              "parallel": 322, "claims": 322}
+#: one of them for the normal gauge.  A call is one batch: the grid, or one
+#: stencil offset of it (gauss: the grid, 9 intrinsic-K offsets, the route
+#: check's 4x4 grid and its 4 Weingarten offsets; codazzi: the grid and 8
+#: offsets; helix_ode: the grid and 4; parallel and claims: the centre's
+#: causal character, the grid and 4).  A suite that starts resampling points
+#: it already has, or loops over them, fails here
+JET_BUDGET = {"gauss": 16, "codazzi": 10, "helix_ode": 6,
+              "parallel": 7, "claims": 7}
 
 
 @pytest.mark.parametrize("suite", sorted(JET_BUDGET))
@@ -160,12 +165,12 @@ def test_suite_jet_counts_within_budget(monkeypatch, suite):
 def test_weingarten_route_only_in_the_route_check(monkeypatch, suite):
     """On an analytic patch every shape operator is S = eps I^{-1} h; the
     Weingarten route runs only in gauss.shape_operator_routes, once per
-    point of its 4x4 subgrid."""
+    point of its 4x4 subgrid (one call on the batch of 16 points)."""
     calls = [0]
     weingarten = surface_module._weingarten_shape
 
     def counting(*args):
-        calls[0] += 1
+        calls[0] += np.size(args[1])  # the points of the batch
         return weingarten(*args)
 
     monkeypatch.setattr(surface_module, "_weingarten_shape", counting)
@@ -249,6 +254,56 @@ def test_parallel_verdicts_by_family():
     helix = check_parallel(spacelike_helix(), (6, 6))
     assert not helix.passed
     assert helix.max_residual > 0.1  # O(1): the entry mu genuinely varies
+
+
+def test_parallel_residuals_propagate_nan():
+    """A NaN entry at one point makes the maximum NaN; max(0.0, nan) == 0.0
+    used to drop it."""
+    pts = [(0.1 * i, 0.0) for i in range(4)]
+    inp = ParallelCheckInput(
+        eps=1,
+        points=pts,
+        frame_directions=lambda u, v: ((1.0, 0.0), (0.0, 1.0)),
+        entries=lambda u, v: (np.where(u > 0.25, np.nan, 0.7), 0.0, 0.7),
+        omega=lambda u, v, k: 0.0,
+    )
+    assert math.isnan(parallel_equations_residuals(inp, 1e-3))
+
+
+def timelike_linear_helix() -> SurfacePatch:
+    return make_helix_surface(HelixProfile(
+        "timelike", 1.0, math.pi / 4.0, c=0.1, eta=EtaSpec("linear", (0.0, 1.0))))
+
+
+#: the check that meets the NaN first in each patch suite (claims runs the
+#: parallel check on its grid before its own checks)
+NAN_CHECK = {"gauss": "gauss.extrinsic_vs_intrinsic",
+             "codazzi": "codazzi.coordinate_fields",
+             "helix_ode": "helix_ode.residual",
+             "parallel": "parallel.equations",
+             "claims": "parallel.equations"}
+
+
+@pytest.mark.parametrize("suite", sorted(NAN_CHECK))
+def test_nan_residual_never_passes(monkeypatch, suite):
+    """S is NaN at grid point 9 (and at that point of every stencil offset):
+    the suite must raise NonFiniteResidual naming the check and the sample,
+    never report pass or fail."""
+    second_form_shape = surface_module._second_form_shape
+
+    def nan_at_one_point(space, s):
+        (s11, s12), (s21, s22) = second_form_shape(space, s)
+        s11 = np.where(np.arange(np.size(s11)) == 9, np.nan, s11)
+        return (s11, s12), (s21, s22)
+
+    monkeypatch.setattr(surface_module, "_second_form_shape", nan_at_one_point)
+    monkeypatch.setattr(verify_module, "_second_form_shape", nan_at_one_point)
+    patch = timelike_linear_helix()
+    with pytest.raises(NonFiniteResidual) as err:
+        run_suite(suite, patch=patch, grid=(8, 8))
+    assert str(err.value).startswith(f"check {NAN_CHECK[suite]}: residual nan")
+    assert err.value.sample == interior_grid(patch, (8, 8))[9]
+    assert "at sample (u=" in str(err.value)
 
 
 # ------------------------------------------------------------ claims
