@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -356,8 +355,9 @@ class CumulativeIntegral:
     eta = 0.3 sin(k v) on the README helix the f1 table errs at quarter
     points by 5e-16 at k = 1, 6.5e-11 at k = 50 and 4.2e-9 at k = 200.
 
-    A call takes a float x, or an ndarray x (any shape, elementwise) with
-    one `np.searchsorted` for all of it.
+    A call takes a float x and returns a float, or takes an ndarray x (any
+    shape, elementwise) and returns an array; either way it is one
+    `searchsorted` over the nodes.
     """
 
     def __init__(self, f: Callable, x0: float, lo: float, hi: float, *,
@@ -389,8 +389,7 @@ class CumulativeIntegral:
             slopes[-1] = f(nodes[-1:, None])[0, 0]
         # the checks below run on lists: numpy's comparison and reduction
         # loops would page in more of its code than the build itself needs
-        self.slopes = slopes.tolist()
-        if not all(map(math.isfinite, self.slopes)):
+        if not all(map(math.isfinite, slopes.tolist())):
             raise QuadratureFailure(
                 f"integrand not finite at a table node in [{lo}, {hi}]")
         share = (tol * widths / total).tolist()
@@ -410,34 +409,30 @@ class CumulativeIntegral:
         vals = np.empty(n_seg + 1)
         vals[i0:] = np.cumsum(np.concatenate(([f0], integrals[i0:])))
         vals[i0::-1] = np.cumsum(np.concatenate(([f0], -integrals[:i0][::-1])))
-        self.xs = xs
-        self.vals = vals.tolist()
-        self._table = (nodes, vals, slopes)
+        # node positions, F at the nodes and f = F' at the nodes
+        self.xs, self.vals, self.slopes = nodes, vals, slopes
 
     def __call__(self, x):
-        """F at a float x, or elementwise at an ndarray x."""
-        # the right end evaluates in the last segment, at t = 1
-        if isinstance(x, np.ndarray):
-            nodes, vals, slopes = self._table
-            i = np.minimum(np.searchsorted(nodes, x, side="right") - 1,
-                           len(nodes) - 2)
-        else:  # a float: the list search is several times faster
-            nodes, vals, slopes = self.xs, self.vals, self.slopes
-            i = min(bisect_right(nodes, x) - 1, len(nodes) - 2)
+        """F at a float x (a float), or elementwise at an ndarray x."""
+        nodes, vals, slopes = self.xs, self.vals, self.slopes
         lo, hi = nodes[0], nodes[-1]
         require((lo <= x) & (x <= hi), ValueError,
                 lambda at: f"x={at} outside tabulated range [{lo}, {hi}]", x)
+        # x's segment; searching the inner nodes puts the right end in the
+        # last segment, where it evaluates at t = 1
+        i = nodes[1:-1].searchsorted(x, side="right")
         h = nodes[i + 1] - nodes[i]
-        return _hermite((x - nodes[i]) / h, vals[i], vals[i + 1],
-                        slopes[i] * h, slopes[i + 1] * h)
+        y = _hermite((x - nodes[i]) / h, vals[i], vals[i + 1],
+                     slopes[i] * h, slopes[i + 1] * h)
+        return y if isinstance(x, np.ndarray) else float(y)
 
     def rows(self, x: np.ndarray) -> np.ndarray:
         """F on a 2-D array whose row r lies in node segment s + r, with s
         the segment holding x[0, 0] (the last segment for the right end):
         the same Hermite formula as a call, with one search per array."""
-        s = min(bisect_right(self.xs, x[0, 0]) - 1, len(self.xs) - 2)
+        s = int(self.xs[1:-1].searchsorted(x[0, 0], side="right"))
         e = s + x.shape[0] + 1
-        nodes, vals, slopes = (np.array(a[s:e])[:, None]
+        nodes, vals, slopes = (a[s:e, None]
                                for a in (self.xs, self.vals, self.slopes))
         h = nodes[1:] - nodes[:-1]
         t = (x - nodes[:-1]) / h

@@ -131,7 +131,7 @@ class SurfacePatch:
         (u0, u1), (v0, v1) = self.domain
         return (0.5 * (u0 + u1), 0.5 * (v0 + v1))
 
-    def _check_domain(self, u, v) -> None:
+    def _check_domain(self, u, v, at: tuple) -> None:
         (u0, u1), (v0, v1) = self.domain
         if self.jet_source == "analytic":
             m = -_ANALYTIC_MARGIN
@@ -140,38 +140,46 @@ class SurfacePatch:
         require((u0 + m <= u) & (u <= u1 - m) & (v0 + m <= v) & (v <= v1 - m),
                 OutOfDomain,
                 lambda u, v: f"(u, v) = ({u}, {v}) outside evaluable part of "
-                f"domain {self.domain} for {self.jet_source} jets", u, v)
+                f"domain {self.domain} for {self.jet_source} jets", u, v,
+                at=at)
 
-    def jet(self, u, v) -> PatchJet:
+    def jet(self, u, v, *, at: Optional[tuple] = None) -> PatchJet:
         """Position with first and second partials at (u, v): floats, or
-        1-D arrays for a batch.  Raises NonFiniteJet where it overflows."""
+        1-D arrays for a batch.  Raises NonFiniteJet where it overflows.
+
+        Its guards name the samples `at` (default (u, v)); a stencil
+        evaluation passes the samples its points are displaced from."""
         batch = isinstance(u, np.ndarray) or isinstance(v, np.ndarray)
         if batch:
             u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
                                        np.asarray(v, dtype=float))
-        self._check_domain(u, v)
+        if at is None:
+            at = (u, v)
+        self._check_domain(u, v, at)
         overflow = functools.partial(NonFiniteJet, family=self.family)
         describe = (lambda: f"jet of {self.name} (family {self.family}) "
                     "is not finite")
+        failed = 0  # the point being evaluated when OverflowError is raised
         try:
             with np.errstate(all="ignore"):
                 if self._analytic_jet is not None:
                     raw = self._analytic_jet(u, v)
                 elif batch:  # position may take floats only
-                    rows = np.array([self._fd_jet(a, b) for a, b
-                                     in zip(u.tolist(), v.tolist())])
-                    raw = rows.transpose(1, 2, 0)
+                    rows = []
+                    for failed, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+                        rows.append(self._fd_jet(a, b))
+                    raw = np.array(rows).transpose(1, 2, 0)
                 else:
                     raw = self._fd_jet(u, v)
         except OverflowError:
-            require(False, overflow, describe, at=(u, v))
+            require(np.arange(np.size(u)) != failed, overflow, describe, at=at)
         if batch:
             vecs = [tuple(np.broadcast_to(np.asarray(c, dtype=float), u.shape)
                           for c in vec) for vec in raw]
         else:
             vecs = [as_vec3(vec) for vec in raw]
         require(finite(*(c for vec in vecs for c in vec)), overflow, describe,
-                at=(u, v))
+                at=at)
         return PatchJet(*vecs)
 
     def _fd_jet(self, u: float, v: float) -> tuple:
@@ -190,6 +198,8 @@ class FirstFundamentalForm:
     e: float  # g(Fu, Fu); an array on a batch, as are f and g
     f: float  # g(Fu, Fv)
     g: float  # g(Fv, Fv)
+    #: the samples' (u, v), which the epsilon guard names (None: unknown)
+    at: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def det(self) -> float:
@@ -208,7 +218,8 @@ class FirstFundamentalForm:
         (spacelike surface, positive-definite induced metric)."""
         d = self.det
         require(abs(d) >= _DEGENERATE_DET_TOL, DegenerateInducedMetric,
-                lambda d: f"induced metric determinant {d} below threshold", d)
+                lambda d: f"induced metric determinant {d} below threshold", d,
+                at=self.at)
         return _sign(-d)
 
 
@@ -217,10 +228,13 @@ def _sign(x):
     return select(x > 0.0, 1, -1)
 
 
-def induced_metric(patch: SurfacePatch, u, v) -> FirstFundamentalForm:
-    """First fundamental form of the patch at (u, v)."""
-    j = patch.jet(u, v)
-    return _induced_from_jet(patch.space, j, (u, v))
+def induced_metric(patch: SurfacePatch, u, v, *,
+                   at: Optional[tuple] = None) -> FirstFundamentalForm:
+    """First fundamental form of the patch at (u, v); its guards name the
+    samples `at` (default (u, v))."""
+    if at is None:
+        at = (u, v)
+    return _induced_from_jet(patch.space, patch.jet(u, v, at=at), at)
 
 
 def _induced_from_jet(space: SpaceParams, j: PatchJet,
@@ -228,7 +242,7 @@ def _induced_from_jet(space: SpaceParams, j: PatchJet,
     gm = ambient.metric_matrix(space, j.p)
     form = FirstFundamentalForm(bilinear3(gm, j.fu, j.fu),
                                 bilinear3(gm, j.fu, j.fv),
-                                bilinear3(gm, j.fv, j.fv))
+                                bilinear3(gm, j.fv, j.fv), at)
     size = abs(form.det)
     require((size >= _DEGENERATE_DET_TOL) & (size < float("inf")),
             DegenerateInducedMetric,
@@ -308,9 +322,12 @@ def _gauge_sign(patch: SurfacePatch) -> float:
     return sign
 
 
-def _sample(patch: SurfacePatch, u, v) -> _Sample:
-    j = patch.jet(u, v)
-    at = (u, v)
+def _sample(patch: SurfacePatch, u, v, at: Optional[tuple] = None) -> _Sample:
+    """The sample bundle at (u, v); its guards name the samples `at`
+    (default (u, v)), which a stencil point passes on from its centre."""
+    if at is None:
+        at = (u, v)
+    j = patch.jet(u, v, at=at)
     form = _induced_from_jet(patch.space, j, at)
     a, b, n_raw, eps = _raw_normal(patch.space, j, form, at)
     n = scale3(_gauge_sign(patch), n_raw)
@@ -395,8 +412,10 @@ def _weingarten_shape(patch: SurfacePatch, u, v, s: _Sample
     connection corrections.  It serves finite-difference-jet patches and is
     the independent cross-check of the analytic route."""
     space = patch.space
-    dn_u = central_diff(lambda t: _sample(patch, u + t, v).n, _WEINGARTEN_STEP)
-    dn_v = central_diff(lambda t: _sample(patch, u, v + t).n, _WEINGARTEN_STEP)
+    dn_u = central_diff(lambda t: _sample(patch, u + t, v, s.at).n,
+                        _WEINGARTEN_STEP)
+    dn_v = central_diff(lambda t: _sample(patch, u, v + t, s.at).n,
+                        _WEINGARTEN_STEP)
     cov_u = lincomb3([(1.0, dn_u),
                       (1.0, ambient.frame_connection_correction(space, s.a, s.n))])
     cov_v = lincomb3([(1.0, dn_v),
@@ -577,8 +596,8 @@ def gaussian_curvature(patch: SurfacePatch, u, v,
 
 def _intrinsic_k(patch: SurfacePatch, u, v) -> float:
     def coeffs(du: float, dv: float) -> tuple[float, float, float]:
-        # one metric-only batch per stencil offset
-        form = induced_metric(patch, u + du, v + dv)
+        # one metric-only batch per stencil offset; guards name (u, v)
+        form = induced_metric(patch, u + du, v + dv, at=(u, v))
         return form.e, form.f, form.g
 
     # components (e, f, g) of each partial

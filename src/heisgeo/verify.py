@@ -40,8 +40,8 @@ import numpy as np
 
 from . import ambient
 from .ambient import SpaceParams
-from .errors import (NonFiniteResidual, NotAHelixPatch, StencilTooCoarse,
-                     UnsupportedKappa)
+from .errors import (DegeneratePlane, NonFiniteResidual, NotAHelixPatch,
+                     StencilTooCoarse, UnsupportedKappa)
 from .numeric import Vec3, central_diff, quiet, require, select
 from .surface import (
     FirstFundamentalForm,
@@ -93,6 +93,8 @@ _GRID_INSET = 0.03
 _CONSTANT_ANGLE_RANGE = 1e-6
 # sparse subgrid of the shape-operator route check (5 jets per point)
 _ROUTE_GRID = (4, 4)
+# random planes the sectional-constancy check may draw to find its samples
+_PLANE_ATTEMPTS = 400
 
 
 def resolve_tolerance(check_id: str, overrides: Optional[dict] = None) -> float:
@@ -270,7 +272,7 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     def fields(uu, vv):
         # (S11, S12, S21, S22, e, f, g): S in the coordinate basis and the
         # induced metric, from one sample
-        s = _sample(patch, uu, vv)
+        s = _sample(patch, uu, vv, (u, v))  # guards name the grid sample
         m = _coordinate_shape(patch, uu, vv, s)
         form = s.form
         return (*m[0], *m[1], form.e, form.f, form.g)
@@ -696,7 +698,7 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     sibling = SpaceParams(delta=delta, tau=tau, kappa=kappa)
     values = []
     attempts = 0
-    while len(values) < 20 and attempts < 400:
+    while len(values) < 20 and attempts < _PLANE_ATTEMPTS:
         attempts += 1
         p = (rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15),
              rng.uniform(-1.0, 1.0))
@@ -711,8 +713,12 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
             continue
         values.append(ambient.sectional_curvature(sibling, p, v, w,
                                                   method="fd"))
-    spread = (np.max(values) - np.min(values)) if values else float("inf")
-    checks.append(_check("ambient.sectional_constancy", spread, tolerances))
+    if not values:  # no spread to measure: not a verdict on the curvature
+        raise DegeneratePlane(
+            f"ambient.sectional_constancy: no well-conditioned tangent plane "
+            f"in {_PLANE_ATTEMPTS} random attempts")
+    checks.append(_check("ambient.sectional_constancy",
+                         np.max(values) - np.min(values), tolerances))
 
     return ResidualSuite("ambient", seed, checks)
 

@@ -105,8 +105,10 @@ def test_degenerate_induced_metric_detected():
 
 def test_out_of_domain_analytic_margin():
     patch = make_cmc_cylinder(-1, "timelike", 1.0, domain=((-1.0, 1.0), (-1.0, 1.0)))
-    with pytest.raises(OutOfDomain):
+    with pytest.raises(OutOfDomain) as err:
         induced_metric(patch, 1.05, 0.0)
+    assert err.value.sample == (1.05, 0.0)
+    assert "at sample (u=1.05, v=0)" in str(err.value)
     # inside the hard margin is fine
     induced_metric(patch, 1.0, 1.0)
 
@@ -397,6 +399,26 @@ def test_geometry_report_names_failing_sample():
     assert "at sample" in str(err.value)
 
 
+def test_geometry_report_names_the_grid_sample_of_a_stencil_point():
+    """A guard that fails only at a stencil point of intrinsic K (v + 5e-4)
+    names the grid sample that stencil belongs to, not the displaced point,
+    so the named (u, v) is a row of the report."""
+    space = SpaceParams(delta=1, tau=1.0)
+
+    def jet(u, v):
+        w = np.sqrt(0.5002 - v) / np.sqrt(0.5002 - v)  # NaN past v = 0.5002
+        zero = 0.0 * w
+        return ((u * w, v * w, zero), (w, zero, zero), (zero, w, zero),
+                (zero,) * 3, (zero,) * 3, (zero,) * 3)
+
+    patch = SurfacePatch(space, lambda u, v: (u, v, 0.0),
+                         ((-0.5, 0.5), (-0.5, 0.5)), jet=jet)
+    with pytest.raises(NonFiniteJet) as err:
+        geometry_report(patch, 5, 5)
+    assert err.value.sample == (-0.5, 0.5)
+    assert "at sample (u=-0.5, v=0.5)" in str(err.value)
+
+
 # ------------------------------------------------------ batches
 
 
@@ -455,3 +477,13 @@ def test_non_finite_jet_names_the_sample_and_family():
         patch.jet(-0.5, 711.5)
     assert err.value.sample == (-0.5, 711.5)
     patch.jet(0.0, 705.0)
+    # a finite-difference patch on a float-only position: the batch loop
+    # names the point whose OverflowError stopped it, not the first point
+    fd = SurfacePatch(patch.space,
+                      lambda u, v: (u, math.sinh(v), math.cosh(v)),
+                      patch.domain, family={"family": "scalar"})
+    with pytest.raises(NonFiniteJet) as err:
+        fd.jet(np.array([0.0, 0.5, -0.5]), np.array([705.0, 711.0, 711.5]))
+    assert err.value.sample == (0.5, 711.0)
+    assert err.value.family == {"family": "scalar"}
+    assert "at sample (u=0.5, v=711)" in str(err.value)

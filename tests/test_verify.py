@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from heisgeo.ambient import SpaceParams, curvature_frame
-from heisgeo.errors import NonFiniteResidual, NotAHelixPatch, StencilTooCoarse
+from heisgeo.errors import (DegeneratePlane, NonFiniteResidual, NotAHelixPatch,
+                            StencilTooCoarse)
 from heisgeo.families import (
     EtaSpec,
     HelixProfile,
@@ -152,9 +153,9 @@ def test_suite_jet_counts_within_budget(monkeypatch, suite):
     calls = [0]
     jet = SurfacePatch.jet
 
-    def counting_jet(self, u, v):
+    def counting_jet(self, u, v, **kwargs):
         calls[0] += 1
-        return jet(self, u, v)
+        return jet(self, u, v, **kwargs)
 
     monkeypatch.setattr(SurfacePatch, "jet", counting_jet)
     run_suite(suite, patch=spacelike_helix(), grid=(8, 8))
@@ -342,6 +343,17 @@ def test_ambient_suite_passes(delta):
     assert suite.passed, [c.as_dict() for c in suite.checks if not c.passed]
     assert len(suite.checks) == 9
     assert suite.name == "ambient"
+
+
+def test_sectional_constancy_without_a_plane_raises(monkeypatch):
+    """When every random plane is ill-conditioned there is no spread to
+    measure: the check raises a typed error that says so, rather than
+    feeding an infinite residual through the verdict."""
+    monkeypatch.setattr(verify_module.ambient, "metric_eval",
+                        lambda space, p, v, w: 1.0)
+    with pytest.raises(DegeneratePlane,
+                       match="no well-conditioned tangent plane in 400"):
+        check_ambient(SpaceParams(delta=1, tau=1.0))
 
 
 def test_ambient_suite_flat_space():
