@@ -13,8 +13,9 @@ tau the structure constant of the underlying group.  At kappa = 0 (D == 1)
 the space is the Lorentzian Heisenberg group with its left-invariant metric;
 closed-form frame, wedge, connection and curvature operations are available
 there.  For every kappa, an independent finite-difference path (Christoffel
-symbols and curvature from `metric_matrix` alone) provides a cross-check that
-shares no code with the closed forms.
+symbols from complex-step first derivatives of `metric_matrix`, curvature
+from central differences of those) provides a cross-check that shares no
+code with the closed forms.
 
 Conventions fixed by this module (and verified by the test suite):
 
@@ -47,10 +48,12 @@ from .numeric import (Vec3, as_vec3, bilinear3, central_diff, lincomb3,
 _CONFORMAL_TOL = 1e-12
 # relative threshold for a degenerate tangent 2-plane
 _PLANE_TOL = 1e-10
-# finite-difference steps: first derivatives of the metric (pinned policy)
-_FD1_SCALE = 1e-5
-# outer step for nested second derivatives of the metric
+# complex step for first derivatives of the metric
+_COMPLEX_STEP = 1e-30
+# outer finite-difference step for second derivatives of the metric
 _FD2_SCALE = 3e-4
+# central-difference step for derivatives of vector fields
+_FIELD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -281,14 +284,10 @@ def _shifted(p: Vec3, i: int, t: float) -> Vec3:
     return tuple(c + t if k == i else c for k, c in enumerate(p))  # type: ignore[return-value]
 
 
-def _fd_steps(p, scale: float) -> Vec3:
-    return (max(scale, scale * abs(float(p[0]))),
-            max(scale, scale * abs(float(p[1]))),
-            max(scale, scale * abs(float(p[2]))))
-
-
 def christoffel_coords(space: SpaceParams, p) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] at p by central differences.
+    """Christoffel symbols Gamma[k, i, j] at p, with the metric's first
+    derivatives by complex step: Im g(p + i h e_k) / h (Squire & Trapp,
+    SIAM Rev. 1998) has no difference of nearby values to cancel digits.
 
     Consumes only `metric_matrix`; independent of every closed-form table.
     """
@@ -298,10 +297,9 @@ def christoffel_coords(space: SpaceParams, p) -> np.ndarray:
     if abs(det) < 1e-14:
         raise SingularMetric(f"metric matrix singular at {p} (det = {det})")
     ginv = np.linalg.inv(g0)
-    steps = _fd_steps(p, _FD1_SCALE)
-    dg = np.array([central_diff(
-        lambda t, i=i: np.array(metric_matrix(space, _shifted(p, i, t))),
-        steps[i]) for i in range(3)])
+    dg = np.array([
+        np.array(metric_matrix(space, _shifted(p, i, _COMPLEX_STEP * 1j))).imag
+        / _COMPLEX_STEP for i in range(3)])
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij);
     # dg[i, j, l] = d_i g_jl, so the three terms are the transposes below.
     gamma = 0.5 * np.einsum(
@@ -316,7 +314,7 @@ def riemann_coords(space: SpaceParams, p) -> np.ndarray:
     """
     p = as_vec3(p)
     gamma = christoffel_coords(space, p)
-    steps = _fd_steps(p, _FD2_SCALE)
+    steps = [max(_FD2_SCALE, _FD2_SCALE * abs(c)) for c in p]
     # fourth-order stencil: the second-order truncation error grows with
     # the metric's third derivatives for large tau at nonzero kappa
     dgamma = np.array([central_diff(
@@ -372,21 +370,19 @@ def sectional_curvature(space: SpaceParams, p, v, w,
 # ---- generic finite-difference commutator of vector fields ----
 
 
-def directional_fd(field: Callable[[Vec3], Vec3], p, direction,
-                   step: float = 1e-6) -> Vec3:
+def directional_fd(field: Callable[[Vec3], Vec3], p, direction) -> Vec3:
     """Coordinate derivative of a vector field at p along `direction`, by
     central differences."""
     p = as_vec3(p)
     return central_diff(lambda t: as_vec3(field(
         (p[0] + t * direction[0], p[1] + t * direction[1],
-         p[2] + t * direction[2]))), step)
+         p[2] + t * direction[2]))), _FIELD_STEP)
 
 
 def commutator_fd(field_v: Callable[[Vec3], Vec3],
-                  field_w: Callable[[Vec3], Vec3],
-                  p, step: float = 1e-6) -> Vec3:
+                  field_w: Callable[[Vec3], Vec3], p) -> Vec3:
     """Lie bracket [V, W] at p by central differences of the fields."""
     p = as_vec3(p)
-    dv_w = directional_fd(field_w, p, as_vec3(field_v(p)), step)  # D_V W
-    dw_v = directional_fd(field_v, p, as_vec3(field_w(p)), step)  # D_W V
+    dv_w = directional_fd(field_w, p, as_vec3(field_v(p)))  # D_V W
+    dw_v = directional_fd(field_v, p, as_vec3(field_w(p)))  # D_W V
     return sub3(dv_w, dw_v)

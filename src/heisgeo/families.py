@@ -45,15 +45,14 @@ Domain = tuple[tuple[float, float], tuple[float, float]]
 DEFAULT_DOMAIN: Domain = ((-1.2, 1.2), (-1.2, 1.2))
 #: extra tabulated v-range beyond the declared domain (stencil headroom)
 _PROFILE_MARGIN = 0.06
-#: node spacing of quadrature dense-output tables
-_TABLE_SPACING = 1e-3
-#: absolute tolerance of the adaptive quadrature over the tabulated range
-_QUADRATURE_TOL = 1e-10
 #: timelike angle degeneracy threshold (both sin and cos must clear it)
 _TIMELIKE_ANGLE_TOL = 1e-8
 
 _ETA_KINDS = ("constant", "linear", "polynomial", "sinusoidal")
 _MAX_POLY_DEGREE = 6
+#: samples and fourth-order stencil step of `profile_residuals`
+_RESIDUAL_SAMPLES = 41
+_RESIDUAL_STEP = 1e-3
 
 
 # The profile formulas and jets take a float (math) or an ndarray (numpy,
@@ -289,15 +288,16 @@ def _slope_function(profile: HelixProfile):
 
 
 def _sinhc_minus_one(x):
-    """sinh(x)/x - 1 without cancellation at small x (float or array)."""
-    # the series to x^8; the next term is below 2e-15 of the first
+    """(sinh(x)/x - 1)/x without cancellation at small x, exactly 0 at
+    x = 0 (float or array)."""
+    # the series to x^7; the next term is below 2e-15 of the first
     x2 = x * x
-    series = x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0
-                                            * (1.0 + x2 / 72.0)))
+    series = x / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0
+                                           * (1.0 + x2 / 72.0)))
     if not isinstance(x, np.ndarray):
-        return series if abs(x) < 0.1 else math.sinh(x) / x - 1.0
+        return series if abs(x) < 0.1 else (math.sinh(x) / x - 1.0) / x
     big = abs(x) >= 0.1
-    series[big] = np.sinh(x[big]) / x[big] - 1.0
+    series[big] = (np.sinh(x[big]) / x[big] - 1.0) / x[big]
     return series
 
 
@@ -306,7 +306,7 @@ def build_profile(profile: HelixProfile,
                   *, force_quadrature: bool = False) -> ProfileFunctions:
     """Construct (f1, f2, f3) on v_range with f_i(anchor) = 0.
 
-    Constant and linear eta take the closed-form path; polynomial and
+    Constant and linear eta take the closed form; polynomial and
     sinusoidal eta integrate f1', f2' into Gauss-Legendre dense-output
     tables (`numeric.CumulativeIntegral`), then integrate f3' from the
     tabulated f1, f2 on the same nodes.  The anchor is 0 when the range
@@ -322,19 +322,20 @@ def build_profile(profile: HelixProfile,
     m = profile.slope_scale
     eta = profile.eta
 
-    closed = not force_quadrature and eta.kind in ("constant", "linear")
-    if closed and eta.kind == "linear" and eta.coefficients[1] != 0.0:
-        # linear eta with nonzero slope: with s(v) = c1 v + s0, f1 and f2 are
-        # k1 g1(s), m g2(s) integrated, i.e. differences of g2 and g1 over
-        # [s(a), s(v)], written as products so that no digits cancel as
+    if not force_quadrature and eta.kind in ("constant", "linear"):
+        # eta = c0 + c1 v (c1 = 0: constant eta), s(v) = c1 v + s0: f1 and f2
+        # are k1 g1(s), m g2(s) integrated, i.e. differences of g2 and g1
+        # over [s(a), s(v)], written as products so that no digits cancel as
         # c1 -> 0: g(A) - g(B) = 2 g'((A+B)/2) sinh((A-B)/2) for g = sinh,
-        # cosh.  So f_i(v) = f_i'((v+a)/2) * 2 sinh(c1 (v-a)/2) / c1.
-        c1 = eta.coefficients[1]
+        # cosh.  So f_i(v) = f_i'((v+a)/2) * chord(v) with chord(v) =
+        # 2 sinh(c1 (v-a)/2) / c1, which is exactly v - a at c1 = 0.
+        c0, c1 = (*eta.coefficients, 0.0)[:2]
         name1, name2, k1, shift = _slope_branch(profile)
-        s0 = eta.coefficients[0] + shift
+        s0 = c0 + shift
 
         def chord(v):
-            return 2.0 * _lib(v).sinh(0.5 * c1 * (v - anchor)) / c1
+            w = v - anchor
+            return w * (1.0 + 0.5 * c1 * w * _sinhc_minus_one(0.5 * c1 * w))
 
         def f1(v):
             g1 = getattr(_lib(v), name1)
@@ -345,34 +346,17 @@ def build_profile(profile: HelixProfile,
             return m * g2(c1 * (0.5 * (v + anchor)) + s0) * chord(v)
 
         def f3(v):
-            # integral of tau*(f1 f2' - f2 f1') = tau*(m^2/c1)*(cosh(c1(v-a))-1)
+            # f3' = tau*(f1 f2' - f2 f1') = tau*(m^2/c1)*(cosh(c1(v-a)) - 1),
+            # so f3 = tau m^2 (v-a)^2 (sinh(x)/x - 1)/x at x = c1 (v-a): 0 at c1 = 0
             w = v - anchor
-            return tau * (m * m) * w * _sinhc_minus_one(c1 * w) / c1
-
-        return ProfileFunctions(profile, (lo, hi), anchor, "closed-form",
-                                f1, f2, f3, slopes)
-
-    if closed:
-        # constant eta (or linear with zero slope): constant integrands
-        k1, k2 = slopes(anchor)[:2]
-
-        def f1(v):
-            return k1 * (v - anchor)
-
-        def f2(v):
-            return k2 * (v - anchor)
-
-        def f3(v):
-            # f1 f2' - f2 f1' = (v-a)(k1 k2 - k2 k1) = 0
-            return _const(0.0, v)
+            return tau * (m * m) * w * w * _sinhc_minus_one(c1 * w)
 
         return ProfileFunctions(profile, (lo, hi), anchor, "closed-form",
                                 f1, f2, f3, slopes)
 
     def table(name: str, f) -> CumulativeIntegral:
         try:
-            return CumulativeIntegral(f, anchor, lo, hi, spacing=_TABLE_SPACING,
-                                      tol=_QUADRATURE_TOL)
+            return CumulativeIntegral(f, anchor, lo, hi)
         except QuadratureFailure as exc:
             raise QuadratureFailure(
                 f"profile table {name} on v in [{lo}, {hi}]: {exc}") from exc
@@ -394,35 +378,26 @@ def build_profile(profile: HelixProfile,
                             f1_tab, f2_tab, f3_tab, slopes)
 
 
-def profile_residuals(pf: ProfileFunctions, n_samples: int = 41,
-                      fd_step: float = 1e-3) -> dict[str, float]:
-    """Max residuals of the defining constraints over the profile range.
+def profile_residuals(pf: ProfileFunctions) -> dict[str, float]:
+    """Max residuals of the defining constraints over the profile range, on
+    `_RESIDUAL_SAMPLES` points evaluated as one batch.
 
     antiderivative:        five-point derivative of f1, f2 vs f1', f2'
     derivative_constraint: f1'^2 - f2'^2 vs its required constant
     f3_ode:                five-point derivative of f3 vs tau*(f1 f2'-f2 f1')
     """
     lo, hi = pf.v_range
-    pad = 2.0 * fd_step * 1.0000001
+    pad = 2.0 * _RESIDUAL_STEP * 1.0000001
     a, b = lo + pad, hi - pad
-    vs = [a + (b - a) * i / (n_samples - 1) for i in range(n_samples)]
-    target = pf.profile.constraint_target
-
-    def d5(fn: Callable[[float], float], v: float) -> float:
-        return central_diff(lambda t: fn(v + t), fd_step, order=4)
-
-    res_anti = 0.0
-    res_constraint = 0.0
-    res_f3 = 0.0
-    for v in vs:
-        res_anti = max(res_anti, abs(d5(pf.f1, v) - pf.df1(v)),
-                       abs(d5(pf.f2, v) - pf.df2(v)))
-        d1, d2 = pf.df1(v), pf.df2(v)
-        res_constraint = max(res_constraint, abs(d1 * d1 - d2 * d2 - target))
-        res_f3 = max(res_f3, abs(d5(pf.f3, v) - pf.df3(v)))
-    return {"antiderivative": res_anti,
-            "derivative_constraint": res_constraint,
-            "f3_ode": res_f3}
+    n = _RESIDUAL_SAMPLES
+    v = np.array([a + (b - a) * i / (n - 1) for i in range(n)])
+    d1, d2, d3 = central_diff(lambda t: (pf.f1(v + t), pf.f2(v + t), pf.f3(v + t)),
+                              _RESIDUAL_STEP, order=4)
+    q1, q2, q3 = pf.jet(v)[3:6]
+    return {"antiderivative": float(np.maximum(abs(d1 - q1), abs(d2 - q2)).max()),
+            "derivative_constraint": float(
+                abs(q1 * q1 - q2 * q2 - pf.profile.constraint_target).max()),
+            "f3_ode": float(abs(d3 - q3).max())}
 
 
 def _analytic_patch(space: SpaceParams, jet, domain: Domain,

@@ -29,6 +29,8 @@ Vec3 = tuple
 
 #: significant digits used in every serialized float (round-trips exactly)
 FLOAT_DIGITS = 17
+#: spaces per nesting level in `json_dumps` output
+_JSON_INDENT = 2
 
 
 def fmt_float(x: float) -> str:
@@ -38,7 +40,7 @@ def fmt_float(x: float) -> str:
     return "%.*g" % (FLOAT_DIGITS, float(x))
 
 
-def json_dumps(obj, indent: int = 2) -> str:
+def json_dumps(obj) -> str:
     """Serialize nested dict/list/scalar data with 17-digit floats.
 
     The standard json module does not expose float formatting, so this walks
@@ -46,14 +48,14 @@ def json_dumps(obj, indent: int = 2) -> str:
     supported: dict (string keys), list/tuple, str, bool, int, float, None.
     Output is deterministic: dict keys keep insertion order.
     """
-    return _json_emit(obj, 0, indent) + "\n"
+    return _json_emit(obj, 0) + "\n"
 
 
 # module level rather than a closure: a self-referencing closure leaves a
 # function <-> cell reference cycle behind every call
-def _json_emit(o, depth: int, indent: int) -> str:
-    pad = " " * (indent * depth)
-    pad_in = " " * (indent * (depth + 1))
+def _json_emit(o, depth: int) -> str:
+    pad = " " * (_JSON_INDENT * depth)
+    pad_in = " " * (_JSON_INDENT * (depth + 1))
     if o is None:
         return "null"
     if isinstance(o, bool):
@@ -71,13 +73,13 @@ def _json_emit(o, depth: int, indent: int) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        items = ",\n".join(pad_in + _json_emit(v, depth + 1, indent) for v in o)
+        items = ",\n".join(pad_in + _json_emit(v, depth + 1) for v in o)
         return "[\n" + items + "\n" + pad + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
         items = ",\n".join(
-            f'{pad_in}"{k}": ' + _json_emit(v, depth + 1, indent)
+            f'{pad_in}"{k}": ' + _json_emit(v, depth + 1)
             for k, v in o.items()
         )
         return "{\n" + items + "\n" + pad + "}"
@@ -247,41 +249,43 @@ def central_partials(f: Callable[[float, float], object], h: float):
 
 # ---- adaptive Simpson ----
 
+#: recursion depth at which adaptive Simpson gives up
+_SIMPSON_MAX_DEPTH = 40
+
 
 def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
     return width * (fa + 4.0 * fm + fb) / 6.0
 
 
 def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-10, max_depth: int = 40) -> float:
+                     tol: float = 1e-10) -> float:
     """Integrate f over [a, b] with adaptive Simpson to absolute tolerance."""
     if a == b:
         return 0.0
     fa, fb = f(a), f(b)
     fm = f(0.5 * (a + b))
     whole = _simpson(fa, fm, fb, b - a)
-    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, 0, max_depth)
+    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, 0)
 
 
 # module level for the same reason as _json_emit: no reference cycle per call
-def _simpson_recurse(f, x0, x2, f0, f1, f2, whole, tol_here, depth,
-                     max_depth):
+def _simpson_recurse(f, x0, x2, f0, f1, f2, whole, tol_here, depth):
     xm_l = 0.5 * (x0 + 0.5 * (x0 + x2))
     xm_r = 0.5 * (0.5 * (x0 + x2) + x2)
     fl, fr = f(xm_l), f(xm_r)
     x1 = 0.5 * (x0 + x2)
     left = _simpson(f0, fl, f1, x1 - x0)
     right = _simpson(f1, fr, f2, x2 - x1)
-    if depth >= max_depth:
-        raise QuadratureFailure(
-            f"adaptive Simpson hit max depth {max_depth} on [{x0}, {x2}]")
+    if depth >= _SIMPSON_MAX_DEPTH:
+        raise QuadratureFailure(f"adaptive Simpson hit max depth "
+                                f"{_SIMPSON_MAX_DEPTH} on [{x0}, {x2}]")
     err = left + right - whole
     if abs(err) <= 15.0 * tol_here:
         return left + right + err / 15.0
     return (_simpson_recurse(f, x0, x1, f0, fl, f1, left, tol_here / 2.0,
-                             depth + 1, max_depth)
+                             depth + 1)
             + _simpson_recurse(f, x1, x2, f1, fr, f2, right, tol_here / 2.0,
-                               depth + 1, max_depth))
+                               depth + 1))
 
 
 # ---- Gauss-Legendre tables with cumulative dense output ----
@@ -305,6 +309,10 @@ _SEGMENT_POINTS = (0.0, *(0.5 * (1.0 + x) for x in _GL_NODES))
 #: table segments per vectorised integrand evaluation (bounds the
 #: temporaries); the first segment of each block is a spot-check sample
 _BLOCK = 256
+#: node spacing of every table
+_TABLE_SPACING = 1e-3
+#: absolute quadrature error a table may have over its whole range
+_QUADRATURE_TOL = 1e-10
 #: integrand evaluations one table may spend in adaptive Simpson
 #: (flagged-segment refinement plus the spot check)
 _TABLE_EVAL_BUDGET = 400_000
@@ -335,13 +343,14 @@ def _budgeted(f: Callable[[float], float]) -> Callable[[float], float]:
 
 
 class CumulativeIntegral:
-    """Antiderivative F(x) = F0 + int_{x0}^{x} f(t) dt with dense output.
+    """Antiderivative F(x) = int_{x0}^{x} f(t) dt with dense output.
 
     f must accept a float and, elementwise, an ndarray.  The table build
     evaluates it once per segment of the node grid, vectorised in blocks of
     `_BLOCK` segments: at the segment's left node and at five Gauss-Legendre
-    nodes.  Each segment may err by its share tol * width / (hi - lo), so the
-    total error over the tabulated range stays below `tol`.  A segment whose
+    nodes, `_TABLE_SPACING` apart.  Each segment may err by its share
+    tol * width / (hi - lo), so the total error over the tabulated range
+    stays below tol = `_QUADRATURE_TOL`.  A segment whose
     embedded 3-node estimate exceeds its share is integrated again with
     `adaptive_simpson`, and the first segment of every block is recomputed
     with it as a spot check that raises `QuadratureFailure` when the two
@@ -350,7 +359,7 @@ class CumulativeIntegral:
     accumulate outward from x0.  Between nodes, evaluation uses cubic Hermite
     interpolation fed by the exact integrand values F'(x) = f(x); it adds at
     most h^4 max|f'''| / 384 (h the node spacing) to the node error, which
-    `tol` does not cover.  At the default spacing 1e-3 that is
+    tol does not cover.  At h = 1e-3 that is
     2.6e-15 max|f'''|: below a 1e-10 tolerance while max|f'''| < 3.8e4.  For
     eta = 0.3 sin(k v) on the README helix the f1 table errs at quarter
     points by 5e-16 at k = 1, 6.5e-11 at k = 50 and 4.2e-9 at k = 200.
@@ -360,12 +369,11 @@ class CumulativeIntegral:
     `searchsorted` over the nodes.
     """
 
-    def __init__(self, f: Callable, x0: float, lo: float, hi: float, *,
-                 f0: float = 0.0, spacing: float = 1e-3, tol: float = 1e-10):
+    def __init__(self, f: Callable, x0: float, lo: float, hi: float):
         if not (lo <= x0 <= hi):
             raise ValueError("x0 must lie inside [lo, hi]")
-        n_lo = max(1, math.ceil((x0 - lo) / spacing)) if x0 > lo else 0
-        n_hi = max(1, math.ceil((hi - x0) / spacing)) if hi > x0 else 0
+        n_lo = max(1, math.ceil((x0 - lo) / _TABLE_SPACING)) if x0 > lo else 0
+        n_hi = max(1, math.ceil((hi - x0) / _TABLE_SPACING)) if hi > x0 else 0
         total = (hi - lo) if hi > lo else 1.0
         xs = [x0 - (x0 - lo) * i / n_lo for i in range(n_lo, 0, -1)] if n_lo else []
         xs += [x0]
@@ -392,7 +400,7 @@ class CumulativeIntegral:
         if not all(map(math.isfinite, slopes.tolist())):
             raise QuadratureFailure(
                 f"integrand not finite at a table node in [{lo}, {hi}]")
-        share = (tol * widths / total).tolist()
+        share = (_QUADRATURE_TOL * widths / total).tolist()
         simpson = _budgeted(f)
         for i, estimate in enumerate(estimates.tolist()):
             if not abs(estimate) <= share[i]:  # also when it is NaN
@@ -407,8 +415,8 @@ class CumulativeIntegral:
         # node values outward from x0; cumsum adds in order, one segment a step
         i0 = xs.index(x0)
         vals = np.empty(n_seg + 1)
-        vals[i0:] = np.cumsum(np.concatenate(([f0], integrals[i0:])))
-        vals[i0::-1] = np.cumsum(np.concatenate(([f0], -integrals[:i0][::-1])))
+        vals[i0:] = np.cumsum(np.concatenate(([0.0], integrals[i0:])))
+        vals[i0::-1] = np.cumsum(np.concatenate(([0.0], -integrals[:i0][::-1])))
         # node positions, F at the nodes and f = F' at the nodes
         self.xs, self.vals, self.slopes = nodes, vals, slopes
 

@@ -76,6 +76,8 @@ _ADAPTED_TOL = 1e-8
 _ANALYTIC_MARGIN = 1e-2
 # step for the Weingarten finite difference of the normal field
 _WEINGARTEN_STEP = 1e-5
+# step of the central differences of `position` on patches without `jet=`
+_FD_JET_STEP = 1e-5
 # step for second derivatives of the induced-metric fields (intrinsic K)
 _INTRINSIC_STEP = 5e-4
 
@@ -108,8 +110,7 @@ class SurfacePatch:
     def __init__(self, space: SpaceParams, position: Callable[[float, float], Vec3],
                  domain: tuple[tuple[float, float], tuple[float, float]],
                  *, jet: Optional[Callable[[float, float], tuple]] = None,
-                 name: str = "patch", family: Optional[dict] = None,
-                 fd_step: float = 1e-5):
+                 name: str = "patch", family: Optional[dict] = None):
         (u0, u1), (v0, v1) = domain
         if not (u0 < u1 and v0 < v1):
             raise ValueError("domain must be a nondegenerate rectangle")
@@ -119,7 +120,6 @@ class SurfacePatch:
         self._analytic_jet = jet
         self.name = name
         self.family = dict(family) if family else None
-        self.fd_step = float(fd_step)
         self._gauge_sign: Optional[float] = None
 
     @property
@@ -136,7 +136,7 @@ class SurfacePatch:
         if self.jet_source == "analytic":
             m = -_ANALYTIC_MARGIN
         else:
-            m = 2.0 * self.fd_step  # shrink: FD stencils stay inside
+            m = 2.0 * _FD_JET_STEP  # shrink: FD stencils stay inside
         require((u0 + m <= u) & (u <= u1 - m) & (v0 + m <= v) & (v <= v1 - m),
                 OutOfDomain,
                 lambda u, v: f"(u, v) = ({u}, {v}) outside evaluable part of "
@@ -185,7 +185,7 @@ class SurfacePatch:
     def _fd_jet(self, u: float, v: float) -> tuple:
         pos = self.position
         return central_partials(lambda du, dv: as_vec3(pos(u + du, v + dv)),
-                                self.fd_step)
+                                _FD_JET_STEP)
 
 
 # ---- first fundamental form ----
@@ -519,13 +519,14 @@ def _adapted_entries(frame, m, at: Optional[tuple] = None
             (t1 * mt2 - t2 * mt1) / det_b, (t1 * mj2 - t2 * mj1) / det_b)
 
 
-def shape_operator(patch: SurfacePatch, u, v,
-                   basis: str = "coordinate") -> ShapeOperator2x2:
+def shape_operator(patch: SurfacePatch, u, v, basis: str = "coordinate", *,
+                   at: Optional[tuple] = None) -> ShapeOperator2x2:
     """Shape operator matrix at (u, v) in the requested basis: S = eps I^{-1} h
     from the second fundamental form on analytic-jet patches, the Weingarten
     route (finite differences of the normal field) on
-    finite-difference-jet patches."""
-    s = _sample(patch, u, v)
+    finite-difference-jet patches.  Its guards name the samples `at`
+    (default (u, v)), which a stencil passes on from its centre."""
+    s = _sample(patch, u, v, at)
     m = _coordinate_shape(patch, u, v, s)
     if basis == "coordinate":
         return ShapeOperator2x2(m[0][0], m[0][1], m[1][0], m[1][1], "coordinate")
@@ -634,7 +635,6 @@ class GeometryReport:
     basis: str
     grid: tuple[int, int]
     records: list[SampleRecord] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     CSV_HEADER = "u,v,nu,H,K_ext,K_int,eps,S11,S12,S21,S22"
 
@@ -645,7 +645,7 @@ class GeometryReport:
                     "range": hi - lo}
 
         recs = self.records
-        out = {
+        return {
             "patch": self.patch_name,
             "family": self.family,
             "grid": {"nu": self.grid[0], "nv": self.grid[1]},
@@ -660,8 +660,6 @@ class GeometryReport:
             "T_mean": [sum(r.t_comps[i] for r in recs) / len(recs)
                        for i in range(3)],
         }
-        out.update(self.metadata)
-        return out
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
@@ -694,8 +692,7 @@ def grid_batch(us: list[float], vs: list[float]) -> tuple[np.ndarray, np.ndarray
 
 
 @quiet
-def geometry_report(patch: SurfacePatch, n_u: int, n_v: int,
-                    *, metadata: Optional[dict] = None) -> GeometryReport:
+def geometry_report(patch: SurfacePatch, n_u: int, n_v: int) -> GeometryReport:
     """Sweep an n_u x n_v grid, as one batch, and collect the per-sample
     geometry.
 
@@ -725,5 +722,4 @@ def geometry_report(patch: SurfacePatch, n_u: int, n_v: int,
     t_rows = zip(*(np.broadcast_to(c, u.shape).tolist() for c in t_coords))
     return GeometryReport(patch.name, patch.family, basis, (n_u, n_v),
                           records=[SampleRecord(*row, t_comps=t)
-                                   for row, t in zip(rows, t_rows)],
-                          metadata=dict(metadata or {}))
+                                   for row, t in zip(rows, t_rows)])

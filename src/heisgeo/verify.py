@@ -53,7 +53,6 @@ from .surface import (
     _sample,
     _second_form_shape,
     _weingarten_shape,
-    causal_character,
     gaussian_curvature,
     grid_batch,
     shape_operator,
@@ -95,6 +94,9 @@ _CONSTANT_ANGLE_RANGE = 1e-6
 _ROUTE_GRID = (4, 4)
 # random planes the sectional-constancy check may draw to find its samples
 _PLANE_ATTEMPTS = 400
+# random points of the ambient checks, and the half-width of their box
+_AMBIENT_POINTS = 40
+_POINT_BOX = 1.5
 
 
 def resolve_tolerance(check_id: str, overrides: Optional[dict] = None) -> float:
@@ -325,7 +327,7 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     t1, t2 = frame[0]
     t_mu = central_diff(
         lambda t: shape_operator(patch, u + t * t1, v + t * t2,
-                                 basis="adapted-TJT").s22,
+                                 basis="adapted-TJT", at=(u, v)).s22,
         _directional_step(_SURFACE_STEP, (t1, t2)), order=4)
     mu0 = _adapted_entries(frame, _coordinate_shape(patch, u, v, s), s.at)[3]
     return _check("helix_ode.residual",
@@ -354,7 +356,7 @@ class ParallelCheckInput:
     omega(u, v, k) -> g(nabla_{F_k} F1, F2) for k in {0, 1}.
     """
 
-    eps: int
+    eps: int  # or one int per point (an int array), as on patches
     points: Sequence[tuple[float, float]]
     frame_directions: Callable[[float, float],
                                tuple[tuple[float, float], tuple[float, float]]]
@@ -362,7 +364,7 @@ class ParallelCheckInput:
     omega: Callable[[float, float, int], float]
 
 
-def _parallel_residuals(inp: ParallelCheckInput, fd_step: float):
+def _parallel_residuals(inp: ParallelCheckInput):
     """Per-point max residual of the parallel equations, and the points."""
     pts = np.asarray(inp.points, dtype=float).reshape(-1, 2)
     u, v = pts[:, 0].copy(), pts[:, 1].copy()
@@ -374,7 +376,7 @@ def _parallel_residuals(inp: ParallelCheckInput, fd_step: float):
         d = dirs[k]
         x_s11, x_s12, x_s22 = central_diff(
             lambda t: inp.entries(u + t * d[0], v + t * d[1]),
-            _directional_step(fd_step, d))
+            _directional_step(_SURFACE_STEP, d))
         w = inp.omega(u, v, k)
         for r in (abs(x_s11 + 2.0 * eps * s12 * w),
                   abs(x_s12 - (s22 - s11) * w),
@@ -383,8 +385,7 @@ def _parallel_residuals(inp: ParallelCheckInput, fd_step: float):
     return worst, (u, v)
 
 
-def parallel_equations_residuals(inp: ParallelCheckInput,
-                                 fd_step: float = _SURFACE_STEP) -> float:
+def parallel_equations_residuals(inp: ParallelCheckInput) -> float:
     """Max residual of the three parallel-surface equations
 
         X(S11) = -2 eps S12 w(X)
@@ -393,29 +394,30 @@ def parallel_equations_residuals(inp: ParallelCheckInput,
 
     over the given points with X ranging over the frame (NaN if any
     residual is NaN)."""
-    return float(_parallel_residuals(inp, fd_step)[0].max())
+    return float(_parallel_residuals(inp)[0].max())
 
 
-def _parallel_input(patch: SurfacePatch,
-                    points: Sequence[tuple[float, float]],
-                    keep: Optional[Callable] = None) -> ParallelCheckInput:
-    """Parallel-check input on the patch; `keep(s, m, adapted)`, when given,
-    sees the sample batch, coordinate S and adapted entries (a11, a12, a21,
-    a22) at `points`, which this evaluates once, up front."""
+def _parallel_input(patch: SurfacePatch, points: Sequence[tuple[float, float]]
+                    ) -> tuple[ParallelCheckInput, tuple]:
+    """Parallel-check input on the patch, and the centre batch it evaluates
+    once, up front: the samples at `points`, their coordinate S and adapted
+    entries (a11, a12, a21, a22).  Its eps holds one causal character per
+    point."""
     space = patch.space
-    eps = causal_character(patch, *patch.center())
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    u0, v0 = pts[:, 0].copy(), pts[:, 1].copy()
 
-    def evaluate(u, v, keep=None):
-        """Frame directions (F1, F2), entries (S11, S12, S22) and the
-        frame's ambient components (w1, w2) at (u, v).  The frame is
-        (T, JT) / r with r = sqrt|g(T,T)|, swapped where T is timelike so
-        that F1 is the spacelike vector."""
-        s = _sample(patch, u, v)
+    def evaluate(u, v):
+        """Frame directions (F1, F2), entries (S11, S12, S22), the frame's
+        ambient components (w1, w2), and the sample batch, coordinate S and
+        adapted entries at (u, v).  The frame is (T, JT) / r with
+        r = sqrt|g(T,T)|, swapped where T is timelike so that F1 is the
+        spacelike vector."""
+        # the stencil offsets of the centre batch name its grid samples
+        s = _sample(patch, u, v, (u0, v0) if np.shape(u) == u0.shape else None)
         m = _coordinate_shape(patch, u, v, s)
         frame = _adapted_frame(space, s)
         adapted = _adapted_entries(frame, m, s.at)
-        if keep is not None:
-            keep(s, m, adapted)
         a11, a12, a21, a22 = adapted
         (t1, t2), (j1, j2), g_tt = frame
         r = np.sqrt(abs(g_tt))
@@ -428,30 +430,24 @@ def _parallel_input(patch: SurfacePatch,
         w_t = tuple(c / r for c in t_frame)
         w_jt = tuple(c / r for c in jt_frame)
         amb = (select(t_first, w_t, w_jt), select(t_first, w_jt, w_t))
-        return dirs, select(t_first, (a11, a12, a22), (a22, a21, a11)), amb
+        return (dirs, select(t_first, (a11, a12, a22), (a22, a21, a11)), amb,
+                (s, m, adapted))
 
     # the entries and the ambient frame are differenced at the same displaced
-    # points: a small cache, keyed by the points' bytes, holds the centre
-    # batch and its stencil offsets (their results only: it bounds memory)
+    # points: a cache keyed by the points' bytes holds the centre batch and
+    # its 4 stencil offsets
     cache: dict = {}
 
-    def key(u, v):
-        return np.shape(u), np.asarray(u).tobytes(), np.asarray(v).tobytes()
-
     def point(u, v):
-        k = key(u, v)
+        k = np.shape(u), np.asarray(u).tobytes(), np.asarray(v).tobytes()
         if k not in cache:
-            if len(cache) >= 8:
-                del cache[next(iter(cache))]
             cache[k] = evaluate(u, v)
         return cache[k]
 
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    u, v = pts[:, 0].copy(), pts[:, 1].copy()
-    cache[key(u, v)] = evaluate(u, v, keep)
+    centre = point(u0, v0)[3]
 
     def omega(u, v, k: int):
-        dirs, _, (w1, w2) = point(u, v)
+        dirs, _, (w1, w2), _ = point(u, v)
         d = dirs[k]
         dw = central_diff(
             lambda t: point(u + t * d[0], v + t * d[1])[2][0],
@@ -461,8 +457,8 @@ def _parallel_input(patch: SurfacePatch,
         nab = tuple(dw[i] + corr[i] for i in range(3))
         return ambient.frame_metric(space, nab, w2)
 
-    return ParallelCheckInput(eps, points, lambda u, v: point(u, v)[0],
-                              lambda u, v: point(u, v)[1], omega)
+    return ParallelCheckInput(centre[0].eps, points, lambda u, v: point(u, v)[0],
+                              lambda u, v: point(u, v)[1], omega), centre
 
 
 @quiet
@@ -475,8 +471,8 @@ def check_parallel(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     :func:`check_claims` passes its own so both read one evaluation per
     point."""
     if inp is None:
-        inp = _parallel_input(patch, interior_grid(patch, grid))
-    worst, at = _parallel_residuals(inp, _SURFACE_STEP)
+        inp = _parallel_input(patch, interior_grid(patch, grid))[0]
+    worst, at = _parallel_residuals(inp)
     return _check("parallel.equations", worst, tolerances, at)
 
 
@@ -498,13 +494,11 @@ def check_claims(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     """
     space = patch.space
     tau = space.tau
-    centre = []
     # the parallel check evaluates the grid as one batch; H, nu, K_ext and
     # the adapted entries are read from that same evaluation
-    inp = _parallel_input(patch, interior_grid(patch, grid),
-                          lambda *batch: centre.extend(batch))
+    inp, (s, m, (a11, a12, _, a22)) = _parallel_input(
+        patch, interior_grid(patch, grid))
     parallel = check_parallel(patch, grid, tolerances=tolerances, inp=inp)
-    s, m, (a11, a12, _, a22) = centre
     at = s.at
     hs = 0.5 * (a11 + a22)
     h_range = hs.max() - hs.min()
@@ -570,10 +564,10 @@ def curvature_from_table(space: SpaceParams, a, b, c) -> Vec3:
     return (out[0], out[1], out[2])
 
 
-def _rand_point(rng: random.Random, box: float = 1.5,
-                z_box: float = 1.5) -> Vec3:
-    return (rng.uniform(-box, box), rng.uniform(-box, box),
-            rng.uniform(-z_box, z_box))
+def _rand_point(rng: random.Random) -> Vec3:
+    return (rng.uniform(-_POINT_BOX, _POINT_BOX),
+            rng.uniform(-_POINT_BOX, _POINT_BOX),
+            rng.uniform(-_POINT_BOX, _POINT_BOX))
 
 
 def _rand_vec(rng: random.Random) -> Vec3:
@@ -582,7 +576,6 @@ def _rand_vec(rng: random.Random) -> Vec3:
 
 
 def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
-                  n_points: int = 40,
                   tolerances: Optional[dict] = None) -> ResidualSuite:
     """Ambient-geometry battery on a kappa = 0 space.
 
@@ -603,7 +596,7 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
 
     # frame orthonormality against the coordinate metric
     gaps = []
-    frame_pts = [_rand_point(rng) for _ in range(n_points)]
+    frame_pts = [_rand_point(rng) for _ in range(_AMBIENT_POINTS)]
     for p in frame_pts:
         fr = ambient.frame_at(space, p)
         vecs = (fr.e1, fr.e2, fr.e3)
@@ -746,22 +739,18 @@ def default_family_matrix(tau: float = 1.0) -> list[SurfacePatch]:
 
 
 def run_suite(name: str, *, patch: Optional[SurfacePatch] = None,
-              space: Optional[SpaceParams] = None,
               grid: tuple[int, int] = (12, 12), seed: int = DEFAULT_SEED,
               tolerances: Optional[dict] = None) -> ResidualSuite:
-    """Run one named suite; patch suites need a patch, 'ambient' accepts a
-    space (or takes the patch's)."""
+    """Run one named suite on a patch; 'ambient' runs on the patch's
+    space."""
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
-    if name == "ambient":
-        sp = space if space is not None else (patch.space if patch else None)
-        if sp is None:
-            raise ValueError("ambient suite needs a space or a patch")
-        suite = check_ambient(sp, seed=seed, tolerances=tolerances)
-        suite.grid = grid
-        return suite
     if patch is None:
         raise ValueError(f"suite {name!r} needs a patch")
+    if name == "ambient":
+        suite = check_ambient(patch.space, seed=seed, tolerances=tolerances)
+        suite.grid = grid
+        return suite
     descriptor = dict(patch.family) if patch.family else None
     if name == "claims":
         suite = check_claims(patch, grid, seed=seed, tolerances=tolerances)

@@ -151,13 +151,14 @@ def test_linear_eta_closed_form_vs_quadrature(causal, theta):
         assert closed.f3(v) == pytest.approx(quad.f3(v), abs=1e-9)
 
 
-@pytest.mark.parametrize("c1", [1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("c1", [1e-4, 1e-6, 1e-8, 0.0])
 @pytest.mark.parametrize("causal,theta", [
     ("spacelike", ASINH1), ("timelike", math.pi / 4.0)])
 def test_linear_eta_closed_form_keeps_its_digits_at_small_slope(causal, theta,
                                                                  c1):
     """The closed form divides by the slope c1; written as differences of
-    cosh and sinh it lost up to 4e-8 at c1 = 1e-8."""
+    cosh and sinh it lost up to 4e-8 at c1 = 1e-8, and at c1 = 0 it is the
+    constant-eta profile."""
     prof = HelixProfile(causal, 1.0, theta, c=0.1,
                         eta=EtaSpec("linear", (0.2, c1)))
     closed = build_profile(prof, (-1.0, 1.0))
@@ -166,6 +167,26 @@ def test_linear_eta_closed_form_keeps_its_digits_at_small_slope(causal, theta,
     for v in [-0.95 + 0.1 * i for i in range(20)]:
         for name in ("f1", "f2", "f3"):
             assert abs(getattr(closed, name)(v) - getattr(quad, name)(v)) <= 1e-11
+
+
+@pytest.mark.parametrize("causal,theta", [
+    ("spacelike", ASINH1), ("timelike", math.pi / 4.0)])
+def test_constant_eta_is_the_linear_closed_form_at_zero_slope(causal, theta):
+    """Constant eta takes the linear closed form with c1 = 0: f1, f2 are
+    linear in v and f3 is exactly 0, against the quadrature route to 1e-11."""
+    prof = HelixProfile(causal, 1.0, theta, c=0.1,
+                        eta=EtaSpec("constant", (0.2,)))
+    closed = build_profile(prof, (-1.0, 1.0))
+    quad = build_profile(prof, (-1.0, 1.0), force_quadrature=True)
+    flat = build_profile(HelixProfile(causal, 1.0, theta, c=0.1,
+                                      eta=EtaSpec("linear", (0.2, 0.0))),
+                         (-1.0, 1.0))
+    assert (closed.source, quad.source) == ("closed-form", "quadrature")
+    for v in [-0.95 + 0.1 * i for i in range(20)]:
+        assert closed.f3(v) == 0.0
+        for name in ("f1", "f2", "f3"):
+            assert abs(getattr(closed, name)(v) - getattr(quad, name)(v)) <= 1e-11
+            assert getattr(closed, name)(v) == getattr(flat, name)(v)
 
 
 def test_profile_build_spot_checks_ten_segments_per_table(monkeypatch):

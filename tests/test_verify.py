@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from heisgeo.ambient import SpaceParams, curvature_frame
-from heisgeo.errors import (DegeneratePlane, NonFiniteResidual, NotAHelixPatch,
-                            StencilTooCoarse)
+from heisgeo.errors import (DegeneratePlane, NonFiniteJet, NonFiniteResidual,
+                            NotAHelixPatch, StencilTooCoarse)
 from heisgeo.families import (
     EtaSpec,
     HelixProfile,
@@ -17,6 +17,7 @@ from heisgeo.families import (
     make_helix_surface,
     make_minimal_plane,
 )
+from heisgeo.numeric import fmt_float
 import heisgeo.surface as surface_module
 import heisgeo.verify as verify_module
 from heisgeo.surface import (
@@ -141,11 +142,11 @@ def test_helix_ode_rejects_varying_angle():
 #: one of them for the normal gauge.  A call is one batch: the grid, or one
 #: stencil offset of it (gauss: the grid, 9 intrinsic-K offsets, the route
 #: check's 4x4 grid and its 4 Weingarten offsets; codazzi: the grid and 8
-#: offsets; helix_ode: the grid and 4; parallel and claims: the centre's
-#: causal character, the grid and 4).  A suite that starts resampling points
-#: it already has, or loops over them, fails here
+#: offsets; helix_ode: the grid and 4; parallel and claims: the grid and
+#: 4).  A suite that starts resampling points it already has, or loops over
+#: them, fails here
 JET_BUDGET = {"gauss": 16, "codazzi": 10, "helix_ode": 6,
-              "parallel": 7, "claims": 7}
+              "parallel": 6, "claims": 6}
 
 
 @pytest.mark.parametrize("suite", sorted(JET_BUDGET))
@@ -210,13 +211,14 @@ def test_parallel_frame_is_the_unit_adapted_frame(index):
     (a22, a21, a11) where T is timelike (delta = -1)."""
     patch = frame_patches()[index]
     pts = interior_grid(patch, (4, 4))
-    inp = _parallel_input(patch, pts)
-    for (u, v) in pts:
+    inp, _ = _parallel_input(patch, pts)
+    for i, (u, v) in enumerate(pts):
         s = _sample(patch, u, v)
         pair = s.form.pair
         f1, f2 = inp.frame_directions(u, v)
+        assert inp.eps[i] == s.eps
         assert pair(f1, f1) == pytest.approx(1.0, abs=1e-12)
-        assert pair(f2, f2) == pytest.approx(-inp.eps, abs=1e-12)
+        assert pair(f2, f2) == pytest.approx(-s.eps, abs=1e-12)
         assert abs(pair(f1, f2)) <= 1e-12
         a11, a12, a21, a22 = _adapted_entries(
             _adapted_frame(patch.space, s), _coordinate_shape(patch, u, v, s))
@@ -236,7 +238,7 @@ def test_parallel_synthetic_multiple_of_identity():
         entries=lambda u, v: (0.7, 0.0, 0.7),
         omega=lambda u, v, k: 0.0,
     )
-    assert parallel_equations_residuals(constant, 1e-3) == 0.0
+    assert parallel_equations_residuals(constant) == 0.0
 
     varying = ParallelCheckInput(
         eps=1,
@@ -245,7 +247,7 @@ def test_parallel_synthetic_multiple_of_identity():
         entries=lambda u, v: (0.7 + u, 0.0, 0.7),
         omega=lambda u, v, k: 0.0,
     )
-    assert parallel_equations_residuals(varying, 1e-3) > 0.5
+    assert parallel_equations_residuals(varying) > 0.5
 
 
 def test_parallel_verdicts_by_family():
@@ -268,7 +270,7 @@ def test_parallel_residuals_propagate_nan():
         entries=lambda u, v: (np.where(u > 0.25, np.nan, 0.7), 0.0, 0.7),
         omega=lambda u, v, k: 0.0,
     )
-    assert math.isnan(parallel_equations_residuals(inp, 1e-3))
+    assert math.isnan(parallel_equations_residuals(inp))
 
 
 def timelike_linear_helix() -> SurfacePatch:
@@ -305,6 +307,29 @@ def test_nan_residual_never_passes(monkeypatch, suite):
     assert str(err.value).startswith(f"check {NAN_CHECK[suite]}: residual nan")
     assert err.value.sample == interior_grid(patch, (8, 8))[9]
     assert "at sample (u=" in str(err.value)
+
+
+@pytest.mark.parametrize("suite", ["helix_ode", "parallel"])
+def test_stencil_guard_names_the_grid_sample(suite):
+    """The jet is NaN just past the last grid row and column, so only the
+    stencil points displaced along T (helix_ode) or along the frame
+    (parallel) fail: the error names the grid sample those points belong
+    to, not the displaced point."""
+    helix = spacelike_helix()
+    pts = interior_grid(helix, (4, 4))
+    u_last, v_last = max(u for u, _ in pts), max(v for _, v in pts)
+    jet = helix._analytic_jet
+
+    def cut(u, v):
+        w = np.where((u > u_last + 1e-9) | (v > v_last + 1e-9), np.nan, 1.0)
+        return tuple(tuple(c * w for c in vec) for vec in jet(u, v))
+
+    patch = SurfacePatch(helix.space, helix.position, helix.domain, jet=cut)
+    with pytest.raises(NonFiniteJet) as err:
+        run_suite(suite, patch=patch, grid=(4, 4))
+    assert err.value.sample in pts
+    assert str(err.value).endswith("at sample (u=%s, v=%s)" % tuple(
+        map(fmt_float, err.value.sample)))
 
 
 # ------------------------------------------------------------ claims
@@ -345,6 +370,20 @@ def test_ambient_suite_passes(delta):
     assert suite.name == "ambient"
 
 
+@pytest.mark.parametrize("delta,tau,seed", [
+    (1, 1.0, 6), (1, 1.0, 58), (1, 1.0, 74), (-1, 1.0, 56), (-1, 1.0, 113),
+    (1, 3.5, DEFAULT_SEED), (-1, 3.5, DEFAULT_SEED)])
+def test_ambient_suite_passes_where_differenced_christoffels_failed(delta, tau,
+                                                                   seed):
+    """Central differences of the metric at step 1e-5 carried about 1e-10
+    of roundoff (eps |g| / h) into the Christoffel symbols, which the outer
+    stencil of the curvature path (step 3e-4) amplified past the 1e-6
+    sectional-constancy tolerance at these seeds and at tau = 3.5; the
+    complex step has no such roundoff."""
+    suite = check_ambient(SpaceParams(delta=delta, tau=tau), seed=seed)
+    assert suite.passed, [c.as_dict() for c in suite.checks if not c.passed]
+
+
 def test_sectional_constancy_without_a_plane_raises(monkeypatch):
     """When every random plane is ill-conditioned there is no spread to
     measure: the check raises a typed error that says so, rather than
@@ -383,7 +422,7 @@ def test_curvature_table_exact_away_from_tau_one(delta, tau):
     basis = {1: (1.0, 0.0, 0.0), 2: (0.0, 1.0, 0.0), 3: (0.0, 0.0, 1.0)}
     for (i, j, k), want in curvature_table(sp).items():
         assert curvature_frame(sp, basis[i], basis[j], basis[k]) == want
-    suite = check_ambient(sp, n_points=8)
+    suite = check_ambient(sp)
     table_check = next(c for c in suite.checks
                        if c.check_id == "ambient.curvature_table")
     assert table_check.tol == 0.0
@@ -409,7 +448,7 @@ def test_run_suite_dispatch():
     with pytest.raises(ValueError):
         run_suite("gauss")  # patch required
     with pytest.raises(ValueError):
-        run_suite("ambient")  # needs space or patch
+        run_suite("ambient")  # runs on a patch's space
     suite = run_suite("gauss", patch=patch, grid=(6, 6))
     assert isinstance(suite, ResidualSuite)
     assert suite.name == "gauss"
