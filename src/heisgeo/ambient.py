@@ -15,7 +15,8 @@ closed-form frame, wedge, connection and curvature operations are available
 there.  For every kappa, an independent finite-difference path (Christoffel
 symbols from complex-step first derivatives of `metric_matrix`, curvature
 from central differences of those) provides a cross-check that shares no
-code with the closed forms.
+code with the closed forms.  Points are Vec3 tuples of floats, or of
+equal-length 1-D arrays for a batch of points (see `heisgeo.numeric`).
 
 Conventions fixed by this module (and verified by the test suite):
 
@@ -48,12 +49,10 @@ from .numeric import (Vec3, as_vec3, bilinear3, central_diff, lincomb3,
 _CONFORMAL_TOL = 1e-12
 # relative threshold for a degenerate tangent 2-plane
 _PLANE_TOL = 1e-10
-# complex step for first derivatives of the metric
+# complex step for first derivatives of the metric and of vector fields
 _COMPLEX_STEP = 1e-30
 # outer finite-difference step for second derivatives of the metric
 _FD2_SCALE = 3e-4
-# central-difference step for derivatives of vector fields
-_FIELD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -277,11 +276,20 @@ def curvature(space: SpaceParams, p, v, w, z) -> Vec3:
 
 
 # ---- finite-difference coordinate path (any kappa) ----
+#
+# Each function below takes p as floats or as equal-length 1-D arrays (a
+# batch of points); tensors carry the batch axis last.
 
 
-def _shifted(p: Vec3, i: int, t: float) -> Vec3:
+def _shifted(p: Vec3, i: int, t) -> Vec3:
     """p with coordinate i moved by t."""
     return tuple(c + t if k == i else c for k, c in enumerate(p))  # type: ignore[return-value]
+
+
+def _stacked(rows) -> np.ndarray:
+    """Rows of floats or batch arrays as one array, batch axis last."""
+    flat = np.broadcast_arrays(*(c for row in rows for c in row))
+    return np.stack(flat).reshape(len(rows), len(rows[0]), *flat[0].shape)
 
 
 def christoffel_coords(space: SpaceParams, p) -> np.ndarray:
@@ -292,20 +300,20 @@ def christoffel_coords(space: SpaceParams, p) -> np.ndarray:
     Consumes only `metric_matrix`; independent of every closed-form table.
     """
     p = as_vec3(p)
-    g0 = np.array(metric_matrix(space, p))
+    g0 = np.moveaxis(_stacked(metric_matrix(space, p)), (0, 1), (-2, -1))
     det = np.linalg.det(g0)
-    if abs(det) < 1e-14:
-        raise SingularMetric(f"metric matrix singular at {p} (det = {det})")
-    ginv = np.linalg.inv(g0)
+    require(abs(det) >= 1e-14, SingularMetric,
+            lambda x, y, z, d: f"metric matrix singular at {(x, y, z)} "
+            f"(det = {d})", *p, det)
+    ginv = np.moveaxis(np.linalg.inv(g0), (-2, -1), (0, 1))
     dg = np.array([
-        np.array(metric_matrix(space, _shifted(p, i, _COMPLEX_STEP * 1j))).imag
+        _stacked(metric_matrix(space, _shifted(p, i, _COMPLEX_STEP * 1j))).imag
         / _COMPLEX_STEP for i in range(3)])
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij);
     # dg[i, j, l] = d_i g_jl, so the three terms are the transposes below.
-    gamma = 0.5 * np.einsum(
-        "kl,ijl->kij", ginv,
-        dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0))
-    return gamma
+    return 0.5 * np.einsum(
+        "kl...,ijl...->kij...", ginv,
+        dg + np.swapaxes(dg, 0, 1) - np.moveaxis(dg, 0, 2))
 
 
 def riemann_coords(space: SpaceParams, p) -> np.ndarray:
@@ -314,7 +322,7 @@ def riemann_coords(space: SpaceParams, p) -> np.ndarray:
     """
     p = as_vec3(p)
     gamma = christoffel_coords(space, p)
-    steps = [max(_FD2_SCALE, _FD2_SCALE * abs(c)) for c in p]
+    steps = [np.maximum(_FD2_SCALE, _FD2_SCALE * abs(c)) for c in p]
     # fourth-order stencil: the second-order truncation error grows with
     # the metric's third derivatives for large tau at nonzero kappa
     dgamma = np.array([central_diff(
@@ -322,19 +330,17 @@ def riemann_coords(space: SpaceParams, p) -> np.ndarray:
         steps[i], order=4) for i in range(3)])
     # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik
     #           + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
-    return (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
-            + np.einsum("lim,mjk->lijk", gamma, gamma)
-            - np.einsum("ljm,mik->lijk", gamma, gamma))
+    return (np.einsum("iljk...->lijk...", dgamma)
+            - np.einsum("jlik...->lijk...", dgamma)
+            + np.einsum("lim...,mjk...->lijk...", gamma, gamma)
+            - np.einsum("ljm...,mik...->lijk...", gamma, gamma))
 
 
 def curvature_fd(space: SpaceParams, p, v, w, z) -> Vec3:
     """R(V, W)Z at p via the finite-difference coordinate path (any kappa)."""
     riem = riemann_coords(space, p)
-    v = np.asarray(as_vec3(v))
-    w = np.asarray(as_vec3(w))
-    z = np.asarray(as_vec3(z))
-    out = np.einsum("lijk,i,j,k->l", riem, v, w, z)
-    return (float(out[0]), float(out[1]), float(out[2]))
+    vwz = (np.array(np.broadcast_arrays(*as_vec3(a))) for a in (v, w, z))
+    return as_vec3(np.einsum("lijk...,i...,j...,k...->l...", riem, *vwz))
 
 
 # ---- sectional curvature ----
@@ -354,10 +360,10 @@ def sectional_curvature(space: SpaceParams, p, v, w,
     g_ww = metric_eval(space, p, w, w)
     g_vw = metric_eval(space, p, v, w)
     denom = g_vv * g_ww - g_vw * g_vw
-    scale = max(1.0, abs(g_vv * g_ww), g_vw * g_vw)
-    if abs(denom) < _PLANE_TOL * scale:
-        raise DegeneratePlane(
-            f"tangent plane at {tuple(p)} is degenerate (denominator {denom})")
+    scale = np.maximum(np.maximum(1.0, abs(g_vv * g_ww)), g_vw * g_vw)
+    require(abs(denom) >= _PLANE_TOL * scale, DegeneratePlane,
+            lambda x, y, z, d: f"tangent plane at {(x, y, z)} is degenerate "
+            f"(denominator {d})", *p, denom)
     if method == "closed":
         rv = curvature(space, p, v, w, w)
     elif method == "fd":
@@ -367,21 +373,24 @@ def sectional_curvature(space: SpaceParams, p, v, w,
     return metric_eval(space, p, rv, v) / denom
 
 
-# ---- generic finite-difference commutator of vector fields ----
+# ---- generic derivatives of vector fields ----
 
 
 def directional_fd(field: Callable[[Vec3], Vec3], p, direction) -> Vec3:
     """Coordinate derivative of a vector field at p along `direction`, by
-    central differences."""
+    complex step: Im W(p + i h X) / h.  The field must accept complex
+    points.  No digits cancel, and the O(h^2) truncation is far below
+    rounding (zero on the frame fields, which are linear in p)."""
     p = as_vec3(p)
-    return central_diff(lambda t: as_vec3(field(
-        (p[0] + t * direction[0], p[1] + t * direction[1],
-         p[2] + t * direction[2]))), _FIELD_STEP)
+    h = _COMPLEX_STEP
+    w = field(tuple(c + h * 1j * d for c, d in zip(p, direction)))
+    return as_vec3([np.imag(c) / h for c in w])
 
 
 def commutator_fd(field_v: Callable[[Vec3], Vec3],
                   field_w: Callable[[Vec3], Vec3], p) -> Vec3:
-    """Lie bracket [V, W] at p by central differences of the fields."""
+    """Lie bracket [V, W] at p from complex-step derivatives of the fields
+    (both must accept complex points)."""
     p = as_vec3(p)
     dv_w = directional_fd(field_w, p, as_vec3(field_v(p)))  # D_V W
     dw_v = directional_fd(field_v, p, as_vec3(field_w(p)))  # D_W V

@@ -12,12 +12,10 @@ call.  On top of the patch this module computes, per sample:
 - the tangent projection T of E3 (E3 = T + nu*N) and the tangent rotation
   J X = N ^ X,
 - the shape operator S X = -(ambient covariant derivative of N along X):
-  on analytic-jet patches S = eps I^{-1} h from the analytic
-  :func:`second_fundamental_form` (no finite differences); on
-  finite-difference-jet patches the Weingarten route (finite differences of
-  the normal field).  The route follows the patch's ``jet_source``, there is
-  no option to switch it, and the Weingarten route is the independent
-  cross-check of the analytic one,
+  S = eps I^{-1} h from :func:`second_fundamental_form` of the patch's jet
+  (analytic, or central differences of `position` on patches without
+  ``jet=``); the Weingarten route (finite differences of the normal field)
+  is its independent cross-check,
 - mean curvature H = trace(S)/2 and Gaussian curvature K by an extrinsic
   formula and, independently, from the induced metric alone (intrinsic).
 
@@ -76,8 +74,10 @@ _ADAPTED_TOL = 1e-8
 _ANALYTIC_MARGIN = 1e-2
 # step for the Weingarten finite difference of the normal field
 _WEINGARTEN_STEP = 1e-5
-# step of the central differences of `position` on patches without `jet=`
-_FD_JET_STEP = 1e-5
+# step of the central differences of `position` on patches without `jet=`;
+# the second partials round off as eps |F| / h^2, which 1e-4 balances
+# against the h^2 truncation
+_FD_JET_STEP = 1e-4
 # step for second derivatives of the induced-metric fields (intrinsic K)
 _INTRINSIC_STEP = 5e-4
 
@@ -409,8 +409,8 @@ def _weingarten_shape(patch: SurfacePatch, u, v, s: _Sample
                       ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Shape-operator matrix in the coordinate basis by the Weingarten route:
     S(Fu), S(Fv) from central differences of the normal field plus ambient
-    connection corrections.  It serves finite-difference-jet patches and is
-    the independent cross-check of the analytic route."""
+    connection corrections: the independent cross-check of the second-form
+    route."""
     space = patch.space
     dn_u = central_diff(lambda t: _sample(patch, u + t, v, s.at).n,
                         _WEINGARTEN_STEP)
@@ -457,9 +457,9 @@ def second_fundamental_form(patch: SurfacePatch, u, v
                             ) -> tuple[tuple[float, float], tuple[float, float]]:
     """h(X, Y) = eps * g(ambient-second-derivative, N) on (d/du, d/dv).
 
-    Computed from the jet with no finite differences.  On analytic-jet
-    patches the shape operator is S = eps I^{-1} h from this form; the
-    Weingarten route is its cross-check.
+    Computed from the jet with no further finite differences.  The shape
+    operator is S = eps I^{-1} h from this form; the Weingarten route is its
+    cross-check.
     """
     return _second_form(patch.space, _sample(patch, u, v))
 
@@ -479,13 +479,9 @@ def _second_form_shape(space: SpaceParams, s: _Sample
 def _coordinate_shape(patch: SurfacePatch, u, v, s: _Sample
                       ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Shape-operator matrix in the coordinate basis (d/du, d/dv): m[i][j]
-    is coefficient i of S(d_j).  Analytic-jet patches take the second form
-    (no finite differences); finite-difference-jet patches take the
-    Weingarten route, which is more accurate on their differenced second
-    partials."""
-    if patch.jet_source == "analytic":
-        return _second_form_shape(patch.space, s)
-    return _weingarten_shape(patch, u, v, s)
+    is coefficient i of S(d_j), from the second form of the sample's jet
+    (analytic, or differenced on patches without `jet=`)."""
+    return _second_form_shape(patch.space, s)
 
 
 def _adapted_frame(space: SpaceParams, s: _Sample
@@ -522,9 +518,7 @@ def _adapted_entries(frame, m, at: Optional[tuple] = None
 def shape_operator(patch: SurfacePatch, u, v, basis: str = "coordinate", *,
                    at: Optional[tuple] = None) -> ShapeOperator2x2:
     """Shape operator matrix at (u, v) in the requested basis: S = eps I^{-1} h
-    from the second fundamental form on analytic-jet patches, the Weingarten
-    route (finite differences of the normal field) on
-    finite-difference-jet patches.  Its guards name the samples `at`
+    from the second fundamental form.  Its guards name the samples `at`
     (default (u, v)), which a stencil passes on from its centre."""
     s = _sample(patch, u, v, at)
     m = _coordinate_shape(patch, u, v, s)

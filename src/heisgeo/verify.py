@@ -3,8 +3,8 @@
 Each check turns one proved identity into a machine-checkable residual:
 
 - ``check_gauss``: intrinsic Gaussian curvature against the extrinsic
-  curvature relation; on analytic-jet patches the gauss suite also runs
-  ``check_shape_operator_routes``, the analytic shape operator
+  curvature relation; the gauss suite also runs
+  ``check_shape_operator_routes``, the second-form shape operator
   S = eps I^{-1} h against the Weingarten route on a sparse subgrid.
 - ``check_codazzi``: the Codazzi equation for the shape-operator field with
   coordinate fields X = d/du, Y = d/dv, realized with finite differences of
@@ -20,7 +20,7 @@ Each check turns one proved identity into a machine-checkable residual:
 - ``check_ambient``: the ambient frame/connection/curvature tables against
   the finite-difference coordinate path, the two curvature formulas against
   each other, and sectional-curvature constancy on the matching
-  constant-curvature parameter choice.
+  constant-curvature parameter choice, each on one batch of random points.
 
 Every patch check evaluates its grid as one batch of samples (and each
 stencil offset as one more batch), and reports the maximum residual; a NaN
@@ -97,6 +97,8 @@ _PLANE_ATTEMPTS = 400
 # random points of the ambient checks, and the half-width of their box
 _AMBIENT_POINTS = 40
 _POINT_BOX = 1.5
+# half-widths of the random vectors of the ambient checks
+_UNIT = (1.0, 1.0, 1.0)
 
 
 def resolve_tolerance(check_id: str, overrides: Optional[dict] = None) -> float:
@@ -211,12 +213,11 @@ def check_gauss(patch: SurfacePatch, grid: tuple[int, int] = (15, 15),
 def check_shape_operator_routes(patch: SurfacePatch,
                                 tolerances: Optional[dict] = None) -> CheckResult:
     """max |S_second - S_Weingarten| / max(1, max |S_second|) over a sparse
-    interior grid: the analytic shape operator S = eps I^{-1} h against the
-    finite difference of the normal field, both in the coordinate basis.
+    interior grid: the second-form shape operator S = eps I^{-1} h against
+    the finite difference of the normal field, both in the coordinate basis.
 
-    The gauss suite runs it on analytic-jet patches, whose S it guards.  On
-    finite-difference-jet patches both routes carry the differenced jet's
-    error (a few 1e-6 relative on curved patches), so it is not run there.
+    The gauss suite runs it on every patch, whose S it guards; on patches
+    without `jet=` both routes also carry the differenced jet's error.
     """
     u, v = _interior_batch(patch, _ROUTE_GRID)
     s = _sample(patch, u, v)
@@ -555,24 +556,20 @@ def curvature_from_table(space: SpaceParams, a, b, c) -> Vec3:
                           ((1, 3), a[0] * b[2] - a[2] * b[0]),
                           ((2, 3), a[1] * b[2] - a[2] * b[1])):
         for k in (1, 2, 3):
-            ck = c[k - 1]
-            if ck == 0.0 and coeff == 0.0:
-                continue
             val = table[(i, j, k)]
             for m in range(3):
-                out[m] += coeff * ck * val[m]
+                out[m] += coeff * c[k - 1] * val[m]
     return (out[0], out[1], out[2])
 
 
-def _rand_point(rng: random.Random) -> Vec3:
-    return (rng.uniform(-_POINT_BOX, _POINT_BOX),
-            rng.uniform(-_POINT_BOX, _POINT_BOX),
-            rng.uniform(-_POINT_BOX, _POINT_BOX))
-
-
-def _rand_vec(rng: random.Random) -> Vec3:
-    return (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0),
-            rng.uniform(-1.0, 1.0))
+def _draws(rng: random.Random, n: int, *boxes: Vec3) -> list[Vec3]:
+    """One random vector per box, n times over: component i is
+    rng.uniform(-h_i, h_i) for the box's half-widths h, drawn in the order
+    of a loop over the n draws.  Each vector holds n-arrays."""
+    h = np.concatenate(boxes)
+    r = np.array([rng.random() for _ in range(n * h.size)]).reshape(n, h.size)
+    cols = (-h + (h + h) * r).T
+    return [tuple(cols[i:i + 3]) for i in range(0, h.size, 3)]
 
 
 def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
@@ -583,7 +580,8 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     finite-difference coordinate path, the two curvature formulas against
     each other on random triples, the covariant-derivative wedge identity of
     the vertical direction, and sectional-curvature constancy on the
-    companion space with kappa = -4 tau^2.
+    companion space with kappa = -4 tau^2.  Each check evaluates its random
+    points as one batch.
     """
     rng = random.Random(seed)
     delta, tau = space.delta, space.tau
@@ -594,122 +592,105 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     expected_diag = (1.0, -float(delta), float(delta))
     checks: list[CheckResult] = []
 
-    # frame orthonormality against the coordinate metric
-    gaps = []
-    frame_pts = [_rand_point(rng) for _ in range(_AMBIENT_POINTS)]
-    for p in frame_pts:
-        fr = ambient.frame_at(space, p)
-        vecs = (fr.e1, fr.e2, fr.e3)
-        for i in range(3):
-            for j in range(3):
-                got = ambient.metric_eval(space, p, vecs[i], vecs[j])
-                want = expected_diag[i] if i == j else 0.0
-                gaps.append(abs(got - want))
-    checks.append(_check("ambient.frame_orthonormality", gaps, tolerances))
+    def gaps(got, want) -> np.ndarray:
+        return np.concatenate([np.ravel(abs(g - w)) for g, w in zip(got, want)])
 
-    # bracket relations by finite differences of the frame fields
+    # frame orthonormality against the coordinate metric
+    pts, = _draws(rng, _AMBIENT_POINTS, (_POINT_BOX,) * 3)
+    vecs = ambient.frame_at(space, pts).vectors()
+    checks.append(_check("ambient.frame_orthonormality", gaps(
+        [ambient.metric_eval(space, pts, vecs[i], vecs[j])
+         for i in range(3) for j in range(3)],
+        [expected_diag[i] if i == j else 0.0
+         for i in range(3) for j in range(3)]), tolerances))
+
+    # bracket relations by complex-step derivatives of the frame fields
     fields = [ambient.frame_field(space, i) for i in (1, 2, 3)]
-    e3 = (0.0, 0.0, 1.0)
-    gaps = []
-    for p in frame_pts[:10]:
-        b12 = ambient.commutator_fd(fields[0], fields[1], p)
-        want12 = (0.0, 0.0, 2.0 * tau)
-        b13 = ambient.commutator_fd(fields[0], fields[2], p)
-        b23 = ambient.commutator_fd(fields[1], fields[2], p)
-        for got, want in ((b12, want12), (b13, (0.0,) * 3), (b23, (0.0,) * 3)):
-            gaps += [abs(got[i] - want[i]) for i in range(3)]
-    checks.append(_check("ambient.bracket", gaps, tolerances))
+    p = tuple(q[:10] for q in pts)
+    checks.append(_check("ambient.bracket", gaps(
+        [*ambient.commutator_fd(fields[0], fields[1], p),
+         *ambient.commutator_fd(fields[0], fields[2], p),
+         *ambient.commutator_fd(fields[1], fields[2], p)],
+        [0.0, 0.0, 2.0 * tau] + [0.0] * 6), tolerances))
 
     # connection table vs the algebraic covariant-derivative correction
     table = ambient.connection_table(space)
     basis = {1: (1.0, 0.0, 0.0), 2: (0.0, 1.0, 0.0), 3: (0.0, 0.0, 1.0)}
-    gaps = []
-    for (i, j), want in table.items():
-        got = ambient.frame_connection_correction(space, basis[i], basis[j])
-        gaps += [abs(got[k] - want[k]) for k in range(3)]
-    checks.append(_check("ambient.connection_table", gaps, tolerances))
-
-    # connection table vs finite-difference Christoffel symbols
-    gaps = []
-    for p in frame_pts[:15]:
-        gam = ambient.christoffel_coords(space, p)
-        fr = ambient.frame_at(space, p)
-        frame_vecs = {1: fr.e1, 2: fr.e2, 3: fr.e3}
-        for (i, j), want in table.items():
-            x = frame_vecs[i]
-            dw = ambient.directional_fd(fields[j - 1], p, x)
-            w = frame_vecs[j]
-            cov = [dw[k] + sum(gam[k][l][m] * x[l] * w[m]
-                               for l in range(3) for m in range(3))
-                   for k in range(3)]
-            got = ambient.to_frame_components(space, p, tuple(cov))
-            gaps += [abs(got[k] - want[k]) for k in range(3)]
-    checks.append(_check("ambient.connection_fd", gaps, tolerances))
-
-    # curvature closed formula vs the literal table on all frame triples
-    gaps = []
-    for (i, j, k), want in curvature_table(space).items():
-        got = ambient.curvature_frame(space, basis[i], basis[j], basis[k])
-        gaps += [abs(got[m] - want[m]) for m in range(3)]
-    checks.append(_check("ambient.curvature_table", gaps, tolerances))
-
-    # closed formula vs trilinear table expansion on random triples
-    gaps = []
-    for _ in range(200):
-        a, b, c = _rand_vec(rng), _rand_vec(rng), _rand_vec(rng)
-        got = ambient.curvature_frame(space, a, b, c)
-        want = curvature_from_table(space, a, b, c)
-        gaps += [abs(got[m] - want[m]) for m in range(3)]
-    checks.append(_check("ambient.curvature_formula_agreement", gaps,
+    got, want = [], []
+    for (i, j), w in table.items():
+        got += ambient.frame_connection_correction(space, basis[i], basis[j])
+        want += w
+    checks.append(_check("ambient.connection_table", gaps(got, want),
                          tolerances))
 
+    # connection table vs finite-difference Christoffel symbols
+    p = tuple(q[:15] for q in pts)
+    gam = ambient.christoffel_coords(space, p)
+    frame_vecs = dict(zip((1, 2, 3), ambient.frame_at(space, p).vectors()))
+    got, want = [], []
+    for (i, j), w in table.items():
+        x, wv = frame_vecs[i], frame_vecs[j]
+        dw = ambient.directional_fd(fields[j - 1], p, x)
+        cov = tuple(dw[k] + sum(gam[k][l][m] * x[l] * wv[m]
+                                for l in range(3) for m in range(3))
+                    for k in range(3))
+        got += ambient.to_frame_components(space, p, cov)
+        want += w
+    checks.append(_check("ambient.connection_fd", gaps(got, want), tolerances))
+
+    # curvature closed formula vs the literal table on all frame triples
+    got, want = [], []
+    for (i, j, k), w in curvature_table(space).items():
+        got += ambient.curvature_frame(space, basis[i], basis[j], basis[k])
+        want += w
+    checks.append(_check("ambient.curvature_table", gaps(got, want),
+                         tolerances))
+
+    # closed formula vs trilinear table expansion on random triples
+    a, b, c = _draws(rng, 200, _UNIT, _UNIT, _UNIT)
+    checks.append(_check("ambient.curvature_formula_agreement", gaps(
+        ambient.curvature_frame(space, a, b, c),
+        curvature_from_table(space, a, b, c)), tolerances))
+
     # closed formula vs the nested finite-difference coordinate path
-    gaps = []
-    for p in frame_pts[:8]:
-        v, w, z = _rand_vec(rng), _rand_vec(rng), _rand_vec(rng)
-        got = ambient.curvature_fd(space, p, v, w, z)
-        want = ambient.curvature(space, p, v, w, z)
-        gaps += [abs(got[m] - want[m]) for m in range(3)]
-    checks.append(_check("ambient.curvature_fd", gaps, tolerances))
+    p = tuple(q[:8] for q in pts)
+    v, w, z = _draws(rng, 8, _UNIT, _UNIT, _UNIT)
+    checks.append(_check("ambient.curvature_fd", gaps(
+        ambient.curvature_fd(space, p, v, w, z),
+        ambient.curvature(space, p, v, w, z)), tolerances))
 
     # nabla_X E3 = delta tau (X wedge E3), FD route vs wedge
-    gaps = []
-    for _ in range(50):
-        p = _rand_point(rng)
-        x = _rand_vec(rng)
-        gam = ambient.christoffel_coords(space, p)
-        cov = tuple(sum(gam[k][l][2] * x[l] for l in range(3))
-                    for k in range(3))
-        got = ambient.to_frame_components(space, p, cov)
-        xf = ambient.to_frame_components(space, p, x)
-        wf = ambient.wedge_frame(space, xf, e3)
-        want = tuple(delta * tau * wf[m] for m in range(3))
-        gaps += [abs(got[m] - want[m]) for m in range(3)]
-    checks.append(_check("ambient.grad_e3_wedge", gaps, tolerances))
+    p, x = _draws(rng, 50, (_POINT_BOX,) * 3, _UNIT)
+    gam = ambient.christoffel_coords(space, p)
+    cov = tuple(sum(gam[k][l][2] * x[l] for l in range(3)) for k in range(3))
+    wf = ambient.wedge_frame(space, ambient.to_frame_components(space, p, x),
+                             (0.0, 0.0, 1.0))
+    checks.append(_check("ambient.grad_e3_wedge", gaps(
+        ambient.to_frame_components(space, p, cov),
+        [delta * tau * wf[m] for m in range(3)]), tolerances))
 
-    # sectional curvature constant on the kappa = -4 tau^2 companion space
+    # sectional curvature constant on the kappa = -4 tau^2 companion space.
+    # Its conformal factor vanishes on the circle of radius 1/|tau|
+    # (delta = -1), so the (x, y) box shrinks with |tau|.
     sibling = SpaceParams(delta=delta, tau=tau, kappa=kappa)
-    values = []
-    attempts = 0
-    while len(values) < 20 and attempts < _PLANE_ATTEMPTS:
-        attempts += 1
-        p = (rng.uniform(-0.15, 0.15), rng.uniform(-0.15, 0.15),
-             rng.uniform(-1.0, 1.0))
-        v, w = _rand_vec(rng), _rand_vec(rng)
-        # reject ill-conditioned planes: a small area denominator amplifies
-        # finite-difference noise in the curvature numerator
-        m_vv = ambient.metric_eval(sibling, p, v, v)
-        m_ww = ambient.metric_eval(sibling, p, w, w)
-        m_vw = ambient.metric_eval(sibling, p, v, w)
-        denom = m_vv * m_ww - m_vw * m_vw
-        if abs(denom) < 0.2 * max(abs(m_vv * m_ww), m_vw * m_vw, 1e-12):
-            continue
-        values.append(ambient.sectional_curvature(sibling, p, v, w,
-                                                  method="fd"))
-    if not values:  # no spread to measure: not a verdict on the curvature
+    box = 0.15 / max(1.0, abs(tau))
+    p, v, w = _draws(rng, _PLANE_ATTEMPTS, (box, box, 1.0), _UNIT, _UNIT)
+    # reject ill-conditioned planes: a small area denominator amplifies
+    # finite-difference noise in the curvature numerator; the first 20
+    # accepted planes are the samples
+    m_vv = ambient.metric_eval(sibling, p, v, v)
+    m_ww = ambient.metric_eval(sibling, p, w, w)
+    m_vw = ambient.metric_eval(sibling, p, v, w)
+    denom = m_vv * m_ww - m_vw * m_vw
+    keep = np.flatnonzero(abs(denom) >= 0.2 * np.maximum(
+        np.maximum(abs(m_vv * m_ww), m_vw * m_vw), 1e-12))[:20]
+    if not keep.size:  # no spread to measure: not a verdict on the curvature
         raise DegeneratePlane(
             f"ambient.sectional_constancy: no well-conditioned tangent plane "
             f"in {_PLANE_ATTEMPTS} random attempts")
+    values = ambient.sectional_curvature(
+        sibling, *(tuple(q[keep] for q in vec) for vec in (p, v, w)),
+        method="fd")
     checks.append(_check("ambient.sectional_constancy",
                          np.max(values) - np.min(values), tolerances))
 
@@ -756,9 +737,8 @@ def run_suite(name: str, *, patch: Optional[SurfacePatch] = None,
         suite = check_claims(patch, grid, seed=seed, tolerances=tolerances)
         return suite
     if name == "gauss":
-        checks = [check_gauss(patch, grid, tolerances=tolerances)]
-        if patch.jet_source == "analytic":
-            checks.append(check_shape_operator_routes(patch, tolerances=tolerances))
+        checks = [check_gauss(patch, grid, tolerances=tolerances),
+                  check_shape_operator_routes(patch, tolerances=tolerances)]
     elif name == "codazzi":
         checks = [check_codazzi(patch, grid, tolerances=tolerances)]
     elif name == "helix_ode":

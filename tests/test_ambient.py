@@ -15,6 +15,7 @@ import pytest
 from heisgeo.ambient import (
     DegeneratePlane,
     SingularConformalFactor,
+    SingularMetric,
     SpaceParams,
     UnsupportedKappa,
     christoffel_coords,
@@ -24,6 +25,7 @@ from heisgeo.ambient import (
     curvature,
     curvature_fd,
     curvature_frame,
+    directional_fd,
     frame_at,
     frame_connection_correction,
     frame_field,
@@ -379,3 +381,94 @@ def test_sectional_not_constant_at_kappa_zero():
     k12 = sectional_curvature(sp, p, vecs[0], vecs[1])
     k13 = sectional_curvature(sp, p, vecs[0], vecs[2])
     assert abs(k12 - k13) > 3.0  # 3*tau^2 vs -tau^2
+
+
+# ---------------------------------------------------------------- batches
+
+
+def random_batch(seed: int, n: int, box: float):
+    """n points in [-box, box]^3 and n triples of vectors in [-1, 1]^3, as
+    rows (one point per row)."""
+    rng = random.Random(seed)
+    pts = np.array([[rng.uniform(-box, box) for _ in range(3)]
+                    for _ in range(n)])
+    vecs = np.array([[rng.uniform(-1.0, 1.0) for _ in range(9)]
+                     for _ in range(n)])
+    return pts, vecs
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("tau", (0.0, 1.0, 3.5))
+def test_fd_path_batch_equals_point_calls(delta, tau):
+    """A batch of points (a Vec3 of arrays, tensors with the batch axis
+    last) gives exactly the values of one call per point at kappa = 0."""
+    sp = SpaceParams(delta=delta, tau=tau)
+    pts, vecs = random_batch(31, 7, 1.5)
+    p = tuple(pts.T)
+    v, w, z = (tuple(vecs[:, 3 * k:3 * k + 3].T) for k in range(3))
+    gamma = christoffel_coords(sp, p)
+    riem = riemann_coords(sp, p)
+    rv = curvature_fd(sp, p, v, w, z)
+    sec = sectional_curvature(sp, p, v, w, method="fd")
+    assert gamma.shape == (3, 3, 3, 7) and riem.shape == (3, 3, 3, 3, 7)
+    for n, (q, r) in enumerate(zip(pts, vecs)):
+        q = tuple(q)
+        assert np.array_equal(gamma[..., n], christoffel_coords(sp, q))
+        assert np.array_equal(riem[..., n], riemann_coords(sp, q))
+        assert tuple(c[n] for c in rv) == curvature_fd(sp, q, r[:3], r[3:6], r[6:])
+        assert sec[n] == sectional_curvature(sp, q, r[:3], r[3:6], method="fd")
+
+
+def test_fd_path_batch_at_nonzero_kappa_agrees_to_rounding():
+    """At kappa != 0 the complex step divides by the complex conformal
+    factor; numpy rounds that division differently from Python's complex
+    type, so a batch agrees with point calls to rounding, not bit for
+    bit."""
+    sp = SpaceParams(delta=-1, tau=5.0, kappa=-100.0)
+    pts, _ = random_batch(32, 7, 0.03)
+    gamma = christoffel_coords(sp, tuple(pts.T))
+    riem = riemann_coords(sp, tuple(pts.T))
+    for n, q in enumerate(pts):
+        want = christoffel_coords(sp, tuple(q))
+        assert np.max(np.abs(gamma[..., n] - want)) <= 1e-15 * np.max(np.abs(want))
+        want = riemann_coords(sp, tuple(q))
+        assert np.max(np.abs(riem[..., n] - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_singular_metric_in_a_batch_names_the_point():
+    sp = SpaceParams(delta=1, tau=1.0, kappa=1.0)
+    x = np.array([0.1, 0.2, 1e4, 3e4])
+    p = (x, np.zeros(4), np.full(4, 0.5))
+    with pytest.raises(SingularMetric,
+                       match=r"singular at \(10000\.0, 0\.0, 0\.5\)"):
+        christoffel_coords(sp, p)
+
+
+def test_degenerate_plane_in_a_batch_names_the_point():
+    sp = SpaceParams(delta=1, tau=1.0)
+    p = (np.array([0.1, 0.2, 0.3]), np.zeros(3), np.zeros(3))
+    v = (1.0, 0.5, -0.2)
+    w = (np.array([0.0, 2.0, 0.0]), np.array([1.0, 1.0, 0.0]),
+         np.array([0.0, -0.4, 1.0]))  # parallel to v at the second point
+    with pytest.raises(DegeneratePlane, match=r"plane at \(0\.2, 0\.0, 0\.0\)"):
+        sectional_curvature(sp, p, v, w, method="fd")
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("tau", (1.0, 3.5, 5.0))
+def test_frame_brackets_exact_by_complex_step(delta, tau):
+    """The frame fields are polynomial in p, so the complex-step
+    derivative has no truncation: the brackets are exact on a batch."""
+    sp = SpaceParams(delta=delta, tau=tau)
+    pts, _ = random_batch(33, 10, 1.5)
+    p = tuple(pts.T)
+    f1, f2, f3 = (frame_field(sp, i) for i in (1, 2, 3))
+
+    def exactly(got, want) -> bool:
+        return all(np.all(g == w) for g, w in zip(got, want))
+
+    assert exactly(commutator_fd(f1, f2, p), (0.0, 0.0, 2.0 * tau))
+    assert exactly(commutator_fd(f1, f3, p), (0.0, 0.0, 0.0))
+    assert exactly(commutator_fd(f2, f3, p), (0.0, 0.0, 0.0))
+    # D_{E1} E2 = (0, 0, tau): the derivative of the vertical component
+    assert exactly(directional_fd(f2, p, frame_at(sp, p).e1), (0.0, 0.0, tau))

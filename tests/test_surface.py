@@ -42,6 +42,7 @@ from heisgeo.surface import (
     tangent_rotation_J,
     unit_normal,
     _sample,
+    _second_form_shape,
     _weingarten_shape,
 )
 from heisgeo.verify import check_shape_operator_routes, default_family_matrix
@@ -258,17 +259,18 @@ def test_analytic_shape_operator_is_the_second_form(builder):
                 assert abs(lhs - form.epsilon * hm[i][j]) < 1e-12 * scale
 
 
-def test_fd_jet_patches_keep_the_weingarten_route():
-    """A patch without jet= differences its second partials, so its shape
-    operator is the Weingarten route; it stays near the analytic twin."""
+def test_fd_jet_patches_take_the_second_form_route():
+    """A patch without jet= differences its second partials and takes the
+    same second-form shape operator as an analytic patch; it stays near the
+    analytic twin."""
     analytic = spacelike_helix()
     fd = SurfacePatch(analytic.space, analytic.position, analytic.domain)
     u, v = 0.3, -0.2
-    want = _weingarten_shape(fd, u, v, _sample(fd, u, v))
+    want = _second_form_shape(fd.space, _sample(fd, u, v))
     assert shape_operator(fd, u, v).entries() == want
     twin = shape_operator(analytic, u, v).entries()
     assert max(abs(want[i][j] - twin[i][j])
-               for i in range(2) for j in range(2)) < 1e-6
+               for i in range(2) for j in range(2)) < 1e-7
 
 
 def test_route_gap_detects_a_second_form_sign_error(monkeypatch):

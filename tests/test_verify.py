@@ -181,18 +181,19 @@ def test_weingarten_route_only_in_the_route_check(monkeypatch, suite):
     assert calls[0] == (16 if suite == "gauss" else 0)
 
 
-def test_route_check_guards_analytic_patches_only():
-    """Patches without jet= take the Weingarten route for S and difference
-    their second partials, so both routes carry the jet's error there: they
-    agree to its size, not to the check's tolerance, and the gauss suite
-    leaves the route check out."""
+def test_route_check_runs_on_every_patch():
+    """Every patch takes the second-form shape operator, so the gauss suite
+    runs the route check on all of them.  A patch without jet= differences
+    its second partials at a step where truncation and rounding balance;
+    its routes then agree within a third of the tolerance."""
     for patch in default_family_matrix():
-        ids = [c.check_id for c in run_suite("gauss", patch=patch, grid=(4, 4)).checks]
-        assert ids == ["gauss.extrinsic_vs_intrinsic", "gauss.shape_operator_routes"]
         fd = SurfacePatch(patch.space, patch.position, patch.domain)
-        ids = [c.check_id for c in run_suite("gauss", patch=fd, grid=(4, 4)).checks]
-        assert ids == ["gauss.extrinsic_vs_intrinsic"]
-        assert check_shape_operator_routes(fd).max_residual < 2e-5
+        for p in (patch, fd):
+            ids = [c.check_id
+                   for c in run_suite("gauss", patch=p, grid=(4, 4)).checks]
+            assert ids == ["gauss.extrinsic_vs_intrinsic",
+                           "gauss.shape_operator_routes"]
+        assert check_shape_operator_routes(fd).max_residual < 0.35e-6
 
 
 # ------------------------------------------------------------ parallel
@@ -382,6 +383,31 @@ def test_ambient_suite_passes_where_differenced_christoffels_failed(delta, tau,
     complex step has no such roundoff."""
     suite = check_ambient(SpaceParams(delta=delta, tau=tau), seed=seed)
     assert suite.passed, [c.as_dict() for c in suite.checks if not c.passed]
+
+
+@pytest.mark.parametrize("delta", (1, -1))
+@pytest.mark.parametrize("tau", (4.5, 5.0))
+def test_ambient_suite_passes_at_large_tau(delta, tau):
+    """The companion space's conformal factor vanishes on the circle of
+    radius 1/tau (delta = -1), which entered the fixed +-0.15 sampling box
+    from tau = 4.7; the box now shrinks with |tau|.  The frame brackets are
+    exact by complex step."""
+    for seed in (DEFAULT_SEED, 0, 1, 2):
+        suite = check_ambient(SpaceParams(delta=delta, tau=tau), seed=seed)
+        assert suite.passed, [c.as_dict() for c in suite.checks if not c.passed]
+        bracket = next(c for c in suite.checks if c.check_id == "ambient.bracket")
+        assert bracket.max_residual == 0.0
+
+
+def test_ambient_draws_follow_the_sequential_stream():
+    """The batched draws are the values a loop of rng.uniform calls makes,
+    in the same order, so each check sees the points it saw one at a time."""
+    rng, ref = random.Random(5), random.Random(5)
+    boxes = ((1.5, 0.15, 1.0), (1.0, 1.0, 1.0))
+    got = verify_module._draws(rng, 4, *boxes)
+    want = [[ref.uniform(-h, h) for h in boxes[0] + boxes[1]] for _ in range(4)]
+    assert [c.tolist() for c in got[0] + got[1]] == [list(c) for c in zip(*want)]
+    assert rng.random() == ref.random()
 
 
 def test_sectional_constancy_without_a_plane_raises(monkeypatch):
