@@ -12,11 +12,11 @@ with delta in {-1, +1} selecting which directions carry the negative sign and
 tau the structure constant of the underlying group.  At kappa = 0 (D == 1)
 the space is the Lorentzian Heisenberg group with its left-invariant metric;
 closed-form frame, wedge, connection and curvature operations are available
-there.  For every kappa, an independent finite-difference path (Christoffel
-symbols from complex-step first derivatives of `metric_matrix`, curvature
-from central differences of those) provides a cross-check that shares no
-code with the closed forms.  Points are Vec3 tuples of floats, or of
-equal-length 1-D arrays for a batch of points (see `heisgeo.numeric`).
+there.  For every kappa, a coordinate path that shares no code with the
+closed forms cross-checks them: Christoffel symbols and curvature from the
+exact derivatives of `metric_matrix`, run on dual numbers.  Points are Vec3
+tuples of floats, or of equal-length 1-D arrays for a batch of points (see
+`heisgeo.numeric`).
 
 Conventions fixed by this module (and verified by the test suite):
 
@@ -42,17 +42,12 @@ from .errors import (
     SingularMetric,
     UnsupportedKappa,
 )
-from .numeric import (Vec3, as_vec3, bilinear3, central_diff, lincomb3,
-                      require, sub3)
+from .numeric import Vec3, as_vec3, bilinear3, lincomb3, require, sub3
 
 # conformal denominator treated as singular below this magnitude
 _CONFORMAL_TOL = 1e-12
 # relative threshold for a degenerate tangent 2-plane
 _PLANE_TOL = 1e-10
-# complex step for first derivatives of the metric and of vector fields
-_COMPLEX_STEP = 1e-30
-# outer finite-difference step for second derivatives of the metric
-_FD2_SCALE = 3e-4
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ def conformal_factor(space: SpaceParams, p) -> float:
     d = 1.0 + 0.25 * space.kappa * (x * x - space.delta * y * y)
     require(abs(d) >= _CONFORMAL_TOL, SingularConformalFactor,
             lambda x, y: f"conformal denominator vanishes at (x, y) = ({x}, {y})",
-            x, y)
+            _real(x), _real(y))
     return d
 
 
@@ -275,59 +270,107 @@ def curvature(space: SpaceParams, p, v, w, z) -> Vec3:
     return from_frame_components(space, p, curvature_frame(space, a, b, c))
 
 
-# ---- finite-difference coordinate path (any kappa) ----
-#
-# Each function below takes p as floats or as equal-length 1-D arrays (a
-# batch of points); tensors carry the batch axis last.
+# ---- coordinate path (any kappa) ----
+# Exact derivatives: `metric_matrix` and vector fields run on dual numbers.
+# p is floats or equal-length 1-D arrays; tensors carry the batch axis last.
 
 
-def _shifted(p: Vec3, i: int, t) -> Vec3:
-    """p with coordinate i moved by t."""
-    return tuple(c + t if k == i else c for k, c in enumerate(p))  # type: ignore[return-value]
+class _Dual:
+    """re + du eps, eps^2 = 0: + - * / carry the exact derivative in `du`
+    (Fike & Alonso, AIAA 2011-886).  Parts that are _Duals in a second eps
+    carry mixed second derivatives; operands of one computation nest alike."""
+
+    __array_ufunc__ = None  # an ndarray operand defers to the methods here
+
+    def __init__(self, re, du):
+        self.re, self.du = re, du
+
+    def __add__(self, o):
+        re, du = _parts(o)
+        return _Dual(self.re + re, self.du + du)
+
+    def __neg__(self):
+        return _Dual(-self.re, -self.du)
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if not isinstance(o, _Dual):
+            return _Dual(self.re * o, self.du * o)
+        return _Dual(self.re * o.re, self.re * o.du + self.du * o.re)
+
+    def __truediv__(self, o):
+        re, du = _parts(o)
+        q = self.re / re
+        return _Dual(q, (self.du - q * du) / re)
+
+    def __rtruediv__(self, o):
+        return _Dual(o, 0.0) / self
+
+    def __abs__(self):  # of the real part: guards act on real parts
+        return abs(self.re)
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
-def _stacked(rows) -> np.ndarray:
-    """Rows of floats or batch arrays as one array, batch axis last."""
-    flat = np.broadcast_arrays(*(c for row in rows for c in row))
-    return np.stack(flat).reshape(len(rows), len(rows[0]), *flat[0].shape)
+def _parts(c) -> tuple:
+    """(re, du) of a dual; a plain value has du = 0."""
+    return (c.re, c.du) if isinstance(c, _Dual) else (c, 0.0)
 
 
-def christoffel_coords(space: SpaceParams, p) -> np.ndarray:
-    """Christoffel symbols Gamma[k, i, j] at p, with the metric's first
-    derivatives by complex step: Im g(p + i h e_k) / h (Squire & Trapp,
-    SIAM Rev. 1998) has no difference of nearby values to cancel digits.
+def _real(c):
+    """The real part of a (nested) dual, or a plain value itself."""
+    return _real(c.re) if isinstance(c, _Dual) else c
 
-    Consumes only `metric_matrix`; independent of every closed-form table.
-    """
-    p = as_vec3(p)
-    g0 = np.moveaxis(_stacked(metric_matrix(space, p)), (0, 1), (-2, -1))
-    det = np.linalg.det(g0)
+
+def _lowered(d: np.ndarray, k: int = 0) -> np.ndarray:
+    """(d_i g_jl + d_j g_il - d_l g_ij) / 2 over the axes k, k+1, k+2 of
+    d[.., i, j, l] = d_i g_jl: Gamma^m_ij with m lowered to l."""
+    return 0.5 * (d + np.swapaxes(d, k, k + 1) - np.moveaxis(d, k, k + 2))
+
+
+def _connection(space: SpaceParams, p: Vec3) -> tuple:
+    """(g^-1, dg, ddg, Gamma) at p, with dg[i, j, l] = d_i g_jl and
+    ddg[a, i, j, l] = d_a d_i g_jl: the parts g, d_i g, d_j g and d_i d_j g
+    of `metric_matrix` at p + eps1 e_i + eps2 e_j, one batch per i <= j."""
+    dg, ddg = [None] * 3, [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            q = tuple(_Dual(_Dual(c, float(k == i)), _Dual(float(k == j), 0.0))
+                      for k, c in enumerate(p))
+            flat = np.broadcast_arrays(*(
+                x for row in metric_matrix(space, q) for c in row
+                for half in _parts(c) for x in _parts(half)))
+            g, dg[i], dg[j], ddg[i][j] = np.moveaxis(
+                np.stack(flat).reshape(3, 3, 4, *flat[0].shape), 2, 0)
+            ddg[j][i] = ddg[i][j]
+    g = np.moveaxis(g, (0, 1), (-2, -1))
+    det = np.linalg.det(g)
     require(abs(det) >= 1e-14, SingularMetric,
             lambda x, y, z, d: f"metric matrix singular at {(x, y, z)} "
             f"(det = {d})", *p, det)
-    ginv = np.moveaxis(np.linalg.inv(g0), (-2, -1), (0, 1))
-    dg = np.array([
-        _stacked(metric_matrix(space, _shifted(p, i, _COMPLEX_STEP * 1j))).imag
-        / _COMPLEX_STEP for i in range(3)])
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij);
-    # dg[i, j, l] = d_i g_jl, so the three terms are the transposes below.
-    return 0.5 * np.einsum(
-        "kl...,ijl...->kij...", ginv,
-        dg + np.swapaxes(dg, 0, 1) - np.moveaxis(dg, 0, 2))
+    ginv = np.moveaxis(np.linalg.inv(g), (-2, -1), (0, 1))
+    dg, ddg = np.array(dg), np.array(ddg)
+    return ginv, dg, ddg, np.einsum("kl...,ijl...->kij...", ginv, _lowered(dg))
+
+
+def christoffel_coords(space: SpaceParams, p) -> np.ndarray:
+    """Christoffel symbols Gamma[k, i, j] at p; consumes only
+    `metric_matrix`, independent of every closed-form table."""
+    return _connection(space, as_vec3(p))[3]
 
 
 def riemann_coords(space: SpaceParams, p) -> np.ndarray:
-    """Curvature tensor Riem[l, i, j, k] = (R(d_i, d_j) d_k)^l at p, by
-    nested central differences of `christoffel_coords` (works for any kappa).
-    """
-    p = as_vec3(p)
-    gamma = christoffel_coords(space, p)
-    steps = [np.maximum(_FD2_SCALE, _FD2_SCALE * abs(c)) for c in p]
-    # fourth-order stencil: the second-order truncation error grows with
-    # the metric's third derivatives for large tau at nonzero kappa
-    dgamma = np.array([central_diff(
-        lambda t, i=i: christoffel_coords(space, _shifted(p, i, t)),
-        steps[i], order=4) for i in range(3)])
+    """Curvature tensor Riem[l, i, j, k] = (R(d_i, d_j) d_k)^l at p (works
+    for any kappa)."""
+    ginv, dg, ddg, gamma = _connection(space, as_vec3(p))
+    # d_a Gamma^k_ij = g^kl d_a Gamma_ijl - g^kl (d_a g_lm) Gamma^m_ij
+    dgamma = (np.einsum("kl...,aijl...->akij...", ginv, _lowered(ddg, 1))
+              - np.einsum("kl...,alm...,mij...->akij...", ginv, dg, gamma))
     # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik
     #           + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
     return (np.einsum("iljk...->lijk...", dgamma)
@@ -337,7 +380,7 @@ def riemann_coords(space: SpaceParams, p) -> np.ndarray:
 
 
 def curvature_fd(space: SpaceParams, p, v, w, z) -> Vec3:
-    """R(V, W)Z at p via the finite-difference coordinate path (any kappa)."""
+    """R(V, W)Z at p via the coordinate path (any kappa)."""
     riem = riemann_coords(space, p)
     vwz = (np.array(np.broadcast_arrays(*as_vec3(a))) for a in (v, w, z))
     return as_vec3(np.einsum("lijk...,i...,j...,k...->l...", riem, *vwz))
@@ -351,7 +394,7 @@ def sectional_curvature(space: SpaceParams, p, v, w,
     """Sectional curvature of span(v, w) at p.
 
     method = "closed" uses the kappa = 0 curvature tensor; method = "fd"
-    uses the finite-difference path and works for every kappa.  Raises
+    uses the coordinate path and works for every kappa.  Raises
     DegeneratePlane when the plane's induced form is (numerically) null.
     """
     v = as_vec3(v)
@@ -377,20 +420,17 @@ def sectional_curvature(space: SpaceParams, p, v, w,
 
 
 def directional_fd(field: Callable[[Vec3], Vec3], p, direction) -> Vec3:
-    """Coordinate derivative of a vector field at p along `direction`, by
-    complex step: Im W(p + i h X) / h.  The field must accept complex
-    points.  No digits cancel, and the O(h^2) truncation is far below
-    rounding (zero on the frame fields, which are linear in p)."""
-    p = as_vec3(p)
-    h = _COMPLEX_STEP
-    w = field(tuple(c + h * 1j * d for c, d in zip(p, direction)))
-    return as_vec3([np.imag(c) / h for c in w])
+    """Coordinate derivative of a vector field at p along `direction`: the
+    dual part of W(p + eps X), exact up to rounding.  The field must accept
+    dual coordinates, which a field written with + - * / does."""
+    w = field(tuple(_Dual(c, d)
+                    for c, d in zip(as_vec3(p), as_vec3(direction))))
+    return as_vec3([_parts(c)[1] for c in w])
 
 
 def commutator_fd(field_v: Callable[[Vec3], Vec3],
                   field_w: Callable[[Vec3], Vec3], p) -> Vec3:
-    """Lie bracket [V, W] at p from complex-step derivatives of the fields
-    (both must accept complex points)."""
+    """Lie bracket [V, W] at p from dual-number derivatives of the fields."""
     p = as_vec3(p)
     dv_w = directional_fd(field_w, p, as_vec3(field_v(p)))  # D_V W
     dw_v = directional_fd(field_v, p, as_vec3(field_w(p)))  # D_W V

@@ -124,13 +124,6 @@ class NonFiniteResidual(VerifyError):
     """A check's residual is NaN or infinite: no verdict can be given."""
 
 
-class DegenerateFrame(VerifyError):
-    """The pseudo-orthonormal tangent frame could not be constructed.
-
-    heisgeo itself does not raise it: the parallel check's frame is the
-    adapted one, which reports degeneracy as DegenerateAdaptedFrame."""
-
-
 # ---- configuration ----
 
 

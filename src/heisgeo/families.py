@@ -62,10 +62,6 @@ def _lib(v):
     return np if isinstance(v, np.ndarray) else math
 
 
-def _const(value: float, v):
-    return np.full_like(v, value) if isinstance(v, np.ndarray) else value
-
-
 # ---- eta presets ----
 
 
@@ -104,32 +100,25 @@ class EtaSpec:
                 "sinusoidal eta takes exactly [amp, freq, phase]")
 
     def __call__(self, v):
-        """eta at a float v, or elementwise at an ndarray v."""
+        """eta at a float v, or elementwise at an ndarray v; constant and
+        linear eta are polynomials of degree 0 and 1."""
         c = self.coefficients
-        if self.kind == "constant":
-            return _const(c[0], v)
-        if self.kind == "linear":
-            return c[0] + c[1] * v
-        if self.kind == "polynomial":
-            acc = 0.0
-            for coeff in reversed(c):
-                acc = acc * v + coeff
-            return acc
-        return c[0] * _lib(v).sin(c[1] * v + c[2])
+        if self.kind == "sinusoidal":
+            return c[0] * _lib(v).sin(c[1] * v + c[2])
+        acc = 0.0
+        for coeff in reversed(c):
+            acc = acc * v + coeff
+        return acc
 
     def derivative(self, v):
         """eta' at a float v, or elementwise at an ndarray v."""
         c = self.coefficients
-        if self.kind == "constant":
-            return _const(0.0, v)
-        if self.kind == "linear":
-            return _const(c[1], v)
-        if self.kind == "polynomial":
-            acc = _const(0.0, v)
-            for i in range(len(c) - 1, 0, -1):
-                acc = acc * v + i * c[i]
-            return acc
-        return c[0] * c[1] * _lib(v).cos(c[1] * v + c[2])
+        if self.kind == "sinusoidal":
+            return c[0] * c[1] * _lib(v).cos(c[1] * v + c[2])
+        acc = np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0
+        for i in range(len(c) - 1, 0, -1):
+            acc = acc * v + i * c[i]
+        return acc
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "coefficients": list(self.coefficients)}
@@ -224,7 +213,7 @@ class ProfileFunctions:
 
     `slopes(v)` returns (f1', f2', f1'', f2'') from one eta, one eta', one
     g1 and one g2.  `jet(v)` returns all nine values at v from one lookup
-    per table and one `slopes` call; `df3` and `d2f3` read it.
+    per table and one `slopes` call.
     """
 
     profile: HelixProfile
@@ -245,18 +234,6 @@ class ProfileFunctions:
         # f3'' = d/dv of tau*(f1 f2' - f2 f1'); the f1'f2' cross terms cancel
         return (p1, p2, p3, q1, q2, tau * (p1 * q2 - p2 * q1),
                 r1, r2, tau * (p1 * r2 - p2 * r1))
-
-    def df1(self, v: float) -> float:
-        return self.slopes(v)[0]
-
-    def df2(self, v: float) -> float:
-        return self.slopes(v)[1]
-
-    def df3(self, v: float) -> float:
-        return self.jet(v)[5]
-
-    def d2f3(self, v: float) -> float:
-        return self.jet(v)[8]
 
 
 def _slope_branch(profile: HelixProfile) -> tuple[str, str, float, float]:

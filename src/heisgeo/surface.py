@@ -476,14 +476,6 @@ def _second_form_shape(space: SpaceParams, s: _Sample
     return ((c1[0], c2[0]), (c1[1], c2[1]))
 
 
-def _coordinate_shape(patch: SurfacePatch, u, v, s: _Sample
-                      ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Shape-operator matrix in the coordinate basis (d/du, d/dv): m[i][j]
-    is coefficient i of S(d_j), from the second form of the sample's jet
-    (analytic, or differenced on patches without `jet=`)."""
-    return _second_form_shape(patch.space, s)
-
-
 def _adapted_frame(space: SpaceParams, s: _Sample
                    ) -> tuple[tuple[float, float], tuple[float, float], float]:
     """Coordinate coefficients of the adapted vectors T and JT, and g(T,T)."""
@@ -521,7 +513,7 @@ def shape_operator(patch: SurfacePatch, u, v, basis: str = "coordinate", *,
     from the second fundamental form.  Its guards name the samples `at`
     (default (u, v)), which a stencil passes on from its centre."""
     s = _sample(patch, u, v, at)
-    m = _coordinate_shape(patch, u, v, s)
+    m = _second_form_shape(patch.space, s)
     if basis == "coordinate":
         return ShapeOperator2x2(m[0][0], m[0][1], m[1][0], m[1][1], "coordinate")
     if basis == "adapted-TJT":
@@ -583,7 +575,7 @@ def gaussian_curvature(patch: SurfacePatch, u, v,
             raise UnsupportedKappa(
                 "extrinsic curvature formula requires kappa = 0")
         s = _sample(patch, u, v)
-        return _extrinsic_k(space, s, _coordinate_shape(patch, u, v, s))
+        return _extrinsic_k(space, s, _second_form_shape(space, s))
     if method == "intrinsic":
         return _intrinsic_k(patch, u, v)
     raise ValueError(f"unknown gaussian-curvature method {method!r}")
@@ -704,7 +696,7 @@ def geometry_report(patch: SurfacePatch, n_u: int, n_v: int) -> GeometryReport:
         basis = "coordinate"
     space = patch.space
     s = _sample(patch, u, v)
-    m = _coordinate_shape(patch, u, v, s)
+    m = _second_form_shape(space, s)
     if basis == "adapted-TJT":
         entries = _adapted_entries(_adapted_frame(space, s), m, s.at)
     else:

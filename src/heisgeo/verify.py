@@ -48,7 +48,6 @@ from .surface import (
     SurfacePatch,
     _adapted_entries,
     _adapted_frame,
-    _coordinate_shape,
     _extrinsic_k,
     _sample,
     _second_form_shape,
@@ -276,13 +275,13 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
         # (S11, S12, S21, S22, e, f, g): S in the coordinate basis and the
         # induced metric, from one sample
         s = _sample(patch, uu, vv, (u, v))  # guards name the grid sample
-        m = _coordinate_shape(patch, uu, vv, s)
+        m = _second_form_shape(space, s)
         form = s.form
         return (*m[0], *m[1], form.e, form.f, form.g)
 
     u, v = _interior_batch(patch, grid)
     s = _sample(patch, u, v)
-    m0 = _coordinate_shape(patch, u, v, s)
+    m0 = _second_form_shape(space, s)
     du = central_diff(lambda t: fields(u + t, v), _SURFACE_STEP, order=4)
     dv = central_diff(lambda t: fields(u, v + t), _SURFACE_STEP, order=4)
     # d/du of S(d/dv) and d/dv of S(d/du), coefficient 2-vectors
@@ -330,7 +329,7 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
         lambda t: shape_operator(patch, u + t * t1, v + t * t2,
                                  basis="adapted-TJT", at=(u, v)).s22,
         _directional_step(_SURFACE_STEP, (t1, t2)), order=4)
-    mu0 = _adapted_entries(frame, _coordinate_shape(patch, u, v, s), s.at)[3]
+    mu0 = _adapted_entries(frame, _second_form_shape(space, s), s.at)[3]
     return _check("helix_ode.residual",
                   abs(t_mu + mu0 * mu0 * nu - 4.0 * space.delta * tau * tau * nu ** 3),
                   tolerances, (u, v))
@@ -416,7 +415,7 @@ def _parallel_input(patch: SurfacePatch, points: Sequence[tuple[float, float]]
         spacelike vector."""
         # the stencil offsets of the centre batch name its grid samples
         s = _sample(patch, u, v, (u0, v0) if np.shape(u) == u0.shape else None)
-        m = _coordinate_shape(patch, u, v, s)
+        m = _second_form_shape(space, s)
         frame = _adapted_frame(space, s)
         adapted = _adapted_entries(frame, m, s.at)
         a11, a12, a21, a22 = adapted
@@ -577,11 +576,11 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     """Ambient-geometry battery on a kappa = 0 space.
 
     Cross-checks the frame/connection/curvature tables against the
-    finite-difference coordinate path, the two curvature formulas against
-    each other on random triples, the covariant-derivative wedge identity of
-    the vertical direction, and sectional-curvature constancy on the
-    companion space with kappa = -4 tau^2.  Each check evaluates its random
-    points as one batch.
+    coordinate path (dual-number derivatives of the metric), the two
+    curvature formulas against each other on random triples, the
+    covariant-derivative wedge identity of the vertical direction, and
+    sectional-curvature constancy on the companion space with
+    kappa = -4 tau^2.  Each check evaluates its random points as one batch.
     """
     rng = random.Random(seed)
     delta, tau = space.delta, space.tau
@@ -604,7 +603,7 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
         [expected_diag[i] if i == j else 0.0
          for i in range(3) for j in range(3)]), tolerances))
 
-    # bracket relations by complex-step derivatives of the frame fields
+    # bracket relations by dual-number derivatives of the frame fields
     fields = [ambient.frame_field(space, i) for i in (1, 2, 3)]
     p = tuple(q[:10] for q in pts)
     checks.append(_check("ambient.bracket", gaps(
@@ -623,7 +622,7 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     checks.append(_check("ambient.connection_table", gaps(got, want),
                          tolerances))
 
-    # connection table vs finite-difference Christoffel symbols
+    # connection table vs the coordinate path's Christoffel symbols
     p = tuple(q[:15] for q in pts)
     gam = ambient.christoffel_coords(space, p)
     frame_vecs = dict(zip((1, 2, 3), ambient.frame_at(space, p).vectors()))
@@ -652,14 +651,14 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
         ambient.curvature_frame(space, a, b, c),
         curvature_from_table(space, a, b, c)), tolerances))
 
-    # closed formula vs the nested finite-difference coordinate path
+    # closed formula vs the coordinate path
     p = tuple(q[:8] for q in pts)
     v, w, z = _draws(rng, 8, _UNIT, _UNIT, _UNIT)
     checks.append(_check("ambient.curvature_fd", gaps(
         ambient.curvature_fd(space, p, v, w, z),
         ambient.curvature(space, p, v, w, z)), tolerances))
 
-    # nabla_X E3 = delta tau (X wedge E3), FD route vs wedge
+    # nabla_X E3 = delta tau (X wedge E3), coordinate path vs wedge
     p, x = _draws(rng, 50, (_POINT_BOX,) * 3, _UNIT)
     gam = ambient.christoffel_coords(space, p)
     cov = tuple(sum(gam[k][l][2] * x[l] for l in range(3)) for k in range(3))
@@ -675,9 +674,8 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     sibling = SpaceParams(delta=delta, tau=tau, kappa=kappa)
     box = 0.15 / max(1.0, abs(tau))
     p, v, w = _draws(rng, _PLANE_ATTEMPTS, (box, box, 1.0), _UNIT, _UNIT)
-    # reject ill-conditioned planes: a small area denominator amplifies
-    # finite-difference noise in the curvature numerator; the first 20
-    # accepted planes are the samples
+    # reject ill-conditioned planes, whose small area denominator amplifies
+    # rounding in the curvature numerator; the first 20 accepted are used
     m_vv = ambient.metric_eval(sibling, p, v, v)
     m_ww = ambient.metric_eval(sibling, p, w, w)
     m_vw = ambient.metric_eval(sibling, p, v, w)

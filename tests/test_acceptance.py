@@ -318,7 +318,7 @@ def test_criterion_7_timelike_constant_angle_family():
         pf = build_profile(prof, (-1.26, 1.26))
         for i in range(41):
             v = -1.2 + 2.4 * i / 40.0
-            d1, d2 = pf.df1(v), pf.df2(v)
+            d1, d2 = pf.jet(v)[3:5]
             assert abs(d1 * d1 - d2 * d2 + math.cos(theta) ** 2) <= 1e-8
 
 

@@ -6,12 +6,14 @@ path before being frozen here.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
+import heisgeo.ambient as ambient
 from heisgeo.ambient import (
     DegeneratePlane,
     SingularConformalFactor,
@@ -39,6 +41,7 @@ from heisgeo.ambient import (
     wedge,
     wedge_frame,
 )
+from heisgeo.numeric import central_diff
 
 DELTAS = (1, -1)
 TAUS = (0.5, 1.0, 2.0)
@@ -285,37 +288,83 @@ def test_curvature_fd_matches_closed_form(delta):
         z = tuple(rng.uniform(-1.0, 1.0) for _ in range(3))
         closed = curvature(sp, p, v, w, z)
         fd = curvature_fd(sp, p, v, w, z)
-        assert norm3(sub(closed, fd)) < 1e-6
+        assert norm3(sub(closed, fd)) < 1e-13
 
 
 def test_riemann_assembly_matches_loop_reference():
-    """riemann_coords assembles R from Gamma and its derivatives with
-    einsum; the explicit index loop is the reference (the summation order
-    differs, so agreement is to rounding, not bit for bit)."""
+    """riemann_coords assembles Gamma, its derivatives and R from the
+    metric's first and second derivatives with einsum; index loops over the
+    same g^-1, dg and ddg are the reference (the summation order differs,
+    so agreement is to rounding, not bit for bit)."""
     sp = SpaceParams(delta=-1, tau=0.8, kappa=-0.5)
     p = (0.2, -0.3, 0.4)
-    gamma = christoffel_coords(sp, p)
-    steps = [max(3e-4, 3e-4 * abs(c)) for c in p]
+    ginv, dg, ddg, _ = ambient._connection(sp, p)
 
-    def gamma_at(i, t):
-        q = list(p)
-        q[i] += t
-        return christoffel_coords(sp, tuple(q))
+    def lowered(d, i, j, l):  # Gamma^m_ij with m lowered to l
+        return 0.5 * (d[i, j, l] + d[j, i, l] - d[l, i, j])
 
-    dgamma = [(-gamma_at(i, 2 * h) + 8 * gamma_at(i, h) - 8 * gamma_at(i, -h)
-               + gamma_at(i, -2 * h)) / (12 * h) for i, h in enumerate(steps)]
-    want = np.empty((3, 3, 3, 3))
-    for l in range(3):
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    val = dgamma[i][l, j, k] - dgamma[j][l, i, k]
-                    for m in range(3):
-                        val += (gamma[l, i, m] * gamma[m, j, k]
-                                - gamma[l, j, m] * gamma[m, i, k])
-                    want[l, i, j, k] = val
-    got = riemann_coords(sp, p)
-    assert float(np.max(np.abs(got - want))) < 1e-13 * max(1.0, float(np.max(np.abs(want))))
+    gamma = np.zeros((3, 3, 3))
+    for k, i, j, l in itertools.product(range(3), repeat=4):
+        gamma[k, i, j] += ginv[k, l] * lowered(dg, i, j, l)
+    dgamma = np.zeros((3, 3, 3, 3))  # dgamma[a, k, i, j] = d_a Gamma^k_ij
+    for a, k, i, j, l in itertools.product(range(3), repeat=5):
+        dgamma[a, k, i, j] += ginv[k, l] * (
+            lowered(ddg[a], i, j, l)
+            - sum(dg[a, l, m] * gamma[m, i, j] for m in range(3)))
+    want = np.zeros((3, 3, 3, 3))
+    for l, i, j, k in itertools.product(range(3), repeat=4):
+        want[l, i, j, k] = dgamma[i, l, j, k] - dgamma[j, l, i, k] + sum(
+            gamma[l, i, m] * gamma[m, j, k] - gamma[l, j, m] * gamma[m, i, k]
+            for m in range(3))
+
+    def close(got, ref) -> bool:
+        return np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    assert close(christoffel_coords(sp, p), gamma)
+    assert close(riemann_coords(sp, p), want)
+
+
+def test_metric_jet_matches_central_differences():
+    """The dual parts of `metric_matrix` (through the conformal factor's
+    division at kappa != 0) are its derivatives: fourth-order central
+    differences of g and of dg agree to their truncation."""
+    sp = SpaceParams(delta=-1, tau=1.3, kappa=-2.0)
+    p = (0.21, -0.34, 0.5)
+    h = 1e-3
+    _, dg, ddg, _ = ambient._connection(sp, p)
+
+    def shifted(i, t):
+        return tuple(c + t if k == i else c for k, c in enumerate(p))
+
+    for i in range(3):
+        fd = central_diff(lambda t: np.array(metric_matrix(sp, shifted(i, t))),
+                          h, order=4)
+        assert np.max(np.abs(dg[i] - fd)) < 1e-9
+        fd = central_diff(lambda t: ambient._connection(sp, shifted(i, t))[1],
+                          h, order=4)
+        assert np.max(np.abs(ddg[i] - fd)) < 1e-8
+    assert np.array_equal(ddg, np.swapaxes(ddg, 0, 1))
+
+
+def test_dual_arithmetic_is_exact_on_a_rational_function():
+    """f(x, y) = (1 - x y) / (2 + x) - 3 / y carries its exact first and
+    mixed second partials through + - * / with float operands on either
+    side, and abs reads the real part."""
+    x0, y0 = 0.7, -1.9
+    dual = ambient._Dual
+    x = dual(dual(x0, 1.0), dual(0.0, 0.0))  # x + eps1
+    y = dual(dual(y0, 0.0), dual(1.0, 0.0))  # y + eps2
+    f = (1.0 - x * y) / (2.0 + x) - 3.0 / y
+    fx = (-y0 * (2.0 + x0) - (1.0 - x0 * y0)) / (2.0 + x0) ** 2
+    fy = -x0 / (2.0 + x0) + 3.0 / y0 ** 2
+    fxy = -1.0 / (2.0 + x0) + x0 / (2.0 + x0) ** 2
+    got = (f.re.re, f.re.du, f.du.re, f.du.du)
+    want = ((1.0 - x0 * y0) / (2.0 + x0) - 3.0 / y0, fx, fy, fxy)
+    assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+    assert abs(-x) == x0 and abs(y) == -y0
+    # an ndarray operand defers to the dual instead of mapping over it
+    z = np.array([1.0, 2.0]) * dual(np.array([3.0, 4.0]), 1.0)
+    assert isinstance(z, dual) and z.du.tolist() == [1.0, 2.0]
 
 
 def test_flat_when_tau_zero():
@@ -420,10 +469,10 @@ def test_fd_path_batch_equals_point_calls(delta, tau):
 
 
 def test_fd_path_batch_at_nonzero_kappa_agrees_to_rounding():
-    """At kappa != 0 the complex step divides by the complex conformal
-    factor; numpy rounds that division differently from Python's complex
-    type, so a batch agrees with point calls to rounding, not bit for
-    bit."""
+    """At kappa != 0 no metric derivative is zero, and einsum sums a batch
+    in a different order from one point: a batch agrees with point calls
+    to rounding, not bit for bit (the metric's dual parts themselves are
+    equal bit for bit)."""
     sp = SpaceParams(delta=-1, tau=5.0, kappa=-100.0)
     pts, _ = random_batch(32, 7, 0.03)
     gamma = christoffel_coords(sp, tuple(pts.T))
@@ -432,7 +481,8 @@ def test_fd_path_batch_at_nonzero_kappa_agrees_to_rounding():
         want = christoffel_coords(sp, tuple(q))
         assert np.max(np.abs(gamma[..., n] - want)) <= 1e-15 * np.max(np.abs(want))
         want = riemann_coords(sp, tuple(q))
-        assert np.max(np.abs(riem[..., n] - want)) <= 1e-11 * np.max(np.abs(want))
+        assert (np.max(np.abs(riem[..., n] - want))
+                <= 1e-15 * np.max(np.abs(want)))
 
 
 def test_singular_metric_in_a_batch_names_the_point():
@@ -442,6 +492,20 @@ def test_singular_metric_in_a_batch_names_the_point():
     with pytest.raises(SingularMetric,
                        match=r"singular at \(10000\.0, 0\.0, 0\.5\)"):
         christoffel_coords(sp, p)
+
+
+@pytest.mark.parametrize("fn", (christoffel_coords, riemann_coords))
+def test_vanishing_conformal_factor_names_float_coordinates(fn):
+    """The path evaluates the metric at dual points only; its guard still
+    names the real coordinates of the first failing point."""
+    sp = SpaceParams(delta=1, tau=1.0, kappa=-4.0)  # D = 1 - x^2 + y^2
+    with pytest.raises(SingularConformalFactor,
+                       match=r"at \(x, y\) = \(1\.0, 0\.0\)$"):
+        fn(sp, (1.0, 0.0, 0.3))
+    x = np.array([0.1, 1.0, 1.0])
+    with pytest.raises(SingularConformalFactor,
+                       match=r"at \(x, y\) = \(1\.0, 0\.0\)$"):
+        fn(sp, (x, np.zeros(3), np.zeros(3)))
 
 
 def test_degenerate_plane_in_a_batch_names_the_point():
@@ -457,8 +521,8 @@ def test_degenerate_plane_in_a_batch_names_the_point():
 @pytest.mark.parametrize("delta", DELTAS)
 @pytest.mark.parametrize("tau", (1.0, 3.5, 5.0))
 def test_frame_brackets_exact_by_complex_step(delta, tau):
-    """The frame fields are polynomial in p, so the complex-step
-    derivative has no truncation: the brackets are exact on a batch."""
+    """The frame fields are polynomial in p and their dual-number
+    derivatives are exact: so are the brackets, on a batch."""
     sp = SpaceParams(delta=delta, tau=tau)
     pts, _ = random_batch(33, 10, 1.5)
     p = tuple(pts.T)

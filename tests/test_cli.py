@@ -354,6 +354,7 @@ def test_nan_residual_is_a_geometry_error(workdir, capsys, monkeypatch):
         return (s11, s12), (s21, s22)
 
     monkeypatch.setattr(surface_module, "_second_form_shape", nan_at_one_point)
+    monkeypatch.setattr(verify_module, "_second_form_shape", nan_at_one_point)
     code = main(["verify", "--config", cfg_path(workdir, HELIX),
                  "--suite", "codazzi"])
     assert code == EXIT_GEOMETRY_ERROR

@@ -24,8 +24,8 @@ from heisgeo.surface import (
     SurfacePatch,
     _adapted_entries,
     _adapted_frame,
-    _coordinate_shape,
     _sample,
+    _second_form_shape,
 )
 from heisgeo.verify import (
     DEFAULT_SEED,
@@ -222,7 +222,7 @@ def test_parallel_frame_is_the_unit_adapted_frame(index):
         assert pair(f2, f2) == pytest.approx(-s.eps, abs=1e-12)
         assert abs(pair(f1, f2)) <= 1e-12
         a11, a12, a21, a22 = _adapted_entries(
-            _adapted_frame(patch.space, s), _coordinate_shape(patch, u, v, s))
+            _adapted_frame(patch.space, s), _second_form_shape(patch.space, s))
         want = (a11, a12, a22) if patch.space.delta == 1 else (a22, a21, a11)
         assert inp.entries(u, v) == want
 
@@ -380,23 +380,64 @@ def test_ambient_suite_passes_where_differenced_christoffels_failed(delta, tau,
     of roundoff (eps |g| / h) into the Christoffel symbols, which the outer
     stencil of the curvature path (step 3e-4) amplified past the 1e-6
     sectional-constancy tolerance at these seeds and at tau = 3.5; the
-    complex step has no such roundoff."""
+    dual-number derivatives have no such roundoff."""
     suite = check_ambient(SpaceParams(delta=delta, tau=tau), seed=seed)
     assert suite.passed, [c.as_dict() for c in suite.checks if not c.passed]
 
 
 @pytest.mark.parametrize("delta", (1, -1))
-@pytest.mark.parametrize("tau", (4.5, 5.0))
+@pytest.mark.parametrize("tau", (4.5, 5.0, 7.0, 10.0))
 def test_ambient_suite_passes_at_large_tau(delta, tau):
     """The companion space's conformal factor vanishes on the circle of
     radius 1/tau (delta = -1), which entered the fixed +-0.15 sampling box
     from tau = 4.7; the box now shrinks with |tau|.  The frame brackets are
-    exact by complex step."""
-    for seed in (DEFAULT_SEED, 0, 1, 2):
+    exact by dual numbers.  A central stencil for the curvature's outer
+    derivative had a truncation that grew with tau: sectional constancy
+    failed seed 24 at tau = 7 and 10 (delta = -1) and seed 6 at tau = 10
+    (delta = 1); the dual-number derivatives have none."""
+    for seed in (DEFAULT_SEED, 0, 1, 2, 24, 6):
         suite = check_ambient(SpaceParams(delta=delta, tau=tau), seed=seed)
         assert suite.passed, [c.as_dict() for c in suite.checks if not c.passed]
         bracket = next(c for c in suite.checks if c.check_id == "ambient.bracket")
         assert bracket.max_residual == 0.0
+
+
+@pytest.mark.parametrize("delta", (1, -1))
+def test_sectional_constancy_holds_at_tau_20(delta):
+    """At tau = 20 the curvature is about 400 and the stencil spread reached
+    9e-6 to 3e-5 on these seeds; exact derivatives leave rounding only."""
+    for seed in (0, 1, 2, DEFAULT_SEED):
+        suite = check_ambient(SpaceParams(delta=delta, tau=20.0), seed=seed)
+        check = next(c for c in suite.checks
+                     if c.check_id == "ambient.sectional_constancy")
+        assert check.passed, check.as_dict()
+
+
+@pytest.mark.parametrize("delta", (1, -1))
+@pytest.mark.parametrize("tau", (1.0, 10.0))
+def test_ambient_suite_fails_on_a_wrong_metric_or_companion(monkeypatch,
+                                                           delta, tau):
+    """The suite is not vacuous: flipping the sign of g_yz in
+    `metric_matrix` fails the checks that read the coordinate metric, and
+    a companion space with kappa = -3 tau^2 instead of -4 tau^2 fails
+    sectional constancy."""
+    metric_matrix = verify_module.ambient.metric_matrix
+
+    def flipped(space, p):
+        (gxx, gxy, gxz), (_, gyy, gyz), (_, _, gzz) = metric_matrix(space, p)
+        return (gxx, gxy, gxz), (gxy, gyy, -gyz), (gxz, -gyz, gzz)
+
+    def failed() -> set:
+        suite = check_ambient(SpaceParams(delta=delta, tau=tau))
+        return {c.check_id for c in suite.checks if not c.passed}
+
+    with monkeypatch.context() as m:
+        m.setattr(verify_module.ambient, "metric_matrix", flipped)
+        assert {"ambient.frame_orthonormality", "ambient.connection_fd",
+                "ambient.curvature_fd", "ambient.sectional_constancy"} <= failed()
+    monkeypatch.setattr(verify_module, "SpaceParams", lambda delta, tau, kappa:
+                        SpaceParams(delta, tau, 0.75 * kappa))
+    assert failed() == {"ambient.sectional_constancy"}
 
 
 def test_ambient_draws_follow_the_sequential_stream():
