@@ -8,11 +8,11 @@ Three constructors cover the classification on the kappa = 0 ambient space:
   (angle function identically zero, H constant and nonzero),
 - ``make_helix_surface``: the two constant-angle families with nonzero angle
   function (delta = +1 only), built from profile functions (f1, f2, f3) that
-  are either closed forms (constant/linear eta) or Gauss-Legendre quadrature
-  tables with dense output (`numeric.CumulativeIntegral`).  The profile
+  are either closed forms (constant/linear eta) or quintic-Hermite
+  quadrature tables (`numeric.CumulativeIntegral`).  The profile
   and slope formulas (f1, f2, f3, eta, eta', f1', f2', f1'', f2'') and the
   patch jets take a float (one sample) or an ndarray (a batch of samples,
-  or the table build's blocks).
+  or the table build's arrays).
 
 Every constructor returns an analytic-jet :class:`~heisgeo.surface.SurfacePatch`
 carrying a serializable family descriptor.  Each family writes its immersion
@@ -284,9 +284,9 @@ def build_profile(profile: HelixProfile,
     """Construct (f1, f2, f3) on v_range with f_i(anchor) = 0.
 
     Constant and linear eta take the closed form; polynomial and
-    sinusoidal eta integrate f1', f2' into Gauss-Legendre dense-output
-    tables (`numeric.CumulativeIntegral`), then integrate f3' from the
-    tabulated f1, f2 on the same nodes.  The anchor is 0 when the range
+    sinusoidal eta integrate f1', f2' (with f1'', f2'') into quintic-Hermite
+    tables (`numeric.CumulativeIntegral`), then integrate f3' (with f3'')
+    from the tabulated f1, f2.  The anchor is 0 when the range
     contains it, else the lower endpoint (the free initial conditions
     correspond to ambient translations).
     """
@@ -338,17 +338,16 @@ def build_profile(profile: HelixProfile,
             raise QuadratureFailure(
                 f"profile table {name} on v in [{lo}, {hi}]: {exc}") from exc
 
-    f1_tab = table("f1", lambda v: slopes(v)[0])
-    f2_tab = table("f2", lambda v: slopes(v)[1])
+    # each integrand returns (f, f'): f1' and f1'', f2' and f2''
+    f1_tab = table("f1", lambda v: slopes(v)[0::2])
+    f2_tab = table("f2", lambda v: slopes(v)[1::2])
 
     def g3(v):
-        q1, q2 = slopes(v)[:2]
-        if isinstance(v, np.ndarray):
-            # the table build's rows: the f3 table shares the f1, f2 nodes
-            p1, p2 = f1_tab.rows(v), f2_tab.rows(v)
-        else:
-            p1, p2 = f1_tab(v), f2_tab(v)
-        return tau * (p1 * q2 - p2 * q1)
+        # f3' and f3'' = tau*(f1 f2'' - f2 f1''), f1 and f2 read on the f3
+        # table's own points
+        q1, q2, r1, r2 = slopes(v)
+        p1, p2 = f1_tab.interpolate(v), f2_tab.interpolate(v)
+        return tau * (p1 * q2 - p2 * q1), tau * (p1 * r2 - p2 * r1)
 
     f3_tab = table("f3", g3)
     return ProfileFunctions(profile, (lo, hi), anchor, "quadrature",

@@ -1,15 +1,17 @@
 """Shared numerical helpers: small-vector algebra, the central
-finite-difference stencils, adaptive Simpson quadrature, cumulative
-Gauss-Legendre tables with dense output, and deterministic float formatting.
+finite-difference stencils, adaptive Simpson quadrature, quintic-Hermite
+tables of an antiderivative, and deterministic float formatting.
 
 Three-vectors are plain tuples of three components.  A component is a float
 for one point, or a 1-D ndarray for a batch of points: every geometry
 function takes (u, v) as floats or as equal-length 1-D arrays and returns the
 same kind, so a grid is evaluated in one call.  The batch helpers below
 (`select`, `finite`, `require`, `quiet`) are where the two kinds differ.
-The table build evaluates its integrand on whole blocks of table segments at
-once.  Adaptive Simpson refines the table segments whose embedded error
-estimate is too large and spot-checks a fixed sample of the others.
+A table's nodes are chosen per table: it evaluates its integrand (f and f'
+together) on all of its segments at once, by 5-node Gauss-Legendre on each
+half, and bisects the segments whose quintic Hermite interpolant misses the
+left half's integral at the midpoint, so the 1e-10 bound holds between the
+nodes.  Adaptive Simpson is only the spot check of ten segments per table.
 """
 
 from __future__ import annotations
@@ -288,7 +290,7 @@ def _simpson_recurse(f, x0, x2, f0, f1, f2, whole, tol_here, depth):
                                depth + 1))
 
 
-# ---- Gauss-Legendre tables with cumulative dense output ----
+# ---- quintic-Hermite tables of an antiderivative ----
 
 # Plain floats, not arrays: numpy arithmetic at import would page in more
 # of numpy's code before any table is built.
@@ -297,151 +299,155 @@ _GL_NODES = (-0.906179845938664, -0.5384693101056831, 0.0,
              0.5384693101056831, 0.906179845938664)
 _GL_WEIGHTS = (0.23692688505618908, 0.47862867049936647, 0.5688888888888889,
                0.47862867049936647, 0.23692688505618908)
-#: the 5-node weights minus those of the embedded 3-node rule on the nodes
-#: (-x, 0, x), x = 0.906..., which is exact to degree 3 with weights
-#: 1/(3 x^2), 2 - 2/(3 x^2), 1/(3 x^2).  On the same five values it gives
-#: the 3-node rule's error: a cautious bound on the 5-node rule's.
-_GL_NULL = tuple(w - w3 for w, w3 in zip(_GL_WEIGHTS, (
-    0.4059288770959664, 0.0, 1.1881422458080673, 0.0, 0.4059288770959664)))
-#: where in [0, 1] one table segment evaluates its integrand: its left
-#: node, then the five Gauss nodes
-_SEGMENT_POINTS = (0.0, *(0.5 * (1.0 + x) for x in _GL_NODES))
-#: table segments per vectorised integrand evaluation (bounds the
-#: temporaries); the first segment of each block is a spot-check sample
-_BLOCK = 256
-#: node spacing of every table
-_TABLE_SPACING = 1e-3
-#: absolute quadrature error a table may have over its whole range
+#: where in [0, 1] a table segment evaluates its integrand: the five Gauss
+#: nodes of its left half, then those of its right half
+_HALF_POINTS = (*(0.25 * (1.0 + x) for x in _GL_NODES),
+                *(0.25 * (3.0 + x) for x in _GL_NODES))
+#: node spacing every table starts from; segments are bisected from there
+_TABLE_SPACING = 1e-2
+#: absolute error a table lookup may have anywhere in its range
 _QUADRATURE_TOL = 1e-10
-#: integrand evaluations one table may spend in adaptive Simpson
-#: (flagged-segment refinement plus the spot check)
+#: integrand evaluations one table may spend, bisection and spot check
+#: included
 _TABLE_EVAL_BUDGET = 400_000
-
-
-def _hermite(t, y0, y1, m0, m1):
-    """Cubic Hermite interpolant at t in [0, 1] from the end values y0, y1
-    and end slopes m0, m1 (scaled by the segment width); floats or arrays."""
-    t2, t3 = t * t, t * t * t
-    return ((2 * t3 - 3 * t2 + 1) * y0 + (t3 - 2 * t2 + t) * m0
-            + (-2 * t3 + 3 * t2) * y1 + (t3 - t2) * m1)
-
-
-def _budgeted(f: Callable[[float], float]) -> Callable[[float], float]:
-    """f, raising QuadratureFailure once called more than
-    `_TABLE_EVAL_BUDGET` times."""
-    left = [_TABLE_EVAL_BUDGET]
-
-    def counted(x: float) -> float:
-        left[0] -= 1
-        if left[0] < 0:
-            raise QuadratureFailure(
-                f"adaptive Simpson needs more than {_TABLE_EVAL_BUDGET} "
-                f"integrand evaluations (reached x = {x})")
-        return f(x)
-
-    return counted
+#: segments per table integrated again by adaptive Simpson as a spot check
+_SPOT_CHECKS = 10
 
 
 class CumulativeIntegral:
-    """Antiderivative F(x) = int_{x0}^{x} f(t) dt with dense output.
+    """Antiderivative F(x) = int_{x0}^{x} f(t) dt on [lo, hi], as quintic
+    Hermite interpolation between nodes chosen per table.
 
-    f must accept a float and, elementwise, an ndarray.  The table build
-    evaluates it once per segment of the node grid, vectorised in blocks of
-    `_BLOCK` segments: at the segment's left node and at five Gauss-Legendre
-    nodes, `_TABLE_SPACING` apart.  Each segment may err by its share
-    tol * width / (hi - lo), so the total error over the tabulated range
-    stays below tol = `_QUADRATURE_TOL`.  A segment whose
-    embedded 3-node estimate exceeds its share is integrated again with
-    `adaptive_simpson`, and the first segment of every block is recomputed
-    with it as a spot check that raises `QuadratureFailure` when the two
-    values differ by more than the share.  Adaptive Simpson may spend at
-    most `_TABLE_EVAL_BUDGET` integrand evaluations per table.  Node values
-    accumulate outward from x0.  Between nodes, evaluation uses cubic Hermite
-    interpolation fed by the exact integrand values F'(x) = f(x); it adds at
-    most h^4 max|f'''| / 384 (h the node spacing) to the node error, which
-    tol does not cover.  At h = 1e-3 that is
-    2.6e-15 max|f'''|: below a 1e-10 tolerance while max|f'''| < 3.8e4.  For
-    eta = 0.3 sin(k v) on the README helix the f1 table errs at quarter
-    points by 5e-16 at k = 1, 6.5e-11 at k = 50 and 4.2e-9 at k = 200.
+    The integrand returns the pair (f, f') at a float, and elementwise at an
+    ndarray.  F at the nodes, with F' = f and F'' = f' there, fixes one
+    quintic per segment.  A lookup errs by its node's error plus the
+    quintic's, and each is held to half of tol = `_QUADRATURE_TOL`: the
+    bound holds between the nodes, not only at them.
 
-    A call takes a float x and returns a float, or takes an ndarray x (any
-    shape, elementwise) and returns an array; either way it is one
-    `searchsorted` over the nodes.
+    The build starts from nodes `_TABLE_SPACING` apart and integrates each
+    segment by 5-node Gauss-Legendre on each half.  Its check is the
+    quintic at the midpoint, less F at the left node, against the left
+    half's integral.  That gap is the quintic's error where it is largest
+    (about h^6 |f^(5)| / 46080 on a segment of width h), plus any error of
+    the halves that differs between them.  Segments whose gap exceeds
+    tol/2 are bisected, all at once, until every one passes.  Where the gap
+    passes, the Gauss values err far less: about 1e-11 (h k)^5 times the
+    gap, for an integrand of frequency k.  An error common to both halves
+    (a wrong weight, say) does not move the gap, so adaptive Simpson
+    integrates `_SPOT_CHECKS` segments spread over the range again; the
+    table raises `QuadratureFailure` when one of them differs from its
+    Gauss value by more than its share (tol/2) * width / (hi - lo).  A
+    table may spend at most `_TABLE_EVAL_BUDGET` integrand evaluations.
+    Node values accumulate outward from x0.
+
+    Each segment keeps six Horner coefficients in t = (x - node) / width,
+    so `interpolate` is one `searchsorted`, one gather and five
+    multiply-adds.  The last node has a segment of its own whose polynomial
+    is its value: F(hi) is exactly the last node value.  A call takes a
+    float x and returns a float, or takes an ndarray x (any shape,
+    elementwise) and returns an array.
     """
 
     def __init__(self, f: Callable, x0: float, lo: float, hi: float):
-        if not (lo <= x0 <= hi):
-            raise ValueError("x0 must lie inside [lo, hi]")
-        n_lo = max(1, math.ceil((x0 - lo) / _TABLE_SPACING)) if x0 > lo else 0
-        n_hi = max(1, math.ceil((hi - x0) / _TABLE_SPACING)) if hi > x0 else 0
-        total = (hi - lo) if hi > lo else 1.0
-        xs = [x0 - (x0 - lo) * i / n_lo for i in range(n_lo, 0, -1)] if n_lo else []
-        xs += [x0]
-        xs += [x0 + (hi - x0) * i / n_hi for i in range(1, n_hi + 1)] if n_hi else []
-        nodes = np.array(xs)
-        left, widths = nodes[:-1], np.diff(nodes)
-        n_seg = len(widths)
-        integrals = np.empty(n_seg)
-        estimates = np.empty(n_seg)
-        slopes = np.empty(n_seg + 1)
+        if not (lo <= x0 <= hi and lo < hi):
+            raise ValueError("need lo <= x0 <= hi and lo < hi")
+        total = hi - lo
+        left = [_TABLE_EVAL_BUDGET]
+
+        def evaluate(x):
+            left[0] -= np.size(x)
+            if left[0] < 0:
+                raise QuadratureFailure(
+                    f"the table needs more than {_TABLE_EVAL_BUDGET} "
+                    f"integrand evaluations (reached x = {np.min(x)})")
+            return f(x)
+
+        def node_values(x):
+            fx, dx = evaluate(x)
+            require(np.isfinite(fx) & np.isfinite(dx), QuadratureFailure,
+                    lambda at: f"integrand not finite at table node {at} in "
+                               f"[{lo}, {hi}]", x)
+            return fx, dx
+
+        n_lo = math.ceil((x0 - lo) / _TABLE_SPACING)
+        n_hi = math.ceil((hi - x0) / _TABLE_SPACING)
+        nodes = np.array([x0 - (x0 - lo) * i / n_lo for i in range(n_lo, 0, -1)]
+                         + [x0]
+                         + [x0 + (hi - x0) * i / n_hi for i in range(1, n_hi + 1)])
+        nodes[0], nodes[-1] = lo, hi
+        accepted = []
         # overflow and NaN are not errors here: they fail the checks below
         with np.errstate(all="ignore"):
-            for start in range(0, n_seg, _BLOCK):
-                seg = slice(start, min(start + _BLOCK, n_seg))
-                fx = f(left[seg, None] + widths[seg, None] * _SEGMENT_POINTS)
-                slopes[seg] = fx[:, 0]
-                half = 0.5 * widths[seg]
+            fn, dn = node_values(nodes)
+            a, b, fa, da, fb, db = (nodes[:-1], nodes[1:], fn[:-1], dn[:-1],
+                                    fn[1:], dn[1:])
+            while True:
+                h = b - a
+                fx = evaluate(a[:, None] + h[:, None] * _HALF_POINTS)[0]
                 # elementwise sums, not `@`: BLAS would cost RSS for 5 terms
-                integrals[seg] = (fx[:, 1:] * _GL_WEIGHTS).sum(axis=1) * half
-                estimates[seg] = (fx[:, 1:] * _GL_NULL).sum(axis=1) * half
-            slopes[-1] = f(nodes[-1:, None])[0, 0]
-        # the checks below run on lists: numpy's comparison and reduction
-        # loops would page in more of its code than the build itself needs
-        if not all(map(math.isfinite, slopes.tolist())):
-            raise QuadratureFailure(
-                f"integrand not finite at a table node in [{lo}, {hi}]")
-        share = (_QUADRATURE_TOL * widths / total).tolist()
-        simpson = _budgeted(f)
-        for i, estimate in enumerate(estimates.tolist()):
-            if not abs(estimate) <= share[i]:  # also when it is NaN
-                integrals[i] = adaptive_simpson(simpson, xs[i], xs[i + 1],
-                                                tol=share[i])
-        for i in range(0, n_seg, _BLOCK):
-            check = adaptive_simpson(simpson, xs[i], xs[i + 1], tol=share[i])
-            if not abs(check - integrals[i]) <= share[i]:
+                half_l = (fx[:, :5] * _GL_WEIGHTS).sum(axis=1) * (0.25 * h)
+                half_r = (fx[:, 5:] * _GL_WEIGHTS).sum(axis=1) * (0.25 * h)
+                # the quintic at the midpoint is (F(a) + F(b))/2
+                # + 5h/32 (f(a) - f(b)) + h^2/64 (f'(a) + f'(b))
+                gap = (0.5 * (half_r - half_l) + 0.15625 * h * (fa - fb)
+                       + 0.015625 * h * h * (da + db))
+                ok = abs(gap) <= 0.5 * _QUADRATURE_TOL  # False on NaN
+                accepted.append((a[ok], b[ok], fa[ok], da[ok], fb[ok], db[ok],
+                                 half_l[ok] + half_r[ok]))
+                if ok.all():
+                    break
+                # bisect the rest
+                a, b, fa, da, fb, db = (z[~ok] for z in (a, b, fa, da, fb, db))
+                mid = 0.5 * (a + b)
+                fm, dm = node_values(mid)
+                a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+                fa, da = np.concatenate((fa, fm)), np.concatenate((da, dm))
+                fb, db = np.concatenate((fm, fb)), np.concatenate((dm, db))
+        order = np.argsort(np.concatenate([s[0] for s in accepted]))
+        a, b, fa, da, fb, db, integrals = (
+            np.concatenate([s[k] for s in accepted])[order] for k in range(7))
+        xs = np.append(a, hi)
+        for i in dict.fromkeys((len(a) - 1) * j // (_SPOT_CHECKS - 1)
+                               for j in range(_SPOT_CHECKS)):
+            share = 0.5 * _QUADRATURE_TOL * (b[i] - a[i]) / total
+            check = adaptive_simpson(lambda x: evaluate(x)[0], float(a[i]),
+                                     float(b[i]), tol=share)
+            if not abs(check - integrals[i]) <= share:
                 raise QuadratureFailure(
-                    f"spot check on [{xs[i]}, {xs[i + 1]}]: tabulated "
+                    f"spot check on [{a[i]}, {b[i]}]: tabulated "
                     f"{float(integrals[i])!r}, adaptive Simpson {check!r}")
         # node values outward from x0; cumsum adds in order, one segment a step
-        i0 = xs.index(x0)
-        vals = np.empty(n_seg + 1)
+        i0 = int(xs.searchsorted(x0))
+        vals = np.empty(len(xs))
         vals[i0:] = np.cumsum(np.concatenate(([0.0], integrals[i0:])))
         vals[i0::-1] = np.cumsum(np.concatenate(([0.0], -integrals[:i0][::-1])))
-        # node positions, F at the nodes and f = F' at the nodes
-        self.xs, self.vals, self.slopes = nodes, vals, slopes
+        # the quintic through F, h F' and h^2 F'' at both ends of each segment
+        h = b - a
+        m0, m1, k0, k1 = h * fa, h * fb, h * h * da, h * h * db
+        d, e, g = integrals - m0 - 0.5 * k0, m1 - m0 - k0, k1 - k0
+        # per segment: left node, 1 / width, Horner coefficients of t^5 .. t^0
+        self._segments = np.zeros((8, len(xs)))
+        self._segments[0], self._segments[7] = xs, vals
+        self._segments[1:7, :-1] = (1.0 / h, 6.0 * d - 3.0 * e + 0.5 * g,
+                                -15.0 * d + 7.0 * e - g,
+                                10.0 * d - 4.0 * e + 0.5 * g, 0.5 * k0, m0)
+        #: the nodes and F at the nodes
+        self.xs, self.vals = self._segments[0], self._segments[7]
 
     def __call__(self, x):
         """F at a float x (a float), or elementwise at an ndarray x."""
-        nodes, vals, slopes = self.xs, self.vals, self.slopes
-        lo, hi = nodes[0], nodes[-1]
+        lo, hi = self.xs[0], self.xs[-1]
         require((lo <= x) & (x <= hi), ValueError,
                 lambda at: f"x={at} outside tabulated range [{lo}, {hi}]", x)
-        # x's segment; searching the inner nodes puts the right end in the
-        # last segment, where it evaluates at t = 1
-        i = nodes[1:-1].searchsorted(x, side="right")
-        h = nodes[i + 1] - nodes[i]
-        y = _hermite((x - nodes[i]) / h, vals[i], vals[i + 1],
-                     slopes[i] * h, slopes[i + 1] * h)
-        return y if isinstance(x, np.ndarray) else float(y)
+        return self.interpolate(x)
 
-    def rows(self, x: np.ndarray) -> np.ndarray:
-        """F on a 2-D array whose row r lies in node segment s + r, with s
-        the segment holding x[0, 0] (the last segment for the right end):
-        the same Hermite formula as a call, with one search per array."""
-        s = int(self.xs[1:-1].searchsorted(x[0, 0], side="right"))
-        e = s + x.shape[0] + 1
-        nodes, vals, slopes = (a[s:e, None]
-                               for a in (self.xs, self.vals, self.slopes))
-        h = nodes[1:] - nodes[:-1]
-        t = (x - nodes[:-1]) / h
-        return _hermite(t, vals[:-1], vals[1:], slopes[:-1] * h, slopes[1:] * h)
+    def interpolate(self, x):
+        """F at x without the range check, for x known to lie in the range
+        (the table build's own reads)."""
+        i = self.xs.searchsorted(x, side="right") - 1
+        node, scale, *coefficients = self._segments[:, i]
+        t = (x - node) * scale
+        y = coefficients[0]
+        for c in coefficients[1:]:
+            y = y * t + c
+        return y if isinstance(x, np.ndarray) else float(y)

@@ -591,8 +591,11 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     expected_diag = (1.0, -float(delta), float(delta))
     checks: list[CheckResult] = []
 
-    def gaps(got, want) -> np.ndarray:
-        return np.concatenate([np.ravel(abs(g - w)) for g, w in zip(got, want)])
+    def gaps(got, want, scaled: bool = False) -> np.ndarray:
+        """|got - want| per component; scaled, divided by max(1, |want|)."""
+        return np.concatenate([np.ravel(abs(g - w) / np.maximum(1.0, abs(w))
+                                        if scaled else abs(g - w))
+                               for g, w in zip(got, want)])
 
     # frame orthonormality against the coordinate metric
     pts, = _draws(rng, _AMBIENT_POINTS, (_POINT_BOX,) * 3)
@@ -651,12 +654,14 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
         ambient.curvature_frame(space, a, b, c),
         curvature_from_table(space, a, b, c)), tolerances))
 
-    # closed formula vs the coordinate path
+    # closed formula vs the coordinate path, scaled: the coordinate
+    # components grow with tau and |p| (to 7e5 at tau = 20), and so does
+    # their rounding
     p = tuple(q[:8] for q in pts)
     v, w, z = _draws(rng, 8, _UNIT, _UNIT, _UNIT)
     checks.append(_check("ambient.curvature_fd", gaps(
         ambient.curvature_fd(space, p, v, w, z),
-        ambient.curvature(space, p, v, w, z)), tolerances))
+        ambient.curvature(space, p, v, w, z), scaled=True), tolerances))
 
     # nabla_X E3 = delta tau (X wedge E3), coordinate path vs wedge
     p, x = _draws(rng, 50, (_POINT_BOX,) * 3, _UNIT)

@@ -267,11 +267,12 @@ def test_runaway_quadrature_stops_on_its_budget(workdir, capsys):
 
 
 def test_moderately_oscillating_eta_still_passes(workdir, capsys):
-    # frequency 50 fails the embedded estimate on most segments, which
-    # adaptive Simpson then refines within the budget
-    assert main(["analyze", "--config",
-                 cfg_path(workdir, _sinusoidal_helix(50.0))]) == EXIT_PASS
-    assert "Traceback" not in capsys.readouterr().err
+    # frequencies 50 and 200 fail the midpoint check on the starting
+    # nodes; the tables bisect those segments within the budget
+    for freq in (50.0, 200.0):
+        assert main(["analyze", "--config",
+                     cfg_path(workdir, _sinusoidal_helix(freq))]) == EXIT_PASS
+        assert "Traceback" not in capsys.readouterr().err
 
 
 # inputs that once ended in a raw traceback (exit 1, read as "checks failed")

@@ -270,12 +270,11 @@ def test_quadrature_helix_jet_looks_up_each_table_once(monkeypatch):
     assert lookups[0] == 3
 
 
-def test_tables_between_nodes_match_adaptive_simpson():
-    """Quarter points of the README helix's f1, f2 and f3 tables agree with
-    the node value plus adaptive Simpson to 1e-16 from that node: the cubic
-    Hermite interpolation between nodes errs by about h^4/384 times the
-    integrand's third derivative, far below 1e-13 for this slow eta."""
-    pf = _sinusoidal_helix().profile_functions
+def _between_node_gaps(pf, segments):
+    """(table, x, gap) at the quarter, mid and three-quarter points of
+    about `segments` segments spread over each of the f1, f2 and f3
+    tables: the gap between the lookup and the node value plus adaptive
+    Simpson to 1e-16 from that node."""
     tau = pf.profile.tau
     integrands = {
         "f1": lambda x: pf.slopes(x)[0],
@@ -286,11 +285,63 @@ def test_tables_between_nodes_match_adaptive_simpson():
     for name, f in integrands.items():
         table = getattr(pf, name)
         xs, vals = table.xs, table.vals
-        for i in range(3, len(xs) - 1, 97):
-            for q in (0.25, 0.75):
+        for i in range(3, len(xs) - 1, max(1, len(xs) // segments)):
+            for q in (0.25, 0.5, 0.75):
                 x = xs[i] + q * (xs[i + 1] - xs[i])
                 want = vals[i] + adaptive_simpson(f, xs[i], x, tol=1e-16)
-                assert abs(table(x) - want) <= 1e-13, (name, x)
+                yield name, x, abs(table(x) - want)
+
+
+def test_tables_between_nodes_match_adaptive_simpson():
+    """Between the nodes of the README helix's f1, f2 and f3 tables the
+    lookups agree with the node value plus adaptive Simpson to 1e-16 from
+    that node: the quintic Hermite interpolant errs by about h^6/46080
+    times the integrand's fifth derivative, far below 1e-13 for this slow
+    eta."""
+    for name, x, gap in _between_node_gaps(
+            _sinusoidal_helix().profile_functions, 3):
+        assert gap <= 1e-13, (name, x)
+
+
+@pytest.mark.parametrize("freq", (50.0, 200.0))
+def test_oscillating_tables_hold_the_bound_between_nodes(freq):
+    """eta = 0.3 sin(k v) on the README helix: the tables bisect their
+    segments until the 1e-10 bound holds between the nodes, not only at
+    them (a cubic Hermite on 1e-3 nodes erred there by 4.2e-9 at
+    k = 200)."""
+    pf = build_profile(HelixProfile(
+        "timelike", 1.0, math.pi / 4.0, c=0.1,
+        eta=EtaSpec("sinusoidal", (0.3, freq, 0.0))), (-1.26, 1.26))
+    for name, x, gap in _between_node_gaps(pf, 40):
+        assert gap <= 1e-10, (name, x)
+
+
+def test_f3_build_reads_f1_and_f2_as_lookups(monkeypatch):
+    """The f3 table's integrand reads f1 and f2 through `interpolate`, not
+    through the counted `__call__`; each read equals the `__call__` lookup
+    at the same points bit for bit."""
+    reads, calls = [], [0]
+    interpolate, lookup = CumulativeIntegral.interpolate, CumulativeIntegral.__call__
+
+    def recording(self, x):
+        y = interpolate(self, x)
+        reads.append((self, x, y))
+        return y
+
+    def counting(self, x):
+        calls[0] += 1
+        return lookup(self, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(CumulativeIntegral, "interpolate", recording)
+        m.setattr(CumulativeIntegral, "__call__", counting)
+        pf = _sinusoidal_helix().profile_functions
+        assert calls[0] == 0
+    assert {id(t) for t, _, _ in reads} == {id(pf.f1), id(pf.f2)}
+    # the array reads of the build and the float reads of the spot check
+    assert {isinstance(x, np.ndarray) for _, x, _ in reads} == {True, False}
+    for table, x, y in reads:
+        assert np.array_equal(table(x), y)
 
 
 @pytest.mark.parametrize("index", range(9))

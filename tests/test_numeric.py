@@ -4,9 +4,9 @@ in heisgeo.numeric.
 Each stencil is run at h and h/2 on smooth functions whose leading
 truncation term does not vanish at the sample point; the error ratio then
 shows the stencil's order: about 4 for second order, about 16 for fourth.
-The Gauss-Legendre tables are checked against exact antiderivatives, their
-hard-coded rule against numpy's, and their spot check against a perturbed
-weight.  The recursive helpers are also checked to leave no reference cycle
+The quintic-Hermite tables are checked against exact antiderivatives at
+and between their nodes, their hard-coded Gauss-Legendre rule against
+numpy's, and their spot check against a perturbed weight.  The recursive helpers are also checked to leave no reference cycle
 behind.
 """
 from __future__ import annotations
@@ -139,7 +139,7 @@ def test_recursive_helpers_leave_no_reference_cycles():
     assert gc.garbage == []
 
 
-# ---- Gauss-Legendre tables ----
+# ---- quintic-Hermite tables ----
 
 
 def test_gauss_legendre_rule_matches_numpy():
@@ -148,19 +148,23 @@ def test_gauss_legendre_rule_matches_numpy():
     nodes, weights = leggauss(5)
     assert np.abs(np.array(numeric._GL_NODES) - nodes).max() <= 1e-15
     assert np.abs(np.array(numeric._GL_WEIGHTS) - weights).max() <= 1e-15
-    # the embedded-rule difference vanishes on every cubic and not on x^4
-    x, null = np.array(numeric._GL_NODES), np.array(numeric._GL_NULL)
-    for k in range(4):
-        assert abs(null @ x ** k) <= 1e-15
-    assert abs(null @ x ** 4) > 1e-2
 
+
+# table integrands return (f, f')
 
 def _exp(x):
-    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+    e = np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+    return e, e
 
 
 def _cos50(x):
-    return np.cos(50.0 * x) if isinstance(x, np.ndarray) else math.cos(50.0 * x)
+    lib = np if isinstance(x, np.ndarray) else math
+    return lib.cos(50.0 * x), -50.0 * lib.sin(50.0 * x)
+
+
+def _between_nodes(xs, fractions=(0.25, 0.5, 0.75)):
+    """The points at `fractions` of every table segment."""
+    return np.concatenate([xs[:-1] + q * np.diff(xs) for q in fractions])
 
 
 @pytest.mark.parametrize("x0, lo, hi", [(0.0, -1.26, 1.26), (0.5, 0.5, 3.0),
@@ -173,8 +177,9 @@ def test_table_matches_exact_antiderivative(x0, lo, hi):
 
 
 def test_flagged_segments_are_refined(monkeypatch):
-    """cos(50 x) fails the embedded estimate on most segments; adaptive
-    Simpson integrates those again and the table stays accurate."""
+    """cos(50 x) fails the midpoint check on the starting nodes; those
+    segments are bisected until the quintic holds the bound between the
+    nodes too (a cubic Hermite on 1e-3 nodes errs there by about 3e-10)."""
     calls = [0]
 
     def counting(*args, **kwargs):
@@ -183,11 +188,10 @@ def test_flagged_segments_are_refined(monkeypatch):
 
     monkeypatch.setattr(numeric, "adaptive_simpson", counting)
     table = CumulativeIntegral(_cos50, 0.0, -1.26, 1.26)
-    assert calls[0] > 1000  # 10 spot checks plus the refined segments
-    # at the nodes: between them the Hermite error (about h^4 f'''/384)
-    # is itself about 3e-10 for this integrand
-    for x in table.xs[::50]:
-        assert table(x) == pytest.approx(math.sin(50.0 * x) / 50.0, abs=1e-10)
+    assert calls[0] == 10  # the spot check only
+    assert len(table.xs) > 253  # more nodes than the 1e-2 start
+    x = np.concatenate([table.xs, _between_nodes(table.xs)])
+    assert np.abs(table(x) - np.sin(50.0 * x) / 50.0).max() <= 1e-10
 
 
 def test_smooth_table_needs_only_the_spot_check(monkeypatch):
@@ -198,14 +202,15 @@ def test_smooth_table_needs_only_the_spot_check(monkeypatch):
         return adaptive_simpson(*args, **kwargs)
 
     monkeypatch.setattr(numeric, "adaptive_simpson", counting)
-    CumulativeIntegral(_exp, 0.0, -1.26, 1.26)
-    assert calls[0] == 10  # the first of 2,520 segments in each block of 256
+    table = CumulativeIntegral(_exp, 0.0, -1.26, 1.26)
+    assert len(table.xs) == 253  # no segment of the 1e-2 start bisected
+    assert calls[0] == 10  # ten segments spread over the 252
 
 
 def test_spot_check_catches_a_perturbed_weight(monkeypatch):
     """A weight off by 1e-9 relative moves every segment by more than its
-    share of the tolerance without moving the embedded estimate; only the
-    spot check can see it."""
+    share of the tolerance, the same way in both halves, so the midpoint
+    check cannot see it; only the spot check can."""
     weights = list(numeric._GL_WEIGHTS)
     weights[2] *= 1.0 + 1e-9
     monkeypatch.setattr(numeric, "_GL_WEIGHTS", tuple(weights))
@@ -213,24 +218,12 @@ def test_spot_check_catches_a_perturbed_weight(monkeypatch):
         CumulativeIntegral(_exp, 0.0, -1.26, 1.26)
 
 
-def test_rows_is_the_lookup_formula():
-    table = CumulativeIntegral(_exp, 0.0, -1.26, 1.26)
-    xs = table.xs
-    rows = np.array([[xs[i] + (xs[i + 1] - xs[i]) * t for t in (0.0, 0.1, 0.5, 0.9)]
-                     for i in range(700, 710)])
-    got = table.rows(rows)
-    for r in range(rows.shape[0]):
-        for c in range(rows.shape[1]):
-            assert got[r, c] == table(float(rows[r, c]))
-    assert table.rows(np.array([[xs[-1]]]))[0, 0] == table(xs[-1])
-
-
 def test_array_lookup_is_the_float_lookup():
     """A lookup on an array (a batch of samples) gives bit for bit the
     lookups of its entries; out-of-range entries raise."""
     table = CumulativeIntegral(_exp, 0.0, -1.26, 1.26)
     xs = table.xs
-    x = np.array([xs[0], xs[700] + 0.3 * (xs[701] - xs[700]), 0.0, xs[-1]])
+    x = np.array([xs[0], xs[200] + 0.3 * (xs[201] - xs[200]), 0.0, xs[-1]])
     got = table(x)
     for i in range(len(x)):
         assert got[i] == table(float(x[i]))
@@ -241,6 +234,5 @@ def test_array_lookup_is_the_float_lookup():
 
 def test_refinement_budget_stops_a_runaway_integrand():
     with pytest.raises(QuadratureFailure, match="integrand evaluations"):
-        CumulativeIntegral(lambda x: np.sin(1e6 * x)
-                           if isinstance(x, np.ndarray) else math.sin(1e6 * x),
+        CumulativeIntegral(lambda x: (np.sin(1e6 * x), 1e6 * np.cos(1e6 * x)),
                            0.0, -1.26, 1.26)
