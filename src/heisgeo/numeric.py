@@ -355,7 +355,7 @@ class CumulativeIntegral:
         left = [_TABLE_EVAL_BUDGET]
 
         def evaluate(x):
-            left[0] -= np.size(x)
+            left[0] -= x.size if isinstance(x, np.ndarray) else 1
             if left[0] < 0:
                 raise QuadratureFailure(
                     f"the table needs more than {_TABLE_EVAL_BUDGET} "
@@ -403,9 +403,11 @@ class CumulativeIntegral:
                 a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
                 fa, da = np.concatenate((fa, fm)), np.concatenate((da, dm))
                 fb, db = np.concatenate((fm, fb)), np.concatenate((dm, db))
-        order = np.argsort(np.concatenate([s[0] for s in accepted]))
-        a, b, fa, da, fb, db, integrals = (
-            np.concatenate([s[k] for s in accepted])[order] for k in range(7))
+        a, b, fa, da, fb, db, integrals = map(np.concatenate, zip(*accepted))
+        if len(accepted) > 1:  # bisected segments come last: order by node
+            order = np.argsort(a)
+            a, b, fa, da, fb, db, integrals = (
+                z[order] for z in (a, b, fa, da, fb, db, integrals))
         xs = np.append(a, hi)
         for i in dict.fromkeys((len(a) - 1) * j // (_SPOT_CHECKS - 1)
                                for j in range(_SPOT_CHECKS)):
@@ -444,10 +446,12 @@ class CumulativeIntegral:
     def interpolate(self, x):
         """F at x without the range check, for x known to lie in the range
         (the table build's own reads)."""
-        i = self.xs.searchsorted(x, side="right") - 1
-        node, scale, *coefficients = self._segments[:, i]
+        column = self._segments[:, self.xs.searchsorted(x, side="right") - 1]
+        # a float x computes in Python floats: the same IEEE operations
+        node, scale, *coefficients = (column if isinstance(x, np.ndarray)
+                                      else column.tolist())
         t = (x - node) * scale
         y = coefficients[0]
         for c in coefficients[1:]:
             y = y * t + c
-        return y if isinstance(x, np.ndarray) else float(y)
+        return y
