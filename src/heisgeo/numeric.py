@@ -9,9 +9,10 @@ same kind, so a grid is evaluated in one call.  The batch helpers below
 (`select`, `finite`, `require`, `quiet`) are where the two kinds differ.
 A table's nodes are chosen per table: it evaluates its integrand (f and f'
 together) on all of its segments at once, by 5-node Gauss-Legendre on each
-half, and bisects the segments whose quintic Hermite interpolant misses the
-left half's integral at the midpoint, so the 1e-10 bound holds between the
-nodes.  Adaptive Simpson is only the spot check of ten segments per table.
+half, and bisects the segments whose quintic Hermite interpolant's slope
+misses f at those points by more than the bound allows, so the 1e-10 bound
+holds between the nodes.  Adaptive Simpson is only the spot check of ten
+segments per table.
 """
 
 from __future__ import annotations
@@ -307,8 +308,8 @@ _HALF_POINTS = (*(0.25 * (1.0 + x) for x in _GL_NODES),
 _TABLE_SPACING = 1e-2
 #: absolute error a table lookup may have anywhere in its range
 _QUADRATURE_TOL = 1e-10
-#: integrand evaluations one table may spend, bisection and spot check
-#: included
+#: integrand evaluations one table may spend beyond its starting nodes and
+#: their Gauss points: on bisection and on the spot check
 _TABLE_EVAL_BUDGET = 400_000
 #: segments per table integrated again by adaptive Simpson as a spot check
 _SPOT_CHECKS = 10
@@ -326,19 +327,22 @@ class CumulativeIntegral:
 
     The build starts from nodes `_TABLE_SPACING` apart and integrates each
     segment by 5-node Gauss-Legendre on each half.  Its check is the
-    quintic at the midpoint, less F at the left node, against the left
-    half's integral.  That gap is the quintic's error where it is largest
-    (about h^6 |f^(5)| / 46080 on a segment of width h), plus any error of
-    the halves that differs between them.  Segments whose gap exceeds
-    tol/2 are bisected, all at once, until every one passes.  Where the gap
-    passes, the Gauss values err far less: about 1e-11 (h k)^5 times the
-    gap, for an integrand of frequency k.  An error common to both halves
-    (a wrong weight, say) does not move the gap, so adaptive Simpson
-    integrates `_SPOT_CHECKS` segments spread over the range again; the
-    table raises `QuadratureFailure` when one of them differs from its
-    Gauss value by more than its share (tol/2) * width / (hi - lo).  A
-    table may spend at most `_TABLE_EVAL_BUDGET` integrand evaluations.
-    Node values accumulate outward from x0.
+    quintic's slope against f at those ten points.  The quintic meets the
+    Gauss value at both ends of a segment of width h, so between them it
+    errs by at most h/2 times its largest slope error, for which the ten
+    points stand in.  (The quintic's value at the midpoint alone misses
+    the part of its error that is odd about the midpoint, which dominates
+    where f^(5) changes sign across the segment.)  Segments whose bound
+    exceeds tol/2 are bisected, all at once, until every one passes.  The
+    Gauss values, exact to degree 9 on each half, err far less there.
+    The slope check bounds each interpolant, not the sum of the segments'
+    Gauss errors, so adaptive Simpson integrates `_SPOT_CHECKS` segments
+    spread over the range again; the table raises `QuadratureFailure`
+    when one of them differs from its Gauss value by more than its share
+    (tol/2) * width / (hi - lo).  Beyond the starting grid, whose size
+    follows from the range, a table may spend at most `_TABLE_EVAL_BUDGET`
+    integrand evaluations on bisection and the spot check.  Node values
+    accumulate outward from x0.
 
     Each segment keeps six Horner coefficients in t = (x - node) / width,
     so `interpolate` is one `searchsorted`, one gather and five
@@ -352,14 +356,18 @@ class CumulativeIntegral:
         if not (lo <= x0 <= hi and lo < hi):
             raise ValueError("need lo <= x0 <= hi and lo < hi")
         total = hi - lo
-        left = [_TABLE_EVAL_BUDGET]
+        n_lo = math.ceil((x0 - lo) / _TABLE_SPACING)
+        n_hi = math.ceil((hi - x0) / _TABLE_SPACING)
+        # the starting grid is free: its nodes and ten Gauss points a segment
+        left = [_TABLE_EVAL_BUDGET + 11 * (n_lo + n_hi) + 1]
 
         def evaluate(x):
             left[0] -= x.size if isinstance(x, np.ndarray) else 1
             if left[0] < 0:
                 raise QuadratureFailure(
                     f"the table needs more than {_TABLE_EVAL_BUDGET} "
-                    f"integrand evaluations (reached x = {np.min(x)})")
+                    f"integrand evaluations beyond its starting grid "
+                    f"(reached x = {np.min(x)})")
             return f(x)
 
         def node_values(x):
@@ -369,8 +377,6 @@ class CumulativeIntegral:
                                f"[{lo}, {hi}]", x)
             return fx, dx
 
-        n_lo = math.ceil((x0 - lo) / _TABLE_SPACING)
-        n_hi = math.ceil((hi - x0) / _TABLE_SPACING)
         nodes = np.array([x0 - (x0 - lo) * i / n_lo for i in range(n_lo, 0, -1)]
                          + [x0]
                          + [x0 + (hi - x0) * i / n_hi for i in range(1, n_hi + 1)])
@@ -385,15 +391,23 @@ class CumulativeIntegral:
                 h = b - a
                 fx = evaluate(a[:, None] + h[:, None] * _HALF_POINTS)[0]
                 # elementwise sums, not `@`: BLAS would cost RSS for 5 terms
-                half_l = (fx[:, :5] * _GL_WEIGHTS).sum(axis=1) * (0.25 * h)
-                half_r = (fx[:, 5:] * _GL_WEIGHTS).sum(axis=1) * (0.25 * h)
-                # the quintic at the midpoint is (F(a) + F(b))/2
-                # + 5h/32 (f(a) - f(b)) + h^2/64 (f'(a) + f'(b))
-                gap = (0.5 * (half_r - half_l) + 0.15625 * h * (fa - fb)
-                       + 0.015625 * h * h * (da + db))
-                ok = abs(gap) <= 0.5 * _QUADRATURE_TOL  # False on NaN
-                accepted.append((a[ok], b[ok], fa[ok], da[ok], fb[ok], db[ok],
-                                 half_l[ok] + half_r[ok]))
+                integral = ((fx[:, :5] * _GL_WEIGHTS).sum(axis=1)
+                            + (fx[:, 5:] * _GL_WEIGHTS).sum(axis=1)) * (0.25 * h)
+                # the quintic through F, h F' and h^2 F'' at both ends, as
+                # Horner coefficients of t^5 .. t^1 in t = (x - a) / h
+                m0, m1, k0, k1 = h * fa, h * fb, h * h * da, h * h * db
+                d, e, g = integral - m0 - 0.5 * k0, m1 - m0 - k0, k1 - k0
+                poly = (6.0 * d - 3.0 * e + 0.5 * g, -15.0 * d + 7.0 * e - g,
+                        10.0 * d - 4.0 * e + 0.5 * g, 0.5 * k0, m0)
+                # h times the quintic's slope at the ten Gauss points
+                slope = 5.0 * poly[0][:, None]
+                for power, c in zip((4.0, 3.0, 2.0, 1.0), poly[1:]):
+                    slope = slope * _HALF_POINTS + power * c[:, None]
+                # |quintic - F| <= h/2 max |quintic' - f| = miss/2: tol/2
+                miss = np.abs(slope - h[:, None] * fx).max(axis=1)
+                ok = miss <= _QUADRATURE_TOL  # False on NaN
+                accepted.append((a[ok], integral[ok], 1.0 / h[ok],
+                                 *(c[ok] for c in poly)))
                 if ok.all():
                     break
                 # bisect the rest
@@ -403,36 +417,29 @@ class CumulativeIntegral:
                 a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
                 fa, da = np.concatenate((fa, fm)), np.concatenate((da, dm))
                 fb, db = np.concatenate((fm, fb)), np.concatenate((dm, db))
-        a, b, fa, da, fb, db, integrals = map(np.concatenate, zip(*accepted))
+        columns = np.array([np.concatenate(z) for z in zip(*accepted)])
         if len(accepted) > 1:  # bisected segments come last: order by node
-            order = np.argsort(a)
-            a, b, fa, da, fb, db, integrals = (
-                z[order] for z in (a, b, fa, da, fb, db, integrals))
+            columns = columns[:, np.argsort(columns[0])]
+        a, integrals = columns[0], columns[1]
         xs = np.append(a, hi)
         for i in dict.fromkeys((len(a) - 1) * j // (_SPOT_CHECKS - 1)
                                for j in range(_SPOT_CHECKS)):
-            share = 0.5 * _QUADRATURE_TOL * (b[i] - a[i]) / total
-            check = adaptive_simpson(lambda x: evaluate(x)[0], float(a[i]),
-                                     float(b[i]), tol=share)
+            share = 0.5 * _QUADRATURE_TOL * float(xs[i + 1] - xs[i]) / total
+            check = adaptive_simpson(lambda x: evaluate(x)[0], float(xs[i]),
+                                     float(xs[i + 1]), tol=share)
             if not abs(check - integrals[i]) <= share:
                 raise QuadratureFailure(
-                    f"spot check on [{a[i]}, {b[i]}]: tabulated "
+                    f"spot check on [{xs[i]}, {xs[i + 1]}]: tabulated "
                     f"{float(integrals[i])!r}, adaptive Simpson {check!r}")
         # node values outward from x0; cumsum adds in order, one segment a step
         i0 = int(xs.searchsorted(x0))
         vals = np.empty(len(xs))
         vals[i0:] = np.cumsum(np.concatenate(([0.0], integrals[i0:])))
         vals[i0::-1] = np.cumsum(np.concatenate(([0.0], -integrals[:i0][::-1])))
-        # the quintic through F, h F' and h^2 F'' at both ends of each segment
-        h = b - a
-        m0, m1, k0, k1 = h * fa, h * fb, h * h * da, h * h * db
-        d, e, g = integrals - m0 - 0.5 * k0, m1 - m0 - k0, k1 - k0
         # per segment: left node, 1 / width, Horner coefficients of t^5 .. t^0
         self._segments = np.zeros((8, len(xs)))
         self._segments[0], self._segments[7] = xs, vals
-        self._segments[1:7, :-1] = (1.0 / h, 6.0 * d - 3.0 * e + 0.5 * g,
-                                -15.0 * d + 7.0 * e - g,
-                                10.0 * d - 4.0 * e + 0.5 * g, 0.5 * k0, m0)
+        self._segments[1:7, :-1] = columns[2:]
         #: the nodes and F at the nodes
         self.xs, self.vals = self._segments[0], self._segments[7]
 

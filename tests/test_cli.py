@@ -267,12 +267,21 @@ def test_runaway_quadrature_stops_on_its_budget(workdir, capsys):
 
 
 def test_moderately_oscillating_eta_still_passes(workdir, capsys):
-    # frequencies 50 and 200 fail the midpoint check on the starting
+    # frequencies 50 and 200 fail the slope check on the starting
     # nodes; the tables bisect those segments within the budget
     for freq in (50.0, 200.0):
         assert main(["analyze", "--config",
                      cfg_path(workdir, _sinusoidal_helix(freq))]) == EXIT_PASS
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_wide_domain_helix_is_not_charged_for_its_starting_grid(workdir,
+                                                               capsys):
+    """v in [-250, 250] starts each table on 50,000 segments, 550,000
+    integrand evaluations; the budget counts only the work beyond them."""
+    wide = dict(_sinusoidal_helix(1.0), domain=[[-1.0, 1.0], [-250.0, 250.0]])
+    assert main(["analyze", "--config", cfg_path(workdir, wide)]) == EXIT_PASS
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # inputs that once ended in a raw traceback (exit 1, read as "checks failed")

@@ -270,11 +270,10 @@ def test_quadrature_helix_jet_looks_up_each_table_once(monkeypatch):
     assert lookups[0] == 3
 
 
-def _between_node_gaps(pf, segments):
+def _between_node_gaps(pf):
     """(table, x, gap) at the quarter, mid and three-quarter points of
-    about `segments` segments spread over each of the f1, f2 and f3
-    tables: the gap between the lookup and the node value plus adaptive
-    Simpson to 1e-16 from that node."""
+    every segment of the f1, f2 and f3 tables: the gap between the lookup
+    and the node value plus adaptive Simpson to 1e-16 from that node."""
     tau = pf.profile.tau
     integrands = {
         "f1": lambda x: pf.slopes(x)[0],
@@ -285,7 +284,7 @@ def _between_node_gaps(pf, segments):
     for name, f in integrands.items():
         table = getattr(pf, name)
         xs, vals = table.xs, table.vals
-        for i in range(3, len(xs) - 1, max(1, len(xs) // segments)):
+        for i in range(len(xs) - 1):
             for q in (0.25, 0.5, 0.75):
                 x = xs[i] + q * (xs[i + 1] - xs[i])
                 want = vals[i] + adaptive_simpson(f, xs[i], x, tol=1e-16)
@@ -299,7 +298,7 @@ def test_tables_between_nodes_match_adaptive_simpson():
     times the integrand's fifth derivative, far below 1e-13 for this slow
     eta."""
     for name, x, gap in _between_node_gaps(
-            _sinusoidal_helix().profile_functions, 3):
+            _sinusoidal_helix().profile_functions):
         assert gap <= 1e-13, (name, x)
 
 
@@ -308,11 +307,12 @@ def test_oscillating_tables_hold_the_bound_between_nodes(freq):
     """eta = 0.3 sin(k v) on the README helix: the tables bisect their
     segments until the 1e-10 bound holds between the nodes, not only at
     them (a cubic Hermite on 1e-3 nodes erred there by 4.2e-9 at
-    k = 200)."""
+    k = 200, and a quintic checked only at each midpoint by 1.9e-9 at the
+    quarter points of segments near v = +-0.89)."""
     pf = build_profile(HelixProfile(
         "timelike", 1.0, math.pi / 4.0, c=0.1,
         eta=EtaSpec("sinusoidal", (0.3, freq, 0.0))), (-1.26, 1.26))
-    for name, x, gap in _between_node_gaps(pf, 40):
+    for name, x, gap in _between_node_gaps(pf):
         assert gap <= 1e-10, (name, x)
 
 

@@ -177,7 +177,7 @@ def test_table_matches_exact_antiderivative(x0, lo, hi):
 
 
 def test_flagged_segments_are_refined(monkeypatch):
-    """cos(50 x) fails the midpoint check on the starting nodes; those
+    """cos(50 x) fails the slope check on the starting nodes; those
     segments are bisected until the quintic holds the bound between the
     nodes too (a cubic Hermite on 1e-3 nodes errs there by about 3e-10)."""
     calls = [0]
@@ -194,6 +194,27 @@ def test_flagged_segments_are_refined(monkeypatch):
     assert np.abs(table(x) - np.sin(50.0 * x) / 50.0).max() <= 1e-10
 
 
+def test_bound_holds_where_the_error_is_odd_about_the_midpoint():
+    """Where the integrand's fifth derivative changes sign across a
+    segment, the quintic's error is odd about the midpoint: it vanishes
+    there and peaks near the quarter points.  For e^x cos(400 x) a check
+    of the midpoint alone passed segments that erred by 6.6e-10 between
+    the nodes; the slope check at the Gauss points bisects them."""
+    def f(x):
+        return (np.exp(x) * np.cos(400.0 * x),
+                np.exp(x) * (np.cos(400.0 * x) - 400.0 * np.sin(400.0 * x)))
+
+    def antiderivative(x):
+        return (np.exp(x) * (np.cos(400.0 * x) + 400.0 * np.sin(400.0 * x))
+                / (1.0 + 400.0 ** 2))
+
+    table = CumulativeIntegral(f, 0.0, -1.26, 1.26)
+    x = np.concatenate([table.xs, _between_nodes(
+        table.xs, [i / 16.0 for i in range(1, 16)])])
+    want = antiderivative(x) - antiderivative(0.0)
+    assert np.abs(table(x) - want).max() <= 1e-10
+
+
 def test_smooth_table_needs_only_the_spot_check(monkeypatch):
     calls = [0]
 
@@ -208,9 +229,10 @@ def test_smooth_table_needs_only_the_spot_check(monkeypatch):
 
 
 def test_spot_check_catches_a_perturbed_weight(monkeypatch):
-    """A weight off by 1e-9 relative moves every segment by more than its
-    share of the tolerance, the same way in both halves, so the midpoint
-    check cannot see it; only the spot check can."""
+    """A weight off by 1e-9 relative moves each segment's integral by up
+    to about 1e-11: too little for the slope check, which flags a segment
+    whose interpolant may err by 5e-11, but far more than the segment's
+    share of the tolerance (about 2e-13), so the spot check catches it."""
     weights = list(numeric._GL_WEIGHTS)
     weights[2] *= 1.0 + 1e-9
     monkeypatch.setattr(numeric, "_GL_WEIGHTS", tuple(weights))
