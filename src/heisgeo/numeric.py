@@ -322,8 +322,9 @@ class CumulativeIntegral:
     The integrand returns the pair (f, f') at a float, and elementwise at an
     ndarray.  F at the nodes, with F' = f and F'' = f' there, fixes one
     quintic per segment.  A lookup errs by its node's error plus the
-    quintic's, and each is held to half of tol = `_QUADRATURE_TOL`: the
-    bound holds between the nodes, not only at them.
+    quintic's.  The quintic's is held to half of tol = `_QUADRATURE_TOL`
+    between the nodes, not only at them; the node's rests on the Gauss
+    rule, which errs far less on every segment that passes.
 
     The build starts from nodes `_TABLE_SPACING` apart and integrates each
     segment by 5-node Gauss-Legendre on each half.  Its check is the
@@ -337,9 +338,10 @@ class CumulativeIntegral:
     Gauss values, exact to degree 9 on each half, err far less there.
     The slope check bounds each interpolant, not the sum of the segments'
     Gauss errors, so adaptive Simpson integrates `_SPOT_CHECKS` segments
-    spread over the range again; the table raises `QuadratureFailure`
-    when one of them differs from its Gauss value by more than its share
-    (tol/2) * width / (hi - lo).  Beyond the starting grid, whose size
+    again: the first, then one every tenth of the segments.  The table
+    raises `QuadratureFailure` when one of them differs from its Gauss
+    value by more than its share tol * width / (hi - lo).  Beyond the
+    starting grid, whose size
     follows from the range, a table may spend at most `_TABLE_EVAL_BUDGET`
     integrand evaluations on bisection and the spot check.  Node values
     accumulate outward from x0.
@@ -422,9 +424,9 @@ class CumulativeIntegral:
             columns = columns[:, np.argsort(columns[0])]
         a, integrals = columns[0], columns[1]
         xs = np.append(a, hi)
-        for i in dict.fromkeys((len(a) - 1) * j // (_SPOT_CHECKS - 1)
+        for i in dict.fromkeys(len(a) * j // _SPOT_CHECKS
                                for j in range(_SPOT_CHECKS)):
-            share = 0.5 * _QUADRATURE_TOL * float(xs[i + 1] - xs[i]) / total
+            share = _QUADRATURE_TOL * float(xs[i + 1] - xs[i]) / total
             check = adaptive_simpson(lambda x: evaluate(x)[0], float(xs[i]),
                                      float(xs[i + 1]), tol=share)
             if not abs(check - integrals[i]) <= share:

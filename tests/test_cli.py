@@ -284,6 +284,17 @@ def test_wide_domain_helix_is_not_charged_for_its_starting_grid(workdir,
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_steep_polynomial_helix_still_builds(workdir, capsys):
+    """eta = 0.5 v + 6 v^2 makes |f1'| reach about 6e3 at v = 1.26, where
+    the f3 integrand tau (f1 f2' - f2 f1') cancels to a rounding noise of
+    a few 1e-13 on a segment's integral.  A spot check of the last
+    segment at half the share read that noise and exited 3."""
+    steep = dict(HELIX, causal="timelike", theta=1.0,
+                 eta={"kind": "polynomial", "coefficients": [0.0, 0.5, 6.0]})
+    assert main(["analyze", "--config", cfg_path(workdir, steep)]) == EXIT_PASS
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # inputs that once ended in a raw traceback (exit 1, read as "checks failed")
 OVERFLOW_PLANE = dict(PLANE, delta=1, phi0=1e300)  # sinh(phi0) overflows
 FAR_CYLINDER = dict(CYLINDER, delta=1, domain=[[-1, 1], [800, 801]])

@@ -232,7 +232,7 @@ def test_spot_check_catches_a_perturbed_weight(monkeypatch):
     """A weight off by 1e-9 relative moves each segment's integral by up
     to about 1e-11: too little for the slope check, which flags a segment
     whose interpolant may err by 5e-11, but far more than the segment's
-    share of the tolerance (about 2e-13), so the spot check catches it."""
+    share of the tolerance (about 4e-13), so the spot check catches it."""
     weights = list(numeric._GL_WEIGHTS)
     weights[2] *= 1.0 + 1e-9
     monkeypatch.setattr(numeric, "_GL_WEIGHTS", tuple(weights))
