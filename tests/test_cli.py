@@ -275,23 +275,19 @@ def test_moderately_oscillating_eta_still_passes(workdir, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
-def test_wide_domain_helix_is_not_charged_for_its_starting_grid(workdir,
-                                                               capsys):
-    """v in [-250, 250] starts each table on 50,000 segments, 550,000
-    integrand evaluations; the budget counts only the work beyond them."""
-    wide = dict(_sinusoidal_helix(1.0), domain=[[-1.0, 1.0], [-250.0, 250.0]])
-    assert main(["analyze", "--config", cfg_path(workdir, wide)]) == EXIT_PASS
-    assert "Traceback" not in capsys.readouterr().err
-
-
-def test_steep_polynomial_helix_still_builds(workdir, capsys):
-    """eta = 0.5 v + 6 v^2 makes |f1'| reach about 6e3 at v = 1.26, where
-    the f3 integrand tau (f1 f2' - f2 f1') cancels to a rounding noise of
-    a few 1e-13 on a segment's integral.  A spot check of the last
-    segment at half the share read that noise and exited 3."""
-    steep = dict(HELIX, causal="timelike", theta=1.0,
-                 eta={"kind": "polynomial", "coefficients": [0.0, 0.5, 6.0]})
-    assert main(["analyze", "--config", cfg_path(workdir, steep)]) == EXIT_PASS
+# v in [-250, 250] starts each table on 50,000 segments (550,000 integrand
+# evaluations), which the budget does not count.  eta = 0.5 v + 6 v^2 makes
+# |f1'| reach about 6e3 at v = 1.26; there the f3 integrand
+# tau (f1 f2' - f2 f1') cancels to a rounding noise of a few 1e-13 on a
+# segment's integral, so a spot check of that segment at half the share
+# would fail.
+@pytest.mark.parametrize("helix", [
+    dict(_sinusoidal_helix(1.0), domain=[[-1.0, 1.0], [-250.0, 250.0]]),
+    dict(HELIX, causal="timelike", theta=1.0,
+         eta={"kind": "polynomial", "coefficients": [0.0, 0.5, 6.0]}),
+], ids=["wide_domain", "steep_polynomial"])
+def test_demanding_tables_still_build(workdir, capsys, helix):
+    assert main(["analyze", "--config", cfg_path(workdir, helix)]) == EXIT_PASS
     assert "Traceback" not in capsys.readouterr().err
 
 
