@@ -336,25 +336,28 @@ def _lowered(d: np.ndarray, k: int = 0) -> np.ndarray:
 def _connection(space: SpaceParams, p: Vec3) -> tuple:
     """(g^-1, dg, ddg, Gamma) at p, with dg[i, j, l] = d_i g_jl and
     ddg[a, i, j, l] = d_a d_i g_jl: the parts g, d_i g, d_j g and d_i d_j g
-    of `metric_matrix` at p + eps1 e_i + eps2 e_j, one batch per i <= j."""
-    dg, ddg = [None] * 3, [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            q = tuple(_Dual(_Dual(c, float(k == i)), _Dual(float(k == j), 0.0))
-                      for k, c in enumerate(p))
-            flat = np.broadcast_arrays(*(
-                x for row in metric_matrix(space, q) for c in row
-                for half in _parts(c) for x in _parts(half)))
-            g, dg[i], dg[j], ddg[i][j] = np.moveaxis(
-                np.stack(flat).reshape(3, 3, 4, *flat[0].shape), 2, 0)
-            ddg[j][i] = ddg[i][j]
-    g = np.moveaxis(g, (0, 1), (-2, -1))
+    of `metric_matrix` at p + eps1 e_i + eps2 e_j, from one call that seeds
+    every pair i <= j along a leading pair axis."""
+    batch = np.broadcast_shapes(*map(np.shape, p))
+    # the pairs (i, j): (0, 0) (0, 1) (0, 2) (1, 1) (1, 2) (2, 2)
+    e_i, e_j = (np.eye(3)[list(ks)].T.reshape(3, 6, *(1,) * len(batch))
+                for ks in ((0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2)))
+    q = tuple(_Dual(_Dual(c, e_i[k]), _Dual(e_j[k], 0.0)) for k, c in enumerate(p))
+    shape = (6, *batch)
+    # [part, pair, row, column, *batch] with parts (g, d_i g, d_j g, d_i d_j g)
+    parts = np.moveaxis(np.stack([
+        np.broadcast_to(x, shape) for row in metric_matrix(space, q)
+        for c in row for half in _parts(c) for x in _parts(half)])
+        .reshape(3, 3, 4, *shape), (2, 3), (0, 1))
+    # d_0 g from pair (0, 2), d_1 g from (1, 2), d_2 g from (2, 2)
+    dg = np.stack((parts[1, 2], parts[1, 4], parts[2, 5]))
+    ddg = parts[3][[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]  # the pair {a, i}
+    g = np.moveaxis(parts[0, 0], (0, 1), (-2, -1))
     det = np.linalg.det(g)
     require(abs(det) >= 1e-14, SingularMetric,
             lambda x, y, z, d: f"metric matrix singular at {(x, y, z)} "
             f"(det = {d})", *p, det)
     ginv = np.moveaxis(np.linalg.inv(g), (-2, -1), (0, 1))
-    dg, ddg = np.array(dg), np.array(ddg)
     return ginv, dg, ddg, np.einsum("kl...,ijl...->kij...", ginv, _lowered(dg))
 
 
@@ -367,7 +370,11 @@ def christoffel_coords(space: SpaceParams, p) -> np.ndarray:
 def riemann_coords(space: SpaceParams, p) -> np.ndarray:
     """Curvature tensor Riem[l, i, j, k] = (R(d_i, d_j) d_k)^l at p (works
     for any kappa)."""
-    ginv, dg, ddg, gamma = _connection(space, as_vec3(p))
+    return _riemann(*_connection(space, as_vec3(p)))
+
+
+def _riemann(ginv, dg, ddg, gamma) -> np.ndarray:
+    """Riem[l, i, j, k] from the parts of `_connection`."""
     # d_a Gamma^k_ij = g^kl d_a Gamma_ijl - g^kl (d_a g_lm) Gamma^m_ij
     dgamma = (np.einsum("kl...,aijl...->akij...", ginv, _lowered(ddg, 1))
               - np.einsum("kl...,alm...,mij...->akij...", ginv, dg, gamma))
@@ -381,7 +388,11 @@ def riemann_coords(space: SpaceParams, p) -> np.ndarray:
 
 def curvature_fd(space: SpaceParams, p, v, w, z) -> Vec3:
     """R(V, W)Z at p via the coordinate path (any kappa)."""
-    riem = riemann_coords(space, p)
+    return _applied(riemann_coords(space, p), v, w, z)
+
+
+def _applied(riem: np.ndarray, v, w, z) -> Vec3:
+    """R(V, W)Z from Riem[l, i, j, k]."""
     vwz = (np.array(np.broadcast_arrays(*as_vec3(a))) for a in (v, w, z))
     return as_vec3(np.einsum("lijk...,i...,j...,k...->l...", riem, *vwz))
 
@@ -399,9 +410,8 @@ def sectional_curvature(space: SpaceParams, p, v, w,
     """
     v = as_vec3(v)
     w = as_vec3(w)
-    g_vv = metric_eval(space, p, v, v)
-    g_ww = metric_eval(space, p, w, w)
-    g_vw = metric_eval(space, p, v, w)
+    g = metric_matrix(space, p)
+    g_vv, g_ww, g_vw = bilinear3(g, v, v), bilinear3(g, w, w), bilinear3(g, v, w)
     denom = g_vv * g_ww - g_vw * g_vw
     scale = np.maximum(np.maximum(1.0, abs(g_vv * g_ww)), g_vw * g_vw)
     require(abs(denom) >= _PLANE_TOL * scale, DegeneratePlane,
@@ -413,7 +423,7 @@ def sectional_curvature(space: SpaceParams, p, v, w,
         rv = curvature_fd(space, p, v, w, w)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return metric_eval(space, p, rv, v) / denom
+    return bilinear3(g, as_vec3(rv), v) / denom
 
 
 # ---- generic derivatives of vector fields ----

@@ -338,14 +338,24 @@ def build_profile(profile: HelixProfile,
             raise QuadratureFailure(
                 f"profile table {name} on v in [{lo}, {hi}]: {exc}") from exc
 
+    # the three tables start from the same nodes and Gauss points (the first
+    # two arrays each evaluates): slopes are taken on those once
+    start: dict = {}
+
+    def shared(v):
+        key = (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else None
+        if key is not None and key not in start and len(start) < 2:
+            start[key] = slopes(v)
+        return start[key] if key in start else slopes(v)
+
     # each integrand returns (f, f'): f1' and f1'', f2' and f2''
-    f1_tab = table("f1", lambda v: slopes(v)[0::2])
-    f2_tab = table("f2", lambda v: slopes(v)[1::2])
+    f1_tab = table("f1", lambda v: shared(v)[0::2])
+    f2_tab = table("f2", lambda v: shared(v)[1::2])
 
     def g3(v):
         # f3' and f3'' = tau*(f1 f2'' - f2 f1''), f1 and f2 read on the f3
         # table's own points
-        q1, q2, r1, r2 = slopes(v)
+        q1, q2, r1, r2 = shared(v)
         p1, p2 = f1_tab.interpolate(v), f2_tab.interpolate(v)
         return tau * (p1 * q2 - p2 * q1), tau * (p1 * r2 - p2 * r1)
 
@@ -367,8 +377,8 @@ def profile_residuals(pf: ProfileFunctions) -> dict[str, float]:
     a, b = lo + pad, hi - pad
     n = _RESIDUAL_SAMPLES
     v = np.array([a + (b - a) * i / (n - 1) for i in range(n)])
-    d1, d2, d3 = central_diff(lambda t: (pf.f1(v + t), pf.f2(v + t), pf.f3(v + t)),
-                              _RESIDUAL_STEP, order=4)
+    d1, d2, d3 = central_diff(lambda t: tuple(f(np.add.outer(v, t)) for f in (
+        pf.f1, pf.f2, pf.f3)), _RESIDUAL_STEP, order=4)
     q1, q2, q3 = pf.jet(v)[3:6]
     return {"antiderivative": float(np.maximum(abs(d1 - q1), abs(d2 - q2)).max()),
             "derivative_constraint": float(

@@ -209,45 +209,87 @@ def solve2(a11: float, a12: float, a21: float, a22: float,
 # ---- finite differences ----
 #
 # Every finite-difference stencil in the package is one of the two helpers
-# below.  The differenced values may be floats, ndarrays, or tuples/lists
-# (differenced componentwise, returned as a tuple).
+# below.  Each calls f once, with offsets t = every offset times the whole
+# step h (a float, or one step per point).  f's values carry the displaced
+# points on their last axis, offset-major (see `stacked`); a number counts
+# for every point.  Values may be floats, ndarrays, or tuples/lists.
+
+
+def stacked(*xs) -> list:
+    """The arguments broadcast together and flattened: points displaced by
+    an offset array become one 1-D batch, offset-major."""
+    return [np.ravel(x) for x in np.broadcast_arrays(*xs)]
+
+
+def _split(x, shape: tuple) -> list:
+    """A value stacked over `shape` on its last axis, one per shape[0]."""
+    if isinstance(x, (tuple, list)):
+        return list(zip(*(_split(c, shape) for c in x)))
+    if np.ndim(x) == 0:
+        return [x] * shape[0]
+    x = np.asarray(x)
+    return list(np.moveaxis(x.reshape(x.shape[:-1] + shape), x.ndim - 1, 0))
 
 
 def _lift(formula: Callable, *values):
-    if isinstance(values[0], (tuple, list)):
+    if isinstance(values[0], tuple):
         return tuple(map(formula, *values))
     return formula(*values)
 
 
-def central_diff(f: Callable[[float], object], h: float, order: int = 2):
+def _stencil(f: Callable, h, *scales) -> list:
+    """f at the offsets scale * h, one sequence of scales per argument of f,
+    from one call: one value per offset."""
+    t = [np.multiply.outer(s, h) for s in scales]
+    return _split(f(*t), t[0].shape)
+
+
+def central_diff(f: Callable, h, order: int = 2):
     """f'(0) by the central stencil of order 2 (f at +-h) or 4 (f at +-h,
-    +-2h); f is called with the signed offset."""
+    +-2h); f is called once, with the signed offsets stacked."""
     if order == 2:
-        return _lift(lambda p, m: (p - m) / (2.0 * h), f(h), f(-h))
+        return _lift(lambda p, m: (p - m) / (2.0 * h),
+                     *_stencil(f, h, (1.0, -1.0)))
     if order == 4:
         return _lift(lambda p2, p1, m1, m2:
                      (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h),
-                     f(2.0 * h), f(h), f(-h), f(-2.0 * h))
+                     *_stencil(f, h, (2.0, 1.0, -1.0, -2.0)))
     raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
 
 
-def central_partials(f: Callable[[float, float], object], h: float):
+def central_partials(f: Callable, h):
     """(f, f_u, f_v, f_uu, f_uv, f_vv) at (0, 0) from the second-order
-    nine-point stencil; f is called with the offsets (du, dv)."""
+    nine-point stencil; f is called once, with the offsets (du, dv) of all
+    nine points stacked."""
     h2 = h * h
-    f0 = f(0.0, 0.0)
-    up, um, vp, vm = f(h, 0.0), f(-h, 0.0), f(0.0, h), f(0.0, -h)
-    pp, pm, mp, mm = f(h, h), f(h, -h), f(-h, h), f(-h, -h)
+    f0, up, um, vp, vm, pp, pm, mp, mm = _stencil(
+        f, h, (0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0),
+        (0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0))
+
+    def d1(p, m):
+        return (p - m) / (2.0 * h)
 
     def d2(p, c, m):
         return (p - 2.0 * c + m) / h2
 
-    # the first partials reuse the axis values through central_diff
-    return (f0, central_diff({h: up, -h: um}.__getitem__, h),
-            central_diff({h: vp, -h: vm}.__getitem__, h),
-            _lift(d2, up, f0, um),
+    return (f0, _lift(d1, up, um), _lift(d1, vp, vm), _lift(d2, up, f0, um),
             _lift(lambda a, b, c, d: (a - b - c + d) / (4.0 * h2), pp, pm, mp, mm),
             _lift(d2, vp, f0, vm))
+
+
+def directional_diffs(f: Callable, u, v, directions, step: float,
+                      order: int = 2) -> list:
+    """The derivative of f at the points (u, v) along each direction
+    (du, dv) of `directions` (numbers or arrays over the points), by
+    `central_diff` at step / max(1, |du|, |dv|).  f is called once, as
+    f(uu, vv, au, av): every displaced point, and the sample it belongs to."""
+    du, dv = (np.concatenate([np.ravel(np.broadcast_to(d[i], np.shape(u)))
+                              for d in directions]) for i in (0, 1))
+    h = step / np.maximum(np.maximum(abs(du), abs(dv)), 1.0)
+    u0, v0 = np.tile(u, len(directions)), np.tile(v, len(directions))
+    return _split(central_diff(lambda t: f(*stacked(u0 + t * du, v0 + t * dv,
+                                                    u0, v0)), h, order),
+                  (len(directions), *np.shape(u)))
 
 
 # ---- adaptive Simpson ----
@@ -306,6 +348,8 @@ _HALF_POINTS = (*(0.25 * (1.0 + x) for x in _GL_NODES),
                 *(0.25 * (3.0 + x) for x in _GL_NODES))
 #: node spacing every table starts from; segments are bisected from there
 _TABLE_SPACING = 1e-2
+#: starting segments a table may have: its range may be about 600 wide
+_MAX_START_SEGMENTS = 60_000
 #: absolute error a table lookup may have anywhere in its range
 _QUADRATURE_TOL = 1e-10
 #: integrand evaluations one table may spend beyond its starting nodes and
@@ -341,10 +385,10 @@ class CumulativeIntegral:
     again: the first, then one every tenth of the segments.  The table
     raises `QuadratureFailure` when one of them differs from its Gauss
     value by more than its share tol * width / (hi - lo).  Beyond the
-    starting grid, whose size
-    follows from the range, a table may spend at most `_TABLE_EVAL_BUDGET`
-    integrand evaluations on bisection and the spot check.  Node values
-    accumulate outward from x0.
+    starting grid, whose size follows from the range (at most
+    `_MAX_START_SEGMENTS` segments, checked before any is built), a table
+    may spend at most `_TABLE_EVAL_BUDGET` integrand evaluations on
+    bisection and the spot check.  Node values accumulate outward from x0.
 
     Each segment keeps six Horner coefficients in t = (x - node) / width,
     so `interpolate` is one `searchsorted`, one gather and five
@@ -358,6 +402,10 @@ class CumulativeIntegral:
         if not (lo <= x0 <= hi and lo < hi):
             raise ValueError("need lo <= x0 <= hi and lo < hi")
         total = hi - lo
+        if not total / _TABLE_SPACING <= _MAX_START_SEGMENTS:
+            raise QuadratureFailure(
+                f"a range {total} wide would start the table on more than "
+                f"{_MAX_START_SEGMENTS} segments {_TABLE_SPACING} wide")
         n_lo = math.ceil((x0 - lo) / _TABLE_SPACING)
         n_hi = math.ceil((hi - x0) / _TABLE_SPACING)
         # the starting grid is free: its nodes and ten Gauss points a segment

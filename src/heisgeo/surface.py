@@ -50,8 +50,8 @@ from .numeric import (
     Vec3,
     as_vec3,
     bilinear3,
-    central_diff,
     central_partials,
+    directional_diffs,
     finite,
     fmt_float,
     json_dumps,
@@ -61,6 +61,7 @@ from .numeric import (
     scale3,
     select,
     solve2,
+    stacked,
     sub3,
 )
 
@@ -159,20 +160,21 @@ class SurfacePatch:
         overflow = functools.partial(NonFiniteJet, family=self.family)
         describe = (lambda: f"jet of {self.name} (family {self.family}) "
                     "is not finite")
-        failed = 0  # the point being evaluated when OverflowError is raised
+        done: list = []  # stencil points of `position` evaluated so far
+
+        def stencil(du, dv):  # position may take floats only: one at a time
+            for a, b in zip(*(x.tolist() for x in stacked(u + du, v + dv))):
+                done.append(as_vec3(self.position(a, b)))
+            return np.array(done).T
+
         try:
             with np.errstate(all="ignore"):
-                if self._analytic_jet is not None:
-                    raw = self._analytic_jet(u, v)
-                elif batch:  # position may take floats only
-                    rows = []
-                    for failed, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
-                        rows.append(self._fd_jet(a, b))
-                    raw = np.array(rows).transpose(1, 2, 0)
-                else:
-                    raw = self._fd_jet(u, v)
-        except OverflowError:
-            require(np.arange(np.size(u)) != failed, overflow, describe, at=at)
+                raw = (self._analytic_jet(u, v) if self._analytic_jet is not None
+                       else central_partials(stencil, np.full(np.shape(u),
+                                                              _FD_JET_STEP)))
+        except OverflowError:  # raised at stencil point len(done), offset-major
+            require(np.arange(np.size(u)) != len(done) % np.size(u), overflow,
+                    describe, at=at)
         if batch:
             vecs = [tuple(np.broadcast_to(np.asarray(c, dtype=float), u.shape)
                           for c in vec) for vec in raw]
@@ -181,11 +183,6 @@ class SurfacePatch:
         require(finite(*(c for vec in vecs for c in vec)), overflow, describe,
                 at=at)
         return PatchJet(*vecs)
-
-    def _fd_jet(self, u: float, v: float) -> tuple:
-        pos = self.position
-        return central_partials(lambda du, dv: as_vec3(pos(u + du, v + dv)),
-                                _FD_JET_STEP)
 
 
 # ---- first fundamental form ----
@@ -412,10 +409,9 @@ def _weingarten_shape(patch: SurfacePatch, u, v, s: _Sample
     connection corrections: the independent cross-check of the second-form
     route."""
     space = patch.space
-    dn_u = central_diff(lambda t: _sample(patch, u + t, v, s.at).n,
-                        _WEINGARTEN_STEP)
-    dn_v = central_diff(lambda t: _sample(patch, u, v + t, s.at).n,
-                        _WEINGARTEN_STEP)
+    dn_u, dn_v = directional_diffs(
+        lambda uu, vv, *at: _sample(patch, uu, vv, at).n, u, v,
+        ((1.0, 0.0), (0.0, 1.0)), _WEINGARTEN_STEP)
     cov_u = lincomb3([(1.0, dn_u),
                       (1.0, ambient.frame_connection_correction(space, s.a, s.n))])
     cov_v = lincomb3([(1.0, dn_v),
@@ -582,13 +578,15 @@ def gaussian_curvature(patch: SurfacePatch, u, v,
 
 
 def _intrinsic_k(patch: SurfacePatch, u, v) -> float:
-    def coeffs(du: float, dv: float) -> tuple[float, float, float]:
-        # one metric-only batch per stencil offset; guards name (u, v)
-        form = induced_metric(patch, u + du, v + dv, at=(u, v))
+    def coeffs(du, dv) -> tuple[float, float, float]:
+        # one metric-only batch of every stencil point; guards name (u, v)
+        uu, vv, au, av = stacked(u + du, v + dv, u, v)
+        form = induced_metric(patch, uu, vv, at=(au, av))
         return form.e, form.f, form.g
 
     # components (e, f, g) of each partial
-    c0, cu, cv, cuu, cuv, cvv = central_partials(coeffs, _INTRINSIC_STEP)
+    c0, cu, cv, cuu, cuv, cvv = central_partials(
+        coeffs, np.full(np.shape(u), _INTRINSIC_STEP))
     return _brioschi(*c0, cu[0], cv[0], cu[1], cv[1], cu[2], cv[2],
                      cvv[0], cuv[1], cuu[2])
 

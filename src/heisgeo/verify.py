@@ -18,15 +18,15 @@ Each check turns one proved identity into a machine-checkable residual:
   curvature, constant-angle CMC <=> parallel, the constant-curvature value,
   trace bookkeeping, non-umbilicity).
 - ``check_ambient``: the ambient frame/connection/curvature tables against
-  the finite-difference coordinate path, the two curvature formulas against
+  the dual-number coordinate path, the two curvature formulas against
   each other, and sectional-curvature constancy on the matching
   constant-curvature parameter choice, each on one batch of random points.
 
-Every patch check evaluates its grid as one batch of samples (and each
-stencil offset as one more batch), and reports the maximum residual; a NaN
-or infinite residual raises :class:`~heisgeo.errors.NonFiniteResidual`
-instead of passing or failing.  Every suite is deterministic given (inputs,
-grid, seed).
+Every patch check evaluates its grid as one batch of samples (and all the
+offsets of its stencil, stacked, as one more batch), and reports the
+maximum residual; a NaN or infinite residual raises
+:class:`~heisgeo.errors.NonFiniteResidual` instead of passing or failing.
+Every suite is deterministic given (inputs, grid, seed).
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from . import ambient
 from .ambient import SpaceParams
 from .errors import (DegeneratePlane, NonFiniteResidual, NotAHelixPatch,
                      StencilTooCoarse, UnsupportedKappa)
-from .numeric import Vec3, central_diff, quiet, require, select
+from .numeric import (Vec3, as_vec3, bilinear3, directional_diffs, quiet,
+                      require, select)
 from .surface import (
     FirstFundamentalForm,
     SurfacePatch,
@@ -91,8 +92,10 @@ _GRID_INSET = 0.03
 _CONSTANT_ANGLE_RANGE = 1e-6
 # sparse subgrid of the shape-operator route check (5 jets per point)
 _ROUTE_GRID = (4, 4)
-# random planes the sectional-constancy check may draw to find its samples
+# random planes the sectional-constancy check may draw to find its 20
+# samples, drawn in chunks until enough are well-conditioned
 _PLANE_ATTEMPTS = 400
+_PLANE_CHUNK = 40
 # random points of the ambient checks, and the half-width of their box
 _AMBIENT_POINTS = 40
 _POINT_BOX = 1.5
@@ -188,12 +191,6 @@ def interior_grid(patch: SurfacePatch,
     return list(zip(u.tolist(), v.tolist()))
 
 
-def _directional_step(fd_step: float, direction):
-    """Shrink the step so displaced stencil points stay near the sample."""
-    return fd_step / np.maximum(np.maximum(abs(direction[0]), abs(direction[1])),
-                                1.0)
-
-
 # ---- gauss ----
 
 
@@ -262,7 +259,7 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     The covariant derivative of the S-field uses central differences of the
     coordinate-basis S matrix plus induced-connection corrections; the
     comparison vector is measured in ambient frame components.  The grid is
-    one batch, and so is each of the 8 stencil offsets.
+    one batch, and its 8 stencil offsets are one more.
     """
     (u0, u1), (v0, v1) = patch.domain
     if 2.0 * _SURFACE_STEP > 0.25 * min(u1 - u0, v1 - v0):
@@ -271,10 +268,10 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     space = patch.space
     tau = space.tau
 
-    def fields(uu, vv):
+    def fields(uu, vv, *at):
         # (S11, S12, S21, S22, e, f, g): S in the coordinate basis and the
-        # induced metric, from one sample
-        s = _sample(patch, uu, vv, (u, v))  # guards name the grid sample
+        # induced metric, from one sample batch
+        s = _sample(patch, uu, vv, at)  # guards name the grid sample
         m = _second_form_shape(space, s)
         form = s.form
         return (*m[0], *m[1], form.e, form.f, form.g)
@@ -282,8 +279,8 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     u, v = _interior_batch(patch, grid)
     s = _sample(patch, u, v)
     m0 = _second_form_shape(space, s)
-    du = central_diff(lambda t: fields(u + t, v), _SURFACE_STEP, order=4)
-    dv = central_diff(lambda t: fields(u, v + t), _SURFACE_STEP, order=4)
+    du, dv = directional_diffs(fields, u, v, ((1.0, 0.0), (0.0, 1.0)),
+                               _SURFACE_STEP, order=4)
     # d/du of S(d/dv) and d/dv of S(d/du), coefficient 2-vectors
     du_sv = (du[1], du[3])
     dv_su = (dv[0], dv[2])
@@ -314,7 +311,7 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
                     tolerances: Optional[dict] = None) -> CheckResult:
     """Residual of T(mu) + mu^2 nu - 4 delta tau^2 nu^3 on a constant-angle
     patch, with mu the varying adapted-basis shape entry, differenced along
-    each sample's own T (one batch per stencil offset)."""
+    each sample's own T (its stencil offsets as one batch)."""
     u, v = _interior_batch(patch, grid)
     s = _sample(patch, u, v)
     nu = s.nu
@@ -325,10 +322,10 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     tau = space.tau
     frame = _adapted_frame(space, s)
     t1, t2 = frame[0]
-    t_mu = central_diff(
-        lambda t: shape_operator(patch, u + t * t1, v + t * t2,
-                                 basis="adapted-TJT", at=(u, v)).s22,
-        _directional_step(_SURFACE_STEP, (t1, t2)), order=4)
+    t_mu, = directional_diffs(
+        lambda uu, vv, *at: shape_operator(patch, uu, vv, basis="adapted-TJT",
+                                           at=at).s22,
+        u, v, ((t1, t2),), _SURFACE_STEP, order=4)
     mu0 = _adapted_entries(frame, _second_form_shape(space, s), s.at)[3]
     return _check("helix_ode.residual",
                   abs(t_mu + mu0 * mu0 * nu - 4.0 * space.delta * tau * tau * nu ** 3),
@@ -347,8 +344,8 @@ class ParallelCheckInput:
 
     The callables take (u, v) as floats or as 1-D arrays (a batch of
     points) and return floats or arrays over the batch; a returned number
-    counts for every point.  The check calls them with all `points` at once,
-    then once per stencil offset:
+    still counts for every point.  The check calls them with all `points`
+    at once, then with the points of all its stencil offsets stacked:
 
     frame_directions(u, v) -> coordinate coefficients of (F1, F2);
     entries(u, v) -> operator entries (S11, S12, S22) in that frame
@@ -372,11 +369,10 @@ def _parallel_residuals(inp: ParallelCheckInput):
     dirs = inp.frame_directions(u, v)
     s11, s12, s22 = inp.entries(u, v)
     worst = np.zeros_like(u)
+    along = directional_diffs(lambda uu, vv, *at: inp.entries(uu, vv), u, v,
+                              dirs, _SURFACE_STEP)
     for k in (0, 1):
-        d = dirs[k]
-        x_s11, x_s12, x_s22 = central_diff(
-            lambda t: inp.entries(u + t * d[0], v + t * d[1]),
-            _directional_step(_SURFACE_STEP, d))
+        x_s11, x_s12, x_s22 = along[k]
         w = inp.omega(u, v, k)
         for r in (abs(x_s11 + 2.0 * eps * s12 * w),
                   abs(x_s12 - (s22 - s11) * w),
@@ -413,8 +409,9 @@ def _parallel_input(patch: SurfacePatch, points: Sequence[tuple[float, float]]
         adapted entries at (u, v).  The frame is (T, JT) / r with
         r = sqrt|g(T,T)|, swapped where T is timelike so that F1 is the
         spacelike vector."""
-        # the stencil offsets of the centre batch name its grid samples
-        s = _sample(patch, u, v, (u0, v0) if np.shape(u) == u0.shape else None)
+        # the centre batch or its offsets, offset-major: name the grid samples
+        reps = np.size(u) // u0.size
+        s = _sample(patch, u, v, (np.tile(u0, reps), np.tile(v0, reps)))
         m = _second_form_shape(space, s)
         frame = _adapted_frame(space, s)
         adapted = _adapted_entries(frame, m, s.at)
@@ -435,7 +432,7 @@ def _parallel_input(patch: SurfacePatch, points: Sequence[tuple[float, float]]
 
     # the entries and the ambient frame are differenced at the same displaced
     # points: a cache keyed by the points' bytes holds the centre batch and
-    # its 4 stencil offsets
+    # the batch of its 4 stencil offsets
     cache: dict = {}
 
     def point(u, v):
@@ -448,10 +445,8 @@ def _parallel_input(patch: SurfacePatch, points: Sequence[tuple[float, float]]
 
     def omega(u, v, k: int):
         dirs, _, (w1, w2), _ = point(u, v)
-        d = dirs[k]
-        dw = central_diff(
-            lambda t: point(u + t * d[0], v + t * d[1])[2][0],
-            _directional_step(_SURFACE_STEP, d))
+        dw = directional_diffs(lambda uu, vv, *at: point(uu, vv)[2][0], u, v,
+                               dirs, _SURFACE_STEP)[k]
         x_amb = (w1, w2)[k]
         corr = ambient.frame_connection_correction(space, x_amb, w1)
         nab = tuple(dw[i] + corr[i] for i in range(3))
@@ -580,7 +575,8 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     curvature formulas against each other on random triples, the
     covariant-derivative wedge identity of the vertical direction, and
     sectional-curvature constancy on the companion space with
-    kappa = -4 tau^2.  Each check evaluates its random points as one batch.
+    kappa = -4 tau^2.  Each check evaluates its random points as one batch,
+    and one coordinate-path connection serves every check on this space.
     """
     rng = random.Random(seed)
     delta, tau = space.delta, space.tau
@@ -599,10 +595,10 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
 
     # frame orthonormality against the coordinate metric
     pts, = _draws(rng, _AMBIENT_POINTS, (_POINT_BOX,) * 3)
-    vecs = ambient.frame_at(space, pts).vectors()
+    vecs = [as_vec3(e) for e in ambient.frame_at(space, pts).vectors()]
+    g = ambient.metric_matrix(space, pts)
     checks.append(_check("ambient.frame_orthonormality", gaps(
-        [ambient.metric_eval(space, pts, vecs[i], vecs[j])
-         for i in range(3) for j in range(3)],
+        [bilinear3(g, vecs[i], vecs[j]) for i in range(3) for j in range(3)],
         [expected_diag[i] if i == j else 0.0
          for i in range(3) for j in range(3)]), tolerances))
 
@@ -625,9 +621,16 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     checks.append(_check("ambient.connection_table", gaps(got, want),
                          tolerances))
 
-    # connection table vs the coordinate path's Christoffel symbols
+    # one coordinate-path connection serves the connection, curvature and
+    # wedge checks: at the first 15 points, then at the wedge check's 50
     p = tuple(q[:15] for q in pts)
-    gam = ambient.christoffel_coords(space, p)
+    a, b, c = _draws(rng, 200, _UNIT, _UNIT, _UNIT)
+    v8, w8, z8 = _draws(rng, 8, _UNIT, _UNIT, _UNIT)
+    p50, x50 = _draws(rng, 50, (_POINT_BOX,) * 3, _UNIT)
+    conn = ambient._connection(space, tuple(map(np.concatenate, zip(p, p50))))
+
+    # connection table vs the coordinate path's Christoffel symbols
+    gam = conn[3][..., :15]
     frame_vecs = dict(zip((1, 2, 3), ambient.frame_at(space, p).vectors()))
     got, want = [], []
     for (i, j), w in table.items():
@@ -649,7 +652,6 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
                          tolerances))
 
     # closed formula vs trilinear table expansion on random triples
-    a, b, c = _draws(rng, 200, _UNIT, _UNIT, _UNIT)
     checks.append(_check("ambient.curvature_formula_agreement", gaps(
         ambient.curvature_frame(space, a, b, c),
         curvature_from_table(space, a, b, c)), tolerances))
@@ -658,19 +660,18 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     # components grow with tau and |p| (to 7e5 at tau = 20), and so does
     # their rounding
     p = tuple(q[:8] for q in pts)
-    v, w, z = _draws(rng, 8, _UNIT, _UNIT, _UNIT)
+    riem = ambient._riemann(*(part[..., :8] for part in conn))
     checks.append(_check("ambient.curvature_fd", gaps(
-        ambient.curvature_fd(space, p, v, w, z),
-        ambient.curvature(space, p, v, w, z), scaled=True), tolerances))
+        ambient._applied(riem, v8, w8, z8),
+        ambient.curvature(space, p, v8, w8, z8), scaled=True), tolerances))
 
     # nabla_X E3 = delta tau (X wedge E3), coordinate path vs wedge
-    p, x = _draws(rng, 50, (_POINT_BOX,) * 3, _UNIT)
-    gam = ambient.christoffel_coords(space, p)
-    cov = tuple(sum(gam[k][l][2] * x[l] for l in range(3)) for k in range(3))
-    wf = ambient.wedge_frame(space, ambient.to_frame_components(space, p, x),
+    gam = conn[3][..., 15:]
+    cov = tuple(sum(gam[k][l][2] * x50[l] for l in range(3)) for k in range(3))
+    wf = ambient.wedge_frame(space, ambient.to_frame_components(space, p50, x50),
                              (0.0, 0.0, 1.0))
     checks.append(_check("ambient.grad_e3_wedge", gaps(
-        ambient.to_frame_components(space, p, cov),
+        ambient.to_frame_components(space, p50, cov),
         [delta * tau * wf[m] for m in range(3)]), tolerances))
 
     # sectional curvature constant on the kappa = -4 tau^2 companion space.
@@ -678,22 +679,25 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     # (delta = -1), so the (x, y) box shrinks with |tau|.
     sibling = SpaceParams(delta=delta, tau=tau, kappa=kappa)
     box = 0.15 / max(1.0, abs(tau))
-    p, v, w = _draws(rng, _PLANE_ATTEMPTS, (box, box, 1.0), _UNIT, _UNIT)
     # reject ill-conditioned planes, whose small area denominator amplifies
     # rounding in the curvature numerator; the first 20 accepted are used
-    m_vv = ambient.metric_eval(sibling, p, v, v)
-    m_ww = ambient.metric_eval(sibling, p, w, w)
-    m_vw = ambient.metric_eval(sibling, p, v, w)
-    denom = m_vv * m_ww - m_vw * m_vw
-    keep = np.flatnonzero(abs(denom) >= 0.2 * np.maximum(
-        np.maximum(abs(m_vv * m_ww), m_vw * m_vw), 1e-12))[:20]
-    if not keep.size:  # no spread to measure: not a verdict on the curvature
+    planes = np.empty((9, 0))  # rows: the components of p, v and w
+    for _ in range(_PLANE_ATTEMPTS // _PLANE_CHUNK):
+        p, v, w = _draws(rng, _PLANE_CHUNK, (box, box, 1.0), _UNIT, _UNIT)
+        m_vv = ambient.metric_eval(sibling, p, v, v)
+        m_ww = ambient.metric_eval(sibling, p, w, w)
+        m_vw = ambient.metric_eval(sibling, p, v, w)
+        keep = np.flatnonzero(abs(m_vv * m_ww - m_vw * m_vw) >= 0.2 * np.maximum(
+            np.maximum(abs(m_vv * m_ww), m_vw * m_vw), 1e-12))
+        planes = np.concatenate((planes, np.array([*p, *v, *w])[:, keep]), axis=1)
+        if planes.shape[1] >= 20:
+            break
+    if not planes.size:  # no spread to measure: not a verdict on the curvature
         raise DegeneratePlane(
             f"ambient.sectional_constancy: no well-conditioned tangent plane "
             f"in {_PLANE_ATTEMPTS} random attempts")
     values = ambient.sectional_curvature(
-        sibling, *(tuple(q[keep] for q in vec) for vec in (p, v, w)),
-        method="fd")
+        sibling, *(tuple(q) for q in np.split(planes[:, :20], 3)), method="fd")
     checks.append(_check("ambient.sectional_constancy",
                          np.max(values) - np.min(values), tolerances))
 

@@ -42,6 +42,7 @@ from heisgeo.ambient import (
     wedge_frame,
 )
 from heisgeo.numeric import central_diff
+from heisgeo.verify import check_ambient
 
 DELTAS = (1, -1)
 TAUS = (0.5, 1.0, 2.0)
@@ -324,6 +325,28 @@ def test_riemann_assembly_matches_loop_reference():
     assert close(riemann_coords(sp, p), want)
 
 
+def test_connection_is_one_metric_evaluation(monkeypatch):
+    """All six direction pairs i <= j ride one metric_matrix call, on one
+    point or a batch, and check_ambient takes one connection per space:
+    the kappa = 0 space and its companion."""
+    calls = []
+    metric = ambient.metric_matrix
+    connection = ambient._connection
+    monkeypatch.setattr(ambient, "metric_matrix",
+                        lambda space, p: calls.append(space) or metric(space, p))
+    sp = SpaceParams(delta=-1, tau=1.3, kappa=-2.0)
+    for p in ((0.21, -0.34, 0.5), tuple(np.array([[0.2, -0.1], [0.3, 0.0],
+                                                  [0.5, 1.0]]))):
+        calls.clear()
+        ambient._connection(sp, p)
+        assert len(calls) == 1
+    spaces = []
+    monkeypatch.setattr(ambient, "_connection",
+                        lambda space, p: spaces.append(space) or connection(space, p))
+    check_ambient(SpaceParams(delta=1, tau=1.0))
+    assert [s.kappa for s in spaces] == [0.0, -4.0]
+
+
 def test_metric_jet_matches_central_differences():
     """The dual parts of `metric_matrix` (through the conformal factor's
     division at kappa != 0) are its derivatives: fourth-order central
@@ -336,9 +359,12 @@ def test_metric_jet_matches_central_differences():
     def shifted(i, t):
         return tuple(c + t if k == i else c for k, c in enumerate(p))
 
+    def matrix(t):  # g at the stacked offsets t, constant entries too
+        return np.array([[c + 0.0 * t for c in row]
+                         for row in metric_matrix(sp, shifted(i, t))])
+
     for i in range(3):
-        fd = central_diff(lambda t: np.array(metric_matrix(sp, shifted(i, t))),
-                          h, order=4)
+        fd = central_diff(matrix, h, order=4)
         assert np.max(np.abs(dg[i] - fd)) < 1e-9
         fd = central_diff(lambda t: ambient._connection(sp, shifted(i, t))[1],
                           h, order=4)
@@ -520,7 +546,7 @@ def test_degenerate_plane_in_a_batch_names_the_point():
 
 @pytest.mark.parametrize("delta", DELTAS)
 @pytest.mark.parametrize("tau", (1.0, 3.5, 5.0))
-def test_frame_brackets_exact_by_complex_step(delta, tau):
+def test_frame_brackets_exact_by_dual_numbers(delta, tau):
     """The frame fields are polynomial in p and their dual-number
     derivatives are exact: so are the brackets, on a batch."""
     sp = SpaceParams(delta=delta, tau=tau)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
@@ -289,6 +290,26 @@ def test_moderately_oscillating_eta_still_passes(workdir, capsys):
 def test_demanding_tables_still_build(workdir, capsys, helix):
     assert main(["analyze", "--config", cfg_path(workdir, helix)]) == EXIT_PASS
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_overwide_table_range_is_refused_up_front(workdir, capsys):
+    """A v-range 1e5 wide would start each table on ten million segments,
+    gigabytes before any check; the table refuses it before building."""
+    helix = dict(_sinusoidal_helix(1.0), domain=[[-1.0, 1.0], [-5e4, 5e4]])
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["analyze", "--config", cfg_path(workdir, helix)])
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_GEOMETRY_ERROR
+    assert seconds < 1.0
+    assert peak < 5e6  # bytes: no starting grid was allocated
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "more than 60000 segments" in err
 
 
 # inputs that once ended in a raw traceback (exit 1, read as "checks failed")

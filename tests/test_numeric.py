@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heisgeo import numeric
 from heisgeo.errors import QuadratureFailure
@@ -24,21 +25,24 @@ from heisgeo.numeric import (CumulativeIntegral, adaptive_simpson, central_diff,
 
 X0 = 0.3
 
+# The stencils call f once with all of their offsets stacked in an array, so
+# the functions below are written with numpy, elementwise.
+
 
 def scalar(x):
-    return math.exp(math.sin(x))
+    return np.exp(np.sin(x))
 
 
 def scalar_d1(x):
-    return math.cos(x) * math.exp(math.sin(x))
+    return np.cos(x) * np.exp(np.sin(x))
 
 
 def as_tuple(x):
-    return (math.sin(x), math.cos(x), math.exp(x))
+    return (np.sin(x), np.cos(x), np.exp(x))
 
 
 def as_tuple_d1(x):
-    return (math.cos(x), -math.sin(x), math.exp(x))
+    return (np.cos(x), -np.sin(x), np.exp(x))
 
 
 def as_array(x):
@@ -89,7 +93,7 @@ U0, V0 = 0.2, 0.1
 
 
 def partials_exact(u, v):
-    e, s, co = math.exp(A * u), math.sin(B * v + C), math.cos(B * v + C)
+    e, s, co = np.exp(A * u), np.sin(B * v + C), np.cos(B * v + C)
     return (e * s, A * e * s, B * e * co, A * A * e * s, A * B * e * co,
             -B * B * e * s)
 
@@ -122,6 +126,85 @@ def test_central_partials_observed_order(fn, scale):
         e_fine = errors(fine[k], want)
         observed = e_coarse / e_fine
         assert np.all(np.abs(observed / 4.0 - 1.0) < 0.03), (k, observed)
+
+
+# ---- the stacked stencils against the per-offset formulas ----
+#
+# central_diff and central_partials call f once on all of their offsets
+# stacked; written out offset by offset below, the same formulas must give
+# the same bits.  The test functions use + - * / only, so every value is
+# one IEEE operation sequence wherever it sits in a batch.
+
+
+def rational(x):
+    return (x * x * x - 2.0 * x) / (1.0 + x * x)
+
+
+def rational2(u, v):
+    return (u * u * v - 3.0 * v + u) / (1.0 + v * v)
+
+
+def per_offset_diff(x, h, order):
+    if order == 2:
+        return (rational(x + h) - rational(x - h)) / (2.0 * h)
+    return (-rational(x + 2.0 * h) + 8.0 * rational(x + h)
+            - 8.0 * rational(x - h) + rational(x - 2.0 * h)) / (12.0 * h)
+
+
+def per_offset_partials(u, v, h):
+    g = rational2
+    f0 = g(u, v)
+    return (f0, (g(u + h, v) - g(u - h, v)) / (2.0 * h),
+            (g(u, v + h) - g(u, v - h)) / (2.0 * h),
+            (g(u + h, v) - 2.0 * f0 + g(u - h, v)) / (h * h),
+            (g(u + h, v + h) - g(u + h, v - h) - g(u - h, v + h)
+             + g(u - h, v - h)) / (4.0 * (h * h)),
+            (g(u, v + h) - 2.0 * f0 + g(u, v - h)) / (h * h))
+
+
+coordinates = st.floats(-10.0, 10.0, allow_nan=False)
+steps = st.floats(1e-6, 1.0)
+# a point (one float) or a batch of 1 to 6 points
+points = st.one_of(coordinates, st.lists(coordinates, min_size=1, max_size=6)
+                   .map(np.array))
+
+
+def stencil_step(x, h, per_point):
+    """A float step, or the same step for each point (np.full keeps its
+    bits)."""
+    return np.full(np.shape(x), h) if per_point else h
+
+
+def stencil_points(x, t, per_point):
+    """The points x displaced by the stacked offsets t: the offsets on the
+    last axis for a float step, flattened offset-major for a per-point one."""
+    return np.ravel(x + t) if per_point else np.add.outer(x, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=points, h=steps, order=st.sampled_from((2, 4)), per_point=st.booleans())
+def test_stacked_central_diff_is_the_per_offset_formula(x, h, order, per_point):
+    got = central_diff(lambda t: rational(stencil_points(x, t, per_point)),
+                       stencil_step(x, h, per_point), order)
+    want = per_offset_diff(x, h, order)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(uv=st.one_of(st.tuples(coordinates, coordinates),
+                    st.lists(st.tuples(coordinates, coordinates), min_size=1,
+                             max_size=6).map(lambda p: tuple(np.array(p).T))),
+       h=steps, per_point=st.booleans())
+def test_stacked_central_partials_are_the_per_offset_formulas(uv, h, per_point):
+    u, v = uv
+    got = central_partials(
+        lambda du, dv: rational2(stencil_points(u, du, per_point),
+                                 stencil_points(v, dv, per_point)),
+        stencil_step(u, h, per_point))
+    for g, w in zip(got, per_offset_partials(u, v, h)):
+        assert np.shape(g) == np.shape(w)
+        assert np.array_equal(g, w)
 
 
 def test_recursive_helpers_leave_no_reference_cycles():

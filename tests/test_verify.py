@@ -139,14 +139,15 @@ def test_helix_ode_rejects_varying_angle():
 
 
 #: SurfacePatch.jet calls per patch suite on a new spacelike helix at (8, 8),
-#: one of them for the normal gauge.  A call is one batch: the grid, or one
-#: stencil offset of it (gauss: the grid, 9 intrinsic-K offsets, the route
-#: check's 4x4 grid and its 4 Weingarten offsets; codazzi: the grid and 8
-#: offsets; helix_ode: the grid and 4; parallel and claims: the grid and
-#: 4).  A suite that starts resampling points it already has, or loops over
-#: them, fails here
-JET_BUDGET = {"gauss": 16, "codazzi": 10, "helix_ode": 6,
-              "parallel": 6, "claims": 6}
+#: one of them for the normal gauge.  A call is one batch: the grid, or all
+#: the stencil offsets of one stencil stacked (gauss: the grid, the 9
+#: intrinsic-K offsets, the route check's 4x4 grid and its 4 Weingarten
+#: offsets; codazzi: the grid and its 8 offsets; helix_ode: the grid and
+#: its 4; parallel and claims: the grid and its 4).  A suite that starts
+#: resampling points it already has, evaluates a stencil offset by offset,
+#: or loops over points, fails here
+JET_BUDGET = {"gauss": 5, "codazzi": 3, "helix_ode": 3,
+              "parallel": 3, "claims": 3}
 
 
 @pytest.mark.parametrize("suite", sorted(JET_BUDGET))
@@ -463,15 +464,46 @@ def test_ambient_draws_follow_the_sequential_stream():
     assert rng.random() == ref.random()
 
 
+def recorded_draw_sizes(monkeypatch) -> list:
+    """The n of every `_draws` call check_ambient makes from now on; the
+    first four are its other checks' draws, the rest the plane chunks."""
+    sizes = []
+    draws = verify_module._draws
+
+    def recording(rng, n, *boxes):
+        sizes.append(n)
+        return draws(rng, n, *boxes)
+
+    monkeypatch.setattr(verify_module, "_draws", recording)
+    return sizes
+
+
 def test_sectional_constancy_without_a_plane_raises(monkeypatch):
     """When every random plane is ill-conditioned there is no spread to
     measure: the check raises a typed error that says so, rather than
     feeding an infinite residual through the verdict."""
+    sizes = recorded_draw_sizes(monkeypatch)
     monkeypatch.setattr(verify_module.ambient, "metric_eval",
                         lambda space, p, v, w: 1.0)
     with pytest.raises(DegeneratePlane,
                        match="no well-conditioned tangent plane in 400"):
         check_ambient(SpaceParams(delta=1, tau=1.0))
+    assert sum(sizes[4:]) == 400
+
+
+@pytest.mark.parametrize("tau", (1.0, 5.0, 20.0))
+@pytest.mark.parametrize("delta", (1, -1))
+def test_sectional_planes_drawn_in_chunks(monkeypatch, delta, tau):
+    """Planes are drawn in stream order, a chunk at a time, until 20 are
+    well-conditioned: one chunk here, and the same planes, so the same
+    residual, as drawing all 400 attempts in one go."""
+    space = SpaceParams(delta=delta, tau=tau)
+    sizes = recorded_draw_sizes(monkeypatch)
+    chunked = check_ambient(space).checks[-1]
+    assert sizes[4:] == [verify_module._PLANE_CHUNK]
+    monkeypatch.setattr(verify_module, "_PLANE_CHUNK",
+                        verify_module._PLANE_ATTEMPTS)
+    assert check_ambient(space).checks[-1] == chunked
 
 
 def test_ambient_suite_flat_space():
