@@ -575,8 +575,8 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     curvature formulas against each other on random triples, the
     covariant-derivative wedge identity of the vertical direction, and
     sectional-curvature constancy on the companion space with
-    kappa = -4 tau^2.  Each check evaluates its random points as one batch,
-    and one coordinate-path connection serves every check on this space.
+    kappa = -4 tau^2.  Each check evaluates its random points as one batch;
+    the coordinate-path checks on this space share one connection.
     """
     rng = random.Random(seed)
     delta, tau = space.delta, space.tau
