@@ -17,6 +17,7 @@ segments per table.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from typing import Callable, Optional, Sequence
@@ -221,10 +222,16 @@ def stacked(*xs) -> list:
     return [np.ravel(x) for x in np.broadcast_arrays(*xs)]
 
 
+# lists, not generators, feed the tuples below: CPython resizes a tuple built
+# from a generator, and it then parks in its size's free list (2,000 a size)
 def _split(x, shape: tuple) -> list:
-    """A value stacked over `shape` on its last axis, one per shape[0]."""
+    """A value stacked over `shape` on its last axis, one per shape[0]; a
+    dataclass is split field by field (its fields are its __dict__)."""
+    if dataclasses.is_dataclass(x):
+        return [type(x)(*parts)
+                for parts in _split(list(vars(x).values()), shape)]
     if isinstance(x, (tuple, list)):
-        return list(zip(*(_split(c, shape) for c in x)))
+        return list(zip(*[_split(c, shape) for c in x]))
     if np.ndim(x) == 0:
         return [x] * shape[0]
     x = np.asarray(x)
@@ -233,7 +240,7 @@ def _split(x, shape: tuple) -> list:
 
 def _lift(formula: Callable, *values):
     if isinstance(values[0], tuple):
-        return tuple(map(formula, *values))
+        return tuple([formula(*v) for v in zip(*values)])
     return formula(*values)
 
 
@@ -391,7 +398,7 @@ class CumulativeIntegral:
     bisection and the spot check.  Node values accumulate outward from x0.
 
     Each segment keeps six Horner coefficients in t = (x - node) / width,
-    so `interpolate` is one `searchsorted`, one gather and five
+    so `interpolate` is one `searchsorted`, one gather per row and five
     multiply-adds.  The last node has a segment of its own whose polynomial
     is its value: F(hi) is exactly the last node value.  A call takes a
     float x and returns a float, or takes an ndarray x (any shape,
@@ -503,12 +510,12 @@ class CumulativeIntegral:
     def interpolate(self, x):
         """F at x without the range check, for x known to lie in the range
         (the table build's own reads)."""
-        column = self._segments[:, self.xs.searchsorted(x, side="right") - 1]
-        # a float x computes in Python floats: the same IEEE operations
-        node, scale, *coefficients = (column if isinstance(x, np.ndarray)
-                                      else column.tolist())
-        t = (x - node) * scale
-        y = coefficients[0]
-        for c in coefficients[1:]:
-            y = y * t + c
+        i = self.xs.searchsorted(x, side="right") - 1
+        rows = self._segments  # an array x gathers one row at a time
+        if not isinstance(x, np.ndarray):  # Python floats, same IEEE operations
+            rows, i = rows[:, i:i + 1].tolist(), 0
+        t = (x - rows[0][i]) * rows[1][i]
+        y = rows[2][i]
+        for row in rows[3:]:
+            y = y * t + row[i]
         return y

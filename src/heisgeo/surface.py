@@ -48,10 +48,10 @@ from .errors import (
 )
 from .numeric import (
     Vec3,
+    _stencil,
     as_vec3,
     bilinear3,
     central_partials,
-    directional_diffs,
     finite,
     fmt_float,
     json_dumps,
@@ -122,6 +122,7 @@ class SurfacePatch:
         self.name = name
         self.family = dict(family) if family else None
         self._gauge_sign: Optional[float] = None
+        self._evaluations: dict = {}  # shared by the verify suites, per grid
 
     @property
     def jet_source(self) -> str:
@@ -180,7 +181,7 @@ class SurfacePatch:
                           for c in vec) for vec in raw]
         else:
             vecs = [as_vec3(vec) for vec in raw]
-        require(finite(*(c for vec in vecs for c in vec)), overflow, describe,
+        require(finite(*[c for vec in vecs for c in vec]), overflow, describe,
                 at=at)
         return PatchJet(*vecs)
 
@@ -402,25 +403,29 @@ def _project_tangent(space: SpaceParams, s: _Sample, wf: Vec3) -> Vec3:
     return sub3(wf, scale3(coeff, s.n))
 
 
-def _weingarten_shape(patch: SurfacePatch, u, v, s: _Sample
+def _weingarten_shape(patch: SurfacePatch, u, v
                       ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Shape-operator matrix in the coordinate basis by the Weingarten route:
     S(Fu), S(Fv) from central differences of the normal field plus ambient
     connection corrections: the independent cross-check of the second-form
-    route."""
+    route.  The samples at (u, v) and at the four offsets are one batch."""
     space = patch.space
-    dn_u, dn_v = directional_diffs(
-        lambda uu, vv, *at: _sample(patch, uu, vv, at).n, u, v,
-        ((1.0, 0.0), (0.0, 1.0)), _WEINGARTEN_STEP)
-    cov_u = lincomb3([(1.0, dn_u),
-                      (1.0, ambient.frame_connection_correction(space, s.a, s.n))])
-    cov_v = lincomb3([(1.0, dn_v),
-                      (1.0, ambient.frame_connection_correction(space, s.b, s.n))])
-    c1 = _tangent_coefficients(
-        space, s, _project_tangent(space, s, scale3(-1.0, cov_u)))
-    c2 = _tangent_coefficients(
-        space, s, _project_tangent(space, s, scale3(-1.0, cov_v)))
-    return ((c1[0], c2[0]), (c1[1], c2[1]))
+    h = np.full(np.shape(u), _WEINGARTEN_STEP)
+
+    def samples(du, dv):
+        uu, vv, au, av = stacked(u + du, v + dv, u, v)  # guards name (u, v)
+        return _sample(patch, uu, vv, (au, av))
+
+    s, up, um, vp, vm = _stencil(samples, h, (0.0, 1.0, -1.0, 0.0, 0.0),
+                                 (0.0, 0.0, 0.0, 1.0, -1.0))
+    columns = []
+    for x, plus, minus in ((s.a, up, um), (s.b, vp, vm)):
+        dn = tuple((p - m) / (2.0 * h) for p, m in zip(plus.n, minus.n))
+        cov = lincomb3([(1.0, dn),
+                        (1.0, ambient.frame_connection_correction(space, x, s.n))])
+        columns.append(_tangent_coefficients(
+            space, s, _project_tangent(space, s, scale3(-1.0, cov))))
+    return tuple(zip(*columns))
 
 
 def _second_form(space: SpaceParams, s: _Sample
@@ -476,25 +481,30 @@ def _adapted_frame(space: SpaceParams, s: _Sample
                    ) -> tuple[tuple[float, float], tuple[float, float], float]:
     """Coordinate coefficients of the adapted vectors T and JT, and g(T,T)."""
     t_frame = s.t_frame
-    g_tt = ambient.frame_metric(space, t_frame, t_frame)
-    require(abs(g_tt) >= _ADAPTED_TOL, DegenerateAdaptedFrame,
-            lambda g: f"|g(T,T)| = {abs(g)} too small for the adapted basis",
-            g_tt, at=s.at)
     return (_tangent_coefficients(space, s, t_frame),
             _tangent_coefficients(
                 space, s, ambient.wedge_frame(space, s.n, t_frame)),
-            g_tt)
+            ambient.frame_metric(space, t_frame, t_frame))
 
 
-def _adapted_entries(frame, m, at: Optional[tuple] = None
-                     ) -> tuple[float, float, float, float]:
+def _require_adapted(frame, at: tuple):
+    """`frame`; raises DegenerateAdaptedFrame, naming the samples `at`,
+    where its adapted basis cannot be built."""
+    (t1, t2), (j1, j2), g_tt = frame
+    require(abs(g_tt) >= _ADAPTED_TOL, DegenerateAdaptedFrame,
+            lambda g: f"|g(T,T)| = {abs(g)} too small for the adapted basis",
+            g_tt, at=at)
+    require(t1 * j2 - j1 * t2 != 0.0, DegenerateAdaptedFrame,
+            lambda: "adapted basis change is singular", at=at)
+    return frame
+
+
+def _adapted_entries(frame, m) -> tuple[float, float, float, float]:
     """Entries (a11, a12, a21, a22) of B^{-1} M B, where the columns of B
     are the adapted vectors (T, JT) of `frame` (from :func:`_adapted_frame`)
-    in the coordinate tangent basis; `at` is the samples' (u, v)."""
+    in the coordinate tangent basis."""
     (t1, t2), (j1, j2), _ = frame
     det_b = t1 * j2 - j1 * t2
-    require(det_b != 0.0, DegenerateAdaptedFrame,
-            lambda: "adapted basis change is singular", at=at)
     mt1 = m[0][0] * t1 + m[0][1] * t2
     mt2 = m[1][0] * t1 + m[1][1] * t2
     mj1 = m[0][0] * j1 + m[0][1] * j2
@@ -503,19 +513,17 @@ def _adapted_entries(frame, m, at: Optional[tuple] = None
             (t1 * mt2 - t2 * mt1) / det_b, (t1 * mj2 - t2 * mj1) / det_b)
 
 
-def shape_operator(patch: SurfacePatch, u, v, basis: str = "coordinate", *,
-                   at: Optional[tuple] = None) -> ShapeOperator2x2:
+def shape_operator(patch: SurfacePatch, u, v,
+                   basis: str = "coordinate") -> ShapeOperator2x2:
     """Shape operator matrix at (u, v) in the requested basis: S = eps I^{-1} h
-    from the second fundamental form.  Its guards name the samples `at`
-    (default (u, v)), which a stencil passes on from its centre."""
-    s = _sample(patch, u, v, at)
+    from the second fundamental form."""
+    s = _sample(patch, u, v)
     m = _second_form_shape(patch.space, s)
     if basis == "coordinate":
         return ShapeOperator2x2(m[0][0], m[0][1], m[1][0], m[1][1], "coordinate")
     if basis == "adapted-TJT":
-        return ShapeOperator2x2(
-            *_adapted_entries(_adapted_frame(patch.space, s), m, s.at),
-            "adapted-TJT")
+        frame = _require_adapted(_adapted_frame(patch.space, s), s.at)
+        return ShapeOperator2x2(*_adapted_entries(frame, m), "adapted-TJT")
     raise ValueError(f"unknown shape-operator basis {basis!r}")
 
 
@@ -696,7 +704,8 @@ def geometry_report(patch: SurfacePatch, n_u: int, n_v: int) -> GeometryReport:
     s = _sample(patch, u, v)
     m = _second_form_shape(space, s)
     if basis == "adapted-TJT":
-        entries = _adapted_entries(_adapted_frame(space, s), m, s.at)
+        entries = _adapted_entries(
+            _require_adapted(_adapted_frame(space, s), s.at), m)
     else:
         entries = (m[0][0], m[0][1], m[1][0], m[1][1])
     t_coords = ambient.from_frame_components(space, s.jet.p, s.t_frame)

@@ -22,9 +22,10 @@ Each check turns one proved identity into a machine-checkable residual:
   each other, and sectional-curvature constancy on the matching
   constant-curvature parameter choice, each on one batch of random points.
 
-Every patch check evaluates its grid as one batch of samples (and all the
-offsets of its stencil, stacked, as one more batch), and reports the
-maximum residual; a NaN or infinite residual raises
+The patch suites share one evaluation of each (patch, grid), kept on the
+patch: the grid as one batch of samples and, on first demand, one order-4
+(u, v) stencil, its offsets one more batch.  Each check reports the maximum
+residual; a NaN or infinite residual raises
 :class:`~heisgeo.errors.NonFiniteResidual` instead of passing or failing.
 Every suite is deterministic given (inputs, grid, seed).
 """
@@ -50,6 +51,7 @@ from .surface import (
     _adapted_entries,
     _adapted_frame,
     _extrinsic_k,
+    _require_adapted,
     _sample,
     _second_form_shape,
     _weingarten_shape,
@@ -191,6 +193,76 @@ def interior_grid(patch: SurfacePatch,
     return list(zip(u.tolist(), v.tolist()))
 
 
+# ---- the grid evaluation the patch suites share ----
+
+# rows of the stencil's fields after the coordinate S (rows 0-3): (e, f, g),
+# mu, the parallel frame's entries and F1's ambient components
+_METRIC, _MU, _ENTRIES, _F1 = slice(4, 7), 7, slice(8, 11), slice(11, 14)
+
+
+class _Evaluation:
+    """What the patch suites read at the samples `s` at (u, v): the coordinate
+    S `m`, the adapted frame and entries (a11, a12, a21, a22), and the
+    parallel frame (F1, F2) = (T, JT) / sqrt|g(T,T)|, swapped where T is
+    timelike so that F1 is spacelike, with its coordinate coefficients
+    `dirs`, entries (S11, S12, S22) and ambient components `amb`.  Only the
+    suites that read the adapted frame guard it.  A patch keeps one per grid
+    and is not referenced back, so the evaluation dies with it."""
+
+    def __init__(self, patch: SurfacePatch, u, v, at: Optional[tuple] = None):
+        space = patch.space
+        self.s = s = _sample(patch, u, v, at)
+        self.m = _second_form_shape(space, s)
+        self.frame = _adapted_frame(space, s)
+        self.adapted = a11, a12, a21, a22 = _adapted_entries(self.frame, self.m)
+        (t1, t2), (j1, j2), g_tt = self.frame
+        r = np.sqrt(abs(g_tt))
+        t_frame = s.t_frame
+        jt_frame = ambient.wedge_frame(space, s.n, t_frame)
+        # g(T,T) = -1 - nu^2 on delta = -1 patches: JT is the spacelike one
+        t_first = g_tt > 0.0
+        # T / r and JT / r: coordinate coefficients, then ambient components
+        units = (t1, t2, *t_frame), (j1, j2, *jt_frame)
+        f1, f2 = ([select(t_first, x / r, y / r) for x, y in zip(*pair)]
+                  for pair in (units, units[::-1]))
+        self.dirs, self.amb = (f1[:2], f2[:2]), (f1[2:], f2[2:])
+        self.entries = select(t_first, (a11, a12, a22), (a22, a21, a11))
+        self._partials = self._stencil_frame = None
+
+    def partials(self, patch: SurfacePatch) -> np.ndarray:
+        """d/du and d/dv of the fields at the samples, from one order-4
+        stencil whose 8 offsets are one batch; made on first demand."""
+        if self._partials is None:
+            frames = []
+
+            def fields(uu, vv, *at):  # guards name the grid sample
+                e = _Evaluation(patch, uu, vv, at)
+                frames.append((e.frame, at))
+                return (*e.m[0], *e.m[1], e.s.form.e, e.s.form.f, e.s.form.g,
+                        e.adapted[3], *e.entries, *e.amb[0])
+
+            self._partials = np.array(directional_diffs(
+                fields, *self.s.at, ((1.0, 0.0), (0.0, 1.0)), _SURFACE_STEP,
+                order=4))
+            self._stencil_frame, = frames
+        return self._partials
+
+    def adapted_partials(self, patch: SurfacePatch) -> np.ndarray:
+        """The partials, after guarding the adapted frame at every point."""
+        _require_adapted(self.frame, self.s.at)
+        partials = self.partials(patch)
+        _require_adapted(*self._stencil_frame)
+        return partials
+
+
+def _grid_evaluation(patch: SurfacePatch, grid: tuple[int, int]) -> _Evaluation:
+    """The patch's evaluation of its interior grid, made on first use."""
+    key = (int(grid[0]), int(grid[1]))
+    if key not in patch._evaluations:
+        patch._evaluations[key] = _Evaluation(patch, *_interior_batch(patch, key))
+    return patch._evaluations[key]
+
+
 # ---- gauss ----
 
 
@@ -198,11 +270,11 @@ def interior_grid(patch: SurfacePatch,
 def check_gauss(patch: SurfacePatch, grid: tuple[int, int] = (15, 15),
                 tolerances: Optional[dict] = None) -> CheckResult:
     """max |K_intrinsic - K_extrinsic| over an interior grid."""
-    u, v = _interior_batch(patch, grid)
-    k_ext = gaussian_curvature(patch, u, v, method="extrinsic")
-    k_int = gaussian_curvature(patch, u, v, method="intrinsic")
-    return _check("gauss.extrinsic_vs_intrinsic", abs(k_int - k_ext),
-                  tolerances, (u, v))
+    ev = _grid_evaluation(patch, grid)
+    k_int = gaussian_curvature(patch, *ev.s.at, method="intrinsic")
+    return _check("gauss.extrinsic_vs_intrinsic",
+                  abs(k_int - _extrinsic_k(patch.space, ev.s, ev.m)),
+                  tolerances, ev.s.at)
 
 
 @quiet
@@ -216,9 +288,8 @@ def check_shape_operator_routes(patch: SurfacePatch,
     without `jet=` both routes also carry the differenced jet's error.
     """
     u, v = _interior_batch(patch, _ROUTE_GRID)
-    s = _sample(patch, u, v)
-    analytic = _second_form_shape(patch.space, s)
-    weingarten = _weingarten_shape(patch, u, v, s)
+    analytic = shape_operator(patch, u, v).entries()
+    weingarten = _weingarten_shape(patch, u, v)
     scale, gap = 1.0, 0.0
     for i in range(2):
         for j in range(2):
@@ -240,15 +311,9 @@ def _induced_christoffels(form: FirstFundamentalForm, du, dv
           ((dv[0], dv[1]), (dv[1], dv[2])))
     det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
     inv = ((g[1][1] / det, -g[0][1] / det), (-g[1][0] / det, g[0][0] / det))
-    gamma = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                acc = 0.0
-                for l in range(2):
-                    acc += inv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
-                gamma[k][i][j] = 0.5 * acc
-    return gamma
+    return [[[0.5 * sum(inv[k][l] * (dg[i][j][l] + dg[j][i][l] - dg[l][i][j])
+                        for l in range(2))
+              for j in range(2)] for i in range(2)] for k in range(2)]
 
 
 @quiet
@@ -256,10 +321,10 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
                   tolerances: Optional[dict] = None) -> CheckResult:
     """Codazzi residual with X = d/du, Y = d/dv over an interior grid.
 
-    The covariant derivative of the S-field uses central differences of the
-    coordinate-basis S matrix plus induced-connection corrections; the
-    comparison vector is measured in ambient frame components.  The grid is
-    one batch, and its 8 stencil offsets are one more.
+    The covariant derivative of the S-field uses the grid evaluation's
+    central differences of the coordinate-basis S matrix plus
+    induced-connection corrections; the comparison vector is measured in
+    ambient frame components.
     """
     (u0, u1), (v0, v1) = patch.domain
     if 2.0 * _SURFACE_STEP > 0.25 * min(u1 - u0, v1 - v0):
@@ -267,31 +332,15 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
             f"stencil step {_SURFACE_STEP} too large for domain {patch.domain}")
     space = patch.space
     tau = space.tau
-
-    def fields(uu, vv, *at):
-        # (S11, S12, S21, S22, e, f, g): S in the coordinate basis and the
-        # induced metric, from one sample batch
-        s = _sample(patch, uu, vv, at)  # guards name the grid sample
-        m = _second_form_shape(space, s)
-        form = s.form
-        return (*m[0], *m[1], form.e, form.f, form.g)
-
-    u, v = _interior_batch(patch, grid)
-    s = _sample(patch, u, v)
-    m0 = _second_form_shape(space, s)
-    du, dv = directional_diffs(fields, u, v, ((1.0, 0.0), (0.0, 1.0)),
-                               _SURFACE_STEP, order=4)
-    # d/du of S(d/dv) and d/dv of S(d/du), coefficient 2-vectors
-    du_sv = (du[1], du[3])
-    dv_su = (dv[0], dv[2])
-    gamma = _induced_christoffels(s.form, du[4:], dv[4:])
-    s_col_v = (m0[0][1], m0[1][1])
-    s_col_u = (m0[0][0], m0[1][0])
-    lhs = [0.0, 0.0]
-    for k in range(2):
-        cu = du_sv[k] + sum(gamma[k][0][j] * s_col_v[j] for j in range(2))
-        cv = dv_su[k] + sum(gamma[k][1][j] * s_col_u[j] for j in range(2))
-        lhs[k] = cu - cv
+    ev = _grid_evaluation(patch, grid)
+    s, m0 = ev.s, ev.m
+    du, dv = ev.partials(patch)
+    gamma = _induced_christoffels(s.form, du[_METRIC], dv[_METRIC])
+    # covariant d/du of S(d/dv) minus d/dv of S(d/du), coefficients k: the
+    # rows of S(d/dv) are S12, S22 and those of S(d/du) S11, S21
+    lhs = [(du[2 * k + 1] + sum(gamma[k][0][j] * m0[j][1] for j in range(2)))
+           - (dv[2 * k] + sum(gamma[k][1][j] * m0[j][0] for j in range(2)))
+           for k in range(2)]
     t_frame = s.t_frame
     g_ut = ambient.frame_metric(space, s.a, t_frame)
     g_vt = ambient.frame_metric(space, s.b, t_frame)
@@ -300,7 +349,7 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     cu, cv = lhs[0] - rhs[0], lhs[1] - rhs[1]
     w = tuple(cu * s.a[i] + cv * s.b[i] for i in range(3))
     return _check("codazzi.coordinate_fields",
-                  np.sqrt(w[0] ** 2 + w[1] ** 2 + w[2] ** 2), tolerances, (u, v))
+                  np.sqrt(w[0] ** 2 + w[1] ** 2 + w[2] ** 2), tolerances, s.at)
 
 
 # ---- helix ODE ----
@@ -310,26 +359,22 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
 def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
                     tolerances: Optional[dict] = None) -> CheckResult:
     """Residual of T(mu) + mu^2 nu - 4 delta tau^2 nu^3 on a constant-angle
-    patch, with mu the varying adapted-basis shape entry, differenced along
-    each sample's own T (its stencil offsets as one batch)."""
-    u, v = _interior_batch(patch, grid)
-    s = _sample(patch, u, v)
-    nu = s.nu
+    patch, with mu the varying adapted-basis shape entry and T(mu) from the
+    grid evaluation's partials."""
+    ev = _grid_evaluation(patch, grid)
+    nu = ev.s.nu
     spread = nu.max() - nu.min()
     if not spread <= _CONSTANT_ANGLE_RANGE:
         raise NotAHelixPatch(f"angle function varies by {spread:.3e} over the grid")
     space = patch.space
     tau = space.tau
-    frame = _adapted_frame(space, s)
-    t1, t2 = frame[0]
-    t_mu, = directional_diffs(
-        lambda uu, vv, *at: shape_operator(patch, uu, vv, basis="adapted-TJT",
-                                           at=at).s22,
-        u, v, ((t1, t2),), _SURFACE_STEP, order=4)
-    mu0 = _adapted_entries(frame, _second_form_shape(space, s), s.at)[3]
+    (t1, t2), _, _ = ev.frame
+    du, dv = ev.adapted_partials(patch)
+    t_mu = t1 * du[_MU] + t2 * dv[_MU]
+    mu0 = ev.adapted[3]
     return _check("helix_ode.residual",
                   abs(t_mu + mu0 * mu0 * nu - 4.0 * space.delta * tau * tau * nu ** 3),
-                  tolerances, (u, v))
+                  tolerances, ev.s.at)
 
 
 # ---- parallel ----
@@ -337,10 +382,10 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
 
 @dataclass
 class ParallelCheckInput:
-    """Inputs for the parallel-surface equations in a pseudo-orthonormal
-    tangent frame {F1, F2} with g(F1,F1) = 1 and g(F2,F2) = -eps.
-    :func:`check_parallel` uses the unit adapted frame (T, JT) / sqrt|g(T,T)|,
-    the spacelike vector first.
+    """Inputs for the parallel-surface equations on synthetic data, in a
+    pseudo-orthonormal tangent frame {F1, F2} with g(F1,F1) = 1 and
+    g(F2,F2) = -eps.  On a patch, :func:`check_parallel` reads the same
+    quantities, in the unit adapted frame, from the grid evaluation.
 
     The callables take (u, v) as floats or as 1-D arrays (a batch of
     points) and return floats or arrays over the batch; a returned number
@@ -353,7 +398,7 @@ class ParallelCheckInput:
     omega(u, v, k) -> g(nabla_{F_k} F1, F2) for k in {0, 1}.
     """
 
-    eps: int  # or one int per point (an int array), as on patches
+    eps: int  # or one int per point (an int array)
     points: Sequence[tuple[float, float]]
     frame_directions: Callable[[float, float],
                                tuple[tuple[float, float], tuple[float, float]]]
@@ -361,24 +406,17 @@ class ParallelCheckInput:
     omega: Callable[[float, float, int], float]
 
 
-def _parallel_residuals(inp: ParallelCheckInput):
-    """Per-point max residual of the parallel equations, and the points."""
-    pts = np.asarray(inp.points, dtype=float).reshape(-1, 2)
-    u, v = pts[:, 0].copy(), pts[:, 1].copy()
-    eps = inp.eps
-    dirs = inp.frame_directions(u, v)
-    s11, s12, s22 = inp.entries(u, v)
-    worst = np.zeros_like(u)
-    along = directional_diffs(lambda uu, vv, *at: inp.entries(uu, vv), u, v,
-                              dirs, _SURFACE_STEP)
-    for k in (0, 1):
-        x_s11, x_s12, x_s22 = along[k]
-        w = inp.omega(u, v, k)
+def _parallel_residuals(eps, entries, along, omega):
+    """Per-point max residual of the parallel equations: `along[k]` and
+    `omega[k]` are X(S11, S12, S22) and w(X) for X = F_k."""
+    s11, s12, s22 = entries
+    worst = 0.0
+    for (x_s11, x_s12, x_s22), w in zip(along, omega):
         for r in (abs(x_s11 + 2.0 * eps * s12 * w),
                   abs(x_s12 - (s22 - s11) * w),
                   abs(x_s22 - 2.0 * eps * s12 * w)):
             worst = np.maximum(worst, r)  # NaN propagates
-    return worst, (u, v)
+    return worst
 
 
 def parallel_equations_residuals(inp: ParallelCheckInput) -> float:
@@ -390,85 +428,33 @@ def parallel_equations_residuals(inp: ParallelCheckInput) -> float:
 
     over the given points with X ranging over the frame (NaN if any
     residual is NaN)."""
-    return float(_parallel_residuals(inp)[0].max())
-
-
-def _parallel_input(patch: SurfacePatch, points: Sequence[tuple[float, float]]
-                    ) -> tuple[ParallelCheckInput, tuple]:
-    """Parallel-check input on the patch, and the centre batch it evaluates
-    once, up front: the samples at `points`, their coordinate S and adapted
-    entries (a11, a12, a21, a22).  Its eps holds one causal character per
-    point."""
-    space = patch.space
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    u0, v0 = pts[:, 0].copy(), pts[:, 1].copy()
-
-    def evaluate(u, v):
-        """Frame directions (F1, F2), entries (S11, S12, S22), the frame's
-        ambient components (w1, w2), and the sample batch, coordinate S and
-        adapted entries at (u, v).  The frame is (T, JT) / r with
-        r = sqrt|g(T,T)|, swapped where T is timelike so that F1 is the
-        spacelike vector."""
-        # the centre batch or its offsets, offset-major: name the grid samples
-        reps = np.size(u) // u0.size
-        s = _sample(patch, u, v, (np.tile(u0, reps), np.tile(v0, reps)))
-        m = _second_form_shape(space, s)
-        frame = _adapted_frame(space, s)
-        adapted = _adapted_entries(frame, m, s.at)
-        a11, a12, a21, a22 = adapted
-        (t1, t2), (j1, j2), g_tt = frame
-        r = np.sqrt(abs(g_tt))
-        t_frame = s.t_frame
-        jt_frame = ambient.wedge_frame(space, s.n, t_frame)
-        # g(T,T) = -1 - nu^2 on delta = -1 patches: JT is the spacelike one
-        t_first = g_tt > 0.0
-        dirs = (select(t_first, (t1 / r, t2 / r), (j1 / r, j2 / r)),
-                select(t_first, (j1 / r, j2 / r), (t1 / r, t2 / r)))
-        w_t = tuple(c / r for c in t_frame)
-        w_jt = tuple(c / r for c in jt_frame)
-        amb = (select(t_first, w_t, w_jt), select(t_first, w_jt, w_t))
-        return (dirs, select(t_first, (a11, a12, a22), (a22, a21, a11)), amb,
-                (s, m, adapted))
-
-    # the entries and the ambient frame are differenced at the same displaced
-    # points: a cache keyed by the points' bytes holds the centre batch and
-    # the batch of its 4 stencil offsets
-    cache: dict = {}
-
-    def point(u, v):
-        k = np.shape(u), np.asarray(u).tobytes(), np.asarray(v).tobytes()
-        if k not in cache:
-            cache[k] = evaluate(u, v)
-        return cache[k]
-
-    centre = point(u0, v0)[3]
-
-    def omega(u, v, k: int):
-        dirs, _, (w1, w2), _ = point(u, v)
-        dw = directional_diffs(lambda uu, vv, *at: point(uu, vv)[2][0], u, v,
-                               dirs, _SURFACE_STEP)[k]
-        x_amb = (w1, w2)[k]
-        corr = ambient.frame_connection_correction(space, x_amb, w1)
-        nab = tuple(dw[i] + corr[i] for i in range(3))
-        return ambient.frame_metric(space, nab, w2)
-
-    return ParallelCheckInput(centre[0].eps, points, lambda u, v: point(u, v)[0],
-                              lambda u, v: point(u, v)[1], omega), centre
+    pts = np.asarray(inp.points, dtype=float).reshape(-1, 2)
+    u, v = pts[:, 0].copy(), pts[:, 1].copy()
+    along = directional_diffs(lambda uu, vv, *at: inp.entries(uu, vv), u, v,
+                              inp.frame_directions(u, v), _SURFACE_STEP)
+    return float(_parallel_residuals(inp.eps, inp.entries(u, v), along,
+                                     [inp.omega(u, v, k) for k in (0, 1)]).max())
 
 
 @quiet
 def check_parallel(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
-                   tolerances: Optional[dict] = None, *,
-                   inp: Optional[ParallelCheckInput] = None) -> CheckResult:
-    """Parallel-surface equations over an interior grid; verdict 'pass'
-    means the patch is parallel to tolerance.  `inp` is the input that
-    :func:`_parallel_input` builds for this patch and grid when not given;
-    :func:`check_claims` passes its own so both read one evaluation per
-    point."""
-    if inp is None:
-        inp = _parallel_input(patch, interior_grid(patch, grid))[0]
-    worst, at = _parallel_residuals(inp)
-    return _check("parallel.equations", worst, tolerances, at)
+                   tolerances: Optional[dict] = None) -> CheckResult:
+    """Parallel-surface equations over an interior grid, in the unit
+    adapted frame, from the grid evaluation; verdict 'pass' means the patch
+    is parallel to tolerance."""
+    space = patch.space
+    ev = _grid_evaluation(patch, grid)
+    du, dv = ev.adapted_partials(patch)
+    w1, w2 = ev.amb
+    omega = []
+    for x, x_amb in zip(ev.dirs, ev.amb):
+        corr = ambient.frame_connection_correction(space, x_amb, w1)
+        omega.append(ambient.frame_metric(
+            space, x[0] * du[_F1] + x[1] * dv[_F1] + corr, w2))
+    along = [x[0] * du[_ENTRIES] + x[1] * dv[_ENTRIES] for x in ev.dirs]
+    return _check("parallel.equations",
+                  _parallel_residuals(ev.s.eps, ev.entries, along, omega),
+                  tolerances, ev.s.at)
 
 
 # ---- claims ----
@@ -489,11 +475,12 @@ def check_claims(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     """
     space = patch.space
     tau = space.tau
-    # the parallel check evaluates the grid as one batch; H, nu, K_ext and
-    # the adapted entries are read from that same evaluation
-    inp, (s, m, (a11, a12, _, a22)) = _parallel_input(
-        patch, interior_grid(patch, grid))
-    parallel = check_parallel(patch, grid, tolerances=tolerances, inp=inp)
+    # H, nu, K_ext and the adapted entries come from the parallel check's
+    # grid evaluation
+    parallel = check_parallel(patch, grid, tolerances=tolerances)
+    ev = _grid_evaluation(patch, grid)
+    s = ev.s
+    a11, a12, _, a22 = ev.adapted
     at = s.at
     hs = 0.5 * (a11 + a22)
     h_range = hs.max() - hs.min()
@@ -506,9 +493,9 @@ def check_claims(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     is_cmc = h_range <= cmc_tol
     checks.append(_check("claims.cmc_iff_parallel",
                          0.0 if is_cmc == parallel.passed else 1.0, tolerances))
-    target = 4.0 * space.delta * inp.eps * tau * tau * nu_mean * nu_mean
+    target = 4.0 * space.delta * s.eps * tau * tau * nu_mean * nu_mean
     checks.append(_check("claims.constant_angle_gauss",
-                         abs(_extrinsic_k(space, s, m) - target), tolerances, at))
+                         abs(_extrinsic_k(space, s, ev.m) - target), tolerances, at))
     checks.append(_check("claims.mean_from_adapted_s22", abs(hs - 0.5 * a22),
                          tolerances, at))
     checks.append(_check("claims.non_umbilic", abs(tau) - abs(a12), tolerances,
@@ -739,21 +726,15 @@ def run_suite(name: str, *, patch: Optional[SurfacePatch] = None,
         suite = check_ambient(patch.space, seed=seed, tolerances=tolerances)
         suite.grid = grid
         return suite
-    descriptor = dict(patch.family) if patch.family else None
     if name == "claims":
-        suite = check_claims(patch, grid, seed=seed, tolerances=tolerances)
-        return suite
+        return check_claims(patch, grid, seed=seed, tolerances=tolerances)
+    check = {"gauss": check_gauss, "codazzi": check_codazzi,
+             "helix_ode": check_helix_ode, "parallel": check_parallel}[name]
+    checks = [check(patch, grid, tolerances=tolerances)]
     if name == "gauss":
-        checks = [check_gauss(patch, grid, tolerances=tolerances),
-                  check_shape_operator_routes(patch, tolerances=tolerances)]
-    elif name == "codazzi":
-        checks = [check_codazzi(patch, grid, tolerances=tolerances)]
-    elif name == "helix_ode":
-        checks = [check_helix_ode(patch, grid, tolerances=tolerances)]
-    else:
-        checks = [check_parallel(patch, grid, tolerances=tolerances)]
-    return ResidualSuite(name, seed, checks, grid=grid,
-                         patch_descriptor=descriptor)
+        checks.append(check_shape_operator_routes(patch, tolerances=tolerances))
+    return ResidualSuite(name, seed, checks, grid=grid, patch_descriptor=dict(
+        patch.family) if patch.family else None)
 
 
 def merge_suites(suites: Sequence[ResidualSuite], seed: int) -> ResidualSuite:

@@ -229,7 +229,7 @@ def weingarten_route_gap(patch) -> float:
     worst = 0.0
     for (u, v) in ((0.0, 0.0), (0.45, -0.35), (-0.6, 0.8)):
         got = shape_operator(patch, u, v, basis="coordinate").entries()
-        alt = _weingarten_shape(patch, u, v, _sample(patch, u, v))
+        alt = _weingarten_shape(patch, u, v)
         scale = max(1.0, max(abs(x) for row in got for x in row))
         worst = max(worst, max(abs(got[i][j] - alt[i][j])
                                for i in range(2) for j in range(2)) / scale)

@@ -1,15 +1,19 @@
 """Unit tests for the residual suites and verification plumbing."""
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
 
+from heisgeo import cli
 from heisgeo.ambient import SpaceParams, curvature_frame
-from heisgeo.errors import (DegeneratePlane, NonFiniteJet, NonFiniteResidual,
-                            NotAHelixPatch, StencilTooCoarse)
+from heisgeo.errors import (DegenerateAdaptedFrame, DegeneratePlane,
+                            NonFiniteJet, NonFiniteResidual, NotAHelixPatch,
+                            StencilTooCoarse)
 from heisgeo.families import (
     EtaSpec,
     HelixProfile,
@@ -31,7 +35,6 @@ from heisgeo.verify import (
     DEFAULT_SEED,
     DEFAULT_TOLERANCES,
     ParallelCheckInput,
-    _parallel_input,
     ResidualSuite,
     SUITE_NAMES,
     check_ambient,
@@ -140,18 +143,22 @@ def test_helix_ode_rejects_varying_angle():
 
 #: SurfacePatch.jet calls per patch suite on a new spacelike helix at (8, 8),
 #: one of them for the normal gauge.  A call is one batch: the grid, or all
-#: the stencil offsets of one stencil stacked (gauss: the grid, the 9
-#: intrinsic-K offsets, the route check's 4x4 grid and its 4 Weingarten
-#: offsets; codazzi: the grid and its 8 offsets; helix_ode: the grid and
-#: its 4; parallel and claims: the grid and its 4).  A suite that starts
-#: resampling points it already has, evaluates a stencil offset by offset,
-#: or loops over points, fails here
+#: the offsets of one stencil stacked.  The patch suites share the grid
+#: batch and the 8 offsets of one (u, v) stencil (codazzi, helix_ode,
+#: parallel and claims: those two); gauss adds the 9 intrinsic-K offsets,
+#: the route check's 4x4 grid and its Weingarten batch (the 4x4 grid again
+#: with its 4 offsets).  A suite that starts resampling points it already
+#: has, evaluates a stencil offset by offset, or loops over points, fails
+#: here
 JET_BUDGET = {"gauss": 5, "codazzi": 3, "helix_ode": 3,
               "parallel": 3, "claims": 3}
+#: the same count for the CLI's `verify --suite all` sequence on one patch,
+#: which shares the grid and the stencil: 11 when each suite sampled its own
+ALL_SUITES_JETS = 6
 
 
-@pytest.mark.parametrize("suite", sorted(JET_BUDGET))
-def test_suite_jet_counts_within_budget(monkeypatch, suite):
+def counted_jets(monkeypatch) -> list:
+    """[number of SurfacePatch.jet calls from now on]"""
     calls = [0]
     jet = SurfacePatch.jet
 
@@ -160,8 +167,57 @@ def test_suite_jet_counts_within_budget(monkeypatch, suite):
         return jet(self, u, v, **kwargs)
 
     monkeypatch.setattr(SurfacePatch, "jet", counting_jet)
+    return calls
+
+
+@pytest.mark.parametrize("suite", sorted(JET_BUDGET))
+def test_suite_jet_counts_within_budget(monkeypatch, suite):
+    calls = counted_jets(monkeypatch)
     run_suite(suite, patch=spacelike_helix(), grid=(8, 8))
     assert calls[0] <= JET_BUDGET[suite]
+
+
+def test_all_suites_share_one_grid_evaluation(monkeypatch):
+    calls = counted_jets(monkeypatch)
+    patch = spacelike_helix()
+    for suite in cli._ALL_SUITES:
+        run_suite(suite, patch=patch, grid=(8, 8))
+    assert calls[0] <= ALL_SUITES_JETS
+
+
+def test_grid_evaluation_dies_with_its_patch():
+    """The suites keep their shared evaluation on the patch.  It must not
+    refer back to the patch: a reference cycle would keep every patch
+    alive until the next garbage collection."""
+    gc.disable()
+    try:
+        patch = spacelike_helix()
+        for suite in cli._ALL_SUITES:
+            run_suite(suite, patch=patch, grid=(8, 8))
+        assert patch._evaluations
+        ref = weakref.ref(patch)
+        del patch
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_degenerate_adapted_frame_only_where_adapted_quantities_are_read():
+    """On the tau = 0 plane (u, v, 0), E3 is normal, so g(T, T) = 0 at every
+    sample.  The shared stencil evaluates the adapted frame for every suite,
+    but only the suites that read adapted quantities guard it: gauss and
+    codazzi pass, and helix_ode, parallel and claims raise at the first
+    grid sample."""
+    patch = SurfacePatch(SpaceParams(delta=1, tau=0.0),
+                         lambda u, v: (u, v, 0.0), ((-1.0, 1.0), (-1.0, 1.0)))
+    for suite in ("gauss", "codazzi"):
+        assert run_suite(suite, patch=patch, grid=(9, 9)).passed
+    first = interior_grid(patch, (9, 9))[0]
+    assert first == pytest.approx((-0.97, -0.97))
+    for suite in ("helix_ode", "parallel", "claims"):
+        with pytest.raises(DegenerateAdaptedFrame) as err:
+            run_suite(suite, patch=patch, grid=(9, 9))
+        assert err.value.sample == first
 
 
 @pytest.mark.parametrize("suite", sorted(JET_BUDGET))
@@ -212,20 +268,18 @@ def test_parallel_frame_is_the_unit_adapted_frame(index):
     is pseudo-orthonormal and its entries are the adapted ones, swapped to
     (a22, a21, a11) where T is timelike (delta = -1)."""
     patch = frame_patches()[index]
-    pts = interior_grid(patch, (4, 4))
-    inp, _ = _parallel_input(patch, pts)
-    for i, (u, v) in enumerate(pts):
-        s = _sample(patch, u, v)
-        pair = s.form.pair
-        f1, f2 = inp.frame_directions(u, v)
-        assert inp.eps[i] == s.eps
-        assert pair(f1, f1) == pytest.approx(1.0, abs=1e-12)
-        assert pair(f2, f2) == pytest.approx(-s.eps, abs=1e-12)
-        assert abs(pair(f1, f2)) <= 1e-12
-        a11, a12, a21, a22 = _adapted_entries(
-            _adapted_frame(patch.space, s), _second_form_shape(patch.space, s))
-        want = (a11, a12, a22) if patch.space.delta == 1 else (a22, a21, a11)
-        assert inp.entries(u, v) == want
+    ev = verify_module._grid_evaluation(patch, (4, 4))
+    s = _sample(patch, *map(np.array, zip(*interior_grid(patch, (4, 4)))))
+    pair = s.form.pair
+    f1, f2 = ev.dirs
+    assert (ev.s.eps == s.eps).all()
+    assert pair(f1, f1) == pytest.approx(np.ones(16), abs=1e-12)
+    assert pair(f2, f2) == pytest.approx(-s.eps, abs=1e-12)
+    assert np.abs(pair(f1, f2)).max() <= 1e-12
+    a11, a12, a21, a22 = _adapted_entries(
+        _adapted_frame(patch.space, s), _second_form_shape(patch.space, s))
+    want = (a11, a12, a22) if patch.space.delta == 1 else (a22, a21, a11)
+    assert np.array_equal(ev.entries, want)
 
 
 def test_parallel_synthetic_multiple_of_identity():
