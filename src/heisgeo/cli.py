@@ -9,6 +9,7 @@ not expect; a bug, never a check verdict).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -28,7 +29,7 @@ from .errors import (
     VerifyError,
 )
 from .families import family_from_config
-from .numeric import fmt_float, json_dumps, quiet
+from .numeric import FLOAT_FORMAT, fmt_float, json_dumps, quiet
 from .surface import (SurfacePatch, _sample, gaussian_curvature,
                       geometry_report, grid_batch, grid_points)
 from .verify import (
@@ -200,6 +201,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_PASS if merged.passed else EXIT_SUITE_FAILURE
 
 
+#: one OBJ vertex line, and the two triangles of one grid quad
+_VERTEX_LINE = "v " + " ".join([FLOAT_FORMAT] * 3)
+_QUAD_LINES = "f %d %d %d\nf %d %d %d"
+
+
 def _obj_text(patch: SurfacePatch, n_u: int, n_v: int) -> str:
     uc, vc = patch.center()
     s = _sample(patch, uc, vc)
@@ -216,17 +222,12 @@ def _obj_text(patch: SurfacePatch, n_u: int, n_v: int) -> str:
     ]
     # every vertex from one jet batch, which guards domain and finiteness
     xs, ys, zs = patch.jet(*grid_batch(*grid_points(patch.domain, n_u, n_v))).p
-    lines += [f"v {fmt_float(x)} {fmt_float(y)} {fmt_float(z)}"
-              for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist())]
-    # vertex ids are 1-based, u-major: id(i, j) = i * n_v + j + 1
-    for i in range(n_u - 1):
-        for j in range(n_v - 1):
-            a = i * n_v + j + 1
-            b = (i + 1) * n_v + j + 1
-            c = (i + 1) * n_v + j + 2
-            d = i * n_v + j + 2
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
+    lines += [_VERTEX_LINE % p
+              for p in zip(xs.tolist(), ys.tolist(), zs.tolist())]
+    # vertex ids are 1-based, u-major: id(i, j) = i * n_v + j + 1; the quad
+    # a = id(i, j), i < n_u - 1, j < n_v - 1 (a % n_v != 0) splits along a-c
+    lines += [_QUAD_LINES % (a, a + n_v, a + n_v + 1, a, a + n_v + 1, a + 1)
+              for a in range(1, (n_u - 1) * n_v) if a % n_v]
     return "\n".join(lines) + "\n"
 
 
@@ -243,6 +244,7 @@ def cmd_mesh(cfg: RunConfig) -> int:
 # ---- entry point ----
 
 
+@functools.cache  # parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heisgeo",

@@ -12,7 +12,7 @@ together) on all of its segments at once, by 5-node Gauss-Legendre on each
 half, and bisects the segments whose quintic Hermite interpolant's slope
 misses f at those points by more than the bound allows, so the 1e-10 bound
 holds between the nodes.  Adaptive Simpson is only the spot check of ten
-segments per table.
+segments per table, as one batch.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ Vec3 = tuple
 
 #: significant digits used in every serialized float (round-trips exactly)
 FLOAT_DIGITS = 17
+#: the one float format: `fmt_float` and the bulk row templates apply it
+FLOAT_FORMAT = "%%.%dg" % FLOAT_DIGITS
 #: spaces per nesting level in `json_dumps` output
 _JSON_INDENT = 2
 
@@ -41,7 +43,7 @@ def fmt_float(x: float) -> str:
     """Format a float with 17 significant digits (deterministic, lossless)."""
     if isinstance(x, bool):  # bools are ints; guard against accidental use
         raise TypeError("fmt_float expects a number, got bool")
-    return "%.*g" % (FLOAT_DIGITS, float(x))
+    return FLOAT_FORMAT % float(x)
 
 
 def json_dumps(obj) -> str:
@@ -309,15 +311,32 @@ def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
     return width * (fa + 4.0 * fm + fb) / 6.0
 
 
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-10) -> float:
-    """Integrate f over [a, b] with adaptive Simpson to absolute tolerance."""
-    if a == b:
-        return 0.0
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
+def adaptive_simpson(f: Callable[[float], float], a, b, tol=1e-10):
+    """Integrate f over [a, b] with adaptive Simpson to absolute tolerance.
+
+    a, b and tol are floats, or equal-length 1-D arrays (a batch): its first
+    level is one call of f on the 5 x n points stacked, and an interval that
+    does not settle there recurses on floats, giving the float call's result
+    wherever f gives an array's entries the values it gives their floats."""
+    if not isinstance(a, np.ndarray):
+        if a == b:
+            return 0.0
+        fa, fb = f(a), f(b)
+        fm = f(0.5 * (a + b))
+        whole = _simpson(fa, fm, fb, b - a)
+        return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, 0)
+    tol = np.broadcast_to(tol, a.shape)
+    m = 0.5 * (a + b)
+    fa, fb, fm, fl, fr = np.reshape(
+        f(np.concatenate((a, b, m, 0.5 * (a + m), 0.5 * (m + b)))), (5, -1))
     whole = _simpson(fa, fm, fb, b - a)
-    return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, 0)
+    left, right = _simpson(fa, fl, fm, m - a), _simpson(fm, fr, fb, b - m)
+    err = left + right - whole
+    out = np.where(a == b, 0.0, left + right + err / 15.0)
+    for i in np.flatnonzero(~(abs(err) <= 15.0 * tol) & (a != b)).tolist():
+        out[i] = _simpson_recurse(f, *(x[i].item() for x in (
+            a, b, fa, fm, fb, whole, tol)), 0)
+    return out
 
 
 # module level for the same reason as _json_emit: no reference cycle per call
@@ -389,7 +408,8 @@ class CumulativeIntegral:
     Gauss values, exact to degree 9 on each half, err far less there.
     The slope check bounds each interpolant, not the sum of the segments'
     Gauss errors, so adaptive Simpson integrates `_SPOT_CHECKS` segments
-    again: the first, then one every tenth of the segments.  The table
+    again, in one batched call: the first, then one every tenth of the
+    segments.  Their first Simpson level is one integrand call.  The table
     raises `QuadratureFailure` when one of them differs from its Gauss
     value by more than its share tol * width / (hi - lo).  Beyond the
     starting grid, whose size follows from the range (at most
@@ -479,15 +499,16 @@ class CumulativeIntegral:
             columns = columns[:, np.argsort(columns[0])]
         a, integrals = columns[0], columns[1]
         xs = np.append(a, hi)
-        for i in dict.fromkeys(len(a) * j // _SPOT_CHECKS
-                               for j in range(_SPOT_CHECKS)):
-            share = _QUADRATURE_TOL * float(xs[i + 1] - xs[i]) / total
-            check = adaptive_simpson(lambda x: evaluate(x)[0], float(xs[i]),
-                                     float(xs[i + 1]), tol=share)
-            if not abs(check - integrals[i]) <= share:
-                raise QuadratureFailure(
-                    f"spot check on [{xs[i]}, {xs[i + 1]}]: tabulated "
-                    f"{float(integrals[i])!r}, adaptive Simpson {check!r}")
+        # distinct segments (np.unique would import numpy.ma: ~1 MB of RSS)
+        n_spots = min(_SPOT_CHECKS, len(a))
+        spots = len(a) * np.arange(n_spots) // n_spots
+        x0s, x1s = xs[spots], xs[spots + 1]
+        share = _QUADRATURE_TOL * (x1s - x0s) / total
+        check = adaptive_simpson(lambda x: evaluate(x)[0], x0s, x1s, share)
+        require(abs(check - integrals[spots]) <= share, QuadratureFailure,
+                lambda x0, x1, t, c: f"spot check on [{x0}, {x1}]: tabulated "
+                f"{t!r}, adaptive Simpson {c!r}", x0s, x1s, integrals[spots],
+                check)
         # node values outward from x0; cumsum adds in order, one segment a step
         i0 = int(xs.searchsorted(x0))
         vals = np.empty(len(xs))

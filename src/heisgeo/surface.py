@@ -24,7 +24,8 @@ ndarrays (a batch of samples) and returns the same kind: on a batch each
 scalar is an array and each vector a tuple of arrays.  Grids are evaluated as
 one batch in u-major order, so a guard that fails names the first failing
 (u, v) in that order.  Grid sweeps are collected into a
-:class:`GeometryReport` that serializes to CSV (one row per sample) and a
+:class:`GeometryReport`, which keeps the batch as per-sample columns and
+serializes them to CSV (one row per sample, through one row template) and a
 JSON summary.
 """
 
@@ -47,13 +48,13 @@ from .errors import (
     UnsupportedKappa,
 )
 from .numeric import (
+    FLOAT_FORMAT,
     Vec3,
     _stencil,
     as_vec3,
     bilinear3,
     central_partials,
     finite,
-    fmt_float,
     json_dumps,
     lincomb3,
     quiet,
@@ -620,15 +621,25 @@ class SampleRecord:
 
 @dataclass
 class GeometryReport:
-    """Per-sample geometry over a grid plus a summary."""
+    """Per-sample geometry over a grid plus a summary.  `columns` holds one
+    list per CSV column (u, v, nu, H, K_ext, K_int, eps, S11, S12, S21, S22)
+    and per coordinate component of T, one entry a sample, u-major."""
 
     patch_name: str
     family: Optional[dict]
     basis: str
     grid: tuple[int, int]
-    records: list[SampleRecord] = field(default_factory=list)
+    columns: tuple[list, ...]
 
     CSV_HEADER = "u,v,nu,H,K_ext,K_int,eps,S11,S12,S21,S22"
+    #: one CSV row: `FLOAT_FORMAT` for each float, %d for eps
+    CSV_ROW = ",".join([FLOAT_FORMAT] * 6 + ["%d"] + [FLOAT_FORMAT] * 4)
+
+    @property
+    def records(self) -> list[SampleRecord]:
+        """The samples as records, built from the columns on each read."""
+        return [SampleRecord(*row[:11], t_comps=row[11:])
+                for row in zip(*self.columns)]
 
     def summary(self) -> dict:
         def stats(vals: list[float]) -> dict:
@@ -636,34 +647,25 @@ class GeometryReport:
             return {"mean": sum(vals) / len(vals), "min": lo, "max": hi,
                     "range": hi - lo}
 
-        recs = self.records
+        _, _, nu, h_mean, k_ext, k_int, eps, *_, tx, ty, tz = self.columns
         return {
             "patch": self.patch_name,
             "family": self.family,
             "grid": {"nu": self.grid[0], "nv": self.grid[1]},
-            "samples": len(recs),
+            "samples": len(nu),
             "s_basis": self.basis,
-            "eps": sorted({r.eps for r in recs}),
-            "nu": stats([r.nu for r in recs]),
-            "H": stats([r.h_mean for r in recs]),
-            "K_ext": stats([r.k_ext for r in recs]),
-            "K_int": stats([r.k_int for r in recs]),
-            "max_gauss_residual": max(abs(r.k_int - r.k_ext) for r in recs),
-            "T_mean": [sum(r.t_comps[i] for r in recs) / len(recs)
-                       for i in range(3)],
+            "eps": sorted(set(eps)),
+            "nu": stats(nu),
+            "H": stats(h_mean),
+            "K_ext": stats(k_ext),
+            "K_int": stats(k_int),
+            "max_gauss_residual": max(abs(i - e) for i, e in zip(k_int, k_ext)),
+            "T_mean": [sum(t) / len(t) for t in (tx, ty, tz)],
         }
 
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.records:
-            lines.append(",".join([
-                fmt_float(r.u), fmt_float(r.v), fmt_float(r.nu),
-                fmt_float(r.h_mean), fmt_float(r.k_ext), fmt_float(r.k_int),
-                str(r.eps),
-                fmt_float(r.s11), fmt_float(r.s12),
-                fmt_float(r.s21), fmt_float(r.s22),
-            ]))
-        return "\n".join(lines) + "\n"
+        return "\n".join([self.CSV_HEADER] + [
+            self.CSV_ROW % r for r in zip(*self.columns[:11])]) + "\n"
 
     def to_json(self) -> str:
         return json_dumps(self.summary())
@@ -710,9 +712,7 @@ def geometry_report(patch: SurfacePatch, n_u: int, n_v: int) -> GeometryReport:
         entries = (m[0][0], m[0][1], m[1][0], m[1][1])
     t_coords = ambient.from_frame_components(space, s.jet.p, s.t_frame)
     columns = (u, v, s.nu, 0.5 * (m[0][0] + m[1][1]), _extrinsic_k(space, s, m),
-               _intrinsic_k(patch, u, v), s.eps, *entries)
-    rows = zip(*(np.broadcast_to(c, u.shape).tolist() for c in columns))
-    t_rows = zip(*(np.broadcast_to(c, u.shape).tolist() for c in t_coords))
+               _intrinsic_k(patch, u, v), s.eps, *entries, *t_coords)
     return GeometryReport(patch.name, patch.family, basis, (n_u, n_v),
-                          records=[SampleRecord(*row, t_comps=t)
-                                   for row, t in zip(rows, t_rows)])
+                          tuple([np.broadcast_to(c, u.shape).tolist()
+                                 for c in columns]))

@@ -231,8 +231,13 @@ class _Evaluation:
 
     def partials(self, patch: SurfacePatch) -> np.ndarray:
         """d/du and d/dv of the fields at the samples, from one order-4
-        stencil whose 8 offsets are one batch; made on first demand."""
+        stencil whose 8 offsets are one batch; made on first demand.
+        Raises StencilTooCoarse on a domain narrower than 8 steps."""
         if self._partials is None:
+            (u0, u1), (v0, v1) = patch.domain
+            if 2.0 * _SURFACE_STEP > 0.25 * min(u1 - u0, v1 - v0):
+                raise StencilTooCoarse(f"stencil step {_SURFACE_STEP} too "
+                                       f"large for domain {patch.domain}")
             frames = []
 
             def fields(uu, vv, *at):  # guards name the grid sample
@@ -326,10 +331,6 @@ def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     induced-connection corrections; the comparison vector is measured in
     ambient frame components.
     """
-    (u0, u1), (v0, v1) = patch.domain
-    if 2.0 * _SURFACE_STEP > 0.25 * min(u1 - u0, v1 - v0):
-        raise StencilTooCoarse(
-            f"stencil step {_SURFACE_STEP} too large for domain {patch.domain}")
     space = patch.space
     tau = space.tau
     ev = _grid_evaluation(patch, grid)

@@ -13,6 +13,7 @@ import numpy as np
 
 import heisgeo.surface as surface_module
 import heisgeo.verify as verify_module
+from heisgeo import cli
 from heisgeo.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_GEOMETRY_ERROR,
@@ -140,6 +141,19 @@ def test_verify_out_file(workdir, capsys):
     capsys.readouterr()
 
 
+def test_parser_built_once_keeps_no_state_between_calls(workdir, capsys):
+    """`main` reuses one parser per process; a call's --suite list does not
+    carry over into the next call."""
+    cfg = write_config(workdir, CYLINDER)
+    for suites in (["gauss", "codazzi"], ["codazzi"]):
+        argv = ["verify", "--config", cfg]
+        for name in suites:
+            argv += ["--suite", name]
+        assert main(argv) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["suite"] == "+".join(suites)
+    assert cli._build_parser() is cli._build_parser()
+
+
 # ---------------------------------------------------------------- mesh
 
 
@@ -163,6 +177,14 @@ def test_mesh_cylinder_obj(workdir, capsys):
     for line in faces:
         idx = [int(t) for t in line.split()[1:]]
         assert all(1 <= i <= len(verts) for i in idx)
+    # two triangles per grid quad, u-major, vertex ids 1-based
+    want = []
+    for i in range(8):
+        for j in range(15):
+            a, b, c, d = (i * 16 + j + 1, (i + 1) * 16 + j + 1,
+                          (i + 1) * 16 + j + 2, i * 16 + j + 2)
+            want += [f"f {a} {b} {c}", f"f {a} {c} {d}"]
+    assert faces == want
     capsys.readouterr()
 
 

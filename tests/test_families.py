@@ -191,21 +191,22 @@ def test_constant_eta_is_the_linear_closed_form_at_zero_slope(causal, theta):
 
 def test_profile_build_spot_checks_ten_segments_per_table(monkeypatch):
     """The README profile needs no refinement: adaptive Simpson runs only
-    as the spot check, on the first of every 256 of 2,520 segments."""
+    as the spot check, once per table, on one batch of ten segments (the
+    first of every 256 of 2,520)."""
     from heisgeo import numeric
 
-    calls = [0]
+    batches = []
     simpson = numeric.adaptive_simpson
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return simpson(*args, **kwargs)
+    def counting(f, a, b, tol):
+        batches.append(np.shape(a))
+        return simpson(f, a, b, tol)
 
     monkeypatch.setattr(numeric, "adaptive_simpson", counting)
     build_profile(HelixProfile("timelike", 1.0, math.pi / 4.0, c=0.1,
                                eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0))),
                   (-1.26, 1.26))
-    assert calls[0] == 30
+    assert batches == [(10,)] * 3
 
 
 @pytest.mark.parametrize("eta,expect_source,tol", [
@@ -318,29 +319,43 @@ def test_oscillating_tables_hold_the_bound_between_nodes(freq):
 
 def test_f3_build_reads_f1_and_f2_as_lookups(monkeypatch):
     """The f3 table's integrand reads f1 and f2 through `interpolate`, not
-    through the counted `__call__`; each read equals the `__call__` lookup
-    at the same points bit for bit."""
-    reads, calls = [], [0]
+    through the counted `__call__`, in the build and in its spot check
+    alike; each read equals the `__call__` lookup at the same points bit
+    for bit."""
+    from heisgeo import numeric
+
+    reads, calls, spot = [], [0], [False]
     interpolate, lookup = CumulativeIntegral.interpolate, CumulativeIntegral.__call__
+    simpson = numeric.adaptive_simpson
 
     def recording(self, x):
         y = interpolate(self, x)
-        reads.append((self, x, y))
+        reads.append((self, x, y, spot[0]))
         return y
 
     def counting(self, x):
         calls[0] += 1
         return lookup(self, x)
 
+    def spot_check(*args):
+        spot[0] = True
+        try:
+            return simpson(*args)
+        finally:
+            spot[0] = False
+
     with monkeypatch.context() as m:
         m.setattr(CumulativeIntegral, "interpolate", recording)
         m.setattr(CumulativeIntegral, "__call__", counting)
+        m.setattr(numeric, "adaptive_simpson", spot_check)
         pf = _sinusoidal_helix().profile_functions
         assert calls[0] == 0
-    assert {id(t) for t, _, _ in reads} == {id(pf.f1), id(pf.f2)}
-    # the array reads of the build and the float reads of the spot check
-    assert {isinstance(x, np.ndarray) for _, x, _ in reads} == {True, False}
-    for table, x, y in reads:
+    tables = {id(pf.f1), id(pf.f2)}
+    assert {id(t) for t, _, _, _ in reads} == tables
+    # the spot check's first level reads each table once, at 5 x 10 points
+    assert sorted((id(t), np.shape(x)) for t, x, _, s in reads if s) == sorted(
+        (t, (50,)) for t in tables)
+    for table, x, y, _ in reads:
         assert np.array_equal(table(x), y)
 
 

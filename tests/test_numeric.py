@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heisgeo import numeric
 from heisgeo.errors import QuadratureFailure
@@ -207,6 +207,38 @@ def test_stacked_central_partials_are_the_per_offset_formulas(uv, h, per_point):
         assert np.array_equal(g, w)
 
 
+def _horner(coeffs):
+    """A polynomial by + and x only: numpy evaluates it on an array with
+    the IEEE operations it takes on each entry as a float."""
+    def f(x):
+        y = coeffs[0]
+        for c in coeffs[1:]:
+            y = y * x + c
+        return y
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=8),
+       intervals=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 2.0)),
+                          min_size=1, max_size=6),
+       tol=st.sampled_from([1e-3, 1e-8, 1e-11]))
+# every interval but the empty one recurses beyond the batched first level
+@example(coeffs=[1.0, -2.0, 0.5, 3.0, -1.0, 2.0],
+         intervals=[(-2.0, 2.0), (0.5, 0.0), (1.0, 0.5)], tol=1e-11)
+def test_batched_simpson_is_the_float_calls(coeffs, intervals, tol):
+    """adaptive_simpson on arrays of intervals gives, bit for bit, its float
+    calls on each interval, where a first level that does not settle
+    recurses on floats."""
+    f = _horner(coeffs)
+    a = np.array([x for x, _ in intervals])
+    b = a + np.array([w for _, w in intervals])
+    got = adaptive_simpson(f, a, b, tol)
+    want = [adaptive_simpson(f, x0, x1, tol)
+            for x0, x1 in zip(a.tolist(), b.tolist())]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_recursive_helpers_leave_no_reference_cycles():
     """Only the cyclic collector frees a cycle, so one per quadrature step
     makes memory climb with the call count."""
@@ -259,19 +291,25 @@ def test_table_matches_exact_antiderivative(x0, lo, hi):
         assert table(x) == pytest.approx(math.exp(x) - math.exp(x0), abs=1e-10)
 
 
+def _count_spot_checks(monkeypatch) -> list:
+    """The shape of `a` in each `adaptive_simpson` call, from now on."""
+    batches = []
+
+    def counting(f, a, b, tol):
+        batches.append(np.shape(a))
+        return adaptive_simpson(f, a, b, tol)
+
+    monkeypatch.setattr(numeric, "adaptive_simpson", counting)
+    return batches
+
+
 def test_flagged_segments_are_refined(monkeypatch):
     """cos(50 x) fails the slope check on the starting nodes; those
     segments are bisected until the quintic holds the bound between the
     nodes too (a cubic Hermite on 1e-3 nodes errs there by about 3e-10)."""
-    calls = [0]
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return adaptive_simpson(*args, **kwargs)
-
-    monkeypatch.setattr(numeric, "adaptive_simpson", counting)
+    batches = _count_spot_checks(monkeypatch)
     table = CumulativeIntegral(_cos50, 0.0, -1.26, 1.26)
-    assert calls[0] == 10  # the spot check only
+    assert batches == [(10,)]  # the spot check only, as one batch
     assert len(table.xs) > 253  # more nodes than the 1e-2 start
     x = np.concatenate([table.xs, _between_nodes(table.xs)])
     assert np.abs(table(x) - np.sin(50.0 * x) / 50.0).max() <= 1e-10
@@ -299,16 +337,10 @@ def test_bound_holds_where_the_error_is_odd_about_the_midpoint():
 
 
 def test_smooth_table_needs_only_the_spot_check(monkeypatch):
-    calls = [0]
-
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return adaptive_simpson(*args, **kwargs)
-
-    monkeypatch.setattr(numeric, "adaptive_simpson", counting)
+    batches = _count_spot_checks(monkeypatch)
     table = CumulativeIntegral(_exp, 0.0, -1.26, 1.26)
     assert len(table.xs) == 253  # no segment of the 1e-2 start bisected
-    assert calls[0] == 10  # ten segments spread over the 252
+    assert batches == [(10,)]  # ten segments spread over the 252, one batch
 
 
 def test_spot_check_catches_a_perturbed_weight(monkeypatch):

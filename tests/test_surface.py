@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from heisgeo import cli
 from heisgeo.ambient import SpaceParams, metric_eval
 from heisgeo.errors import (
     DegenerateInducedMetric,
@@ -25,6 +27,7 @@ from heisgeo.families import (
     make_helix_surface,
     make_minimal_plane,
 )
+from heisgeo.numeric import FLOAT_DIGITS, fmt_float
 import heisgeo.surface as surface_module
 from heisgeo.surface import (
     GeometryReport,
@@ -384,6 +387,32 @@ def test_geometry_report_structure():
     assert lines[0] == GeometryReport.CSV_HEADER
     assert len(lines) == 43
     assert len(lines[1].split(",")) == 11
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(st.lists(_FINITE, min_size=13, max_size=13),
+                               st.sampled_from([-1, 1])),
+                     min_size=1, max_size=5))
+def test_report_rows_and_obj_lines_are_fmt_float_text(rows):
+    """The CSV row and OBJ vertex templates write each value as
+    `fmt_float` (17 significant digits, "%.*g") and eps as its int."""
+    columns = tuple(map(list, zip(*[(*x[:6], eps, *x[6:]) for x, eps in rows])))
+    report = GeometryReport("p", None, "coordinate", (1, len(rows)), columns)
+    assert report.to_csv() == "\n".join([GeometryReport.CSV_HEADER] + [
+        ",".join([fmt_float(x) for x in xs[:6]] + [str(eps)]
+                 + [fmt_float(x) for x in xs[6:10]])
+        for xs, eps in rows]) + "\n"
+    assert [(r.eps, r.t_comps) for r in report.records] == [
+        (eps, tuple(xs[10:])) for xs, eps in rows]
+    for xs, _ in rows:
+        assert cli._VERTEX_LINE % tuple(xs[:3]) == "v " + " ".join(
+            [fmt_float(x) for x in xs[:3]])
+        assert [fmt_float(x) for x in xs] == ["%.*g" % (FLOAT_DIGITS, x)
+                                              for x in xs]
 
 
 def test_geometry_report_names_failing_sample():
