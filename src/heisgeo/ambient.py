@@ -343,12 +343,13 @@ def _connection(space: SpaceParams, p: Vec3) -> tuple:
     e_i, e_j = (np.eye(3)[list(ks)].T.reshape(3, 6, *(1,) * len(batch))
                 for ks in ((0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2)))
     q = tuple(_Dual(_Dual(c, e_i[k]), _Dual(e_j[k], 0.0)) for k, c in enumerate(p))
-    shape = (6, *batch)
+    entries = np.empty((3, 3, 4, 6, *batch))  # [row, column, part, pair, *batch]
+    for out, x in zip(entries.reshape(36, 6, *batch), (
+            x for row in metric_matrix(space, q)
+            for c in row for half in _parts(c) for x in _parts(half))):
+        out[...] = x
     # [part, pair, row, column, *batch] with parts (g, d_i g, d_j g, d_i d_j g)
-    parts = np.moveaxis(np.stack([
-        np.broadcast_to(x, shape) for row in metric_matrix(space, q)
-        for c in row for half in _parts(c) for x in _parts(half)])
-        .reshape(3, 3, 4, *shape), (2, 3), (0, 1))
+    parts = np.moveaxis(entries, (2, 3), (0, 1))
     # d_0 g from pair (0, 2), d_1 g from (1, 2), d_2 g from (2, 2)
     dg = np.stack((parts[1, 2], parts[1, 4], parts[2, 5]))
     ddg = parts[3][[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]  # the pair {a, i}
@@ -379,11 +380,12 @@ def _riemann(ginv, dg, ddg, gamma) -> np.ndarray:
     dgamma = (np.einsum("kl...,aijl...->akij...", ginv, _lowered(ddg, 1))
               - np.einsum("kl...,alm...,mij...->akij...", ginv, dg, gamma))
     # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik
-    #           + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik
+    #           + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik,
+    # the last term being the third with i and j swapped
+    gg = np.einsum("lim...,mjk...->lijk...", gamma, gamma)
     return (np.einsum("iljk...->lijk...", dgamma)
             - np.einsum("jlik...->lijk...", dgamma)
-            + np.einsum("lim...,mjk...->lijk...", gamma, gamma)
-            - np.einsum("ljm...,mik...->lijk...", gamma, gamma))
+            + gg - np.swapaxes(gg, 1, 2))
 
 
 def curvature_fd(space: SpaceParams, p, v, w, z) -> Vec3:

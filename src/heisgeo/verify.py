@@ -43,7 +43,7 @@ from . import ambient
 from .ambient import SpaceParams
 from .errors import (DegeneratePlane, NonFiniteResidual, NotAHelixPatch,
                      StencilTooCoarse, UnsupportedKappa)
-from .numeric import (Vec3, as_vec3, bilinear3, directional_diffs, quiet,
+from .numeric import (Vec3, bilinear3, directional_diffs, lincomb3, quiet,
                       require, select)
 from .surface import (
     FirstFundamentalForm,
@@ -547,9 +547,15 @@ def curvature_from_table(space: SpaceParams, a, b, c) -> Vec3:
 def _draws(rng: random.Random, n: int, *boxes: Vec3) -> list[Vec3]:
     """One random vector per box, n times over: component i is
     rng.uniform(-h_i, h_i) for the box's half-widths h, drawn in the order
-    of a loop over the n draws.  Each vector holds n-arrays."""
+    of a loop over the n draws.  Each vector holds n-arrays.  The words of
+    one getrandbits call make the doubles as rng.random() does (two 32-bit
+    words each, least significant first), so the values and the state the
+    stream is left in are those of the loop."""
     h = np.concatenate(boxes)
-    r = np.array([rng.random() for _ in range(n * h.size)]).reshape(n, h.size)
+    k = n * h.size
+    w = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u4")
+    r = (((w[0::2] >> 5) * 67108864.0 + (w[1::2] >> 6))
+         / 9007199254740992.0).reshape(n, h.size)
     cols = (-h + (h + h) * r).T
     return [tuple(cols[i:i + 3]) for i in range(0, h.size, 3)]
 
@@ -563,8 +569,12 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     curvature formulas against each other on random triples, the
     covariant-derivative wedge identity of the vertical direction, and
     sectional-curvature constancy on the companion space with
-    kappa = -4 tau^2.  Each check evaluates its random points as one batch;
-    the coordinate-path checks on this space share one connection.
+    kappa = -4 tau^2.  Each check evaluates its random points as one batch,
+    drawn by `_draws` from one getrandbits call that reproduces the
+    random() stream.  The coordinate-path checks on this space share one
+    connection, and connection_fd is one batch over the nine table
+    entries; the companion space gets a connection of its own inside
+    `sectional_curvature`.
     """
     rng = random.Random(seed)
     delta, tau = space.delta, space.tau
@@ -581,14 +591,16 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
                                         if scaled else abs(g - w))
                                for g, w in zip(got, want)])
 
-    # frame orthonormality against the coordinate metric
+    # frame orthonormality against the coordinate metric, the nine pairs
+    # (i, j) on leading axes of one bilinear form
     pts, = _draws(rng, _AMBIENT_POINTS, (_POINT_BOX,) * 3)
-    vecs = [as_vec3(e) for e in ambient.frame_at(space, pts).vectors()]
+    vectors = ambient.frame_at(space, pts).vectors()
+    frame = np.array(np.broadcast_arrays(*(  # [component, vector, point]
+        e[c] for c in range(3) for e in vectors))).reshape(3, 3, -1)
     g = ambient.metric_matrix(space, pts)
-    checks.append(_check("ambient.frame_orthonormality", gaps(
-        [bilinear3(g, vecs[i], vecs[j]) for i in range(3) for j in range(3)],
-        [expected_diag[i] if i == j else 0.0
-         for i in range(3) for j in range(3)]), tolerances))
+    checks.append(_check("ambient.frame_orthonormality", abs(
+        bilinear3(g, frame[:, :, None], frame[:, None])
+        - np.diag(expected_diag)[..., None]), tolerances))
 
     # bracket relations by dual-number derivatives of the frame fields
     fields = [ambient.frame_field(space, i) for i in (1, 2, 3)]
@@ -617,19 +629,23 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     p50, x50 = _draws(rng, 50, (_POINT_BOX,) * 3, _UNIT)
     conn = ambient._connection(space, tuple(map(np.concatenate, zip(p, p50))))
 
-    # connection table vs the coordinate path's Christoffel symbols
+    # connection table vs the coordinate path's Christoffel symbols: the
+    # nine entries (i, j) on a leading axis, E_i and E_j read from the
+    # orthonormality check's frame, and the field of each entry the one-hot
+    # combination of the frame fields that picks E_j
     gam = conn[3][..., :15]
-    frame_vecs = dict(zip((1, 2, 3), ambient.frame_at(space, p).vectors()))
-    got, want = [], []
-    for (i, j), w in table.items():
-        x, wv = frame_vecs[i], frame_vecs[j]
-        dw = ambient.directional_fd(fields[j - 1], p, x)
-        cov = tuple(dw[k] + sum(gam[k][l][m] * x[l] * wv[m]
-                                for l in range(3) for m in range(3))
-                    for k in range(3))
-        got += ambient.to_frame_components(space, p, cov)
-        want += w
-    checks.append(_check("ambient.connection_fd", gaps(got, want), tolerances))
+    i, j = np.array(list(table)).T - 1
+    x, wv = (frame[:, k, :15] for k in (i, j))  # [component, entry, point]
+    onehot = np.eye(3)[j].T[..., None]
+    dw = ambient.directional_fd(lambda q: lincomb3(list(zip(
+        onehot, ambient.frame_at(space, q).vectors()))), p, x)
+    # Gamma^k_lm x^l w^m summed over (l, m) in l-major, m-minor order
+    terms = gam[:, :, :, None] * x[:, None] * wv  # [k, l, m, entry, point]
+    lm_sum = sum(np.moveaxis(terms.reshape(3, 9, 9, 15), 1, 0))
+    cov = tuple(map(np.add, dw, lm_sum))
+    got = np.array(ambient.to_frame_components(space, p, cov)).swapaxes(0, 1)
+    checks.append(_check("ambient.connection_fd", gaps(
+        got, np.array(list(table.values()))[..., None]), tolerances))
 
     # curvature closed formula vs the literal table on all frame triples
     got, want = [], []

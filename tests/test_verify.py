@@ -8,8 +8,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heisgeo import cli
+from heisgeo import ambient, cli
 from heisgeo.ambient import SpaceParams, curvature_frame
 from heisgeo.errors import (DegenerateAdaptedFrame, DegeneratePlane,
                             NonFiniteJet, NonFiniteResidual, NotAHelixPatch,
@@ -21,7 +22,7 @@ from heisgeo.families import (
     make_helix_surface,
     make_minimal_plane,
 )
-from heisgeo.numeric import fmt_float
+from heisgeo.numeric import bilinear3, fmt_float
 import heisgeo.surface as surface_module
 import heisgeo.verify as verify_module
 from heisgeo.surface import (
@@ -514,15 +515,97 @@ def test_ambient_suite_fails_on_a_wrong_metric_or_companion(monkeypatch,
     assert failed() == {"ambient.sectional_constancy"}
 
 
-def test_ambient_draws_follow_the_sequential_stream():
-    """The batched draws are the values a loop of rng.uniform calls makes,
-    in the same order, so each check sees the points it saw one at a time."""
-    rng, ref = random.Random(5), random.Random(5)
-    boxes = ((1.5, 0.15, 1.0), (1.0, 1.0, 1.0))
-    got = verify_module._draws(rng, 4, *boxes)
-    want = [[ref.uniform(-h, h) for h in boxes[0] + boxes[1]] for _ in range(4)]
-    assert [c.tolist() for c in got[0] + got[1]] == [list(c) for c in zip(*want)]
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 400),
+       boxes=st.lists(st.tuples(*[st.floats(0.0, 10.0)] * 3),
+                      min_size=1, max_size=3))
+def test_ambient_draws_follow_the_sequential_stream(seed, n, boxes):
+    """The bulk draws are the values a loop of rng.uniform calls makes,
+    in the same order, so each check sees the points it saw one at a time;
+    the stream is left where the loop leaves it."""
+    rng, ref = random.Random(seed), random.Random(seed)
+    got = verify_module._draws(rng, n, *boxes)
+    want = [[ref.uniform(-h, h) for h in sum(boxes, ())] for _ in range(n)]
+    assert [c.tolist() for c in sum(got, ())] == [list(c) for c in zip(*want)]
     assert rng.random() == ref.random()
+
+
+def recorded_ambient_suite(monkeypatch, space: SpaceParams):
+    """Run check_ambient on `space`, recording every check's residual
+    array and every (points, parts) of `ambient._connection`."""
+    residuals, connections = {}, []
+    connection, check = ambient._connection, verify_module._check
+
+    def recorded_connection(sp, p):
+        connections.append((p, connection(sp, p)))
+        return connections[-1][1]
+
+    def recorded_check(check_id, r, *args):
+        residuals[check_id] = np.asarray(r, dtype=float)
+        return check(check_id, r, *args)
+
+    monkeypatch.setattr(ambient, "_connection", recorded_connection)
+    monkeypatch.setattr(verify_module, "_check", recorded_check)
+    check_ambient(space)
+    return residuals, connections
+
+
+@pytest.mark.parametrize("tau", (0.5, 1.0, 7.0, 20.0))
+@pytest.mark.parametrize("delta", (1, -1))
+def test_frame_orthonormality_batch_matches_the_pair_loop(monkeypatch, delta,
+                                                          tau):
+    """The nine pairs (i, j) in one bilinear form give, bit for bit, the
+    residuals of one `bilinear3` per pair on the suite's first draw."""
+    space = SpaceParams(delta=delta, tau=tau)
+    residuals, _ = recorded_ambient_suite(monkeypatch, space)
+    pts, = verify_module._draws(random.Random(DEFAULT_SEED),
+                                verify_module._AMBIENT_POINTS,
+                                (verify_module._POINT_BOX,) * 3)
+    vecs = ambient.frame_at(space, pts).vectors()
+    g = ambient.metric_matrix(space, pts)
+    diag = (1.0, -float(delta), float(delta))
+    loop = [np.ravel(abs(bilinear3(g, vecs[i], vecs[j])
+                         - (diag[i] if i == j else 0.0)))
+            for i in range(3) for j in range(3)]
+    assert (residuals["ambient.frame_orthonormality"].tobytes()
+            == np.concatenate(loop).tobytes())
+
+
+@pytest.mark.parametrize("tau", (0.5, 1.0, 7.0, 20.0))
+@pytest.mark.parametrize("delta", (1, -1))
+def test_connection_fd_batch_matches_the_per_entry_loop(monkeypatch, delta,
+                                                        tau):
+    """The connection_fd residuals, taken as one batch over the nine table
+    entries, are bit for bit those of a loop over the entries: D_{E_i} E_j
+    by `directional_fd` of `frame_field(j)`, plus the Christoffel sum in
+    l-major, m-minor order, then `to_frame_components`."""
+    space = SpaceParams(delta=delta, tau=tau)
+    residuals, connections = recorded_ambient_suite(monkeypatch, space)
+    batched = residuals["ambient.connection_fd"]
+    n = batched.size // 27  # 9 entries x 3 components per point
+    p_all, conn = connections[0]  # the space's own connection
+    p, gam = tuple(q[:n] for q in p_all), conn[3][..., :n]
+    frame = dict(zip((1, 2, 3), ambient.frame_at(space, p).vectors()))
+    loop = []
+    for (i, j), want in ambient.connection_table(space).items():
+        x, wv = frame[i], frame[j]
+        dw = ambient.directional_fd(ambient.frame_field(space, j), p, x)
+        cov = tuple(dw[k] + sum(gam[k][l][m] * x[l] * wv[m]
+                                for l in range(3) for m in range(3))
+                    for k in range(3))
+        loop += [abs(g - w) for g, w in
+                 zip(ambient.to_frame_components(space, p, cov), want)]
+    assert batched.tobytes() == np.concatenate(loop).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(tau=st.floats(1e-3, 20.0), delta=st.sampled_from((1, -1)),
+       seed=st.integers(0, 2**32 - 1))
+def test_ambient_suite_passes_across_tau(tau, delta, seed):
+    """Every ambient check passes on a correct program at any tau in
+    [1e-3, 20] and any seed, not only at the values pinned above."""
+    suite = check_ambient(SpaceParams(delta=delta, tau=tau), seed=seed)
+    assert suite.passed, [c.as_dict() for c in suite.checks if not c.passed]
 
 
 def recorded_draw_sizes(monkeypatch) -> list:
