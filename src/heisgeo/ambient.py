@@ -9,14 +9,13 @@ The metric with parameters (delta, tau, kappa) is
     D = 1 + (kappa/4) * (x^2 - delta * y^2),
 
 with delta in {-1, +1} selecting which directions carry the negative sign and
-tau the structure constant of the underlying group.  At kappa = 0 (D == 1)
-the space is the Lorentzian Heisenberg group with its left-invariant metric;
-closed-form frame, wedge, connection and curvature operations are available
-there.  For every kappa, a coordinate path that shares no code with the
-closed forms cross-checks them: Christoffel symbols and curvature from the
-exact derivatives of `metric_matrix`, run on dual numbers.  Points are Vec3
-tuples of floats, or of equal-length 1-D arrays for a batch of points (see
-`heisgeo.numeric`).
+tau the structure constant.  At kappa = 0 (D == 1) it is the Lorentzian
+Heisenberg group with its left-invariant metric, where closed-form frame,
+wedge, connection and curvature operations are available.  For every kappa,
+a coordinate path that shares no code with them cross-checks them: the
+Christoffel symbols and curvature from the exact derivatives of
+`metric_matrix` on Taylor values of the coordinates (`numeric.Taylor`).
+Points are Vec3 tuples of floats, or of equal-length 1-D arrays (a batch).
 
 Conventions fixed by this module (and verified by the test suite):
 
@@ -25,8 +24,7 @@ Conventions fixed by this module (and verified by the test suite):
   with signature g(E1,E1) = 1, g(E2,E2) = -delta, g(E3,E3) = delta;
 - commutator [E1, E2] = 2*tau*E3, all other frame brackets vanish;
 - the volume form evaluates to +1 on (E1, E2, E3), which orients the cross
-  product `wedge`: E1 ^ E2 = delta*E3, E2 ^ E3 = E1, E1 ^ E3 = delta*E2.
-"""
+  product `wedge`: E1 ^ E2 = delta*E3, E2 ^ E3 = E1, E1 ^ E3 = delta*E2."""
 
 from __future__ import annotations
 
@@ -36,13 +34,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DegeneratePlane,
-    SingularConformalFactor,
-    SingularMetric,
-    UnsupportedKappa,
-)
-from .numeric import Vec3, as_vec3, bilinear3, lincomb3, require, sub3
+from .errors import (DegeneratePlane, SingularConformalFactor, SingularMetric,
+                     UnsupportedKappa)
+from .numeric import (Taylor, Vec3, as_vec3, bilinear3, derivative, lincomb3,
+                      require, sub3)
 
 # conformal denominator treated as singular below this magnitude
 _CONFORMAL_TOL = 1e-12
@@ -52,15 +47,10 @@ _PLANE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Parameters of the ambient space.
-
-    delta: +1 or -1; selects the timelike frame direction (E2 for delta=+1,
-        E3 for delta=-1).
-    tau:   structure constant; tau = 0 degenerates to a flat product metric
-        and is allowed here (family generators enforce tau != 0 themselves).
-    kappa: curvature deformation of the base plane; kappa = 0 is the
-        Heisenberg-group case with closed-form operations.
-    """
+    """Parameters of the ambient space: delta (+1 or -1) selects the
+    timelike frame direction (E2 or E3); tau is the structure constant
+    (tau = 0 is a flat product, allowed here; the families need tau != 0);
+    kappa deforms the base plane (kappa = 0: the Heisenberg group)."""
 
     delta: int
     tau: float
@@ -107,7 +97,7 @@ def conformal_factor(space: SpaceParams, p) -> float:
     d = 1.0 + 0.25 * space.kappa * (x * x - space.delta * y * y)
     require(abs(d) >= _CONFORMAL_TOL, SingularConformalFactor,
             lambda x, y: f"conformal denominator vanishes at (x, y) = ({x}, {y})",
-            _real(x), _real(y))
+            x, y)
     return d
 
 
@@ -220,12 +210,9 @@ def connection_table(space: SpaceParams) -> dict[tuple[int, int], Vec3]:
 
 
 def frame_connection_correction(space: SpaceParams, xf, wf) -> Vec3:
-    """Sum_{i,j} x_i w_j * (nabla_{E_i} E_j) in frame components.
-
-    This is the algebraic part of the covariant derivative of a field with
-    frame components w along a direction with frame components x; the caller
-    adds the directional derivative of the components themselves.
-    """
+    """Sum_{i,j} x_i w_j (nabla_{E_i} E_j) in frame components: the
+    algebraic part of the covariant derivative of a field w along x; the
+    caller adds the derivative of the components themselves."""
     tau = space.tau
     dtau = float(space.delta) * tau
     # expanded from connection_table for speed in per-sample loops
@@ -239,11 +226,8 @@ def frame_connection_correction(space: SpaceParams, xf, wf) -> Vec3:
 
 
 def curvature_frame(space: SpaceParams, a, b, c) -> Vec3:
-    """R(A, B)C in frame components (kappa = 0 closed form).
-
-    Sign convention: R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
-    - nabla_[X,Y] Z.
-    """
+    """R(A, B)C in frame components (kappa = 0 closed form), with
+    R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z."""
     delta = float(space.delta)
     e3: Vec3 = (0.0, 0.0, 1.0)
     g_bc = frame_metric(space, b, c)
@@ -271,60 +255,8 @@ def curvature(space: SpaceParams, p, v, w, z) -> Vec3:
 
 
 # ---- coordinate path (any kappa) ----
-# Exact derivatives: `metric_matrix` and vector fields run on dual numbers.
-# p is floats or equal-length 1-D arrays; tensors carry the batch axis last.
-
-
-class _Dual:
-    """re + du eps, eps^2 = 0: + - * / carry the exact derivative in `du`
-    (Fike & Alonso, AIAA 2011-886).  Parts that are _Duals in a second eps
-    carry mixed second derivatives; operands of one computation nest alike."""
-
-    __array_ufunc__ = None  # an ndarray operand defers to the methods here
-
-    def __init__(self, re, du):
-        self.re, self.du = re, du
-
-    def __add__(self, o):
-        re, du = _parts(o)
-        return _Dual(self.re + re, self.du + du)
-
-    def __neg__(self):
-        return _Dual(-self.re, -self.du)
-
-    def __sub__(self, o):
-        return self + -o
-
-    def __rsub__(self, o):
-        return -self + o
-
-    def __mul__(self, o):
-        if not isinstance(o, _Dual):
-            return _Dual(self.re * o, self.du * o)
-        return _Dual(self.re * o.re, self.re * o.du + self.du * o.re)
-
-    def __truediv__(self, o):
-        re, du = _parts(o)
-        q = self.re / re
-        return _Dual(q, (self.du - q * du) / re)
-
-    def __rtruediv__(self, o):
-        return _Dual(o, 0.0) / self
-
-    def __abs__(self):  # of the real part: guards act on real parts
-        return abs(self.re)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-
-def _parts(c) -> tuple:
-    """(re, du) of a dual; a plain value has du = 0."""
-    return (c.re, c.du) if isinstance(c, _Dual) else (c, 0.0)
-
-
-def _real(c):
-    """The real part of a (nested) dual, or a plain value itself."""
-    return _real(c.re) if isinstance(c, _Dual) else c
+# `metric_matrix` and vector fields run on Taylor values: exact derivatives.
+# p is floats or 1-D arrays; tensors carry the batch axis last.
 
 
 def _lowered(d: np.ndarray, k: int = 0) -> np.ndarray:
@@ -335,25 +267,21 @@ def _lowered(d: np.ndarray, k: int = 0) -> np.ndarray:
 
 def _connection(space: SpaceParams, p: Vec3) -> tuple:
     """(g^-1, dg, ddg, Gamma) at p, with dg[i, j, l] = d_i g_jl and
-    ddg[a, i, j, l] = d_a d_i g_jl: the parts g, d_i g, d_j g and d_i d_j g
-    of `metric_matrix` at p + eps1 e_i + eps2 e_j, from one call that seeds
-    every pair i <= j along a leading pair axis."""
+    ddg[a, i, j, l] = d_a d_i g_jl: the coefficients of `metric_matrix`
+    at p as an order-2 Taylor value in (x, y, z), from one call."""
     batch = np.broadcast_shapes(*map(np.shape, p))
-    # the pairs (i, j): (0, 0) (0, 1) (0, 2) (1, 1) (1, 2) (2, 2)
-    e_i, e_j = (np.eye(3)[list(ks)].T.reshape(3, 6, *(1,) * len(batch))
-                for ks in ((0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2)))
-    q = tuple(_Dual(_Dual(c, e_i[k]), _Dual(e_j[k], 0.0)) for k, c in enumerate(p))
-    entries = np.empty((3, 3, 4, 6, *batch))  # [row, column, part, pair, *batch]
-    for out, x in zip(entries.reshape(36, 6, *batch), (
-            x for row in metric_matrix(space, q)
-            for c in row for half in _parts(c) for x in _parts(half))):
-        out[...] = x
-    # [part, pair, row, column, *batch] with parts (g, d_i g, d_j g, d_i d_j g)
-    parts = np.moveaxis(entries, (2, 3), (0, 1))
-    # d_0 g from pair (0, 2), d_1 g from (1, 2), d_2 g from (2, 2)
-    dg = np.stack((parts[1, 2], parts[1, 4], parts[2, 5]))
-    ddg = parts[3][[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]  # the pair {a, i}
-    g = np.moveaxis(parts[0, 0], (0, 1), (-2, -1))
+    # the nine entries on one leading batch axis
+    entries = Taylor.stack([c for row in metric_matrix(
+        space, Taylor.variables(p, 2)) for c in row])
+
+    def parts(*axes) -> np.ndarray:  # [derivative, row, column, *batch]
+        return np.array([derivative(entries, *a) for a in axes]).reshape(
+            len(axes), 3, 3, *batch)
+
+    g = np.moveaxis(parts(())[0], (0, 1), (-2, -1))
+    dg = parts((0,), (1,), (2,))
+    ddg = parts(*[(a, i) for a in range(3) for i in range(3)]).reshape(
+        3, 3, 3, 3, *batch)
     det = np.linalg.det(g)
     require(abs(det) >= 1e-14, SingularMetric,
             lambda x, y, z, d: f"metric matrix singular at {(x, y, z)} "
@@ -404,12 +332,9 @@ def _applied(riem: np.ndarray, v, w, z) -> Vec3:
 
 def sectional_curvature(space: SpaceParams, p, v, w,
                         method: str = "closed") -> float:
-    """Sectional curvature of span(v, w) at p.
-
-    method = "closed" uses the kappa = 0 curvature tensor; method = "fd"
-    uses the coordinate path and works for every kappa.  Raises
-    DegeneratePlane when the plane's induced form is (numerically) null.
-    """
+    """Sectional curvature of span(v, w) at p: by the kappa = 0 tensor
+    ("closed") or the coordinate path ("fd", any kappa).  Raises
+    DegeneratePlane where the plane's induced form is (numerically) null."""
     v = as_vec3(v)
     w = as_vec3(w)
     g = metric_matrix(space, p)
@@ -433,16 +358,18 @@ def sectional_curvature(space: SpaceParams, p, v, w,
 
 def directional_fd(field: Callable[[Vec3], Vec3], p, direction) -> Vec3:
     """Coordinate derivative of a vector field at p along `direction`: the
-    dual part of W(p + eps X), exact up to rounding.  The field must accept
-    dual coordinates, which a field written with + - * / does."""
-    w = field(tuple(_Dual(c, d)
-                    for c, d in zip(as_vec3(p), as_vec3(direction))))
-    return as_vec3([_parts(c)[1] for c in w])
+    order-1 coefficient of W(p + tX), exact up to rounding.  The field must
+    accept Taylor coordinates, which a field written with + - * / does."""
+    xs = np.broadcast_arrays(*as_vec3(p), *as_vec3(direction))
+    w = field(tuple([Taylor(np.stack((xs[k], xs[k + 3])), 1, 1)
+                     for k in range(3)]))
+    return as_vec3([derivative(c, 0) for c in w])
 
 
 def commutator_fd(field_v: Callable[[Vec3], Vec3],
                   field_w: Callable[[Vec3], Vec3], p) -> Vec3:
-    """Lie bracket [V, W] at p from dual-number derivatives of the fields."""
+    """Lie bracket [V, W] at p from exact directional derivatives of the
+    fields."""
     p = as_vec3(p)
     dv_w = directional_fd(field_w, p, as_vec3(field_v(p)))  # D_V W
     dw_v = directional_fd(field_v, p, as_vec3(field_w(p)))  # D_W V

@@ -3,8 +3,7 @@ suites, emit deterministic reports and meshes.
 
 Exit codes: 0 all checks pass, 1 suite failure, 2 config error,
 3 geometry error, 4 IO error, 5 internal error (an exception heisgeo does
-not expect; a bug, never a check verdict).
-"""
+not expect; a bug, never a check verdict)."""
 
 from __future__ import annotations
 
@@ -16,29 +15,15 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import (
-    AmbientError,
-    ConfigError,
-    FamilyError,
-    HeisgeoError,
-    InvalidCombination,
-    InvalidParameterDomain,
-    QuadratureFailure,
-    SurfaceError,
-    UnknownFamily,
-    VerifyError,
-)
+from .errors import (AmbientError, ConfigError, FamilyError, HeisgeoError,
+                     InvalidCombination, InvalidParameterDomain,
+                     QuadratureFailure, SurfaceError, UnknownFamily, VerifyError)
 from .families import family_from_config
 from .numeric import FLOAT_FORMAT, fmt_float, json_dumps, quiet
 from .surface import (SurfacePatch, _sample, gaussian_curvature,
                       geometry_report, grid_batch, grid_points)
-from .verify import (
-    DEFAULT_SEED,
-    DEFAULT_TOLERANCES,
-    SUITE_NAMES,
-    merge_suites,
-    run_suite,
-)
+from .verify import (DEFAULT_SEED, DEFAULT_TOLERANCES, SUITE_NAMES,
+                     merge_suites, run_suite)
 
 EXIT_PASS = 0
 EXIT_SUITE_FAILURE = 1
@@ -49,9 +34,8 @@ EXIT_INTERNAL_ERROR = 5
 
 _MIN_GRID = 8
 
-#: suites run by "all" on a patch: the raw parallel check reports whether a
-#: patch *is* parallel, which is a property, not a defect -- the claims suite
-#: holds the classification's expectation, so "all" gates on claims instead
+#: suites run by "all": whether a patch *is* parallel is a property, not a
+#: defect, so "all" gates on the claims suite's expectation, not on parallel
 _ALL_SUITES = ("ambient", "gauss", "codazzi", "helix_ode", "claims")
 
 _CONFIG_ERRORS = (ConfigError, UnknownFamily, InvalidCombination,
@@ -221,7 +205,8 @@ def _obj_text(patch: SurfacePatch, n_u: int, n_v: int) -> str:
         "metric is not Euclidean",
     ]
     # every vertex from one jet batch, which guards domain and finiteness
-    xs, ys, zs = patch.jet(*grid_batch(*grid_points(patch.domain, n_u, n_v))).p
+    xs, ys, zs = patch.jet(*grid_batch(*grid_points(patch.domain, n_u, n_v)),
+                           order=0).p
     lines += [_VERTEX_LINE % p
               for p in zip(xs.tolist(), ys.tolist(), zs.tolist())]
     # vertex ids are 1-based, u-major: id(i, j) = i * n_v + j + 1; the quad

@@ -1,15 +1,10 @@
 """Exception hierarchy for the heisgeo package.
 
-Every error raised by the library derives from :class:`HeisgeoError`, split
-into three branches matching where the failure originates: the ambient space,
-an immersed surface patch, or a surface-family generator.  The CLI maps these
-branches onto its documented exit codes.
-
-Errors raised by a per-sample guard (:func:`heisgeo.numeric.require`) that
-knows the sample's (u, v) carry it as the attribute ``sample`` and name it in
-the message; on a batch of samples that is the first failing one in batch
-order (u-major on grids).
-"""
+Every error derives from :class:`HeisgeoError`, in branches by where the
+failure originates, which the CLI maps onto its exit codes.  An error raised
+by a per-sample guard (:func:`heisgeo.numeric.require`) that knows the
+sample's (u, v) keeps it as ``sample`` and names it in the message: on a
+batch, the first failing sample in batch order (u-major on grids)."""
 
 from __future__ import annotations
 
@@ -26,14 +21,9 @@ class AmbientError(HeisgeoError):
 
 
 class UnsupportedKappa(AmbientError):
-    """A closed-form operation was requested for kappa != 0.
-
-    Frame, wedge, connection-table and closed-form curvature operations are
-    only available on the kappa = 0 member of the metric family; the
-    finite-difference coordinate path works for every finite kappa; a
-    kappa that overflows (the -4 tau^2 companion space at huge tau) is
-    unsupported everywhere.
-    """
+    """A closed-form operation (frame, wedge, connection table, closed
+    curvature) was requested for kappa != 0, where only the coordinate path
+    works; or kappa overflows (the -4 tau^2 companion space at huge tau)."""
 
 
 class SingularConformalFactor(AmbientError):
@@ -72,10 +62,8 @@ class OutOfDomain(SurfaceError):
 
 
 class NonFiniteJet(SurfaceError):
-    """The patch's jet is not finite (it overflowed) at a sample.
-
-    `sample` is that (u, v) and `family` the patch's family descriptor
-    (None for patches built without one)."""
+    """The patch's jet is not finite (it overflowed) at the sample (u, v)
+    `sample`; `family` is the patch's family descriptor (or None)."""
 
     def __init__(self, message: str, family=None):
         super().__init__(message)
@@ -110,10 +98,6 @@ class QuadratureFailure(FamilyError):
 
 class VerifyError(HeisgeoError):
     """Base class for errors raised by residual-suite checks."""
-
-
-class StencilTooCoarse(VerifyError):
-    """The evaluation domain is too small for the finite-difference stencil."""
 
 
 class NotAHelixPatch(VerifyError):

@@ -1,24 +1,18 @@
-"""Generators for the classified constant-angle surface families.
+"""Generators for the classified constant-angle surface families on the
+kappa = 0 ambient space: ``make_minimal_plane`` (flat minimal vertical
+planes, angle function 0, H = 0), ``make_cmc_cylinder`` (flat vertical
+cylinders, angle function 0, H constant and nonzero) and
+``make_helix_surface`` (the two families with nonzero angle function,
+delta = +1), built from profile functions (f1, f2, f3): closed forms for
+constant and linear eta, quintic-Hermite quadrature tables
+(`numeric.CumulativeIntegral`) otherwise.
 
-Three constructors cover the classification on the kappa = 0 ambient space:
-
-- ``make_minimal_plane``: the flat minimal vertical planes (angle function
-  identically zero, H = 0),
-- ``make_cmc_cylinder``: the flat constant-mean-curvature vertical cylinders
-  (angle function identically zero, H constant and nonzero),
-- ``make_helix_surface``: the two constant-angle families with nonzero angle
-  function (delta = +1 only), built from profile functions (f1, f2, f3) that
-  are either closed forms (constant/linear eta) or quintic-Hermite
-  quadrature tables (`numeric.CumulativeIntegral`).  The profile
-  and slope formulas (f1, f2, f3, eta, eta', f1', f2', f1'', f2'') and the
-  patch jets take a float (one sample) or an ndarray (a batch of samples,
-  or the table build's arrays).
-
-Every constructor returns an analytic-jet :class:`~heisgeo.surface.SurfacePatch`
-carrying a serializable family descriptor.  Each family writes its immersion
-once, as a jet callable returning (p, Fu, Fv, Fuu, Fuv, Fvv); the patch's
-position is the first entry of that jet.
-"""
+Each constructor returns a :class:`~heisgeo.surface.SurfacePatch` with a
+serializable family descriptor, its immersion written once as
+`position(u, v)` in + - * / and the functions of `_lib`: it takes floats,
+arrays and Taylor values alike, and the patch derives every partial from
+it.  The profile formulas take a float or an ndarray; a `ProfileFunctions`
+also takes a Taylor value of v, lifted through (f, f', f'', f''')."""
 
 from __future__ import annotations
 
@@ -29,21 +23,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ambient import SpaceParams
-from .errors import (
-    ConfigError,
-    InvalidCombination,
-    InvalidParameterDomain,
-    QuadratureFailure,
-    UnknownFamily,
-)
-from .numeric import CumulativeIntegral, Vec3, central_diff
+from .errors import (ConfigError, InvalidCombination, InvalidParameterDomain,
+                     QuadratureFailure, UnknownFamily)
+from .numeric import CumulativeIntegral, Taylor, central_diff
 from .surface import SurfacePatch
 
 Domain = tuple[tuple[float, float], tuple[float, float]]
 
 #: default parameter rectangle for generated patches
 DEFAULT_DOMAIN: Domain = ((-1.2, 1.2), (-1.2, 1.2))
-#: extra tabulated v-range beyond the declared domain (stencil headroom)
+#: extra tabulated v-range beyond the declared domain (evaluation headroom)
 _PROFILE_MARGIN = 0.06
 #: timelike angle degeneracy threshold (both sin and cos must clear it)
 _TIMELIKE_ANGLE_TOL = 1e-8
@@ -55,11 +44,10 @@ _RESIDUAL_SAMPLES = 41
 _RESIDUAL_STEP = 1e-3
 
 
-# The profile formulas and jets take a float (math) or an ndarray (numpy,
-# elementwise: batches of samples and the quadrature tables), chosen by the
-# argument's type.
+# The profile formulas and positions take a float (math's functions), or an
+# ndarray or a Taylor value (numpy's, elementwise), by the argument's type.
 def _lib(v):
-    return np if isinstance(v, np.ndarray) else math
+    return np if isinstance(v, (np.ndarray, Taylor)) else math
 
 
 # ---- eta presets ----
@@ -68,13 +56,11 @@ def _lib(v):
 @dataclass(frozen=True)
 class EtaSpec:
     """Preset slope function eta(v) entering the helix profile equations.
-
     kinds and coefficient conventions:
       constant    [k]              -> k
       linear      [c0, c1]         -> c0 + c1*v
       polynomial  [c0, ..., cn]    -> sum ci * v^i   (n <= 6)
-      sinusoidal  [amp, freq, phase] -> amp * sin(freq*v + phase)
-    """
+      sinusoidal  [amp, freq, phase] -> amp * sin(freq*v + phase)"""
 
     kind: str
     coefficients: tuple[float, ...]
@@ -120,6 +106,16 @@ class EtaSpec:
             acc = acc * v + i * c[i]
         return acc
 
+    def second_derivative(self, v):
+        """eta'' at a float v, or elementwise at an ndarray v."""
+        c = self.coefficients
+        if self.kind == "sinusoidal":
+            return -c[0] * c[1] * c[1] * _lib(v).sin(c[1] * v + c[2])
+        acc = np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0
+        for i in range(len(c) - 1, 1, -1):
+            acc = acc * v + i * (i - 1) * c[i]
+        return acc
+
     def as_dict(self) -> dict:
         return {"kind": self.kind, "coefficients": list(self.coefficients)}
 
@@ -142,13 +138,9 @@ def _eta_from_any(eta) -> EtaSpec:
 
 @dataclass(frozen=True)
 class HelixProfile:
-    """Parameters of a constant-angle family with nonzero angle function.
-
-    causal selects the branch: "spacelike" (angle function sinh(theta),
-    theta > 0) or "timelike" (angle function sin(theta)).  c is the
-    integration constant of the phase; eta the slope preset.
-    The underlying ambient space has delta = +1.
-    """
+    """A constant-angle family with nonzero angle function (delta = +1):
+    causal "spacelike" (angle function sinh(theta), theta > 0) or
+    "timelike" (sin(theta)); c the phase constant, eta the slope preset."""
 
     causal: str
     tau: float
@@ -204,17 +196,12 @@ class HelixProfile:
 
 @dataclass
 class ProfileFunctions:
-    """The profile triple (f1, f2, f3) with first/second derivative access.
-
-    Satisfies (to quadrature tolerance):
-      spacelike: f1'^2 - f2'^2 = cosh(theta)^2
-      timelike:  f1'^2 - f2'^2 = -cos(theta)^2
-      both:      f3' = tau * (f1*f2' - f2*f1')
-
-    `slopes(v)` returns (f1', f2', f1'', f2'') from one eta, one eta', one
-    g1 and one g2.  `jet(v)` returns all nine values at v from one lookup
-    per table and one `slopes` call.
-    """
+    """The profile triple (f1, f2, f3), with f1'^2 - f2'^2 = cosh(theta)^2
+    (spacelike) or -cos(theta)^2 (timelike) and f3' = tau (f1 f2' - f2 f1').
+    `slopes(v)` returns (f1', f2', f1'', f2''); `jet(v)` the values and
+    three derivatives of all three, from one lookup per table.  Called on
+    v, the profile returns (f1, f2, f3) there: at a float, an ndarray, or a
+    Taylor value, lifted through the jet at its value."""
 
     profile: HelixProfile
     v_range: tuple[float, float]
@@ -226,14 +213,30 @@ class ProfileFunctions:
     slopes: Callable[[float], tuple[float, float, float, float]]
 
     def jet(self, v) -> tuple[float, ...]:
-        """(f1, f2, f3, f1', f2', f3', f1'', f2'', f3'') at v (a float or
-        an ndarray)."""
+        """(f1, f2, f3, f1', f2', f3', f1'', f2'', f3'', f1''', f2''',
+        f3''') at v (a float or an ndarray)."""
         p1, p2, p3 = self.f1(v), self.f2(v), self.f3(v)
         q1, q2, r1, r2 = self.slopes(v)
         tau = self.profile.tau
+        eta = self.profile.eta
+        e1, e2 = eta.derivative(v), eta.second_derivative(v)
+        # f1' = k1 g1(s), f2' = m g2(s), s = eta + shift, g1' = g2, g2' = g1:
+        # f1''' = k1 (g1 eta'^2 + g2 eta''), k1 g2 = k f2', k = k1 / m = +-1
+        k = _slope_branch(self.profile)[2] / self.profile.slope_scale
+        t1 = q1 * e1 * e1 + k * q2 * e2
+        t2 = q2 * e1 * e1 + k * q1 * e2
         # f3'' = d/dv of tau*(f1 f2' - f2 f1'); the f1'f2' cross terms cancel
         return (p1, p2, p3, q1, q2, tau * (p1 * q2 - p2 * q1),
-                r1, r2, tau * (p1 * r2 - p2 * r1))
+                r1, r2, tau * (p1 * r2 - p2 * r1),
+                t1, t2, tau * (q1 * r2 - q2 * r1 + p1 * t2 - p2 * t1))
+
+    def __call__(self, v) -> tuple:
+        """(f1, f2, f3) at v; a Taylor value v is lifted through `jet` at
+        its value."""
+        if not isinstance(v, Taylor):
+            return self.f1(v), self.f2(v), self.f3(v)
+        j = self.jet(v.c[0])
+        return tuple(v.lift(j[0::3], j[1::3], j[2::3]))
 
 
 def _slope_branch(profile: HelixProfile) -> tuple[str, str, float, float]:
@@ -281,15 +284,11 @@ def _sinhc_minus_one(x):
 def build_profile(profile: HelixProfile,
                   v_range: tuple[float, float],
                   *, force_quadrature: bool = False) -> ProfileFunctions:
-    """Construct (f1, f2, f3) on v_range with f_i(anchor) = 0.
-
-    Constant and linear eta take the closed form; polynomial and
-    sinusoidal eta integrate f1', f2' (with f1'', f2'') into quintic-Hermite
-    tables (`numeric.CumulativeIntegral`), then integrate f3' (with f3'')
-    from the tabulated f1, f2.  The anchor is 0 when the range
-    contains it, else the lower endpoint (the free initial conditions
-    correspond to ambient translations).
-    """
+    """Construct (f1, f2, f3) on v_range with f_i(anchor) = 0: closed forms
+    for constant and linear eta, else tables of f1', f2' (with f1'', f2'')
+    and then of f3' (with f3'') from the tabulated f1, f2.  The anchor is 0
+    when the range holds it, else the lower end (the free initial values
+    are ambient translations)."""
     lo, hi = float(v_range[0]), float(v_range[1])
     if not lo < hi:
         raise InvalidParameterDomain("profile v_range must be nondegenerate")
@@ -367,11 +366,11 @@ def build_profile(profile: HelixProfile,
 def profile_residuals(pf: ProfileFunctions) -> dict[str, float]:
     """Max residuals of the defining constraints over the profile range, on
     `_RESIDUAL_SAMPLES` points evaluated as one batch.
-
     antiderivative:        five-point derivative of f1, f2 vs f1', f2'
     derivative_constraint: f1'^2 - f2'^2 vs its required constant
     f3_ode:                five-point derivative of f3 vs tau*(f1 f2'-f2 f1')
-    """
+    jet:                   five-point derivatives of the jet's first and
+                           second derivatives vs its second and third"""
     lo, hi = pf.v_range
     pad = 2.0 * _RESIDUAL_STEP * 1.0000001
     a, b = lo + pad, hi - pad
@@ -379,18 +378,16 @@ def profile_residuals(pf: ProfileFunctions) -> dict[str, float]:
     v = np.array([a + (b - a) * i / (n - 1) for i in range(n)])
     d1, d2, d3 = central_diff(lambda t: tuple(f(np.add.outer(v, t)) for f in (
         pf.f1, pf.f2, pf.f3)), _RESIDUAL_STEP, order=4)
-    q1, q2, q3 = pf.jet(v)[3:6]
+    higher = central_diff(lambda t: pf.jet(np.add.outer(v, t))[3:9],
+                          _RESIDUAL_STEP, order=4)
+    jet = pf.jet(v)
+    q1, q2, q3 = jet[3:6]
     return {"antiderivative": float(np.maximum(abs(d1 - q1), abs(d2 - q2)).max()),
             "derivative_constraint": float(
                 abs(q1 * q1 - q2 * q2 - pf.profile.constraint_target).max()),
-            "f3_ode": float(abs(d3 - q3).max())}
-
-
-def _analytic_patch(space: SpaceParams, jet, domain: Domain,
-                    **kwargs) -> SurfacePatch:
-    """A patch whose position is the point of its analytic jet."""
-    return SurfacePatch(space, lambda u, v: jet(u, v)[0], domain, jet=jet,
-                        **kwargs)
+            "f3_ode": float(abs(d3 - q3).max()),
+            "jet": float(max([abs(d - q).max()
+                              for d, q in zip(higher, jet[6:])]))}
 
 
 # ---- angle-function-zero families ----
@@ -410,12 +407,10 @@ def make_minimal_plane(delta: int, causal: str, phi0: float,
                        tau: float = 1.0,
                        domain: Optional[Domain] = None) -> SurfacePatch:
     """Minimal vertical plane with angle function 0 and H = 0.
-
     delta = -1 admits only the timelike plane
     (sin(phi0)*v, -cos(phi0)*v, u); delta = +1 admits the timelike
     (sinh(phi0)*v, cosh(phi0)*v, u) and spacelike
-    (cosh(phi0)*v, sinh(phi0)*v, u) planes.
-    """
+    (cosh(phi0)*v, sinh(phi0)*v, u) planes."""
     if causal not in ("timelike", "spacelike"):
         raise InvalidParameterDomain(f"bad causal {causal!r}")
     if not math.isfinite(phi0):
@@ -432,62 +427,48 @@ def make_minimal_plane(delta: int, causal: str, phi0: float,
     else:
         cx, cy = math.cosh(phi0), math.sinh(phi0)
 
-    fu: Vec3 = (0.0, 0.0, 1.0)
-    fv: Vec3 = (cx, cy, 0.0)
-    zero: Vec3 = (0.0, 0.0, 0.0)
-
-    def jet(u, v):
-        return ((cx * v, cy * v, u), fu, fv, zero, zero, zero)
+    def position(u, v):
+        return (cx * v, cy * v, u)
 
     family = {"family": "minimal_plane", "delta": delta, "causal": causal,
               "tau": tau, "phi0": float(phi0),
               "domain": [list(domain[0]), list(domain[1])]}
-    return _analytic_patch(space, jet, domain,
-                           name=f"minimal_plane[delta={delta},{causal}]",
-                           family=family)
+    return SurfacePatch(space, position, domain,
+                        name=f"minimal_plane[delta={delta},{causal}]",
+                        family=family)
 
 
 def make_cmc_cylinder(delta: int, causal: str, tau: float,
                       domain: Optional[Domain] = None) -> SurfacePatch:
     """Vertical cylinder with angle function 0 and constant nonzero H.
-
     delta = -1: (-cos v, -sin v, u - tau*v) (timelike only);
     delta = +1 timelike: (cosh v, sinh v, u - tau*v);
-    delta = +1 spacelike: (sinh v, cosh v, u + tau*v).
-    """
+    delta = +1 spacelike: (sinh v, cosh v, u + tau*v)."""
     if causal not in ("timelike", "spacelike"):
         raise InvalidParameterDomain(f"bad causal {causal!r}")
     if tau == 0.0 or not math.isfinite(tau):
         raise InvalidParameterDomain("cylinder family needs tau != 0")
     space = SpaceParams(delta=delta, tau=tau)
     domain = _normalize_domain(domain)
-    fu: Vec3 = (0.0, 0.0, 1.0)
-    zero: Vec3 = (0.0, 0.0, 0.0)
     if delta == -1:
         if causal != "timelike":
             raise InvalidCombination(
                 "delta = -1 admits only the timelike cylinder")
 
-        def jet(u, v):
-            c, s = _lib(v).cos(v), _lib(v).sin(v)
-            return ((-c, -s, u - tau * v), fu, (s, -c, -tau),
-                    zero, zero, (c, s, 0.0))
+        def position(u, v):
+            return (-_lib(v).cos(v), -_lib(v).sin(v), u - tau * v)
     elif causal == "timelike":
-        def jet(u, v):
-            ch, sh = _lib(v).cosh(v), _lib(v).sinh(v)
-            return ((ch, sh, u - tau * v), fu, (sh, ch, -tau),
-                    zero, zero, (ch, sh, 0.0))
+        def position(u, v):
+            return (_lib(v).cosh(v), _lib(v).sinh(v), u - tau * v)
     else:
-        def jet(u, v):
-            ch, sh = _lib(v).cosh(v), _lib(v).sinh(v)
-            return ((sh, ch, u + tau * v), fu, (ch, sh, tau),
-                    zero, zero, (sh, ch, 0.0))
+        def position(u, v):
+            return (_lib(v).sinh(v), _lib(v).cosh(v), u + tau * v)
 
     family = {"family": "cmc_cylinder", "delta": delta, "causal": causal,
               "tau": tau, "domain": [list(domain[0]), list(domain[1])]}
-    return _analytic_patch(space, jet, domain,
-                           name=f"cmc_cylinder[delta={delta},{causal}]",
-                           family=family)
+    return SurfacePatch(space, position, domain,
+                        name=f"cmc_cylinder[delta={delta},{causal}]",
+                        family=family)
 
 
 # ---- helix (nonzero angle function) families ----
@@ -496,36 +477,25 @@ def make_cmc_cylinder(delta: int, causal: str, tau: float,
 def make_helix_surface(profile: HelixProfile,
                        domain: Optional[Domain] = None) -> SurfacePatch:
     """Constant-angle surface with nonzero angle function (delta = +1).
-
     Spacelike branch (angle function sinh(theta)):
         x =  A cosh u + f1(v)
         y =  A sinh u + f2(v)
         z = -B u - C (f2 cosh u - f1 sinh u) + f3(v)
     with A = coth(theta)/(2 tau), B = cosh^2(theta)/(4 tau sinh^2(theta)),
     C = coth(theta)/2.
-
     Timelike branch (angle function sin(theta)):
         x = -A sinh u + f1(v)
         y = -A cosh u + f2(v)
         z =  B u - C (f1 cosh u - f2 sinh u) + f3(v)
     with A = cot(theta)/(2 tau), B = cos^2(theta)/(4 tau sin^2(theta)),
-    C = cot(theta)/2.
-    """
+    C = cot(theta)/2."""
     domain = _normalize_domain(domain)
     (v0, v1) = domain[1]
     pf = build_profile(profile, (v0 - _PROFILE_MARGIN, v1 + _PROFILE_MARGIN))
-    return _helix_patch_from_profile(profile, pf, domain)
-
-
-def _helix_patch_from_profile(profile: HelixProfile, pf: ProfileFunctions,
-                              domain: Domain) -> SurfacePatch:
     tau = profile.tau
     space = SpaceParams(delta=1, tau=tau)
-    profile_jet = pf.jet
-
     # (X, Y) = (cosh u, sinh u) on the spacelike branch and (-sinh u,
-    # -cosh u) on the timelike one; both satisfy X' = Y, Y' = X, and b_c
-    # carries the branch sign of the u-term in z
+    # -cosh u) on the timelike one; b_c carries the sign of the u-term in z
     if profile.causal == "spacelike":
         num, den = math.cosh(profile.theta), math.sinh(profile.theta)
         sign = -1.0
@@ -542,46 +512,35 @@ def _helix_patch_from_profile(profile: HelixProfile, pf: ProfileFunctions,
     b_c = sign * (num * num / (4.0 * tau * den * den))
     c_c = (num / den) / 2.0
 
-    def jet(u, v):
+    def position(u, v):
         x, y = xy(u)
-        p1, p2, p3, q1, q2, q3, r1, r2, r3 = profile_jet(v)
-        return ((a_c * x + p1, a_c * y + p2,
-                 b_c * u - c_c * (p2 * x - p1 * y) + p3),
-                (a_c * y, a_c * x, b_c - c_c * (p2 * y - p1 * x)),
-                (q1, q2, -c_c * (q2 * x - q1 * y) + q3),
-                (a_c * x, a_c * y, -c_c * (p2 * x - p1 * y)),
-                (0.0, 0.0, -c_c * (q2 * y - q1 * x)),
-                (r1, r2, -c_c * (r2 * x - r1 * y) + r3))
+        p1, p2, p3 = pf(v)
+        return (a_c * x + p1, a_c * y + p2,
+                b_c * u - c_c * (p2 * x - p1 * y) + p3)
 
     family = {"family": "helix", "delta": 1, **profile.as_dict(),
               "domain": [list(domain[0]), list(domain[1])]}
-    patch = _analytic_patch(space, jet, domain,
-                            name=f"helix[{profile.causal}]", family=family)
+    patch = SurfacePatch(space, position, domain,
+                         name=f"helix[{profile.causal}]", family=family)
     patch.helix_profile = profile  # type: ignore[attr-defined]
     patch.profile_functions = pf  # type: ignore[attr-defined]
     return patch
 
 
 def predicted_mu(profile: HelixProfile, u: float, v: float) -> float:
-    """Closed-form shape-operator entry mu in the derivation's coordinates:
-
+    """Closed-form shape-operator entry mu in the derivation's coordinates
+    (patch coordinates through `profile_u_from_patch_u`):
         spacelike: 2 tau sinh(theta) tanh(2 tau sinh(theta)^2 u + eta(v))
-        timelike:  2 tau sin(theta)  tanh(2 tau sin(theta)^2  u + eta(v))
-
-    Compare against measured values through `profile_u_from_patch_u`.
-    """
+        timelike:  2 tau sin(theta)  tanh(2 tau sin(theta)^2  u + eta(v))"""
     nu = profile.nu_value
     arg = 2.0 * profile.tau * nu * nu * u + profile.eta(v)
     return 2.0 * profile.tau * nu * math.tanh(arg)
 
 
 def profile_u_from_patch_u(profile: HelixProfile, u: float) -> float:
-    """Map a patch u-coordinate to the derivation's u-variable.
-
-    The closed-form immersions absorb a reparametrization
-    u_patch = c - 2 tau sinh(theta)^2 u (spacelike) resp.
-    u_patch = c + 2 tau sin(theta)^2 u (timelike); this inverts it.
-    """
+    """The derivation's u of a patch u: the inverse of the immersions'
+    u_patch = c - 2 tau sinh(theta)^2 u (spacelike) or
+    u_patch = c + 2 tau sin(theta)^2 u (timelike)."""
     nu = profile.nu_value
     if profile.causal == "spacelike":
         return (profile.c - u) / (2.0 * profile.tau * nu * nu)
@@ -598,10 +557,8 @@ def predicted_mu_at_patch(profile: HelixProfile, u: float, v: float) -> float:
 
 def family_from_config(cfg: dict) -> SurfacePatch:
     """Build a patch from a JSON-style descriptor.
-
     Required fields: family, tau; family-specific: delta, causal, phi0
-    (minimal_plane), theta/c/eta (helix); optional: domain.
-    """
+    (minimal_plane), theta/c/eta (helix); optional: domain."""
     if not isinstance(cfg, dict):
         raise ConfigError("family descriptor must be an object")
     try:

@@ -1,25 +1,23 @@
-"""Shared numerical helpers: small-vector algebra, the central
-finite-difference stencils, adaptive Simpson quadrature, quintic-Hermite
-tables of an antiderivative, and deterministic float formatting.
+"""Shared numerical helpers: small-vector algebra, truncated Taylor series
+(the package's one derivative type), central finite-difference stencils,
+adaptive Simpson quadrature, quintic-Hermite tables of an antiderivative, and
+deterministic float formatting.
 
 Three-vectors are plain tuples of three components.  A component is a float
 for one point, or a 1-D ndarray for a batch of points: every geometry
 function takes (u, v) as floats or as equal-length 1-D arrays and returns the
 same kind, so a grid is evaluated in one call.  The batch helpers below
-(`select`, `finite`, `require`, `quiet`) are where the two kinds differ.
-A table's nodes are chosen per table: it evaluates its integrand (f and f'
-together) on all of its segments at once, by 5-node Gauss-Legendre on each
-half, and bisects the segments whose quintic Hermite interpolant's slope
-misses f at those points by more than the bound allows, so the 1e-10 bound
-holds between the nodes.  Adaptive Simpson is only the spot check of ten
-segments per table, as one batch.
+(`select`, `finite`, `require`, `quiet`) are where the two kinds differ; they
+also take `Taylor` values, which carry derivatives through the same formulas.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
+import operator
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -47,13 +45,9 @@ def fmt_float(x: float) -> str:
 
 
 def json_dumps(obj) -> str:
-    """Serialize nested dict/list/scalar data with 17-digit floats.
-
-    The standard json module does not expose float formatting, so this walks
-    the structure itself.  Only the types used by report objects are
-    supported: dict (string keys), list/tuple, str, bool, int, float, None.
-    Output is deterministic: dict keys keep insertion order.
-    """
+    """Serialize dicts (string keys, insertion order), lists, tuples, str,
+    bool, int, float and None with 17-digit floats, which the standard json
+    module cannot format."""
     return _json_emit(obj, 0) + "\n"
 
 
@@ -97,25 +91,30 @@ def _json_emit(o, depth: int) -> str:
 
 def select(cond, a, b):
     """`a` where cond holds, else `b`: a plain conditional for one point,
-    `np.where` for a batch."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
+    `np.where` for a batch (coefficient by coefficient on Taylor values)."""
+    if not isinstance(cond, np.ndarray):
+        return a if cond else b
+    if isinstance(a, Taylor) or isinstance(b, Taylor):
+        ab = Taylor.stack((a, b))
+        return Taylor(np.where(cond, ab.c[:, 0], ab.c[:, 1]), ab.order, ab.nvar)
+    return np.where(cond, a, b)
 
 
 def finite(*values):
-    """Whether every value is finite: a bool, or a bool array for a batch."""
-    if not any(isinstance(x, np.ndarray) for x in values):
+    """Whether every value (every coefficient of a Taylor value) is finite:
+    a bool, or a bool array for a batch."""
+    if not any(isinstance(x, (np.ndarray, Taylor)) for x in values):
         return all(map(math.isfinite, values))
-    ok = np.isfinite(values[0])
-    for x in values[1:]:
-        ok = ok & np.isfinite(x)
-    return ok
+    return functools.reduce(np.logical_and, [
+        np.isfinite(x.c).all(axis=0) if isinstance(x, Taylor)
+        else np.isfinite(x) for x in values])
 
 
 def _item(x, i: int):
-    """Entry i of a batch value as a Python number (a scalar is every
-    entry)."""
+    """Entry i of a batch value (of a Taylor value's value) as a Python
+    number (a scalar is every entry)."""
+    if isinstance(x, Taylor):
+        x = x.c[0]
     if isinstance(x, np.ndarray):
         return x.flat[i if x.size > 1 else 0].item()
     if isinstance(x, np.generic):
@@ -125,14 +124,10 @@ def _item(x, i: int):
 
 def require(ok, error: Callable[[str], Exception], describe: Callable[..., str],
             *values, at: Optional[tuple] = None) -> None:
-    """The one guard: raise `error(describe(*values))` at the first point,
-    in batch order (u-major on grids), where `ok` is False.
-
-    `ok` is a bool or a bool array; `values` are read at that point.  NaN
-    compares False, so a guard written as the condition that must hold
-    fails on NaN.  `at`, the points' (u, v), appends "at sample (u=..,
-    v=..)" to the message and is kept as the error's `sample` attribute.
-    """
+    """The one guard: raise `error(describe(*values))`, `values` read at
+    the first point in batch order (u-major on grids) where `ok` (a bool or
+    bool array; NaN compares False) is False.  `at`, the points' (u, v),
+    appends "at sample (u=.., v=..)" and is kept as the error's `sample`."""
     if isinstance(ok, np.ndarray):
         if ok.all():
             return
@@ -175,9 +170,11 @@ def scale3(s: float, a: Vec3) -> Vec3:
 def lincomb3(terms: Sequence[tuple[float, Vec3]]) -> Vec3:
     x = y = z = 0.0
     for s, a in terms:
-        x += s * a[0]
-        y += s * a[1]
-        z += s * a[2]
+        if type(s) is float and s == 1.0:  # 1.0 * a is a, bit for bit
+            s = a
+        else:
+            s = (s * a[0], s * a[1], s * a[2])
+        x, y, z = x + s[0], y + s[1], z + s[2]
     return (x, y, z)
 
 
@@ -189,7 +186,7 @@ def as_vec3(v) -> Vec3:
 
 
 def _component(c):
-    return c if isinstance(c, np.ndarray) else float(c)
+    return c if isinstance(c, (np.ndarray, Taylor)) else float(c)
 
 
 def bilinear3(g, v: Vec3, w: Vec3) -> float:
@@ -209,13 +206,325 @@ def solve2(a11: float, a12: float, a21: float, a22: float,
     return ((b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det)
 
 
+# ---- truncated Taylor series ----
+#
+# A Taylor value holds, per point of a batch, the coefficients d^a f / a! of
+# a quantity f in 1 to 3 variables for each multi-index a up to its order
+# (at most 3).  Monomials are graded, lexicographically descending within a
+# degree: a lower order is a prefix, c[1 + i] the partial along variable i.
+# The tables, from plain ints at import: monomials, indices, sizes; the
+# product kernel's runs [ia, b0, b1, c0] (c[c0:c0 + b1 - b0] +=
+# a[ia] * b[b0:b1]); each partial's sources and scaled rows.
+
+_FACTORIAL = (1.0, 1.0, 2.0, 6.0)
+_MONOMIALS = {n: [e for d in range(4) for e in sorted(
+    (e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d),
+    reverse=True)] for n in (1, 2, 3)}
+_INDEX = {n: {e: i for i, e in enumerate(ms)} for n, ms in _MONOMIALS.items()}
+_SIZE = {n: [sum(sum(e) <= k for e in ms) for k in range(4)]
+         for n, ms in _MONOMIALS.items()}
+
+
+def _runs(nvar: int, order: int) -> list:
+    ms, runs = _MONOMIALS[nvar], []
+    for ia, a in enumerate(ms):
+        for ib, b in enumerate(ms):
+            if sum(a) and sum(b) and sum(a) + sum(b) <= order:
+                ic = _INDEX[nvar][tuple(map(operator.add, a, b))]
+                last = runs[-1] if runs else None
+                if last and last[0] == ia and last[2] == ib \
+                        and last[3] + ib - last[1] == ic:
+                    last[2] += 1  # consecutive b and c indices: one run
+                else:
+                    runs.append([ia, ib, ib + 1, ic])
+    return runs
+
+
+def _partial_table(nvar: int, axes: tuple, order: int) -> tuple:
+    d = [axes.count(k) for k in range(nvar)]
+    up = [tuple(map(operator.add, e, d))
+          for e in _MONOMIALS[nvar][:_SIZE[nvar][order - len(axes)]]]
+    scale = [math.prod([math.perm(x, y) for x, y in zip(e, d)]) for e in up]
+    return ([_INDEX[nvar][e] for e in up],
+            [(row, float(k)) for row, k in enumerate(scale) if k > 1])
+
+
+#: (coefficients, runs) of the product kernel per (variables, order)
+_KERNEL = {(n, k): (_SIZE[n][k], _runs(n, k)) for n in (1, 2, 3)
+           for k in range(4)}
+_PARTIALS = {(n, axes, k): _partial_table(n, axes, k) for n in (1, 2, 3)
+             for m in (1, 2)
+             for axes in itertools.combinations_with_replacement(range(n), m)
+             for k in range(m, 4)}
+
+
+def _product(a: np.ndarray, b: np.ndarray, order: int, nvar: int) -> np.ndarray:
+    """Coefficients of a b truncated at `order`, a and b with as many batch
+    axes: elementwise slices only, so no BLAS, and each temporary is a few
+    rows of the batch."""
+    n, runs = _KERNEL[nvar, order]
+    out = a[0] * b[:n]
+    if order:
+        out[1:] += a[1:n] * b[0]
+        for ia, b0, b1, c0 in runs:
+            out[c0:c0 + b1 - b0] += a[ia] * b[b0:b1]
+    return out
+
+
+def _jet_of(name: str, x) -> tuple:
+    """(f, f', f'', f''') of the function `name` at x, with math's functions
+    on a number and numpy's on an array, as a formula on the value would."""
+    if name == "sqrt":
+        s = np.sqrt(x)
+        return s, 0.5 / s, -0.25 / (s * x), 0.375 / (s * x * x)
+    if name == "reciprocal":
+        r = 1.0 / x
+        return r, -r * r, 2.0 * r * r * r, -6.0 * r * r * r * r
+    lib = np if isinstance(x, np.ndarray) else math
+    if name in ("sin", "cos"):
+        s, c = lib.sin(x), lib.cos(x)
+        return (s, c, -s, -c) if name == "sin" else (c, -s, -c, s)
+    s, c = lib.sinh(x), lib.cosh(x)
+    return (s, c, s, c) if name == "sinh" else (c, s, c, s)
+
+
+#: the numpy ufuncs a Taylor value takes, by operator or function name
+_UFUNCS = {np.add: "add", np.subtract: "sub", np.multiply: "mul",
+           np.true_divide: "truediv", np.negative: "neg", np.absolute: "abs",
+           np.sqrt: "sqrt", np.sin: "sin", np.cos: "cos", np.sinh: "sinh",
+           np.cosh: "cosh"}
+
+
+class Taylor:
+    """A truncated Taylor series in `nvar` (1 to 3) variables at each point
+    of a batch: coefficients `c` on the leading axis, batch axes after it.
+    Each value carries its own truncation `order` (0 to 3): a sum or product
+    has the lower order of its operands and `partial` lowers it.  + - * /
+    (numbers, arrays or Taylor values on either side), unary -, abs (which
+    flips by the sign of the value) and numpy's sqrt, sin, cos, sinh and
+    cosh carry exact derivatives (Griewank & Walther, Evaluating
+    Derivatives, 2nd ed., 2008, ch. 13); a result's value is the plain
+    operation on the values.  Array operands broadcast against the batch
+    axes.  Comparisons compare values, so guards and `select` act on them."""
+
+    __slots__ = ("c", "order", "nvar", "axis")
+    __hash__ = None
+
+    def __init__(self, c: np.ndarray, order: int, nvar: int,
+                 axis: Optional[int] = None):
+        #: `axis` marks a seeded variable, whose powers are monomials
+        self.c, self.order, self.nvar, self.axis = c, order, nvar, axis
+
+    @classmethod
+    def variables(cls, point, order: int) -> tuple:
+        """The coordinates of `point` (numbers, or arrays over one batch)
+        as Taylor values of `order`, coordinate i the variable i."""
+        xs = np.broadcast_arrays(*[np.asarray(x, dtype=float) for x in point])
+        out = []
+        for i, x in enumerate(xs):
+            c = np.zeros((_SIZE[len(xs)][order],) + x.shape)
+            c[0], c[1 + i:2 + i] = x, 1.0  # no slot for d/dx_i at order 0
+            out.append(cls(c, order, len(xs), i))
+        return tuple(out)
+
+    @classmethod
+    def stack(cls, xs) -> "Taylor":
+        """xs (Taylor values, or numbers: constants) on a new leading batch
+        axis of one Taylor value, at their lowest order."""
+        ts = [x for x in xs if type(x) is Taylor]
+        order, nvar = min([t.order for t in ts]), ts[0].nvar
+        shape = np.broadcast_shapes(*[np.shape(value(x)) for x in xs])
+        c = np.zeros((_SIZE[nvar][order], len(xs)) + shape)
+        for k, x in enumerate(xs):
+            if type(x) is Taylor:
+                c[:, k] = x.c[:len(c)]
+            else:
+                c[0, k] = x
+        return cls(c, order, nvar)
+
+
+    def partial(self, *axes: int) -> "Taylor":
+        """The partial along `axes` (one entry per derivative, at most two),
+        that many orders lower."""
+        sources, scaled = _PARTIALS[self.nvar, tuple(sorted(axes)), self.order]
+        c = self.c[sources]
+        for row, k in scaled:
+            c[row] *= k
+        return Taylor(c, self.order - len(axes), self.nvar)
+
+
+    def lift(self, *jets) -> list:
+        """f(self) for each f given by its jet (f, f', ...) at the value:
+        order + 1 or more numbers or arrays over the batch.  The powers of
+        (self - value) are shared among the jets."""
+        k, n = self.order, self.nvar
+        powers = [self.c.copy()]
+        powers[0][0] = 0.0
+        for _ in range(1, k if self.axis is None else 0):
+            powers.append(_product(powers[-1], powers[0], k, n))
+        out = []
+        for jet in jets:
+            if self.axis is None:
+                c = powers[0] * jet[1] if k else powers[0].copy()
+                for j in range(2, k + 1):
+                    c += powers[j - 1] * (jet[j] / _FACTORIAL[j])
+            else:  # a variable's powers are monomials
+                c = np.zeros_like(self.c)
+                for j in range(1, k + 1):
+                    e = tuple([j * (i == self.axis) for i in range(n)])
+                    c[_INDEX[n][e]] = jet[j] / _FACTORIAL[j]
+            c[0] = jet[0]
+            out.append(Taylor(c, k, n))
+        return out
+
+    def _aligned(self, nd: int) -> np.ndarray:
+        """The coefficients with at least `nd` batch axes."""
+        c = self.c
+        if nd >= c.ndim:
+            c = c.reshape(c.shape[:1] + (1,) * (nd - c.ndim + 1) + c.shape[1:])
+        return c
+
+    def _pair(self, o: "Taylor") -> tuple:
+        """Both coefficient arrays with as many batch axes; the lower order."""
+        a, b = self.c, o.c
+        if a.ndim != b.ndim:
+            a, b = self._aligned(b.ndim - 1), o._aligned(a.ndim - 1)
+        return a, b, min(self.order, o.order)
+
+    def _plus(self, o, op) -> "Taylor":
+        """op(self, o) for op np.add or np.subtract."""
+        if type(o) is Taylor:
+            a, b, k = self._pair(o)
+            n = _SIZE[self.nvar][k]
+            return Taylor(op(a[:n], b[:n]), k, self.nvar)
+        nd = getattr(o, "ndim", 0)
+        if not nd or o.shape == self.c.shape[1:]:
+            out = self.c.copy()
+            out[0] = op(out[0], o)
+        else:
+            c = self._aligned(nd)
+            head = op(c[0], o)
+            out = np.empty(c.shape[:1] + head.shape)
+            out[0], out[1:] = head, c[1:]
+        return Taylor(out, self.order, self.nvar)
+
+    def __add__(self, o):
+        return self._plus(o, np.add)
+
+    def __sub__(self, o):
+        return self._plus(o, np.subtract)
+
+    def __neg__(self):
+        return Taylor(-self.c, self.order, self.nvar)
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if type(o) is float:
+            return Taylor(self.c * o, self.order, self.nvar)
+        if type(o) is not Taylor:
+            return Taylor(self._aligned(getattr(o, "ndim", 0)) * o, self.order,
+                          self.nvar)
+        a, b, k = self._pair(o)
+        return Taylor(_product(a, b, k, self.nvar), k, self.nvar)
+
+    def __truediv__(self, o):
+        if type(o) is not Taylor:
+            return Taylor(self._aligned(getattr(o, "ndim", 0)) / o, self.order,
+                          self.nvar)
+        return _quotient(self, o)
+
+    def __rtruediv__(self, o):
+        return _quotient(o, self)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __abs__(self):
+        return Taylor(self.c * np.where(self.c[0] < 0.0, -1.0, 1.0),
+                      self.order, self.nvar)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        name = _UFUNCS.get(ufunc)
+        if name is None or method != "__call__" or kwargs:
+            return NotImplemented
+        if len(inputs) == 1:
+            if name in ("neg", "abs"):
+                return getattr(self, f"__{name}__")()
+            return self.lift(_jet_of(name, self.c[0]))[0]
+        a, b = inputs
+        if a is self:
+            return getattr(self, f"__{name}__")(b)
+        return getattr(self, f"__r{name}__")(a)
+
+
+for _name in ("lt", "le", "gt", "ge", "eq", "ne"):
+    setattr(Taylor, f"__{_name}__",
+            lambda self, o, op=getattr(operator, _name): op(self.c[0], value(o)))
+
+
+def _quotient(a, b: Taylor) -> Taylor:
+    """a / b for a Taylor value b, with a's value over b's as the value: at
+    order 1 from q' = (a' - q b') / b, above through the reciprocal."""
+    taylor_a = type(a) is Taylor
+    a0 = a.c[0] if taylor_a else a
+    if (min(a.order, b.order) if taylor_a else b.order) != 1:
+        q = b.lift(_jet_of("reciprocal", b.c[0]))[0] * a
+        q.c[0] = a0 / b.c[0]
+        return q
+    n = _SIZE[b.nvar][1]
+    ca, cb, _ = a._pair(b) if taylor_a else (None, b._aligned(np.ndim(a)), 1)
+    q0 = a0 / b.c[0]
+    tail = ((ca[1:n] if taylor_a else 0.0) - q0 * cb[1:n]) / cb[0]
+    out = np.empty((n,) + tail.shape[1:])
+    out[0], out[1:] = q0, tail
+    return Taylor(out, 1, b.nvar)
+
+
+def value(x):
+    """x with every Taylor value replaced by its value, through tuples,
+    lists and dataclass fields; anything else is its own value."""
+    if type(x) is Taylor:
+        return x.c[0]
+    if isinstance(x, (tuple, list)):
+        return type(x)([value(c) for c in x])
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return type(x)(*[value(c) for c in vars(x).values()])
+    return x
+
+
+def truncated(x, order: int):
+    """x with its coefficients beyond `order` dropped; a number is a
+    constant."""
+    if type(x) is not Taylor or order >= x.order:
+        return x
+    return Taylor(x.c[:_SIZE[x.nvar][order]], order, x.nvar, x.axis)
+
+
+def partial(x, *axes):
+    """x differentiated along `axes` (one entry per derivative): a Taylor
+    value that many orders lower; a number is a constant, with partials 0."""
+    if type(x) is not Taylor:
+        return 0.0 if axes else x
+    return x.partial(*axes) if axes else x
+
+
+def derivative(x, *axes):
+    """The value of the partial of x along `axes` (one entry per
+    derivative); a number is a constant, with partials 0."""
+    if type(x) is not Taylor:
+        return 0.0 if axes else x
+    e = tuple([axes.count(i) for i in range(x.nvar)])
+    scale = math.prod([math.factorial(k) for k in e])
+    c = x.c[_INDEX[x.nvar][e]]
+    return c * scale if scale > 1 else c
+
+
 # ---- finite differences ----
 #
-# Every finite-difference stencil in the package is one of the two helpers
-# below.  Each calls f once, with offsets t = every offset times the whole
-# step h (a float, or one step per point).  f's values carry the displaced
-# points on their last axis, offset-major (see `stacked`); a number counts
-# for every point.  Values may be floats, ndarrays, or tuples/lists.
+# Each stencil calls f once, with offsets t = every offset times the step h
+# (a float, or one step per point); f's values (floats, ndarrays or tuples)
+# carry the displaced points on their last axis, offset-major (`stacked`).
 
 
 def stacked(*xs) -> list:
@@ -266,24 +575,58 @@ def central_diff(f: Callable, h, order: int = 2):
     raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
 
 
-def central_partials(f: Callable, h):
-    """(f, f_u, f_v, f_uu, f_uv, f_vv) at (0, 0) from the second-order
-    nine-point stencil; f is called once, with the offsets (du, dv) of all
-    nine points stacked."""
+#: offsets (du, dv), in steps, of the nine-point stencil, and of the eight
+#: points two steps out on the axes and diagonals that order 3 adds
+_NINE = ((0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0),
+         (0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0))
+_EIGHT = ((2.0, -2.0, 0.0, 0.0, 2.0, 2.0, -2.0, -2.0),
+          (0.0, 0.0, 2.0, -2.0, 2.0, -2.0, 2.0, -2.0))
+
+
+def central_partials(f: Callable, h, order: int = 2):
+    """(f, f_u, f_v, f_uu, f_uv, f_vv) at (0, 0): at `order` 2 from the
+    second-order nine-point stencil; at order 3 of fourth order, from those
+    points and eight more two steps out, followed by (f_uuu, f_uuv, f_uvv,
+    f_vvv) of second order.  f is called once, with the offsets (du, dv) of
+    all the points stacked."""
+    scales = _NINE if order == 2 else [a + b for a, b in zip(_NINE, _EIGHT)]
+    f0, up, um, vp, vm, pp, pm, mp, mm, *far = _stencil(f, h, *scales)
     h2 = h * h
-    f0, up, um, vp, vm, pp, pm, mp, mm = _stencil(
-        f, h, (0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0),
-        (0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0))
+    if order == 2:
+        def d1(p, m):
+            return (p - m) / (2.0 * h)
 
-    def d1(p, m):
-        return (p - m) / (2.0 * h)
+        def d2(p, c, m):
+            return (p - 2.0 * c + m) / h2
 
-    def d2(p, c, m):
-        return (p - 2.0 * c + m) / h2
+        return (f0, _lift(d1, up, um), _lift(d1, vp, vm), _lift(d2, up, f0, um),
+                _lift(lambda a, b, c, d: (a - b - c + d) / (4.0 * h2),
+                      pp, pm, mp, mm), _lift(d2, vp, f0, vm))
+    u2, um2, v2, vm2, pp2, pm2, mp2, mm2 = far
+    h3 = 2.0 * h2 * h
 
-    return (f0, _lift(d1, up, um), _lift(d1, vp, vm), _lift(d2, up, f0, um),
-            _lift(lambda a, b, c, d: (a - b - c + d) / (4.0 * h2), pp, pm, mp, mm),
-            _lift(d2, vp, f0, vm))
+    def d1(p2, p1, m1, m2):
+        return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+
+    def d2(p2, p1, c, m1, m2):
+        return (-p2 + 16.0 * p1 - 30.0 * c + 16.0 * m1 - m2) / (12.0 * h2)
+
+    def d11(pp, pm, mp, mm, pp2, pm2, mp2, mm2):  # Richardson on h and 2h
+        return (16.0 * (pp - pm - mp + mm)
+                - (pp2 - pm2 - mp2 + mm2)) / (48.0 * h2)
+
+    def d3(p2, p1, m1, m2):
+        return (p2 - 2.0 * p1 + 2.0 * m1 - m2) / h3
+
+    def d21(pp, c, mp, pm, cm, mm):  # d/dv of the second difference along u
+        return ((pp - 2.0 * c + mp) - (pm - 2.0 * cm + mm)) / h3
+
+    return (f0, _lift(d1, u2, up, um, um2), _lift(d1, v2, vp, vm, vm2),
+            _lift(d2, u2, up, f0, um, um2),
+            _lift(d11, pp, pm, mp, mm, pp2, pm2, mp2, mm2),
+            _lift(d2, v2, vp, f0, vm, vm2), _lift(d3, u2, up, um, um2),
+            _lift(d21, pp, vp, mp, pm, vm, mm),
+            _lift(d21, pp, up, pm, mp, um, mm), _lift(d3, v2, vp, vm, vm2))
 
 
 def directional_diffs(f: Callable, u, v, directions, step: float,
@@ -313,11 +656,9 @@ def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
 
 def adaptive_simpson(f: Callable[[float], float], a, b, tol=1e-10):
     """Integrate f over [a, b] with adaptive Simpson to absolute tolerance.
-
     a, b and tol are floats, or equal-length 1-D arrays (a batch): its first
     level is one call of f on the 5 x n points stacked, and an interval that
-    does not settle there recurses on floats, giving the float call's result
-    wherever f gives an array's entries the values it gives their floats."""
+    does not settle there recurses on floats, as a float call would."""
     if not isinstance(a, np.ndarray):
         if a == b:
             return 0.0
@@ -388,42 +729,25 @@ _SPOT_CHECKS = 10
 class CumulativeIntegral:
     """Antiderivative F(x) = int_{x0}^{x} f(t) dt on [lo, hi], as quintic
     Hermite interpolation between nodes chosen per table.
-
     The integrand returns the pair (f, f') at a float, and elementwise at an
-    ndarray.  F at the nodes, with F' = f and F'' = f' there, fixes one
-    quintic per segment.  A lookup errs by its node's error plus the
-    quintic's.  The quintic's is held to half of tol = `_QUADRATURE_TOL`
-    between the nodes, not only at them; the node's rests on the Gauss
-    rule, which errs far less on every segment that passes.
-
-    The build starts from nodes `_TABLE_SPACING` apart and integrates each
-    segment by 5-node Gauss-Legendre on each half.  Its check is the
-    quintic's slope against f at those ten points.  The quintic meets the
-    Gauss value at both ends of a segment of width h, so between them it
-    errs by at most h/2 times its largest slope error, for which the ten
-    points stand in.  (The quintic's value at the midpoint alone misses
-    the part of its error that is odd about the midpoint, which dominates
-    where f^(5) changes sign across the segment.)  Segments whose bound
-    exceeds tol/2 are bisected, all at once, until every one passes.  The
-    Gauss values, exact to degree 9 on each half, err far less there.
-    The slope check bounds each interpolant, not the sum of the segments'
-    Gauss errors, so adaptive Simpson integrates `_SPOT_CHECKS` segments
-    again, in one batched call: the first, then one every tenth of the
-    segments.  Their first Simpson level is one integrand call.  The table
-    raises `QuadratureFailure` when one of them differs from its Gauss
-    value by more than its share tol * width / (hi - lo).  Beyond the
-    starting grid, whose size follows from the range (at most
-    `_MAX_START_SEGMENTS` segments, checked before any is built), a table
-    may spend at most `_TABLE_EVAL_BUDGET` integrand evaluations on
-    bisection and the spot check.  Node values accumulate outward from x0.
-
-    Each segment keeps six Horner coefficients in t = (x - node) / width,
-    so `interpolate` is one `searchsorted`, one gather per row and five
-    multiply-adds.  The last node has a segment of its own whose polynomial
-    is its value: F(hi) is exactly the last node value.  A call takes a
-    float x and returns a float, or takes an ndarray x (any shape,
-    elementwise) and returns an array.
-    """
+    ndarray; F, F' = f and F'' = f' at the nodes fix one quintic per
+    segment.  Segments start `_TABLE_SPACING` apart and are integrated by
+    5-node Gauss-Legendre on each half.  The quintic meets the Gauss values
+    at both ends of a segment of width h, so between them it errs by at most
+    h/2 times its largest slope error, for which the ten Gauss points stand
+    in (the midpoint value alone misses the part of the error odd about the
+    midpoint).  Segments whose bound exceeds tol/2 (tol = `_QUADRATURE_TOL`)
+    are bisected, all at once, until every one passes.  That bounds each
+    interpolant, not the sum of the Gauss errors, so adaptive Simpson
+    integrates `_SPOT_CHECKS` segments again in one batched call, and a gap
+    above a segment's share tol * width / (hi - lo) raises
+    `QuadratureFailure`; so does a range of more than `_MAX_START_SEGMENTS`
+    starting segments, or more than `_TABLE_EVAL_BUDGET` evaluations beyond
+    the starting grid.  Node values accumulate outward from x0.
+    Each segment keeps six Horner coefficients in t = (x - node) / width;
+    the last node's segment is its value alone, so F(hi) is exactly the
+    last node value.  A call takes a float x and returns a float, or takes
+    an ndarray x (any shape, elementwise) and returns an array."""
 
     def __init__(self, f: Callable, x0: float, lo: float, hi: float):
         if not (lo <= x0 <= hi and lo < hi):

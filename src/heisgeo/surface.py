@@ -1,33 +1,23 @@
 """Extrinsic and intrinsic geometry of immersed surface patches.
 
 A :class:`SurfacePatch` wraps an immersion F(u, v) into the kappa = 0 ambient
-space together with (optionally) one analytic jet callable that returns the
-point and its first and second partials (p, Fu, Fv, Fuu, Fuv, Fvv) in one
-call.  On top of the patch this module computes, per sample:
-
-- the first fundamental form and the causal character epsilon
-  (+1: timelike surface / spacelike unit normal; -1: spacelike surface),
-- the oriented unit normal N with a deterministic patch-level gauge,
-- the angle function  nu = epsilon * g(N, E3),
-- the tangent projection T of E3 (E3 = T + nu*N) and the tangent rotation
-  J X = N ^ X,
-- the shape operator S X = -(ambient covariant derivative of N along X):
-  S = eps I^{-1} h from :func:`second_fundamental_form` of the patch's jet
-  (analytic, or central differences of `position` on patches without
-  ``jet=``); the Weingarten route (finite differences of the normal field)
-  is its independent cross-check,
-- mean curvature H = trace(S)/2 and Gaussian curvature K by an extrinsic
-  formula and, independently, from the induced metric alone (intrinsic).
+space.  Its jet (p, Fu, Fv, Fuu, Fuv, Fvv) comes from evaluating `position`
+once on Taylor values of (u, v) (`numeric.Taylor`), exactly; a position
+written with float-only functions (`math`) is differenced instead.  Per
+sample this module computes the first fundamental form and causal character
+epsilon (+1: timelike surface / spacelike unit normal; -1: spacelike
+surface), the gauged unit normal N, the angle function nu = eps g(N, E3),
+the tangent part T of E3 and J X = N ^ X, the shape operator S = eps I^{-1} h
+from :func:`second_fundamental_form` (the Weingarten route, differences of
+the normal field, is its cross-check), H = trace(S)/2, and K by the
+extrinsic formula and, independently, by Brioschi's formula on the Taylor
+coefficients of e, f and g.  A jet of higher order carries Taylor values
+through the same formulas: the metric and S then come with their partials.
 
 Every function takes (u, v) as floats (one sample) or as equal-length 1-D
-ndarrays (a batch of samples) and returns the same kind: on a batch each
-scalar is an array and each vector a tuple of arrays.  Grids are evaluated as
-one batch in u-major order, so a guard that fails names the first failing
-(u, v) in that order.  Grid sweeps are collected into a
-:class:`GeometryReport`, which keeps the batch as per-sample columns and
-serializes them to CSV (one row per sample, through one row template) and a
-JSON summary.
-"""
+ndarrays (a batch, u-major on grids, so a failing guard names the first
+failing (u, v)) and returns the same kind.  A :class:`GeometryReport` keeps
+a grid's samples as columns and serializes them to CSV and JSON."""
 
 from __future__ import annotations
 
@@ -39,32 +29,13 @@ import numpy as np
 
 from . import ambient
 from .ambient import SpaceParams
-from .errors import (
-    DegenerateAdaptedFrame,
-    DegenerateInducedMetric,
-    DegenerateNormal,
-    NonFiniteJet,
-    OutOfDomain,
-    UnsupportedKappa,
-)
-from .numeric import (
-    FLOAT_FORMAT,
-    Vec3,
-    _stencil,
-    as_vec3,
-    bilinear3,
-    central_partials,
-    finite,
-    json_dumps,
-    lincomb3,
-    quiet,
-    require,
-    scale3,
-    select,
-    solve2,
-    stacked,
-    sub3,
-)
+from .errors import (DegenerateAdaptedFrame, DegenerateInducedMetric,
+                     DegenerateNormal, NonFiniteJet, OutOfDomain,
+                     UnsupportedKappa)
+from .numeric import (FLOAT_FORMAT, Taylor, Vec3, _stencil, as_vec3,
+                      central_partials, derivative, finite, json_dumps,
+                      lincomb3, partial, quiet, require, scale3, select,
+                      solve2, stacked, sub3, truncated)
 
 # |det I| below this is treated as a degenerate (null) patch
 _DEGENERATE_DET_TOL = 1e-10
@@ -72,21 +43,22 @@ _DEGENERATE_DET_TOL = 1e-10
 _GAUGE_NU_TOL = 1e-10
 # |g(T,T)| below this blocks the adapted basis
 _ADAPTED_TOL = 1e-8
-# evaluation slack beyond the declared domain for analytic patches
+# evaluation slack beyond the declared domain for Taylor-evaluated positions
 _ANALYTIC_MARGIN = 1e-2
 # step for the Weingarten finite difference of the normal field
 _WEINGARTEN_STEP = 1e-5
-# step of the central differences of `position` on patches without `jet=`;
-# the second partials round off as eps |F| / h^2, which 1e-4 balances
-# against the h^2 truncation
+# stencil steps for float-only positions: second partials round off as
+# eps |F| / h^2, which 1e-4 balances against the h^2 truncation; the order-3
+# stencil's third partials as eps |F| / h^3 (2e-4 at 1e-4), balanced by 1.5e-3
 _FD_JET_STEP = 1e-4
-# step for second derivatives of the induced-metric fields (intrinsic K)
-_INTRINSIC_STEP = 5e-4
+_FD_JET_STEP3 = 1.5e-3
+
 
 @dataclass(frozen=True)
 class PatchJet:
-    """Position and partial derivatives of the immersion at one sample, or
-    at each sample of a batch (then every component is an array)."""
+    """Position and partials of the immersion at one sample, or at each
+    sample of a batch (then every component is an array, or at order 3 a
+    Taylor value: see `SurfacePatch.jet`)."""
 
     p: Vec3
     fu: Vec3
@@ -96,95 +68,101 @@ class PatchJet:
     fvv: Vec3
 
 
+#: the partials (variable indices) of the six jet fields
+_JET_AXES = ((), (0,), (1,), (0, 0), (0, 1), (1, 1))
+#: a! of the monomials of `numeric.Taylor`: d^a F / a! from the partials
+_FACTORIALS = (1.0, 1.0, 1.0, 2.0, 1.0, 2.0, 6.0, 2.0, 2.0, 6.0)
+
+
 class SurfacePatch:
     """An immersed parametrized surface patch.
-
-    position(u, v) must return the immersion point.  `jet(u, v)`, when
-    given, returns the six vectors (p, Fu, Fv, Fuu, Fuv, Fvv) in one call
-    (jet_source == "analytic"); it must accept 1-D arrays (u, v) as well as
-    floats, and may return constant components as numbers.  Without it the
-    derivatives fall back to central differences of `position`
-    (jet_source == "finite-difference"), which is called one point at a
-    time, and evaluation is then restricted to the domain interior minus a
-    2h stencil margin (no one-sided stencils).
-    """
+    position(u, v) returns the immersion point.  Written with + - * / and
+    numpy's functions, it takes Taylor values of (u, v) and `jet`
+    differentiates it exactly, up to `_ANALYTIC_MARGIN` beyond the domain.
+    A position that rejects Taylor values (with a TypeError, as `math`'s
+    functions do) is called one point at a time on a central-difference
+    stencil, inside the domain shrunk by twice the stencil step."""
 
     def __init__(self, space: SpaceParams, position: Callable[[float, float], Vec3],
                  domain: tuple[tuple[float, float], tuple[float, float]],
-                 *, jet: Optional[Callable[[float, float], tuple]] = None,
-                 name: str = "patch", family: Optional[dict] = None):
+                 *, name: str = "patch", family: Optional[dict] = None):
         (u0, u1), (v0, v1) = domain
         if not (u0 < u1 and v0 < v1):
             raise ValueError("domain must be a nondegenerate rectangle")
         self.space = space
         self.position = position
         self.domain = ((float(u0), float(u1)), (float(v0), float(v1)))
-        self._analytic_jet = jet
         self.name = name
         self.family = dict(family) if family else None
         self._gauge_sign: Optional[float] = None
         self._evaluations: dict = {}  # shared by the verify suites, per grid
 
-    @property
-    def jet_source(self) -> str:
-        return ("finite-difference" if self._analytic_jet is None
-                else "analytic")
-
     def center(self) -> tuple[float, float]:
         (u0, u1), (v0, v1) = self.domain
         return (0.5 * (u0 + u1), 0.5 * (v0 + v1))
 
-    def _check_domain(self, u, v, at: tuple) -> None:
+    def _check_domain(self, u, v, at: tuple, margin: float) -> None:
         (u0, u1), (v0, v1) = self.domain
-        if self.jet_source == "analytic":
-            m = -_ANALYTIC_MARGIN
-        else:
-            m = 2.0 * _FD_JET_STEP  # shrink: FD stencils stay inside
-        require((u0 + m <= u) & (u <= u1 - m) & (v0 + m <= v) & (v <= v1 - m),
-                OutOfDomain,
+        require((u0 - margin <= u) & (u <= u1 + margin) & (v0 - margin <= v)
+                & (v <= v1 + margin), OutOfDomain,
                 lambda u, v: f"(u, v) = ({u}, {v}) outside evaluable part of "
-                f"domain {self.domain} for {self.jet_source} jets", u, v,
-                at=at)
+                f"domain {self.domain} (margin {margin})", u, v, at=at)
 
-    def jet(self, u, v, *, at: Optional[tuple] = None) -> PatchJet:
+    def jet(self, u, v, *, at: Optional[tuple] = None,
+            order: int = 2) -> PatchJet:
         """Position with first and second partials at (u, v): floats, or
         1-D arrays for a batch.  Raises NonFiniteJet where it overflows.
-
-        Its guards name the samples `at` (default (u, v)); a stencil
-        evaluation passes the samples its points are displaced from."""
+        `order` is the Taylor order of `position`: the point alone at 0, with
+        the first partials at 1 (the other fields None), all six at 2; at 3
+        each field is a Taylor value carrying its own partials up to third
+        order in all.  Guards name the samples `at` (default (u, v))."""
         batch = isinstance(u, np.ndarray) or isinstance(v, np.ndarray)
         if batch:
             u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
                                        np.asarray(v, dtype=float))
         if at is None:
             at = (u, v)
-        self._check_domain(u, v, at)
+        self._check_domain(u, v, at, _ANALYTIC_MARGIN)
         overflow = functools.partial(NonFiniteJet, family=self.family)
         describe = (lambda: f"jet of {self.name} (family {self.family}) "
                     "is not finite")
         done: list = []  # stencil points of `position` evaluated so far
+        try:
+            with np.errstate(all="ignore"):
+                try:
+                    point = self.position(
+                        *(Taylor.variables((u, v), order) if order else (u, v)))
+                except TypeError:  # a float-only position: difference it
+                    point = self._differenced(u, v, at, order, done)
+        except OverflowError:  # raised at stencil point len(done), offset-major
+            require(np.arange(np.size(u)) != len(done) % np.size(u), overflow,
+                    describe, at=at)
+        fields = _JET_AXES[:(1, 3, 6, 6)[order]]
+        point = as_vec3(point)  # its coefficients hold every field's
+        require(finite(*point), overflow, describe, at=at)
+        vecs = [[(partial if order == 3 else derivative)(c, *axes)
+                 for c in point] for axes in fields]
+        if order < 3:  # values: floats for a sample, arrays for a batch
+            vecs = [tuple([np.broadcast_to(np.asarray(c, dtype=float), u.shape)
+                           for c in vec]) if batch else as_vec3(vec)
+                    for vec in vecs]
+        return PatchJet(*vecs, *[None] * (6 - len(vecs)))
 
-        def stencil(du, dv):  # position may take floats only: one at a time
+    def _differenced(self, u, v, at: tuple, order: int, done: list) -> list:
+        """The point as Taylor values of order 2 (3 at `order` 3) from one
+        `central_partials` stencil of `position`, one point at a time."""
+        third = order == 3
+        step = _FD_JET_STEP3 if third else _FD_JET_STEP
+        self._check_domain(u, v, at, -2.0 * step)
+
+        def stencil(du, dv):
             for a, b in zip(*(x.tolist() for x in stacked(u + du, v + dv))):
                 done.append(as_vec3(self.position(a, b)))
             return np.array(done).T
 
-        try:
-            with np.errstate(all="ignore"):
-                raw = (self._analytic_jet(u, v) if self._analytic_jet is not None
-                       else central_partials(stencil, np.full(np.shape(u),
-                                                              _FD_JET_STEP)))
-        except OverflowError:  # raised at stencil point len(done), offset-major
-            require(np.arange(np.size(u)) != len(done) % np.size(u), overflow,
-                    describe, at=at)
-        if batch:
-            vecs = [tuple(np.broadcast_to(np.asarray(c, dtype=float), u.shape)
-                          for c in vec) for vec in raw]
-        else:
-            vecs = [as_vec3(vec) for vec in raw]
-        require(finite(*[c for vec in vecs for c in vec]), overflow, describe,
-                at=at)
-        return PatchJet(*vecs)
+        parts = central_partials(stencil, np.full(np.shape(u), step), 2 + third)
+        return [Taylor(np.array([x[i] / k for x, k in zip(parts, _FACTORIALS)]),
+                       2 + third, 2) for i in range(3)]
 
 
 # ---- first fundamental form ----
@@ -233,15 +211,19 @@ def induced_metric(patch: SurfacePatch, u, v, *,
     samples `at` (default (u, v))."""
     if at is None:
         at = (u, v)
-    return _induced_from_jet(patch.space, patch.jet(u, v, at=at), at)
+    return _induced_from_jet(patch.space, patch.jet(u, v, at=at, order=1), at)
 
 
 def _induced_from_jet(space: SpaceParams, j: PatchJet,
                       at: tuple) -> FirstFundamentalForm:
     gm = ambient.metric_matrix(space, j.p)
-    form = FirstFundamentalForm(bilinear3(gm, j.fu, j.fu),
-                                bilinear3(gm, j.fu, j.fv),
-                                bilinear3(gm, j.fv, j.fv), at)
+    # g Fu and g Fv once: (e, f, g) = (Fu.gFu, Fu.gFv, Fv.gFv), the sums of
+    # `bilinear3` in its order
+    gu, gv = ([row[0] * w[0] + row[1] * w[1] + row[2] * w[2] for row in gm]
+              for w in (j.fu, j.fv))
+    form = FirstFundamentalForm(
+        *[a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+          for a, b in ((j.fu, gu), (j.fu, gv), (j.fv, gv))], at)
     size = abs(form.det)
     require((size >= _DEGENERATE_DET_TOL) & (size < float("inf")),
             DegenerateInducedMetric,
@@ -296,16 +278,13 @@ def _raw_normal(space: SpaceParams, j: PatchJet, form: FirstFundamentalForm,
 
 
 def _gauge_sign(patch: SurfacePatch) -> float:
-    """Patch-level normal orientation, fixed once at the domain center.
-
-    Rule: nu >= 0 at the center sample when |nu| exceeds the gauge
-    threshold; otherwise the first frame component of N larger than the
-    threshold in magnitude is made positive.
-    """
+    """Patch-level normal orientation, fixed once at the domain center:
+    nu > 0 there when |nu| exceeds the gauge threshold, else the first
+    frame component of N above the threshold in magnitude is positive."""
     if patch._gauge_sign is not None:
         return patch._gauge_sign
     u, v = patch.center()
-    j = patch.jet(u, v)
+    j = patch.jet(u, v, order=1)
     form = _induced_from_jet(patch.space, j, (u, v))
     _, _, n, eps = _raw_normal(patch.space, j, form, (u, v))
     nu_raw = eps * ambient.frame_metric(patch.space, n, (0.0, 0.0, 1.0))
@@ -321,12 +300,17 @@ def _gauge_sign(patch: SurfacePatch) -> float:
     return sign
 
 
-def _sample(patch: SurfacePatch, u, v, at: Optional[tuple] = None) -> _Sample:
+def _sample(patch: SurfacePatch, u, v, at: Optional[tuple] = None,
+            order: int = 0) -> _Sample:
     """The sample bundle at (u, v); its guards name the samples `at`
-    (default (u, v)), which a stencil point passes on from its centre."""
+    (default (u, v)), which a stencil point passes on from its centre.  At
+    `order` 1 it holds Taylor values of order 1, from an order-3 jet."""
     if at is None:
         at = (u, v)
-    j = patch.jet(u, v, at=at)
+    j = patch.jet(u, v, at=at, order=3 if order else 2)
+    if order:  # every field cut to order 1, the order S gets from fuu
+        j = PatchJet(*[tuple([truncated(c, order) for c in vec])
+                       for vec in vars(j).values()])
     form = _induced_from_jet(patch.space, j, at)
     a, b, n_raw, eps = _raw_normal(patch.space, j, form, at)
     n = scale3(_gauge_sign(patch), n_raw)
@@ -364,12 +348,9 @@ def tangent_rotation_J(patch: SurfacePatch, u, v, x) -> Vec3:
 
 @dataclass(frozen=True)
 class ShapeOperator2x2:
-    """Shape operator matrix in a declared tangent basis.
-
-    Columns are images: S(basis_j) = sum_i entries[i][j] * basis_i.
-    basis is "coordinate" (d/du, d/dv) or "adapted-TJT" (T, JT).  On a batch
-    of samples each entry (and trace, det) is an array over the batch.
-    """
+    """Shape operator matrix in the tangent basis "coordinate" (d/du, d/dv)
+    or "adapted-TJT" (T, JT), columns the images: S(basis_j) =
+    sum_i entries[i][j] basis_i (arrays over a batch)."""
 
     s11: float
     s12: float
@@ -457,12 +438,8 @@ def _second_form(space: SpaceParams, s: _Sample
 
 def second_fundamental_form(patch: SurfacePatch, u, v
                             ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """h(X, Y) = eps * g(ambient-second-derivative, N) on (d/du, d/dv).
-
-    Computed from the jet with no further finite differences.  The shape
-    operator is S = eps I^{-1} h from this form; the Weingarten route is its
-    cross-check.
-    """
+    """h(X, Y) = eps * g(ambient second derivative, N) on (d/du, d/dv),
+    from the jet: S = eps I^{-1} h, which the Weingarten route cross-checks."""
     return _second_form(patch.space, _sample(patch, u, v))
 
 
@@ -566,14 +543,9 @@ def _brioschi(e: float, f: float, g: float,
 
 def gaussian_curvature(patch: SurfacePatch, u, v,
                        method: str = "extrinsic") -> float:
-    """Gaussian curvature at (u, v).
-
-    method = "extrinsic": K = -tau^2 + eps*(det S + 4*delta*nu^2*tau^2),
-    valid on the kappa = 0 ambient space.
-    method = "intrinsic": curvature of the induced 2-metric from finite
-    differences of its coefficients alone (independent of the normal and
-    shape operator).
-    """
+    """Gaussian curvature at (u, v): "extrinsic" is
+    K = -tau^2 + eps*(det S + 4*delta*nu^2*tau^2) (kappa = 0 only);
+    "intrinsic" that of the induced 2-metric alone (no normal, no S)."""
     space = patch.space
     if method == "extrinsic":
         if space.kappa != 0.0:
@@ -587,17 +559,17 @@ def gaussian_curvature(patch: SurfacePatch, u, v,
 
 
 def _intrinsic_k(patch: SurfacePatch, u, v) -> float:
-    def coeffs(du, dv) -> tuple[float, float, float]:
-        # one metric-only batch of every stencil point; guards name (u, v)
-        uu, vv, au, av = stacked(u + du, v + dv, u, v)
-        form = induced_metric(patch, uu, vv, at=(au, av))
-        return form.e, form.f, form.g
-
-    # components (e, f, g) of each partial
-    c0, cu, cv, cuu, cuv, cvv = central_partials(
-        coeffs, np.full(np.shape(u), _INTRINSIC_STEP))
-    return _brioschi(*c0, cu[0], cv[0], cu[1], cv[1], cu[2], cv[2],
-                     cvv[0], cuv[1], cuu[2])
+    """Brioschi's K from the Taylor coefficients of (e, f, g), of order 2
+    from a metric-only order-3 jet: no normal, no step."""
+    at = (u, v)
+    j = patch.jet(u, v, at=at, order=3)
+    form = _induced_from_jet(patch.space, PatchJet(
+        tuple([truncated(c, 2) for c in j.p]), j.fu, j.fv, None, None, None),
+        at)
+    d = derivative
+    e, f, g = form.e, form.f, form.g
+    return _brioschi(d(e), d(f), d(g), d(e, 0), d(e, 1), d(f, 0), d(f, 1),
+                     d(g, 0), d(g, 1), d(e, 1, 1), d(f, 0, 1), d(g, 0, 0))
 
 
 # ---- grid report ----
@@ -687,14 +659,9 @@ def grid_batch(us: list[float], vs: list[float]) -> tuple[np.ndarray, np.ndarray
 
 @quiet
 def geometry_report(patch: SurfacePatch, n_u: int, n_v: int) -> GeometryReport:
-    """Sweep an n_u x n_v grid, as one batch, and collect the per-sample
-    geometry.
-
-    The shape operator is reported in the adapted (T, JT) basis when it is
-    constructible at the domain center, otherwise in the coordinate basis;
-    the choice is recorded in the report's basis tag.  A failing guard names
-    the first failing sample in u-major order.
-    """
+    """The per-sample geometry of an n_u x n_v grid, as one batch: S in the
+    adapted (T, JT) basis when that exists at the domain center, else in
+    the coordinate basis (the report's basis tag says which)."""
     u, v = grid_batch(*grid_points(patch.domain, n_u, n_v))
     cu, cv = patch.center()
     try:

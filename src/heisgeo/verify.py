@@ -1,34 +1,23 @@
 """Named, tolerance-tagged residual suites over ambient spaces and patches.
 
-Each check turns one proved identity into a machine-checkable residual:
-
-- ``check_gauss``: intrinsic Gaussian curvature against the extrinsic
-  curvature relation; the gauss suite also runs
-  ``check_shape_operator_routes``, the second-form shape operator
-  S = eps I^{-1} h against the Weingarten route on a sparse subgrid.
-- ``check_codazzi``: the Codazzi equation for the shape-operator field with
-  coordinate fields X = d/du, Y = d/dv, realized with finite differences of
-  the S-field plus induced-connection corrections.
-- ``check_helix_ode``: the ODE satisfied by the non-constant shape entry of
-  a constant-angle patch, with a directional derivative along T.
-- ``check_parallel``: the three parallel-surface equations in the unit
-  adapted frame (T, JT) / sqrt|g(T,T)|, the spacelike vector first; also
-  usable on synthetic inputs through :func:`parallel_equations_residuals`.
-- ``check_claims``: composite implications (parallel => constant mean
-  curvature, constant-angle CMC <=> parallel, the constant-curvature value,
-  trace bookkeeping, non-umbilicity).
-- ``check_ambient``: the ambient frame/connection/curvature tables against
-  the dual-number coordinate path, the two curvature formulas against
-  each other, and sectional-curvature constancy on the matching
-  constant-curvature parameter choice, each on one batch of random points.
+Each check turns one proved identity into a residual: ``check_gauss``
+(intrinsic against extrinsic K; the gauss suite adds
+``check_shape_operator_routes``, S = eps I^{-1} h against the Weingarten
+route), ``check_codazzi`` (X = d/du, Y = d/dv), ``check_helix_ode`` (the
+ODE of the non-constant shape entry of a constant-angle patch, along T),
+``check_parallel`` (the parallel-surface equations in the unit adapted
+frame, spacelike vector first; synthetic inputs through
+:func:`parallel_equations_residuals`), ``check_claims`` (parallel => CMC,
+constant-angle CMC <=> parallel, the constant-curvature value, trace
+bookkeeping, non-umbilicity) and ``check_ambient`` (the ambient tables
+against the Taylor coordinate path, the two curvature formulas, and
+sectional-curvature constancy on the constant-curvature companion).
 
 The patch suites share one evaluation of each (patch, grid), kept on the
-patch: the grid as one batch of samples and, on first demand, one order-4
-(u, v) stencil, its offsets one more batch.  Each check reports the maximum
-residual; a NaN or infinite residual raises
+patch: one batch of samples at Taylor order 1, whose coefficients are the
+exact d/du and d/dv the suites read.  A NaN or infinite residual raises
 :class:`~heisgeo.errors.NonFiniteResidual` instead of passing or failing.
-Every suite is deterministic given (inputs, grid, seed).
-"""
+Every suite is deterministic given (inputs, grid, seed)."""
 
 from __future__ import annotations
 
@@ -42,23 +31,13 @@ import numpy as np
 from . import ambient
 from .ambient import SpaceParams
 from .errors import (DegeneratePlane, NonFiniteResidual, NotAHelixPatch,
-                     StencilTooCoarse, UnsupportedKappa)
-from .numeric import (Vec3, bilinear3, directional_diffs, lincomb3, quiet,
-                      require, select)
-from .surface import (
-    FirstFundamentalForm,
-    SurfacePatch,
-    _adapted_entries,
-    _adapted_frame,
-    _extrinsic_k,
-    _require_adapted,
-    _sample,
-    _second_form_shape,
-    _weingarten_shape,
-    gaussian_curvature,
-    grid_batch,
-    shape_operator,
-)
+                     UnsupportedKappa)
+from .numeric import (Taylor, Vec3, bilinear3, derivative, directional_diffs,
+                      lincomb3, quiet, require, select, value)
+from .surface import (FirstFundamentalForm, SurfacePatch, _adapted_entries,
+                      _adapted_frame, _extrinsic_k, _require_adapted, _sample,
+                      _second_form_shape, _weingarten_shape, gaussian_curvature,
+                      grid_batch, shape_operator)
 
 DEFAULT_SEED = 1729
 
@@ -92,7 +71,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 _SURFACE_STEP = 1e-3
 _GRID_INSET = 0.03
 _CONSTANT_ANGLE_RANGE = 1e-6
-# sparse subgrid of the shape-operator route check (5 jets per point)
+# sparse subgrid of the shape-operator route check
 _ROUTE_GRID = (4, 4)
 # random planes the sectional-constancy check may draw to find its 20
 # samples, drawn in chunks until enough are well-conditioned
@@ -159,10 +138,9 @@ class ResidualSuite:
 
 def _check(check_id: str, residuals, tolerances: Optional[dict],
            at: Optional[tuple] = None) -> CheckResult:
-    """The check's result: the maximum of `residuals` (one value, a list, or
-    an array over the samples `at`).  A NaN or infinite residual cannot
-    pass or fail: it raises NonFiniteResidual naming the check (and the
-    sample, when `at` is given)."""
+    """The maximum of `residuals` (a value, a list, or an array over the
+    samples `at`); a NaN or infinite residual raises NonFiniteResidual
+    naming the check (and the sample, when `at` is given)."""
     r = np.asarray(residuals, dtype=float)
     require(np.isfinite(r), NonFiniteResidual,
             lambda x: f"check {check_id}: residual {x} is not finite", r, at=at)
@@ -187,35 +165,33 @@ def _interior_batch(patch: SurfacePatch,
 
 def interior_grid(patch: SurfacePatch,
                   grid: tuple[int, int]) -> list[tuple[float, float]]:
-    """Uniform sample points inset from the patch boundary (stencil
-    headroom), u-major."""
+    """Uniform sample points inset from the patch boundary, u-major."""
     u, v = _interior_batch(patch, grid)
     return list(zip(u.tolist(), v.tolist()))
 
 
 # ---- the grid evaluation the patch suites share ----
 
-# rows of the stencil's fields after the coordinate S (rows 0-3): (e, f, g),
+# rows of the partials' fields after the coordinate S (rows 0-3): (e, f, g),
 # mu, the parallel frame's entries and F1's ambient components
 _METRIC, _MU, _ENTRIES, _F1 = slice(4, 7), 7, slice(8, 11), slice(11, 14)
 
 
 class _Evaluation:
-    """What the patch suites read at the samples `s` at (u, v): the coordinate
-    S `m`, the adapted frame and entries (a11, a12, a21, a22), and the
-    parallel frame (F1, F2) = (T, JT) / sqrt|g(T,T)|, swapped where T is
-    timelike so that F1 is spacelike, with its coordinate coefficients
-    `dirs`, entries (S11, S12, S22) and ambient components `amb`.  Only the
-    suites that read the adapted frame guard it.  A patch keeps one per grid
-    and is not referenced back, so the evaluation dies with it."""
+    """What the patch suites read at the samples `s`, as values of one
+    order-1 sample whose coefficients give the `partials` rows: the
+    coordinate S `m`, the adapted frame and entries (a11, a12, a21, a22),
+    and the parallel frame (T, JT) / sqrt|g(T,T)|, spacelike vector first,
+    with its coefficients `dirs`, entries (S11, S12, S22) and ambient
+    components `amb`.  The patch keeps it per grid (no reference back)."""
 
-    def __init__(self, patch: SurfacePatch, u, v, at: Optional[tuple] = None):
+    def __init__(self, patch: SurfacePatch, u, v):
         space = patch.space
-        self.s = s = _sample(patch, u, v, at)
-        self.m = _second_form_shape(space, s)
-        self.frame = _adapted_frame(space, s)
-        self.adapted = a11, a12, a21, a22 = _adapted_entries(self.frame, self.m)
-        (t1, t2), (j1, j2), g_tt = self.frame
+        s = _sample(patch, u, v, order=1)
+        m = _second_form_shape(space, s)
+        frame = _adapted_frame(space, s)
+        adapted = a11, a12, a21, a22 = _adapted_entries(frame, m)
+        (t1, t2), (j1, j2), g_tt = frame
         r = np.sqrt(abs(g_tt))
         t_frame = s.t_frame
         jt_frame = ambient.wedge_frame(space, s.n, t_frame)
@@ -223,41 +199,17 @@ class _Evaluation:
         t_first = g_tt > 0.0
         # T / r and JT / r: coordinate coefficients, then ambient components
         units = (t1, t2, *t_frame), (j1, j2, *jt_frame)
-        f1, f2 = ([select(t_first, x / r, y / r) for x, y in zip(*pair)]
+        f1, f2 = ([select(t_first, x, y) / r for x, y in zip(*pair)]
                   for pair in (units, units[::-1]))
-        self.dirs, self.amb = (f1[:2], f2[:2]), (f1[2:], f2[2:])
-        self.entries = select(t_first, (a11, a12, a22), (a22, a21, a11))
-        self._partials = self._stencil_frame = None
-
-    def partials(self, patch: SurfacePatch) -> np.ndarray:
-        """d/du and d/dv of the fields at the samples, from one order-4
-        stencil whose 8 offsets are one batch; made on first demand.
-        Raises StencilTooCoarse on a domain narrower than 8 steps."""
-        if self._partials is None:
-            (u0, u1), (v0, v1) = patch.domain
-            if 2.0 * _SURFACE_STEP > 0.25 * min(u1 - u0, v1 - v0):
-                raise StencilTooCoarse(f"stencil step {_SURFACE_STEP} too "
-                                       f"large for domain {patch.domain}")
-            frames = []
-
-            def fields(uu, vv, *at):  # guards name the grid sample
-                e = _Evaluation(patch, uu, vv, at)
-                frames.append((e.frame, at))
-                return (*e.m[0], *e.m[1], e.s.form.e, e.s.form.f, e.s.form.g,
-                        e.adapted[3], *e.entries, *e.amb[0])
-
-            self._partials = np.array(directional_diffs(
-                fields, *self.s.at, ((1.0, 0.0), (0.0, 1.0)), _SURFACE_STEP,
-                order=4))
-            self._stencil_frame, = frames
-        return self._partials
-
-    def adapted_partials(self, patch: SurfacePatch) -> np.ndarray:
-        """The partials, after guarding the adapted frame at every point."""
-        _require_adapted(self.frame, self.s.at)
-        partials = self.partials(patch)
-        _require_adapted(*self._stencil_frame)
-        return partials
+        entries = [select(t_first, x, y)
+                   for x, y in zip((a11, a12, a22), (a22, a21, a11))]
+        fields = (*m[0], *m[1], s.form.e, s.form.f, s.form.g, a22, *entries,
+                  *f1[2:])
+        rows = Taylor.stack(fields)
+        self.partials = np.array([derivative(rows, 0), derivative(rows, 1)])
+        self.s, self.m, self.frame, self.adapted, self.entries = value(
+            (s, m, frame, adapted, entries))
+        self.dirs, self.amb = value(((f1[:2], f2[:2]), (f1[2:], f2[2:])))
 
 
 def _grid_evaluation(patch: SurfacePatch, grid: tuple[int, int]) -> _Evaluation:
@@ -288,10 +240,8 @@ def check_shape_operator_routes(patch: SurfacePatch,
     """max |S_second - S_Weingarten| / max(1, max |S_second|) over a sparse
     interior grid: the second-form shape operator S = eps I^{-1} h against
     the finite difference of the normal field, both in the coordinate basis.
-
-    The gauss suite runs it on every patch, whose S it guards; on patches
-    without `jet=` both routes also carry the differenced jet's error.
-    """
+    The gauss suite runs it on every patch, whose S it guards; on
+    float-only positions both routes also carry the differenced jet's error."""
     u, v = _interior_batch(patch, _ROUTE_GRID)
     analytic = shape_operator(patch, u, v).entries()
     weingarten = _weingarten_shape(patch, u, v)
@@ -324,18 +274,14 @@ def _induced_christoffels(form: FirstFundamentalForm, du, dv
 @quiet
 def check_codazzi(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
                   tolerances: Optional[dict] = None) -> CheckResult:
-    """Codazzi residual with X = d/du, Y = d/dv over an interior grid.
-
-    The covariant derivative of the S-field uses the grid evaluation's
-    central differences of the coordinate-basis S matrix plus
-    induced-connection corrections; the comparison vector is measured in
-    ambient frame components.
-    """
+    """Codazzi residual with X = d/du, Y = d/dv over an interior grid: the
+    grid evaluation's partials of the coordinate S plus induced-connection
+    corrections, measured in ambient frame components."""
     space = patch.space
     tau = space.tau
     ev = _grid_evaluation(patch, grid)
     s, m0 = ev.s, ev.m
-    du, dv = ev.partials(patch)
+    du, dv = ev.partials
     gamma = _induced_christoffels(s.form, du[_METRIC], dv[_METRIC])
     # covariant d/du of S(d/dv) minus d/dv of S(d/du), coefficients k: the
     # rows of S(d/dv) are S12, S22 and those of S(d/du) S11, S21
@@ -369,8 +315,8 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
         raise NotAHelixPatch(f"angle function varies by {spread:.3e} over the grid")
     space = patch.space
     tau = space.tau
-    (t1, t2), _, _ = ev.frame
-    du, dv = ev.adapted_partials(patch)
+    (t1, t2), _, _ = _require_adapted(ev.frame, ev.s.at)
+    du, dv = ev.partials
     t_mu = t1 * du[_MU] + t2 * dv[_MU]
     mu0 = ev.adapted[3]
     return _check("helix_ode.residual",
@@ -384,20 +330,14 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
 @dataclass
 class ParallelCheckInput:
     """Inputs for the parallel-surface equations on synthetic data, in a
-    pseudo-orthonormal tangent frame {F1, F2} with g(F1,F1) = 1 and
-    g(F2,F2) = -eps.  On a patch, :func:`check_parallel` reads the same
-    quantities, in the unit adapted frame, from the grid evaluation.
-
-    The callables take (u, v) as floats or as 1-D arrays (a batch of
-    points) and return floats or arrays over the batch; a returned number
-    still counts for every point.  The check calls them with all `points`
-    at once, then with the points of all its stencil offsets stacked:
-
+    pseudo-orthonormal frame {F1, F2}, g(F1,F1) = 1, g(F2,F2) = -eps.  The
+    callables take (u, v) as 1-D arrays and return arrays or numbers (a
+    number counts for every point); they are called with all `points`, then
+    with the points of all the stencil offsets stacked:
     frame_directions(u, v) -> coordinate coefficients of (F1, F2);
     entries(u, v) -> operator entries (S11, S12, S22) in that frame
     (the operator is self-adjoint, so S21 is determined);
-    omega(u, v, k) -> g(nabla_{F_k} F1, F2) for k in {0, 1}.
-    """
+    omega(u, v, k) -> g(nabla_{F_k} F1, F2) for k in {0, 1}."""
 
     eps: int  # or one int per point (an int array)
     points: Sequence[tuple[float, float]]
@@ -421,14 +361,9 @@ def _parallel_residuals(eps, entries, along, omega):
 
 
 def parallel_equations_residuals(inp: ParallelCheckInput) -> float:
-    """Max residual of the three parallel-surface equations
-
-        X(S11) = -2 eps S12 w(X)
-        X(S12) = (S22 - S11) w(X)
-        X(S22) =  2 eps S12 w(X)
-
-    over the given points with X ranging over the frame (NaN if any
-    residual is NaN)."""
+    """Max residual (NaN if any is NaN) over the points and X = F1, F2 of
+        X(S11) = -2 eps S12 w(X),  X(S12) = (S22 - S11) w(X),
+        X(S22) =  2 eps S12 w(X)."""
     pts = np.asarray(inp.points, dtype=float).reshape(-1, 2)
     u, v = pts[:, 0].copy(), pts[:, 1].copy()
     along = directional_diffs(lambda uu, vv, *at: inp.entries(uu, vv), u, v,
@@ -445,7 +380,8 @@ def check_parallel(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
     is parallel to tolerance."""
     space = patch.space
     ev = _grid_evaluation(patch, grid)
-    du, dv = ev.adapted_partials(patch)
+    _require_adapted(ev.frame, ev.s.at)
+    du, dv = ev.partials
     w1, w2 = ev.amb
     omega = []
     for x, x_amb in zip(ev.dirs, ev.amb):
@@ -465,15 +401,10 @@ def check_parallel(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
 def check_claims(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
                  seed: int = DEFAULT_SEED,
                  tolerances: Optional[dict] = None) -> ResidualSuite:
-    """Composite implications over a patch:
-
-    - parallel => mean curvature constant,
-    - on constant-angle patches, CMC <=> parallel,
-    - extrinsic curvature equals its constant-angle closed form
-      4 delta eps tau^2 nu^2,
-    - H equals half the varying adapted shape entry,
-    - the adapted off-diagonal entry stays away from 0 (non-umbilic).
-    """
+    """Composite implications over a patch: parallel => constant H; on
+    constant-angle patches CMC <=> parallel; K_ext equals its closed form
+    4 delta eps tau^2 nu^2; H is half the varying adapted shape entry; the
+    adapted off-diagonal entry stays away from 0 (non-umbilic)."""
     space = patch.space
     tau = space.tau
     # H, nu, K_ext and the adapted entries come from the parallel check's
@@ -562,20 +493,13 @@ def _draws(rng: random.Random, n: int, *boxes: Vec3) -> list[Vec3]:
 
 def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
                   tolerances: Optional[dict] = None) -> ResidualSuite:
-    """Ambient-geometry battery on a kappa = 0 space.
-
-    Cross-checks the frame/connection/curvature tables against the
-    coordinate path (dual-number derivatives of the metric), the two
-    curvature formulas against each other on random triples, the
-    covariant-derivative wedge identity of the vertical direction, and
-    sectional-curvature constancy on the companion space with
-    kappa = -4 tau^2.  Each check evaluates its random points as one batch,
-    drawn by `_draws` from one getrandbits call that reproduces the
-    random() stream.  The coordinate-path checks on this space share one
-    connection, and connection_fd is one batch over the nine table
-    entries; the companion space gets a connection of its own inside
-    `sectional_curvature`.
-    """
+    """Ambient-geometry battery on a kappa = 0 space: the frame,
+    connection and curvature tables against the coordinate path (Taylor
+    derivatives of the metric), the two curvature formulas against each
+    other, the wedge identity of nabla E3, and sectional-curvature
+    constancy on the companion space kappa = -4 tau^2.  Each check takes
+    one batch of points drawn by `_draws`; the coordinate-path checks on
+    this space share one connection, the companion space has its own."""
     rng = random.Random(seed)
     delta, tau = space.delta, space.tau
     kappa = -4.0 * tau * tau  # of the companion space
@@ -602,7 +526,7 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
         bilinear3(g, frame[:, :, None], frame[:, None])
         - np.diag(expected_diag)[..., None]), tolerances))
 
-    # bracket relations by dual-number derivatives of the frame fields
+    # bracket relations by Taylor derivatives of the frame fields
     fields = [ambient.frame_field(space, i) for i in (1, 2, 3)]
     p = tuple(q[:10] for q in pts)
     checks.append(_check("ambient.bracket", gaps(
@@ -688,9 +612,9 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     planes = np.empty((9, 0))  # rows: the components of p, v and w
     for _ in range(_PLANE_ATTEMPTS // _PLANE_CHUNK):
         p, v, w = _draws(rng, _PLANE_CHUNK, (box, box, 1.0), _UNIT, _UNIT)
-        m_vv = ambient.metric_eval(sibling, p, v, v)
-        m_ww = ambient.metric_eval(sibling, p, w, w)
-        m_vw = ambient.metric_eval(sibling, p, v, w)
+        g = ambient.metric_matrix(sibling, p)
+        m_vv, m_ww, m_vw = (bilinear3(g, v, v), bilinear3(g, w, w),
+                            bilinear3(g, v, w))
         keep = np.flatnonzero(abs(m_vv * m_ww - m_vw * m_vw) >= 0.2 * np.maximum(
             np.maximum(abs(m_vv * m_ww), m_vw * m_vw), 1e-12))
         planes = np.concatenate((planes, np.array([*p, *v, *w])[:, keep]), axis=1)

@@ -41,7 +41,7 @@ from heisgeo.ambient import (
     wedge,
     wedge_frame,
 )
-from heisgeo.numeric import central_diff
+from heisgeo.numeric import Taylor, central_diff, derivative, value
 from heisgeo.verify import check_ambient
 
 DELTAS = (1, -1)
@@ -348,7 +348,7 @@ def test_connection_is_one_metric_evaluation(monkeypatch):
 
 
 def test_metric_jet_matches_central_differences():
-    """The dual parts of `metric_matrix` (through the conformal factor's
+    """The Taylor coefficients of `metric_matrix` (through the conformal factor's
     division at kappa != 0) are its derivatives: fourth-order central
     differences of g and of dg agree to their truncation."""
     sp = SpaceParams(delta=-1, tau=1.3, kappa=-2.0)
@@ -372,25 +372,29 @@ def test_metric_jet_matches_central_differences():
     assert np.array_equal(ddg, np.swapaxes(ddg, 0, 1))
 
 
-def test_dual_arithmetic_is_exact_on_a_rational_function():
+def test_taylor_arithmetic_is_exact_on_a_rational_function():
     """f(x, y) = (1 - x y) / (2 + x) - 3 / y carries its exact first and
-    mixed second partials through + - * / with float operands on either
-    side, and abs reads the real part."""
+    second partials through + - * / with float operands on either side,
+    its value is the plain formula's, and abs flips by the sign of the
+    value."""
     x0, y0 = 0.7, -1.9
-    dual = ambient._Dual
-    x = dual(dual(x0, 1.0), dual(0.0, 0.0))  # x + eps1
-    y = dual(dual(y0, 0.0), dual(1.0, 0.0))  # y + eps2
+    x, y = Taylor.variables((x0, y0), 2)
     f = (1.0 - x * y) / (2.0 + x) - 3.0 / y
     fx = (-y0 * (2.0 + x0) - (1.0 - x0 * y0)) / (2.0 + x0) ** 2
     fy = -x0 / (2.0 + x0) + 3.0 / y0 ** 2
+    fxx = 2.0 * (1.0 + 2.0 * y0) / (2.0 + x0) ** 3
     fxy = -1.0 / (2.0 + x0) + x0 / (2.0 + x0) ** 2
-    got = (f.re.re, f.re.du, f.du.re, f.du.du)
-    want = ((1.0 - x0 * y0) / (2.0 + x0) - 3.0 / y0, fx, fy, fxy)
-    assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
-    assert abs(-x) == x0 and abs(y) == -y0
-    # an ndarray operand defers to the dual instead of mapping over it
-    z = np.array([1.0, 2.0]) * dual(np.array([3.0, 4.0]), 1.0)
-    assert isinstance(z, dual) and z.du.tolist() == [1.0, 2.0]
+    fyy = -6.0 / y0 ** 3
+    got = [derivative(f, *axes)
+           for axes in ((0,), (1,), (0, 0), (0, 1), (1, 1))]
+    assert got == pytest.approx([fx, fy, fxx, fxy, fyy], rel=1e-14, abs=1e-15)
+    assert value(f) == (1.0 - x0 * y0) / (2.0 + x0) - 3.0 / y0
+    assert (value(abs(-x)), derivative(abs(-x), 0)) == (x0, 1.0)
+    assert (value(abs(y)), derivative(abs(y), 1)) == (-y0, -1.0)
+    # an ndarray operand broadcasts against the batch, not the coefficients
+    t, = Taylor.variables((np.array([3.0, 4.0]),), 1)
+    z = np.array([1.0, 2.0]) * t
+    assert isinstance(z, Taylor) and derivative(z, 0).tolist() == [1.0, 2.0]
 
 
 def test_flat_when_tau_zero():

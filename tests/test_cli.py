@@ -12,6 +12,7 @@ import pytest
 import numpy as np
 
 import heisgeo.surface as surface_module
+from heisgeo.numeric import select, value
 import heisgeo.verify as verify_module
 from heisgeo import cli
 from heisgeo.cli import (
@@ -388,6 +389,41 @@ def test_valid_timelike_helices_pass_every_check(workdir, capsys, payload):
     assert all(c["verdict"] == "pass" for c in report["checks"])
 
 
+#: correct helices whose gauss (and codazzi) residuals, taken from second
+#: differences of rounded values, failed verify before every partial the
+#: suites read came from Taylor coefficients
+C_MINUS_5_SPACELIKE = {
+    "family": "helix", "causal": "spacelike", "tau": 1.0,
+    "theta": math.asinh(1.0), "c": -5.0,
+    "eta": {"kind": "linear", "coefficients": [0.0, 1.0]},
+    "grid": {"nu": 8, "nv": 8}}
+STEEP_HELICES = {
+    "c-5_spacelike_asinh1": C_MINUS_5_SPACELIKE,
+    "c-5_timelike_quarter_pi": dict(
+        C_MINUS_5_SPACELIKE, causal="timelike", theta=math.pi / 4.0,
+        eta={"kind": "linear", "coefficients": [0.2, 0.5]},
+        grid={"nu": 12, "nv": 12}),
+    "c-5_spacelike_quarter_pi": dict(
+        C_MINUS_5_SPACELIKE, theta=math.pi / 4.0,
+        eta={"kind": "linear", "coefficients": [0.2, 0.5]},
+        grid={"nu": 12, "nv": 12}),
+    "timelike_steep_polynomial": {
+        "family": "helix", "causal": "timelike", "tau": 1.0, "theta": 1.0,
+        "c": 0.6, "eta": {"kind": "polynomial", "coefficients": [0.0, 1.0, 6.0]},
+        "grid": {"nu": 20, "nv": 20}},
+}
+
+
+@pytest.mark.parametrize("payload", STEEP_HELICES.values(), ids=STEEP_HELICES)
+def test_steep_helices_pass_every_check(workdir, capsys, payload):
+    cfg = cfg_path(workdir, payload)
+    assert main(["verify", "--config", cfg, "--suite", "all",
+                 "--out", "rep.json"]) == EXIT_PASS
+    report = json.loads((workdir / "rep.json").read_text())
+    assert report["checks"]
+    assert [c["id"] for c in report["checks"] if c["verdict"] != "pass"] == []
+
+
 def test_unexpected_exception_is_an_internal_error(workdir, capsys,
                                                    monkeypatch):
     """An exception heisgeo does not expect is a bug: exit 5 with one line
@@ -410,7 +446,7 @@ def test_nan_residual_is_a_geometry_error(workdir, capsys, monkeypatch):
 
     def nan_at_one_point(space, s):
         (s11, s12), (s21, s22) = second_form_shape(space, s)
-        s11 = np.where(np.arange(np.size(s11)) == 9, np.nan, s11)
+        s11 = select(np.arange(np.size(value(s11))) == 9, np.nan, s11)
         return (s11, s12), (s21, s22)
 
     monkeypatch.setattr(surface_module, "_second_form_shape", nan_at_one_point)

@@ -432,7 +432,6 @@ def test_helix_patch_metadata():
     assert patch.profile_functions.source == "closed-form"
     assert patch.domain == DEFAULT_DOMAIN
     assert patch.family["family"] == "helix"
-    assert patch.jet_source == "analytic"
 
 
 def test_predicted_mu_bounds_and_saturation():

@@ -20,8 +20,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from heisgeo import numeric
 from heisgeo.errors import QuadratureFailure
-from heisgeo.numeric import (CumulativeIntegral, adaptive_simpson, central_diff,
-                             central_partials, json_dumps)
+from heisgeo.numeric import (CumulativeIntegral, Taylor, adaptive_simpson,
+                             central_diff, central_partials, derivative,
+                             json_dumps, value)
 
 X0 = 0.3
 
@@ -373,3 +374,78 @@ def test_refinement_budget_stops_a_runaway_integrand():
     with pytest.raises(QuadratureFailure, match="integrand evaluations"):
         CumulativeIntegral(lambda x: (np.sin(1e6 * x), 1e6 * np.cos(1e6 * x)),
                            0.0, -1.26, 1.26)
+
+
+# ---- truncated Taylor series ----
+
+
+@st.composite
+def taylor_values(draw, nvar=None, positive: bool = False):
+    """A Taylor value in 1 to 3 variables of order 0 to 3 on a batch of
+    two points, with values in [0.5, 2] (or [-2, 2]) and the other
+    coefficients in [-1, 1]."""
+    nvar = draw(st.integers(1, 3)) if nvar is None else nvar
+    order = draw(st.integers(0, 3))
+    n = numeric._SIZE[nvar][order]
+    unit = st.floats(-1.0, 1.0)
+    c = np.array(draw(st.lists(unit, min_size=2 * n, max_size=2 * n)))
+    c = c.reshape(n, 2)
+    c[0] = draw(st.lists(st.floats(0.5, 2.0), min_size=2, max_size=2))
+    if not positive:
+        c[0] *= draw(st.sampled_from((1.0, -1.0)))
+    return Taylor(c, order, nvar)
+
+
+def constant_gap(t: Taylor, want: float, scale: Taylor) -> float:
+    """max |coefficient of t - those of the constant want|, over the
+    largest coefficient of `scale`."""
+    c = t.c.copy()
+    c[0] -= want
+    return np.abs(c).max() / max(1.0, np.abs(scale.c).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=taylor_values())
+def test_taylor_identities_hold_coefficient_by_coefficient(x):
+    """cosh^2 - sinh^2 = 1, sin^2 + cos^2 = 1 and x (1/x) = 1 hold for
+    every coefficient, not only the value, to rounding."""
+    ch, sh = np.cosh(x), np.sinh(x)
+    assert constant_gap(ch * ch - sh * sh, 1.0, ch * ch) < 1e-13
+    s, c = np.sin(x), np.cos(x)
+    assert constant_gap(s * s + c * c, 1.0, s * s) < 1e-13
+    r = 1.0 / x
+    assert constant_gap(x * r, 1.0, r) < 1e-13
+    assert (x * r).order == x.order and value(r).tolist() == (1.0 / value(x)).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=taylor_values(positive=True))
+def test_taylor_square_root_squares_back(x):
+    root = np.sqrt(x)
+    gap = np.abs((root * root).c - x.c).max()
+    assert gap < 1e-13 * max(1.0, np.abs(x.c).max() ** 2)
+    assert value(root).tolist() == np.sqrt(value(x)).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), nvar=st.integers(1, 3))
+def test_taylor_product_takes_the_lower_order(data, nvar):
+    """A product is truncated at the lower order of its factors: the
+    coefficients past it are not claimed."""
+    x, y = data.draw(taylor_values(nvar)), data.draw(taylor_values(nvar))
+    z = x * y
+    k = min(x.order, y.order)
+    assert z.order == k and len(z.c) == numeric._SIZE[x.nvar][k]
+    full = numeric.truncated(x, k) * numeric.truncated(y, k)
+    assert np.array_equal(z.c, full.c)
+
+
+def test_taylor_mixed_partials_commute():
+    """d/du d/dv = d/dv d/du on a function with every third-order
+    coefficient nonzero, and both equal `derivative`."""
+    u, v = Taylor.variables((np.array([0.3, -0.7]), np.array([0.2, 1.1])), 3)
+    f = np.sinh(u * v) / (2.0 + np.cos(u - 2.0 * v)) + np.sqrt(1.5 + u * u * v)
+    uv, vu = f.partial(0).partial(1), f.partial(1).partial(0)
+    assert uv.order == 1 and np.allclose(uv.c, vu.c, rtol=1e-14, atol=1e-14)
+    assert np.array_equal(f.partial(0, 1).c, f.partial(1, 0).c)
+    assert np.allclose(value(uv), derivative(f, 0, 1), rtol=1e-14, atol=1e-15)

@@ -27,7 +27,7 @@ from heisgeo.families import (
     make_helix_surface,
     make_minimal_plane,
 )
-from heisgeo.numeric import FLOAT_DIGITS, fmt_float
+from heisgeo.numeric import FLOAT_DIGITS, derivative, fmt_float
 import heisgeo.surface as surface_module
 from heisgeo.surface import (
     GeometryReport,
@@ -117,11 +117,18 @@ def test_out_of_domain_analytic_margin():
     induced_metric(patch, 1.0, 1.0)
 
 
+def float_only(patch: SurfacePatch) -> SurfacePatch:
+    """The patch with a position that takes floats only, as code written
+    with `math` does: its jet is differenced."""
+    def position(u, v):
+        return tuple([float(c) for c in patch.position(float(u), float(v))])
+
+    return SurfacePatch(patch.space, position, patch.domain)
+
+
 def test_fd_jet_patch_matches_analytic_twin():
     analytic = make_cmc_cylinder(-1, "timelike", 1.0)
-    fd = SurfacePatch(analytic.space, analytic.position, analytic.domain)
-    assert fd.jet_source == "finite-difference"
-    assert analytic.jet_source == "analytic"
+    fd = float_only(analytic)
     ja = analytic.jet(0.3, -0.4)
     jf = fd.jet(0.3, -0.4)
     for name in ("p", "fu", "fv", "fuu", "fuv", "fvv"):
@@ -131,7 +138,7 @@ def test_fd_jet_patch_matches_analytic_twin():
 
 def test_fd_jet_patch_refuses_boundary_stencils():
     analytic = make_cmc_cylinder(-1, "timelike", 1.0, domain=((0.0, 1.0), (0.0, 1.0)))
-    fd = SurfacePatch(analytic.space, analytic.position, analytic.domain)
+    fd = float_only(analytic)
     with pytest.raises(OutOfDomain):
         fd.jet(1e-5, 0.5)  # within 2h of the boundary
     fd.jet(0.5, 0.5)
@@ -246,10 +253,9 @@ def test_shape_operator_two_routes_agree(builder):
 
 @pytest.mark.parametrize("builder", ROUTE_PATCHES)
 def test_analytic_shape_operator_is_the_second_form(builder):
-    """On analytic-jet patches S solves I S = eps h exactly (up to
-    rounding), with h from second_fundamental_form."""
+    """On family patches S solves I S = eps h exactly (up to rounding),
+    with h from second_fundamental_form."""
     patch = builder()
-    assert patch.jet_source == "analytic"
     for (u, v) in ((0.0, 0.0), (0.45, -0.35)):
         form = induced_metric(patch, u, v)
         hm = second_fundamental_form(patch, u, v)
@@ -263,11 +269,11 @@ def test_analytic_shape_operator_is_the_second_form(builder):
 
 
 def test_fd_jet_patches_take_the_second_form_route():
-    """A patch without jet= differences its second partials and takes the
-    same second-form shape operator as an analytic patch; it stays near the
-    analytic twin."""
+    """A float-only position's jet is differenced, and the patch takes the
+    same second-form shape operator as a family patch; it stays near the
+    exact twin."""
     analytic = spacelike_helix()
-    fd = SurfacePatch(analytic.space, analytic.position, analytic.domain)
+    fd = float_only(analytic)
     u, v = 0.3, -0.2
     want = _second_form_shape(fd.space, _sample(fd, u, v))
     assert shape_operator(fd, u, v).entries() == want
@@ -419,35 +425,11 @@ def test_geometry_report_names_failing_sample():
     space = SpaceParams(delta=1, tau=1.0)
     # graph z = 0 degenerates along u^2 - v^2 = 1; put that line inside the
     # grid but away from the domain center (the basis probe samples there)
-    zero = (0.0, 0.0, 0.0)
-    patch = SurfacePatch(
-        space, lambda u, v: (u, v, 0.0),
-        ((0.85, 1.25), (-0.05, 0.05)),
-        jet=lambda u, v: ((u, v, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                          zero, zero, zero))
+    patch = SurfacePatch(space, lambda u, v: (u, v, 0.0),
+                         ((0.85, 1.25), (-0.05, 0.05)))
     with pytest.raises(DegenerateInducedMetric) as err:
         geometry_report(patch, 9, 3)
     assert "at sample" in str(err.value)
-
-
-def test_geometry_report_names_the_grid_sample_of_a_stencil_point():
-    """A guard that fails only at a stencil point of intrinsic K (v + 5e-4)
-    names the grid sample that stencil belongs to, not the displaced point,
-    so the named (u, v) is a row of the report."""
-    space = SpaceParams(delta=1, tau=1.0)
-
-    def jet(u, v):
-        w = np.sqrt(0.5002 - v) / np.sqrt(0.5002 - v)  # NaN past v = 0.5002
-        zero = 0.0 * w
-        return ((u * w, v * w, zero), (w, zero, zero), (zero, w, zero),
-                (zero,) * 3, (zero,) * 3, (zero,) * 3)
-
-    patch = SurfacePatch(space, lambda u, v: (u, v, 0.0),
-                         ((-0.5, 0.5), (-0.5, 0.5)), jet=jet)
-    with pytest.raises(NonFiniteJet) as err:
-        geometry_report(patch, 5, 5)
-    assert err.value.sample == (-0.5, 0.5)
-    assert "at sample (u=-0.5, v=0.5)" in str(err.value)
 
 
 # ------------------------------------------------------ batches
@@ -518,3 +500,29 @@ def test_non_finite_jet_names_the_sample_and_family():
     assert err.value.sample == (0.5, 711.0)
     assert err.value.family == {"family": "scalar"}
     assert "at sample (u=0.5, v=711)" in str(err.value)
+
+
+def test_float_only_third_partials_converge_at_second_order(monkeypatch):
+    """The differenced jet of a float-only position takes its third partials
+    from second-order stencils at their own step: at h, h/2 and h/4 their
+    errors against the exact Taylor jet fall by about 4 each time."""
+    exact_patch = make_helix_surface(HelixProfile(
+        "timelike", 1.0, math.pi / 4.0, c=0.1,
+        eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0))))
+    fd = float_only(exact_patch)
+
+    def thirds(patch):
+        j = patch.jet(0.3, -0.2, order=3)
+        return np.array([derivative(c, i) for vec in (j.fuu, j.fvv)
+                         for c in vec for i in (0, 1)])
+
+    exact = thirds(exact_patch)
+    gaps = []
+    for h in (0.04, 0.02, 0.01):
+        monkeypatch.setattr(surface_module, "_FD_JET_STEP3", h)
+        gaps.append(np.abs(thirds(fd) - exact))
+    seen = gaps[0] > 1e-7  # the partials with a truncation term
+    assert seen.sum() >= 8
+    for coarse, fine in zip(gaps, gaps[1:]):
+        order = np.log2(coarse[seen] / fine[seen])
+        assert np.all(np.abs(order - 2.0) < 0.1), order

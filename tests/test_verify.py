@@ -13,16 +13,18 @@ from hypothesis import given, settings, strategies as st
 from heisgeo import ambient, cli
 from heisgeo.ambient import SpaceParams, curvature_frame
 from heisgeo.errors import (DegenerateAdaptedFrame, DegeneratePlane,
-                            NonFiniteJet, NonFiniteResidual, NotAHelixPatch,
-                            StencilTooCoarse)
+                            NonFiniteJet, NonFiniteResidual, NotAHelixPatch)
 from heisgeo.families import (
     EtaSpec,
     HelixProfile,
+    ProfileFunctions,
     make_cmc_cylinder,
     make_helix_surface,
     make_minimal_plane,
+    profile_residuals,
 )
-from heisgeo.numeric import bilinear3, fmt_float
+from heisgeo import numeric
+from heisgeo.numeric import bilinear3, fmt_float, select, value
 import heisgeo.surface as surface_module
 import heisgeo.verify as verify_module
 from heisgeo.surface import (
@@ -121,18 +123,14 @@ def test_codazzi_residuals_by_family():
     assert res.check_id == "codazzi.coordinate_fields"
 
 
-def test_codazzi_stencil_guard():
-    """A domain narrower than 8 steps of the shared (u, v) stencil: every
-    suite that reads the stencil raises, and gauss, which does not, passes
-    there."""
+def test_suites_run_on_a_domain_narrower_than_any_stencil_step():
+    """No suite differences what it reads, so a domain 0.006 wide (narrower
+    than 8 steps of the old shared stencil) is evaluated like any other:
+    every suite reads only points of the domain and passes."""
     cyl = make_cmc_cylinder(1, "timelike", 0.5,
                             domain=((-0.003, 0.003), (-0.003, 0.003)))
-    with pytest.raises(StencilTooCoarse):
-        check_codazzi(cyl, (4, 4))
-    for name in ("helix_ode", "parallel", "claims"):
-        with pytest.raises(StencilTooCoarse):
-            run_suite(name, patch=cyl, grid=(4, 4))
-    assert run_suite("gauss", patch=cyl, grid=(4, 4)).passed
+    for name in ("gauss", "codazzi", "parallel", "claims"):
+        assert run_suite(name, patch=cyl, grid=(4, 4)).passed, name
 
 
 def test_helix_ode_residual():
@@ -152,17 +150,16 @@ def test_helix_ode_rejects_varying_angle():
 #: SurfacePatch.jet calls per patch suite on a new spacelike helix at (8, 8),
 #: one of them for the normal gauge.  A call is one batch: the grid, or all
 #: the offsets of one stencil stacked.  The patch suites share the grid
-#: batch and the 8 offsets of one (u, v) stencil (codazzi, helix_ode,
-#: parallel and claims: those two); gauss adds the 9 intrinsic-K offsets,
-#: the route check's 4x4 grid and its Weingarten batch (the 4x4 grid again
-#: with its 4 offsets).  A suite that starts resampling points it already
-#: has, evaluates a stencil offset by offset, or loops over points, fails
-#: here
-JET_BUDGET = {"gauss": 5, "codazzi": 3, "helix_ode": 3,
-              "parallel": 3, "claims": 3}
+#: batch, an order-1 jet whose Taylor coefficients give every partial they
+#: read; gauss adds the metric-only order-1 jet of intrinsic K, the route
+#: check's 4x4 grid and its Weingarten batch (the 4x4 grid again with its 4
+#: offsets).  A suite that starts resampling points it already has,
+#: evaluates a stencil offset by offset, or loops over points, fails here
+JET_BUDGET = {"gauss": 5, "codazzi": 2, "helix_ode": 2,
+              "parallel": 2, "claims": 2}
 #: the same count for the CLI's `verify --suite all` sequence on one patch,
-#: which shares the grid and the stencil: 11 when each suite sampled its own
-ALL_SUITES_JETS = 6
+#: which shares the grid: 11 when each suite sampled its own
+ALL_SUITES_JETS = 5
 
 
 def counted_jets(monkeypatch) -> list:
@@ -212,8 +209,8 @@ def test_grid_evaluation_dies_with_its_patch():
 
 def test_degenerate_adapted_frame_only_where_adapted_quantities_are_read():
     """On the tau = 0 plane (u, v, 0), E3 is normal, so g(T, T) = 0 at every
-    sample.  The shared stencil evaluates the adapted frame for every suite,
-    but only the suites that read adapted quantities guard it: gauss and
+    sample.  The shared evaluation computes the adapted frame for every
+    suite, but only the suites that read adapted quantities guard it: gauss and
     codazzi pass, and helix_ode, parallel and claims raise at the first
     grid sample."""
     patch = SurfacePatch(SpaceParams(delta=1, tau=0.0),
@@ -246,13 +243,22 @@ def test_weingarten_route_only_in_the_route_check(monkeypatch, suite):
     assert calls[0] == (16 if suite == "gauss" else 0)
 
 
+def float_only(patch: SurfacePatch) -> SurfacePatch:
+    """The patch with a position that takes floats only, as code written
+    with `math` does: its jet is differenced."""
+    def position(u, v):
+        return tuple([float(c) for c in patch.position(float(u), float(v))])
+
+    return SurfacePatch(patch.space, position, patch.domain)
+
+
 def test_route_check_runs_on_every_patch():
     """Every patch takes the second-form shape operator, so the gauss suite
-    runs the route check on all of them.  A patch without jet= differences
-    its second partials at a step where truncation and rounding balance;
-    its routes then agree within a third of the tolerance."""
+    runs the route check on all of them.  A float-only position's jet is
+    differenced at a step where truncation and rounding balance; its
+    routes then agree within a third of the tolerance."""
     for patch in default_family_matrix():
-        fd = SurfacePatch(patch.space, patch.position, patch.domain)
+        fd = float_only(patch)
         for p in (patch, fd):
             ids = [c.check_id
                    for c in run_suite("gauss", patch=p, grid=(4, 4)).checks]
@@ -353,14 +359,14 @@ NAN_CHECK = {"gauss": "gauss.extrinsic_vs_intrinsic",
 
 @pytest.mark.parametrize("suite", sorted(NAN_CHECK))
 def test_nan_residual_never_passes(monkeypatch, suite):
-    """S is NaN at grid point 9 (and at that point of every stencil offset):
+    """S is NaN at grid point 9 (a constant NaN on an order-1 sample):
     the suite must raise NonFiniteResidual naming the check and the sample,
     never report pass or fail."""
     second_form_shape = surface_module._second_form_shape
 
     def nan_at_one_point(space, s):
         (s11, s12), (s21, s22) = second_form_shape(space, s)
-        s11 = np.where(np.arange(np.size(s11)) == 9, np.nan, s11)
+        s11 = select(np.arange(np.size(value(s11))) == 9, np.nan, s11)
         return (s11, s12), (s21, s22)
 
     monkeypatch.setattr(surface_module, "_second_form_shape", nan_at_one_point)
@@ -375,23 +381,44 @@ def test_nan_residual_never_passes(monkeypatch, suite):
 
 @pytest.mark.parametrize("suite", ["helix_ode", "parallel"])
 def test_stencil_guard_names_the_grid_sample(suite):
-    """The jet is NaN just past the last grid row and column, so only the
-    stencil points displaced along T (helix_ode) or along the frame
-    (parallel) fail: the error names the grid sample those points belong
-    to, not the displaced point."""
+    """A float-only position is NaN just past the last grid row and
+    column, so only the points of its jet's stencil displaced beyond them
+    fail: the error names the grid sample those points belong to, not the
+    displaced point."""
     helix = spacelike_helix()
     pts = interior_grid(helix, (4, 4))
     u_last, v_last = max(u for u, _ in pts), max(v for _, v in pts)
-    jet = helix._analytic_jet
 
     def cut(u, v):
-        w = np.where((u > u_last + 1e-9) | (v > v_last + 1e-9), np.nan, 1.0)
-        return tuple(tuple(c * w for c in vec) for vec in jet(u, v))
+        u, v = float(u), float(v)
+        w = math.nan if u > u_last + 1e-9 or v > v_last + 1e-9 else 1.0
+        return tuple([float(c) * w for c in helix.position(u, v)])
 
-    patch = SurfacePatch(helix.space, helix.position, helix.domain, jet=cut)
+    patch = SurfacePatch(helix.space, cut, helix.domain)
     with pytest.raises(NonFiniteJet) as err:
         run_suite(suite, patch=patch, grid=(4, 4))
     assert err.value.sample in pts
+    assert str(err.value).endswith("at sample (u=%s, v=%s)" % tuple(
+        map(fmt_float, err.value.sample)))
+
+
+def test_weingarten_guard_names_the_grid_sample():
+    """The position is NaN just past the last row of the interior grids, so
+    only the Weingarten route's stencil points displaced beyond it fail:
+    the gauss suite's error names the route grid's sample those points
+    belong to, not the displaced point."""
+    helix = spacelike_helix()
+    route = interior_grid(helix, verify_module._ROUTE_GRID)
+    u_last = max(u for u, _ in route)
+
+    def position(u, v):  # NaN past u_last + 5e-6, Taylor values and all
+        w = np.sqrt(u_last + 5e-6 - u) / np.sqrt(u_last + 5e-6 - u)
+        return (u * w, v * w, 0.0 * w)
+
+    patch = SurfacePatch(SpaceParams(delta=1, tau=1.0), position, helix.domain)
+    with pytest.raises(NonFiniteJet) as err:
+        run_suite("gauss", patch=patch, grid=(8, 8))
+    assert err.value.sample in route and err.value.sample[0] == u_last
     assert str(err.value).endswith("at sample (u=%s, v=%s)" % tuple(
         map(fmt_float, err.value.sample)))
 
@@ -627,8 +654,10 @@ def test_sectional_constancy_without_a_plane_raises(monkeypatch):
     measure: the check raises a typed error that says so, rather than
     feeding an infinite residual through the verdict."""
     sizes = recorded_draw_sizes(monkeypatch)
-    monkeypatch.setattr(verify_module.ambient, "metric_eval",
-                        lambda space, p, v, w: 1.0)
+    metric = verify_module.ambient.metric_matrix
+    ones = ((1.0, 1.0, 1.0),) * 3
+    monkeypatch.setattr(verify_module.ambient, "metric_matrix",
+                        lambda space, p: ones if space.kappa else metric(space, p))
     with pytest.raises(DegeneratePlane,
                        match="no well-conditioned tangent plane in 400"):
         check_ambient(SpaceParams(delta=1, tau=1.0))
@@ -735,3 +764,76 @@ def test_default_family_matrix_contents():
     assert names.count("minimal_plane") == 3
     assert names.count("cmc_cylinder") == 3
     assert names.count("helix") == 2
+
+
+# ------------------------------------------------------------ check power
+
+
+def _scaled_eta_second_derivative(monkeypatch):
+    second = EtaSpec.second_derivative
+    monkeypatch.setattr(EtaSpec, "second_derivative",
+                        lambda self, v: 1.5 * second(self, v))
+
+
+def _dropped_third_derivatives(monkeypatch):
+    jet = ProfileFunctions.jet
+    monkeypatch.setattr(ProfileFunctions, "jet",
+                        lambda self, v: jet(self, v)[:9] + (0.0, 0.0, 0.0))
+
+
+def _swapped_product_destinations(monkeypatch):
+    """The runs of d^2/du^2 times d/d(u, v) and d^2/dv^2 times d/d(u, v)
+    write each other's degree-3 coefficients."""
+    n, runs = numeric._KERNEL[2, 3]
+    runs = [list(r) for r in runs]
+    uu, vv = (next(r for r in runs if r[0] == numeric._INDEX[2][e])
+              for e in ((2, 0), (0, 2)))
+    uu[3], vv[3] = vv[3], uu[3]
+    monkeypatch.setitem(numeric._KERNEL, (2, 3), (n, runs))
+
+
+def _check_power_patches() -> list:
+    return [make_helix_surface(HelixProfile(
+                "timelike", 1.0, math.pi / 4.0, c=0.1,
+                eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0)))),
+            make_helix_surface(HelixProfile(
+                "spacelike", 1.0, math.asinh(1.0), c=-5.0,
+                eta=EtaSpec("linear", (0.0, 1.0))))]
+
+
+def _failed_checks() -> list:
+    """The verify checks, and the profile's differenced `jet` residual (at
+    1e-6), that fail on the two patches."""
+    failed = []
+    for patch in _check_power_patches():
+        failed += [c.check_id
+                   for suite in ("gauss", "codazzi", "helix_ode", "claims")
+                   for c in run_suite(suite, patch=patch, grid=(10, 10)).checks
+                   if not c.passed]
+        if profile_residuals(patch.profile_functions)["jet"] > 1e-6:
+            failed.append("profile_residuals.jet")
+    return failed
+
+
+@pytest.mark.parametrize("mutant", [None, _scaled_eta_second_derivative,
+                                    _dropped_third_derivatives,
+                                    _swapped_product_destinations],
+                         ids=["unmutated", "eta2_x1.5", "no_f3rd",
+                              "kernel_swap"])
+def test_mutants_of_the_third_order_terms_fail_a_check(monkeypatch, mutant):
+    """Each defect in the third-order terms (eta'' and f''' in the profile
+    lift, a degree-3 destination of the product kernel) fails a check on
+    the README helix or the c = -5 spacelike helix; the unmutated code
+    passes there.  eta'' and f''' reach only the pure third partial F_vvv,
+    which neither Brioschi's formula (e_vv, f_uv, g_uu), nor Codazzi's
+    mixed partials, nor helix_ode's T = d/du reads: only the profile's
+    differenced jet residual sees them."""
+    if mutant is not None:
+        mutant(monkeypatch)
+    failed = _failed_checks()
+    if mutant is None:
+        assert failed == []
+    elif mutant is _swapped_product_destinations:
+        assert "helix_ode.residual" in failed
+    else:
+        assert set(failed) == {"profile_residuals.jet"}
