@@ -252,6 +252,7 @@ def _partial_table(nvar: int, axes: tuple, order: int) -> tuple:
 #: (coefficients, runs) of the product kernel per (variables, order)
 _KERNEL = {(n, k): (_SIZE[n][k], _runs(n, k)) for n in (1, 2, 3)
            for k in range(4)}
+
 _PARTIALS = {(n, axes, k): _partial_table(n, axes, k) for n in (1, 2, 3)
              for m in (1, 2)
              for axes in itertools.combinations_with_replacement(range(n), m)
@@ -272,8 +273,7 @@ def _product(a: np.ndarray, b: np.ndarray, order: int, nvar: int) -> np.ndarray:
 
 
 def _jet_of(name: str, x) -> tuple:
-    """(f, f', f'', f''') of the function `name` at x, with math's functions
-    on a number and numpy's on an array, as a formula on the value would."""
+    """(f, f', f'', f''') of `name` at x, by math on a number, else numpy."""
     if name == "sqrt":
         s = np.sqrt(x)
         return s, 0.5 / s, -0.25 / (s * x), 0.375 / (s * x * x)
@@ -344,8 +344,7 @@ class Taylor:
 
 
     def partial(self, *axes: int) -> "Taylor":
-        """The partial along `axes` (one entry per derivative, at most two),
-        that many orders lower."""
+        """The partial along `axes` (at most two), that many orders lower."""
         sources, scaled = _PARTIALS[self.nvar, tuple(sorted(axes)), self.order]
         c = self.c[sources]
         for row, k in scaled:
@@ -354,9 +353,8 @@ class Taylor:
 
 
     def lift(self, *jets) -> list:
-        """f(self) for each f given by its jet (f, f', ...) at the value:
-        order + 1 or more numbers or arrays over the batch.  The powers of
-        (self - value) are shared among the jets."""
+        """f(self) for each f given by its jet (f, f', ...: numbers or arrays)
+        at the value, the powers of (self - value) shared among them."""
         k, n = self.order, self.nvar
         powers = [self.c.copy()]
         powers[0][0] = 0.0
@@ -584,11 +582,10 @@ _EIGHT = ((2.0, -2.0, 0.0, 0.0, 2.0, 2.0, -2.0, -2.0),
 
 
 def central_partials(f: Callable, h, order: int = 2):
-    """(f, f_u, f_v, f_uu, f_uv, f_vv) at (0, 0): at `order` 2 from the
-    second-order nine-point stencil; at order 3 of fourth order, from those
-    points and eight more two steps out, followed by (f_uuu, f_uuv, f_uvv,
-    f_vvv) of second order.  f is called once, with the offsets (du, dv) of
-    all the points stacked."""
+    """(f, f_u, f_v, f_uu, f_uv, f_vv) at (0, 0): from the second-order
+    nine-point stencil at `order` 2; at 3 of fourth order, from eight more
+    points two steps out, then (f_uuu, f_uuv, f_uvv, f_vvv) of second
+    order.  f is called once, with the offsets (du, dv) of all points."""
     scales = _NINE if order == 2 else [a + b for a, b in zip(_NINE, _EIGHT)]
     f0, up, um, vp, vm, pp, pm, mp, mm, *far = _stencil(f, h, *scales)
     h2 = h * h

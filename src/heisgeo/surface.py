@@ -71,7 +71,7 @@ class PatchJet:
 #: the partials (variable indices) of the six jet fields
 _JET_AXES = ((), (0,), (1,), (0, 0), (0, 1), (1, 1))
 #: a! of the monomials of `numeric.Taylor`: d^a F / a! from the partials
-_FACTORIALS = (1.0, 1.0, 1.0, 2.0, 1.0, 2.0, 6.0, 2.0, 2.0, 6.0)
+_FACTORIALS = np.array((1.0, 1.0, 1.0, 2.0, 1.0, 2.0, 6.0, 2.0, 2.0, 6.0))
 
 
 class SurfacePatch:
@@ -140,12 +140,15 @@ class SurfacePatch:
         fields = _JET_AXES[:(1, 3, 6, 6)[order]]
         point = as_vec3(point)  # its coefficients hold every field's
         require(finite(*point), overflow, describe, at=at)
-        vecs = [[(partial if order == 3 else derivative)(c, *axes)
-                 for c in point] for axes in fields]
-        if order < 3:  # values: floats for a sample, arrays for a batch
-            vecs = [tuple([np.broadcast_to(np.asarray(c, dtype=float), u.shape)
-                           for c in vec]) if batch else as_vec3(vec)
-                    for vec in vecs]
+        if order == 3:
+            vecs = [[partial(c, *axes) for c in point] for axes in fields]
+        else:  # values: coefficient a times a!, floats for a sample
+            n = len(fields)
+            cols = [(c.c[:n].T * _FACTORIALS[:n]).T if isinstance(c, Taylor)
+                    else [c] + [0.0] * (n - 1) for c in point]
+            vecs = [tuple([np.broadcast_to(np.asarray(col[i], dtype=float),
+                                           u.shape) for col in cols]) if batch
+                    else as_vec3([col[i] for col in cols]) for i in range(n)]
         return PatchJet(*vecs, *[None] * (6 - len(vecs)))
 
     def _differenced(self, u, v, at: tuple, order: int, done: list) -> list:
