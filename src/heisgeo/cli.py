@@ -76,9 +76,9 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
         raise ConfigError("config must be a JSON object")
 
     grid_raw = raw.get("grid", {"nu": 20, "nv": 20})
-    if not (isinstance(grid_raw, dict)
-            and isinstance(grid_raw.get("nu"), int)
-            and isinstance(grid_raw.get("nv"), int)):
+    # type() is exact: a JSON bool is not an int here
+    if not (isinstance(grid_raw, dict) and type(grid_raw.get("nu")) is int
+            and type(grid_raw.get("nv")) is int):
         raise ConfigError("grid must be an object {\"nu\": int, \"nv\": int}")
     grid = (grid_raw["nu"], grid_raw["nv"])
     if grid[0] < _MIN_GRID or grid[1] < _MIN_GRID:
@@ -104,10 +104,8 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
     seen = set()
     suites = [s for s in expanded if not (s in seen or seen.add(s))]
 
-    seed = raw.get("seed", DEFAULT_SEED)
-    if args.seed is not None:
-        seed = args.seed
-    if not isinstance(seed, int):
+    seed = raw.get("seed", DEFAULT_SEED) if args.seed is None else args.seed
+    if type(seed) is not int:
         raise ConfigError(f"seed must be an integer, got {seed!r}")
 
     tol_raw = raw.get("tol", {})
@@ -125,7 +123,7 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"bad tolerance value in {item!r}") from exc
     for name, value in tolerances.items():
         _validate_tol_name(name)
-        if not (isinstance(value, (int, float)) and math.isfinite(value)
+        if not (type(value) in (int, float) and math.isfinite(value)
                 and value >= 0.0):
             raise ConfigError(f"tolerance {name!r} must be a finite "
                               f"nonnegative number, got {value!r}")

@@ -127,7 +127,8 @@ def _eta_from_any(eta) -> EtaSpec:
         return eta
     if isinstance(eta, dict):
         try:
-            return EtaSpec(str(eta["kind"]), tuple(eta["coefficients"]))
+            return EtaSpec(str(eta["kind"]), tuple([
+                _number(c, "eta coefficient") for c in eta["coefficients"]]))
         except KeyError as exc:
             raise ConfigError(f"eta spec missing field {exc}") from exc
     raise ConfigError(f"cannot interpret eta spec {eta!r}")
@@ -555,10 +556,18 @@ def predicted_mu_at_patch(profile: HelixProfile, u: float, v: float) -> float:
 # ---- config-driven construction ----
 
 
+def _number(x, what: str) -> float:
+    """The config number x (never a bool or a string) as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
 def family_from_config(cfg: dict) -> SurfacePatch:
-    """Build a patch from a JSON-style descriptor.
-    Required fields: family, tau; family-specific: delta, causal, phi0
-    (minimal_plane), theta/c/eta (helix); optional: domain."""
+    """Build a patch from a JSON-style descriptor of numbers (never bools
+    or strings).  Required fields: family, tau; family-specific: delta (+1
+    or -1), causal, phi0 (minimal_plane), theta/c/eta (helix); optional:
+    domain."""
     if not isinstance(cfg, dict):
         raise ConfigError("family descriptor must be an object")
     try:
@@ -571,9 +580,9 @@ def family_from_config(cfg: dict) -> SurfacePatch:
     domain = cfg.get("domain")
     if domain is not None:
         try:
+            domain = [[_number(x, "domain bound") for x in xs] for xs in domain]
             (u0, u1), (v0, v1) = domain
-            domain = ((float(u0), float(u1)), (float(v0), float(v1)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad domain {domain!r}") from exc
 
     def need(key: str):
@@ -581,22 +590,27 @@ def family_from_config(cfg: dict) -> SurfacePatch:
             raise ConfigError(f"family {name!r} requires field {key!r}")
         return cfg[key]
 
+    def number(key: str, default=None) -> float:
+        return _number(need(key) if default is None else cfg.get(key, default),
+                       key)
+
     try:
+        delta = number("delta", 1.0 if name == "helix" else None)
+        if delta not in (1.0, -1.0):
+            raise ConfigError(f"delta must be 1 or -1, got {delta!r}")
         if name == "minimal_plane":
-            return make_minimal_plane(int(need("delta")), str(need("causal")),
-                                      float(need("phi0")),
-                                      tau=float(need("tau")), domain=domain)
+            return make_minimal_plane(int(delta), str(need("causal")),
+                                      number("phi0"), tau=number("tau"),
+                                      domain=domain)
         if name == "cmc_cylinder":
-            return make_cmc_cylinder(int(need("delta")), str(need("causal")),
-                                     float(need("tau")), domain=domain)
-        delta = int(cfg.get("delta", 1))
+            return make_cmc_cylinder(int(delta), str(need("causal")),
+                                     number("tau"), domain=domain)
         if delta != 1:
             raise InvalidCombination(
                 "helix families with nonzero angle function need delta = +1")
         profile = HelixProfile(causal=str(need("causal")),
-                               tau=float(need("tau")),
-                               theta=float(need("theta")),
-                               c=float(cfg.get("c", 0.0)),
+                               tau=number("tau"), theta=number("theta"),
+                               c=number("c", 0.0),
                                eta=_eta_from_any(cfg.get("eta")))
         return make_helix_surface(profile, domain=domain)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -573,33 +573,22 @@ def central_diff(f: Callable, h, order: int = 2):
     raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
 
 
-#: offsets (du, dv), in steps, of the nine-point stencil, and of the eight
-#: points two steps out on the axes and diagonals that order 3 adds
-_NINE = ((0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0),
-         (0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0))
-_EIGHT = ((2.0, -2.0, 0.0, 0.0, 2.0, 2.0, -2.0, -2.0),
-          (0.0, 0.0, 2.0, -2.0, 2.0, -2.0, 2.0, -2.0))
+#: offsets (du, dv), in steps, of the 17-point stencil: the centre, the
+#: eight neighbours, and the eight points two steps out on the axes and
+#: diagonals
+_OFFSETS = ((0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0,
+             2.0, -2.0, 0.0, 0.0, 2.0, 2.0, -2.0, -2.0),
+            (0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0,
+             0.0, 0.0, 2.0, -2.0, 2.0, -2.0, 2.0, -2.0))
 
 
-def central_partials(f: Callable, h, order: int = 2):
-    """(f, f_u, f_v, f_uu, f_uv, f_vv) at (0, 0): from the second-order
-    nine-point stencil at `order` 2; at 3 of fourth order, from eight more
-    points two steps out, then (f_uuu, f_uuv, f_uvv, f_vvv) of second
-    order.  f is called once, with the offsets (du, dv) of all points."""
-    scales = _NINE if order == 2 else [a + b for a, b in zip(_NINE, _EIGHT)]
-    f0, up, um, vp, vm, pp, pm, mp, mm, *far = _stencil(f, h, *scales)
+def central_partials(f: Callable, h):
+    """(f, f_u, f_v, f_uu, f_uv, f_vv) at (0, 0), of fourth order, then
+    (f_uuu, f_uuv, f_uvv, f_vvv) of second order, from the 17-point
+    stencil.  f is called once, with the offsets (du, dv) of all points."""
+    (f0, up, um, vp, vm, pp, pm, mp, mm,
+     u2, um2, v2, vm2, pp2, pm2, mp2, mm2) = _stencil(f, h, *_OFFSETS)
     h2 = h * h
-    if order == 2:
-        def d1(p, m):
-            return (p - m) / (2.0 * h)
-
-        def d2(p, c, m):
-            return (p - 2.0 * c + m) / h2
-
-        return (f0, _lift(d1, up, um), _lift(d1, vp, vm), _lift(d2, up, f0, um),
-                _lift(lambda a, b, c, d: (a - b - c + d) / (4.0 * h2),
-                      pp, pm, mp, mm), _lift(d2, vp, f0, vm))
-    u2, um2, v2, vm2, pp2, pm2, mp2, mm2 = far
     h3 = 2.0 * h2 * h
 
     def d1(p2, p1, m1, m2):
@@ -626,18 +615,18 @@ def central_partials(f: Callable, h, order: int = 2):
             _lift(d21, pp, up, pm, mp, um, mm), _lift(d3, v2, vp, vm, vm2))
 
 
-def directional_diffs(f: Callable, u, v, directions, step: float,
-                      order: int = 2) -> list:
+def directional_diffs(f: Callable, u, v, directions, step: float) -> list:
     """The derivative of f at the points (u, v) along each direction
-    (du, dv) of `directions` (numbers or arrays over the points), by
-    `central_diff` at step / max(1, |du|, |dv|).  f is called once, as
-    f(uu, vv, au, av): every displaced point, and the sample it belongs to."""
+    (du, dv) of `directions` (numbers or arrays over the points), by the
+    second-order `central_diff` at step / max(1, |du|, |dv|).  f is called
+    once, as f(uu, vv, au, av): every displaced point, and the sample it
+    belongs to."""
     du, dv = (np.concatenate([np.ravel(np.broadcast_to(d[i], np.shape(u)))
                               for d in directions]) for i in (0, 1))
     h = step / np.maximum(np.maximum(abs(du), abs(dv)), 1.0)
     u0, v0 = np.tile(u, len(directions)), np.tile(v, len(directions))
     return _split(central_diff(lambda t: f(*stacked(u0 + t * du, v0 + t * dv,
-                                                    u0, v0)), h, order),
+                                                    u0, v0)), h),
                   (len(directions), *np.shape(u)))
 
 

@@ -35,7 +35,7 @@ from .errors import (DegenerateAdaptedFrame, DegenerateInducedMetric,
 from .numeric import (FLOAT_FORMAT, Taylor, Vec3, _stencil, as_vec3,
                       central_partials, derivative, finite, json_dumps,
                       lincomb3, partial, quiet, require, scale3, select,
-                      solve2, stacked, sub3, truncated)
+                      solve2, stacked, sub3, truncated, value)
 
 # |det I| below this is treated as a degenerate (null) patch
 _DEGENERATE_DET_TOL = 1e-10
@@ -47,11 +47,9 @@ _ADAPTED_TOL = 1e-8
 _ANALYTIC_MARGIN = 1e-2
 # step for the Weingarten finite difference of the normal field
 _WEINGARTEN_STEP = 1e-5
-# stencil steps for float-only positions: second partials round off as
-# eps |F| / h^2, which 1e-4 balances against the h^2 truncation; the order-3
-# stencil's third partials as eps |F| / h^3 (2e-4 at 1e-4), balanced by 1.5e-3
-_FD_JET_STEP = 1e-4
-_FD_JET_STEP3 = 1.5e-3
+# stencil step for float-only positions: the third partials round off as
+# eps |F| / h^3, which 1.5e-3 balances against their h^2 truncation
+_FD_STEP = 1.5e-3
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,9 @@ class SurfacePatch:
     numpy's functions, it takes Taylor values of (u, v) and `jet`
     differentiates it exactly, up to `_ANALYTIC_MARGIN` beyond the domain.
     A position that rejects Taylor values (with a TypeError, as `math`'s
-    functions do) is called one point at a time on a central-difference
-    stencil, inside the domain shrunk by twice the stencil step."""
+    functions do) is called one point at a time on the 17-point stencil of
+    `central_partials` at step `_FD_STEP`, inside the domain shrunk by twice
+    that step."""
 
     def __init__(self, space: SpaceParams, position: Callable[[float, float], Vec3],
                  domain: tuple[tuple[float, float], tuple[float, float]],
@@ -115,7 +114,8 @@ class SurfacePatch:
         `order` is the Taylor order of `position`: the point alone at 0, with
         the first partials at 1 (the other fields None), all six at 2; at 3
         each field is a Taylor value carrying its own partials up to third
-        order in all.  Guards name the samples `at` (default (u, v))."""
+        order in all (a differenced position always gives order 3, cut to
+        `order` here).  Guards name the samples `at` (default (u, v))."""
         batch = isinstance(u, np.ndarray) or isinstance(v, np.ndarray)
         if batch:
             u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
@@ -133,7 +133,7 @@ class SurfacePatch:
                     point = self.position(
                         *(Taylor.variables((u, v), order) if order else (u, v)))
                 except TypeError:  # a float-only position: difference it
-                    point = self._differenced(u, v, at, order, done)
+                    point = self._differenced(u, v, at, done)
         except OverflowError:  # raised at stencil point len(done), offset-major
             require(np.arange(np.size(u)) != len(done) % np.size(u), overflow,
                     describe, at=at)
@@ -151,21 +151,19 @@ class SurfacePatch:
                     else as_vec3([col[i] for col in cols]) for i in range(n)]
         return PatchJet(*vecs, *[None] * (6 - len(vecs)))
 
-    def _differenced(self, u, v, at: tuple, order: int, done: list) -> list:
-        """The point as Taylor values of order 2 (3 at `order` 3) from one
-        `central_partials` stencil of `position`, one point at a time."""
-        third = order == 3
-        step = _FD_JET_STEP3 if third else _FD_JET_STEP
-        self._check_domain(u, v, at, -2.0 * step)
+    def _differenced(self, u, v, at: tuple, done: list) -> list:
+        """The point as Taylor values of order 3 from one `central_partials`
+        stencil of `position`, one point at a time."""
+        self._check_domain(u, v, at, -2.0 * _FD_STEP)
 
         def stencil(du, dv):
             for a, b in zip(*(x.tolist() for x in stacked(u + du, v + dv))):
                 done.append(as_vec3(self.position(a, b)))
             return np.array(done).T
 
-        parts = central_partials(stencil, np.full(np.shape(u), step), 2 + third)
+        parts = central_partials(stencil, np.full(np.shape(u), _FD_STEP))
         return [Taylor(np.array([x[i] / k for x, k in zip(parts, _FACTORIALS)]),
-                       2 + third, 2) for i in range(3)]
+                       3, 2) for i in range(3)]
 
 
 # ---- first fundamental form ----
@@ -208,13 +206,9 @@ def _sign(x):
     return select(x > 0.0, 1, -1)
 
 
-def induced_metric(patch: SurfacePatch, u, v, *,
-                   at: Optional[tuple] = None) -> FirstFundamentalForm:
-    """First fundamental form of the patch at (u, v); its guards name the
-    samples `at` (default (u, v))."""
-    if at is None:
-        at = (u, v)
-    return _induced_from_jet(patch.space, patch.jet(u, v, at=at, order=1), at)
+def induced_metric(patch: SurfacePatch, u, v) -> FirstFundamentalForm:
+    """First fundamental form of the patch at (u, v)."""
+    return _induced_from_jet(patch.space, patch.jet(u, v, order=1), (u, v))
 
 
 def _induced_from_jet(space: SpaceParams, j: PatchJet,
@@ -314,6 +308,11 @@ def _sample(patch: SurfacePatch, u, v, at: Optional[tuple] = None,
     if order:  # every field cut to order 1, the order S gets from fuu
         j = PatchJet(*[tuple([truncated(c, order) for c in vec])
                        for vec in vars(j).values()])
+    return _jet_sample(patch, j, at)
+
+
+def _jet_sample(patch: SurfacePatch, j: PatchJet, at: tuple) -> _Sample:
+    """The sample bundle of the jet `j` taken at the samples `at`."""
     form = _induced_from_jet(patch.space, j, at)
     a, b, n_raw, eps = _raw_normal(patch.space, j, form, at)
     n = scale3(_gauge_sign(patch), n_raw)
@@ -557,16 +556,14 @@ def gaussian_curvature(patch: SurfacePatch, u, v,
         s = _sample(patch, u, v)
         return _extrinsic_k(space, s, _second_form_shape(space, s))
     if method == "intrinsic":
-        return _intrinsic_k(patch, u, v)
+        return _intrinsic_k(space, patch.jet(u, v, order=3), (u, v))
     raise ValueError(f"unknown gaussian-curvature method {method!r}")
 
 
-def _intrinsic_k(patch: SurfacePatch, u, v) -> float:
+def _intrinsic_k(space: SpaceParams, j: PatchJet, at: tuple) -> float:
     """Brioschi's K from the Taylor coefficients of (e, f, g), of order 2
-    from a metric-only order-3 jet: no normal, no step."""
-    at = (u, v)
-    j = patch.jet(u, v, at=at, order=3)
-    form = _induced_from_jet(patch.space, PatchJet(
+    from the order-3 jet `j` at the samples `at`: no normal, no step."""
+    form = _induced_from_jet(space, PatchJet(
         tuple([truncated(c, 2) for c in j.p]), j.fu, j.fv, None, None, None),
         at)
     d = derivative
@@ -673,7 +670,8 @@ def geometry_report(patch: SurfacePatch, n_u: int, n_v: int) -> GeometryReport:
     except DegenerateAdaptedFrame:
         basis = "coordinate"
     space = patch.space
-    s = _sample(patch, u, v)
+    j = patch.jet(u, v, order=3)  # values: the samples; coefficients: K_int
+    s = _jet_sample(patch, value(j), (u, v))
     m = _second_form_shape(space, s)
     if basis == "adapted-TJT":
         entries = _adapted_entries(
@@ -682,7 +680,7 @@ def geometry_report(patch: SurfacePatch, n_u: int, n_v: int) -> GeometryReport:
         entries = (m[0][0], m[0][1], m[1][0], m[1][1])
     t_coords = ambient.from_frame_components(space, s.jet.p, s.t_frame)
     columns = (u, v, s.nu, 0.5 * (m[0][0] + m[1][1]), _extrinsic_k(space, s, m),
-               _intrinsic_k(patch, u, v), s.eps, *entries, *t_coords)
+               _intrinsic_k(space, j, s.at), s.eps, *entries, *t_coords)
     return GeometryReport(patch.name, patch.family, basis, (n_u, n_v),
                           tuple([np.broadcast_to(c, u.shape).tolist()
                                  for c in columns]))

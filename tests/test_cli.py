@@ -246,6 +246,40 @@ def test_exit_codes_config_errors(workdir, capsys):
     capsys.readouterr()
 
 
+# every numeric config field takes JSON numbers only, never a bool or a
+# string, and delta exactly 1 or -1 (not truncated to it)
+@pytest.mark.parametrize("payload, message", (
+    (dict(PLANE, seed=True), "seed must be an integer"),
+    (dict(PLANE, tol={"gauss": True}), "tolerance 'gauss' must be"),
+    (dict(PLANE, grid={"nu": True, "nv": 9}), "grid must be an object"),
+    (dict(PLANE, delta=1.7), "delta must be 1 or -1, got 1.7"),
+    (dict(PLANE, delta=-1.9), "delta must be 1 or -1, got -1.9"),
+    (dict(PLANE, tau="1.5"), "tau must be a number, got '1.5'"),
+    (dict(PLANE, phi0=False), "phi0 must be a number"),
+    (dict(HELIX, theta="0.9"), "theta must be a number"),
+    (dict(HELIX, c=True), "c must be a number"),
+    (dict(HELIX, eta={"kind": "linear", "coefficients": ["0", 1.0]}),
+     "eta coefficient must be a number"),
+    (dict(PLANE, domain=[[-1, True], [-1, 1]]), "domain bound must be a number"),
+), ids=("seed", "tol", "grid", "delta", "delta_negative", "tau", "phi0",
+        "theta", "c", "eta", "domain"))
+def test_numeric_fields_take_json_numbers_only(workdir, capsys, payload,
+                                                message):
+    assert main(["verify", "--config", cfg_path(workdir, payload),
+                 "--suite", "ambient"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+def test_integer_valued_float_delta_is_the_integer(workdir, capsys):
+    assert main(["analyze", "--config",
+                 cfg_path(workdir, dict(PLANE, delta=-1.0))]) == EXIT_PASS
+    summary = json.loads((workdir / "heisgeo-analyze.json").read_text())
+    delta = summary["family"]["delta"]
+    assert delta == -1 and type(delta) is int  # written as -1, not -1.0
+    capsys.readouterr()
+
+
 def test_suites_must_be_a_list(workdir, capsys):
     cfg = cfg_path(workdir, dict(PLANE, suites="ambient"))
     assert main(["verify", "--config", cfg]) == EXIT_CONFIG_ERROR

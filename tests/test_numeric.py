@@ -94,9 +94,11 @@ U0, V0 = 0.2, 0.1
 
 
 def partials_exact(u, v):
+    """g and its partials in `central_partials`' order, up to third."""
     e, s, co = np.exp(A * u), np.sin(B * v + C), np.cos(B * v + C)
     return (e * s, A * e * s, B * e * co, A * A * e * s, A * B * e * co,
-            -B * B * e * s)
+            -B * B * e * s, A ** 3 * e * s, A * A * B * e * co,
+            -A * B * B * e * s, -B ** 3 * e * co)
 
 
 def g_scalar(du, dv):
@@ -116,17 +118,21 @@ def g_array(du, dv):
                                        (g_tuple, (1.0, 2.0, -1.0)),
                                        (g_array, (1.0, 2.0, -1.0))])
 def test_central_partials_observed_order(fn, scale):
+    """First and second partials of fourth order (error ratio 16 between h
+    and h/2), third partials of second order (ratio 4)."""
     exact = partials_exact(U0, V0)
-    h = 0.02
+    h = 0.1
     coarse = central_partials(fn, h)
     fine = central_partials(fn, h / 2)
+    assert len(coarse) == 10
     assert errors(coarse[0], fn(0.0, 0.0)).max() == 0.0
-    for k in range(1, 6):
+    for k in range(1, 10):
         want = [exact[k] * s for s in scale]
         e_coarse = errors(coarse[k], want)
         e_fine = errors(fine[k], want)
         observed = e_coarse / e_fine
-        assert np.all(np.abs(observed / 4.0 - 1.0) < 0.03), (k, observed)
+        ratio = 16.0 if k < 6 else 4.0
+        assert np.all(np.abs(observed / ratio - 1.0) < 0.03), (k, observed)
 
 
 # ---- the stacked stencils against the per-offset formulas ----
@@ -153,14 +159,31 @@ def per_offset_diff(x, h, order):
 
 
 def per_offset_partials(u, v, h):
-    g = rational2
-    f0 = g(u, v)
-    return (f0, (g(u + h, v) - g(u - h, v)) / (2.0 * h),
-            (g(u, v + h) - g(u, v - h)) / (2.0 * h),
-            (g(u + h, v) - 2.0 * f0 + g(u - h, v)) / (h * h),
-            (g(u + h, v + h) - g(u + h, v - h) - g(u - h, v + h)
-             + g(u - h, v - h)) / (4.0 * (h * h)),
-            (g(u, v + h) - 2.0 * f0 + g(u, v - h)) / (h * h))
+    """The 17-point formulas, each point g(u + i h, v + j h) written out."""
+    def g(i, j):
+        return rational2(u + i * h if i else u, v + j * h if j else v)
+
+    f0 = g(0, 0)
+    h2 = h * h
+    h3 = 2.0 * h2 * h
+    return (f0,
+            (-g(2.0, 0) + 8.0 * g(1.0, 0) - 8.0 * g(-1.0, 0) + g(-2.0, 0))
+            / (12.0 * h),
+            (-g(0, 2.0) + 8.0 * g(0, 1.0) - 8.0 * g(0, -1.0) + g(0, -2.0))
+            / (12.0 * h),
+            (-g(2.0, 0) + 16.0 * g(1.0, 0) - 30.0 * f0 + 16.0 * g(-1.0, 0)
+             - g(-2.0, 0)) / (12.0 * h2),
+            (16.0 * (g(1.0, 1.0) - g(1.0, -1.0) - g(-1.0, 1.0) + g(-1.0, -1.0))
+             - (g(2.0, 2.0) - g(2.0, -2.0) - g(-2.0, 2.0) + g(-2.0, -2.0)))
+            / (48.0 * h2),
+            (-g(0, 2.0) + 16.0 * g(0, 1.0) - 30.0 * f0 + 16.0 * g(0, -1.0)
+             - g(0, -2.0)) / (12.0 * h2),
+            (g(2.0, 0) - 2.0 * g(1.0, 0) + 2.0 * g(-1.0, 0) - g(-2.0, 0)) / h3,
+            ((g(1.0, 1.0) - 2.0 * g(0, 1.0) + g(-1.0, 1.0))
+             - (g(1.0, -1.0) - 2.0 * g(0, -1.0) + g(-1.0, -1.0))) / h3,
+            ((g(1.0, 1.0) - 2.0 * g(1.0, 0) + g(1.0, -1.0))
+             - (g(-1.0, 1.0) - 2.0 * g(-1.0, 0) + g(-1.0, -1.0))) / h3,
+            (g(0, 2.0) - 2.0 * g(0, 1.0) + 2.0 * g(0, -1.0) - g(0, -2.0)) / h3)
 
 
 coordinates = st.floats(-10.0, 10.0, allow_nan=False)
@@ -203,7 +226,9 @@ def test_stacked_central_partials_are_the_per_offset_formulas(uv, h, per_point):
         lambda du, dv: rational2(stencil_points(u, du, per_point),
                                  stencil_points(v, dv, per_point)),
         stencil_step(u, h, per_point))
-    for g, w in zip(got, per_offset_partials(u, v, h)):
+    want = per_offset_partials(u, v, h)
+    assert len(got) == len(want) == 10
+    for g, w in zip(got, want):
         assert np.shape(g) == np.shape(w)
         assert np.array_equal(g, w)
 

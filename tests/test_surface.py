@@ -36,6 +36,7 @@ from heisgeo.surface import (
     causal_character,
     gaussian_curvature,
     geometry_report,
+    grid_batch,
     grid_points,
     induced_metric,
     mean_curvature,
@@ -421,6 +422,83 @@ def test_report_rows_and_obj_lines_are_fmt_float_text(rows):
                                               for x in xs]
 
 
+def readme_helix() -> SurfacePatch:
+    return make_helix_surface(HelixProfile(
+        "timelike", 1.0, math.pi / 4.0, c=0.1,
+        eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0))))
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_report_k_int_is_the_public_intrinsic_k(index):
+    """The report reads K_int from the order-3 jet of its grid that also
+    gives its samples: bit for bit what gaussian_curvature(..., "intrinsic")
+    gives on the same batch from a jet of its own."""
+    patch = (default_family_matrix() + [readme_helix()])[index]
+    report = geometry_report(patch, 12, 12)
+    u, v = grid_batch(*grid_points(patch.domain, 12, 12))
+    assert report.columns[5] == gaussian_curvature(
+        patch, u, v, "intrinsic").tolist()
+
+
+def translated(patch: SurfacePatch, q) -> SurfacePatch:
+    """The patch moved by the left translation L_q(x, y, z) = (x + a, y + b,
+    z + c + tau (a y - b x)), an isometry of the ambient space."""
+    a, b, c = q
+    tau = patch.space.tau
+
+    def position(u, v):
+        x, y, z = patch.position(u, v)
+        return (x + a, y + b, z + c + tau * (a * y - b * x))
+
+    return SurfacePatch(patch.space, position, patch.domain, name=patch.name,
+                        family=patch.family)
+
+
+def c_minus_5_helix() -> SurfacePatch:
+    return make_helix_surface(HelixProfile(
+        "spacelike", 1.0, ASINH1, c=-5.0, eta=EtaSpec("linear", (0.0, 1.0))))
+
+
+@st.composite
+def sweep_helices(draw) -> SurfacePatch:
+    """Helices from the benchmark sweep's parameter ranges: a causal
+    character and angle, theta and c jittered, a sinusoidal or quadratic
+    eta with jittered coefficients."""
+    causal, theta, kind = draw(st.sampled_from((
+        ("timelike", math.pi / 4.0, "sinusoidal"),
+        ("spacelike", ASINH1, "polynomial"),
+        ("spacelike", ASINH1, "sinusoidal"),
+        ("timelike", math.pi / 4.0, "polynomial"))))
+    if kind == "sinusoidal":
+        coefficients = (0.3 + draw(st.floats(-0.1, 0.1)),
+                        1.0 + draw(st.floats(-0.2, 0.2)),
+                        draw(st.floats(-math.pi, math.pi)))
+    else:
+        coefficients = (draw(st.floats(-0.2, 0.2)),
+                        1.0 + draw(st.floats(-0.2, 0.2)),
+                        draw(st.floats(-0.3, 0.3)))
+    return make_helix_surface(HelixProfile(
+        causal, 1.0, theta + draw(st.floats(-0.05, 0.05)),
+        c=0.1 + draw(st.floats(-0.05, 0.05)), eta=EtaSpec(kind, coefficients)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(patch=st.one_of(st.sampled_from(range(9)).map(
+           lambda i: (default_family_matrix() + [c_minus_5_helix()])[i]),
+       sweep_helices()),
+       q=st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+def test_left_translation_keeps_the_report_invariants(patch, q):
+    """Isometry oracle, independent of the classification formulas: a left
+    translation of the immersion leaves nu, H, K_ext and K_int unchanged at
+    every grid sample, to 1e-8 relative (1e-9 is the worst seen, on the
+    c = -5 helix where |K| = 4)."""
+    before = geometry_report(patch, 12, 12)
+    after = geometry_report(translated(patch, q), 12, 12)
+    for k in (2, 3, 4, 5):  # nu, H, K_ext, K_int
+        want, got = np.array(before.columns[k]), np.array(after.columns[k])
+        assert np.all(np.abs(got - want) <= 1e-8 * np.maximum(1.0, abs(want))), k
+
+
 def test_geometry_report_names_failing_sample():
     space = SpaceParams(delta=1, tau=1.0)
     # graph z = 0 degenerates along u^2 - v^2 = 1; put that line inside the
@@ -504,7 +582,7 @@ def test_non_finite_jet_names_the_sample_and_family():
 
 def test_float_only_third_partials_converge_at_second_order(monkeypatch):
     """The differenced jet of a float-only position takes its third partials
-    from second-order stencils at their own step: at h, h/2 and h/4 their
+    from the stencil's second-order differences: at h, h/2 and h/4 their
     errors against the exact Taylor jet fall by about 4 each time."""
     exact_patch = make_helix_surface(HelixProfile(
         "timelike", 1.0, math.pi / 4.0, c=0.1,
@@ -519,7 +597,7 @@ def test_float_only_third_partials_converge_at_second_order(monkeypatch):
     exact = thirds(exact_patch)
     gaps = []
     for h in (0.04, 0.02, 0.01):
-        monkeypatch.setattr(surface_module, "_FD_JET_STEP3", h)
+        monkeypatch.setattr(surface_module, "_FD_STEP", h)
         gaps.append(np.abs(thirds(fd) - exact))
     seen = gaps[0] > 1e-7  # the partials with a truncation term
     assert seen.sum() >= 8
