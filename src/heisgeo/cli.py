@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -33,6 +32,9 @@ EXIT_IO_ERROR = 4
 EXIT_INTERNAL_ERROR = 5
 
 _MIN_GRID = 8
+#: largest grid a config may ask for (500x500): verify holds about 3.5 KB
+#: per point
+_MAX_GRID_POINTS = 250_000
 
 #: suites run by "all": whether a patch *is* parallel is a property, not a
 #: defect, so "all" gates on the claims suite's expectation, not on parallel
@@ -40,7 +42,8 @@ _ALL_SUITES = ("ambient", "gauss", "codazzi", "helix_ode", "claims")
 
 _CONFIG_ERRORS = (ConfigError, UnknownFamily, InvalidCombination,
                   InvalidParameterDomain)
-# OverflowError: math.cosh and friends overflow on far-out samples
+# OverflowError: a float-only position (math.cosh and friends) overflows on
+# far-out samples; family samples overflow to inf and raise NonFiniteJet
 _GEOMETRY_ERRORS = (SurfaceError, AmbientError, VerifyError,
                     QuadratureFailure, FamilyError, OverflowError)
 
@@ -70,7 +73,7 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of > 4300 digits
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -84,6 +87,10 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
     if grid[0] < _MIN_GRID or grid[1] < _MIN_GRID:
         raise ConfigError(
             f"grid must be at least {_MIN_GRID}x{_MIN_GRID}, got "
+            f"{grid[0]}x{grid[1]}")
+    if grid[0] * grid[1] > _MAX_GRID_POINTS:
+        raise ConfigError(
+            f"grid must have at most {_MAX_GRID_POINTS} points, got "
             f"{grid[0]}x{grid[1]}")
 
     suites = raw.get("suites", [])
@@ -123,8 +130,9 @@ def load_config(path: str, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"bad tolerance value in {item!r}") from exc
     for name, value in tolerances.items():
         _validate_tol_name(name)
-        if not (type(value) in (int, float) and math.isfinite(value)
-                and value >= 0.0):
+        # compared, not converted: an int too large for a float fails here
+        if not (type(value) in (int, float)
+                and 0.0 <= value <= sys.float_info.max):
             raise ConfigError(f"tolerance {name!r} must be a finite "
                               f"nonnegative number, got {value!r}")
 

@@ -9,10 +9,13 @@ constant and linear eta, quintic-Hermite quadrature tables
 
 Each constructor returns a :class:`~heisgeo.surface.SurfacePatch` with a
 serializable family descriptor, its immersion written once as
-`position(u, v)` in + - * / and the functions of `_lib`: it takes floats,
-arrays and Taylor values alike, and the patch derives every partial from
-it.  The profile formulas take a float or an ndarray; a `ProfileFunctions`
-also takes a Taylor value of v, lifted through (f, f', f'', f''')."""
+`position(u, v)` in + - * / and numpy's functions: it takes floats, arrays
+and Taylor values alike, and the patch derives every partial from it.
+Every per-sample formula (positions, eta, the slopes, the profile) runs on
+numpy whatever its argument, so a one-point call returns, bit for bit, the
+entry a batch returns; `math` is left to parameter constants and
+validation.  A `ProfileFunctions` also takes a Taylor value of v, lifted
+through (f, f', f'', f''')."""
 
 from __future__ import annotations
 
@@ -42,12 +45,6 @@ _MAX_POLY_DEGREE = 6
 #: samples and fourth-order stencil step of `profile_residuals`
 _RESIDUAL_SAMPLES = 41
 _RESIDUAL_STEP = 1e-3
-
-
-# The profile formulas and positions take a float (math's functions), or an
-# ndarray or a Taylor value (numpy's, elementwise), by the argument's type.
-def _lib(v):
-    return np if isinstance(v, (np.ndarray, Taylor)) else math
 
 
 # ---- eta presets ----
@@ -86,35 +83,28 @@ class EtaSpec:
                 "sinusoidal eta takes exactly [amp, freq, phase]")
 
     def __call__(self, v):
-        """eta at a float v, or elementwise at an ndarray v; constant and
-        linear eta are polynomials of degree 0 and 1."""
-        c = self.coefficients
-        if self.kind == "sinusoidal":
-            return c[0] * _lib(v).sin(c[1] * v + c[2])
-        acc = 0.0
-        for coeff in reversed(c):
-            acc = acc * v + coeff
-        return acc
+        """eta at v: the first entry of `jet`."""
+        return self.jet(v)[0]
 
-    def derivative(self, v):
-        """eta' at a float v, or elementwise at an ndarray v."""
+    def jet(self, v) -> tuple:
+        """(eta, eta', eta'') at v (a float, an ndarray or a Taylor value),
+        elementwise, in one pass: one sine and cosine, or one Horner loop
+        (constant and linear eta are polynomials of degree 0 and 1).  A
+        derivative that vanishes identically is the number 0.0."""
         c = self.coefficients
         if self.kind == "sinusoidal":
-            return c[0] * c[1] * _lib(v).cos(c[1] * v + c[2])
-        acc = np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0
-        for i in range(len(c) - 1, 0, -1):
-            acc = acc * v + i * c[i]
-        return acc
-
-    def second_derivative(self, v):
-        """eta'' at a float v, or elementwise at an ndarray v."""
-        c = self.coefficients
-        if self.kind == "sinusoidal":
-            return -c[0] * c[1] * c[1] * _lib(v).sin(c[1] * v + c[2])
-        acc = np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0
-        for i in range(len(c) - 1, 1, -1):
-            acc = acc * v + i * (i - 1) * c[i]
-        return acc
+            arg = c[1] * v + c[2]
+            sin = np.sin(arg)
+            return (c[0] * sin, c[0] * c[1] * np.cos(arg),
+                    -c[0] * c[1] * c[1] * sin)
+        e0 = e1 = e2 = 0.0
+        for i in range(len(c) - 1, -1, -1):
+            e0 = e0 * v + c[i]
+            if i > 0:
+                e1 = e1 * v + i * c[i]
+            if i > 1:
+                e2 = e2 * v + i * (i - 1) * c[i]
+        return e0, e1, e2
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "coefficients": list(self.coefficients)}
@@ -199,10 +189,10 @@ class HelixProfile:
 class ProfileFunctions:
     """The profile triple (f1, f2, f3), with f1'^2 - f2'^2 = cosh(theta)^2
     (spacelike) or -cos(theta)^2 (timelike) and f3' = tau (f1 f2' - f2 f1').
-    `slopes(v)` returns (f1', f2', f1'', f2''); `jet(v)` the values and
-    three derivatives of all three, from one lookup per table.  Called on
-    v, the profile returns (f1, f2, f3) there: at a float, an ndarray, or a
-    Taylor value, lifted through the jet at its value."""
+    `slopes(v)` returns (f1', f2', f1'', f2'', f1''', f2'''); `jet(v)` the
+    values and three derivatives of all three, from one lookup per table.
+    Called on v, the profile returns (f1, f2, f3) there: at a float, an
+    ndarray, or a Taylor value, lifted through the jet at its value."""
 
     profile: HelixProfile
     v_range: tuple[float, float]
@@ -211,21 +201,14 @@ class ProfileFunctions:
     f1: Callable[[float], float]
     f2: Callable[[float], float]
     f3: Callable[[float], float]
-    slopes: Callable[[float], tuple[float, float, float, float]]
+    slopes: Callable[[float], tuple[float, ...]]
 
     def jet(self, v) -> tuple[float, ...]:
         """(f1, f2, f3, f1', f2', f3', f1'', f2'', f3'', f1''', f2''',
         f3''') at v (a float or an ndarray)."""
         p1, p2, p3 = self.f1(v), self.f2(v), self.f3(v)
-        q1, q2, r1, r2 = self.slopes(v)
+        q1, q2, r1, r2, t1, t2 = self.slopes(v)
         tau = self.profile.tau
-        eta = self.profile.eta
-        e1, e2 = eta.derivative(v), eta.second_derivative(v)
-        # f1' = k1 g1(s), f2' = m g2(s), s = eta + shift, g1' = g2, g2' = g1:
-        # f1''' = k1 (g1 eta'^2 + g2 eta''), k1 g2 = k f2', k = k1 / m = +-1
-        k = _slope_branch(self.profile)[2] / self.profile.slope_scale
-        t1 = q1 * e1 * e1 + k * q2 * e2
-        t2 = q2 * e1 * e1 + k * q1 * e2
         # f3'' = d/dv of tau*(f1 f2' - f2 f1'); the f1'f2' cross terms cancel
         return (p1, p2, p3, q1, q2, tau * (p1 * q2 - p2 * q1),
                 r1, r2, tau * (p1 * r2 - p2 * r1),
@@ -240,46 +223,44 @@ class ProfileFunctions:
         return tuple(v.lift(j[0::3], j[1::3], j[2::3]))
 
 
-def _slope_branch(profile: HelixProfile) -> tuple[str, str, float, float]:
+def _slope_branch(profile: HelixProfile) -> tuple:
     """(g1, g2, k1, shift) with f1' = k1 g1(s) and f2' = m g2(s) at
-    s = eta + shift; g1 and g2 name the hyperbolic functions."""
+    s = eta + shift; g1 and g2 are numpy's hyperbolic functions."""
     m = profile.slope_scale
     if profile.causal == "spacelike":
-        return "cosh", "sinh", m, profile.c
-    return "sinh", "cosh", -m, -profile.c
+        return np.cosh, np.sinh, m, profile.c
+    return np.sinh, np.cosh, -m, -profile.c
 
 
 def _slope_function(profile: HelixProfile):
-    """slopes(v) = (f1', f2', f1'', f2'') in closed form for any eta, at a
-    float or elementwise at an ndarray."""
+    """slopes(v) = (f1', f2', f1'', f2'', f1''', f2''') in closed form for
+    any eta, elementwise at v (a float, an ndarray or a Taylor value)."""
     eta = profile.eta
     m = profile.slope_scale
-    name1, name2, k1, shift = _slope_branch(profile)
-    pairs = {lib: (getattr(lib, name1), getattr(lib, name2))
-             for lib in (math, np)}
+    g1, g2, k1, shift = _slope_branch(profile)
 
     def slopes(v):
-        g1, g2 = pairs[_lib(v)]
-        s = eta(v) + shift
+        # g1' = g2 and g2' = g1: f1'' = k1 g2 eta', f2'' = m g1 eta',
+        # f1''' = k1 (g1 eta'^2 + g2 eta''), f2''' = m (g2 eta'^2 + g1 eta'')
+        e0, e1, e2 = eta.jet(v)
+        s = e0 + shift
         a, b = g1(s), g2(s)
-        e = eta.derivative(v)
-        return k1 * a, m * b, k1 * b * e, m * a * e
+        q1, q2, kb, ma = k1 * a, m * b, k1 * b, m * a
+        return (q1, q2, kb * e1, ma * e1,
+                q1 * e1 * e1 + kb * e2, q2 * e1 * e1 + ma * e2)
 
     return slopes
 
 
 def _sinhc_minus_one(x):
     """(sinh(x)/x - 1)/x without cancellation at small x, exactly 0 at
-    x = 0 (float or array)."""
+    x = 0, elementwise."""
     # the series to x^7; the next term is below 2e-15 of the first
     x2 = x * x
     series = x / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0
                                            * (1.0 + x2 / 72.0)))
-    if not isinstance(x, np.ndarray):
-        return series if abs(x) < 0.1 else (math.sinh(x) / x - 1.0) / x
-    big = abs(x) >= 0.1
-    series[big] = (np.sinh(x[big]) / x[big] - 1.0) / x[big]
-    return series
+    with np.errstate(invalid="ignore"):  # 0/0 at x = 0, where series is kept
+        return np.where(abs(x) < 0.1, series, (np.sinh(x) / x - 1.0) / x)
 
 
 def build_profile(profile: HelixProfile,
@@ -307,7 +288,7 @@ def build_profile(profile: HelixProfile,
         # cosh.  So f_i(v) = f_i'((v+a)/2) * chord(v) with chord(v) =
         # 2 sinh(c1 (v-a)/2) / c1, which is exactly v - a at c1 = 0.
         c0, c1 = (*eta.coefficients, 0.0)[:2]
-        name1, name2, k1, shift = _slope_branch(profile)
+        g1, g2, k1, shift = _slope_branch(profile)
         s0 = c0 + shift
 
         def chord(v):
@@ -315,11 +296,9 @@ def build_profile(profile: HelixProfile,
             return w * (1.0 + 0.5 * c1 * w * _sinhc_minus_one(0.5 * c1 * w))
 
         def f1(v):
-            g1 = getattr(_lib(v), name1)
             return k1 * g1(c1 * (0.5 * (v + anchor)) + s0) * chord(v)
 
         def f2(v):
-            g2 = getattr(_lib(v), name2)
             return m * g2(c1 * (0.5 * (v + anchor)) + s0) * chord(v)
 
         def f3(v):
@@ -349,13 +328,13 @@ def build_profile(profile: HelixProfile,
         return start[key] if key in start else slopes(v)
 
     # each integrand returns (f, f'): f1' and f1'', f2' and f2''
-    f1_tab = table("f1", lambda v: shared(v)[0::2])
-    f2_tab = table("f2", lambda v: shared(v)[1::2])
+    f1_tab = table("f1", lambda v: shared(v)[0:4:2])
+    f2_tab = table("f2", lambda v: shared(v)[1:4:2])
 
     def g3(v):
         # f3' and f3'' = tau*(f1 f2'' - f2 f1''), f1 and f2 read on the f3
         # table's own points
-        q1, q2, r1, r2 = shared(v)
+        q1, q2, r1, r2 = shared(v)[:4]
         p1, p2 = f1_tab.interpolate(v), f2_tab.interpolate(v)
         return tau * (p1 * q2 - p2 * q1), tau * (p1 * r2 - p2 * r1)
 
@@ -457,13 +436,13 @@ def make_cmc_cylinder(delta: int, causal: str, tau: float,
                 "delta = -1 admits only the timelike cylinder")
 
         def position(u, v):
-            return (-_lib(v).cos(v), -_lib(v).sin(v), u - tau * v)
+            return (-np.cos(v), -np.sin(v), u - tau * v)
     elif causal == "timelike":
         def position(u, v):
-            return (_lib(v).cosh(v), _lib(v).sinh(v), u - tau * v)
+            return (np.cosh(v), np.sinh(v), u - tau * v)
     else:
         def position(u, v):
-            return (_lib(v).sinh(v), _lib(v).cosh(v), u + tau * v)
+            return (np.sinh(v), np.cosh(v), u + tau * v)
 
     family = {"family": "cmc_cylinder", "delta": delta, "causal": causal,
               "tau": tau, "domain": [list(domain[0]), list(domain[1])]}
@@ -496,19 +475,19 @@ def make_helix_surface(profile: HelixProfile,
     tau = profile.tau
     space = SpaceParams(delta=1, tau=tau)
     # (X, Y) = (cosh u, sinh u) on the spacelike branch and (-sinh u,
-    # -cosh u) on the timelike one; b_c carries the sign of the u-term in z
+    # -cosh u) on the timelike one; b_c carries the sign of the u-term in z;
+    # num / den is coth(theta) or cot(theta)
+    num, den = profile.slope_scale, profile.nu_value
     if profile.causal == "spacelike":
-        num, den = math.cosh(profile.theta), math.sinh(profile.theta)
         sign = -1.0
 
         def xy(u):
-            return _lib(u).cosh(u), _lib(u).sinh(u)
+            return np.cosh(u), np.sinh(u)
     else:
-        num, den = math.cos(profile.theta), math.sin(profile.theta)
         sign = 1.0
 
         def xy(u):
-            return -_lib(u).sinh(u), -_lib(u).cosh(u)
+            return -np.sinh(u), -np.cosh(u)
     a_c = (num / den) / (2.0 * tau)
     b_c = sign * (num * num / (4.0 * tau * den * den))
     c_c = (num / den) / 2.0
@@ -535,7 +514,7 @@ def predicted_mu(profile: HelixProfile, u: float, v: float) -> float:
         timelike:  2 tau sin(theta)  tanh(2 tau sin(theta)^2  u + eta(v))"""
     nu = profile.nu_value
     arg = 2.0 * profile.tau * nu * nu * u + profile.eta(v)
-    return 2.0 * profile.tau * nu * math.tanh(arg)
+    return 2.0 * profile.tau * nu * np.tanh(arg)
 
 
 def profile_u_from_patch_u(profile: HelixProfile, u: float) -> float:

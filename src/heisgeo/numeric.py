@@ -273,18 +273,17 @@ def _product(a: np.ndarray, b: np.ndarray, order: int, nvar: int) -> np.ndarray:
 
 
 def _jet_of(name: str, x) -> tuple:
-    """(f, f', f'', f''') of `name` at x, by math on a number, else numpy."""
+    """(f, f', f'', f''') of `name` at x, elementwise."""
     if name == "sqrt":
         s = np.sqrt(x)
         return s, 0.5 / s, -0.25 / (s * x), 0.375 / (s * x * x)
     if name == "reciprocal":
         r = 1.0 / x
         return r, -r * r, 2.0 * r * r * r, -6.0 * r * r * r * r
-    lib = np if isinstance(x, np.ndarray) else math
     if name in ("sin", "cos"):
-        s, c = lib.sin(x), lib.cos(x)
+        s, c = np.sin(x), np.cos(x)
         return (s, c, -s, -c) if name == "sin" else (c, -s, -c, s)
-    s, c = lib.sinh(x), lib.cosh(x)
+    s, c = np.sinh(x), np.cosh(x)
     return (s, c, s, c) if name == "sinh" else (c, s, c, s)
 
 
@@ -732,8 +731,8 @@ class CumulativeIntegral:
     the starting grid.  Node values accumulate outward from x0.
     Each segment keeps six Horner coefficients in t = (x - node) / width;
     the last node's segment is its value alone, so F(hi) is exactly the
-    last node value.  A call takes a float x and returns a float, or takes
-    an ndarray x (any shape, elementwise) and returns an array."""
+    last node value.  A call takes x as a float or an ndarray (any shape)
+    and evaluates elementwise with numpy either way."""
 
     def __init__(self, f: Callable, x0: float, lo: float, hi: float):
         if not (lo <= x0 <= hi and lo < hi):
@@ -832,7 +831,7 @@ class CumulativeIntegral:
         self.xs, self.vals = self._segments[0], self._segments[7]
 
     def __call__(self, x):
-        """F at a float x (a float), or elementwise at an ndarray x."""
+        """F at x, elementwise."""
         lo, hi = self.xs[0], self.xs[-1]
         require((lo <= x) & (x <= hi), ValueError,
                 lambda at: f"x={at} outside tabulated range [{lo}, {hi}]", x)
@@ -842,9 +841,7 @@ class CumulativeIntegral:
         """F at x without the range check, for x known to lie in the range
         (the table build's own reads)."""
         i = self.xs.searchsorted(x, side="right") - 1
-        rows = self._segments  # an array x gathers one row at a time
-        if not isinstance(x, np.ndarray):  # Python floats, same IEEE operations
-            rows, i = rows[:, i:i + 1].tolist(), 0
+        rows = self._segments  # gathered one row at a time
         t = (x - rows[0][i]) * rows[1][i]
         y = rows[2][i]
         for row in rows[3:]:

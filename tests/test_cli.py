@@ -271,6 +271,40 @@ def test_numeric_fields_take_json_numbers_only(workdir, capsys, payload,
     assert err.startswith("config error: ") and message in err
 
 
+# a tolerance integer too large for a float, and a grid over the point limit
+# (refused before any grid is built), are config errors in every subcommand
+@pytest.mark.parametrize("payload, message", (
+    (dict(PLANE, tol={"gauss": 10 ** 400}), "tolerance 'gauss' must be"),
+    (dict(PLANE, grid={"nu": 8, "nv": 31_251}),
+     "grid must have at most 250000 points, got 8x31251"),
+    (dict(PLANE, grid={"nu": 8, "nv": 10 ** 30}), "at most 250000 points"),
+), ids=("tol_int_too_large", "grid_over_limit", "grid_huge"))
+@pytest.mark.parametrize("command", ("analyze", "verify", "mesh"))
+def test_oversized_numbers_are_config_errors(workdir, capsys, command, payload,
+                                             message):
+    assert main([command, "--config",
+                 cfg_path(workdir, payload)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+
+
+def test_integer_literal_too_long_to_parse_is_a_config_error(workdir, capsys):
+    """json refuses int literals of more than 4300 digits with a ValueError
+    that is not a JSONDecodeError."""
+    path = workdir / "long.json"
+    path.write_text('{"seed": ' + "1" * 5000 + "}", encoding="utf-8")
+    assert main(["verify", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Exceeds the limit" in err
+
+
+def test_grid_limit_admits_500x500(workdir):
+    args = cli._build_parser().parse_args(
+        ["verify", "--config", cfg_path(workdir, PLANE)])
+    path = cfg_path(workdir, dict(PLANE, grid={"nu": 500, "nv": 500}))
+    assert cli.load_config(path, args).grid == (500, 500)
+
+
 def test_integer_valued_float_delta_is_the_integer(workdir, capsys):
     assert main(["analyze", "--config",
                  cfg_path(workdir, dict(PLANE, delta=-1.0))]) == EXIT_PASS

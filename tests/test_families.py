@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heisgeo.errors import (
     ConfigError,
@@ -21,6 +22,7 @@ from heisgeo.families import (
     DEFAULT_DOMAIN,
     EtaSpec,
     HelixProfile,
+    _slope_function,
     build_profile,
     family_from_config,
     make_cmc_cylinder,
@@ -31,7 +33,8 @@ from heisgeo.families import (
     profile_residuals,
     profile_u_from_patch_u,
 )
-from heisgeo.numeric import CumulativeIntegral, adaptive_simpson
+from heisgeo.numeric import (CumulativeIntegral, Taylor, adaptive_simpson,
+                             derivative)
 from heisgeo.surface import shape_operator
 from heisgeo.verify import default_family_matrix
 
@@ -45,16 +48,21 @@ SQRT2 = math.sqrt(2.0)
 def test_eta_constant_and_linear():
     k = EtaSpec("constant", (0.7,))
     assert k(0.0) == 0.7 and k(5.0) == 0.7
-    assert k.derivative(2.0) == 0.0
+    assert k.jet(2.0) == (0.7, 0.0, 0.0)
     lin = EtaSpec("linear", (0.5, -2.0))
     assert lin(0.25) == 0.0
-    assert lin.derivative(9.0) == -2.0
+    assert lin.jet(9.0) == (-17.5, -2.0, 0.0)
+    # an identically zero derivative is a number, which broadcasts
+    v = np.array([0.0, 1.0, 2.0])
+    assert [np.shape(e) for e in lin.jet(v)] == [(3,), (3,), ()]
 
 
 def test_eta_polynomial_horner():
     p = EtaSpec("polynomial", (1.0, 2.0, 3.0))
     assert p(0.5) == pytest.approx(2.75, abs=1e-15)
-    assert p.derivative(0.5) == pytest.approx(5.0, abs=1e-15)
+    assert p.jet(0.5) == pytest.approx((2.75, 5.0, 6.0), abs=1e-15)
+    cubic = EtaSpec("polynomial", (1.0, 2.0, 3.0, 4.0))
+    assert cubic.jet(-0.5) == pytest.approx((0.25, 2.0, -6.0), abs=1e-15)
     # degree 6 allowed, degree 7 not
     EtaSpec("polynomial", tuple(range(7)))
     with pytest.raises(InvalidParameterDomain):
@@ -65,8 +73,12 @@ def test_eta_sinusoidal():
     s = EtaSpec("sinusoidal", (0.3, 2.0, 0.5))
     v = 0.7
     assert s(v) == pytest.approx(0.3 * math.sin(2.0 * v + 0.5), abs=1e-15)
-    assert s.derivative(v) == pytest.approx(
-        0.6 * math.cos(2.0 * v + 0.5), abs=1e-15)
+    assert s.jet(v) == pytest.approx(
+        (0.3 * math.sin(2.0 * v + 0.5), 0.6 * math.cos(2.0 * v + 0.5),
+         -1.2 * math.sin(2.0 * v + 0.5)), abs=1e-15)
+    # the one-point jet is the batch's entry, bit for bit
+    vs = np.array([-1.1, 0.2, v])
+    assert [e[2] for e in s.jet(vs)] == list(s.jet(v))
 
 
 @pytest.mark.parametrize("kind,coeffs", [
@@ -226,6 +238,56 @@ def test_profile_residuals_within_tolerance(eta, expect_source, tol):
         assert res["f3_ode"] <= tol
 
 
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def eta_specs(draw) -> EtaSpec:
+    """Any eta kind: polynomials up to degree 6, coefficients in [-1, 1]
+    (frequency in [-2, 2], phase in [-pi, pi])."""
+    kind = draw(st.sampled_from(("constant", "linear", "polynomial",
+                                 "sinusoidal")))
+    if kind == "sinusoidal":
+        coefficients = (draw(_UNIT), draw(st.floats(-2.0, 2.0)),
+                        draw(st.floats(-math.pi, math.pi)))
+    else:
+        n = {"constant": 1, "linear": 2}.get(kind) or draw(st.integers(1, 7))
+        coefficients = tuple(draw(st.lists(_UNIT, min_size=n, max_size=n)))
+    return EtaSpec(kind, coefficients)
+
+
+def taylor_gap(hand, oracle: Taylor, *axes) -> float:
+    """|hand - the oracle's partial along axes| over max(1, the oracle's
+    largest coefficient)."""
+    scale = max(1.0, float(np.abs(oracle.c).max()))
+    return abs(hand - float(derivative(oracle, *axes))) / scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(eta=eta_specs(), causal=st.sampled_from(("spacelike", "timelike")),
+       theta=st.floats(0.1, 1.4), c=st.floats(-2.0, 2.0),
+       tau=st.floats(0.2, 3.0), v=st.floats(-1.26, 1.26))
+def test_hand_written_derivatives_match_the_taylor_oracle(eta, causal, theta,
+                                                           c, tau, v):
+    """`EtaSpec.jet` and `slopes` are written by hand; Taylor values of v
+    (`numeric.Taylor`) carried through eta, and through f1' and f2', give
+    the same derivatives to 1e-12 of max(1, the oracle's largest
+    coefficient).  No verify check reads eta'', f1''' or f2''' (they reach
+    only F_vvv), so this is where a defect in them shows: eta'' scaled by
+    1.5 leaves gaps up to about 1."""
+    (t,) = Taylor.variables((v,), 3)
+    oracle = eta(t)
+    for k, hand in enumerate(eta.jet(v)[1:], 1):
+        assert taylor_gap(hand, oracle, *[0] * k) <= 1e-12, k
+    slopes = _slope_function(HelixProfile(causal, tau, theta, c=c, eta=eta))
+    (t,) = Taylor.variables((v,), 2)
+    f1, f2 = slopes(t)[:2]
+    r1, r2, t1, t2 = slopes(v)[2:]
+    assert taylor_gap(r1, f1, 0) <= 1e-12 and taylor_gap(r2, f2, 0) <= 1e-12
+    assert taylor_gap(t1, f1, 0, 0) <= 1e-12
+    assert taylor_gap(t2, f2, 0, 0) <= 1e-12
+
+
 @pytest.mark.parametrize("eta", [
     EtaSpec("constant", (0.4,)),
     EtaSpec("linear", (0.0, 1.0)),
@@ -239,7 +301,7 @@ def test_profile_derivative_reads_agree_with_jet(eta):
             v = -1.2 + 0.24 * i
             values = pf.jet(v)
             assert values[:3] == (pf.f1(v), pf.f2(v), pf.f3(v))
-            assert values[3:5] + values[6:8] == pf.slopes(v)
+            assert values[3:5] + values[6:8] + values[9:11] == pf.slopes(v)
 
 
 def _sinusoidal_helix():

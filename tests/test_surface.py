@@ -526,28 +526,28 @@ def batch_patches() -> list[SurfacePatch]:
 @pytest.mark.parametrize("index", range(10))
 def test_batch_matches_one_point_calls(index):
     """Every geometry function takes a batch of points as 1-D arrays and
-    returns arrays whose entries are its one-point values: the same code
-    runs both, up to libm rounding (numpy's and math's cosh can differ in
-    the last bit) amplified by the stencils of the finite differences."""
+    returns arrays whose entries are its one-point values, bit for bit: a
+    family position, eta, the slopes and the profile tables run on numpy
+    whatever the input kind, and a float-only position is differenced one
+    point at a time in a batch too."""
     patch = batch_patches()[index]
     u = np.array([-0.9, -0.3, 0.2, 0.7])
     v = np.array([0.5, -0.8, 0.1, 0.9])
     fns = {
-        "nu": (lambda a, b: angle_function(patch, a, b), 1e-12),
-        "H": (lambda a, b: mean_curvature(patch, a, b), 1e-12),
-        "K_ext": (lambda a, b: gaussian_curvature(patch, a, b), 1e-11),
-        "K_int": (lambda a, b: gaussian_curvature(patch, a, b, "intrinsic"), 1e-6),
-        "S": (lambda a, b: shape_operator(patch, a, b, "adapted-TJT").entries(),
-              1e-11),
-        "N": (lambda a, b: unit_normal(patch, a, b), 1e-12),
-        "T": (lambda a, b: tangent_part_T(patch, a, b), 1e-12),
+        "nu": lambda a, b: angle_function(patch, a, b),
+        "H": lambda a, b: mean_curvature(patch, a, b),
+        "K_ext": lambda a, b: gaussian_curvature(patch, a, b),
+        "K_int": lambda a, b: gaussian_curvature(patch, a, b, "intrinsic"),
+        "S": lambda a, b: shape_operator(patch, a, b, "adapted-TJT").entries(),
+        "N": lambda a, b: unit_normal(patch, a, b),
+        "T": lambda a, b: tangent_part_T(patch, a, b),
     }
-    for name, (fn, tol) in fns.items():
+    for name, fn in fns.items():
         batch = np.asarray(fn(u, v), dtype=float)
         assert batch.shape[-1] == 4, name
         for i in range(4):
-            one = fn(float(u[i]), float(v[i]))
-            assert np.all(np.abs(batch[..., i] - np.asarray(one)) <= tol), name
+            one = np.asarray(fn(float(u[i]), float(v[i])), dtype=float)
+            assert np.array_equal(batch[..., i], one), (name, i)
     assert isinstance(angle_function(patch, 0.1, 0.2), float)
     assert isinstance(shape_operator(patch, 0.1, 0.2).s11, float)
 
@@ -555,8 +555,9 @@ def test_batch_matches_one_point_calls(index):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_jet_names_the_sample_and_family():
     """cosh(v) overflows past v = 710.48: the jet raises NonFiniteJet at the
-    first such sample of a batch, and at a single sample too (where
-    math.cosh raises OverflowError instead of returning inf)."""
+    first such sample of a batch, and at a single sample too, where numpy's
+    cosh returns inf as it does in a batch.  A float-only position raises
+    OverflowError (math.cosh) instead, at the point the stencil reached."""
     patch = make_cmc_cylinder(1, "timelike", 1.0,
                               domain=((-1.0, 1.0), (700.0, 712.0)))
     with pytest.raises(NonFiniteJet) as err:
