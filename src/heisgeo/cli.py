@@ -14,9 +14,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import (AmbientError, ConfigError, FamilyError, HeisgeoError,
-                     InvalidCombination, InvalidParameterDomain,
-                     QuadratureFailure, SurfaceError, UnknownFamily, VerifyError)
+from .errors import (ConfigError, HeisgeoError, InvalidCombination,
+                     InvalidParameterDomain, UnknownFamily)
 from .families import family_from_config
 from .numeric import FLOAT_FORMAT, fmt_float, json_dumps, quiet
 from .surface import (SurfacePatch, _sample, gaussian_curvature,
@@ -42,10 +41,13 @@ _ALL_SUITES = ("ambient", "gauss", "codazzi", "helix_ode", "claims")
 
 _CONFIG_ERRORS = (ConfigError, UnknownFamily, InvalidCombination,
                   InvalidParameterDomain)
-# OverflowError: a float-only position (math.cosh and friends) overflows on
-# far-out samples; family samples overflow to inf and raise NonFiniteJet
-_GEOMETRY_ERRORS = (SurfaceError, AmbientError, VerifyError,
-                    QuadratureFailure, FamilyError, OverflowError)
+# every other heisgeo error (caught after the config errors) is a geometry
+# error; so is an OverflowError, which Python's float arithmetic and `math`
+# raise where numpy gives inf
+_GEOMETRY_ERRORS = (HeisgeoError, OverflowError)
+#: longest stderr line: a longer one keeps its head and its tail, which
+#: names the failing sample
+_MAX_ERROR_LINE = 300
 
 
 @dataclass
@@ -280,20 +282,25 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_verify(cfg)
         return cmd_mesh(cfg)
     except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        return _report("config error", exc, EXIT_CONFIG_ERROR)
     except _GEOMETRY_ERRORS as exc:
-        print(f"geometry error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY_ERROR
+        return _report("geometry error", exc, EXIT_GEOMETRY_ERROR)
     except _IOFailure as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO_ERROR
-    except HeisgeoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY_ERROR
+        return _report("io error", exc, EXIT_IO_ERROR)
     except Exception as exc:  # a bug: never reported as a check verdict
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL_ERROR
+        return _report(f"internal error: {type(exc).__name__}", exc,
+                       EXIT_INTERNAL_ERROR)
+
+
+def _report(kind: str, exc: Exception, code: int) -> int:
+    """Print one stderr line "kind: message", cut to its head and tail when
+    longer than `_MAX_ERROR_LINE` characters, and return the exit code."""
+    line = f"{kind}: {exc}"
+    if len(line) > _MAX_ERROR_LINE:
+        keep = (_MAX_ERROR_LINE - 5) // 2
+        line = f"{line[:keep]} ... {line[-keep:]}"
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

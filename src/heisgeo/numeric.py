@@ -103,8 +103,6 @@ def select(cond, a, b):
 def finite(*values):
     """Whether every value (every coefficient of a Taylor value) is finite:
     a bool, or a bool array for a batch."""
-    if not any(isinstance(x, (np.ndarray, Taylor)) for x in values):
-        return all(map(math.isfinite, values))
     return functools.reduce(np.logical_and, [
         np.isfinite(x.c).all(axis=0) if isinstance(x, Taylor)
         else np.isfinite(x) for x in values])
@@ -115,10 +113,8 @@ def _item(x, i: int):
     number (a scalar is every entry)."""
     if isinstance(x, Taylor):
         x = x.c[0]
-    if isinstance(x, np.ndarray):
-        return x.flat[i if x.size > 1 else 0].item()
-    if isinstance(x, np.generic):
-        return x.item()
+    if isinstance(x, (np.ndarray, np.generic)):
+        return np.ravel(x)[i if np.size(x) > 1 else 0].item()
     return x
 
 
@@ -303,8 +299,9 @@ class Taylor:
     flips by the sign of the value) and numpy's sqrt, sin, cos, sinh and
     cosh carry exact derivatives (Griewank & Walther, Evaluating
     Derivatives, 2nd ed., 2008, ch. 13); a result's value is the plain
-    operation on the values.  Array operands broadcast against the batch
-    axes.  Comparisons compare values, so guards and `select` act on them."""
+    operation on the values.  An array operand broadcasts against the batch
+    axes as numpy does, so it has at most as many axes as the batch.
+    Comparisons compare values, so guards and `select` act on them."""
 
     __slots__ = ("c", "order", "nvar", "axis")
     __hash__ = None
@@ -374,35 +371,15 @@ class Taylor:
             out.append(Taylor(c, k, n))
         return out
 
-    def _aligned(self, nd: int) -> np.ndarray:
-        """The coefficients with at least `nd` batch axes."""
-        c = self.c
-        if nd >= c.ndim:
-            c = c.reshape(c.shape[:1] + (1,) * (nd - c.ndim + 1) + c.shape[1:])
-        return c
-
-    def _pair(self, o: "Taylor") -> tuple:
-        """Both coefficient arrays with as many batch axes; the lower order."""
-        a, b = self.c, o.c
-        if a.ndim != b.ndim:
-            a, b = self._aligned(b.ndim - 1), o._aligned(a.ndim - 1)
-        return a, b, min(self.order, o.order)
-
     def _plus(self, o, op) -> "Taylor":
         """op(self, o) for op np.add or np.subtract."""
         if type(o) is Taylor:
-            a, b, k = self._pair(o)
+            k = min(self.order, o.order)
             n = _SIZE[self.nvar][k]
-            return Taylor(op(a[:n], b[:n]), k, self.nvar)
-        nd = getattr(o, "ndim", 0)
-        if not nd or o.shape == self.c.shape[1:]:
-            out = self.c.copy()
-            out[0] = op(out[0], o)
-        else:
-            c = self._aligned(nd)
-            head = op(c[0], o)
-            out = np.empty(c.shape[:1] + head.shape)
-            out[0], out[1:] = head, c[1:]
+            return Taylor(op(self.c[:n], o.c[:n]), k, self.nvar)
+        head = op(self.c[0], o)
+        out = np.empty(self.c.shape[:1] + np.shape(head))
+        out[0], out[1:] = head, self.c[1:]
         return Taylor(out, self.order, self.nvar)
 
     def __add__(self, o):
@@ -418,18 +395,14 @@ class Taylor:
         return -self + o
 
     def __mul__(self, o):
-        if type(o) is float:
-            return Taylor(self.c * o, self.order, self.nvar)
         if type(o) is not Taylor:
-            return Taylor(self._aligned(getattr(o, "ndim", 0)) * o, self.order,
-                          self.nvar)
-        a, b, k = self._pair(o)
-        return Taylor(_product(a, b, k, self.nvar), k, self.nvar)
+            return Taylor(self.c * o, self.order, self.nvar)
+        k = min(self.order, o.order)
+        return Taylor(_product(self.c, o.c, k, self.nvar), k, self.nvar)
 
     def __truediv__(self, o):
         if type(o) is not Taylor:
-            return Taylor(self._aligned(getattr(o, "ndim", 0)) / o, self.order,
-                          self.nvar)
+            return Taylor(self.c / o, self.order, self.nvar)
         return _quotient(self, o)
 
     def __rtruediv__(self, o):
@@ -470,32 +443,36 @@ def _quotient(a, b: Taylor) -> Taylor:
         q.c[0] = a0 / b.c[0]
         return q
     n = _SIZE[b.nvar][1]
-    ca, cb, _ = a._pair(b) if taylor_a else (None, b._aligned(np.ndim(a)), 1)
     q0 = a0 / b.c[0]
-    tail = ((ca[1:n] if taylor_a else 0.0) - q0 * cb[1:n]) / cb[0]
+    tail = ((a.c[1:n] if taylor_a else 0.0) - q0 * b.c[1:n]) / b.c[0]
     out = np.empty((n,) + tail.shape[1:])
     out[0], out[1:] = q0, tail
     return Taylor(out, 1, b.nvar)
 
 
-def value(x):
-    """x with every Taylor value replaced by its value, through tuples,
-    lists and dataclass fields; anything else is its own value."""
+def _map_taylor(f: Callable, x):
+    """x with f applied to every Taylor value, through tuples, lists and
+    dataclass fields; anything else is kept."""
     if type(x) is Taylor:
-        return x.c[0]
+        return f(x)
     if isinstance(x, (tuple, list)):
-        return type(x)([value(c) for c in x])
+        return type(x)([_map_taylor(f, c) for c in x])
     if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return type(x)(*[value(c) for c in vars(x).values()])
+        return type(x)(*[_map_taylor(f, c) for c in vars(x).values()])
     return x
 
 
+def value(x):
+    """x with every Taylor value replaced by its value, through tuples,
+    lists and dataclass fields; anything else is its own value."""
+    return _map_taylor(lambda t: t.c[0], x)
+
+
 def truncated(x, order: int):
-    """x with its coefficients beyond `order` dropped; a number is a
-    constant."""
-    if type(x) is not Taylor or order >= x.order:
-        return x
-    return Taylor(x.c[:_SIZE[x.nvar][order]], order, x.nvar, x.axis)
+    """x with every Taylor value's coefficients beyond `order` dropped,
+    through tuples, lists and dataclass fields; a number is a constant."""
+    return _map_taylor(lambda t: t if order >= t.order else Taylor(
+        t.c[:_SIZE[t.nvar][order]], order, t.nvar, t.axis), x)
 
 
 def partial(x, *axes):
@@ -748,7 +725,7 @@ class CumulativeIntegral:
         left = [_TABLE_EVAL_BUDGET + 11 * (n_lo + n_hi) + 1]
 
         def evaluate(x):
-            left[0] -= x.size if isinstance(x, np.ndarray) else 1
+            left[0] -= np.size(x)
             if left[0] < 0:
                 raise QuadratureFailure(
                     f"the table needs more than {_TABLE_EVAL_BUDGET} "

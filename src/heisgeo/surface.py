@@ -123,25 +123,19 @@ class SurfacePatch:
         if at is None:
             at = (u, v)
         self._check_domain(u, v, at, _ANALYTIC_MARGIN)
-        overflow = functools.partial(NonFiniteJet, family=self.family)
-        describe = (lambda: f"jet of {self.name} (family {self.family}) "
-                    "is not finite")
-        done: list = []  # stencil points of `position` evaluated so far
-        try:
-            with np.errstate(all="ignore"):
-                try:
-                    point = self.position(
-                        *(Taylor.variables((u, v), order) if order else (u, v)))
-                except TypeError:  # a float-only position: difference it
-                    point = self._differenced(u, v, at, done)
-        except OverflowError:  # raised at stencil point len(done), offset-major
-            require(np.arange(np.size(u)) != len(done) % np.size(u), overflow,
-                    describe, at=at)
+        with np.errstate(all="ignore"):
+            try:
+                point = self._point(
+                    *(Taylor.variables((u, v), order) if order else (u, v)))
+            except TypeError:  # a float-only position: difference it
+                point = self._differenced(u, v, at)
         fields = _JET_AXES[:(1, 3, 6, 6)[order]]
         point = as_vec3(point)  # its coefficients hold every field's
-        require(finite(*point), overflow, describe, at=at)
+        overflow = functools.partial(NonFiniteJet, family=self.family)
+        require(finite(*point), overflow, lambda: f"jet of {self.name} (family "
+                f"{self.family}) is not finite", at=at)
         if order == 3:
-            vecs = [[partial(c, *axes) for c in point] for axes in fields]
+            vecs = [tuple([partial(c, *axes) for c in point]) for axes in fields]
         else:  # values: coefficient a times a!, floats for a sample
             n = len(fields)
             cols = [(c.c[:n].T * _FACTORIALS[:n]).T if isinstance(c, Taylor)
@@ -151,15 +145,22 @@ class SurfacePatch:
                     else as_vec3([col[i] for col in cols]) for i in range(n)]
         return PatchJet(*vecs, *[None] * (6 - len(vecs)))
 
-    def _differenced(self, u, v, at: tuple, done: list) -> list:
+    def _point(self, u, v):
+        """`position` at (u, v), infinite where it raises OverflowError (as
+        `math` does where numpy gives inf): the jet's guard names it."""
+        try:
+            return self.position(u, v)
+        except OverflowError:
+            return (np.inf,) * 3
+
+    def _differenced(self, u, v, at: tuple) -> list:
         """The point as Taylor values of order 3 from one `central_partials`
         stencil of `position`, one point at a time."""
         self._check_domain(u, v, at, -2.0 * _FD_STEP)
 
         def stencil(du, dv):
-            for a, b in zip(*(x.tolist() for x in stacked(u + du, v + dv))):
-                done.append(as_vec3(self.position(a, b)))
-            return np.array(done).T
+            return np.array([as_vec3(self._point(a, b)) for a, b in zip(
+                *(x.tolist() for x in stacked(u + du, v + dv)))]).T
 
         parts = central_partials(stencil, np.full(np.shape(u), _FD_STEP))
         return [Taylor(np.array([x[i] / k for x, k in zip(parts, _FACTORIALS)]),
@@ -305,10 +306,8 @@ def _sample(patch: SurfacePatch, u, v, at: Optional[tuple] = None,
     if at is None:
         at = (u, v)
     j = patch.jet(u, v, at=at, order=3 if order else 2)
-    if order:  # every field cut to order 1, the order S gets from fuu
-        j = PatchJet(*[tuple([truncated(c, order) for c in vec])
-                       for vec in vars(j).values()])
-    return _jet_sample(patch, j, at)
+    # every field cut to `order`, the order S gets from fuu
+    return _jet_sample(patch, truncated(j, order) if order else j, at)
 
 
 def _jet_sample(patch: SurfacePatch, j: PatchJet, at: tuple) -> _Sample:
@@ -563,9 +562,7 @@ def gaussian_curvature(patch: SurfacePatch, u, v,
 def _intrinsic_k(space: SpaceParams, j: PatchJet, at: tuple) -> float:
     """Brioschi's K from the Taylor coefficients of (e, f, g), of order 2
     from the order-3 jet `j` at the samples `at`: no normal, no step."""
-    form = _induced_from_jet(space, PatchJet(
-        tuple([truncated(c, 2) for c in j.p]), j.fu, j.fv, None, None, None),
-        at)
+    form = _induced_from_jet(space, truncated(j, 2), at)
     d = derivative
     e, f, g = form.e, form.f, form.g
     return _brioschi(d(e), d(f), d(g), d(e, 0), d(e, 1), d(f, 0), d(f, 1),

@@ -119,7 +119,6 @@ class ResidualSuite:
     name: str
     seed: int
     checks: list[CheckResult]
-    grid: Optional[tuple[int, int]] = None
     patch_descriptor: Optional[dict] = field(default=None)
 
     @property
@@ -432,8 +431,8 @@ def check_claims(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
                          tolerances, at))
     checks.append(_check("claims.non_umbilic", abs(tau) - abs(a12), tolerances,
                          at))
-    return ResidualSuite("claims", seed, checks, grid=grid,
-                         patch_descriptor=dict(patch.family) if patch.family else None)
+    return ResidualSuite("claims", seed, checks, patch_descriptor=dict(
+        patch.family) if patch.family else None)
 
 
 # ---- ambient ----
@@ -664,9 +663,7 @@ def run_suite(name: str, *, patch: Optional[SurfacePatch] = None,
     if patch is None:
         raise ValueError(f"suite {name!r} needs a patch")
     if name == "ambient":
-        suite = check_ambient(patch.space, seed=seed, tolerances=tolerances)
-        suite.grid = grid
-        return suite
+        return check_ambient(patch.space, seed=seed, tolerances=tolerances)
     if name == "claims":
         return check_claims(patch, grid, seed=seed, tolerances=tolerances)
     check = {"gauss": check_gauss, "codazzi": check_codazzi,
@@ -674,7 +671,7 @@ def run_suite(name: str, *, patch: Optional[SurfacePatch] = None,
     checks = [check(patch, grid, tolerances=tolerances)]
     if name == "gauss":
         checks.append(check_shape_operator_routes(patch, tolerances=tolerances))
-    return ResidualSuite(name, seed, checks, grid=grid, patch_descriptor=dict(
+    return ResidualSuite(name, seed, checks, patch_descriptor=dict(
         patch.family) if patch.family else None)
 
 

@@ -566,3 +566,20 @@ def test_frame_brackets_exact_by_dual_numbers(delta, tau):
     assert exactly(commutator_fd(f2, f3, p), (0.0, 0.0, 0.0))
     # D_{E1} E2 = (0, 0, tau): the derivative of the vertical component
     assert exactly(directional_fd(f2, p, frame_at(sp, p).e1), (0.0, 0.0, tau))
+
+
+# ---------------------------------------------------------------- guards
+
+
+# guards that no other test reaches: each raises its documented error
+@pytest.mark.parametrize("call", (
+    lambda: SpaceParams(delta=1, tau=math.inf),
+    lambda: SpaceParams(delta=1, tau=math.nan),
+    lambda: SpaceParams(delta=1, tau=1.0, kappa=math.nan),
+    lambda: ambient.frame_field(SpaceParams(delta=1, tau=1.0), 4),
+    lambda: sectional_curvature(SpaceParams(delta=1, tau=1.0), (0.0, 0.0, 0.0),
+                                (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), method="x"),
+), ids=("tau_inf", "tau_nan", "kappa_nan", "frame_index_4", "unknown_method"))
+def test_argument_guards_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()

@@ -2,6 +2,7 @@
 validation, exit codes, output formats, and byte determinism."""
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
@@ -14,7 +15,7 @@ import numpy as np
 import heisgeo.surface as surface_module
 from heisgeo.numeric import select, value
 import heisgeo.verify as verify_module
-from heisgeo import cli
+from heisgeo import cli, errors
 from heisgeo.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_GEOMETRY_ERROR,
@@ -272,20 +273,28 @@ def test_numeric_fields_take_json_numbers_only(workdir, capsys, payload,
 
 
 # a tolerance integer too large for a float, and a grid over the point limit
-# (refused before any grid is built), are config errors in every subcommand
+# (refused before any grid is built), are config errors in every subcommand;
+# the one stderr line stays within 300 characters however long the
+# offending value it echoes
 @pytest.mark.parametrize("payload, message", (
     (dict(PLANE, tol={"gauss": 10 ** 400}), "tolerance 'gauss' must be"),
     (dict(PLANE, grid={"nu": 8, "nv": 31_251}),
      "grid must have at most 250000 points, got 8x31251"),
     (dict(PLANE, grid={"nu": 8, "nv": 10 ** 30}), "at most 250000 points"),
-), ids=("tol_int_too_large", "grid_over_limit", "grid_huge"))
+    (dict(PLANE, grid={"nu": 8, "nv": 10 ** 4000}), "at most 250000 points"),
+    (dict(PLANE, causal="x" * 5000), "bad causal 'xxx"),
+    (dict(PLANE, suites="x" * 5000), "suites must be a list"),
+    (dict(PLANE, seed="x" * 5000), "seed must be an integer"),
+), ids=("tol_int_too_large", "grid_over_limit", "grid_huge", "grid_4001_digits",
+        "causal_5000", "suites_5000", "seed_5000"))
 @pytest.mark.parametrize("command", ("analyze", "verify", "mesh"))
 def test_oversized_numbers_are_config_errors(workdir, capsys, command, payload,
                                              message):
     assert main([command, "--config",
                  cfg_path(workdir, payload)]) == EXIT_CONFIG_ERROR
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and message in err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert message in lines[0] and len(lines[0]) <= 300
 
 
 def test_integer_literal_too_long_to_parse_is_a_config_error(workdir, capsys):
@@ -320,6 +329,68 @@ def test_suites_must_be_a_list(workdir, capsys):
     err = capsys.readouterr().err
     assert "suites must be a list" in err
     assert "unknown suite" not in err
+
+
+# config guards that no other test reaches: each exits 2 with its message
+# (json.dumps writes NaN, which json.load reads back)
+@pytest.mark.parametrize("text, message", (
+    ("[1, 2]", "config must be a JSON object"),
+    (json.dumps(dict(PLANE, out=3)), "out must be a path string, got 3"),
+    (json.dumps(dict(HELIX, eta={"kind": "linear"})),
+     "eta spec missing field 'coefficients'"),
+    (json.dumps(dict(HELIX, theta=math.nan)), "theta and c must be finite"),
+    (json.dumps(dict(HELIX, c=math.nan)), "theta and c must be finite"),
+), ids=("array", "out_not_string", "eta_no_coefficients", "theta_nan",
+        "c_nan"))
+def test_config_guards_exit_2(workdir, capsys, text, message):
+    path = workdir / "guard.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["analyze", "--config", str(path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_capped_error_line_keeps_head_and_tail(capsys):
+    """The tail of a geometry error names the failing sample."""
+    exc = errors.NonFiniteJet("jet " + "x" * 1000 + " at sample (u=0.5, v=711)")
+    assert cli._report("geometry error", exc, EXIT_GEOMETRY_ERROR) == 3
+    line = capsys.readouterr().err.rstrip("\n")
+    assert len(line) <= 300 and " ... " in line
+    assert line.startswith("geometry error: jet xxx")
+    assert line.endswith("x at sample (u=0.5, v=711)")
+
+
+#: the errors that exit 2; every other heisgeo error, and OverflowError, is
+#: a geometry error (exit 3)
+CONFIG_ERROR_NAMES = {"ConfigError", "UnknownFamily", "InvalidCombination",
+                      "InvalidParameterDomain"}
+ERROR_CLASSES = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+                 if issubclass(c, errors.HeisgeoError)] + [OverflowError]
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_class_keeps_its_exit_code(workdir, capsys, monkeypatch,
+                                               error):
+    def raise_it(cfg):
+        raise error("raised by the family builder")
+
+    monkeypatch.setattr(cli, "family_from_config", raise_it)
+    code = (EXIT_CONFIG_ERROR if error.__name__ in CONFIG_ERROR_NAMES
+            else EXIT_GEOMETRY_ERROR)
+    assert main(["analyze", "--config", cfg_path(workdir, PLANE)]) == code
+    assert capsys.readouterr().err.endswith(": raised by the family builder\n")
+
+
+def test_helix_without_eta_is_constant_zero_eta(workdir, capsys):
+    """eta is optional for a helix: absent, it is the constant 0."""
+    payload = {k: v for k, v in HELIX.items() if k != "eta"}
+    cfg = cfg_path(workdir, payload)
+    for command in ("analyze", "verify", "mesh"):
+        assert main([command, "--config", cfg, "--out", command]) == EXIT_PASS
+    family = json.loads((workdir / "analyze.json").read_text())["family"]
+    assert family["eta"] == {"kind": "constant", "coefficients": [0]}
+    assert json.loads((workdir / "verify").read_text())["verdict"] == "pass"
+    assert (workdir / "mesh").read_text().startswith("# heisgeo surface mesh")
+    capsys.readouterr()
 
 
 def test_exit_code_missing_required_flag(workdir, capsys):
@@ -414,7 +485,7 @@ PAIRS_TOL = dict(PLANE, tol=[["gauss", 1e-3]])  # a list of pairs is not one
 
 
 # numpy overflow in batch arithmetic must end in a guard, not in a warning
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+# (tier-1 turns every warning into an error)
 @pytest.mark.parametrize("command", ("analyze", "mesh", "verify"))
 @pytest.mark.parametrize("payload, code", (
     (OVERFLOW_PLANE, EXIT_CONFIG_ERROR),

@@ -568,3 +568,20 @@ def test_family_from_config_errors():
     with pytest.raises(ConfigError):
         family_from_config({"family": "helix", "causal": "spacelike",
                             "tau": 1.0, "theta": 1.0, "eta": 5})
+
+
+# guards that no other test reaches: each raises its documented error
+@pytest.mark.parametrize("call, error, message", (
+    (lambda: build_profile(HelixProfile("spacelike", 1.0, 1.0), (1.0, 1.0)),
+     InvalidParameterDomain, "v_range must be nondegenerate"),
+    (lambda: make_minimal_plane(1, "timelike", 0.4,
+                                domain=((1.0, -1.0), (-1.0, 1.0))),
+     InvalidParameterDomain, "bad domain"),
+    (lambda: make_cmc_cylinder(1, "lightlike", 1.0), InvalidParameterDomain,
+     "bad causal 'lightlike'"),
+    (lambda: family_from_config([]), ConfigError, "must be an object"),
+), ids=("profile_range_empty", "domain_reversed", "cylinder_lightlike",
+        "descriptor_not_object"))
+def test_guards_raise_documented_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

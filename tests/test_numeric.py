@@ -474,3 +474,65 @@ def test_taylor_mixed_partials_commute():
     assert uv.order == 1 and np.allclose(uv.c, vu.c, rtol=1e-14, atol=1e-14)
     assert np.array_equal(f.partial(0, 1).c, f.partial(1, 0).c)
     assert np.allclose(value(uv), derivative(f, 0, 1), rtol=1e-14, atol=1e-15)
+
+
+def test_array_operands_broadcast_against_the_batch():
+    """An array operand broadcasts against a Taylor value's batch axes as
+    numpy does: on a (2, 3) batch, a length-3 array meets each row, and
+    only the value takes a sum's array term."""
+    x, y = Taylor.variables((np.arange(6.0).reshape(2, 3), 1.0), 2)
+    w = np.array([1.0, -2.0, 0.5])
+    for got, want in ((x + w, x.c[0] + w), (x - w, x.c[0] - w),
+                      (w - x, w - x.c[0]), (x * w, x.c[0] * w),
+                      (x / w, x.c[0] / w), (w / (x + 1.0), w / (x.c[0] + 1.0))):
+        assert got.c.shape == x.c.shape
+        assert np.array_equal(value(got), want)
+    assert np.array_equal((x + w).c[1:], x.c[1:])
+    assert np.array_equal(derivative(x * w, 0), np.broadcast_to(w, (2, 3)))
+
+
+def test_numpy_ufuncs_on_taylor_values():
+    """numpy's arithmetic ufuncs called with a Taylor value on either side
+    are the operators, and a ufunc it does not carry refuses it."""
+    x, y = Taylor.variables((np.array([0.5, -2.0]), np.array([1.5, 0.25])), 2)
+    w = np.array([3.0, -1.0])
+    for got, want in ((np.negative(x), -x), (np.absolute(x), abs(x)),
+                      (np.add(x, y), x + y), (np.multiply(x, w), x * w),
+                      (np.subtract(w, x), w - x), (np.true_divide(w, y), w / y)):
+        assert np.array_equal(got.c, want.c)
+    assert np.array_equal(value(abs(x)), [0.5, 2.0])
+    assert np.array_equal(derivative(abs(x), 0), [1.0, -1.0])
+    with pytest.raises(TypeError):
+        np.exp(x)
+
+
+# ---- guards ----
+
+
+def _step(x):
+    return 0.0 if x < 1.0 / 3.0 else 1.0
+
+
+# guards and edge cases that no other test reaches: the error raised, with
+# a match for its message, or (error None) the text returned
+@pytest.mark.parametrize("call, error, text", (
+    (lambda: numeric.fmt_float(True), TypeError, "got bool"),
+    (lambda: json_dumps(math.nan), ValueError, "non-finite"),
+    (lambda: json_dumps([None, True, False]), None,
+     "[\n  null,\n  true,\n  false\n]\n"),
+    (lambda: json_dumps([]), None, "[]\n"),
+    (lambda: json_dumps({}), None, "{}\n"),
+    (lambda: json_dumps(object()), TypeError, "unsupported type"),
+    (lambda: adaptive_simpson(_step, 0.0, 1.0, tol=1e-300), QuadratureFailure,
+     "max depth 40"),
+    (lambda: CumulativeIntegral(lambda x: (x, 1.0), 2.0, 0.0, 1.0), ValueError,
+     "lo <= x0 <= hi"),
+), ids=("fmt_bool", "json_nan", "json_null_and_bools", "json_empty_list",
+        "json_empty_dict", "json_object", "simpson_max_depth",
+        "table_x0_outside"))
+def test_guards_and_edge_cases(call, error, text):
+    if error is None:
+        assert call() == text
+    else:
+        with pytest.raises(error, match=text):
+            call()

@@ -19,6 +19,7 @@ from heisgeo.errors import (
     DegenerateInducedMetric,
     NonFiniteJet,
     OutOfDomain,
+    UnsupportedKappa,
 )
 from heisgeo.families import (
     EtaSpec,
@@ -552,12 +553,12 @@ def test_batch_matches_one_point_calls(index):
     assert isinstance(shape_operator(patch, 0.1, 0.2).s11, float)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_jet_names_the_sample_and_family():
     """cosh(v) overflows past v = 710.48: the jet raises NonFiniteJet at the
-    first such sample of a batch, and at a single sample too, where numpy's
-    cosh returns inf as it does in a batch.  A float-only position raises
-    OverflowError (math.cosh) instead, at the point the stencil reached."""
+    first such sample of a batch in u-major order, and at a single sample
+    too, where numpy's cosh returns inf as it does in a batch.  A float-only
+    position follows the same rule: a stencil point where math.cosh raises
+    OverflowError is an infinite point of its sample."""
     patch = make_cmc_cylinder(1, "timelike", 1.0,
                               domain=((-1.0, 1.0), (700.0, 712.0)))
     with pytest.raises(NonFiniteJet) as err:
@@ -569,8 +570,8 @@ def test_non_finite_jet_names_the_sample_and_family():
         patch.jet(-0.5, 711.5)
     assert err.value.sample == (-0.5, 711.5)
     patch.jet(0.0, 705.0)
-    # a finite-difference patch on a float-only position: the batch loop
-    # names the point whose OverflowError stopped it, not the first point
+    # a finite-difference patch on a float-only position: the first sample
+    # with an overflowing stencil point, not the first sample of the batch
     fd = SurfacePatch(patch.space,
                       lambda u, v: (u, math.sinh(v), math.cosh(v)),
                       patch.domain, family={"family": "scalar"})
@@ -579,6 +580,10 @@ def test_non_finite_jet_names_the_sample_and_family():
     assert err.value.sample == (0.5, 711.0)
     assert err.value.family == {"family": "scalar"}
     assert "at sample (u=0.5, v=711)" in str(err.value)
+    # at order 0 one sample is evaluated directly, under the same rule
+    with pytest.raises(NonFiniteJet) as err:
+        fd.jet(0.5, 711.0, order=0)
+    assert err.value.sample == (0.5, 711.0)
 
 
 def test_float_only_third_partials_converge_at_second_order(monkeypatch):
@@ -605,3 +610,43 @@ def test_float_only_third_partials_converge_at_second_order(monkeypatch):
     for coarse, fine in zip(gaps, gaps[1:]):
         order = np.log2(coarse[seen] / fine[seen])
         assert np.all(np.abs(order - 2.0) < 0.1), order
+
+
+def _flat_plane(kappa: float = 0.0) -> SurfacePatch:
+    """The plane z = 0, tangent to span(E1, E2) at the origin."""
+    return SurfacePatch(SpaceParams(1, 1.0, kappa),
+                        lambda u, v: (u, v, 0.0 * u), ((-0.5, 0.5), (-0.5, 0.5)))
+
+
+def test_coordinate_basis_report_where_t_vanishes():
+    """At the origin the plane z = 0 is tangent to span(E1, E2): nu = 1 and
+    g(T, T) = 0, so the report falls back to the coordinate basis.  Its S
+    columns are then shape_operator's coordinate entries, and K_ext is
+    -tau^2 + eps (det S + 4 delta nu^2 tau^2) with det S from
+    ShapeOperator2x2.det."""
+    patch = _flat_plane()
+    assert angle_function(patch, 0.0, 0.0) == pytest.approx(1.0, abs=1e-15)
+    report = geometry_report(patch, 9, 9)
+    assert report.basis == "coordinate"
+    u, v, nu, _, k_ext, _, eps, *entries = [np.array(c)
+                                            for c in report.columns[:11]]
+    assert set(eps.tolist()) == {1}
+    s = shape_operator(patch, u, v)
+    assert all(np.array_equal(got, want)
+               for got, want in zip(entries, (s.s11, s.s12, s.s21, s.s22)))
+    tau2, delta = 1.0, 1
+    want = -tau2 + eps * (s.det + 4.0 * delta * nu * nu * tau2)
+    assert np.allclose(k_ext, want, rtol=0.0, atol=1e-12)
+
+
+# guards that no other test reaches: each raises its documented error
+@pytest.mark.parametrize("call, error", (
+    (lambda: SurfacePatch(SpaceParams(1, 1.0), lambda u, v: (u, v, 0.0 * u),
+                          ((0.5, 0.5), (-0.5, 0.5))), ValueError),
+    (lambda: gaussian_curvature(_flat_plane(0.5), 0.0, 0.0), UnsupportedKappa),
+    (lambda: gaussian_curvature(_flat_plane(), 0.0, 0.0, method="x"),
+     ValueError),
+), ids=("degenerate_domain", "extrinsic_k_at_nonzero_kappa", "unknown_k_method"))
+def test_guards_raise_documented_errors(call, error):
+    with pytest.raises(error):
+        call()
