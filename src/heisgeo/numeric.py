@@ -549,48 +549,6 @@ def central_diff(f: Callable, h, order: int = 2):
     raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
 
 
-#: offsets (du, dv), in steps, of the 17-point stencil: the centre, the
-#: eight neighbours, and the eight points two steps out on the axes and
-#: diagonals
-_OFFSETS = ((0.0, 1.0, -1.0, 0.0, 0.0, 1.0, 1.0, -1.0, -1.0,
-             2.0, -2.0, 0.0, 0.0, 2.0, 2.0, -2.0, -2.0),
-            (0.0, 0.0, 0.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0,
-             0.0, 0.0, 2.0, -2.0, 2.0, -2.0, 2.0, -2.0))
-
-
-def central_partials(f: Callable, h):
-    """(f, f_u, f_v, f_uu, f_uv, f_vv) at (0, 0), of fourth order, then
-    (f_uuu, f_uuv, f_uvv, f_vvv) of second order, from the 17-point
-    stencil.  f is called once, with the offsets (du, dv) of all points."""
-    (f0, up, um, vp, vm, pp, pm, mp, mm,
-     u2, um2, v2, vm2, pp2, pm2, mp2, mm2) = _stencil(f, h, *_OFFSETS)
-    h2 = h * h
-    h3 = 2.0 * h2 * h
-
-    def d1(p2, p1, m1, m2):
-        return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
-
-    def d2(p2, p1, c, m1, m2):
-        return (-p2 + 16.0 * p1 - 30.0 * c + 16.0 * m1 - m2) / (12.0 * h2)
-
-    def d11(pp, pm, mp, mm, pp2, pm2, mp2, mm2):  # Richardson on h and 2h
-        return (16.0 * (pp - pm - mp + mm)
-                - (pp2 - pm2 - mp2 + mm2)) / (48.0 * h2)
-
-    def d3(p2, p1, m1, m2):
-        return (p2 - 2.0 * p1 + 2.0 * m1 - m2) / h3
-
-    def d21(pp, c, mp, pm, cm, mm):  # d/dv of the second difference along u
-        return ((pp - 2.0 * c + mp) - (pm - 2.0 * cm + mm)) / h3
-
-    return (f0, _lift(d1, u2, up, um, um2), _lift(d1, v2, vp, vm, vm2),
-            _lift(d2, u2, up, f0, um, um2),
-            _lift(d11, pp, pm, mp, mm, pp2, pm2, mp2, mm2),
-            _lift(d2, v2, vp, f0, vm, vm2), _lift(d3, u2, up, um, um2),
-            _lift(d21, pp, vp, mp, pm, vm, mm),
-            _lift(d21, pp, up, pm, mp, um, mm), _lift(d3, v2, vp, vm, vm2))
-
-
 def directional_diffs(f: Callable, u, v, directions, step: float) -> list:
     """The derivative of f at the points (u, v) along each direction
     (du, dv) of `directions` (numbers or arrays over the points), by the

@@ -1,18 +1,18 @@
 """Extrinsic and intrinsic geometry of immersed surface patches.
 
-A :class:`SurfacePatch` wraps an immersion F(u, v) into the kappa = 0 ambient
-space.  Its jet (p, Fu, Fv, Fuu, Fuv, Fvv) comes from evaluating `position`
-once on Taylor values of (u, v) (`numeric.Taylor`), exactly; a position
-written with float-only functions (`math`) is differenced instead.  Per
-sample this module computes the first fundamental form and causal character
-epsilon (+1: timelike surface / spacelike unit normal; -1: spacelike
-surface), the gauged unit normal N, the angle function nu = eps g(N, E3),
-the tangent part T of E3 and J X = N ^ X, the shape operator S = eps I^{-1} h
-from :func:`second_fundamental_form` (the Weingarten route, differences of
-the normal field, is its cross-check), H = trace(S)/2, and K by the
-extrinsic formula and, independently, by Brioschi's formula on the Taylor
-coefficients of e, f and g.  A jet of higher order carries Taylor values
-through the same formulas: the metric and S then come with their partials.
+A :class:`SurfacePatch` wraps an immersion F(u, v) into the kappa = 0
+ambient space.  Its jet (p, Fu, Fv, Fuu, Fuv, Fvv) comes from evaluating
+`position` once on Taylor values of (u, v) (`numeric.Taylor`), exactly, at
+every order.  Per sample this module computes the first fundamental form and
+causal character epsilon (+1: timelike surface / spacelike unit normal; -1:
+spacelike surface), the gauged unit normal N, the angle function nu = eps
+g(N, E3), the tangent part T of E3 and J X = N ^ X, the shape operator S =
+eps I^{-1} h from :func:`second_fundamental_form` (the Weingarten route,
+differences of the normal field, is its cross-check), H = trace(S)/2, and K
+by the extrinsic formula and, independently, by Brioschi's formula on the
+Taylor coefficients of e, f and g.  A jet of higher order carries Taylor
+values through the same formulas: the metric and S then come with their
+partials.
 
 Every function takes (u, v) as floats (one sample) or as equal-length 1-D
 ndarrays (a batch, u-major on grids, so a failing guard names the first
@@ -33,9 +33,9 @@ from .errors import (DegenerateAdaptedFrame, DegenerateInducedMetric,
                      DegenerateNormal, NonFiniteJet, OutOfDomain,
                      UnsupportedKappa)
 from .numeric import (FLOAT_FORMAT, Taylor, Vec3, _stencil, as_vec3,
-                      central_partials, derivative, finite, json_dumps,
-                      lincomb3, partial, quiet, require, scale3, select,
-                      solve2, stacked, sub3, truncated, value)
+                      derivative, finite, json_dumps, lincomb3, partial,
+                      quiet, require, scale3, select, solve2, stacked, sub3,
+                      truncated, value)
 
 # |det I| below this is treated as a degenerate (null) patch
 _DEGENERATE_DET_TOL = 1e-10
@@ -43,13 +43,10 @@ _DEGENERATE_DET_TOL = 1e-10
 _GAUGE_NU_TOL = 1e-10
 # |g(T,T)| below this blocks the adapted basis
 _ADAPTED_TOL = 1e-8
-# evaluation slack beyond the declared domain for Taylor-evaluated positions
-_ANALYTIC_MARGIN = 1e-2
+# evaluation slack beyond the declared domain
+_DOMAIN_MARGIN = 1e-2
 # step for the Weingarten finite difference of the normal field
 _WEINGARTEN_STEP = 1e-5
-# stencil step for float-only positions: the third partials round off as
-# eps |F| / h^3, which 1.5e-3 balances against their h^2 truncation
-_FD_STEP = 1.5e-3
 
 
 @dataclass(frozen=True)
@@ -74,13 +71,10 @@ _FACTORIALS = np.array((1.0, 1.0, 1.0, 2.0, 1.0, 2.0, 6.0, 2.0, 2.0, 6.0))
 
 class SurfacePatch:
     """An immersed parametrized surface patch.
-    position(u, v) returns the immersion point.  Written with + - * / and
-    numpy's functions, it takes Taylor values of (u, v) and `jet`
-    differentiates it exactly, up to `_ANALYTIC_MARGIN` beyond the domain.
-    A position that rejects Taylor values (with a TypeError, as `math`'s
-    functions do) is called one point at a time on the 17-point stencil of
-    `central_partials` at step `_FD_STEP`, inside the domain shrunk by twice
-    that step."""
+    position(u, v) returns the immersion point.  It must take Taylor values
+    of (u, v): written with + - * / and numpy's functions, it does, and
+    `jet` differentiates it exactly, up to `_DOMAIN_MARGIN` beyond the
+    domain.  A position written with `math`'s functions raises TypeError."""
 
     def __init__(self, space: SpaceParams, position: Callable[[float, float], Vec3],
                  domain: tuple[tuple[float, float], tuple[float, float]],
@@ -100,13 +94,6 @@ class SurfacePatch:
         (u0, u1), (v0, v1) = self.domain
         return (0.5 * (u0 + u1), 0.5 * (v0 + v1))
 
-    def _check_domain(self, u, v, at: tuple, margin: float) -> None:
-        (u0, u1), (v0, v1) = self.domain
-        require((u0 - margin <= u) & (u <= u1 + margin) & (v0 - margin <= v)
-                & (v <= v1 + margin), OutOfDomain,
-                lambda u, v: f"(u, v) = ({u}, {v}) outside evaluable part of "
-                f"domain {self.domain} (margin {margin})", u, v, at=at)
-
     def jet(self, u, v, *, at: Optional[tuple] = None,
             order: int = 2) -> PatchJet:
         """Position with first and second partials at (u, v): floats, or
@@ -114,23 +101,22 @@ class SurfacePatch:
         `order` is the Taylor order of `position`: the point alone at 0, with
         the first partials at 1 (the other fields None), all six at 2; at 3
         each field is a Taylor value carrying its own partials up to third
-        order in all (a differenced position always gives order 3, cut to
-        `order` here).  Guards name the samples `at` (default (u, v))."""
+        order in all.  Guards name the samples `at` (default (u, v))."""
         batch = isinstance(u, np.ndarray) or isinstance(v, np.ndarray)
         if batch:
             u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
                                        np.asarray(v, dtype=float))
         if at is None:
             at = (u, v)
-        self._check_domain(u, v, at, _ANALYTIC_MARGIN)
+        (u0, u1), (v0, v1) = self.domain
+        m = _DOMAIN_MARGIN
+        require((u0 - m <= u) & (u <= u1 + m) & (v0 - m <= v) & (v <= v1 + m),
+                OutOfDomain, lambda u, v: f"(u, v) = ({u}, {v}) outside "
+                f"evaluable part of domain {self.domain} (margin {m})", u, v,
+                at=at)
         with np.errstate(all="ignore"):
-            try:
-                point = self._point(
-                    *(Taylor.variables((u, v), order) if order else (u, v)))
-            except TypeError:  # a float-only position: difference it
-                point = self._differenced(u, v, at)
+            point = as_vec3(self.position(*Taylor.variables((u, v), order)))
         fields = _JET_AXES[:(1, 3, 6, 6)[order]]
-        point = as_vec3(point)  # its coefficients hold every field's
         overflow = functools.partial(NonFiniteJet, family=self.family)
         require(finite(*point), overflow, lambda: f"jet of {self.name} (family "
                 f"{self.family}) is not finite", at=at)
@@ -144,27 +130,6 @@ class SurfacePatch:
                                            u.shape) for col in cols]) if batch
                     else as_vec3([col[i] for col in cols]) for i in range(n)]
         return PatchJet(*vecs, *[None] * (6 - len(vecs)))
-
-    def _point(self, u, v):
-        """`position` at (u, v), infinite where it raises OverflowError (as
-        `math` does where numpy gives inf): the jet's guard names it."""
-        try:
-            return self.position(u, v)
-        except OverflowError:
-            return (np.inf,) * 3
-
-    def _differenced(self, u, v, at: tuple) -> list:
-        """The point as Taylor values of order 3 from one `central_partials`
-        stencil of `position`, one point at a time."""
-        self._check_domain(u, v, at, -2.0 * _FD_STEP)
-
-        def stencil(du, dv):
-            return np.array([as_vec3(self._point(a, b)) for a, b in zip(
-                *(x.tolist() for x in stacked(u + du, v + dv)))]).T
-
-        parts = central_partials(stencil, np.full(np.shape(u), _FD_STEP))
-        return [Taylor(np.array([x[i] / k for x, k in zip(parts, _FACTORIALS)]),
-                       3, 2) for i in range(3)]
 
 
 # ---- first fundamental form ----

@@ -239,8 +239,7 @@ def check_shape_operator_routes(patch: SurfacePatch,
     """max |S_second - S_Weingarten| / max(1, max |S_second|) over a sparse
     interior grid: the second-form shape operator S = eps I^{-1} h against
     the finite difference of the normal field, both in the coordinate basis.
-    The gauss suite runs it on every patch, whose S it guards; on
-    float-only positions both routes also carry the differenced jet's error."""
+    The gauss suite runs it on every patch, whose S it guards."""
     u, v = _interior_batch(patch, _ROUTE_GRID)
     analytic = shape_operator(patch, u, v).entries()
     weingarten = _weingarten_shape(patch, u, v)

@@ -21,8 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from heisgeo import numeric
 from heisgeo.errors import QuadratureFailure
 from heisgeo.numeric import (CumulativeIntegral, Taylor, adaptive_simpson,
-                             central_diff, central_partials, derivative,
-                             json_dumps, value)
+                             central_diff, derivative, json_dumps, value)
 
 X0 = 0.3
 
@@ -87,68 +86,16 @@ def test_central_diff_rejects_other_orders():
         central_diff(math.sin, 0.1, order=3)
 
 
-# g(u, v) = exp(a u) sin(b v + c) at (U0, V0); every partial's leading
-# truncation term is nonzero there (a != b)
-A, B, C = 0.7, 1.3, 0.4
-U0, V0 = 0.2, 0.1
-
-
-def partials_exact(u, v):
-    """g and its partials in `central_partials`' order, up to third."""
-    e, s, co = np.exp(A * u), np.sin(B * v + C), np.cos(B * v + C)
-    return (e * s, A * e * s, B * e * co, A * A * e * s, A * B * e * co,
-            -B * B * e * s, A ** 3 * e * s, A * A * B * e * co,
-            -A * B * B * e * s, -B ** 3 * e * co)
-
-
-def g_scalar(du, dv):
-    return partials_exact(U0 + du, V0 + dv)[0]
-
-
-def g_tuple(du, dv):
-    val = g_scalar(du, dv)
-    return (val, 2.0 * val, -val)
-
-
-def g_array(du, dv):
-    return np.array(g_tuple(du, dv))
-
-
-@pytest.mark.parametrize("fn, scale", [(g_scalar, (1.0,)),
-                                       (g_tuple, (1.0, 2.0, -1.0)),
-                                       (g_array, (1.0, 2.0, -1.0))])
-def test_central_partials_observed_order(fn, scale):
-    """First and second partials of fourth order (error ratio 16 between h
-    and h/2), third partials of second order (ratio 4)."""
-    exact = partials_exact(U0, V0)
-    h = 0.1
-    coarse = central_partials(fn, h)
-    fine = central_partials(fn, h / 2)
-    assert len(coarse) == 10
-    assert errors(coarse[0], fn(0.0, 0.0)).max() == 0.0
-    for k in range(1, 10):
-        want = [exact[k] * s for s in scale]
-        e_coarse = errors(coarse[k], want)
-        e_fine = errors(fine[k], want)
-        observed = e_coarse / e_fine
-        ratio = 16.0 if k < 6 else 4.0
-        assert np.all(np.abs(observed / ratio - 1.0) < 0.03), (k, observed)
-
-
 # ---- the stacked stencils against the per-offset formulas ----
 #
-# central_diff and central_partials call f once on all of their offsets
-# stacked; written out offset by offset below, the same formulas must give
-# the same bits.  The test functions use + - * / only, so every value is
-# one IEEE operation sequence wherever it sits in a batch.
+# central_diff calls f once on all of its offsets stacked; written out
+# offset by offset below, the same formulas must give the same bits.  The
+# test function uses + - * / only, so every value is one IEEE operation
+# sequence wherever it sits in a batch.
 
 
 def rational(x):
     return (x * x * x - 2.0 * x) / (1.0 + x * x)
-
-
-def rational2(u, v):
-    return (u * u * v - 3.0 * v + u) / (1.0 + v * v)
 
 
 def per_offset_diff(x, h, order):
@@ -156,34 +103,6 @@ def per_offset_diff(x, h, order):
         return (rational(x + h) - rational(x - h)) / (2.0 * h)
     return (-rational(x + 2.0 * h) + 8.0 * rational(x + h)
             - 8.0 * rational(x - h) + rational(x - 2.0 * h)) / (12.0 * h)
-
-
-def per_offset_partials(u, v, h):
-    """The 17-point formulas, each point g(u + i h, v + j h) written out."""
-    def g(i, j):
-        return rational2(u + i * h if i else u, v + j * h if j else v)
-
-    f0 = g(0, 0)
-    h2 = h * h
-    h3 = 2.0 * h2 * h
-    return (f0,
-            (-g(2.0, 0) + 8.0 * g(1.0, 0) - 8.0 * g(-1.0, 0) + g(-2.0, 0))
-            / (12.0 * h),
-            (-g(0, 2.0) + 8.0 * g(0, 1.0) - 8.0 * g(0, -1.0) + g(0, -2.0))
-            / (12.0 * h),
-            (-g(2.0, 0) + 16.0 * g(1.0, 0) - 30.0 * f0 + 16.0 * g(-1.0, 0)
-             - g(-2.0, 0)) / (12.0 * h2),
-            (16.0 * (g(1.0, 1.0) - g(1.0, -1.0) - g(-1.0, 1.0) + g(-1.0, -1.0))
-             - (g(2.0, 2.0) - g(2.0, -2.0) - g(-2.0, 2.0) + g(-2.0, -2.0)))
-            / (48.0 * h2),
-            (-g(0, 2.0) + 16.0 * g(0, 1.0) - 30.0 * f0 + 16.0 * g(0, -1.0)
-             - g(0, -2.0)) / (12.0 * h2),
-            (g(2.0, 0) - 2.0 * g(1.0, 0) + 2.0 * g(-1.0, 0) - g(-2.0, 0)) / h3,
-            ((g(1.0, 1.0) - 2.0 * g(0, 1.0) + g(-1.0, 1.0))
-             - (g(1.0, -1.0) - 2.0 * g(0, -1.0) + g(-1.0, -1.0))) / h3,
-            ((g(1.0, 1.0) - 2.0 * g(1.0, 0) + g(1.0, -1.0))
-             - (g(-1.0, 1.0) - 2.0 * g(-1.0, 0) + g(-1.0, -1.0))) / h3,
-            (g(0, 2.0) - 2.0 * g(0, 1.0) + 2.0 * g(0, -1.0) - g(0, -2.0)) / h3)
 
 
 coordinates = st.floats(-10.0, 10.0, allow_nan=False)
@@ -213,24 +132,6 @@ def test_stacked_central_diff_is_the_per_offset_formula(x, h, order, per_point):
     want = per_offset_diff(x, h, order)
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want)
-
-
-@settings(max_examples=60, deadline=None)
-@given(uv=st.one_of(st.tuples(coordinates, coordinates),
-                    st.lists(st.tuples(coordinates, coordinates), min_size=1,
-                             max_size=6).map(lambda p: tuple(np.array(p).T))),
-       h=steps, per_point=st.booleans())
-def test_stacked_central_partials_are_the_per_offset_formulas(uv, h, per_point):
-    u, v = uv
-    got = central_partials(
-        lambda du, dv: rational2(stencil_points(u, du, per_point),
-                                 stencil_points(v, dv, per_point)),
-        stencil_step(u, h, per_point))
-    want = per_offset_partials(u, v, h)
-    assert len(got) == len(want) == 10
-    for g, w in zip(got, want):
-        assert np.shape(g) == np.shape(w)
-        assert np.array_equal(g, w)
 
 
 def _horner(coeffs):

@@ -7,6 +7,7 @@ before being pinned.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from heisgeo.families import (
     make_helix_surface,
     make_minimal_plane,
 )
-from heisgeo.numeric import FLOAT_DIGITS, derivative, fmt_float
+from heisgeo.numeric import FLOAT_DIGITS, central_diff, derivative, fmt_float
 import heisgeo.surface as surface_module
 from heisgeo.surface import (
     GeometryReport,
@@ -46,8 +47,6 @@ from heisgeo.surface import (
     tangent_part_T,
     tangent_rotation_J,
     unit_normal,
-    _sample,
-    _second_form_shape,
     _weingarten_shape,
 )
 from heisgeo.verify import check_shape_operator_routes, default_family_matrix
@@ -117,33 +116,6 @@ def test_out_of_domain_analytic_margin():
     assert "at sample (u=1.05, v=0)" in str(err.value)
     # inside the hard margin is fine
     induced_metric(patch, 1.0, 1.0)
-
-
-def float_only(patch: SurfacePatch) -> SurfacePatch:
-    """The patch with a position that takes floats only, as code written
-    with `math` does: its jet is differenced."""
-    def position(u, v):
-        return tuple([float(c) for c in patch.position(float(u), float(v))])
-
-    return SurfacePatch(patch.space, position, patch.domain)
-
-
-def test_fd_jet_patch_matches_analytic_twin():
-    analytic = make_cmc_cylinder(-1, "timelike", 1.0)
-    fd = float_only(analytic)
-    ja = analytic.jet(0.3, -0.4)
-    jf = fd.jet(0.3, -0.4)
-    for name in ("p", "fu", "fv", "fuu", "fuv", "fvv"):
-        va, vf = getattr(ja, name), getattr(jf, name)
-        assert max(abs(va[i] - vf[i]) for i in range(3)) < 1e-5, name
-
-
-def test_fd_jet_patch_refuses_boundary_stencils():
-    analytic = make_cmc_cylinder(-1, "timelike", 1.0, domain=((0.0, 1.0), (0.0, 1.0)))
-    fd = float_only(analytic)
-    with pytest.raises(OutOfDomain):
-        fd.jet(1e-5, 0.5)  # within 2h of the boundary
-    fd.jet(0.5, 0.5)
 
 
 # ------------------------------------------------------ normal and gauge
@@ -268,20 +240,6 @@ def test_analytic_shape_operator_is_the_second_form(builder):
             for j in range(2):
                 lhs = ii[i][0] * m[0][j] + ii[i][1] * m[1][j]
                 assert abs(lhs - form.epsilon * hm[i][j]) < 1e-12 * scale
-
-
-def test_fd_jet_patches_take_the_second_form_route():
-    """A float-only position's jet is differenced, and the patch takes the
-    same second-form shape operator as a family patch; it stays near the
-    exact twin."""
-    analytic = spacelike_helix()
-    fd = float_only(analytic)
-    u, v = 0.3, -0.2
-    want = _second_form_shape(fd.space, _sample(fd, u, v))
-    assert shape_operator(fd, u, v).entries() == want
-    twin = shape_operator(analytic, u, v).entries()
-    assert max(abs(want[i][j] - twin[i][j])
-               for i in range(2) for j in range(2)) < 1e-7
 
 
 def test_route_gap_detects_a_second_form_sign_error(monkeypatch):
@@ -520,7 +478,7 @@ def batch_patches() -> list[SurfacePatch]:
             "timelike", 1.0, math.pi / 4.0, c=0.1,
             eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0)))),
         SurfacePatch(SpaceParams(delta=1, tau=1.0),
-                     lambda u, v: (math.cosh(v), math.sinh(v), u - v),
+                     lambda u, v: (np.cosh(v), np.sinh(v), u - v),
                      ((-1.2, 1.2), (-1.2, 1.2)))]
 
 
@@ -529,8 +487,8 @@ def test_batch_matches_one_point_calls(index):
     """Every geometry function takes a batch of points as 1-D arrays and
     returns arrays whose entries are its one-point values, bit for bit: a
     family position, eta, the slopes and the profile tables run on numpy
-    whatever the input kind, and a float-only position is differenced one
-    point at a time in a batch too."""
+    whatever the input kind, and so does the last patch's position, written
+    outside the families."""
     patch = batch_patches()[index]
     u = np.array([-0.9, -0.3, 0.2, 0.7])
     v = np.array([0.5, -0.8, 0.1, 0.9])
@@ -556,9 +514,7 @@ def test_batch_matches_one_point_calls(index):
 def test_non_finite_jet_names_the_sample_and_family():
     """cosh(v) overflows past v = 710.48: the jet raises NonFiniteJet at the
     first such sample of a batch in u-major order, and at a single sample
-    too, where numpy's cosh returns inf as it does in a batch.  A float-only
-    position follows the same rule: a stencil point where math.cosh raises
-    OverflowError is an infinite point of its sample."""
+    too, where numpy's cosh returns inf as it does in a batch."""
     patch = make_cmc_cylinder(1, "timelike", 1.0,
                               domain=((-1.0, 1.0), (700.0, 712.0)))
     with pytest.raises(NonFiniteJet) as err:
@@ -570,46 +526,78 @@ def test_non_finite_jet_names_the_sample_and_family():
         patch.jet(-0.5, 711.5)
     assert err.value.sample == (-0.5, 711.5)
     patch.jet(0.0, 705.0)
-    # a finite-difference patch on a float-only position: the first sample
-    # with an overflowing stencil point, not the first sample of the batch
-    fd = SurfacePatch(patch.space,
-                      lambda u, v: (u, math.sinh(v), math.cosh(v)),
-                      patch.domain, family={"family": "scalar"})
-    with pytest.raises(NonFiniteJet) as err:
-        fd.jet(np.array([0.0, 0.5, -0.5]), np.array([705.0, 711.0, 711.5]))
-    assert err.value.sample == (0.5, 711.0)
-    assert err.value.family == {"family": "scalar"}
-    assert "at sample (u=0.5, v=711)" in str(err.value)
-    # at order 0 one sample is evaluated directly, under the same rule
-    with pytest.raises(NonFiniteJet) as err:
-        fd.jet(0.5, 711.0, order=0)
-    assert err.value.sample == (0.5, 711.0)
 
 
-def test_float_only_third_partials_converge_at_second_order(monkeypatch):
-    """The differenced jet of a float-only position takes its third partials
-    from the stencil's second-order differences: at h, h/2 and h/4 their
-    errors against the exact Taylor jet fall by about 4 each time."""
-    exact_patch = make_helix_surface(HelixProfile(
-        "timelike", 1.0, math.pi / 4.0, c=0.1,
-        eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0))))
-    fd = float_only(exact_patch)
+@pytest.mark.parametrize("order", range(4))
+def test_math_position_raises_type_error(order):
+    """`position` must take Taylor values at every order, the point alone
+    included: one written with `math` raises TypeError from `jet`, for one
+    sample and for a batch."""
+    patch = SurfacePatch(SpaceParams(delta=1, tau=1.0),
+                         lambda u, v: (math.cosh(v), math.sinh(v), u - v),
+                         ((-1.2, 1.2), (-1.2, 1.2)))
+    with pytest.raises(TypeError):
+        patch.jet(0.3, -0.4, order=order)
+    with pytest.raises(TypeError):
+        patch.jet(np.array([0.3, -0.2]), np.array([-0.4, 0.5]), order=order)
 
-    def thirds(patch):
-        j = patch.jet(0.3, -0.2, order=3)
-        return np.array([derivative(c, i) for vec in (j.fuu, j.fvv)
-                         for c in vec for i in (0, 1)])
 
-    exact = thirds(exact_patch)
-    gaps = []
-    for h in (0.04, 0.02, 0.01):
-        monkeypatch.setattr(surface_module, "_FD_STEP", h)
-        gaps.append(np.abs(thirds(fd) - exact))
-    seen = gaps[0] > 1e-7  # the partials with a truncation term
-    assert seen.sum() >= 8
-    for coarse, fine in zip(gaps, gaps[1:]):
-        order = np.log2(coarse[seen] / fine[seen])
-        assert np.all(np.abs(order - 2.0) < 0.1), order
+#: the partials up to third order as sorted variable indices (0: u, 1: v),
+#: in the order of the jet's fields: p, Fu, Fv, Fuu, Fuv, Fvv, then third
+_PARTIALS = [axes for k in range(4)
+             for axes in itertools.combinations_with_replacement((0, 1), k)]
+
+
+def differenced_partials(patch: SurfacePatch, u: float, v: float) -> dict:
+    """Every partial of `position` up to third order at (u, v), by nested
+    fourth-order central differences at step 1e-2, with `position` called
+    on floats: an oracle that shares no code with the Taylor jet."""
+    def along(f, axis):
+        def df(du, dv):
+            return central_diff(lambda t: np.array(
+                [f(du + x, dv) if axis == 0 else f(du, dv + x)
+                 for x in t.tolist()]).T, 1e-2, order=4)
+        return df
+
+    def point(du, dv):
+        return np.array(patch.position(u + du, v + dv), dtype=float)
+
+    out = {}
+    for axes in _PARTIALS:
+        f = point
+        for axis in axes:
+            f = along(f, axis)
+        out[axes] = f(0.0, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_jet_matches_its_differenced_twin(index):
+    """On every default-matrix patch and the README helix, at three interior
+    points, the six fields of the order-2 jet, and every partial up to
+    third order in all that the order-3 jet's fields carry (the ten of p
+    among them), agree with the differenced twin to 1e-8 relative to
+    max(1, |partial|).  The twin itself errs by at most 1.2e-9 here,
+    truncation and rounding alike."""
+    patch = batch_patches()[index]
+    (u0, u1), (v0, v1) = patch.domain
+    for s, t in ((0.3, 0.6), (0.7, 0.25), (0.5, 0.5)):
+        u, v = u0 + s * (u1 - u0), v0 + t * (v1 - v0)
+        twin = differenced_partials(patch, u, v)
+
+        def check(got, axes, what):
+            want = twin[tuple(sorted(axes))]
+            gap = np.abs(np.array(got, dtype=float) - want)
+            assert np.all(gap <= 1e-8 * np.maximum(1.0, np.abs(want))), what
+
+        j2, j3 = patch.jet(u, v), patch.jet(u, v, order=3)
+        for name, base in zip(("p", "fu", "fv", "fuu", "fuv", "fvv"),
+                              _PARTIALS):
+            check(getattr(j2, name), base, name)
+            for axes in _PARTIALS:
+                if len(base) + len(axes) <= 3:
+                    check([derivative(c, *axes) for c in getattr(j3, name)],
+                          base + axes, (name, axes))
 
 
 def _flat_plane(kappa: float = 0.0) -> SurfacePatch:

@@ -46,7 +46,6 @@ from heisgeo.verify import (
     check_gauss,
     check_helix_ode,
     check_parallel,
-    check_shape_operator_routes,
     curvature_from_table,
     curvature_table,
     default_family_matrix,
@@ -243,28 +242,14 @@ def test_weingarten_route_only_in_the_route_check(monkeypatch, suite):
     assert calls[0] == (16 if suite == "gauss" else 0)
 
 
-def float_only(patch: SurfacePatch) -> SurfacePatch:
-    """The patch with a position that takes floats only, as code written
-    with `math` does: its jet is differenced."""
-    def position(u, v):
-        return tuple([float(c) for c in patch.position(float(u), float(v))])
-
-    return SurfacePatch(patch.space, position, patch.domain)
-
-
 def test_route_check_runs_on_every_patch():
     """Every patch takes the second-form shape operator, so the gauss suite
-    runs the route check on all of them.  A float-only position's jet is
-    differenced at a step where truncation and rounding balance; its
-    routes then agree within a third of the tolerance."""
+    runs the route check on all of them."""
     for patch in default_family_matrix():
-        fd = float_only(patch)
-        for p in (patch, fd):
-            ids = [c.check_id
-                   for c in run_suite("gauss", patch=p, grid=(4, 4)).checks]
-            assert ids == ["gauss.extrinsic_vs_intrinsic",
-                           "gauss.shape_operator_routes"]
-        assert check_shape_operator_routes(fd).max_residual < 0.35e-6
+        ids = [c.check_id
+               for c in run_suite("gauss", patch=patch, grid=(4, 4)).checks]
+        assert ids == ["gauss.extrinsic_vs_intrinsic",
+                       "gauss.shape_operator_routes"]
 
 
 # ------------------------------------------------------------ parallel
@@ -380,26 +365,22 @@ def test_nan_residual_never_passes(monkeypatch, suite):
 
 
 @pytest.mark.parametrize("suite", ["helix_ode", "parallel"])
-def test_stencil_guard_names_the_grid_sample(suite):
-    """A float-only position is NaN just past the last grid row and
-    column, so only the points of its jet's stencil displaced beyond them
-    fail: the error names the grid sample those points belong to, not the
-    displaced point."""
+def test_suite_calls_position_at_grid_samples_only(suite):
+    """The helix_ode and parallel suites take no stencil of the position:
+    it is called only at the interior-grid samples and at the domain
+    centre, where the normal is gauged, so a guard of its jet names a grid
+    sample (or the centre) by construction."""
     helix = spacelike_helix()
-    pts = interior_grid(helix, (4, 4))
-    u_last, v_last = max(u for u, _ in pts), max(v for _, v in pts)
+    seen = set()
 
-    def cut(u, v):
-        u, v = float(u), float(v)
-        w = math.nan if u > u_last + 1e-9 or v > v_last + 1e-9 else 1.0
-        return tuple([float(c) * w for c in helix.position(u, v)])
+    def recording(u, v):
+        seen.update(zip(np.ravel(value(u)).tolist(),
+                        np.ravel(value(v)).tolist()))
+        return helix.position(u, v)
 
-    patch = SurfacePatch(helix.space, cut, helix.domain)
-    with pytest.raises(NonFiniteJet) as err:
-        run_suite(suite, patch=patch, grid=(4, 4))
-    assert err.value.sample in pts
-    assert str(err.value).endswith("at sample (u=%s, v=%s)" % tuple(
-        map(fmt_float, err.value.sample)))
+    patch = SurfacePatch(helix.space, recording, helix.domain)
+    run_suite(suite, patch=patch, grid=(4, 4))
+    assert seen == set(interior_grid(patch, (4, 4))) | {patch.center()}
 
 
 def test_weingarten_guard_names_the_grid_sample():
