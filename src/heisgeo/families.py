@@ -4,8 +4,8 @@ planes, angle function 0, H = 0), ``make_cmc_cylinder`` (flat vertical
 cylinders, angle function 0, H constant and nonzero) and
 ``make_helix_surface`` (the two families with nonzero angle function,
 delta = +1), built from profile functions (f1, f2, f3): closed forms for
-constant and linear eta, quintic-Hermite quadrature tables
-(`numeric.CumulativeIntegral`) otherwise.
+constant and linear eta, otherwise one quintic-Hermite quadrature table
+(`numeric.CumulativeIntegral`) whose rows are f1, f2 and f3.
 
 Each constructor returns a :class:`~heisgeo.surface.SurfacePatch` with a
 serializable family descriptor, its immersion written once as
@@ -27,7 +27,7 @@ import numpy as np
 
 from .ambient import SpaceParams
 from .errors import (ConfigError, InvalidCombination, InvalidParameterDomain,
-                     QuadratureFailure, UnknownFamily)
+                     UnknownFamily)
 from .numeric import CumulativeIntegral, Taylor, central_diff
 from .surface import SurfacePatch
 
@@ -189,8 +189,10 @@ class HelixProfile:
 class ProfileFunctions:
     """The profile triple (f1, f2, f3), with f1'^2 - f2'^2 = cosh(theta)^2
     (spacelike) or -cos(theta)^2 (timelike) and f3' = tau (f1 f2' - f2 f1').
-    `slopes(v)` returns (f1', f2', f1'', f2'', f1''', f2'''); `jet(v)` the
-    values and three derivatives of all three, from one lookup per table.
+    `values(v)` gives (f1, f2, f3) from one read: of the closed forms, or of
+    the profile's one table, whose rows are f1, f2 and f3; `f1`, `f2` and
+    `f3` read one each.  `slopes(v)` returns (f1', f2', f1'', f2'', f1''',
+    f2'''); `jet(v)` the values and three derivatives of all three.
     Called on v, the profile returns (f1, f2, f3) there: at a float, an
     ndarray, or a Taylor value, lifted through the jet at its value."""
 
@@ -198,15 +200,13 @@ class ProfileFunctions:
     v_range: tuple[float, float]
     anchor: float
     source: str  # "closed-form" | "quadrature"
-    f1: Callable[[float], float]
-    f2: Callable[[float], float]
-    f3: Callable[[float], float]
+    values: Callable
     slopes: Callable[[float], tuple[float, ...]]
 
     def jet(self, v) -> tuple[float, ...]:
         """(f1, f2, f3, f1', f2', f3', f1'', f2'', f3'', f1''', f2''',
         f3''') at v (a float or an ndarray)."""
-        p1, p2, p3 = self.f1(v), self.f2(v), self.f3(v)
+        p1, p2, p3 = self.values(v)
         q1, q2, r1, r2, t1, t2 = self.slopes(v)
         tau = self.profile.tau
         # f3'' = d/dv of tau*(f1 f2' - f2 f1'); the f1'f2' cross terms cancel
@@ -218,9 +218,13 @@ class ProfileFunctions:
         """(f1, f2, f3) at v; a Taylor value v is lifted through `jet` at
         its value."""
         if not isinstance(v, Taylor):
-            return self.f1(v), self.f2(v), self.f3(v)
+            return tuple(self.values(v))
         j = self.jet(v.c[0])
         return tuple(v.lift(j[0::3], j[1::3], j[2::3]))
+
+
+for _i, _name in enumerate(("f1", "f2", "f3")):  # one row of `values` each
+    setattr(ProfileFunctions, _name, lambda self, v, i=_i: self.values(v)[i])
 
 
 def _slope_branch(profile: HelixProfile) -> tuple:
@@ -267,8 +271,9 @@ def build_profile(profile: HelixProfile,
                   v_range: tuple[float, float],
                   *, force_quadrature: bool = False) -> ProfileFunctions:
     """Construct (f1, f2, f3) on v_range with f_i(anchor) = 0: closed forms
-    for constant and linear eta, else tables of f1', f2' (with f1'', f2'')
-    and then of f3' (with f3'') from the tabulated f1, f2.  The anchor is 0
+    for constant and linear eta, else one table in two stages: rows f1, f2
+    of f1', f2' (with f1'', f2''), then row f3 of f3' (with f3'') from the
+    tabulated f1, f2, each failure naming its row.  The anchor is 0
     when the range holds it, else the lower end (the free initial values
     are ambient translations)."""
     lo, hi = float(v_range[0]), float(v_range[1])
@@ -291,56 +296,34 @@ def build_profile(profile: HelixProfile,
         g1, g2, k1, shift = _slope_branch(profile)
         s0 = c0 + shift
 
-        def chord(v):
-            w = v - anchor
-            return w * (1.0 + 0.5 * c1 * w * _sinhc_minus_one(0.5 * c1 * w))
-
-        def f1(v):
-            return k1 * g1(c1 * (0.5 * (v + anchor)) + s0) * chord(v)
-
-        def f2(v):
-            return m * g2(c1 * (0.5 * (v + anchor)) + s0) * chord(v)
-
-        def f3(v):
+        def values(v):
             # f3' = tau*(f1 f2' - f2 f1') = tau*(m^2/c1)*(cosh(c1(v-a)) - 1),
             # so f3 = tau m^2 (v-a)^2 (sinh(x)/x - 1)/x at x = c1 (v-a): 0 at c1 = 0
             w = v - anchor
-            return tau * (m * m) * w * w * _sinhc_minus_one(c1 * w)
+            chord = w * (1.0 + 0.5 * c1 * w * _sinhc_minus_one(0.5 * c1 * w))
+            s = c1 * (0.5 * (v + anchor)) + s0
+            return (k1 * g1(s) * chord, m * g2(s) * chord,
+                    tau * (m * m) * w * w * _sinhc_minus_one(c1 * w))
 
         return ProfileFunctions(profile, (lo, hi), anchor, "closed-form",
-                                f1, f2, f3, slopes)
+                                values, slopes)
 
-    def table(name: str, f) -> CumulativeIntegral:
-        try:
-            return CumulativeIntegral(f, anchor, lo, hi)
-        except QuadratureFailure as exc:
-            raise QuadratureFailure(
-                f"profile table {name} on v in [{lo}, {hi}]: {exc}") from exc
+    def f12(v):
+        # rows f1 and f2: the pairs (f1', f1'') and (f2', f2'')
+        q1, q2, r1, r2 = slopes(v)[:4]
+        return np.array((q1, q2)), np.array((r1, r2))
 
-    # the three tables start from the same nodes and Gauss points (the first
-    # two arrays each evaluates): slopes are taken on those once
-    start: dict = {}
+    def f3(v, p, q, r):
+        # row f3: f3' and f3'' = tau*(f1 f2'' - f2 f1'') from the tabulated
+        # f1, f2 and rows f1, f2's pairs at the f3 row's own points
+        return ((tau * (p[0] * q[1] - p[1] * q[0]))[None],
+                (tau * (p[0] * r[1] - p[1] * r[0]))[None])
 
-    def shared(v):
-        key = (v.shape, v.tobytes()) if isinstance(v, np.ndarray) else None
-        if key is not None and key not in start and len(start) < 2:
-            start[key] = slopes(v)
-        return start[key] if key in start else slopes(v)
-
-    # each integrand returns (f, f'): f1' and f1'', f2' and f2''
-    f1_tab = table("f1", lambda v: shared(v)[0:4:2])
-    f2_tab = table("f2", lambda v: shared(v)[1:4:2])
-
-    def g3(v):
-        # f3' and f3'' = tau*(f1 f2'' - f2 f1''), f1 and f2 read on the f3
-        # table's own points
-        q1, q2, r1, r2 = shared(v)[:4]
-        p1, p2 = f1_tab.interpolate(v), f2_tab.interpolate(v)
-        return tau * (p1 * q2 - p2 * q1), tau * (p1 * r2 - p2 * r1)
-
-    f3_tab = table("f3", g3)
-    return ProfileFunctions(profile, (lo, hi), anchor, "quadrature",
-                            f1_tab, f2_tab, f3_tab, slopes)
+    table = CumulativeIntegral(f12, anchor, lo, hi, f3, [
+        f"profile table {name} on v in [{lo}, {hi}]"
+        for name in ("f1", "f2", "f3")])
+    return ProfileFunctions(profile, (lo, hi), anchor, "quadrature", table,
+                            slopes)
 
 
 def profile_residuals(pf: ProfileFunctions) -> dict[str, float]:
@@ -356,10 +339,8 @@ def profile_residuals(pf: ProfileFunctions) -> dict[str, float]:
     a, b = lo + pad, hi - pad
     n = _RESIDUAL_SAMPLES
     v = np.array([a + (b - a) * i / (n - 1) for i in range(n)])
-    d1, d2, d3 = central_diff(lambda t: tuple(f(np.add.outer(v, t)) for f in (
-        pf.f1, pf.f2, pf.f3)), _RESIDUAL_STEP, order=4)
-    higher = central_diff(lambda t: pf.jet(np.add.outer(v, t))[3:9],
-                          _RESIDUAL_STEP, order=4)
+    d1, d2, d3, *higher = central_diff(
+        lambda t: pf.jet(np.add.outer(v, t))[:9], _RESIDUAL_STEP, order=4)
     jet = pf.jet(v)
     q1, q2, q3 = jet[3:6]
     return {"antiderivative": float(np.maximum(abs(d1 - q1), abs(d2 - q2)).max()),

@@ -576,9 +576,11 @@ def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
 
 def adaptive_simpson(f: Callable[[float], float], a, b, tol=1e-10):
     """Integrate f over [a, b] with adaptive Simpson to absolute tolerance.
-    a, b and tol are floats, or equal-length 1-D arrays (a batch): its first
-    level is one call of f on the 5 x n points stacked, and an interval that
-    does not settle there recurses on floats, as a float call would."""
+    a, b and tol are floats, or equal-shape arrays (a batch) of shape (n,),
+    or (k, n) with f a sequence of k integrands, one per row of intervals.
+    Its first level is one call of each integrand on its row's 5 x n points
+    stacked, and an interval that does not settle there recurses on floats
+    through its row's integrand, as a float call would."""
     if not isinstance(a, np.ndarray):
         if a == b:
             return 0.0
@@ -586,18 +588,21 @@ def adaptive_simpson(f: Callable[[float], float], a, b, tol=1e-10):
         fm = f(0.5 * (a + b))
         whole = _simpson(fa, fm, fb, b - a)
         return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, 0)
-    tol = np.broadcast_to(tol, a.shape)
+    shape, fs = a.shape, (f if a.ndim > 1 else [f])
+    a, b = a.reshape(len(fs), -1), b.reshape(len(fs), -1)
+    tol = np.broadcast_to(tol, shape).reshape(a.shape)
     m = 0.5 * (a + b)
-    fa, fb, fm, fl, fr = np.reshape(
-        f(np.concatenate((a, b, m, 0.5 * (a + m), 0.5 * (m + b)))), (5, -1))
+    fa, fb, fm, fl, fr = np.stack([np.reshape(g(np.concatenate(
+        (x0, x1, xm, 0.5 * (x0 + xm), 0.5 * (xm + x1)))), (5, -1))
+        for g, x0, x1, xm in zip(fs, a, b, m)], axis=1)
     whole = _simpson(fa, fm, fb, b - a)
     left, right = _simpson(fa, fl, fm, m - a), _simpson(fm, fr, fb, b - m)
     err = left + right - whole
     out = np.where(a == b, 0.0, left + right + err / 15.0)
     for i in np.flatnonzero(~(abs(err) <= 15.0 * tol) & (a != b)).tolist():
-        out[i] = _simpson_recurse(f, *(x[i].item() for x in (
-            a, b, fa, fm, fb, whole, tol)), 0)
-    return out
+        out.flat[i] = _simpson_recurse(fs[i // a.shape[1]], *(
+            x.flat[i].item() for x in (a, b, fa, fm, fb, whole, tol)), 0)
+    return out.reshape(shape)
 
 
 # module level for the same reason as _json_emit: no reference cycle per call
@@ -639,16 +644,17 @@ _TABLE_SPACING = 1e-2
 _MAX_START_SEGMENTS = 60_000
 #: absolute error a table lookup may have anywhere in its range
 _QUADRATURE_TOL = 1e-10
-#: integrand evaluations one table may spend beyond its starting nodes and
+#: integrand evaluations one row may spend beyond its starting nodes and
 #: their Gauss points: on bisection and on the spot check
 _TABLE_EVAL_BUDGET = 400_000
-#: segments per table integrated again by adaptive Simpson as a spot check
+#: segments per row integrated again by adaptive Simpson as a spot check
 _SPOT_CHECKS = 10
 
 
 class CumulativeIntegral:
-    """Antiderivative F(x) = int_{x0}^{x} f(t) dt on [lo, hi], as quintic
-    Hermite interpolation between nodes chosen per table.
+    """Antiderivatives F(x) = int_{x0}^{x} f(t) dt on [lo, hi] of one
+    integrand or of several ("rows"), as quintic Hermite interpolation
+    between nodes chosen per row.
     The integrand returns the pair (f, f') at a float, and elementwise at an
     ndarray; F, F' = f and F'' = f' at the nodes fix one quintic per
     segment.  Segments start `_TABLE_SPACING` apart and are integrated by
@@ -659,126 +665,216 @@ class CumulativeIntegral:
     midpoint).  Segments whose bound exceeds tol/2 (tol = `_QUADRATURE_TOL`)
     are bisected, all at once, until every one passes.  That bounds each
     interpolant, not the sum of the Gauss errors, so adaptive Simpson
-    integrates `_SPOT_CHECKS` segments again in one batched call, and a gap
-    above a segment's share tol * width / (hi - lo) raises
-    `QuadratureFailure`; so does a range of more than `_MAX_START_SEGMENTS`
-    starting segments, or more than `_TABLE_EVAL_BUDGET` evaluations beyond
-    the starting grid.  Node values accumulate outward from x0.
-    Each segment keeps six Horner coefficients in t = (x - node) / width;
-    the last node's segment is its value alone, so F(hi) is exactly the
-    last node value.  A call takes x as a float or an ndarray (any shape)
-    and evaluates elementwise with numpy either way."""
+    integrates `_SPOT_CHECKS` segments of each row again, and a gap above a
+    segment's share tol * width / (hi - lo) raises `QuadratureFailure`; so
+    does a range of more than `_MAX_START_SEGMENTS` starting segments, or a
+    row's more than `_TABLE_EVAL_BUDGET` evaluations beyond the starting
+    grid.  Node values accumulate outward from x0.
+    With `names` (one per row, for its failures) f returns its rows' pairs
+    stacked, and `then(x, F, f, f')` a second stage's from the first's F and
+    pairs at x.  A stage evaluates the starting grid once and spot-checks
+    its rows in one batched call; each row keeps, bit for bit, the segments
+    of a one-row table.  The rows are stored on the union `xs` of their
+    nodes: a union segment keeps its row segment's left node, 1 / width and
+    Horner coefficients in t = (x - node) / width (the last node's is its
+    value alone), so a call, on x a float or an ndarray of any shape, reads
+    every row with one search and one gather."""
 
-    def __init__(self, f: Callable, x0: float, lo: float, hi: float):
+    def __init__(self, f: Callable, x0: float, lo: float, hi: float,
+                 then: Optional[Callable] = None,
+                 names: Optional[Sequence[str]] = None):
         if not (lo <= x0 <= hi and lo < hi):
             raise ValueError("need lo <= x0 <= hi and lo < hi")
+        self._rows = names is not None
+        if not self._rows:  # one row: its pair takes a leading row axis
+            names = ["table"]
+            f = (lambda x, g=f: [np.asarray(c)[None] for c in g(x)])
         total = hi - lo
-        if not total / _TABLE_SPACING <= _MAX_START_SEGMENTS:
-            raise QuadratureFailure(
-                f"a range {total} wide would start the table on more than "
-                f"{_MAX_START_SEGMENTS} segments {_TABLE_SPACING} wide")
-        n_lo = math.ceil((x0 - lo) / _TABLE_SPACING)
-        n_hi = math.ceil((hi - x0) / _TABLE_SPACING)
         # the starting grid is free: its nodes and ten Gauss points a segment
-        left = [_TABLE_EVAL_BUDGET + 11 * (n_lo + n_hi) + 1]
+        left = [_TABLE_EVAL_BUDGET] * len(names)
+        at, built = [0], []  # at: the row being built or checked
 
-        def evaluate(x):
-            left[0] -= np.size(x)
-            if left[0] < 0:
+        def evaluate(r, x):
+            at[0] = r
+            left[r] -= np.size(x)
+            if left[r] < 0:
                 raise QuadratureFailure(
                     f"the table needs more than {_TABLE_EVAL_BUDGET} "
                     f"integrand evaluations beyond its starting grid "
                     f"(reached x = {np.min(x)})")
-            return f(x)
+            y = f(x)
+            if r >= len(y[0]):  # a second-stage row
+                r, y = r - len(y[0]), then(x, _read(*first, x), *y)
+            return y[0][r], y[1][r]
 
-        def node_values(x):
-            fx, dx = evaluate(x)
+        def node_values(x, fx, dx):
             require(np.isfinite(fx) & np.isfinite(dx), QuadratureFailure,
                     lambda at: f"integrand not finite at table node {at} in "
                                f"[{lo}, {hi}]", x)
             return fx, dx
 
-        nodes = np.array([x0 - (x0 - lo) * i / n_lo for i in range(n_lo, 0, -1)]
-                         + [x0]
-                         + [x0 + (hi - x0) * i / n_hi for i in range(1, n_hi + 1)])
-        nodes[0], nodes[-1] = lo, hi
-        accepted = []
-        # overflow and NaN are not errors here: they fail the checks below
-        with np.errstate(all="ignore"):
-            fn, dn = node_values(nodes)
-            a, b, fa, da, fb, db = (nodes[:-1], nodes[1:], fn[:-1], dn[:-1],
-                                    fn[1:], dn[1:])
-            while True:
-                h = b - a
-                fx = evaluate(a[:, None] + h[:, None] * _HALF_POINTS)[0]
-                # elementwise sums, not `@`: BLAS would cost RSS for 5 terms
-                integral = ((fx[:, :5] * _GL_WEIGHTS).sum(axis=1)
-                            + (fx[:, 5:] * _GL_WEIGHTS).sum(axis=1)) * (0.25 * h)
-                # the quintic through F, h F' and h^2 F'' at both ends, as
-                # Horner coefficients of t^5 .. t^1 in t = (x - a) / h
-                m0, m1, k0, k1 = h * fa, h * fb, h * h * da, h * h * db
-                d, e, g = integral - m0 - 0.5 * k0, m1 - m0 - k0, k1 - k0
-                poly = (6.0 * d - 3.0 * e + 0.5 * g, -15.0 * d + 7.0 * e - g,
-                        10.0 * d - 4.0 * e + 0.5 * g, 0.5 * k0, m0)
-                # h times the quintic's slope at the ten Gauss points
-                slope = 5.0 * poly[0][:, None]
-                for power, c in zip((4.0, 3.0, 2.0, 1.0), poly[1:]):
-                    slope = slope * _HALF_POINTS + power * c[:, None]
-                # |quintic - F| <= h/2 max |quintic' - f| = miss/2: tol/2
-                miss = np.abs(slope - h[:, None] * fx).max(axis=1)
-                ok = miss <= _QUADRATURE_TOL  # False on NaN
-                accepted.append((a[ok], integral[ok], 1.0 / h[ok],
-                                 *(c[ok] for c in poly)))
-                if ok.all():
-                    break
-                # bisect the rest
-                a, b, fa, da, fb, db = (z[~ok] for z in (a, b, fa, da, fb, db))
-                mid = 0.5 * (a + b)
-                fm, dm = node_values(mid)
-                a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
-                fa, da = np.concatenate((fa, fm)), np.concatenate((da, dm))
-                fb, db = np.concatenate((fm, fb)), np.concatenate((dm, db))
-        columns = np.array([np.concatenate(z) for z in zip(*accepted)])
-        if len(accepted) > 1:  # bisected segments come last: order by node
-            columns = columns[:, np.argsort(columns[0])]
-        a, integrals = columns[0], columns[1]
-        xs = np.append(a, hi)
-        # distinct segments (np.unique would import numpy.ma: ~1 MB of RSS)
-        n_spots = min(_SPOT_CHECKS, len(a))
-        spots = len(a) * np.arange(n_spots) // n_spots
-        x0s, x1s = xs[spots], xs[spots + 1]
-        share = _QUADRATURE_TOL * (x1s - x0s) / total
-        check = adaptive_simpson(lambda x: evaluate(x)[0], x0s, x1s, share)
-        require(abs(check - integrals[spots]) <= share, QuadratureFailure,
-                lambda x0, x1, t, c: f"spot check on [{x0}, {x1}]: tabulated "
-                f"{t!r}, adaptive Simpson {c!r}", x0s, x1s, integrals[spots],
-                check)
-        # node values outward from x0; cumsum adds in order, one segment a step
-        i0 = int(xs.searchsorted(x0))
-        vals = np.empty(len(xs))
-        vals[i0:] = np.cumsum(np.concatenate(([0.0], integrals[i0:])))
-        vals[i0::-1] = np.cumsum(np.concatenate(([0.0], -integrals[:i0][::-1])))
-        # per segment: left node, 1 / width, Horner coefficients of t^5 .. t^0
-        self._segments = np.zeros((8, len(xs)))
-        self._segments[0], self._segments[7] = xs, vals
-        self._segments[1:7, :-1] = columns[2:]
-        #: the nodes and F at the nodes
-        self.xs, self.vals = self._segments[0], self._segments[7]
+        def quintics(a, b, fa, da, fb, db, fx):
+            """Whether each segment passes the slope check, and its columns:
+            a, integral, 1 / width, Horner coefficients of t^5 .. t^1 in
+            t = (x - a) / width.  Axes before fx's ten Gauss values: rows."""
+            h = b - a
+            # elementwise sums, not `@`: BLAS would cost RSS for 5 terms
+            integral = ((fx[..., :5, :] * weights).sum(axis=-2)
+                        + (fx[..., 5:, :] * weights).sum(axis=-2)) * (0.25 * h)
+            # the quintic through F, h F' and h^2 F'' at both ends
+            m0, m1, k0, k1 = h * fa, h * fb, h * h * da, h * h * db
+            d, e, g = integral - m0 - 0.5 * k0, m1 - m0 - k0, k1 - k0
+            poly = (6.0 * d - 3.0 * e + 0.5 * g, -15.0 * d + 7.0 * e - g,
+                    10.0 * d - 4.0 * e + 0.5 * g, 0.5 * k0, m0)
+            # h times the quintic's slope at the ten Gauss points, in place
+            slope = 5.0 * poly[0][..., None, :] * half
+            for power, c in zip((4.0, 3.0, 2.0, 1.0), poly[1:]):
+                slope += power * c[..., None, :]
+                if power > 1.0:
+                    slope *= half
+            # |quintic - F| <= h/2 max |quintic' - f| = miss/2: tol/2
+            slope -= h[..., None, :] * fx
+            miss = np.abs(slope, out=slope).max(axis=-2)
+            columns = np.empty((8, *miss.shape))
+            columns[0], columns[1], columns[2], columns[3:] = (
+                a, integral, 1.0 / h, poly)
+            return miss <= _QUADRATURE_TOL, columns  # False on NaN
+
+        def stage_rows(y):
+            """Build the stage's rows from their pairs y on the grid: each
+            row's nodes, segments and spot-check segments."""
+            fn, dn = (c[:, :len(nodes)] for c in y)
+            fx = y[0][:, len(nodes):].reshape(len(fn), len(half), -1)
+            first_pass = quintics(nodes[:-1], nodes[1:], fn[:, :-1], dn[:, :-1],
+                                  fn[:, 1:], dn[:, 1:], fx)
+            for j in range(len(fn)):
+                r = at[0] = len(built)
+                node_values(nodes, fn[j], dn[j])
+                a, b, fa, da, fb, db = (nodes[:-1], nodes[1:], fn[j, :-1],
+                                        dn[j, :-1], fn[j, 1:], dn[j, 1:])
+                ok, columns = first_pass[0][j], first_pass[1][:, j]
+                accepted = [columns[:, ok]]
+                while not ok.all():  # bisect the rest
+                    a, b, fa, da, fb, db = (z[~ok] for z in (a, b, fa, da, fb, db))
+                    mid = 0.5 * (a + b)
+                    fm, dm = node_values(mid, *evaluate(r, mid))
+                    a, b = np.concatenate((a, mid)), np.concatenate((mid, b))
+                    fa, da = np.concatenate((fa, fm)), np.concatenate((da, dm))
+                    fb, db = np.concatenate((fm, fb)), np.concatenate((dm, db))
+                    ok, columns = quintics(a, b, fa, da, fb, db, evaluate(
+                        r, a + (b - a) * half)[0])
+                    accepted.append(columns[:, ok])
+                columns = accepted[0]
+                if len(accepted) > 1:  # bisected segments come last
+                    columns = np.concatenate(accepted, axis=1)
+                    columns = columns[:, np.argsort(columns[0])]
+                xs, integrals = np.append(columns[0], hi), columns[1]
+                # node values outward from x0; cumsum adds in order
+                i0 = int(xs.searchsorted(x0))
+                segments = np.zeros((8, len(xs)))
+                segments[0], segments[1:7, :-1] = xs, columns[2:]
+                segments[7, i0:] = np.cumsum(
+                    np.concatenate(([0.0], integrals[i0:])))
+                segments[7, i0::-1] = np.cumsum(
+                    np.concatenate(([0.0], -integrals[:i0][::-1])))
+                # distinct segments (np.unique would import numpy.ma: 1 MB RSS)
+                spots = len(integrals) * np.arange(n_spots) // n_spots
+                built.append((xs, segments,
+                              (xs[spots], xs[spots + 1], integrals[spots])))
+
+        try:
+            if not total / _TABLE_SPACING <= _MAX_START_SEGMENTS:
+                raise QuadratureFailure(
+                    f"a range {total} wide would start the table on more than "
+                    f"{_MAX_START_SEGMENTS} segments {_TABLE_SPACING} wide")
+            n_lo = math.ceil((x0 - lo) / _TABLE_SPACING)
+            n_hi = math.ceil((hi - x0) / _TABLE_SPACING)
+            nodes = np.array(
+                [x0 - (x0 - lo) * i / n_lo for i in range(n_lo, 0, -1)] + [x0]
+                + [x0 + (hi - x0) * i / n_hi for i in range(1, n_hi + 1)])
+            nodes[0], nodes[-1] = lo, hi
+            n_spots = min(_SPOT_CHECKS, n_lo + n_hi)
+            # a segment's Gauss points down a column: inner loops run along
+            half = np.array(_HALF_POINTS)[:, None]
+            weights = np.array(_GL_WEIGHTS)[:, None]
+            # the starting grid, evaluated once a stage: nodes, Gauss points
+            gauss = nodes[:-1] + (nodes[1:] - nodes[:-1]) * half
+            grid = np.concatenate((nodes, gauss.ravel()))
+            for stage in range(1 if then is None else 2):
+                done = len(built)
+                # overflow and NaN are not errors here: they fail the checks
+                with np.errstate(all="ignore"):
+                    if not stage:
+                        y = f(grid)
+                    else:
+                        first = _union(built)
+                        if len(first[0]) > len(nodes):
+                            p = _read(*first, grid)
+                        else:  # unbisected: no search, the nodes' values
+                            p = np.concatenate((first[1][7], _horner(
+                                first[1][:, :, None, :-1], gauss).reshape(
+                                len(built), -1)), axis=1)
+                        y = then(grid, p, *y)
+                    stage_rows(y)
+                # the same share of each of the stage's rows, in one call
+                rows = range(done, len(built))
+                x0s, x1s, tabulated = map(np.array, zip(*(
+                    built[r][2] for r in rows)))
+                share = _QUADRATURE_TOL * (x1s - x0s) / total
+                one = slice(None) if self._rows else 0  # one row: a 1-D batch
+                check = np.reshape(adaptive_simpson(
+                    [lambda x, r=r: evaluate(r, x)[0] for r in rows][one],
+                    x0s[one], x1s[one], share[one]), x0s.shape)
+                for k, r in enumerate(rows):
+                    at[0] = r
+                    require(abs(check[k] - tabulated[k]) <= share[k],
+                            QuadratureFailure, lambda x0, x1, t, c:
+                            f"spot check on [{x0}, {x1}]: tabulated {t!r}, "
+                            f"adaptive Simpson {c!r}", x0s[k], x1s[k],
+                            tabulated[k], check[k])
+        except QuadratureFailure as exc:
+            raise QuadratureFailure(f"{names[at[0]]}: {exc}") from exc
+        #: the union of the rows' nodes, and each row's own
+        self.xs, self._segments = _union(built)
+        self.nodes = [xs for xs, *_ in built]
+
+    @property
+    def vals(self):
+        """F at the nodes `xs` (with rows, every row's)."""
+        return self(self.xs)
 
     def __call__(self, x):
-        """F at x, elementwise."""
+        """F at x, elementwise (with rows, every row's, stacked)."""
         lo, hi = self.xs[0], self.xs[-1]
         require((lo <= x) & (x <= hi), ValueError,
                 lambda at: f"x={at} outside tabulated range [{lo}, {hi}]", x)
-        return self.interpolate(x)
+        y = _read(self.xs, self._segments, x)
+        return y if self._rows else y[0]
 
-    def interpolate(self, x):
-        """F at x without the range check, for x known to lie in the range
-        (the table build's own reads)."""
-        i = self.xs.searchsorted(x, side="right") - 1
-        rows = self._segments  # gathered one row at a time
-        t = (x - rows[0][i]) * rows[1][i]
-        y = rows[2][i]
-        for row in rows[3:]:
-            y = y * t + row[i]
-        return y
+
+def _union(built) -> tuple:
+    """The union of the rows' nodes, and each row's segments on it: a union
+    segment is the row's segment that holds it."""
+    xs = built[0][0]
+    if any(len(nodes) != len(xs) or (nodes != xs).any() for nodes, *_ in built):
+        xs = np.sort(np.concatenate([nodes for nodes, *_ in built]))
+        xs = xs[np.append(True, xs[1:] != xs[:-1])]  # np.unique: numpy.ma, 1 MB
+    return xs, np.stack([seg if len(nodes) == len(xs) else
+                         seg[:, nodes.searchsorted(xs, side="right") - 1]
+                         for nodes, seg, _ in built], axis=1)
+
+
+def _read(xs, segments, x):
+    """Every row's F at x in [xs[0], xs[-1]]: one search and one gather."""
+    return _horner(segments.take(xs.searchsorted(x, side="right") - 1,
+                                 axis=2), x)
+
+
+def _horner(g, x):
+    """F at x from the segment columns g (left node, 1 / width, Horner
+    coefficients of t^5 .. t^0) of the segments holding x."""
+    t = (x - g[0]) * g[1]
+    y = g[2]
+    for c in g[3:]:
+        y = y * t + c
+    return y

@@ -429,6 +429,48 @@ def test_runaway_quadrature_stops_on_its_budget(workdir, capsys):
     assert "integrand evaluations" in err
 
 
+@pytest.mark.parametrize("command", ("analyze", "verify", "mesh"))
+@pytest.mark.parametrize("where", ("node", "spot"))
+@pytest.mark.parametrize("row", ("f1", "f2", "f3"))
+def test_quadrature_failure_names_its_row(workdir, capsys, monkeypatch,
+                                          command, where, row):
+    """A NaN in one row's integrand of the README helix's profile table,
+    at a node (v = 1.26, the last) or at a point only the spot check
+    evaluates (the midpoint of the first segment): every command exits 3
+    with one stderr line naming that row and the v-range."""
+    import heisgeo.families as families_module
+
+    table = families_module.CumulativeIntegral
+    k = ("f1", "f2", "f3").index(row)
+
+    def poisoned(f, x0, lo, hi, then, names):
+        n_lo = math.ceil((x0 - lo) / 1e-2)
+        bad = hi if where == "node" else 0.5 * (
+            lo + (x0 - (x0 - lo) * (n_lo - 1) / n_lo))
+        def poison(x, pair, j):
+            out = [np.array(c, dtype=float) for c in pair]
+            out[0][j] = np.where(x == bad, np.nan, out[0][j])
+            return out
+
+        def first(x):
+            return poison(x, f(x), k) if k < 2 else f(x)
+
+        def second(x, *args):
+            return poison(x, then(x, *args), 0) if k == 2 else then(x, *args)
+
+        return table(first, x0, lo, hi, second, names)
+
+    monkeypatch.setattr(families_module, "CumulativeIntegral", poisoned)
+    code = main([command, "--config", cfg_path(workdir, _sinusoidal_helix(1.0)),
+                 "--out", str(workdir / "out")])
+    assert code == EXIT_GEOMETRY_ERROR
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert f"profile table {row} on v in [-1.26, 1.26]: " in err
+    assert ("integrand not finite at table node 1.26" if where == "node"
+            else "adaptive Simpson hit max depth 40") in err
+
+
 def test_moderately_oscillating_eta_still_passes(workdir, capsys):
     # frequencies 50 and 200 fail the slope check on the starting
     # nodes; the tables bisect those segments within the budget

@@ -7,6 +7,7 @@ route before pinning.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -201,10 +202,11 @@ def test_constant_eta_is_the_linear_closed_form_at_zero_slope(causal, theta):
             assert getattr(closed, name)(v) == getattr(flat, name)(v)
 
 
-def test_profile_build_spot_checks_ten_segments_per_table(monkeypatch):
+def test_profile_build_spot_checks_ten_segments_per_row(monkeypatch):
     """The README profile needs no refinement: adaptive Simpson runs only
-    as the spot check, once per table, on one batch of ten segments (the
-    first of every 256 of 2,520)."""
+    as the spot check, once per stage of the profile's one table: rows f1
+    and f2 in one batch of 2 x 10 segments, then row f3's 10 (the first of
+    every 25 of a row's 252)."""
     from heisgeo import numeric
 
     batches = []
@@ -218,7 +220,7 @@ def test_profile_build_spot_checks_ten_segments_per_table(monkeypatch):
     build_profile(HelixProfile("timelike", 1.0, math.pi / 4.0, c=0.1,
                                eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0))),
                   (-1.26, 1.26))
-    assert batches == [(10,)] * 3
+    assert batches == [(2, 10), (1, 10)]
 
 
 @pytest.mark.parametrize("eta,expect_source,tol", [
@@ -310,7 +312,7 @@ def _sinusoidal_helix():
         eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0))))
 
 
-def test_quadrature_helix_jet_looks_up_each_table_once(monkeypatch):
+def test_quadrature_helix_jet_reads_the_table_once(monkeypatch):
     patch = _sinusoidal_helix()
     lookups = [0]
     lookup = CumulativeIntegral.__call__
@@ -324,38 +326,41 @@ def test_quadrature_helix_jet_looks_up_each_table_once(monkeypatch):
             for i in range(9) for j in range(9)]
     for u, v in grid:
         patch.jet(u, v)
-    # one lookup in each of the f1, f2 and f3 tables per jet call
-    assert lookups[0] == 3 * len(grid)
-    # and a batch of the whole grid is one call: three lookups in all
+    # one read of the profile's table (rows f1, f2 and f3) per jet call
+    assert lookups[0] == len(grid)
+    # and a batch of the whole grid is one call: one read in all
     lookups[0] = 0
     u, v = (np.array(c) for c in zip(*grid))
     patch.jet(u, v)
-    assert lookups[0] == 3
+    assert lookups[0] == 1
 
 
 def _between_node_gaps(pf):
-    """(table, x, gap) at the quarter, mid and three-quarter points of
-    every segment of the f1, f2 and f3 tables: the gap between the lookup
-    and the node value plus adaptive Simpson to 1e-16 from that node."""
+    """(row, x, gap) at the quarter, mid and three-quarter points of every
+    segment of each row (f1, f2 and f3) of the profile's table: the gap
+    between the lookup and the row's node value plus adaptive Simpson to
+    1e-16 from that node."""
     tau = pf.profile.tau
-    integrands = {
-        "f1": lambda x: pf.slopes(x)[0],
-        "f2": lambda x: pf.slopes(x)[1],
-        "f3": lambda x: tau * (pf.f1(x) * pf.slopes(x)[1]
-                               - pf.f2(x) * pf.slopes(x)[0]),
-    }
-    for name, f in integrands.items():
-        table = getattr(pf, name)
-        xs, vals = table.xs, table.vals
+
+    def f3_slope(x):
+        (p1, p2, _), (q1, q2) = pf(x), pf.slopes(x)[:2]
+        return tau * (p1 * q2 - p2 * q1)
+
+    table = pf.values
+    integrands = (lambda x: pf.slopes(x)[0], lambda x: pf.slopes(x)[1],
+                  f3_slope)
+    for r, (name, f) in enumerate(zip(("f1", "f2", "f3"), integrands)):
+        xs = table.nodes[r]
+        vals = table(xs)[r]
         for i in range(len(xs) - 1):
             for q in (0.25, 0.5, 0.75):
                 x = xs[i] + q * (xs[i + 1] - xs[i])
                 want = vals[i] + adaptive_simpson(f, xs[i], x, tol=1e-16)
-                yield name, x, abs(table(x) - want)
+                yield name, x, abs(table(x)[r] - want)
 
 
 def test_tables_between_nodes_match_adaptive_simpson():
-    """Between the nodes of the README helix's f1, f2 and f3 tables the
+    """Between the nodes of the README helix's rows f1, f2 and f3 the
     lookups agree with the node value plus adaptive Simpson to 1e-16 from
     that node: the quintic Hermite interpolant errs by about h^6/46080
     times the integrand's fifth derivative, far below 1e-13 for this slow
@@ -367,7 +372,7 @@ def test_tables_between_nodes_match_adaptive_simpson():
 
 @pytest.mark.parametrize("freq", (50.0, 200.0))
 def test_oscillating_tables_hold_the_bound_between_nodes(freq):
-    """eta = 0.3 sin(k v) on the README helix: the tables bisect their
+    """eta = 0.3 sin(k v) on the README helix: the rows bisect their
     segments until the 1e-10 bound holds between the nodes, not only at
     them (a cubic Hermite on 1e-3 nodes erred there by 4.2e-9 at
     k = 200, and a quintic checked only at each midpoint by 1.9e-9 at the
@@ -379,46 +384,113 @@ def test_oscillating_tables_hold_the_bound_between_nodes(freq):
         assert gap <= 1e-10, (name, x)
 
 
-def test_f3_build_reads_f1_and_f2_as_lookups(monkeypatch):
-    """The f3 table's integrand reads f1 and f2 through `interpolate`, not
-    through the counted `__call__`, in the build and in its spot check
-    alike; each read equals the `__call__` lookup at the same points bit
-    for bit."""
-    from heisgeo import numeric
+def test_f3_row_reads_f1_and_f2_in_one_joint_read(monkeypatch):
+    """Row f3's integrand reads rows f1 and f2 at its points with one joint
+    read of the first stage, not through the counted `__call__`: once on the
+    starting grid (253 nodes and ten Gauss points on each of 252 segments)
+    and once in the spot check's first level (5 x 10 points).  Each read
+    equals the finished table's `__call__` at the same points bit for bit."""
+    from heisgeo import families
 
-    reads, calls, spot = [], [0], [False]
-    interpolate, lookup = CumulativeIntegral.interpolate, CumulativeIntegral.__call__
-    simpson = numeric.adaptive_simpson
+    reads, calls = [], [0]
+    table, lookup = families.CumulativeIntegral, CumulativeIntegral.__call__
 
-    def recording(self, x):
-        y = interpolate(self, x)
-        reads.append((self, x, y, spot[0]))
-        return y
+    def recording(f, x0, lo, hi, then, names):
+        def second_stage(x, p, q, r):
+            reads.append((x, p))
+            return then(x, p, q, r)
+
+        return table(f, x0, lo, hi, second_stage, names)
 
     def counting(self, x):
         calls[0] += 1
         return lookup(self, x)
 
-    def spot_check(*args):
-        spot[0] = True
-        try:
-            return simpson(*args)
-        finally:
-            spot[0] = False
-
     with monkeypatch.context() as m:
-        m.setattr(CumulativeIntegral, "interpolate", recording)
+        m.setattr(families, "CumulativeIntegral", recording)
         m.setattr(CumulativeIntegral, "__call__", counting)
-        m.setattr(numeric, "adaptive_simpson", spot_check)
         pf = _sinusoidal_helix().profile_functions
         assert calls[0] == 0
-    tables = {id(pf.f1), id(pf.f2)}
-    assert {id(t) for t, _, _, _ in reads} == tables
-    # the spot check's first level reads each table once, at 5 x 10 points
-    assert sorted((id(t), np.shape(x)) for t, x, _, s in reads if s) == sorted(
-        (t, (50,)) for t in tables)
-    for table, x, y, _ in reads:
-        assert np.array_equal(table(x), y)
+    assert [np.shape(x) for x, _ in reads] == [(253 + 2520,), (50,)]
+    for x, p in reads:
+        assert np.array_equal(pf.values(x)[:2], p)
+
+
+def _one_row_tables(pf):
+    """f1, f2 and f3 as three one-row tables: f1 and f2 from their slopes,
+    f3 from an integrand that reads those two tables."""
+    lo, hi = pf.v_range
+    slopes, tau = pf.slopes, pf.profile.tau
+    f1 = CumulativeIntegral(lambda v: slopes(v)[0:4:2], pf.anchor, lo, hi)
+    f2 = CumulativeIntegral(lambda v: slopes(v)[1:4:2], pf.anchor, lo, hi)
+
+    def g3(v):
+        q1, q2, r1, r2 = slopes(v)[:4]
+        p1, p2 = f1(v), f2(v)
+        return tau * (p1 * q2 - p2 * q1), tau * (p1 * r2 - p2 * r1)
+
+    return f1, f2, CumulativeIntegral(g3, pf.anchor, lo, hi)
+
+
+@pytest.mark.parametrize("profile, bisects", [
+    (HelixProfile("timelike", 1.0, math.pi / 4.0, c=0.1,
+                  eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0))), False),
+    (HelixProfile("timelike", 1.0, math.pi / 4.0, c=0.1,
+                  eta=EtaSpec("sinusoidal", (0.3, 50.0, 0.0))), True),
+    (HelixProfile("timelike", 1.0, math.pi / 4.0, c=0.1,
+                  eta=EtaSpec("sinusoidal", (0.3, 200.0, 0.0))), True),
+    (HelixProfile("timelike", 1.0, 1.0, c=-0.5,
+                  eta=EtaSpec("polynomial", (0.0, -1.0, -6.0))), True),
+], ids=["readme", "k50", "k200", "steep"])
+def test_each_row_is_its_one_row_table_bit_for_bit(profile, bisects):
+    """Every row of the profile's table keeps the segments of a one-row
+    table of its integrand: equal values, bit for bit, at that table's
+    nodes and at 3 interior points of each of its segments, including
+    rows that bisect (k = 50, k = 200 and the steep profile)."""
+    pf = build_profile(profile, (-1.26, 1.26))
+    for r, one in enumerate(_one_row_tables(pf)):
+        xs = one.xs
+        x = np.concatenate([xs] + [xs[:-1] + q * np.diff(xs)
+                                   for q in (0.25, 0.5, 0.75)])
+        assert np.array_equal(pf.values.nodes[r], xs)
+        assert np.array_equal(pf.values(x)[r], one(x)), r
+    assert (len(pf.values.xs) > 253) == bisects
+
+
+# ROADMAP's steep polynomial helices, eta = a v + b v^2: two that build with
+# bisection, and one per kind of failure; a failure names its row and the
+# v-range.  The budget case runs with the budget lowered to 20,000
+# evaluations (it fails the same way at 400,000, in about 10 s).
+@pytest.mark.parametrize("causal, theta, c, a, b, budget, failure", [
+    ("timelike", 1.0, -0.5, -1.0, -6.0, None, None),
+    ("spacelike", 0.8, -0.5, -1.0, -4.0, None, None),
+    ("timelike", 1.0, -0.5, -1.0, -8.0, None, r"f2 on v in \[-1.26, 1.26\]: "
+     r"spot check on \[1.2162499999999998, 1.216875\]"),
+    ("spacelike", 0.8, -0.5, -1.0, -6.0, None,
+     r"f3 on v in \[-1.26, 1.26\]: adaptive Simpson hit max depth 40"),
+    ("timelike", 1.0, 0.1, -0.6, 8.0, 20_000, r"f3 on v in \[-1.26, 1.26\]: "
+     r"the table needs more than 20000 integrand evaluations"),
+], ids=["bisects_timelike", "bisects_spacelike", "f2_spot_check",
+        "f3_depth_40", "f3_budget"])
+def test_steep_profiles_build_or_name_the_failing_row(monkeypatch, causal,
+                                                      theta, c, a, b, budget,
+                                                      failure):
+    """Each case builds or fails within 5 s."""
+    from heisgeo import numeric
+    from heisgeo.errors import QuadratureFailure
+
+    if budget is not None:
+        monkeypatch.setattr(numeric, "_TABLE_EVAL_BUDGET", budget)
+    profile = HelixProfile(causal, 1.0, theta, c=c,
+                           eta=EtaSpec("polynomial", (0.0, a, b)))
+    start = time.perf_counter()
+    if failure is None:
+        pf = build_profile(profile, (-1.26, 1.26))
+        assert all(len(nodes) > 253 for nodes in pf.values.nodes[:2])
+    else:
+        with pytest.raises(QuadratureFailure, match="profile table " + failure):
+            build_profile(profile, (-1.26, 1.26))
+    assert time.perf_counter() - start < 5.0
 
 
 @pytest.mark.parametrize("index", range(9))
