@@ -190,9 +190,9 @@ class ProfileFunctions:
     """The profile triple (f1, f2, f3), with f1'^2 - f2'^2 = cosh(theta)^2
     (spacelike) or -cos(theta)^2 (timelike) and f3' = tau (f1 f2' - f2 f1').
     `values(v)` gives (f1, f2, f3) from one read: of the closed forms, or of
-    the profile's one table, whose rows are f1, f2 and f3; `f1`, `f2` and
-    `f3` read one each.  `slopes(v)` returns (f1', f2', f1'', f2'', f1''',
-    f2'''); `jet(v)` the values and three derivatives of all three.
+    the profile's one table, whose rows are f1, f2 and f3.  `slopes(v)`
+    returns (f1', f2', f1'', f2'', f1''', f2'''); `jet(v)` the values and
+    three derivatives of all three.
     Called on v, the profile returns (f1, f2, f3) there: at a float, an
     ndarray, or a Taylor value, lifted through the jet at its value."""
 
@@ -221,10 +221,6 @@ class ProfileFunctions:
             return tuple(self.values(v))
         j = self.jet(v.c[0])
         return tuple(v.lift(j[0::3], j[1::3], j[2::3]))
-
-
-for _i, _name in enumerate(("f1", "f2", "f3")):  # one row of `values` each
-    setattr(ProfileFunctions, _name, lambda self, v, i=_i: self.values(v)[i])
 
 
 def _slope_branch(profile: HelixProfile) -> tuple:
@@ -311,17 +307,17 @@ def build_profile(profile: HelixProfile,
     def f12(v):
         # rows f1 and f2: the pairs (f1', f1'') and (f2', f2'')
         q1, q2, r1, r2 = slopes(v)[:4]
-        return np.array((q1, q2)), np.array((r1, r2))
+        return (q1, r1), (q2, r2)
 
-    def f3(v, p, q, r):
+    def f3(v, p, pairs):
         # row f3: f3' and f3'' = tau*(f1 f2'' - f2 f1'') from the tabulated
         # f1, f2 and rows f1, f2's pairs at the f3 row's own points
-        return ((tau * (p[0] * q[1] - p[1] * q[0]))[None],
-                (tau * (p[0] * r[1] - p[1] * r[0]))[None])
+        (q1, r1), (q2, r2) = pairs
+        return [(tau * (p[0] * q2 - p[1] * q1), tau * (p[0] * r2 - p[1] * r1))]
 
-    table = CumulativeIntegral(f12, anchor, lo, hi, f3, [
+    table = CumulativeIntegral(f12, anchor, lo, hi, [
         f"profile table {name} on v in [{lo}, {hi}]"
-        for name in ("f1", "f2", "f3")])
+        for name in ("f1", "f2", "f3")], f3)
     return ProfileFunctions(profile, (lo, hi), anchor, "quadrature", table,
                             slopes)
 

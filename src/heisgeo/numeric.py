@@ -576,11 +576,11 @@ def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
 
 def adaptive_simpson(f: Callable[[float], float], a, b, tol=1e-10):
     """Integrate f over [a, b] with adaptive Simpson to absolute tolerance.
-    a, b and tol are floats, or equal-shape arrays (a batch) of shape (n,),
-    or (k, n) with f a sequence of k integrands, one per row of intervals.
-    Its first level is one call of each integrand on its row's 5 x n points
-    stacked, and an interval that does not settle there recurses on floats
-    through its row's integrand, as a float call would."""
+    a, b and tol are floats, or (a batch) equal-shape (k, n) arrays with f a
+    sequence of k integrands, one per row of intervals.  A batch's first
+    level is one call of each integrand on its row's 5 x n points stacked,
+    and an interval that does not settle there recurses on floats through
+    its row's integrand, as a float call would."""
     if not isinstance(a, np.ndarray):
         if a == b:
             return 0.0
@@ -588,21 +588,19 @@ def adaptive_simpson(f: Callable[[float], float], a, b, tol=1e-10):
         fm = f(0.5 * (a + b))
         whole = _simpson(fa, fm, fb, b - a)
         return _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, 0)
-    shape, fs = a.shape, (f if a.ndim > 1 else [f])
-    a, b = a.reshape(len(fs), -1), b.reshape(len(fs), -1)
-    tol = np.broadcast_to(tol, shape).reshape(a.shape)
+    tol = np.broadcast_to(tol, a.shape)
     m = 0.5 * (a + b)
     fa, fb, fm, fl, fr = np.stack([np.reshape(g(np.concatenate(
         (x0, x1, xm, 0.5 * (x0 + xm), 0.5 * (xm + x1)))), (5, -1))
-        for g, x0, x1, xm in zip(fs, a, b, m)], axis=1)
+        for g, x0, x1, xm in zip(f, a, b, m)], axis=1)
     whole = _simpson(fa, fm, fb, b - a)
     left, right = _simpson(fa, fl, fm, m - a), _simpson(fm, fr, fb, b - m)
     err = left + right - whole
     out = np.where(a == b, 0.0, left + right + err / 15.0)
     for i in np.flatnonzero(~(abs(err) <= 15.0 * tol) & (a != b)).tolist():
-        out.flat[i] = _simpson_recurse(fs[i // a.shape[1]], *(
+        out.flat[i] = _simpson_recurse(f[i // a.shape[1]], *(
             x.flat[i].item() for x in (a, b, fa, fm, fb, whole, tol)), 0)
-    return out.reshape(shape)
+    return out
 
 
 # module level for the same reason as _json_emit: no reference cycle per call
@@ -652,43 +650,40 @@ _SPOT_CHECKS = 10
 
 
 class CumulativeIntegral:
-    """Antiderivatives F(x) = int_{x0}^{x} f(t) dt on [lo, hi] of one
-    integrand or of several ("rows"), as quintic Hermite interpolation
-    between nodes chosen per row.
-    The integrand returns the pair (f, f') at a float, and elementwise at an
-    ndarray; F, F' = f and F'' = f' at the nodes fix one quintic per
-    segment.  Segments start `_TABLE_SPACING` apart and are integrated by
-    5-node Gauss-Legendre on each half.  The quintic meets the Gauss values
-    at both ends of a segment of width h, so between them it errs by at most
-    h/2 times its largest slope error, for which the ten Gauss points stand
-    in (the midpoint value alone misses the part of the error odd about the
-    midpoint).  Segments whose bound exceeds tol/2 (tol = `_QUADRATURE_TOL`)
-    are bisected, all at once, until every one passes.  That bounds each
-    interpolant, not the sum of the Gauss errors, so adaptive Simpson
-    integrates `_SPOT_CHECKS` segments of each row again, and a gap above a
-    segment's share tol * width / (hi - lo) raises `QuadratureFailure`; so
-    does a range of more than `_MAX_START_SEGMENTS` starting segments, or a
-    row's more than `_TABLE_EVAL_BUDGET` evaluations beyond the starting
-    grid.  Node values accumulate outward from x0.
-    With `names` (one per row, for its failures) f returns its rows' pairs
-    stacked, and `then(x, F, f, f')` a second stage's from the first's F and
-    pairs at x.  A stage evaluates the starting grid once and spot-checks
-    its rows in one batched call; each row keeps, bit for bit, the segments
-    of a one-row table.  The rows are stored on the union `xs` of their
-    nodes: a union segment keeps its row segment's left node, 1 / width and
-    Horner coefficients in t = (x - node) / width (the last node's is its
-    value alone), so a call, on x a float or an ndarray of any shape, reads
-    every row with one search and one gather."""
+    """Antiderivatives F(x) = int_{x0}^{x} f(t) dt on [lo, hi] of one or
+    more integrands ("rows", one of `names` each, which its failures
+    carry), as quintic Hermite interpolation between nodes chosen per row.
+    `f` returns a sequence with one pair (f, f') per row, at a float, and
+    elementwise at an ndarray; `then(x, F, pairs)`, if given, returns a
+    second stage's rows' pairs at x from the first stage's tabulated F
+    (every row's) and pairs there.  F, F' = f and F'' = f' at the nodes fix
+    one quintic per segment.  Segments start `_TABLE_SPACING` apart and are
+    integrated by 5-node Gauss-Legendre on each half.  The quintic meets
+    the Gauss values at both ends of a segment of width h, so between them
+    it errs by at most h/2 times its largest slope error, for which the ten
+    Gauss points stand in (the midpoint value alone misses the part of the
+    error odd about the midpoint).  Segments whose bound exceeds tol/2
+    (tol = `_QUADRATURE_TOL`) are bisected, all at once, until every one
+    passes.  That bounds each interpolant, not the sum of the Gauss errors,
+    so adaptive Simpson integrates `_SPOT_CHECKS` segments of each row
+    again (as many as the stage's row with the fewest has, if fewer), and
+    a gap above a segment's share tol * width / (hi - lo) raises
+    `QuadratureFailure`; so does a range of more than `_MAX_START_SEGMENTS`
+    starting segments, or a row's more than `_TABLE_EVAL_BUDGET`
+    evaluations beyond the starting grid.  Node values accumulate outward
+    from x0.
+    A stage evaluates the starting grid once, checks its rows' slopes in
+    one pass and spot-checks them in one batched call; each row keeps, bit
+    for bit, the segments of a one-row table.  The rows are stored on the
+    union `xs` of their nodes (`nodes`: each row's own): a union segment
+    keeps its row segment's left node, 1 / width and Horner coefficients in
+    t = (x - node) / width (the last node's is its value alone), so a call
+    reads every row with one search and one gather."""
 
     def __init__(self, f: Callable, x0: float, lo: float, hi: float,
-                 then: Optional[Callable] = None,
-                 names: Optional[Sequence[str]] = None):
+                 names: Sequence[str], then: Optional[Callable] = None):
         if not (lo <= x0 <= hi and lo < hi):
             raise ValueError("need lo <= x0 <= hi and lo < hi")
-        self._rows = names is not None
-        if not self._rows:  # one row: its pair takes a leading row axis
-            names = ["table"]
-            f = (lambda x, g=f: [np.asarray(c)[None] for c in g(x)])
         total = hi - lo
         # the starting grid is free: its nodes and ten Gauss points a segment
         left = [_TABLE_EVAL_BUDGET] * len(names)
@@ -703,9 +698,9 @@ class CumulativeIntegral:
                     f"integrand evaluations beyond its starting grid "
                     f"(reached x = {np.min(x)})")
             y = f(x)
-            if r >= len(y[0]):  # a second-stage row
-                r, y = r - len(y[0]), then(x, _read(*first, x), *y)
-            return y[0][r], y[1][r]
+            if r >= len(y):  # a second-stage row
+                r, y = r - len(y), then(x, _read(*first, x), y)
+            return y[r]
 
         def node_values(x, fx, dx):
             require(np.isfinite(fx) & np.isfinite(dx), QuadratureFailure,
@@ -742,9 +737,10 @@ class CumulativeIntegral:
 
         def stage_rows(y):
             """Build the stage's rows from their pairs y on the grid: each
-            row's nodes, segments and spot-check segments."""
-            fn, dn = (c[:, :len(nodes)] for c in y)
-            fx = y[0][:, len(nodes):].reshape(len(fn), len(half), -1)
+            row's nodes, segments and segment integrals."""
+            fy, dy = (np.array(c) for c in zip(*y))
+            fn, dn = fy[:, :len(nodes)], dy[:, :len(nodes)]
+            fx = fy[:, len(nodes):].reshape(len(fn), len(half), -1)
             first_pass = quintics(nodes[:-1], nodes[1:], fn[:, :-1], dn[:, :-1],
                                   fn[:, 1:], dn[:, 1:], fx)
             for j in range(len(fn)):
@@ -777,10 +773,7 @@ class CumulativeIntegral:
                     np.concatenate(([0.0], integrals[i0:])))
                 segments[7, i0::-1] = np.cumsum(
                     np.concatenate(([0.0], -integrals[:i0][::-1])))
-                # distinct segments (np.unique would import numpy.ma: 1 MB RSS)
-                spots = len(integrals) * np.arange(n_spots) // n_spots
-                built.append((xs, segments,
-                              (xs[spots], xs[spots + 1], integrals[spots])))
+                built.append((xs, segments, integrals))
 
         try:
             if not total / _TABLE_SPACING <= _MAX_START_SEGMENTS:
@@ -789,11 +782,10 @@ class CumulativeIntegral:
                     f"{_MAX_START_SEGMENTS} segments {_TABLE_SPACING} wide")
             n_lo = math.ceil((x0 - lo) / _TABLE_SPACING)
             n_hi = math.ceil((hi - x0) / _TABLE_SPACING)
-            nodes = np.array(
-                [x0 - (x0 - lo) * i / n_lo for i in range(n_lo, 0, -1)] + [x0]
-                + [x0 + (hi - x0) * i / n_hi for i in range(1, n_hi + 1)])
+            nodes = np.concatenate((
+                x0 - (x0 - lo) * np.arange(n_lo, 0, -1) / n_lo, [x0],
+                x0 + (hi - x0) * np.arange(1, n_hi + 1) / n_hi))
             nodes[0], nodes[-1] = lo, hi
-            n_spots = min(_SPOT_CHECKS, n_lo + n_hi)
             # a segment's Gauss points down a column: inner loops run along
             half = np.array(_HALF_POINTS)[:, None]
             weights = np.array(_GL_WEIGHTS)[:, None]
@@ -804,27 +796,31 @@ class CumulativeIntegral:
                 done = len(built)
                 # overflow and NaN are not errors here: they fail the checks
                 with np.errstate(all="ignore"):
-                    if not stage:
-                        y = f(grid)
-                    else:
+                    if stage:
                         first = _union(built)
                         if len(first[0]) > len(nodes):
                             p = _read(*first, grid)
-                        else:  # unbisected: no search, the nodes' values
+                        else:  # unbisected: the nodes' values, no search
                             p = np.concatenate((first[1][7], _horner(
                                 first[1][:, :, None, :-1], gauss).reshape(
                                 len(built), -1)), axis=1)
-                        y = then(grid, p, *y)
+                        y = then(grid, p, y)
+                    else:
+                        y = f(grid)
                     stage_rows(y)
-                # the same share of each of the stage's rows, in one call
+                # as many distinct segments of each of the stage's rows
+                # (np.unique would import numpy.ma: 1 MB RSS), in one call
                 rows = range(done, len(built))
-                x0s, x1s, tabulated = map(np.array, zip(*(
-                    built[r][2] for r in rows)))
+                n = min(_SPOT_CHECKS, *(len(built[r][2]) for r in rows))
+                spots = [(xs, integrals, len(integrals) * np.arange(n) // n)
+                         for xs, _, integrals in built[done:]]
+                x0s = np.array([xs[s] for xs, _, s in spots])
+                x1s = np.array([xs[s + 1] for xs, _, s in spots])
+                tabulated = np.array([integrals[s] for _, integrals, s in spots])
                 share = _QUADRATURE_TOL * (x1s - x0s) / total
-                one = slice(None) if self._rows else 0  # one row: a 1-D batch
-                check = np.reshape(adaptive_simpson(
-                    [lambda x, r=r: evaluate(r, x)[0] for r in rows][one],
-                    x0s[one], x1s[one], share[one]), x0s.shape)
+                check = adaptive_simpson(
+                    [lambda x, r=r: evaluate(r, x)[0] for r in rows],
+                    x0s, x1s, share)
                 for k, r in enumerate(rows):
                     at[0] = r
                     require(abs(check[k] - tabulated[k]) <= share[k],
@@ -834,40 +830,42 @@ class CumulativeIntegral:
                             tabulated[k], check[k])
         except QuadratureFailure as exc:
             raise QuadratureFailure(f"{names[at[0]]}: {exc}") from exc
-        #: the union of the rows' nodes, and each row's own
         self.xs, self._segments = _union(built)
         self.nodes = [xs for xs, *_ in built]
 
-    @property
-    def vals(self):
-        """F at the nodes `xs` (with rows, every row's)."""
-        return self(self.xs)
-
     def __call__(self, x):
-        """F at x, elementwise (with rows, every row's, stacked)."""
+        """Every row's F at x, elementwise: for an ndarray x, an array with
+        a leading row axis; for a float, a list of floats."""
         lo, hi = self.xs[0], self.xs[-1]
         require((lo <= x) & (x <= hi), ValueError,
                 lambda at: f"x={at} outside tabulated range [{lo}, {hi}]", x)
-        y = _read(self.xs, self._segments, x)
-        return y if self._rows else y[0]
+        return _read(self.xs, self._segments, x)
 
 
 def _union(built) -> tuple:
     """The union of the rows' nodes, and each row's segments on it: a union
-    segment is the row's segment that holds it."""
+    segment is the row's segment that holds it.  Rows that kept the same
+    nodes (none bisected) skip the sort and the searches: with the
+    unbisected read of the starting grid, that is about 3% of an analyze
+    plus mesh call (perfbench's profile sweep)."""
     xs = built[0][0]
     if any(len(nodes) != len(xs) or (nodes != xs).any() for nodes, *_ in built):
         xs = np.sort(np.concatenate([nodes for nodes, *_ in built]))
-        xs = xs[np.append(True, xs[1:] != xs[:-1])]  # np.unique: numpy.ma, 1 MB
-    return xs, np.stack([seg if len(nodes) == len(xs) else
-                         seg[:, nodes.searchsorted(xs, side="right") - 1]
-                         for nodes, seg, _ in built], axis=1)
+        xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]  # np.unique: 1 MB
+    # a row with as many nodes as the union has the union's nodes
+    return xs, np.stack([seg if len(nodes) == len(xs) else seg.take(
+        nodes.searchsorted(xs, side="right") - 1, axis=1)
+        for nodes, seg, _ in built], axis=1)
 
 
 def _read(xs, segments, x):
-    """Every row's F at x in [xs[0], xs[-1]]: one search and one gather."""
-    return _horner(segments.take(xs.searchsorted(x, side="right") - 1,
-                                 axis=2), x)
+    """Every row's F at x in [xs[0], xs[-1]]: one search and one gather.  At
+    a float, each row's F comes from Python floats (the same values): numpy
+    costs more per call than the arithmetic on so short an array."""
+    i = xs.searchsorted(x, side="right") - 1
+    if isinstance(x, np.ndarray):
+        return _horner(segments.take(i, axis=2), x)
+    return [_horner(c, float(x)) for c in segments[:, :, i].T.tolist()]
 
 
 def _horner(g, x):

@@ -443,13 +443,14 @@ def test_quadrature_failure_names_its_row(workdir, capsys, monkeypatch,
     table = families_module.CumulativeIntegral
     k = ("f1", "f2", "f3").index(row)
 
-    def poisoned(f, x0, lo, hi, then, names):
+    def poisoned(f, x0, lo, hi, names, then):
         n_lo = math.ceil((x0 - lo) / 1e-2)
         bad = hi if where == "node" else 0.5 * (
             lo + (x0 - (x0 - lo) * (n_lo - 1) / n_lo))
-        def poison(x, pair, j):
-            out = [np.array(c, dtype=float) for c in pair]
-            out[0][j] = np.where(x == bad, np.nan, out[0][j])
+
+        def poison(x, pairs, j):
+            out = [list(pair) for pair in pairs]
+            out[j][0] = np.where(x == bad, np.nan, out[j][0])
             return out
 
         def first(x):
@@ -458,7 +459,7 @@ def test_quadrature_failure_names_its_row(workdir, capsys, monkeypatch,
         def second(x, *args):
             return poison(x, then(x, *args), 0) if k == 2 else then(x, *args)
 
-        return table(first, x0, lo, hi, second, names)
+        return table(first, x0, lo, hi, names, second)
 
     monkeypatch.setattr(families_module, "CumulativeIntegral", poisoned)
     code = main([command, "--config", cfg_path(workdir, _sinusoidal_helix(1.0)),

@@ -132,9 +132,10 @@ def test_constant_eta_profile_is_linear_in_v():
     k1 = SQRT2 * math.cosh(s)
     k2 = SQRT2 * math.sinh(s)
     for v in (-0.8, 0.0, 0.6):
-        assert pf.f1(v) == pytest.approx(k1 * v, abs=1e-14)
-        assert pf.f2(v) == pytest.approx(k2 * v, abs=1e-14)
-        assert pf.f3(v) == 0.0
+        f1, f2, f3 = pf(v)
+        assert f1 == pytest.approx(k1 * v, abs=1e-14)
+        assert f2 == pytest.approx(k2 * v, abs=1e-14)
+        assert f3 == 0.0
 
 
 def test_profile_anchor_selection():
@@ -142,7 +143,7 @@ def test_profile_anchor_selection():
                         eta=EtaSpec("linear", (0.0, 1.0)))
     pf = build_profile(prof, (0.5, 1.5))
     assert pf.anchor == 0.5
-    assert pf.f1(0.5) == 0.0 and pf.f2(0.5) == 0.0 and pf.f3(0.5) == 0.0
+    assert pf(0.5) == (0.0, 0.0, 0.0)
     pf0 = build_profile(prof, (-1.0, 1.0))
     assert pf0.anchor == 0.0
 
@@ -159,9 +160,7 @@ def test_linear_eta_closed_form_vs_quadrature(causal, theta):
     assert closed.source == "closed-form"
     assert quad.source == "quadrature"
     for v in [-0.9 + 0.2 * i for i in range(10)]:
-        assert closed.f1(v) == pytest.approx(quad.f1(v), abs=1e-9)
-        assert closed.f2(v) == pytest.approx(quad.f2(v), abs=1e-9)
-        assert closed.f3(v) == pytest.approx(quad.f3(v), abs=1e-9)
+        assert closed(v) == pytest.approx(quad(v), abs=1e-9)
 
 
 @pytest.mark.parametrize("c1", [1e-4, 1e-6, 1e-8, 0.0])
@@ -178,8 +177,8 @@ def test_linear_eta_closed_form_keeps_its_digits_at_small_slope(causal, theta,
     quad = build_profile(prof, (-1.0, 1.0), force_quadrature=True)
     assert closed.source == "closed-form"
     for v in [-0.95 + 0.1 * i for i in range(20)]:
-        for name in ("f1", "f2", "f3"):
-            assert abs(getattr(closed, name)(v) - getattr(quad, name)(v)) <= 1e-11
+        for i in range(3):
+            assert abs(closed(v)[i] - quad(v)[i]) <= 1e-11, i
 
 
 @pytest.mark.parametrize("causal,theta", [
@@ -196,10 +195,10 @@ def test_constant_eta_is_the_linear_closed_form_at_zero_slope(causal, theta):
                          (-1.0, 1.0))
     assert (closed.source, quad.source) == ("closed-form", "quadrature")
     for v in [-0.95 + 0.1 * i for i in range(20)]:
-        assert closed.f3(v) == 0.0
-        for name in ("f1", "f2", "f3"):
-            assert abs(getattr(closed, name)(v) - getattr(quad, name)(v)) <= 1e-11
-            assert getattr(closed, name)(v) == getattr(flat, name)(v)
+        assert closed(v)[2] == 0.0
+        assert closed(v) == flat(v)
+        for i in range(3):
+            assert abs(closed(v)[i] - quad(v)[i]) <= 1e-11, i
 
 
 def test_profile_build_spot_checks_ten_segments_per_row(monkeypatch):
@@ -302,7 +301,7 @@ def test_profile_derivative_reads_agree_with_jet(eta):
         for i in range(11):
             v = -1.2 + 0.24 * i
             values = pf.jet(v)
-            assert values[:3] == (pf.f1(v), pf.f2(v), pf.f3(v))
+            assert values[:3] == pf(v)
             assert values[3:5] + values[6:8] + values[9:11] == pf.slopes(v)
 
 
@@ -395,12 +394,12 @@ def test_f3_row_reads_f1_and_f2_in_one_joint_read(monkeypatch):
     reads, calls = [], [0]
     table, lookup = families.CumulativeIntegral, CumulativeIntegral.__call__
 
-    def recording(f, x0, lo, hi, then, names):
-        def second_stage(x, p, q, r):
+    def recording(f, x0, lo, hi, names, then):
+        def second_stage(x, p, pairs):
             reads.append((x, p))
-            return then(x, p, q, r)
+            return then(x, p, pairs)
 
-        return table(f, x0, lo, hi, second_stage, names)
+        return table(f, x0, lo, hi, names, second_stage)
 
     def counting(self, x):
         calls[0] += 1
@@ -421,15 +420,19 @@ def _one_row_tables(pf):
     f3 from an integrand that reads those two tables."""
     lo, hi = pf.v_range
     slopes, tau = pf.slopes, pf.profile.tau
-    f1 = CumulativeIntegral(lambda v: slopes(v)[0:4:2], pf.anchor, lo, hi)
-    f2 = CumulativeIntegral(lambda v: slopes(v)[1:4:2], pf.anchor, lo, hi)
+
+    def table(name, f):
+        return CumulativeIntegral(lambda v: [f(v)], pf.anchor, lo, hi, [name])
+
+    f1 = table("f1", lambda v: slopes(v)[0:4:2])
+    f2 = table("f2", lambda v: slopes(v)[1:4:2])
 
     def g3(v):
         q1, q2, r1, r2 = slopes(v)[:4]
-        p1, p2 = f1(v), f2(v)
+        p1, p2 = f1(v)[0], f2(v)[0]
         return tau * (p1 * q2 - p2 * q1), tau * (p1 * r2 - p2 * r1)
 
-    return f1, f2, CumulativeIntegral(g3, pf.anchor, lo, hi)
+    return f1, f2, table("f3", g3)
 
 
 @pytest.mark.parametrize("profile, bisects", [
@@ -453,7 +456,7 @@ def test_each_row_is_its_one_row_table_bit_for_bit(profile, bisects):
         x = np.concatenate([xs] + [xs[:-1] + q * np.diff(xs)
                                    for q in (0.25, 0.5, 0.75)])
         assert np.array_equal(pf.values.nodes[r], xs)
-        assert np.array_equal(pf.values(x)[r], one(x)), r
+        assert np.array_equal(pf.values(x)[r], one(x)[0]), r
     assert (len(pf.values.xs) > 253) == bisects
 
 

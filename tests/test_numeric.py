@@ -154,15 +154,16 @@ def _horner(coeffs):
 @example(coeffs=[1.0, -2.0, 0.5, 3.0, -1.0, 2.0],
          intervals=[(-2.0, 2.0), (0.5, 0.0), (1.0, 0.5)], tol=1e-11)
 def test_batched_simpson_is_the_float_calls(coeffs, intervals, tol):
-    """adaptive_simpson on arrays of intervals gives, bit for bit, its float
-    calls on each interval, where a first level that does not settle
-    recurses on floats."""
-    f = _horner(coeffs)
-    a = np.array([x for x, _ in intervals])
+    """adaptive_simpson on rows of intervals, one integrand a row, gives,
+    bit for bit, its float calls on each interval through that row's
+    integrand, where a first level that does not settle recurses on
+    floats."""
+    fs = [_horner(coeffs), _horner(coeffs[::-1])]
+    a = np.array([[x for x, _ in intervals]] * 2)
     b = a + np.array([w for _, w in intervals])
-    got = adaptive_simpson(f, a, b, tol)
-    want = [adaptive_simpson(f, x0, x1, tol)
-            for x0, x1 in zip(a.tolist(), b.tolist())]
+    got = adaptive_simpson(fs, a, b, tol)
+    want = [[adaptive_simpson(f, x0, x1, tol)
+             for x0, x1 in zip(a[0].tolist(), b[0].tolist())] for f in fs]
     assert got.tobytes() == np.array(want).tobytes()
 
 
@@ -204,6 +205,11 @@ def _cos50(x):
     return lib.cos(50.0 * x), -50.0 * lib.sin(50.0 * x)
 
 
+def _table(f, x0, lo, hi):
+    """A one-row table of the integrand f."""
+    return CumulativeIntegral(lambda x: [f(x)], x0, lo, hi, ["table"])
+
+
 def _between_nodes(xs, fractions=(0.25, 0.5, 0.75)):
     """The points at `fractions` of every table segment."""
     return np.concatenate([xs[:-1] + q * np.diff(xs) for q in fractions])
@@ -212,10 +218,11 @@ def _between_nodes(xs, fractions=(0.25, 0.5, 0.75)):
 @pytest.mark.parametrize("x0, lo, hi", [(0.0, -1.26, 1.26), (0.5, 0.5, 3.0),
                                         (0.3, -1.0, 0.3)])
 def test_table_matches_exact_antiderivative(x0, lo, hi):
-    table = CumulativeIntegral(_exp, x0, lo, hi)
-    assert table(x0) == 0.0
+    table = _table(_exp, x0, lo, hi)
+    assert table(x0) == [0.0]
     for x in [lo + (hi - lo) * i / 100 for i in range(100)] + [hi]:
-        assert table(x) == pytest.approx(math.exp(x) - math.exp(x0), abs=1e-10)
+        assert table(x)[0] == pytest.approx(math.exp(x) - math.exp(x0),
+                                            abs=1e-10)
 
 
 def _count_spot_checks(monkeypatch) -> list:
@@ -235,11 +242,11 @@ def test_flagged_segments_are_refined(monkeypatch):
     segments are bisected until the quintic holds the bound between the
     nodes too (a cubic Hermite on 1e-3 nodes errs there by about 3e-10)."""
     batches = _count_spot_checks(monkeypatch)
-    table = CumulativeIntegral(_cos50, 0.0, -1.26, 1.26)
-    assert batches == [(10,)]  # the spot check only, as one batch
+    table = _table(_cos50, 0.0, -1.26, 1.26)
+    assert batches == [(1, 10)]  # the spot check only, as one batch
     assert len(table.xs) > 253  # more nodes than the 1e-2 start
     x = np.concatenate([table.xs, _between_nodes(table.xs)])
-    assert np.abs(table(x) - np.sin(50.0 * x) / 50.0).max() <= 1e-10
+    assert np.abs(table(x)[0] - np.sin(50.0 * x) / 50.0).max() <= 1e-10
 
 
 def test_bound_holds_where_the_error_is_odd_about_the_midpoint():
@@ -256,18 +263,31 @@ def test_bound_holds_where_the_error_is_odd_about_the_midpoint():
         return (np.exp(x) * (np.cos(400.0 * x) + 400.0 * np.sin(400.0 * x))
                 / (1.0 + 400.0 ** 2))
 
-    table = CumulativeIntegral(f, 0.0, -1.26, 1.26)
+    table = _table(f, 0.0, -1.26, 1.26)
     x = np.concatenate([table.xs, _between_nodes(
         table.xs, [i / 16.0 for i in range(1, 16)])])
     want = antiderivative(x) - antiderivative(0.0)
-    assert np.abs(table(x) - want).max() <= 1e-10
+    assert np.abs(table(x)[0] - want).max() <= 1e-10
 
 
 def test_smooth_table_needs_only_the_spot_check(monkeypatch):
     batches = _count_spot_checks(monkeypatch)
-    table = CumulativeIntegral(_exp, 0.0, -1.26, 1.26)
+    table = _table(_exp, 0.0, -1.26, 1.26)
     assert len(table.xs) == 253  # no segment of the 1e-2 start bisected
-    assert batches == [(10,)]  # ten segments spread over the 252, one batch
+    assert batches == [(1, 10)]  # ten segments spread over the 252, one batch
+
+
+def test_narrow_range_spot_checks_the_segments_it_accepted(monkeypatch):
+    """On a range of 5 starting segments cos(50 x) bisects to more than
+    10, and its row is spot-checked on 10 of them.  Rows checked in one
+    batch take the same number of segments each: e^x, which does not
+    bisect, holds a pair with cos(50 x) to 5."""
+    batches = _count_spot_checks(monkeypatch)
+    assert len(_table(_cos50, 0.0, 0.0, 0.05).xs) > 11
+    assert len(_table(_exp, 0.0, 0.0, 0.05).xs) == 6
+    CumulativeIntegral(lambda x: [_cos50(x), _exp(x)], 0.0, 0.0, 0.05,
+                       ["cos", "exp"])
+    assert batches == [(1, 10), (1, 5), (2, 5)]
 
 
 def test_spot_check_catches_a_perturbed_weight(monkeypatch):
@@ -279,27 +299,27 @@ def test_spot_check_catches_a_perturbed_weight(monkeypatch):
     weights[2] *= 1.0 + 1e-9
     monkeypatch.setattr(numeric, "_GL_WEIGHTS", tuple(weights))
     with pytest.raises(QuadratureFailure, match="spot check"):
-        CumulativeIntegral(_exp, 0.0, -1.26, 1.26)
+        _table(_exp, 0.0, -1.26, 1.26)
 
 
 def test_array_lookup_is_the_float_lookup():
     """A lookup on an array (a batch of samples) gives bit for bit the
     lookups of its entries; out-of-range entries raise."""
-    table = CumulativeIntegral(_exp, 0.0, -1.26, 1.26)
+    table = _table(_exp, 0.0, -1.26, 1.26)
     xs = table.xs
     x = np.array([xs[0], xs[200] + 0.3 * (xs[201] - xs[200]), 0.0, xs[-1]])
-    got = table(x)
+    got = table(x)[0]
     for i in range(len(x)):
-        assert got[i] == table(float(x[i]))
-    assert got[-1] == table.vals[-1]
+        assert got[i] == table(float(x[i]))[0]
+    assert got[-1] == table(xs)[0][-1]
     with pytest.raises(ValueError, match="outside tabulated range"):
         table(np.array([0.0, 1.3]))
 
 
 def test_refinement_budget_stops_a_runaway_integrand():
     with pytest.raises(QuadratureFailure, match="integrand evaluations"):
-        CumulativeIntegral(lambda x: (np.sin(1e6 * x), 1e6 * np.cos(1e6 * x)),
-                           0.0, -1.26, 1.26)
+        _table(lambda x: (np.sin(1e6 * x), 1e6 * np.cos(1e6 * x)),
+               0.0, -1.26, 1.26)
 
 
 # ---- truncated Taylor series ----
@@ -426,7 +446,7 @@ def _step(x):
     (lambda: json_dumps(object()), TypeError, "unsupported type"),
     (lambda: adaptive_simpson(_step, 0.0, 1.0, tol=1e-300), QuadratureFailure,
      "max depth 40"),
-    (lambda: CumulativeIntegral(lambda x: (x, 1.0), 2.0, 0.0, 1.0), ValueError,
+    (lambda: _table(lambda x: (x, 1.0), 2.0, 0.0, 1.0), ValueError,
      "lo <= x0 <= hi"),
 ), ids=("fmt_bool", "json_nan", "json_null_and_bools", "json_empty_list",
         "json_empty_dict", "json_object", "simpson_max_depth",
