@@ -36,8 +36,8 @@ import numpy as np
 
 from .errors import (DegeneratePlane, SingularConformalFactor, SingularMetric,
                      UnsupportedKappa)
-from .numeric import (Taylor, Vec3, as_vec3, bilinear3, derivative, lincomb3,
-                      require, sub3)
+from .numeric import (_INDEX, Taylor, Vec3, as_vec3, bilinear3, derivative,
+                      lincomb3, require, sub3)
 
 # conformal denominator treated as singular below this magnitude
 _CONFORMAL_TOL = 1e-12
@@ -110,10 +110,13 @@ def metric_matrix(space: SpaceParams, p) -> tuple[Vec3, Vec3, Vec3]:
     inv2 = 1.0 / (d * d)
     wx = tau * y / d  # omega(d/dx)
     wy = -tau * x / d  # omega(d/dy)
+    # delta * wx * wy is (delta * wx) * wy: each product once, same bits
+    dwx, dwy = delta * wx, delta * wy
+    dwxy = dwx * wy
     return (
-        (inv2 + delta * wx * wx, delta * wx * wy, delta * wx),
-        (delta * wx * wy, -delta * inv2 + delta * wy * wy, delta * wy),
-        (delta * wx, delta * wy, delta),
+        (inv2 + dwx * wx, dwxy, dwx),
+        (dwxy, -delta * inv2 + dwy * wy, dwy),
+        (dwx, dwy, delta),
     )
 
 
@@ -265,23 +268,24 @@ def _lowered(d: np.ndarray, k: int = 0) -> np.ndarray:
     return 0.5 * (d + np.swapaxes(d, k, k + 1) - np.moveaxis(d, k, k + 2))
 
 
+#: the rows of the monomials x_a x_i, (a, i) a-major, of a Taylor value in x, y, z
+_SECOND_PARTIALS = [_INDEX[3][tuple((a, i).count(k) for k in range(3))]
+                    for a in range(3) for i in range(3)]
+
+
 def _connection(space: SpaceParams, p: Vec3) -> tuple:
     """(g^-1, dg, ddg, Gamma) at p, with dg[i, j, l] = d_i g_jl and
     ddg[a, i, j, l] = d_a d_i g_jl: the coefficients of `metric_matrix`
     at p as an order-2 Taylor value in (x, y, z), from one call."""
     batch = np.broadcast_shapes(*map(np.shape, p))
-    # the nine entries on one leading batch axis
-    entries = Taylor.stack([c for row in metric_matrix(
-        space, Taylor.variables(p, 2)) for c in row])
-
-    def parts(*axes) -> np.ndarray:  # [derivative, row, column, *batch]
-        return np.array([derivative(entries, *a) for a in axes]).reshape(
-            len(axes), 3, 3, *batch)
-
-    g = np.moveaxis(parts(())[0], (0, 1), (-2, -1))
-    dg = parts((0,), (1,), (2,))
-    ddg = parts(*[(a, i) for a in range(3) for i in range(3)]).reshape(
-        3, 3, 3, 3, *batch)
+    # the nine entries on one axis: [coefficient, row, column, *batch]
+    c = Taylor.stack([c for row in metric_matrix(
+        space, Taylor.variables(p, 2)) for c in row]).c.reshape(-1, 3, 3, *batch)
+    g = np.moveaxis(c[0], (0, 1), (-2, -1))
+    dg = c[1:4]  # the first-degree monomials: d_x, d_y, d_z
+    ddg = c[_SECOND_PARTIALS]
+    ddg[::4] *= 2.0  # the coefficient of x_a^2 is half of d_a d_a g
+    ddg = ddg.reshape(3, 3, 3, 3, *batch)
     det = np.linalg.det(g)
     require(abs(det) >= 1e-14, SingularMetric,
             lambda x, y, z, d: f"metric matrix singular at {(x, y, z)} "
@@ -309,10 +313,10 @@ def _riemann(ginv, dg, ddg, gamma) -> np.ndarray:
               - np.einsum("kl...,alm...,mij...->akij...", ginv, dg, gamma))
     # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik
     #           + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik,
-    # the last term being the third with i and j swapped
+    # the last term being the third with i and j swapped, and the first two
+    # dgamma[a, k, i, j] = d_a Gamma^k_ij with its axes moved
     gg = np.einsum("lim...,mjk...->lijk...", gamma, gamma)
-    return (np.einsum("iljk...->lijk...", dgamma)
-            - np.einsum("jlik...->lijk...", dgamma)
+    return (np.swapaxes(dgamma, 0, 1) - np.moveaxis(dgamma, 0, 2)
             + gg - np.swapaxes(gg, 1, 2))
 
 

@@ -7,8 +7,9 @@ Three-vectors are plain tuples of three components.  A component is a float
 for one point, or a 1-D ndarray for a batch of points: every geometry
 function takes (u, v) as floats or as equal-length 1-D arrays and returns the
 same kind, so a grid is evaluated in one call.  The batch helpers below
-(`select`, `finite`, `require`, `quiet`) are where the two kinds differ; they
-also take `Taylor` values, which carry derivatives through the same formulas.
+(`select`, `finite`, `require`, `quiet`) are where the two kinds differ;
+`finite` and `require` also take `Taylor` values, which carry derivatives
+through the same formulas.
 """
 
 from __future__ import annotations
@@ -91,12 +92,9 @@ def _json_emit(o, depth: int) -> str:
 
 def select(cond, a, b):
     """`a` where cond holds, else `b`: a plain conditional for one point,
-    `np.where` for a batch (coefficient by coefficient on Taylor values)."""
+    `np.where` for a batch."""
     if not isinstance(cond, np.ndarray):
         return a if cond else b
-    if isinstance(a, Taylor) or isinstance(b, Taylor):
-        ab = Taylor.stack((a, b))
-        return Taylor(np.where(cond, ab.c[:, 0], ab.c[:, 1]), ab.order, ab.nvar)
     return np.where(cond, a, b)
 
 
@@ -164,14 +162,13 @@ def scale3(s: float, a: Vec3) -> Vec3:
 
 
 def lincomb3(terms: Sequence[tuple[float, Vec3]]) -> Vec3:
-    x = y = z = 0.0
+    """Sum of s * a over the (s, a) of `terms` (one or more), from the first."""
+    out = None
     for s, a in terms:
-        if type(s) is float and s == 1.0:  # 1.0 * a is a, bit for bit
-            s = a
-        else:
-            s = (s * a[0], s * a[1], s * a[2])
-        x, y, z = x + s[0], y + s[1], z + s[2]
-    return (x, y, z)
+        # 1.0 * a is a, bit for bit
+        t = a if type(s) is float and s == 1.0 else (s * a[0], s * a[1], s * a[2])
+        out = t if out is None else (out[0] + t[0], out[1] + t[1], out[2] + t[2])
+    return out
 
 
 def as_vec3(v) -> Vec3:
@@ -195,11 +192,13 @@ def bilinear3(g, v: Vec3, w: Vec3) -> float:
 
 
 def solve2(a11: float, a12: float, a21: float, a22: float,
-           b1: float, b2: float) -> tuple[float, float]:
-    """Solve a 2x2 linear system by Cramer's rule."""
+           *rhs: tuple[float, float]) -> list[tuple[float, float]]:
+    """Solve a 2x2 linear system by Cramer's rule for each right-hand side
+    (b1, b2) of `rhs`, with one determinant."""
     det = a11 * a22 - a12 * a21
     require(det != 0.0, ZeroDivisionError, lambda: "singular 2x2 system")
-    return ((b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det)
+    return [((b1 * a22 - b2 * a12) / det, (a11 * b2 - a21 * b1) / det)
+            for b1, b2 in rhs]
 
 
 # ---- truncated Taylor series ----
@@ -475,14 +474,6 @@ def truncated(x, order: int):
         t.c[:_SIZE[t.nvar][order]], order, t.nvar, t.axis), x)
 
 
-def partial(x, *axes):
-    """x differentiated along `axes` (one entry per derivative): a Taylor
-    value that many orders lower; a number is a constant, with partials 0."""
-    if type(x) is not Taylor:
-        return 0.0 if axes else x
-    return x.partial(*axes) if axes else x
-
-
 def derivative(x, *axes):
     """The value of the partial of x along `axes` (one entry per
     derivative); a number is a constant, with partials 0."""
@@ -510,11 +501,7 @@ def stacked(*xs) -> list:
 # lists, not generators, feed the tuples below: CPython resizes a tuple built
 # from a generator, and it then parks in its size's free list (2,000 a size)
 def _split(x, shape: tuple) -> list:
-    """A value stacked over `shape` on its last axis, one per shape[0]; a
-    dataclass is split field by field (its fields are its __dict__)."""
-    if dataclasses.is_dataclass(x):
-        return [type(x)(*parts)
-                for parts in _split(list(vars(x).values()), shape)]
+    """A value stacked over `shape` on its last axis, one per shape[0]."""
     if isinstance(x, (tuple, list)):
         return list(zip(*[_split(c, shape) for c in x]))
     if np.ndim(x) == 0:

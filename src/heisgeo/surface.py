@@ -32,10 +32,9 @@ from .ambient import SpaceParams
 from .errors import (DegenerateAdaptedFrame, DegenerateInducedMetric,
                      DegenerateNormal, NonFiniteJet, OutOfDomain,
                      UnsupportedKappa)
-from .numeric import (FLOAT_FORMAT, Taylor, Vec3, _stencil, as_vec3,
-                      derivative, finite, json_dumps, lincomb3, partial,
-                      quiet, require, scale3, select, solve2, stacked, sub3,
-                      truncated, value)
+from .numeric import (FLOAT_FORMAT, Taylor, Vec3, as_vec3, derivative,
+                      finite, json_dumps, lincomb3, quiet, require, scale3,
+                      select, solve2, stacked, sub3, truncated, value)
 
 # |det I| below this is treated as a degenerate (null) patch
 _DEGENERATE_DET_TOL = 1e-10
@@ -120,13 +119,19 @@ class SurfacePatch:
         overflow = functools.partial(NonFiniteJet, family=self.family)
         require(finite(*point), overflow, lambda: f"jet of {self.name} (family "
                 f"{self.family}) is not finite", at=at)
-        if order == 3:
-            vecs = [tuple([partial(c, *axes) for c in point]) for axes in fields]
+        if order == 3:  # the point, then each partial of its three stacked
+            taylor = [type(c) is Taylor for c in point]  # a number's are 0.0
+            rows = Taylor.stack(point) if any(taylor) else None
+            vecs = [point] + [tuple([
+                Taylor(d.c[:, k], d.order, d.nvar) if t else 0.0
+                for k, t in enumerate(taylor)]) for d in [
+                rows and rows.partial(*axes) for axes in fields[1:]]]
         else:  # values: coefficient a times a!, floats for a sample
             n = len(fields)
             cols = [(c.c[:n].T * _FACTORIALS[:n]).T if isinstance(c, Taylor)
                     else [c] + [0.0] * (n - 1) for c in point]
-            vecs = [tuple([np.broadcast_to(np.asarray(col[i], dtype=float),
+            vecs = [tuple([col[i] if np.shape(col[i]) == u.shape else
+                           np.broadcast_to(np.asarray(col[i], dtype=float),
                                            u.shape) for col in cols]) if batch
                     else as_vec3([col[i] for col in cols]) for i in range(n)]
         return PatchJet(*vecs, *[None] * (6 - len(vecs)))
@@ -336,19 +341,13 @@ class ShapeOperator2x2:
         return ((self.s11, self.s12), (self.s21, self.s22))
 
 
-def _tangent_coefficients(space: SpaceParams, s: _Sample, wf: Vec3) -> tuple[float, float]:
-    """Coefficients (c_u, c_v) with w = c_u Fu + c_v Fv, for tangent w
-    given in frame components."""
-    rhs1 = ambient.frame_metric(space, wf, s.a)
-    rhs2 = ambient.frame_metric(space, wf, s.b)
-    form = s.form
-    return solve2(form.e, form.f, form.f, form.g, rhs1, rhs2)
-
-
-def _project_tangent(space: SpaceParams, s: _Sample, wf: Vec3) -> Vec3:
-    """Remove the normal component of a frame-components vector."""
-    coeff = s.eps * ambient.frame_metric(space, wf, s.n)
-    return sub3(wf, scale3(coeff, s.n))
+def _tangent_coefficients(space: SpaceParams, form: FirstFundamentalForm,
+                          a: Vec3, b: Vec3, *wfs: Vec3) -> list:
+    """Coefficients (c_u, c_v) with w = c_u Fu + c_v Fv for each tangent w of
+    `wfs` in frame components (a, b: those of Fu, Fv): one 2x2 solve."""
+    return solve2(form.e, form.f, form.f, form.g,
+                  *[(ambient.frame_metric(space, wf, a),
+                     ambient.frame_metric(space, wf, b)) for wf in wfs])
 
 
 def _weingarten_shape(patch: SurfacePatch, u, v
@@ -356,24 +355,27 @@ def _weingarten_shape(patch: SurfacePatch, u, v
     """Shape-operator matrix in the coordinate basis by the Weingarten route:
     S(Fu), S(Fv) from central differences of the normal field plus ambient
     connection corrections: the independent cross-check of the second-form
-    route.  The samples at (u, v) and at the four offsets are one batch."""
+    route.  The samples at (u, v) and at the four offsets (+-h in u, then
+    in v) are one batch, offset-major, read by slicing."""
     space = patch.space
-    h = np.full(np.shape(u), _WEINGARTEN_STEP)
-
-    def samples(du, dv):
-        uu, vv, au, av = stacked(u + du, v + dv, u, v)  # guards name (u, v)
-        return _sample(patch, uu, vv, (au, av))
-
-    s, up, um, vp, vm = _stencil(samples, h, (0.0, 1.0, -1.0, 0.0, 0.0),
-                                 (0.0, 0.0, 0.0, 1.0, -1.0))
+    h = _WEINGARTEN_STEP
+    uu, vv, au, av = stacked(np.add.outer((0.0, h, -h, 0.0, 0.0), u),
+                             np.add.outer((0.0, 0.0, 0.0, h, -h), v), u, v)
+    s = _sample(patch, uu, vv, (au, av))  # guards name (u, v)
+    shape = (5,) + np.shape(u)  # the centre, then each offset
+    a, b = ([np.reshape(c, shape)[0] for c in x] for x in (s.a, s.b))
+    e, f, g, eps = (np.reshape(x, shape)[0]
+                    for x in (s.form.e, s.form.f, s.form.g, s.eps))
+    n, up, um, vp, vm = zip(*[np.reshape(c, shape) for c in s.n])
     columns = []
-    for x, plus, minus in ((s.a, up, um), (s.b, vp, vm)):
-        dn = tuple((p - m) / (2.0 * h) for p, m in zip(plus.n, minus.n))
-        cov = lincomb3([(1.0, dn),
-                        (1.0, ambient.frame_connection_correction(space, x, s.n))])
-        columns.append(_tangent_coefficients(
-            space, s, _project_tangent(space, s, scale3(-1.0, cov))))
-    return tuple(zip(*columns))
+    for x, plus, minus in ((a, up, um), (b, vp, vm)):
+        dn = tuple((p - m) / (2.0 * h) for p, m in zip(plus, minus))
+        w = scale3(-1.0, lincomb3(
+            [(1.0, dn), (1.0, ambient.frame_connection_correction(space, x, n))]))
+        # the tangent part: less the normal component
+        columns.append(sub3(w, scale3(eps * ambient.frame_metric(space, w, n), n)))
+    return tuple(zip(*_tangent_coefficients(
+        space, FirstFundamentalForm(e, f, g), a, b, *columns)))
 
 
 def _second_form(space: SpaceParams, s: _Sample
@@ -416,18 +418,20 @@ def _second_form_shape(space: SpaceParams, s: _Sample
     I S(d_j) = eps h(., d_j)."""
     (h11, h12), (_, h22) = _second_form(space, s)
     form, e = s.form, s.eps
-    c1 = solve2(form.e, form.f, form.f, form.g, e * h11, e * h12)
-    c2 = solve2(form.e, form.f, form.f, form.g, e * h12, e * h22)
+    e12 = e * h12
+    c1, c2 = solve2(form.e, form.f, form.f, form.g, (e * h11, e12), (e12, e * h22))
     return ((c1[0], c2[0]), (c1[1], c2[1]))
 
 
-def _adapted_frame(space: SpaceParams, s: _Sample
+def _adapted_frame(space: SpaceParams, s: _Sample, t_frame: Optional[Vec3] = None,
+                   jt_frame: Optional[Vec3] = None
                    ) -> tuple[tuple[float, float], tuple[float, float], float]:
-    """Coordinate coefficients of the adapted vectors T and JT, and g(T,T)."""
-    t_frame = s.t_frame
-    return (_tangent_coefficients(space, s, t_frame),
-            _tangent_coefficients(
-                space, s, ambient.wedge_frame(space, s.n, t_frame)),
+    """Coordinate coefficients of the adapted vectors T and JT, and g(T,T),
+    from the frame components of T and JT (taken from `s` if not given)."""
+    if t_frame is None:
+        t_frame = s.t_frame
+        jt_frame = ambient.wedge_frame(space, s.n, t_frame)
+    return (*_tangent_coefficients(space, s.form, s.a, s.b, t_frame, jt_frame),
             ambient.frame_metric(space, t_frame, t_frame))
 
 
@@ -598,8 +602,13 @@ class GeometryReport:
         }
 
     def to_csv(self) -> str:
-        return "\n".join([self.CSV_HEADER] + [
-            self.CSV_ROW % r for r in zip(*self.columns[:11])]) + "\n"
+        # `CSV_ROW`'s bytes, each distinct value of a column formatted once;
+        # 0.0 and -0.0 share a dict key but not a string, so zeros skip it
+        cols = []
+        for fmt, col in zip(self.CSV_ROW.split(","), self.columns[:11]):
+            memo = {x: fmt % x for x in set(col)}
+            cols.append([memo[x] if x else fmt % x for x in col])
+        return "\n".join([self.CSV_HEADER] + [",".join(r) for r in zip(*cols)]) + "\n"
 
     def to_json(self) -> str:
         return json_dumps(self.summary())

@@ -32,8 +32,8 @@ from . import ambient
 from .ambient import SpaceParams
 from .errors import (DegeneratePlane, NonFiniteResidual, NotAHelixPatch,
                      UnsupportedKappa)
-from .numeric import (Taylor, Vec3, bilinear3, derivative, directional_diffs,
-                      lincomb3, quiet, require, select, value)
+from .numeric import (Taylor, Vec3, bilinear3, directional_diffs, lincomb3,
+                      quiet, require, value)
 from .surface import (FirstFundamentalForm, SurfacePatch, _adapted_entries,
                       _adapted_frame, _extrinsic_k, _require_adapted, _sample,
                       _second_form_shape, _weingarten_shape, gaussian_curvature,
@@ -188,27 +188,32 @@ class _Evaluation:
         space = patch.space
         s = _sample(patch, u, v, order=1)
         m = _second_form_shape(space, s)
-        frame = _adapted_frame(space, s)
-        adapted = a11, a12, a21, a22 = _adapted_entries(frame, m)
-        (t1, t2), (j1, j2), g_tt = frame
-        r = np.sqrt(abs(g_tt))
         t_frame = s.t_frame
         jt_frame = ambient.wedge_frame(space, s.n, t_frame)
-        # g(T,T) = -1 - nu^2 on delta = -1 patches: JT is the spacelike one
-        t_first = g_tt > 0.0
-        # T / r and JT / r: coordinate coefficients, then ambient components
-        units = (t1, t2, *t_frame), (j1, j2, *jt_frame)
-        f1, f2 = ([select(t_first, x, y) / r for x, y in zip(*pair)]
-                  for pair in (units, units[::-1]))
-        entries = [select(t_first, x, y)
-                   for x, y in zip((a11, a12, a22), (a22, a21, a11))]
-        fields = (*m[0], *m[1], s.form.e, s.form.f, s.form.g, a22, *entries,
-                  *f1[2:])
-        rows = Taylor.stack(fields)
-        self.partials = np.array([derivative(rows, 0), derivative(rows, 1)])
-        self.s, self.m, self.frame, self.adapted, self.entries = value(
-            (s, m, frame, adapted, entries))
-        self.dirs, self.amb = value(((f1[:2], f2[:2]), (f1[2:], f2[2:])))
+        frame = (t1, t2), (j1, j2), g_tt = _adapted_frame(space, s, t_frame,
+                                                           jt_frame)
+        # rows: T's coordinate coefficients and frame components (0-4), JT's
+        # (5-9), the adapted entries a11, a12, a21, a22 (10-13), S, e, f, g
+        stack = Taylor.stack((t1, t2, *t_frame, j1, j2, *jt_frame,
+                              *_adapted_entries(frame, m), *m[0], *m[1],
+                              s.form.e, s.form.f, s.form.g))
+        rows = stack.c
+        # g(T,T) = -1 - nu^2 on delta = -1 patches: JT is the spacelike one.
+        # picked: F1, F2 = (T, JT) or (JT, T), then the parallel entries (S11,
+        # S12, S22) = (a11, a12, a22) or (a22, a21, a11); units: F1, F2 / r
+        picked = np.where(g_tt > 0.0, rows[:, [*range(12), 13]],
+                          rows[:, [*range(5, 10), *range(5), 13, 12, 10]])
+        r = np.sqrt(abs(g_tt))
+        units = (Taylor(picked[:, :10], stack.order, stack.nvar)
+                 / Taylor(r.c[:, None], r.order, r.nvar)).c
+        self.partials = np.concatenate((rows[1:3, 14:21], rows[1:3, 13:14],
+                                        picked[1:3, 10:], units[1:3, 2:5]), 1)
+        self.s, self.m, self.frame = value((s, m, frame))
+        # copies of the values, so that the stacked rows are freed
+        self.adapted = tuple(rows[0, 10:14].copy())
+        self.entries = picked[0, 10:].copy()
+        f = units[0].copy()  # F1's coefficients and components, then F2's
+        self.dirs, self.amb = (f[:2], f[5:7]), (f[2:5], f[7:])
 
 
 def _grid_evaluation(patch: SurfacePatch, grid: tuple[int, int]) -> _Evaluation:
@@ -524,24 +529,30 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
         bilinear3(g, frame[:, :, None], frame[:, None])
         - np.diag(expected_diag)[..., None]), tolerances))
 
-    # bracket relations by Taylor derivatives of the frame fields
-    fields = [ambient.frame_field(space, i) for i in (1, 2, 3)]
-    p = tuple(q[:10] for q in pts)
+    def picking(onehot):  # the field of the frame vectors one-hot columns pick
+        return lambda q: lincomb3(list(zip(onehot, ambient.frame_at(space, q).vectors())))
+
+    # bracket relations by Taylor derivatives of the frame fields: [E_i, E_j]
+    # = D_{E_i} E_j - D_{E_j} E_i, the six D at the first 10 points in one
+    # batch, E_i read from the orthonormality check's frame
+    i, j = np.array(((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))).T - 1
+    d = ambient.directional_fd(
+        picking(np.repeat(np.eye(3)[j], 10, axis=0).T),
+        tuple(np.tile(q[:10], 6) for q in pts), frame[:, i, :10].reshape(3, -1))
+    # [component, pair, D_{E_i} E_j or D_{E_j} E_i, point]
+    d = np.reshape(np.broadcast_arrays(*d), (3, 3, 2, 10))
     checks.append(_check("ambient.bracket", gaps(
-        [*ambient.commutator_fd(fields[0], fields[1], p),
-         *ambient.commutator_fd(fields[0], fields[2], p),
-         *ambient.commutator_fd(fields[1], fields[2], p)],
+        np.swapaxes(d[:, :, 0] - d[:, :, 1], 0, 1).reshape(9, 10),
         [0.0, 0.0, 2.0 * tau] + [0.0] * 6), tolerances))
 
-    # connection table vs the algebraic covariant-derivative correction
+    # connection table vs the algebraic covariant-derivative correction, the
+    # nine entries (i, j) as one-hot columns of one batch
     table = ambient.connection_table(space)
-    basis = {1: (1.0, 0.0, 0.0), 2: (0.0, 1.0, 0.0), 3: (0.0, 0.0, 1.0)}
-    got, want = [], []
-    for (i, j), w in table.items():
-        got += ambient.frame_connection_correction(space, basis[i], basis[j])
-        want += w
-    checks.append(_check("ambient.connection_table", gaps(got, want),
-                         tolerances))
+    basis = np.eye(3)
+    i, j = np.array(list(table)).T - 1
+    checks.append(_check("ambient.connection_table", gaps(
+        np.transpose(ambient.frame_connection_correction(
+            space, basis[i].T, basis[j].T)), list(table.values())), tolerances))
 
     # one coordinate-path connection serves the connection, curvature and
     # wedge checks: at the first 15 points, then at the wedge check's 50
@@ -556,11 +567,8 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     # orthonormality check's frame, and the field of each entry the one-hot
     # combination of the frame fields that picks E_j
     gam = conn[3][..., :15]
-    i, j = np.array(list(table)).T - 1
     x, wv = (frame[:, k, :15] for k in (i, j))  # [component, entry, point]
-    onehot = np.eye(3)[j].T[..., None]
-    dw = ambient.directional_fd(lambda q: lincomb3(list(zip(
-        onehot, ambient.frame_at(space, q).vectors()))), p, x)
+    dw = ambient.directional_fd(picking(basis[j].T[..., None]), p, x)
     # Gamma^k_lm x^l w^m summed over (l, m) in l-major, m-minor order
     terms = gam[:, :, :, None] * x[:, None] * wv  # [k, l, m, entry, point]
     lm_sum = sum(np.moveaxis(terms.reshape(3, 9, 9, 15), 1, 0))
@@ -569,13 +577,13 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     checks.append(_check("ambient.connection_fd", gaps(
         got, np.array(list(table.values()))[..., None]), tolerances))
 
-    # curvature closed formula vs the literal table on all frame triples
-    got, want = [], []
-    for (i, j, k), w in curvature_table(space).items():
-        got += ambient.curvature_frame(space, basis[i], basis[j], basis[k])
-        want += w
-    checks.append(_check("ambient.curvature_table", gaps(got, want),
-                         tolerances))
+    # curvature closed formula vs the literal table on all frame triples,
+    # as one-hot columns of one batch
+    triples = curvature_table(space)
+    checks.append(_check("ambient.curvature_table", gaps(
+        np.transpose(ambient.curvature_frame(
+            space, *basis[np.array(list(triples)).T - 1].swapaxes(1, 2))),
+        list(triples.values())), tolerances))
 
     # closed formula vs trilinear table expansion on random triples
     checks.append(_check("ambient.curvature_formula_agreement", gaps(
@@ -607,7 +615,9 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     box = 0.15 / max(1.0, abs(tau))
     # reject ill-conditioned planes, whose small area denominator amplifies
     # rounding in the curvature numerator; the first 20 accepted are used
-    planes = np.empty((9, 0))  # rows: the components of p, v and w
+    # rows: the components of p, v and w, the companion metric's rows at p,
+    # and its forms g(v, v), g(w, w), g(v, w), which the curvature reuses
+    planes = np.empty((21, 0))
     for _ in range(_PLANE_ATTEMPTS // _PLANE_CHUNK):
         p, v, w = _draws(rng, _PLANE_CHUNK, (box, box, 1.0), _UNIT, _UNIT)
         g = ambient.metric_matrix(sibling, p)
@@ -615,15 +625,20 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
                             bilinear3(g, v, w))
         keep = np.flatnonzero(abs(m_vv * m_ww - m_vw * m_vw) >= 0.2 * np.maximum(
             np.maximum(abs(m_vv * m_ww), m_vw * m_vw), 1e-12))
-        planes = np.concatenate((planes, np.array([*p, *v, *w])[:, keep]), axis=1)
+        planes = np.concatenate((planes, np.array(np.broadcast_arrays(
+            *p, *v, *w, *g[0], *g[1], *g[2], m_vv, m_ww, m_vw))[:, keep]), axis=1)
         if planes.shape[1] >= 20:
             break
     if not planes.size:  # no spread to measure: not a verdict on the curvature
         raise DegeneratePlane(
             f"ambient.sectional_constancy: no well-conditioned tangent plane "
             f"in {_PLANE_ATTEMPTS} random attempts")
-    values = ambient.sectional_curvature(
-        sibling, *(tuple(q) for q in np.split(planes[:, :20], 3)), method="fd")
+    # sectional_curvature(..., "fd") without its degeneracy guard, which the
+    # filter implies unless g(v, v) g(w, w) and g(v, w)^2 are below 5e-10
+    p, v, w, *g = (tuple(planes[k:k + 3, :20]) for k in range(0, 18, 3))
+    m_vv, m_ww, m_vw = planes[18:, :20]
+    values = (bilinear3(g, ambient.curvature_fd(sibling, p, v, w, w), v)
+              / (m_vv * m_ww - m_vw * m_vw))
     checks.append(_check("ambient.sectional_constancy",
                          np.max(values) - np.min(values), tolerances))
 

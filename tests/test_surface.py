@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heisgeo import cli
+from heisgeo import ambient, cli
 from heisgeo.ambient import SpaceParams, metric_eval
 from heisgeo.errors import (
     DegenerateInducedMetric,
@@ -49,6 +49,7 @@ from heisgeo.surface import (
     unit_normal,
     _weingarten_shape,
 )
+import heisgeo.verify as verify_module
 from heisgeo.verify import check_shape_operator_routes, default_family_matrix
 
 ASINH1 = math.asinh(1.0)
@@ -258,6 +259,44 @@ def test_route_gap_detects_a_second_form_sign_error(monkeypatch):
     assert not check_shape_operator_routes(patch).passed
 
 
+def weingarten_by_offset(patch, u, v):
+    """The Weingarten route as first written: one sample per stencil
+    offset, the covariant derivative of the normal summed from 0.0, its
+    normal part removed, then one 2x2 solve per column."""
+    space = patch.space
+    h = np.full(np.shape(u), surface_module._WEINGARTEN_STEP)
+    s, up, um, vp, vm = [surface_module._sample(patch, u + du * h, v + dv * h)
+                         for du, dv in ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0),
+                                        (0.0, 1.0), (0.0, -1.0))]
+    e, f, g = s.form.e, s.form.f, s.form.g
+    columns = []
+    for x, plus, minus in ((s.a, up, um), (s.b, vp, vm)):
+        corr = ambient.frame_connection_correction(space, x, s.n)
+        w = [-1.0 * (0.0 + (p - m) / (2.0 * h) + c)
+             for p, m, c in zip(plus.n, minus.n, corr)]
+        coeff = s.eps * ambient.frame_metric(space, w, s.n)
+        w = [wi - coeff * ni for wi, ni in zip(w, s.n)]
+        r1, r2 = (ambient.frame_metric(space, w, y) for y in (s.a, s.b))
+        det = e * g - f * f
+        columns.append(((r1 * g - r2 * f) / det, (e * r2 - f * r1) / det))
+    return tuple(zip(*columns))
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_weingarten_route_is_its_per_offset_twin(index):
+    """The route check's Weingarten route reads its one stencil batch by
+    slicing: bit for bit the route of one sample per offset, on the route
+    grid and at one point."""
+    patch = (default_family_matrix() + [readme_helix()])[index]
+    for u, v in (verify_module._interior_batch(patch, verify_module._ROUTE_GRID),
+                 (0.1, -0.2)):
+        got, want = _weingarten_shape(patch, u, v), weingarten_by_offset(patch, u, v)
+        for i, j in itertools.product(range(2), range(2)):
+            assert np.shape(got[i][j]) == np.shape(u)
+            assert (np.asarray(got[i][j]).tobytes()
+                    == np.asarray(want[i][j]).tobytes())
+
+
 def test_shape_operator_rejects_unknown_basis():
     patch = spacelike_helix()
     with pytest.raises(ValueError):
@@ -379,6 +418,22 @@ def test_report_rows_and_obj_lines_are_fmt_float_text(rows):
             [fmt_float(x) for x in xs[:3]])
         assert [fmt_float(x) for x in xs] == ["%.*g" % (FLOAT_DIGITS, x)
                                               for x in xs]
+
+
+def test_csv_formats_each_distinct_value_once_keeping_signed_zeros():
+    """to_csv formats each distinct value of a column once: columns that
+    hold 0.0, -0.0 and repeated values, and real reports, give the bytes
+    of the row template, with -0.0 written "-0" where it stands."""
+    col = [0.0, -0.0, 0.25, 0.25, -0.0, 0.0, 1e-300, 0.25]
+    columns = tuple([list(col)] * 6 + [[1, -1, 1, 1, -1, 1, -1, 1]]
+                    + [col[::-1]] * 4 + [[0.0] * 8] * 3)
+    reports = [GeometryReport("p", None, "coordinate", (2, 4), columns)] + [
+        geometry_report(patch, 12, 12)
+        for patch in (make_cmc_cylinder(-1, "timelike", 1.0), readme_helix())]
+    for report in reports:
+        assert report.to_csv() == "\n".join([GeometryReport.CSV_HEADER] + [
+            GeometryReport.CSV_ROW % r for r in zip(*report.columns[:11])]) + "\n"
+    assert reports[0].to_csv().splitlines()[2].startswith("-0,-0,-0,")
 
 
 def readme_helix() -> SurfacePatch:

@@ -24,7 +24,7 @@ from heisgeo.families import (
     profile_residuals,
 )
 from heisgeo import numeric
-from heisgeo.numeric import bilinear3, fmt_float, select, value
+from heisgeo.numeric import bilinear3, fmt_float, value
 import heisgeo.surface as surface_module
 import heisgeo.verify as verify_module
 from heisgeo.surface import (
@@ -344,14 +344,15 @@ NAN_CHECK = {"gauss": "gauss.extrinsic_vs_intrinsic",
 
 @pytest.mark.parametrize("suite", sorted(NAN_CHECK))
 def test_nan_residual_never_passes(monkeypatch, suite):
-    """S is NaN at grid point 9 (a constant NaN on an order-1 sample):
+    """S is NaN at grid point 9 (its value, on an order-1 sample):
     the suite must raise NonFiniteResidual naming the check and the sample,
     never report pass or fail."""
     second_form_shape = surface_module._second_form_shape
 
     def nan_at_one_point(space, s):
         (s11, s12), (s21, s22) = second_form_shape(space, s)
-        s11 = select(np.arange(np.size(value(s11))) == 9, np.nan, s11)
+        # NaN added to the value at point 9 (of an order-1 sample too)
+        s11 = s11 + np.where(np.arange(np.size(value(s11))) == 9, np.nan, 0.0)
         return (s11, s12), (s21, s22)
 
     monkeypatch.setattr(surface_module, "_second_form_shape", nan_at_one_point)
@@ -604,6 +605,42 @@ def test_connection_fd_batch_matches_the_per_entry_loop(monkeypatch, delta,
         loop += [abs(g - w) for g, w in
                  zip(ambient.to_frame_components(space, p, cov), want)]
     assert batched.tobytes() == np.concatenate(loop).tobytes()
+
+
+@pytest.mark.parametrize("tau", (0.3, 1.0, 5.0))
+@pytest.mark.parametrize("delta", (1, -1))
+def test_frame_table_checks_match_per_entry_float_calls(monkeypatch, delta,
+                                                        tau):
+    """The bracket, connection_table and curvature_table checks, one batch
+    each, give bit for bit the residuals of the public calls on floats, one
+    per entry: `commutator_fd` of the frame fields at each of the first 10
+    points, `frame_connection_correction` and `curvature_frame` on the
+    frame basis vectors."""
+    space = SpaceParams(delta=delta, tau=tau)
+    residuals, _ = recorded_ambient_suite(monkeypatch, space)
+    pts, = verify_module._draws(random.Random(DEFAULT_SEED),
+                                verify_module._AMBIENT_POINTS,
+                                (verify_module._POINT_BOX,) * 3)
+    field = {i: ambient.frame_field(space, i) for i in (1, 2, 3)}
+    bracket = [[abs(g - w) for g, w in zip(ambient.commutator_fd(
+        field[i], field[j], tuple(q[k].item() for q in pts)), want)]
+        for (i, j), want in (((1, 2), (0.0, 0.0, 2.0 * tau)),
+                             ((1, 3), (0.0,) * 3), ((2, 3), (0.0,) * 3))
+        for k in range(10)]  # [pair, point, component]
+    basis = {1: (1.0, 0.0, 0.0), 2: (0.0, 1.0, 0.0), 3: (0.0, 0.0, 1.0)}
+    loops = {
+        "ambient.bracket": np.array(bracket).reshape(3, 10, 3).swapaxes(1, 2),
+        "ambient.connection_table": [
+            abs(g - w) for (i, j), want in ambient.connection_table(space).items()
+            for g, w in zip(ambient.frame_connection_correction(
+                space, basis[i], basis[j]), want)],
+        "ambient.curvature_table": [
+            abs(g - w) for (i, j, k), want in curvature_table(space).items()
+            for g, w in zip(curvature_frame(
+                space, basis[i], basis[j], basis[k]), want)]}
+    for check_id, loop in loops.items():
+        assert (residuals[check_id].tobytes()
+                == np.ravel(np.array(loop, dtype=float)).tobytes()), check_id
 
 
 @settings(max_examples=50, deadline=None)
