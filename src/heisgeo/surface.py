@@ -423,15 +423,12 @@ def _second_form_shape(space: SpaceParams, s: _Sample
     return ((c1[0], c2[0]), (c1[1], c2[1]))
 
 
-def _adapted_frame(space: SpaceParams, s: _Sample, t_frame: Optional[Vec3] = None,
-                   jt_frame: Optional[Vec3] = None
+def _adapted_frame(space: SpaceParams, s: _Sample
                    ) -> tuple[tuple[float, float], tuple[float, float], float]:
-    """Coordinate coefficients of the adapted vectors T and JT, and g(T,T),
-    from the frame components of T and JT (taken from `s` if not given)."""
-    if t_frame is None:
-        t_frame = s.t_frame
-        jt_frame = ambient.wedge_frame(space, s.n, t_frame)
-    return (*_tangent_coefficients(space, s.form, s.a, s.b, t_frame, jt_frame),
+    """Coordinate coefficients of the adapted vectors T and JT, and g(T,T)."""
+    t_frame = s.t_frame
+    return (*_tangent_coefficients(space, s.form, s.a, s.b, t_frame,
+                                   ambient.wedge_frame(space, s.n, t_frame)),
             ambient.frame_metric(space, t_frame, t_frame))
 
 

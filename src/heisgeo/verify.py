@@ -35,9 +35,10 @@ from .errors import (DegeneratePlane, NonFiniteResidual, NotAHelixPatch,
 from .numeric import (Taylor, Vec3, bilinear3, directional_diffs, lincomb3,
                       quiet, require, value)
 from .surface import (FirstFundamentalForm, SurfacePatch, _adapted_entries,
-                      _adapted_frame, _extrinsic_k, _require_adapted, _sample,
-                      _second_form_shape, _weingarten_shape, gaussian_curvature,
-                      grid_batch, shape_operator)
+                      _extrinsic_k, _require_adapted, _sample,
+                      _second_form_shape, _tangent_coefficients,
+                      _weingarten_shape, gaussian_curvature, grid_batch,
+                      shape_operator)
 
 DEFAULT_SEED = 1729
 
@@ -190,8 +191,10 @@ class _Evaluation:
         m = _second_form_shape(space, s)
         t_frame = s.t_frame
         jt_frame = ambient.wedge_frame(space, s.n, t_frame)
-        frame = (t1, t2), (j1, j2), g_tt = _adapted_frame(space, s, t_frame,
-                                                           jt_frame)
+        # _adapted_frame, on T and JT taken once
+        frame = (t1, t2), (j1, j2), g_tt = (
+            *_tangent_coefficients(space, s.form, s.a, s.b, t_frame, jt_frame),
+            ambient.frame_metric(space, t_frame, t_frame))
         # rows: T's coordinate coefficients and frame components (0-4), JT's
         # (5-9), the adapted entries a11, a12, a21, a22 (10-13), S, e, f, g
         stack = Taylor.stack((t1, t2, *t_frame, j1, j2, *jt_frame,
@@ -615,9 +618,7 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     box = 0.15 / max(1.0, abs(tau))
     # reject ill-conditioned planes, whose small area denominator amplifies
     # rounding in the curvature numerator; the first 20 accepted are used
-    # rows: the components of p, v and w, the companion metric's rows at p,
-    # and its forms g(v, v), g(w, w), g(v, w), which the curvature reuses
-    planes = np.empty((21, 0))
+    planes = np.empty((9, 0))  # rows: the components of p, v and w
     for _ in range(_PLANE_ATTEMPTS // _PLANE_CHUNK):
         p, v, w = _draws(rng, _PLANE_CHUNK, (box, box, 1.0), _UNIT, _UNIT)
         g = ambient.metric_matrix(sibling, p)
@@ -625,20 +626,15 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
                             bilinear3(g, v, w))
         keep = np.flatnonzero(abs(m_vv * m_ww - m_vw * m_vw) >= 0.2 * np.maximum(
             np.maximum(abs(m_vv * m_ww), m_vw * m_vw), 1e-12))
-        planes = np.concatenate((planes, np.array(np.broadcast_arrays(
-            *p, *v, *w, *g[0], *g[1], *g[2], m_vv, m_ww, m_vw))[:, keep]), axis=1)
+        planes = np.concatenate((planes, np.array([*p, *v, *w])[:, keep]), axis=1)
         if planes.shape[1] >= 20:
             break
     if not planes.size:  # no spread to measure: not a verdict on the curvature
         raise DegeneratePlane(
             f"ambient.sectional_constancy: no well-conditioned tangent plane "
             f"in {_PLANE_ATTEMPTS} random attempts")
-    # sectional_curvature(..., "fd") without its degeneracy guard, which the
-    # filter implies unless g(v, v) g(w, w) and g(v, w)^2 are below 5e-10
-    p, v, w, *g = (tuple(planes[k:k + 3, :20]) for k in range(0, 18, 3))
-    m_vv, m_ww, m_vw = planes[18:, :20]
-    values = (bilinear3(g, ambient.curvature_fd(sibling, p, v, w, w), v)
-              / (m_vv * m_ww - m_vw * m_vw))
+    values = ambient.sectional_curvature(
+        sibling, *(tuple(q) for q in np.split(planes[:, :20], 3)), method="fd")
     checks.append(_check("ambient.sectional_constancy",
                          np.max(values) - np.min(values), tolerances))
 
