@@ -489,13 +489,7 @@ def derivative(x, *axes):
 #
 # Each stencil calls f once, with offsets t = every offset times the step h
 # (a float, or one step per point); f's values (floats, ndarrays or tuples)
-# carry the displaced points on their last axis, offset-major (`stacked`).
-
-
-def stacked(*xs) -> list:
-    """The arguments broadcast together and flattened: points displaced by
-    an offset array become one 1-D batch, offset-major."""
-    return [np.ravel(x) for x in np.broadcast_arrays(*xs)]
+# carry the displaced points on their last axis, offset-major.
 
 
 # lists, not generators, feed the tuples below: CPython resizes a tuple built
@@ -546,9 +540,12 @@ def directional_diffs(f: Callable, u, v, directions, step: float) -> list:
                               for d in directions]) for i in (0, 1))
     h = step / np.maximum(np.maximum(abs(du), abs(dv)), 1.0)
     u0, v0 = np.tile(u, len(directions)), np.tile(v, len(directions))
-    return _split(central_diff(lambda t: f(*stacked(u0 + t * du, v0 + t * dv,
-                                                    u0, v0)), h),
-                  (len(directions), *np.shape(u)))
+
+    def displaced(t):  # the points broadcast and flattened to one batch
+        return f(*[np.ravel(x) for x in np.broadcast_arrays(
+            u0 + t * du, v0 + t * dv, u0, v0)])
+
+    return _split(central_diff(displaced, h), (len(directions), *np.shape(u)))
 
 
 # ---- adaptive Simpson ----

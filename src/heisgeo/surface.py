@@ -7,12 +7,12 @@ every order.  Per sample this module computes the first fundamental form and
 causal character epsilon (+1: timelike surface / spacelike unit normal; -1:
 spacelike surface), the gauged unit normal N, the angle function nu = eps
 g(N, E3), the tangent part T of E3 and J X = N ^ X, the shape operator S =
-eps I^{-1} h from :func:`second_fundamental_form` (the Weingarten route,
-differences of the normal field, is its cross-check), H = trace(S)/2, and K
-by the extrinsic formula and, independently, by Brioschi's formula on the
-Taylor coefficients of e, f and g.  A jet of higher order carries Taylor
-values through the same formulas: the metric and S then come with their
-partials.
+eps I^{-1} h from :func:`second_fundamental_form` (the first variation of
+the metric along the normal, `_variation_shape`, is its cross-check), H =
+trace(S)/2, and K by the extrinsic formula and, independently, by
+Brioschi's formula on the Taylor coefficients of e, f and g.  A jet of
+higher order carries Taylor values through the same formulas: the metric
+and S then come with their partials.
 
 Every function takes (u, v) as floats (one sample) or as equal-length 1-D
 ndarrays (a batch, u-major on grids, so a failing guard names the first
@@ -34,7 +34,7 @@ from .errors import (DegenerateAdaptedFrame, DegenerateInducedMetric,
                      UnsupportedKappa)
 from .numeric import (FLOAT_FORMAT, Taylor, Vec3, as_vec3, derivative,
                       finite, json_dumps, lincomb3, quiet, require, scale3,
-                      select, solve2, stacked, sub3, truncated, value)
+                      select, solve2, sub3, truncated, value)
 
 # |det I| below this is treated as a degenerate (null) patch
 _DEGENERATE_DET_TOL = 1e-10
@@ -44,8 +44,6 @@ _GAUGE_NU_TOL = 1e-10
 _ADAPTED_TOL = 1e-8
 # evaluation slack beyond the declared domain
 _DOMAIN_MARGIN = 1e-2
-# step for the Weingarten finite difference of the normal field
-_WEINGARTEN_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -268,16 +266,12 @@ def _gauge_sign(patch: SurfacePatch) -> float:
     return sign
 
 
-def _sample(patch: SurfacePatch, u, v, at: Optional[tuple] = None,
-            order: int = 0) -> _Sample:
-    """The sample bundle at (u, v); its guards name the samples `at`
-    (default (u, v)), which a stencil point passes on from its centre.  At
+def _sample(patch: SurfacePatch, u, v, order: int = 0) -> _Sample:
+    """The sample bundle at (u, v), whose guards name those samples.  At
     `order` 1 it holds Taylor values of order 1, from an order-3 jet."""
-    if at is None:
-        at = (u, v)
-    j = patch.jet(u, v, at=at, order=3 if order else 2)
+    j = patch.jet(u, v, order=3 if order else 2)
     # every field cut to `order`, the order S gets from fuu
-    return _jet_sample(patch, truncated(j, order) if order else j, at)
+    return _jet_sample(patch, truncated(j, order) if order else j, (u, v))
 
 
 def _jet_sample(patch: SurfacePatch, j: PatchJet, at: tuple) -> _Sample:
@@ -350,34 +344,6 @@ def _tangent_coefficients(space: SpaceParams, form: FirstFundamentalForm,
                      ambient.frame_metric(space, wf, b)) for wf in wfs])
 
 
-def _weingarten_shape(patch: SurfacePatch, u, v
-                      ) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Shape-operator matrix in the coordinate basis by the Weingarten route:
-    S(Fu), S(Fv) from central differences of the normal field plus ambient
-    connection corrections: the independent cross-check of the second-form
-    route.  The samples at (u, v) and at the four offsets (+-h in u, then
-    in v) are one batch, offset-major, read by slicing."""
-    space = patch.space
-    h = _WEINGARTEN_STEP
-    uu, vv, au, av = stacked(np.add.outer((0.0, h, -h, 0.0, 0.0), u),
-                             np.add.outer((0.0, 0.0, 0.0, h, -h), v), u, v)
-    s = _sample(patch, uu, vv, (au, av))  # guards name (u, v)
-    shape = (5,) + np.shape(u)  # the centre, then each offset
-    a, b = ([np.reshape(c, shape)[0] for c in x] for x in (s.a, s.b))
-    e, f, g, eps = (np.reshape(x, shape)[0]
-                    for x in (s.form.e, s.form.f, s.form.g, s.eps))
-    n, up, um, vp, vm = zip(*[np.reshape(c, shape) for c in s.n])
-    columns = []
-    for x, plus, minus in ((a, up, um), (b, vp, vm)):
-        dn = tuple((p - m) / (2.0 * h) for p, m in zip(plus, minus))
-        w = scale3(-1.0, lincomb3(
-            [(1.0, dn), (1.0, ambient.frame_connection_correction(space, x, n))]))
-        # the tangent part: less the normal component
-        columns.append(sub3(w, scale3(eps * ambient.frame_metric(space, w, n), n)))
-    return tuple(zip(*_tangent_coefficients(
-        space, FirstFundamentalForm(e, f, g), a, b, *columns)))
-
-
 def _second_form(space: SpaceParams, s: _Sample
                  ) -> tuple[tuple[float, float], tuple[float, float]]:
     """h(X, Y) = eps * g(ambient second derivative, N) on (d/du, d/dv), from
@@ -407,7 +373,8 @@ def _second_form(space: SpaceParams, s: _Sample
 def second_fundamental_form(patch: SurfacePatch, u, v
                             ) -> tuple[tuple[float, float], tuple[float, float]]:
     """h(X, Y) = eps * g(ambient second derivative, N) on (d/du, d/dv),
-    from the jet: S = eps I^{-1} h, which the Weingarten route cross-checks."""
+    from the jet: S = eps I^{-1} h, which the metric-variation route
+    (`_variation_shape`) cross-checks."""
     return _second_form(patch.space, _sample(patch, u, v))
 
 
@@ -420,6 +387,31 @@ def _second_form_shape(space: SpaceParams, s: _Sample
     form, e = s.form, s.eps
     e12 = e * h12
     c1, c2 = solve2(form.e, form.f, form.f, form.g, (e * h11, e12), (e12, e * h22))
+    return ((c1[0], c2[0]), (c1[1], c2[1]))
+
+
+def _variation_shape(space: SpaceParams, s: _Sample
+                     ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Shape-operator matrix in the coordinate basis from the first
+    variation of the induced metric along the normal (O'Neill,
+    Semi-Riemannian Geometry, 1983): I_t = G(F + tN)(F_i + t N_i,
+    F_j + t N_j) has I_0 = I and dI/dt = -2 eps h at t = 0, so S =
+    eps I^{-1} h = -I^{-1} (dI/dt) / 2.  It reads F, F_i, N and N_i from
+    the order-1 sample `s` and the metric matrix G alone, with no
+    Christoffel symbol or connection term: the cross-check of
+    :func:`second_fundamental_form`."""
+    d = derivative
+    p = s.jet.p
+    n = ambient.from_frame_components(space, p, s.n)
+    t, = Taylor.variables((np.zeros(np.shape(s.at[0])),), 1)
+    gm = ambient.metric_matrix(space, [d(x) + t * d(y) for x, y in zip(p, n)])
+    xu, xv = ([d(x, i) + t * d(y, i) for x, y in zip(p, n)] for i in (0, 1))
+    gu, gv = ([row[0] * w[0] + row[1] * w[1] + row[2] * w[2] for row in gm]
+              for w in (xu, xv))
+    i11, i12, i22 = [a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+                     for a, b in ((xu, gu), (xu, gv), (xv, gv))]
+    r11, r12, r22 = (-0.5 * d(x, 0) for x in (i11, i12, i22))
+    c1, c2 = solve2(d(i11), d(i12), d(i12), d(i22), (r11, r12), (r12, r22))
     return ((c1[0], c2[0]), (c1[1], c2[1]))
 
 

@@ -2,20 +2,22 @@
 
 Each check turns one proved identity into a residual: ``check_gauss``
 (intrinsic against extrinsic K; the gauss suite adds
-``check_shape_operator_routes``, S = eps I^{-1} h against the Weingarten
-route), ``check_codazzi`` (X = d/du, Y = d/dv), ``check_helix_ode`` (the
-ODE of the non-constant shape entry of a constant-angle patch, along T),
-``check_parallel`` (the parallel-surface equations in the unit adapted
-frame, spacelike vector first; synthetic inputs through
-:func:`parallel_equations_residuals`), ``check_claims`` (parallel => CMC,
-constant-angle CMC <=> parallel, the constant-curvature value, trace
-bookkeeping, non-umbilicity) and ``check_ambient`` (the ambient tables
-against the Taylor coordinate path, the two curvature formulas, and
-sectional-curvature constancy on the constant-curvature companion).
+``check_shape_operator_routes``, S = eps I^{-1} h against the S of the
+first variation of the metric along the normal), ``check_codazzi`` (X =
+d/du, Y = d/dv), ``check_helix_ode`` (the ODE of the non-constant shape
+entry of a constant-angle patch, along T), ``check_parallel`` (the
+parallel-surface equations in the unit adapted frame, spacelike vector
+first; synthetic inputs through :func:`parallel_equations_residuals`),
+``check_claims`` (parallel => CMC, constant-angle CMC <=> parallel, the
+constant-curvature value, trace bookkeeping, non-umbilicity) and
+``check_ambient`` (the ambient tables against the Taylor coordinate path,
+the two curvature formulas, and sectional-curvature constancy on the
+constant-curvature companion).
 
 The patch suites share one evaluation of each (patch, grid), kept on the
 patch: one batch of samples at Taylor order 1, whose coefficients are the
-exact d/du and d/dv the suites read.  A NaN or infinite residual raises
+exact d/du and d/dv the suites read.  No patch check takes a finite
+difference.  A NaN or infinite residual raises
 :class:`~heisgeo.errors.NonFiniteResidual` instead of passing or failing.
 Every suite is deterministic given (inputs, grid, seed)."""
 
@@ -37,7 +39,7 @@ from .numeric import (Taylor, Vec3, bilinear3, directional_diffs, lincomb3,
 from .surface import (FirstFundamentalForm, SurfacePatch, _adapted_entries,
                       _extrinsic_k, _require_adapted, _sample,
                       _second_form_shape, _tangent_coefficients,
-                      _weingarten_shape, gaussian_curvature, grid_batch,
+                      _variation_shape, gaussian_curvature, grid_batch,
                       shape_operator)
 
 DEFAULT_SEED = 1729
@@ -72,8 +74,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 _SURFACE_STEP = 1e-3
 _GRID_INSET = 0.03
 _CONSTANT_ANGLE_RANGE = 1e-6
-# sparse subgrid of the shape-operator route check
-_ROUTE_GRID = (4, 4)
 # random planes the sectional-constancy check may draw to find its 20
 # samples, drawn in chunks until enough are well-conditioned
 _PLANE_ATTEMPTS = 400
@@ -180,15 +180,17 @@ _METRIC, _MU, _ENTRIES, _F1 = slice(4, 7), 7, slice(8, 11), slice(11, 14)
 class _Evaluation:
     """What the patch suites read at the samples `s`, as values of one
     order-1 sample whose coefficients give the `partials` rows: the
-    coordinate S `m`, the adapted frame and entries (a11, a12, a21, a22),
-    and the parallel frame (T, JT) / sqrt|g(T,T)|, spacelike vector first,
-    with its coefficients `dirs`, entries (S11, S12, S22) and ambient
-    components `amb`.  The patch keeps it per grid (no reference back)."""
+    coordinate S `m`, the same S by the metric-variation route `variation`,
+    the adapted frame and entries (a11, a12, a21, a22), and the parallel
+    frame (T, JT) / sqrt|g(T,T)|, spacelike vector first, with its
+    coefficients `dirs`, entries (S11, S12, S22) and ambient components
+    `amb`.  The patch keeps it per grid (no reference back)."""
 
     def __init__(self, patch: SurfacePatch, u, v):
         space = patch.space
         s = _sample(patch, u, v, order=1)
         m = _second_form_shape(space, s)
+        self.variation = _variation_shape(space, s)
         t_frame = s.t_frame
         jt_frame = ambient.wedge_frame(space, s.n, t_frame)
         # _adapted_frame, on T and JT taken once
@@ -243,20 +245,22 @@ def check_gauss(patch: SurfacePatch, grid: tuple[int, int] = (15, 15),
 
 @quiet
 def check_shape_operator_routes(patch: SurfacePatch,
+                                grid: tuple[int, int] = (15, 15),
                                 tolerances: Optional[dict] = None) -> CheckResult:
-    """max |S_second - S_Weingarten| / max(1, max |S_second|) over a sparse
+    """max |S_second - S_variation| / max(1, max |S_second|) over an
     interior grid: the second-form shape operator S = eps I^{-1} h against
-    the finite difference of the normal field, both in the coordinate basis.
-    The gauss suite runs it on every patch, whose S it guards."""
-    u, v = _interior_batch(patch, _ROUTE_GRID)
-    analytic = shape_operator(patch, u, v).entries()
-    weingarten = _weingarten_shape(patch, u, v)
+    the grid evaluation's S from the first variation of the metric along
+    the normal, both exact and in the coordinate basis.  The gauss suite
+    runs it on every patch, whose S it guards."""
+    ev = _grid_evaluation(patch, grid)
+    analytic = shape_operator(patch, *ev.s.at).entries()
     scale, gap = 1.0, 0.0
     for i in range(2):
         for j in range(2):
             scale = np.maximum(scale, abs(analytic[i][j]))
-            gap = np.maximum(gap, abs(analytic[i][j] - weingarten[i][j]))
-    return _check("gauss.shape_operator_routes", gap / scale, tolerances, (u, v))
+            gap = np.maximum(gap, abs(analytic[i][j] - ev.variation[i][j]))
+    return _check("gauss.shape_operator_routes", gap / scale, tolerances,
+                  ev.s.at)
 
 
 # ---- codazzi ----
@@ -680,7 +684,8 @@ def run_suite(name: str, *, patch: Optional[SurfacePatch] = None,
              "helix_ode": check_helix_ode, "parallel": check_parallel}[name]
     checks = [check(patch, grid, tolerances=tolerances)]
     if name == "gauss":
-        checks.append(check_shape_operator_routes(patch, tolerances=tolerances))
+        checks.append(check_shape_operator_routes(patch, grid,
+                                                  tolerances=tolerances))
     return ResidualSuite(name, seed, checks, patch_descriptor=dict(
         patch.family) if patch.family else None)
 

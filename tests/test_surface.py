@@ -1,5 +1,6 @@
 """Unit tests for surface geometry: fundamental forms, normal gauge, shape
-operator (analytic route checked against the Weingarten route), curvatures, adapted frame, grid reports.
+operator (the second-form route checked against the metric-variation route
+and a test-side Weingarten route), curvatures, adapted frame, grid reports.
 
 Family-specific numbers frozen here were derived by hand from the adopted
 conventions and confirmed through the package's finite-difference route
@@ -47,9 +48,7 @@ from heisgeo.surface import (
     tangent_part_T,
     tangent_rotation_J,
     unit_normal,
-    _weingarten_shape,
 )
-import heisgeo.verify as verify_module
 from heisgeo.verify import check_shape_operator_routes, default_family_matrix
 
 ASINH1 = math.asinh(1.0)
@@ -207,14 +206,42 @@ ROUTE_PATCHES = [
 ]
 
 
+#: step of the test-side Weingarten route's central differences
+WEINGARTEN_STEP = 1e-5
+
+
+def weingarten_by_offset(patch, u, v):
+    """The Weingarten route, an independent twin of the shape operator: one
+    sample per stencil offset, the covariant derivative of the normal by
+    central differences plus the connection correction, its normal part
+    removed, then one 2x2 solve per column."""
+    space = patch.space
+    h = np.full(np.shape(u), WEINGARTEN_STEP)
+    s, up, um, vp, vm = [surface_module._sample(patch, u + du * h, v + dv * h)
+                         for du, dv in ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0),
+                                        (0.0, 1.0), (0.0, -1.0))]
+    e, f, g = s.form.e, s.form.f, s.form.g
+    columns = []
+    for x, plus, minus in ((s.a, up, um), (s.b, vp, vm)):
+        corr = ambient.frame_connection_correction(space, x, s.n)
+        w = [-1.0 * (0.0 + (p - m) / (2.0 * h) + c)
+             for p, m, c in zip(plus.n, minus.n, corr)]
+        coeff = s.eps * ambient.frame_metric(space, w, s.n)
+        w = [wi - coeff * ni for wi, ni in zip(w, s.n)]
+        r1, r2 = (ambient.frame_metric(space, w, y) for y in (s.a, s.b))
+        det = e * g - f * f
+        columns.append(((r1 * g - r2 * f) / det, (e * r2 - f * r1) / det))
+    return tuple(zip(*columns))
+
+
 def weingarten_route_gap(patch) -> float:
     """max |S - S_Weingarten| / max(1, max |S|) over three points, with S the
     shape operator heisgeo reports (S = eps I^{-1} h on analytic patches)
-    and S_Weingarten the finite difference of the normal field."""
+    and S_Weingarten the test-side finite difference of the normal field."""
     worst = 0.0
     for (u, v) in ((0.0, 0.0), (0.45, -0.35), (-0.6, 0.8)):
         got = shape_operator(patch, u, v, basis="coordinate").entries()
-        alt = _weingarten_shape(patch, u, v)
+        alt = weingarten_by_offset(patch, u, v)
         scale = max(1.0, max(abs(x) for row in got for x in row))
         worst = max(worst, max(abs(got[i][j] - alt[i][j])
                                for i in range(2) for j in range(2)) / scale)
@@ -259,42 +286,23 @@ def test_route_gap_detects_a_second_form_sign_error(monkeypatch):
     assert not check_shape_operator_routes(patch).passed
 
 
-def weingarten_by_offset(patch, u, v):
-    """The Weingarten route as first written: one sample per stencil
-    offset, the covariant derivative of the normal summed from 0.0, its
-    normal part removed, then one 2x2 solve per column."""
-    space = patch.space
-    h = np.full(np.shape(u), surface_module._WEINGARTEN_STEP)
-    s, up, um, vp, vm = [surface_module._sample(patch, u + du * h, v + dv * h)
-                         for du, dv in ((0.0, 0.0), (1.0, 0.0), (-1.0, 0.0),
-                                        (0.0, 1.0), (0.0, -1.0))]
-    e, f, g = s.form.e, s.form.f, s.form.g
-    columns = []
-    for x, plus, minus in ((s.a, up, um), (s.b, vp, vm)):
-        corr = ambient.frame_connection_correction(space, x, s.n)
-        w = [-1.0 * (0.0 + (p - m) / (2.0 * h) + c)
-             for p, m, c in zip(plus.n, minus.n, corr)]
-        coeff = s.eps * ambient.frame_metric(space, w, s.n)
-        w = [wi - coeff * ni for wi, ni in zip(w, s.n)]
-        r1, r2 = (ambient.frame_metric(space, w, y) for y in (s.a, s.b))
-        det = e * g - f * f
-        columns.append(((r1 * g - r2 * f) / det, (e * r2 - f * r1) / det))
-    return tuple(zip(*columns))
-
-
 @pytest.mark.parametrize("index", range(9))
-def test_weingarten_route_is_its_per_offset_twin(index):
-    """The route check's Weingarten route reads its one stencil batch by
-    slicing: bit for bit the route of one sample per offset, on the route
-    grid and at one point."""
+def test_route_check_detects_a_connection_correction_error(monkeypatch, index):
+    """The metric-variation route reads no connection term, so it agrees
+    with the second form to rounding on the 20x20 grid and separates a
+    defect in `frame_connection_correction`, which the second form reads:
+    scaled by 1.05, the route check fails on every matrix patch and the
+    README helix (a route that also read the correction would share it)."""
     patch = (default_family_matrix() + [readme_helix()])[index]
-    for u, v in (verify_module._interior_batch(patch, verify_module._ROUTE_GRID),
-                 (0.1, -0.2)):
-        got, want = _weingarten_shape(patch, u, v), weingarten_by_offset(patch, u, v)
-        for i, j in itertools.product(range(2), range(2)):
-            assert np.shape(got[i][j]) == np.shape(u)
-            assert (np.asarray(got[i][j]).tobytes()
-                    == np.asarray(want[i][j]).tobytes())
+    assert check_shape_operator_routes(patch, (20, 20)).max_residual <= 1e-12
+    correction = ambient.frame_connection_correction
+
+    def scaled(space, xf, wf):
+        return tuple(1.05 * c for c in correction(space, xf, wf))
+
+    monkeypatch.setattr(ambient, "frame_connection_correction", scaled)
+    mutant = (default_family_matrix() + [readme_helix()])[index]
+    assert not check_shape_operator_routes(mutant, (20, 20)).passed
 
 
 def test_shape_operator_rejects_unknown_basis():

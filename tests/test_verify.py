@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from heisgeo import ambient, cli
 from heisgeo.ambient import SpaceParams, curvature_frame
 from heisgeo.errors import (DegenerateAdaptedFrame, DegeneratePlane,
-                            NonFiniteJet, NonFiniteResidual, NotAHelixPatch)
+                            NonFiniteResidual, NotAHelixPatch)
 from heisgeo.families import (
     EtaSpec,
     HelixProfile,
@@ -24,7 +24,7 @@ from heisgeo.families import (
     profile_residuals,
 )
 from heisgeo import numeric
-from heisgeo.numeric import bilinear3, fmt_float, value
+from heisgeo.numeric import bilinear3, value
 import heisgeo.surface as surface_module
 import heisgeo.verify as verify_module
 from heisgeo.surface import (
@@ -147,18 +147,17 @@ def test_helix_ode_rejects_varying_angle():
 
 
 #: SurfacePatch.jet calls per patch suite on a new spacelike helix at (8, 8),
-#: one of them for the normal gauge.  A call is one batch: the grid, or all
-#: the offsets of one stencil stacked.  The patch suites share the grid
-#: batch, an order-1 jet whose Taylor coefficients give every partial they
-#: read; gauss adds the metric-only order-1 jet of intrinsic K, the route
-#: check's 4x4 grid and its Weingarten batch (the 4x4 grid again with its 4
-#: offsets).  A suite that starts resampling points it already has,
-#: evaluates a stencil offset by offset, or loops over points, fails here
-JET_BUDGET = {"gauss": 5, "codazzi": 2, "helix_ode": 2,
+#: one of them for the normal gauge.  A call is one batch of points.  The
+#: patch suites share the grid batch, an order-1 jet whose Taylor
+#: coefficients give every partial they read and the metric-variation S of
+#: the route check; gauss adds the metric-only jet of intrinsic K and the
+#: route check's second-form `shape_operator` on the grid.  A suite that
+#: starts resampling points it already has, or loops over points, fails here
+JET_BUDGET = {"gauss": 4, "codazzi": 2, "helix_ode": 2,
               "parallel": 2, "claims": 2}
 #: the same count for the CLI's `verify --suite all` sequence on one patch,
 #: which shares the grid: 11 when each suite sampled its own
-ALL_SUITES_JETS = 5
+ALL_SUITES_JETS = 4
 
 
 def counted_jets(monkeypatch) -> list:
@@ -226,20 +225,24 @@ def test_degenerate_adapted_frame_only_where_adapted_quantities_are_read():
 
 @pytest.mark.parametrize("suite", sorted(JET_BUDGET))
 def test_weingarten_route_only_in_the_route_check(monkeypatch, suite):
-    """On an analytic patch every shape operator is S = eps I^{-1} h; the
-    Weingarten route runs only in gauss.shape_operator_routes, once per
-    point of its 4x4 subgrid (one call on the batch of 16 points)."""
-    calls = [0]
-    weingarten = surface_module._weingarten_shape
+    """The route check's second route (the metric-variation S; the name is
+    kept from the differenced route it replaced) runs once per grid
+    evaluation: one call on the batch of all 36 grid points, whichever
+    suites read it."""
+    calls = []
+    variation = surface_module._variation_shape
 
-    def counting(*args):
-        calls[0] += np.size(args[1])  # the points of the batch
-        return weingarten(*args)
+    def counting(space, s):
+        calls.append(np.size(s.at[0]))  # the points of the batch
+        return variation(space, s)
 
-    monkeypatch.setattr(surface_module, "_weingarten_shape", counting)
-    monkeypatch.setattr(verify_module, "_weingarten_shape", counting)
-    run_suite(suite, patch=spacelike_helix(), grid=(6, 6))
-    assert calls[0] == (16 if suite == "gauss" else 0)
+    monkeypatch.setattr(verify_module, "_variation_shape", counting)
+    patch = spacelike_helix()
+    run_suite(suite, patch=patch, grid=(6, 6))
+    assert calls == [36]
+    for other in cli._ALL_SUITES:
+        run_suite(other, patch=patch, grid=(6, 6))
+    assert calls == [36]
 
 
 def test_route_check_runs_on_every_patch():
@@ -365,12 +368,12 @@ def test_nan_residual_never_passes(monkeypatch, suite):
     assert "at sample (u=" in str(err.value)
 
 
-@pytest.mark.parametrize("suite", ["helix_ode", "parallel"])
+@pytest.mark.parametrize("suite", sorted(JET_BUDGET))
 def test_suite_calls_position_at_grid_samples_only(suite):
-    """The helix_ode and parallel suites take no stencil of the position:
-    it is called only at the interior-grid samples and at the domain
-    centre, where the normal is gauged, so a guard of its jet names a grid
-    sample (or the centre) by construction."""
+    """No patch suite takes a stencil of the position: it is called only at
+    the interior-grid samples and at the domain centre, where the normal is
+    gauged, so a guard of its jet names a grid sample (or the centre) by
+    construction."""
     helix = spacelike_helix()
     seen = set()
 
@@ -382,27 +385,6 @@ def test_suite_calls_position_at_grid_samples_only(suite):
     patch = SurfacePatch(helix.space, recording, helix.domain)
     run_suite(suite, patch=patch, grid=(4, 4))
     assert seen == set(interior_grid(patch, (4, 4))) | {patch.center()}
-
-
-def test_weingarten_guard_names_the_grid_sample():
-    """The position is NaN just past the last row of the interior grids, so
-    only the Weingarten route's stencil points displaced beyond it fail:
-    the gauss suite's error names the route grid's sample those points
-    belong to, not the displaced point."""
-    helix = spacelike_helix()
-    route = interior_grid(helix, verify_module._ROUTE_GRID)
-    u_last = max(u for u, _ in route)
-
-    def position(u, v):  # NaN past u_last + 5e-6, Taylor values and all
-        w = np.sqrt(u_last + 5e-6 - u) / np.sqrt(u_last + 5e-6 - u)
-        return (u * w, v * w, 0.0 * w)
-
-    patch = SurfacePatch(SpaceParams(delta=1, tau=1.0), position, helix.domain)
-    with pytest.raises(NonFiniteJet) as err:
-        run_suite("gauss", patch=patch, grid=(8, 8))
-    assert err.value.sample in route and err.value.sample[0] == u_last
-    assert str(err.value).endswith("at sample (u=%s, v=%s)" % tuple(
-        map(fmt_float, err.value.sample)))
 
 
 # ------------------------------------------------------------ claims
