@@ -259,7 +259,10 @@ def curvature(space: SpaceParams, p, v, w, z) -> Vec3:
 
 # ---- coordinate path (any kappa) ----
 # `metric_matrix` and vector fields run on Taylor values: exact derivatives.
-# p is floats or 1-D arrays; tensors carry the batch axis last.
+# p is floats or 1-D arrays; tensors carry the batch axis last.  Each
+# contraction forms its products, then adds them in index order starting
+# from 0: np.einsum's order over a batch axis of two or more points.  The
+# sums are elementwise, so a point gets the same bits alone as in a batch.
 
 
 def _lowered(d: np.ndarray, k: int = 0) -> np.ndarray:
@@ -290,8 +293,11 @@ def _connection(space: SpaceParams, p: Vec3) -> tuple:
     require(abs(det) >= 1e-14, SingularMetric,
             lambda x, y, z, d: f"metric matrix singular at {(x, y, z)} "
             f"(det = {d})", *p, det)
-    ginv = np.moveaxis(np.linalg.inv(g), (-2, -1), (0, 1))
-    return ginv, dg, ddg, np.einsum("kl...,ijl...->kij...", ginv, _lowered(dg))
+    # contiguous, as the products below and in `_riemann` run fastest
+    ginv = np.ascontiguousarray(np.moveaxis(np.linalg.inv(g), (-2, -1), (0, 1)))
+    # Gamma^k_ij = g^kl Gamma_ijl, the terms on axes [l, k, i, j]
+    return ginv, dg, ddg, sum(np.moveaxis(ginv, 1, 0)[:, :, None, None]
+                              * np.moveaxis(_lowered(dg), 2, 0)[:, None])
 
 
 def christoffel_coords(space: SpaceParams, p) -> np.ndarray:
@@ -308,14 +314,20 @@ def riemann_coords(space: SpaceParams, p) -> np.ndarray:
 
 def _riemann(ginv, dg, ddg, gamma) -> np.ndarray:
     """Riem[l, i, j, k] from the parts of `_connection`."""
-    # d_a Gamma^k_ij = g^kl d_a Gamma_ijl - g^kl (d_a g_lm) Gamma^m_ij
-    dgamma = (np.einsum("kl...,aijl...->akij...", ginv, _lowered(ddg, 1))
-              - np.einsum("kl...,alm...,mij...->akij...", ginv, dg, gamma))
+    gl = np.moveaxis(ginv, 1, 0)  # gl[l, k] = g^kl
+    # d_a Gamma^k_ij = g^kl d_a Gamma_ijl - g^kl (d_a g_lm) Gamma^m_ij, the
+    # terms on axes [l, a, k, i, j] and [(l, m), a, k, i, j]
+    gd = gl[:, None, None] * np.moveaxis(dg, 0, 2)[:, :, :, None]
+    dgamma = (sum(gl[:, None, :, None, None]
+                  * np.moveaxis(_lowered(ddg, 1), 3, 0)[:, :, None])
+              - sum((gd[:, :, :, :, None, None] * gamma[None, :, None, None]
+                     ).reshape(9, *gd.shape[2:4], *gamma.shape[1:])))
     # R^l_ijk = d_i Gamma^l_jk - d_j Gamma^l_ik
     #           + Gamma^l_im Gamma^m_jk - Gamma^l_jm Gamma^m_ik,
     # the last term being the third with i and j swapped, and the first two
-    # dgamma[a, k, i, j] = d_a Gamma^k_ij with its axes moved
-    gg = np.einsum("lim...,mjk...->lijk...", gamma, gamma)
+    # dgamma[a, k, i, j] = d_a Gamma^k_ij with its axes moved; the terms of
+    # the third on axes [m, l, i, j, k]
+    gg = sum(np.moveaxis(gamma, 2, 0)[:, :, :, None, None] * gamma[:, None, None])
     return (np.swapaxes(dgamma, 0, 1) - np.moveaxis(dgamma, 0, 2)
             + gg - np.swapaxes(gg, 1, 2))
 
@@ -327,8 +339,17 @@ def curvature_fd(space: SpaceParams, p, v, w, z) -> Vec3:
 
 def _applied(riem: np.ndarray, v, w, z) -> Vec3:
     """R(V, W)Z from Riem[l, i, j, k]."""
-    vwz = (np.array(np.broadcast_arrays(*as_vec3(a))) for a in (v, w, z))
-    return as_vec3(np.einsum("lijk...,i...,j...,k...->l...", riem, *vwz))
+    *comps, batch = np.broadcast_arrays(*as_vec3(v), *as_vec3(w), *as_vec3(z),
+                                        riem[0, 0, 0, 0])
+    v, w, z = np.reshape(comps, (3, 3, *batch.shape))
+    # riem's batch axes, if fewer, aligned with the vectors' from the right
+    riem = riem.reshape(riem.shape[:4] + (1,) * (batch.ndim + 4 - riem.ndim)
+                        + riem.shape[4:])
+    terms = riem * v[:, None, None] * w[:, None] * z
+    # the 27 terms (i, j, k) of each l in order, each partial sum from the
+    # last (+ 0.0: a start from 0 leaves no other trace)
+    return as_vec3(np.add.accumulate(
+        terms.reshape(3, 27, *terms.shape[4:]), axis=1)[:, -1] + 0.0)
 
 
 # ---- sectional curvature ----

@@ -165,8 +165,9 @@ class _IOFailure(Exception):
 
 def cmd_analyze(cfg: RunConfig) -> int:
     """Per-sample CSV table plus a JSON summary of the patch geometry."""
-    patch = family_from_config(cfg.family)
-    report = geometry_report(patch, cfg.grid[0], cfg.grid[1])
+    # no name holds the patch: its kept grid jet goes with it, before the
+    # report's strings are built
+    report = geometry_report(family_from_config(cfg.family), *cfg.grid)
     base = cfg.out if cfg.out else "heisgeo-analyze"
     if base.endswith(".csv") or base.endswith(".json"):
         base = base.rsplit(".", 1)[0]

@@ -3,7 +3,8 @@
 A :class:`SurfacePatch` wraps an immersion F(u, v) into the kappa = 0
 ambient space.  Its jet (p, Fu, Fv, Fuu, Fuv, Fvv) comes from evaluating
 `position` once on Taylor values of (u, v) (`numeric.Taylor`), exactly, at
-every order.  Per sample this module computes the first fundamental form and
+every order, and the patch keeps its last one for the next call at the
+same points.  Per sample this module computes the first fundamental form and
 causal character epsilon (+1: timelike surface / spacelike unit normal; -1:
 spacelike surface), the gauged unit normal N, the angle function nu = eps
 g(N, E3), the tangent part T of E3 and J X = N ^ X, the shape operator S =
@@ -22,6 +23,7 @@ a grid's samples as columns and serializes them to CSV and JSON."""
 from __future__ import annotations
 
 import functools
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -86,37 +88,49 @@ class SurfacePatch:
         self.family = dict(family) if family else None
         self._gauge_sign: Optional[float] = None
         self._evaluations: dict = {}  # shared by the verify suites, per grid
+        # the last jet of order 2 or 3 for a batch (True) and for a sample
+        # (False): (key, order, jet)
+        self._kept: dict = {}
 
     def center(self) -> tuple[float, float]:
         (u0, u1), (v0, v1) = self.domain
         return (0.5 * (u0 + u1), 0.5 * (v0 + v1))
 
-    def jet(self, u, v, *, at: Optional[tuple] = None,
-            order: int = 2) -> PatchJet:
+    def jet(self, u, v, *, order: int = 2) -> PatchJet:
         """Position with first and second partials at (u, v): floats, or
         1-D arrays for a batch.  Raises NonFiniteJet where it overflows.
         `order` is the Taylor order of `position`: the point alone at 0, with
         the first partials at 1 (the other fields None), all six at 2; at 3
         each field is a Taylor value carrying its own partials up to third
-        order in all.  Guards name the samples `at` (default (u, v))."""
+        order in all.  The patch keeps its last jet of order 2 or 3, one for
+        a batch and one for a sample, read-only, and returns it to a call at
+        the same bits of (u, v): at order 2 an order-3 jet's values."""
         batch = isinstance(u, np.ndarray) or isinstance(v, np.ndarray)
+        shape = None  # a sample's
         if batch:
             u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
                                        np.asarray(v, dtype=float))
-        if at is None:
-            at = (u, v)
+            shape = u.shape
+        if order >= 2:  # a digest of the bits of (u, v), not a copy
+            bits = hashlib.sha256(np.ascontiguousarray(u, dtype=float))
+            bits.update(np.ascontiguousarray(v, dtype=float))
+            key = (shape, bits.digest())
+            kept_key, kept_order, kept = self._kept.get(batch, (None, 0, None))
+            if kept_key == key and kept_order >= order:
+                return kept if kept_order == order else PatchJet(*[
+                    _vec3(value(f), shape) for f in vars(kept).values()])
         (u0, u1), (v0, v1) = self.domain
         m = _DOMAIN_MARGIN
         require((u0 - m <= u) & (u <= u1 + m) & (v0 - m <= v) & (v <= v1 + m),
                 OutOfDomain, lambda u, v: f"(u, v) = ({u}, {v}) outside "
                 f"evaluable part of domain {self.domain} (margin {m})", u, v,
-                at=at)
+                at=(u, v))
         with np.errstate(all="ignore"):
             point = as_vec3(self.position(*Taylor.variables((u, v), order)))
         fields = _JET_AXES[:(1, 3, 6, 6)[order]]
         overflow = functools.partial(NonFiniteJet, family=self.family)
         require(finite(*point), overflow, lambda: f"jet of {self.name} (family "
-                f"{self.family}) is not finite", at=at)
+                f"{self.family}) is not finite", at=(u, v))
         if order == 3:  # the point, then each partial of its three stacked
             taylor = [type(c) is Taylor for c in point]  # a number's are 0.0
             rows = Taylor.stack(point) if any(taylor) else None
@@ -128,11 +142,32 @@ class SurfacePatch:
             n = len(fields)
             cols = [(c.c[:n].T * _FACTORIALS[:n]).T if isinstance(c, Taylor)
                     else [c] + [0.0] * (n - 1) for c in point]
-            vecs = [tuple([col[i] if np.shape(col[i]) == u.shape else
-                           np.broadcast_to(np.asarray(col[i], dtype=float),
-                                           u.shape) for col in cols]) if batch
-                    else as_vec3([col[i] for col in cols]) for i in range(n)]
-        return PatchJet(*vecs, *[None] * (6 - len(vecs)))
+            vecs = [_vec3([col[i] for col in cols], shape) for i in range(n)]
+        if order < 2:
+            return PatchJet(*vecs, *[None] * (6 - len(vecs)))
+        j = PatchJet(*[tuple(map(_read_only, f)) for f in vecs])
+        self._kept[batch] = (key, order, j)
+        return j
+
+
+def _vec3(xs, shape: Optional[tuple]) -> Vec3:
+    """The components xs as a jet field: floats for a sample (`shape`
+    None), arrays of `shape` for a batch."""
+    if shape is None:
+        return as_vec3(xs)
+    return tuple([x if np.shape(x) == shape else
+                  np.broadcast_to(np.asarray(x, dtype=float), shape) for x in xs])
+
+
+def _read_only(x):
+    """A view of the array x, or of a Taylor value's coefficients, that
+    cannot be written; a number as it is."""
+    if type(x) is Taylor:
+        return Taylor(_read_only(x.c), x.order, x.nvar, x.axis)
+    if isinstance(x, np.ndarray):
+        x = x.view()
+        x.flags.writeable = False
+    return x
 
 
 # ---- first fundamental form ----
@@ -250,7 +285,7 @@ def _gauge_sign(patch: SurfacePatch) -> float:
     if patch._gauge_sign is not None:
         return patch._gauge_sign
     u, v = patch.center()
-    j = patch.jet(u, v, order=1)
+    j = patch.jet(u, v)  # order 2: the centre sample's kept jet
     form = _induced_from_jet(patch.space, j, (u, v))
     _, _, n, eps = _raw_normal(patch.space, j, form, (u, v))
     nu_raw = eps * ambient.frame_metric(patch.space, n, (0.0, 0.0, 1.0))

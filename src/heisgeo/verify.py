@@ -237,6 +237,7 @@ def check_gauss(patch: SurfacePatch, grid: tuple[int, int] = (15, 15),
                 tolerances: Optional[dict] = None) -> CheckResult:
     """max |K_intrinsic - K_extrinsic| over an interior grid."""
     ev = _grid_evaluation(patch, grid)
+    # the patch's kept grid jet serves the public intrinsic K
     k_int = gaussian_curvature(patch, *ev.s.at, method="intrinsic")
     return _check("gauss.extrinsic_vs_intrinsic",
                   abs(k_int - _extrinsic_k(patch.space, ev.s, ev.m)),
@@ -253,7 +254,7 @@ def check_shape_operator_routes(patch: SurfacePatch,
     the normal, both exact and in the coordinate basis.  The gauss suite
     runs it on every patch, whose S it guards."""
     ev = _grid_evaluation(patch, grid)
-    analytic = shape_operator(patch, *ev.s.at).entries()
+    analytic = shape_operator(patch, *ev.s.at).entries()  # the kept grid jet
     scale, gap = 1.0, 0.0
     for i in range(2):
         for j in range(2):

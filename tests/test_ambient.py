@@ -294,9 +294,9 @@ def test_curvature_fd_matches_closed_form(delta):
 
 def test_riemann_assembly_matches_loop_reference():
     """riemann_coords assembles Gamma, its derivatives and R from the
-    metric's first and second derivatives with einsum; index loops over the
-    same g^-1, dg and ddg are the reference (the summation order differs,
-    so agreement is to rounding, not bit for bit)."""
+    metric's first and second derivatives by broadcast products; index
+    loops over the same g^-1, dg and ddg are the reference (the summation
+    order differs, so agreement is to rounding, not bit for bit)."""
     sp = SpaceParams(delta=-1, tau=0.8, kappa=-0.5)
     p = (0.2, -0.3, 0.4)
     ginv, dg, ddg, _ = ambient._connection(sp, p)
@@ -498,21 +498,96 @@ def test_fd_path_batch_equals_point_calls(delta, tau):
         assert sec[n] == sectional_curvature(sp, q, r[:3], r[3:6], method="fd")
 
 
-def test_fd_path_batch_at_nonzero_kappa_agrees_to_rounding():
-    """At kappa != 0 no metric derivative is zero, and einsum sums a batch
-    in a different order from one point: a batch agrees with point calls
-    to rounding, not bit for bit (the metric's dual parts themselves are
-    equal bit for bit)."""
+def test_fd_path_batch_at_nonzero_kappa_equals_point_calls():
+    """At kappa != 0 no metric derivative is zero, so every term of every
+    contraction counts: a batch still gives exactly the values of one call
+    per point, as the path adds its terms elementwise, in one order."""
     sp = SpaceParams(delta=-1, tau=5.0, kappa=-100.0)
-    pts, _ = random_batch(32, 7, 0.03)
-    gamma = christoffel_coords(sp, tuple(pts.T))
-    riem = riemann_coords(sp, tuple(pts.T))
-    for n, q in enumerate(pts):
-        want = christoffel_coords(sp, tuple(q))
-        assert np.max(np.abs(gamma[..., n] - want)) <= 1e-15 * np.max(np.abs(want))
-        want = riemann_coords(sp, tuple(q))
-        assert (np.max(np.abs(riem[..., n] - want))
-                <= 1e-15 * np.max(np.abs(want)))
+    pts, vecs = random_batch(32, 7, 0.03)
+    p = tuple(pts.T)
+    v, w, z = (tuple(vecs[:, 3 * k:3 * k + 3].T) for k in range(3))
+    gamma = christoffel_coords(sp, p)
+    riem = riemann_coords(sp, p)
+    rv = curvature_fd(sp, p, v, w, z)
+    for n, (q, r) in enumerate(zip(pts, vecs)):
+        q = tuple(q)
+        assert np.array_equal(gamma[..., n], christoffel_coords(sp, q))
+        assert np.array_equal(riem[..., n], riemann_coords(sp, q))
+        assert tuple(c[n] for c in rv) == curvature_fd(sp, q, r[:3], r[3:6], r[6:])
+    # one point against a batch of vectors: the point's tensor broadcasts
+    q = tuple(pts[0])
+    assert np.array_equal(curvature_fd(sp, q, v, w, z), curvature_fd(
+        sp, tuple(np.full(7, c) for c in q), v, w, z))
+
+
+def einsum_reference(ginv, dg, ddg, riem_vwz):
+    """Gamma, Riem and R(V, W)Z from the parts of `_connection` by
+    np.einsum over the trailing batch axis: the contractions the path
+    replaced, whose order of summation it keeps."""
+    lowered = ambient._lowered
+    gamma = np.einsum("kl...,ijl...->kij...", ginv, lowered(dg))
+    dgamma = (np.einsum("kl...,aijl...->akij...", ginv, lowered(ddg, 1))
+              - np.einsum("kl...,alm...,mij...->akij...", ginv, dg, gamma))
+    gg = np.einsum("lim...,mjk...->lijk...", gamma, gamma)
+    riem = (np.swapaxes(dgamma, 0, 1) - np.moveaxis(dgamma, 0, 2)
+            + gg - np.swapaxes(gg, 1, 2))
+    rv = np.einsum("lijk...,i...,j...,k...->l...", *riem_vwz)
+    return gamma, riem, rv
+
+
+def bits(x) -> bytes:
+    return np.ascontiguousarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("tau, kappa", ((1.0, 0.0), (1.0, -4.0), (0.7, 0.0),
+                                        (0.7, -4.0 * 0.7 * 0.7)))
+@pytest.mark.parametrize("n", (8, 20, 65))
+def test_contractions_equal_einsum_bit_for_bit(delta, tau, kappa, n):
+    """`_connection`, `_riemann` and `_applied` give np.einsum's bits on a
+    batch: its order of summation over a trailing batch axis is index
+    order from 0.  `_riemann` runs on a strided slice too, as
+    `check_ambient` reads it."""
+    sp = SpaceParams(delta=delta, tau=tau, kappa=kappa)
+    rng = np.random.default_rng(n)
+    ginv, dg, ddg, gamma = parts = ambient._connection(
+        sp, tuple(rng.uniform(-0.1, 0.1, (3, n))))
+    riem = ambient._riemann(*parts)
+    vwz = rng.uniform(-1.0, 1.0, (3, 3, n))
+    want = einsum_reference(ginv, dg, ddg, (riem, *vwz))
+    assert bits(gamma) == bits(want[0])
+    assert bits(riem) == bits(want[1])
+    assert bits(ambient._applied(riem, *vwz)) == bits(want[2])
+    cut = [part[..., :n // 2] for part in parts]
+    assert bits(ambient._riemann(*cut)) == bits(einsum_reference(
+        *cut[:3], (riem[..., :n // 2], *vwz[..., :n // 2]))[1])
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+@pytest.mark.parametrize("kappa", (0.0, -4.0))
+def test_contractions_of_one_point_equal_its_batch_values(delta, kappa):
+    """On a batch of one point np.einsum runs its inner loop over the
+    contracted axis, and its sums then round differently.  The path keeps
+    one order: a batch of one gives the point's values in a batch of 8 bit
+    for bit, and einsum's to rounding."""
+    sp = SpaceParams(delta=delta, tau=1.0, kappa=kappa)
+    rng = np.random.default_rng(1)
+    p = rng.uniform(-0.1, 0.1, (3, 8))
+    vwz = rng.uniform(-1.0, 1.0, (3, 3, 8))
+    ginv, dg, ddg, gamma = parts = ambient._connection(sp, tuple(p))
+    riem = ambient._riemann(*parts)
+    rv = np.array(ambient._applied(riem, *vwz))
+    for k in range(8):
+        one = ambient._connection(sp, tuple(p[:, k:k + 1]))
+        riem1 = ambient._riemann(*one)
+        rv1 = ambient._applied(riem1, *vwz[..., k:k + 1])
+        assert bits(one[3]) == bits(gamma[..., k:k + 1])
+        assert bits(riem1) == bits(riem[..., k:k + 1])
+        assert bits(rv1) == bits(rv[:, k:k + 1])
+        want = einsum_reference(*one[:3], (riem1, *vwz[..., k:k + 1]))
+        for got, ref in zip((one[3], riem1, rv1), want):
+            got, ref = np.asarray(got), np.asarray(ref)
+            assert np.all(np.abs(got - ref) <= 1e-15 * np.max(np.abs(ref)))
 
 
 def test_singular_metric_in_a_batch_names_the_point():

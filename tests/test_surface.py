@@ -30,7 +30,8 @@ from heisgeo.families import (
     make_helix_surface,
     make_minimal_plane,
 )
-from heisgeo.numeric import FLOAT_DIGITS, central_diff, derivative, fmt_float
+from heisgeo.numeric import (FLOAT_DIGITS, Taylor, central_diff, derivative,
+                             fmt_float)
 import heisgeo.surface as surface_module
 from heisgeo.surface import (
     GeometryReport,
@@ -589,6 +590,110 @@ def test_non_finite_jet_names_the_sample_and_family():
         patch.jet(-0.5, 711.5)
     assert err.value.sample == (-0.5, 711.5)
     patch.jet(0.0, 705.0)
+
+
+# ---- kept jets ----
+
+
+def counting(patch: SurfacePatch) -> tuple[SurfacePatch, list]:
+    """A new patch with `patch`'s position, and the list of the (u, v) of
+    each call of that position, in order."""
+    calls = []
+
+    def position(u, v):
+        calls.append((u, v))
+        return patch.position(u, v)
+
+    return SurfacePatch(patch.space, position, patch.domain), calls
+
+
+def arrays(field) -> list:
+    """The components of a jet field, a Taylor value's coefficients for it."""
+    return [c.c if type(c) is Taylor else c for c in field]
+
+
+def same_bits(got, want) -> bool:
+    """Whether two jet fields hold the same kinds, shapes and bits."""
+    return all(type(a) is type(b) and np.shape(a) == np.shape(b)
+               and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+               for a, b in zip(arrays(got), arrays(want)))
+
+
+_FIELDS = ("p", "fu", "fv", "fuu", "fuv", "fvv")
+
+
+@pytest.mark.parametrize("index", range(10))
+def test_kept_jet_equals_a_fresh_patch_jet(index):
+    """A jet the patch kept equals the jet of a fresh patch at the same
+    points bit for bit, at orders 2 and 3, for a batch and for one sample:
+    the kept jet itself, and at order 2 the values of a kept order-3 jet.
+    Only the first call at the points evaluates `position`."""
+    patch = batch_patches()[index]
+    (u0, u1), (v0, v1) = patch.domain
+    for u, v in ((np.linspace(u0, u1, 7), np.linspace(v1, v0, 7)),
+                 (0.3 * u0 + 0.7 * u1, 0.6 * v0 + 0.4 * v1)):
+        for first, then in ((3, 3), (3, 2), (2, 2)):
+            kept, calls = counting(patch)
+            kept.jet(u, v, order=first)
+            got = kept.jet(u, v, order=then)
+            assert len(calls) == 1
+            want = counting(patch)[0].jet(u, v, order=then)
+            assert all(same_bits(getattr(got, f), getattr(want, f))
+                       for f in _FIELDS), (first, then)
+
+
+def test_kept_jet_keys_on_the_bits_of_u_and_v():
+    """A kept jet is returned only at the same bits of (u, v): after an
+    in-place edit of the caller's array, at -0.0 for 0.0, and at order 3
+    after an order-2 jet the patch evaluates again, as it does at orders 0
+    and 1, which it never keeps.  One batch and one sample are kept at a
+    time."""
+    patch, calls = counting(_flat_plane())
+    u, v = np.array([0.0, 0.1, -0.2]), np.array([0.3, 0.2, 0.1])
+    patch.jet(u, v)
+    patch.jet(0.0, 0.2)
+    patch.jet(u, v)
+    patch.jet(0.0, 0.2)
+    assert len(calls) == 2
+    u[1] = 0.25
+    j = patch.jet(u, v)
+    assert len(calls) == 3 and j.p[0][1] == 0.25
+    patch.jet(-0.0, 0.2)
+    patch.jet(np.array([-0.0, 0.25, -0.2]), v)
+    assert len(calls) == 5
+    for order in (3, 0, 1, 1):
+        patch.jet(-0.0, 0.2, order=order)
+    assert len(calls) == 9
+
+
+def test_kept_jet_cannot_be_written():
+    """Every array a kept jet hands out is read-only, its values at order 2
+    included, so that no consumer can change what the next one reads."""
+    patch = readme_helix()
+    u, v = np.array([0.1, 0.2]), np.array([-0.3, 0.4])
+    j3 = patch.jet(u, v, order=3)
+    for j in (j3, patch.jet(u, v), patch.jet(0.1, -0.3, order=3)):
+        for f in _FIELDS:
+            for a in arrays(getattr(j, f)):
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        patch.jet(u, v, order=2).fu[0] += 1.0
+
+
+def test_jet_that_raises_keeps_nothing():
+    """A jet that raises keeps nothing: the same call evaluates `position`
+    again and raises again, and the jet kept before it is still returned."""
+    patch, calls = counting(make_cmc_cylinder(
+        1, "timelike", 1.0, domain=((-1.0, 1.0), (700.0, 712.0))))
+    ok = np.array([0.0, 0.5]), np.array([705.0, 706.0])
+    bad = np.array([0.0, 0.5]), np.array([705.0, 711.0])
+    patch.jet(*ok)
+    for _ in range(2):
+        with pytest.raises(NonFiniteJet):
+            patch.jet(*bad)
+    patch.jet(*ok)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("order", range(4))

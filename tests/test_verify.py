@@ -150,9 +150,10 @@ def test_helix_ode_rejects_varying_angle():
 #: one of them for the normal gauge.  A call is one batch of points.  The
 #: patch suites share the grid batch, an order-1 jet whose Taylor
 #: coefficients give every partial they read and the metric-variation S of
-#: the route check; gauss adds the metric-only jet of intrinsic K and the
-#: route check's second-form `shape_operator` on the grid.  A suite that
-#: starts resampling points it already has, or loops over points, fails here
+#: the route check; gauss adds the jet calls of intrinsic K and of the route
+#: check's second-form `shape_operator` on the grid, which the patch's kept
+#: grid jet serves.  A suite that starts resampling points it already has,
+#: or loops over points, fails here
 JET_BUDGET = {"gauss": 4, "codazzi": 2, "helix_ode": 2,
               "parallel": 2, "claims": 2}
 #: the same count for the CLI's `verify --suite all` sequence on one patch,
@@ -186,6 +187,23 @@ def test_all_suites_share_one_grid_evaluation(monkeypatch):
     for suite in cli._ALL_SUITES:
         run_suite(suite, patch=patch, grid=(8, 8))
     assert calls[0] <= ALL_SUITES_JETS
+
+
+def test_gauss_suite_evaluates_position_once_on_the_grid():
+    """The gauss suite evaluates `position` once on its grid and once at
+    the domain centre, for the normal gauge: intrinsic K and the route
+    check's `shape_operator` read the patch's kept grid jet."""
+    helix = spacelike_helix()
+    calls = []
+
+    def position(u, v):
+        calls.append(u.c[0])
+        return helix.position(u, v)
+
+    patch = SurfacePatch(helix.space, position, helix.domain)
+    run_suite("gauss", patch=patch, grid=(8, 8))
+    assert [np.shape(u) for u in calls] == [(64,), ()]
+    assert calls[1] == patch.center()[0]
 
 
 def test_grid_evaluation_dies_with_its_patch():
