@@ -20,6 +20,7 @@ through (f, f', f'', f''')."""
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -37,8 +38,8 @@ Domain = tuple[tuple[float, float], tuple[float, float]]
 DEFAULT_DOMAIN: Domain = ((-1.2, 1.2), (-1.2, 1.2))
 #: extra tabulated v-range beyond the declared domain (evaluation headroom)
 _PROFILE_MARGIN = 0.06
-#: timelike angle degeneracy threshold (both sin and cos must clear it)
-_TIMELIKE_ANGLE_TOL = 1e-8
+#: angle degeneracy threshold: |nu(theta)| and |m(theta)| must clear it
+_ANGLE_TOL = 1e-8
 
 _ETA_KINDS = ("constant", "linear", "polynomial", "sinusoidal")
 _MAX_POLY_DEGREE = 6
@@ -127,6 +128,14 @@ def _eta_from_any(eta) -> EtaSpec:
 # ---- helix profile ----
 
 
+#: what differs between the two helix branches, by causal: the sign s, the
+#: angle function nu(theta) and slope scale m(theta), and the profile's
+#: pair (g1, g2), with f1' = s m g1(eta + s c) and f2' = m g2(eta + s c)
+_Branch = namedtuple("_Branch", "sign nu m g1 g2")
+_BRANCHES = {"spacelike": _Branch(1.0, math.sinh, math.cosh, np.cosh, np.sinh),
+             "timelike": _Branch(-1.0, math.sin, math.cos, np.sinh, np.cosh)}
+
+
 @dataclass(frozen=True)
 class HelixProfile:
     """A constant-angle family with nonzero angle function (delta = +1):
@@ -140,45 +149,39 @@ class HelixProfile:
     eta: EtaSpec = field(default_factory=lambda: EtaSpec("constant", (0.0,)))
 
     def __post_init__(self) -> None:
-        if self.causal not in ("spacelike", "timelike"):
+        if self.causal not in _BRANCHES:
             raise InvalidParameterDomain(
                 f"causal must be 'spacelike' or 'timelike', got {self.causal!r}")
         if not (math.isfinite(self.tau) and self.tau != 0.0):
             raise InvalidParameterDomain("tau must be finite and nonzero")
         if not math.isfinite(self.theta) or not math.isfinite(self.c):
             raise InvalidParameterDomain("theta and c must be finite")
-        if self.causal == "spacelike":
-            if self.theta <= 0.0:
-                raise InvalidParameterDomain(
-                    "spacelike branch needs theta > 0 (nonzero angle function)")
-        else:
-            if (abs(math.sin(self.theta)) < _TIMELIKE_ANGLE_TOL
-                    or abs(math.cos(self.theta)) < _TIMELIKE_ANGLE_TOL):
-                raise InvalidParameterDomain(
-                    "timelike branch needs sin(theta) and cos(theta) "
-                    "bounded away from 0")
+        if self.causal == "spacelike" and self.theta <= 0.0:
+            raise InvalidParameterDomain(
+                "spacelike branch needs theta > 0 (nonzero angle function)")
+        b = _BRANCHES[self.causal]
+        if min(abs(b.nu(self.theta)), abs(b.m(self.theta))) < _ANGLE_TOL:
+            raise InvalidParameterDomain(
+                f"{self.causal} branch needs {b.nu.__name__}(theta) and "
+                f"{b.m.__name__}(theta) at least {_ANGLE_TOL:g} in magnitude")
         object.__setattr__(self, "eta", _eta_from_any(self.eta))
 
     @property
     def nu_value(self) -> float:
         """The constant angle function of the generated surface (gauge nu>=0)."""
-        if self.causal == "spacelike":
-            return math.sinh(self.theta)
-        return math.sin(self.theta)
+        return _BRANCHES[self.causal].nu(self.theta)
 
     @property
     def slope_scale(self) -> float:
         """cosh(theta) (spacelike) or cos(theta) (timelike): the scale of
         the profile derivatives f1', f2'."""
-        if self.causal == "spacelike":
-            return math.cosh(self.theta)
-        return math.cos(self.theta)
+        return _BRANCHES[self.causal].m(self.theta)
 
     @property
     def constraint_target(self) -> float:
-        """Required constant value of f1'^2 - f2'^2."""
+        """Required constant value of f1'^2 - f2'^2: s m^2."""
         m = self.slope_scale
-        return m * m if self.causal == "spacelike" else -m * m
+        return _BRANCHES[self.causal].sign * (m * m)
 
     def as_dict(self) -> dict:
         return {"causal": self.causal, "tau": self.tau, "theta": self.theta,
@@ -226,10 +229,8 @@ class ProfileFunctions:
 def _slope_branch(profile: HelixProfile) -> tuple:
     """(g1, g2, k1, shift) with f1' = k1 g1(s) and f2' = m g2(s) at
     s = eta + shift; g1 and g2 are numpy's hyperbolic functions."""
-    m = profile.slope_scale
-    if profile.causal == "spacelike":
-        return np.cosh, np.sinh, m, profile.c
-    return np.sinh, np.cosh, -m, -profile.c
+    b = _BRANCHES[profile.causal]
+    return b.g1, b.g2, b.sign * profile.slope_scale, b.sign * profile.c
 
 
 def _slope_function(profile: HelixProfile):
@@ -264,8 +265,7 @@ def _sinhc_minus_one(x):
 
 
 def build_profile(profile: HelixProfile,
-                  v_range: tuple[float, float],
-                  *, force_quadrature: bool = False) -> ProfileFunctions:
+                  v_range: tuple[float, float]) -> ProfileFunctions:
     """Construct (f1, f2, f3) on v_range with f_i(anchor) = 0: closed forms
     for constant and linear eta, else one table in two stages: rows f1, f2
     of f1', f2' (with f1'', f2''), then row f3 of f3' (with f3'') from the
@@ -281,7 +281,7 @@ def build_profile(profile: HelixProfile,
     m = profile.slope_scale
     eta = profile.eta
 
-    if not force_quadrature and eta.kind in ("constant", "linear"):
+    if eta.kind in ("constant", "linear"):
         # eta = c0 + c1 v (c1 = 0: constant eta), s(v) = c1 v + s0: f1 and f2
         # are k1 g1(s), m g2(s) integrated, i.e. differences of g2 and g1
         # over [s(a), s(v)], written as products so that no digits cancel as
@@ -451,26 +451,17 @@ def make_helix_surface(profile: HelixProfile,
     pf = build_profile(profile, (v0 - _PROFILE_MARGIN, v1 + _PROFILE_MARGIN))
     tau = profile.tau
     space = SpaceParams(delta=1, tau=tau)
-    # (X, Y) = (cosh u, sinh u) on the spacelike branch and (-sinh u,
-    # -cosh u) on the timelike one; b_c carries the sign of the u-term in z;
-    # num / den is coth(theta) or cot(theta)
+    # (X, Y) = s (g1(u), g2(u)): (cosh u, sinh u) on the spacelike branch
+    # and (-sinh u, -cosh u) on the timelike one; -s is the sign of the
+    # u-term in z; num / den is coth(theta) or cot(theta)
+    s, _, _, g1, g2 = _BRANCHES[profile.causal]
     num, den = profile.slope_scale, profile.nu_value
-    if profile.causal == "spacelike":
-        sign = -1.0
-
-        def xy(u):
-            return np.cosh(u), np.sinh(u)
-    else:
-        sign = 1.0
-
-        def xy(u):
-            return -np.sinh(u), -np.cosh(u)
     a_c = (num / den) / (2.0 * tau)
-    b_c = sign * (num * num / (4.0 * tau * den * den))
+    b_c = -s * (num * num / (4.0 * tau * den * den))
     c_c = (num / den) / 2.0
 
     def position(u, v):
-        x, y = xy(u)
+        x, y = s * g1(u), s * g2(u)
         p1, p2, p3 = pf(v)
         return (a_c * x + p1, a_c * y + p2,
                 b_c * u - c_c * (p2 * x - p1 * y) + p3)
@@ -499,9 +490,8 @@ def profile_u_from_patch_u(profile: HelixProfile, u: float) -> float:
     u_patch = c - 2 tau sinh(theta)^2 u (spacelike) or
     u_patch = c + 2 tau sin(theta)^2 u (timelike)."""
     nu = profile.nu_value
-    if profile.causal == "spacelike":
-        return (profile.c - u) / (2.0 * profile.tau * nu * nu)
-    return (u - profile.c) / (2.0 * profile.tau * nu * nu)
+    s = _BRANCHES[profile.causal].sign
+    return s * (profile.c - u) / (2.0 * profile.tau * nu * nu)
 
 
 def predicted_mu_at_patch(profile: HelixProfile, u: float, v: float) -> float:

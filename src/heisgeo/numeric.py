@@ -534,8 +534,7 @@ def directional_diffs(f: Callable, u, v, directions, step: float) -> list:
     """The derivative of f at the points (u, v) along each direction
     (du, dv) of `directions` (numbers or arrays over the points), by the
     second-order `central_diff` at step / max(1, |du|, |dv|).  f is called
-    once, as f(uu, vv, au, av): every displaced point, and the sample it
-    belongs to."""
+    once, as f(uu, vv) on every displaced point."""
     du, dv = (np.concatenate([np.ravel(np.broadcast_to(d[i], np.shape(u)))
                               for d in directions]) for i in (0, 1))
     h = step / np.maximum(np.maximum(abs(du), abs(dv)), 1.0)
@@ -543,7 +542,7 @@ def directional_diffs(f: Callable, u, v, directions, step: float) -> list:
 
     def displaced(t):  # the points broadcast and flattened to one batch
         return f(*[np.ravel(x) for x in np.broadcast_arrays(
-            u0 + t * du, v0 + t * dv, u0, v0)])
+            u0 + t * du, v0 + t * dv)])
 
     return _split(central_diff(displaced, h), (len(directions), *np.shape(u)))
 

@@ -439,14 +439,12 @@ def _variation_shape(space: SpaceParams, s: _Sample
     p = s.jet.p
     n = ambient.from_frame_components(space, p, s.n)
     t, = Taylor.variables((np.zeros(np.shape(s.at[0])),), 1)
-    gm = ambient.metric_matrix(space, [d(x) + t * d(y) for x, y in zip(p, n)])
-    xu, xv = ([d(x, i) + t * d(y, i) for x, y in zip(p, n)] for i in (0, 1))
-    gu, gv = ([row[0] * w[0] + row[1] * w[1] + row[2] * w[2] for row in gm]
-              for w in (xu, xv))
-    i11, i12, i22 = [a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-                     for a, b in ((xu, gu), (xu, gv), (xv, gv))]
-    r11, r12, r22 = (-0.5 * d(x, 0) for x in (i11, i12, i22))
-    c1, c2 = solve2(d(i11), d(i12), d(i12), d(i22), (r11, r12), (r12, r22))
+    moved = [[d(x, *i) + t * d(y, *i) for x, y in zip(p, n)]
+             for i in ((), (0,), (1,))]  # F + tN and its partials
+    i_t = _induced_from_jet(space, PatchJet(*moved, None, None, None), s.at)
+    e, f, g = i_t.e, i_t.f, i_t.g
+    r11, r12, r22 = (-0.5 * d(x, 0) for x in (e, f, g))
+    c1, c2 = solve2(d(e), d(f), d(f), d(g), (r11, r12), (r12, r22))
     return ((c1[0], c2[0]), (c1[1], c2[1]))
 
 

@@ -181,10 +181,11 @@ class _Evaluation:
     """What the patch suites read at the samples `s`, as values of one
     order-1 sample whose coefficients give the `partials` rows: the
     coordinate S `m`, the same S by the metric-variation route `variation`,
-    the adapted frame and entries (a11, a12, a21, a22), and the parallel
-    frame (T, JT) / sqrt|g(T,T)|, spacelike vector first, with its
-    coefficients `dirs`, entries (S11, S12, S22) and ambient components
-    `amb`.  The patch keeps it per grid (no reference back)."""
+    the extrinsic K `k_ext`, the adapted frame and entries (a11, a12, a21,
+    a22), and the parallel frame (T, JT) / sqrt|g(T,T)|, spacelike vector
+    first, with its coefficients `dirs`, entries (S11, S12, S22) and
+    ambient components `amb`.  The patch keeps it per grid (no reference
+    back)."""
 
     def __init__(self, patch: SurfacePatch, u, v):
         space = patch.space
@@ -214,6 +215,7 @@ class _Evaluation:
         self.partials = np.concatenate((rows[1:3, 14:21], rows[1:3, 13:14],
                                         picked[1:3, 10:], units[1:3, 2:5]), 1)
         self.s, self.m, self.frame = value((s, m, frame))
+        self.k_ext = _extrinsic_k(space, self.s, self.m)
         # copies of the values, so that the stacked rows are freed
         self.adapted = tuple(rows[0, 10:14].copy())
         self.entries = picked[0, 10:].copy()
@@ -239,8 +241,7 @@ def check_gauss(patch: SurfacePatch, grid: tuple[int, int] = (15, 15),
     ev = _grid_evaluation(patch, grid)
     # the patch's kept grid jet serves the public intrinsic K
     k_int = gaussian_curvature(patch, *ev.s.at, method="intrinsic")
-    return _check("gauss.extrinsic_vs_intrinsic",
-                  abs(k_int - _extrinsic_k(patch.space, ev.s, ev.m)),
+    return _check("gauss.extrinsic_vs_intrinsic", abs(k_int - ev.k_ext),
                   tolerances, ev.s.at)
 
 
@@ -377,8 +378,8 @@ def parallel_equations_residuals(inp: ParallelCheckInput) -> float:
         X(S22) =  2 eps S12 w(X)."""
     pts = np.asarray(inp.points, dtype=float).reshape(-1, 2)
     u, v = pts[:, 0].copy(), pts[:, 1].copy()
-    along = directional_diffs(lambda uu, vv, *at: inp.entries(uu, vv), u, v,
-                              inp.frame_directions(u, v), _SURFACE_STEP)
+    along = directional_diffs(inp.entries, u, v, inp.frame_directions(u, v),
+                              _SURFACE_STEP)
     return float(_parallel_residuals(inp.eps, inp.entries(u, v), along,
                                      [inp.omega(u, v, k) for k in (0, 1)]).max())
 
@@ -438,7 +439,7 @@ def check_claims(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
                          0.0 if is_cmc == parallel.passed else 1.0, tolerances))
     target = 4.0 * space.delta * s.eps * tau * tau * nu_mean * nu_mean
     checks.append(_check("claims.constant_angle_gauss",
-                         abs(_extrinsic_k(space, s, ev.m) - target), tolerances, at))
+                         abs(ev.k_ext - target), tolerances, at))
     checks.append(_check("claims.mean_from_adapted_s22", abs(hs - 0.5 * a22),
                          tolerances, at))
     checks.append(_check("claims.non_umbilic", abs(tau) - abs(a12), tolerances,
@@ -540,43 +541,41 @@ def check_ambient(space: SpaceParams, seed: int = DEFAULT_SEED,
     def picking(onehot):  # the field of the frame vectors one-hot columns pick
         return lambda q: lincomb3(list(zip(onehot, ambient.frame_at(space, q).vectors())))
 
-    # bracket relations by Taylor derivatives of the frame fields: [E_i, E_j]
-    # = D_{E_i} E_j - D_{E_j} E_i, the six D at the first 10 points in one
-    # batch, E_i read from the orthonormality check's frame
-    i, j = np.array(((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))).T - 1
-    d = ambient.directional_fd(
-        picking(np.repeat(np.eye(3)[j], 10, axis=0).T),
-        tuple(np.tile(q[:10], 6) for q in pts), frame[:, i, :10].reshape(3, -1))
-    # [component, pair, D_{E_i} E_j or D_{E_j} E_i, point]
-    d = np.reshape(np.broadcast_arrays(*d), (3, 3, 2, 10))
+    # D_{E_i} E_j for the nine connection-table entries (i, j) at the first
+    # 15 points, in one batch: E_i read from the orthonormality check's
+    # frame, the field of each entry the one-hot combination of the frame
+    # fields that picks E_j
+    table = ambient.connection_table(space)
+    basis = np.eye(3)
+    i, j = np.array(list(table)).T - 1
+    p = tuple(q[:15] for q in pts)
+    x, wv = (frame[:, k, :15] for k in (i, j))  # [component, entry, point]
+    dw = ambient.directional_fd(picking(basis[j].T[..., None]), p, x)
+
+    # bracket relations [E_i, E_j] = D_{E_i} E_j - D_{E_j} E_i from entries
+    # 3-8, the pairs (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2), at the
+    # first 10 points: [component, pair, D_{E_i} E_j or D_{E_j} E_i, point]
+    d = np.array(np.broadcast_arrays(*dw))[:, 3:, :10].reshape(3, 3, 2, 10)
     checks.append(_check("ambient.bracket", gaps(
         np.swapaxes(d[:, :, 0] - d[:, :, 1], 0, 1).reshape(9, 10),
         [0.0, 0.0, 2.0 * tau] + [0.0] * 6), tolerances))
 
     # connection table vs the algebraic covariant-derivative correction, the
     # nine entries (i, j) as one-hot columns of one batch
-    table = ambient.connection_table(space)
-    basis = np.eye(3)
-    i, j = np.array(list(table)).T - 1
     checks.append(_check("ambient.connection_table", gaps(
         np.transpose(ambient.frame_connection_correction(
             space, basis[i].T, basis[j].T)), list(table.values())), tolerances))
 
     # one coordinate-path connection serves the connection, curvature and
     # wedge checks: at the first 15 points, then at the wedge check's 50
-    p = tuple(q[:15] for q in pts)
     a, b, c = _draws(rng, 200, _UNIT, _UNIT, _UNIT)
     v8, w8, z8 = _draws(rng, 8, _UNIT, _UNIT, _UNIT)
     p50, x50 = _draws(rng, 50, (_POINT_BOX,) * 3, _UNIT)
     conn = ambient._connection(space, tuple(map(np.concatenate, zip(p, p50))))
 
-    # connection table vs the coordinate path's Christoffel symbols: the
-    # nine entries (i, j) on a leading axis, E_i and E_j read from the
-    # orthonormality check's frame, and the field of each entry the one-hot
-    # combination of the frame fields that picks E_j
+    # connection table vs the coordinate path's Christoffel symbols: D_{E_i}
+    # E_j above plus Gamma(E_i, E_j), the nine entries on a leading axis
     gam = conn[3][..., :15]
-    x, wv = (frame[:, k, :15] for k in (i, j))  # [component, entry, point]
-    dw = ambient.directional_fd(picking(basis[j].T[..., None]), p, x)
     # Gamma^k_lm x^l w^m summed over (l, m) in l-major, m-minor order
     terms = gam[:, :, :, None] * x[:, None] * wv  # [k, l, m, entry, point]
     lm_sum = sum(np.moveaxis(terms.reshape(3, 9, 9, 15), 1, 0))

@@ -342,8 +342,12 @@ def test_criterion_8_profile_residuals():
             assert res["antiderivative"] <= 1e-10, (causal, eta.kind, res)
             assert res["derivative_constraint"] <= 1e-10
             assert res["f3_ode"] <= 1e-10
-            # same eta through the independent quadrature route
-            pq = build_profile(prof, (-1.26, 1.26), force_quadrature=True)
+            # same eta through the independent quadrature route: the
+            # same coefficients as a polynomial eta
+            pq = build_profile(HelixProfile(causal, 1.0, theta, c=0.1,
+                                            eta=EtaSpec("polynomial",
+                                                        eta.coefficients)),
+                               (-1.26, 1.26))
             assert pq.source == "quadrature"
             resq = profile_residuals(pq)
             assert max(resq.values()) <= 1e-8

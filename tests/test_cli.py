@@ -545,6 +545,64 @@ def test_crash_inputs_land_on_documented_codes(workdir, capsys, command,
     assert "Traceback" not in capsys.readouterr().err
 
 
+# a spacelike angle so small that sinh(theta)^2 underflows once divided
+# the immersion's constants by zero (exit 5), and a merely tiny one ended in
+# a degenerate metric (exit 3): both are below the branch's angle threshold
+@pytest.mark.parametrize("command", ("analyze", "verify", "mesh"))
+@pytest.mark.parametrize("theta", (1e-300, 1e-170, 1e-9))
+def test_tiny_spacelike_angle_is_a_config_error(workdir, capsys, command,
+                                                theta):
+    assert main([command, "--config", cfg_path(workdir, dict(
+        HELIX, theta=theta))]) == EXIT_CONFIG_ERROR
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert "spacelike branch" in lines[0]
+
+
+# extreme magnitudes across the config schema, each under every command:
+# whatever the verdict, a documented code, no internal error, and no long
+# run.  A steep eta that burns the profile table's evaluation budget for
+# seconds (such as -0.6 v + 8 v^2, timelike theta = 1, c = 0.1) is left out:
+# making steep profiles build is an open item of its own.
+EXTREME_CONFIGS = {
+    "tau_1e-300": dict(HELIX, tau=1e-300),
+    "tau_1e200": dict(HELIX, tau=1e200),
+    "theta_1e-300": dict(HELIX, theta=1e-300),
+    "theta_800": dict(HELIX, theta=800.0),
+    "c_800": dict(HELIX, c=800.0),
+    "c_-800": dict(HELIX, c=-800.0),
+    "sinusoidal_amplitude_1e6": dict(HELIX, eta={
+        "kind": "sinusoidal", "coefficients": [1e6, 1.0, 0.0]}),
+    "sinusoidal_frequency_1e4": dict(HELIX, eta={
+        "kind": "sinusoidal", "coefficients": [0.3, 1e4, 0.0]}),
+    "polynomial_sixth_1e300": dict(HELIX, eta={
+        "kind": "polynomial", "coefficients": [0.0, 0.0, 0.0, 0.0, 0.0, 1e300]}),
+    "linear_slope_1e8": dict(HELIX, eta={
+        "kind": "linear", "coefficients": [0.0, 1e8]}),
+    "domain_1e-300": dict(HELIX, domain=[[0.0, 1e-300], [0.0, 1e-300]]),
+    "domain_u_1e300": dict(HELIX, domain=[[1e300, 1.0000001e300], [0.0, 1.0]]),
+    "plane_tau_0": dict(PLANE, tau=0.0),
+    "plane_phi0_700": dict(PLANE, delta=1, phi0=700.0),
+    "cylinder_v_800": dict(CYLINDER, domain=[[-1.0, 1.0], [-800.0, 800.0]]),
+}
+
+
+@pytest.mark.parametrize("command", ("analyze", "verify", "mesh"))
+@pytest.mark.parametrize("payload", EXTREME_CONFIGS.values(),
+                         ids=EXTREME_CONFIGS)
+def test_extreme_inputs_land_on_documented_codes(workdir, capsys, command,
+                                                 payload):
+    start = time.perf_counter()
+    code = main([command, "--config", cfg_path(workdir, payload),
+                 "--out", "out"])
+    seconds = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (EXIT_PASS, EXIT_SUITE_FAILURE, EXIT_CONFIG_ERROR,
+                    EXIT_GEOMETRY_ERROR), err
+    assert "internal error" not in err and "Traceback" not in err
+    assert seconds < 5.0
+
+
 # valid timelike helices on which a tangent frame seeded at the patch centre
 # loses its spacelike norm away from it; verify must still pass every check
 POLYNOMIAL_TIMELIKE_HELIX = {

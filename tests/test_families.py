@@ -6,6 +6,7 @@ route before pinning.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 
@@ -41,6 +42,14 @@ from heisgeo.verify import default_family_matrix
 
 ASINH1 = math.asinh(1.0)
 SQRT2 = math.sqrt(2.0)
+
+
+def quadrature_twin(prof: HelixProfile) -> HelixProfile:
+    """prof with its constant or linear eta written as a polynomial, whose
+    profile takes the quadrature route: `EtaSpec.jet` runs the same Horner
+    loop for all three kinds, so the integrands are bit for bit the same."""
+    return dataclasses.replace(prof, eta=EtaSpec("polynomial",
+                                                 prof.eta.coefficients))
 
 
 # ------------------------------------------------------------- EtaSpec
@@ -109,6 +118,23 @@ def test_helix_profile_constants():
     assert tl.constraint_target == pytest.approx(-0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("causal, theta", [
+    ("spacelike", t) for t in (2e-8, 0.3, ASINH1, 1.7, 20.0, 700.0)] + [
+    ("timelike", t) for t in (-2.5, -0.4, 1e-7, math.pi / 4.0, 1.3, 3.0)])
+def test_branch_table_keeps_the_closed_formulas(causal, theta):
+    """The branch table gives the angle function, slope scale and
+    constraint target of the per-branch closed formulas, bit for bit."""
+    prof = HelixProfile(causal, 1.0, theta)
+    if causal == "spacelike":
+        nu, m = math.sinh(theta), math.cosh(theta)
+        target = m * m
+    else:
+        nu, m = math.sin(theta), math.cos(theta)
+        target = -m * m
+    assert (prof.nu_value, prof.slope_scale, prof.constraint_target) == (
+        nu, m, target)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(causal="null", tau=1.0, theta=1.0),
     dict(causal="spacelike", tau=0.0, theta=1.0),
@@ -156,7 +182,7 @@ def test_linear_eta_closed_form_vs_quadrature(causal, theta):
     prof = HelixProfile(causal, 1.0, theta, c=0.1,
                         eta=EtaSpec("linear", (0.2, 0.8)))
     closed = build_profile(prof, (-1.0, 1.0))
-    quad = build_profile(prof, (-1.0, 1.0), force_quadrature=True)
+    quad = build_profile(quadrature_twin(prof), (-1.0, 1.0))
     assert closed.source == "closed-form"
     assert quad.source == "quadrature"
     for v in [-0.9 + 0.2 * i for i in range(10)]:
@@ -174,7 +200,7 @@ def test_linear_eta_closed_form_keeps_its_digits_at_small_slope(causal, theta,
     prof = HelixProfile(causal, 1.0, theta, c=0.1,
                         eta=EtaSpec("linear", (0.2, c1)))
     closed = build_profile(prof, (-1.0, 1.0))
-    quad = build_profile(prof, (-1.0, 1.0), force_quadrature=True)
+    quad = build_profile(quadrature_twin(prof), (-1.0, 1.0))
     assert closed.source == "closed-form"
     for v in [-0.95 + 0.1 * i for i in range(20)]:
         for i in range(3):
@@ -189,7 +215,7 @@ def test_constant_eta_is_the_linear_closed_form_at_zero_slope(causal, theta):
     prof = HelixProfile(causal, 1.0, theta, c=0.1,
                         eta=EtaSpec("constant", (0.2,)))
     closed = build_profile(prof, (-1.0, 1.0))
-    quad = build_profile(prof, (-1.0, 1.0), force_quadrature=True)
+    quad = build_profile(quadrature_twin(prof), (-1.0, 1.0))
     flat = build_profile(HelixProfile(causal, 1.0, theta, c=0.1,
                                       eta=EtaSpec("linear", (0.2, 0.0))),
                          (-1.0, 1.0))
