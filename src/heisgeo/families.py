@@ -29,7 +29,7 @@ import numpy as np
 from .ambient import SpaceParams
 from .errors import (ConfigError, InvalidCombination, InvalidParameterDomain,
                      UnknownFamily)
-from .numeric import CumulativeIntegral, Taylor, central_diff
+from .numeric import CumulativeIntegral, Taylor
 from .surface import SurfacePatch
 
 Domain = tuple[tuple[float, float], tuple[float, float]]
@@ -160,10 +160,15 @@ class HelixProfile:
             raise InvalidParameterDomain(
                 "spacelike branch needs theta > 0 (nonzero angle function)")
         b = _BRANCHES[self.causal]
-        if min(abs(b.nu(self.theta)), abs(b.m(self.theta))) < _ANGLE_TOL:
+        try:
+            ok = min(abs(b.nu(self.theta)), abs(b.m(self.theta))) >= _ANGLE_TOL
+        except OverflowError:  # sinh and cosh past theta = 710
+            ok = False
+        if not ok:
             raise InvalidParameterDomain(
                 f"{self.causal} branch needs {b.nu.__name__}(theta) and "
-                f"{b.m.__name__}(theta) at least {_ANGLE_TOL:g} in magnitude")
+                f"{b.m.__name__}(theta) finite and at least {_ANGLE_TOL:g} "
+                "in magnitude")
         object.__setattr__(self, "eta", _eta_from_any(self.eta))
 
     @property
@@ -335,8 +340,12 @@ def profile_residuals(pf: ProfileFunctions) -> dict[str, float]:
     a, b = lo + pad, hi - pad
     n = _RESIDUAL_SAMPLES
     v = np.array([a + (b - a) * i / (n - 1) for i in range(n)])
-    d1, d2, d3, *higher = central_diff(
-        lambda t: pf.jet(np.add.outer(v, t))[:9], _RESIDUAL_STEP, order=4)
+    # the fourth-order stencil, at offsets 2h, h, -h, -2h on the last axis,
+    # is the tables' independent check, not only a way to a derivative
+    h = _RESIDUAL_STEP
+    p2, p1, m1, m2 = np.moveaxis(np.array(pf.jet(np.add.outer(
+        v, np.multiply.outer((2.0, 1.0, -1.0, -2.0), h)))[:9]), -1, 0)
+    d1, d2, d3, *higher = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
     jet = pf.jet(v)
     q1, q2, q3 = jet[3:6]
     return {"antiderivative": float(np.maximum(abs(d1 - q1), abs(d2 - q2)).max()),

@@ -1,7 +1,7 @@
 """Shared numerical helpers: small-vector algebra, truncated Taylor series
-(the package's one derivative type), central finite-difference stencils,
-adaptive Simpson quadrature, quintic-Hermite tables of an antiderivative, and
-deterministic float formatting.
+(the package's one derivative type), adaptive Simpson quadrature,
+quintic-Hermite tables of an antiderivative, and deterministic float
+formatting.
 
 Three-vectors are plain tuples of three components.  A component is a float
 for one point, or a 1-D ndarray for a batch of points: every geometry
@@ -483,68 +483,6 @@ def derivative(x, *axes):
     scale = math.prod([math.factorial(k) for k in e])
     c = x.c[_INDEX[x.nvar][e]]
     return c * scale if scale > 1 else c
-
-
-# ---- finite differences ----
-#
-# Each stencil calls f once, with offsets t = every offset times the step h
-# (a float, or one step per point); f's values (floats, ndarrays or tuples)
-# carry the displaced points on their last axis, offset-major.
-
-
-# lists, not generators, feed the tuples below: CPython resizes a tuple built
-# from a generator, and it then parks in its size's free list (2,000 a size)
-def _split(x, shape: tuple) -> list:
-    """A value stacked over `shape` on its last axis, one per shape[0]."""
-    if isinstance(x, (tuple, list)):
-        return list(zip(*[_split(c, shape) for c in x]))
-    if np.ndim(x) == 0:
-        return [x] * shape[0]
-    x = np.asarray(x)
-    return list(np.moveaxis(x.reshape(x.shape[:-1] + shape), x.ndim - 1, 0))
-
-
-def _lift(formula: Callable, *values):
-    if isinstance(values[0], tuple):
-        return tuple([formula(*v) for v in zip(*values)])
-    return formula(*values)
-
-
-def _stencil(f: Callable, h, *scales) -> list:
-    """f at the offsets scale * h, one sequence of scales per argument of f,
-    from one call: one value per offset."""
-    t = [np.multiply.outer(s, h) for s in scales]
-    return _split(f(*t), t[0].shape)
-
-
-def central_diff(f: Callable, h, order: int = 2):
-    """f'(0) by the central stencil of order 2 (f at +-h) or 4 (f at +-h,
-    +-2h); f is called once, with the signed offsets stacked."""
-    if order == 2:
-        return _lift(lambda p, m: (p - m) / (2.0 * h),
-                     *_stencil(f, h, (1.0, -1.0)))
-    if order == 4:
-        return _lift(lambda p2, p1, m1, m2:
-                     (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h),
-                     *_stencil(f, h, (2.0, 1.0, -1.0, -2.0)))
-    raise ValueError(f"stencil order must be 2 or 4, got {order!r}")
-
-
-def directional_diffs(f: Callable, u, v, directions, step: float) -> list:
-    """The derivative of f at the points (u, v) along each direction
-    (du, dv) of `directions` (numbers or arrays over the points), by the
-    second-order `central_diff` at step / max(1, |du|, |dv|).  f is called
-    once, as f(uu, vv) on every displaced point."""
-    du, dv = (np.concatenate([np.ravel(np.broadcast_to(d[i], np.shape(u)))
-                              for d in directions]) for i in (0, 1))
-    h = step / np.maximum(np.maximum(abs(du), abs(dv)), 1.0)
-    u0, v0 = np.tile(u, len(directions)), np.tile(v, len(directions))
-
-    def displaced(t):  # the points broadcast and flattened to one batch
-        return f(*[np.ravel(x) for x in np.broadcast_arrays(
-            u0 + t * du, v0 + t * dv)])
-
-    return _split(central_diff(displaced, h), (len(directions), *np.shape(u)))
 
 
 # ---- adaptive Simpson ----

@@ -23,7 +23,6 @@ a grid's samples as columns and serializes them to CSV and JSON."""
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -111,10 +110,8 @@ class SurfacePatch:
             u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
                                        np.asarray(v, dtype=float))
             shape = u.shape
-        if order >= 2:  # a digest of the bits of (u, v), not a copy
-            bits = hashlib.sha256(np.ascontiguousarray(u, dtype=float))
-            bits.update(np.ascontiguousarray(v, dtype=float))
-            key = (shape, bits.digest())
+        if order >= 2:  # the bits of (u, v): -0.0 is not 0.0
+            key = (shape, np.ascontiguousarray((u, v), dtype=float).tobytes())
             kept_key, kept_order, kept = self._kept.get(batch, (None, 0, None))
             if kept_key == key and kept_order >= order:
                 return kept if kept_order == order else PatchJet(*[

@@ -34,8 +34,8 @@ from . import ambient
 from .ambient import SpaceParams
 from .errors import (DegeneratePlane, NonFiniteResidual, NotAHelixPatch,
                      UnsupportedKappa)
-from .numeric import (Taylor, Vec3, bilinear3, directional_diffs, lincomb3,
-                      quiet, require, value)
+from .numeric import (Taylor, Vec3, bilinear3, derivative, lincomb3, quiet,
+                      require, value)
 from .surface import (FirstFundamentalForm, SurfacePatch, _adapted_entries,
                       _extrinsic_k, _require_adapted, _sample,
                       _second_form_shape, _tangent_coefficients,
@@ -71,7 +71,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "claims.non_umbilic": 1e-6,
 }
 
-_SURFACE_STEP = 1e-3
 _GRID_INSET = 0.03
 _CONSTANT_ANGLE_RANGE = 1e-6
 # random planes the sectional-constancy check may draw to find its 20
@@ -342,21 +341,24 @@ def check_helix_ode(patch: SurfacePatch, grid: tuple[int, int] = (12, 12),
 @dataclass
 class ParallelCheckInput:
     """Inputs for the parallel-surface equations on synthetic data, in a
-    pseudo-orthonormal frame {F1, F2}, g(F1,F1) = 1, g(F2,F2) = -eps.  The
-    callables take (u, v) as 1-D arrays and return arrays or numbers (a
-    number counts for every point); they are called with all `points`, then
-    with the points of all the stencil offsets stacked:
+    pseudo-orthonormal frame {F1, F2}, g(F1,F1) = 1, g(F2,F2) = -eps.  Each
+    callable is called once, on all `points`, and returns arrays or numbers
+    (a number counts for every point):
     frame_directions(u, v) -> coordinate coefficients of (F1, F2);
     entries(u, v) -> operator entries (S11, S12, S22) in that frame
     (the operator is self-adjoint, so S21 is determined);
-    omega(u, v, k) -> g(nabla_{F_k} F1, F2) for k in {0, 1}."""
+    omega(u, v, k) -> g(nabla_{F_k} F1, F2) for k in {0, 1}.
+    frame_directions and omega take (u, v) as 1-D arrays; entries takes
+    them as order-1 Taylor values, whose partials give X(S_ij), so it is
+    written with numpy's functions and + - * / (`math` raises TypeError);
+    an entry that is a number or an array is a constant."""
 
     eps: int  # or one int per point (an int array)
     points: Sequence[tuple[float, float]]
-    frame_directions: Callable[[float, float],
+    frame_directions: Callable[[np.ndarray, np.ndarray],
                                tuple[tuple[float, float], tuple[float, float]]]
-    entries: Callable[[float, float], tuple[float, float, float]]
-    omega: Callable[[float, float, int], float]
+    entries: Callable[[Taylor, Taylor], tuple]
+    omega: Callable[[np.ndarray, np.ndarray, int], float]
 
 
 def _parallel_residuals(eps, entries, along, omega):
@@ -375,12 +377,16 @@ def _parallel_residuals(eps, entries, along, omega):
 def parallel_equations_residuals(inp: ParallelCheckInput) -> float:
     """Max residual (NaN if any is NaN) over the points and X = F1, F2 of
         X(S11) = -2 eps S12 w(X),  X(S12) = (S22 - S11) w(X),
-        X(S22) =  2 eps S12 w(X)."""
+        X(S22) =  2 eps S12 w(X),
+    with X(S_ij) = X^u d/du S_ij + X^v d/dv S_ij from the exact partials of
+    `entries`."""
     pts = np.asarray(inp.points, dtype=float).reshape(-1, 2)
     u, v = pts[:, 0].copy(), pts[:, 1].copy()
-    along = directional_diffs(inp.entries, u, v, inp.frame_directions(u, v),
-                              _SURFACE_STEP)
-    return float(_parallel_residuals(inp.eps, inp.entries(u, v), along,
+    entries = inp.entries(*Taylor.variables((u, v), 1))
+    du, dv = ([derivative(e, k) for e in entries] for k in (0, 1))
+    along = [[x[0] * a + x[1] * b for a, b in zip(du, dv)]
+             for x in inp.frame_directions(u, v)]
+    return float(_parallel_residuals(inp.eps, value(entries), along,
                                      [inp.omega(u, v, k) for k in (0, 1)]).max())
 
 

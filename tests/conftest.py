@@ -3,10 +3,14 @@
 Tests named ``test_criterion_<n>_*`` inside tests/test_acceptance.py are
 grouped by <n>; after the run a summary section prints exactly one line per
 criterion so the verdicts survive output capture under plain ``pytest -v``.
+
+Also the tests' one finite-difference oracle, `central_diff4`.
 """
 from __future__ import annotations
 
 import re
+
+import numpy as np
 
 CRITERIA_SUMMARIES = {
     1: "ambient connection/curvature closed forms exact; FD cross-check <= 1e-6",
@@ -44,3 +48,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         verdict = "PASS" if _ACCEPTANCE_RESULTS[n] else "FAIL"
         summary = CRITERIA_SUMMARIES.get(n, "")
         terminalreporter.write_line(f"ACCEPTANCE {n}: {verdict} - {summary}")
+
+
+def central_diff4(f, h: float) -> np.ndarray:
+    """f'(0) by the fourth-order central stencil at step h: f is called
+    once, on the offsets (2h, h, -h, -2h) as an array, and returns an array
+    with those offsets on its last axis."""
+    p2, p1, m1, m2 = np.moveaxis(f(np.array([2.0, 1.0, -1.0, -2.0]) * h), -1, 0)
+    return (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)

@@ -559,6 +559,19 @@ def test_tiny_spacelike_angle_is_a_config_error(workdir, capsys, command,
     assert "spacelike branch" in lines[0]
 
 
+# a spacelike angle so large that sinh(theta) overflows ended in "bad family
+# descriptor: math range error", naming neither the field nor the branch
+@pytest.mark.parametrize("command", ("analyze", "verify", "mesh"))
+@pytest.mark.parametrize("theta", (711.0, 800.0, 1e300))
+def test_huge_spacelike_angle_is_a_config_error(workdir, capsys, command,
+                                                theta):
+    assert main([command, "--config", cfg_path(workdir, dict(
+        HELIX, theta=theta))]) == EXIT_CONFIG_ERROR
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert "spacelike branch" in lines[0]
+
+
 # extreme magnitudes across the config schema, each under every command:
 # whatever the verdict, a documented code, no internal error, and no long
 # run.  A steep eta that burns the profile table's evaluation budget for

@@ -149,6 +149,17 @@ def test_helix_profile_validation(kwargs):
         HelixProfile(**kwargs)
 
 
+@pytest.mark.parametrize("theta", (711.0, 800.0, 1e300))
+def test_huge_spacelike_angle_names_the_branch(theta):
+    """sinh and cosh overflow past theta = 710: the profile refuses theta
+    as a parameter-domain error naming the branch and both functions, not
+    with a bare OverflowError."""
+    with pytest.raises(InvalidParameterDomain,
+                       match=r"spacelike branch needs sinh\(theta\) and "
+                             r"cosh\(theta\) finite"):
+        HelixProfile("spacelike", 1.0, theta)
+
+
 def test_constant_eta_profile_is_linear_in_v():
     prof = HelixProfile("spacelike", 1.0, ASINH1, c=0.2,
                         eta=EtaSpec("constant", (0.3,)))
@@ -263,6 +274,29 @@ def test_profile_residuals_within_tolerance(eta, expect_source, tol):
         assert res["antiderivative"] <= tol
         assert res["derivative_constraint"] <= tol
         assert res["f3_ode"] <= tol
+
+
+@pytest.mark.parametrize("prof", [
+    HelixProfile("spacelike", 1.0, ASINH1, c=0.1,
+                 eta=EtaSpec("linear", (0.0, 1.0))),
+    HelixProfile("timelike", 1.0, math.pi / 4.0, c=0.1,
+                 eta=EtaSpec("sinusoidal", (0.3, 1.0, 0.0))),
+], ids=("linear", "readme_sinusoidal"))
+def test_profile_residual_stencil_shows_fourth_order(monkeypatch, prof):
+    """Halving the step of `profile_residuals`' five-point stencil from 0.04
+    to 0.02 divides what it reads by about 2^4 = 16: the residuals are the
+    stencil's truncation, so its observed order is 4.  At the default step
+    1e-3 rounding over the step dominates (about 1e-16 / 1e-3), and the
+    ratio between two steps there means nothing."""
+    from heisgeo import families
+
+    pf = build_profile(prof, (-1.26, 1.26))
+    res = {}
+    for h in (0.04, 0.02):
+        monkeypatch.setattr(families, "_RESIDUAL_STEP", h)
+        res[h] = profile_residuals(pf)
+    for key in ("antiderivative", "f3_ode", "jet"):
+        assert 14.0 <= res[0.04][key] / res[0.02][key] <= 17.0, key
 
 
 _UNIT = st.floats(-1.0, 1.0)

@@ -1,13 +1,12 @@
-"""Unit tests for the finite-difference stencils and the quadrature tables
-in heisgeo.numeric.
+"""Unit tests for the quadrature, the quintic-Hermite tables, the Taylor
+arithmetic and the formatting helpers in heisgeo.numeric.
 
-Each stencil is run at h and h/2 on smooth functions whose leading
-truncation term does not vanish at the sample point; the error ratio then
-shows the stencil's order: about 4 for second order, about 16 for fourth.
+Batched adaptive Simpson is checked bit for bit against its float calls.
 The quintic-Hermite tables are checked against exact antiderivatives at
 and between their nodes, their hard-coded Gauss-Legendre rule against
-numpy's, and their spot check against a perturbed weight.  The recursive helpers are also checked to leave no reference cycle
-behind.
+numpy's, and their spot check against a perturbed weight.  Taylor values
+are checked coefficient by coefficient against closed forms.  The
+recursive helpers are also checked to leave no reference cycle behind.
 """
 from __future__ import annotations
 
@@ -21,117 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 from heisgeo import numeric
 from heisgeo.errors import QuadratureFailure
 from heisgeo.numeric import (CumulativeIntegral, Taylor, adaptive_simpson,
-                             central_diff, derivative, json_dumps, value)
-
-X0 = 0.3
-
-# The stencils call f once with all of their offsets stacked in an array, so
-# the functions below are written with numpy, elementwise.
+                             derivative, json_dumps, value)
 
 
-def scalar(x):
-    return np.exp(np.sin(x))
-
-
-def scalar_d1(x):
-    return np.cos(x) * np.exp(np.sin(x))
-
-
-def as_tuple(x):
-    return (np.sin(x), np.cos(x), np.exp(x))
-
-
-def as_tuple_d1(x):
-    return (np.cos(x), -np.sin(x), np.exp(x))
-
-
-def as_array(x):
-    return np.array(as_tuple(x))
-
-
-def as_array_d1(x):
-    return np.array(as_tuple_d1(x))
-
-
-CALLABLES = [(scalar, scalar_d1), (as_tuple, as_tuple_d1),
-             (as_array, as_array_d1)]
-
-
-def errors(got, want):
-    return np.abs(np.asarray(got, dtype=float) - np.asarray(want, dtype=float))
-
-
-@pytest.mark.parametrize("order, h, ratio", [(2, 0.02, 4.0), (4, 0.1, 16.0)])
-@pytest.mark.parametrize("fn, d1", CALLABLES)
-def test_central_diff_observed_order(fn, d1, order, h, ratio):
-    want = d1(X0)
-    coarse = errors(central_diff(lambda t: fn(X0 + t), h, order), want)
-    fine = errors(central_diff(lambda t: fn(X0 + t), h / 2, order), want)
-    assert np.all(coarse > 0.0)
-    observed = coarse / fine
-    assert np.all(np.abs(observed / ratio - 1.0) < 0.03), observed
-
-
-def test_central_diff_value_types():
-    assert isinstance(central_diff(lambda t: X0 + t, 0.1), float)
-    assert isinstance(central_diff(lambda t: [t, 2.0 * t], 0.1), tuple)
-    assert isinstance(central_diff(lambda t: as_array(t), 0.1, 4), np.ndarray)
-    # linear functions are differentiated exactly up to rounding
-    got = central_diff(lambda t: [t, 2.0 * t], 0.25, order=4)
-    assert got == pytest.approx((1.0, 2.0), abs=1e-15)
-
-
-def test_central_diff_rejects_other_orders():
-    with pytest.raises(ValueError):
-        central_diff(math.sin, 0.1, order=3)
-
-
-# ---- the stacked stencils against the per-offset formulas ----
-#
-# central_diff calls f once on all of its offsets stacked; written out
-# offset by offset below, the same formulas must give the same bits.  The
-# test function uses + - * / only, so every value is one IEEE operation
-# sequence wherever it sits in a batch.
-
-
-def rational(x):
-    return (x * x * x - 2.0 * x) / (1.0 + x * x)
-
-
-def per_offset_diff(x, h, order):
-    if order == 2:
-        return (rational(x + h) - rational(x - h)) / (2.0 * h)
-    return (-rational(x + 2.0 * h) + 8.0 * rational(x + h)
-            - 8.0 * rational(x - h) + rational(x - 2.0 * h)) / (12.0 * h)
-
-
-coordinates = st.floats(-10.0, 10.0, allow_nan=False)
-steps = st.floats(1e-6, 1.0)
-# a point (one float) or a batch of 1 to 6 points
-points = st.one_of(coordinates, st.lists(coordinates, min_size=1, max_size=6)
-                   .map(np.array))
-
-
-def stencil_step(x, h, per_point):
-    """A float step, or the same step for each point (np.full keeps its
-    bits)."""
-    return np.full(np.shape(x), h) if per_point else h
-
-
-def stencil_points(x, t, per_point):
-    """The points x displaced by the stacked offsets t: the offsets on the
-    last axis for a float step, flattened offset-major for a per-point one."""
-    return np.ravel(x + t) if per_point else np.add.outer(x, t)
-
-
-@settings(max_examples=60, deadline=None)
-@given(x=points, h=steps, order=st.sampled_from((2, 4)), per_point=st.booleans())
-def test_stacked_central_diff_is_the_per_offset_formula(x, h, order, per_point):
-    got = central_diff(lambda t: rational(stencil_points(x, t, per_point)),
-                       stencil_step(x, h, per_point), order)
-    want = per_offset_diff(x, h, order)
-    assert np.shape(got) == np.shape(want)
-    assert np.array_equal(got, want)
+# ---- adaptive Simpson ----
 
 
 def _horner(coeffs):

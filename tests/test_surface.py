@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +34,7 @@ from heisgeo.families import (
     make_helix_surface,
     make_minimal_plane,
 )
-from heisgeo.numeric import (FLOAT_DIGITS, Taylor, central_diff, derivative,
-                             fmt_float)
+from heisgeo.numeric import FLOAT_DIGITS, Taylor, derivative, fmt_float
 import heisgeo.surface as surface_module
 from heisgeo.surface import (
     GeometryReport,
@@ -51,6 +54,8 @@ from heisgeo.surface import (
     unit_normal,
 )
 from heisgeo.verify import check_shape_operator_routes, default_family_matrix
+
+from conftest import central_diff4
 
 ASINH1 = math.asinh(1.0)
 
@@ -666,6 +671,20 @@ def test_kept_jet_keys_on_the_bits_of_u_and_v():
     assert len(calls) == 9
 
 
+def test_cli_import_loads_no_hashlib():
+    """The kept jet's key is the bytes of (u, v), not a digest, so no
+    process that imports the CLI pays for loading hashlib (OpenSSL): a
+    few ms of every command's start."""
+    src = str(Path(surface_module.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, heisgeo.cli; print(sorted(m for m in sys.modules "
+         "if 'hashlib' in m))"],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
 def test_kept_jet_cannot_be_written():
     """Every array a kept jet hands out is read-only, its values at order 2
     included, so that no consumer can change what the next one reads."""
@@ -722,9 +741,9 @@ def differenced_partials(patch: SurfacePatch, u: float, v: float) -> dict:
     on floats: an oracle that shares no code with the Taylor jet."""
     def along(f, axis):
         def df(du, dv):
-            return central_diff(lambda t: np.array(
+            return central_diff4(lambda t: np.array(
                 [f(du + x, dv) if axis == 0 else f(du, dv + x)
-                 for x in t.tolist()]).T, 1e-2, order=4)
+                 for x in t.tolist()]).T, 1e-2)
         return df
 
     def point(du, dv):

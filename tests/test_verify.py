@@ -326,6 +326,41 @@ def test_parallel_synthetic_multiple_of_identity():
     assert parallel_equations_residuals(varying) > 0.5
 
 
+def _sinh_cosh_input(omega_u: float, entries=None) -> ParallelCheckInput:
+    """S = [[-sinh 3u, cosh 3u], [cosh 3u, sinh 3u]] on 32 points with u in
+    [0, 0.7], a flat frame, w(d/du) = omega_u and w(d/dv) = 0."""
+    return ParallelCheckInput(
+        eps=1,
+        points=[(0.7 * i / 31, 0.0) for i in range(32)],
+        frame_directions=lambda u, v: ((1.0, 0.0), (0.0, 1.0)),
+        entries=entries or (lambda u, v: (
+            -np.sinh(3.0 * u), np.cosh(3.0 * u), np.sinh(3.0 * u))),
+        omega=lambda u, v, k: omega_u if k == 0 else 0.0,
+    )
+
+
+def test_parallel_residuals_are_exact_on_a_varying_parallel_operator():
+    """At w(d/du) = 1.5 the operator solves the parallel equations exactly;
+    a second-order central difference at step 1e-3 read 1.86e-5 there,
+    above the 1e-5 tolerance of parallel.equations."""
+    assert parallel_equations_residuals(_sinh_cosh_input(1.5)) <= 1e-14
+
+
+def test_parallel_residuals_read_the_analytic_defect():
+    """At w(d/du) = 1 the residuals along d/du are cosh 3u, sinh 3u and
+    cosh 3u, so their maximum is cosh(2.1), at u = 0.7."""
+    got = parallel_equations_residuals(_sinh_cosh_input(1.0))
+    assert got == pytest.approx(math.cosh(2.1), rel=1e-15)
+
+
+def test_parallel_entries_written_with_math_raise_type_error():
+    """`entries` takes Taylor values: one written with `math` raises
+    TypeError, unwrapped."""
+    with pytest.raises(TypeError):
+        parallel_equations_residuals(_sinh_cosh_input(1.5, lambda u, v: (
+            -math.sinh(3.0 * u), math.cosh(3.0 * u), math.sinh(3.0 * u))))
+
+
 def test_parallel_verdicts_by_family():
     assert check_parallel(make_minimal_plane(-1, "timelike", 0.4), (6, 6)).passed
     assert check_parallel(make_cmc_cylinder(-1, "timelike", 1.0), (6, 6)).passed
